@@ -1,5 +1,5 @@
 //! Criterion bench for **index-backed membership probes** (PR 5): one
-//! prepared physical point probe — `SELECT 1 FROM t WHERE k = $0 AND
+//! prepared point probe — `SELECT 1 FROM t WHERE k = $0 AND
 //! v = $1 AND payload = $2 LIMIT 1` — executed against a frozen
 //! snapshot, with the optimizer choosing the access path. The
 //! `IndexLookup` plan (hash-bucket probe, O(1)) is measured against
@@ -8,10 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hippo_cqa::prelude::*;
-use hippo_engine::{
-    physicalize_with, BoundExpr, Database, DbSnapshot, LogicalPlan, PhysicalOptions, PhysicalPlan,
-    Value,
-};
+use hippo_engine::{choose_access_paths, BoundExpr, Database, DbSnapshot, Plan, Value};
 
 fn snapshot_for(n: usize) -> DbSnapshot {
     let spec = FdTableSpec::new("t", n, 0.05, 84);
@@ -22,16 +19,16 @@ fn snapshot_for(n: usize) -> DbSnapshot {
 
 /// The probe plan the base-mode membership path compiles per literal:
 /// full-row equality with `Param` placeholders, `LIMIT 1`.
-fn probe_plan(snap: &DbSnapshot, use_indexes: bool) -> PhysicalPlan {
+fn probe_plan(snap: &DbSnapshot, use_indexes: bool) -> Plan {
     let predicate = BoundExpr::conjoin((0..3).map(|j| BoundExpr::Binary {
         op: hippo_sql::BinaryOp::Eq,
         left: Box::new(BoundExpr::Column(j)),
         right: Box::new(BoundExpr::Param(j)),
     }));
-    let plan = LogicalPlan::Limit {
-        input: Box::new(LogicalPlan::Project {
-            input: Box::new(LogicalPlan::Filter {
-                input: Box::new(LogicalPlan::Scan { table: "t".into() }),
+    let mut plan = Plan::Limit {
+        input: Box::new(Plan::Project {
+            input: Box::new(Plan::Filter {
+                input: Box::new(Plan::Scan { table: "t".into() }),
                 predicate,
             }),
             exprs: vec![BoundExpr::Literal(Value::Int(1))],
@@ -39,7 +36,10 @@ fn probe_plan(snap: &DbSnapshot, use_indexes: bool) -> PhysicalPlan {
         limit: Some(1),
         offset: 0,
     };
-    physicalize_with(plan, snap.catalog(), &PhysicalOptions { use_indexes })
+    if use_indexes {
+        choose_access_paths(&mut plan, snap.catalog());
+    }
+    plan
 }
 
 fn bench_point_probe(c: &mut Criterion) {

@@ -775,20 +775,21 @@ pub fn e9_prover(quick: bool) -> Result<Table, Box<dyn std::error::Error>> {
         spec.populate(&mut db)?;
         Ok(Hippo::with_options(db, vec![spec.fd()], opts)?)
     };
-    let time_answers = |hippo: &Hippo| -> Result<(Duration, RunStats), Box<dyn std::error::Error>> {
-        let mut best = Duration::MAX;
-        let mut stats = RunStats::default();
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let (_, s) = hippo.consistent_answers_with_stats(&q)?;
-            let el = t0.elapsed();
-            if el < best {
-                best = el;
+    let time_answers =
+        |hippo: &Hippo| -> Result<(Duration, AnswerStats), Box<dyn std::error::Error>> {
+            let mut best = Duration::MAX;
+            let mut stats = AnswerStats::default();
+            for _ in 0..reps {
+                let t0 = Instant::now();
+                let (_, s) = hippo.consistent_answers_with_stats(&q)?;
+                let el = t0.elapsed();
+                if el < best {
+                    best = el;
+                }
+                stats = s;
             }
-            stats = s;
-        }
-        Ok((best, stats))
-    };
+            Ok((best, stats))
+        };
 
     // (1) Prover thread scaling (fixed shard decomposition: identical
     // answers and stats on every row; speedup needs real cores).
@@ -816,10 +817,10 @@ pub fn e9_prover(quick: bool) -> Result<Table, Box<dyn std::error::Error>> {
     // evaluation dominates end-to-end time on this workload and would
     // bury the effect (end-to-end is in the detail column).
     let time_prover_stage =
-        |hippo: &Hippo| -> Result<(Duration, Duration, RunStats), Box<dyn std::error::Error>> {
+        |hippo: &Hippo| -> Result<(Duration, Duration, AnswerStats), Box<dyn std::error::Error>> {
             let mut best = Duration::MAX;
             let mut total = Duration::MAX;
-            let mut stats = RunStats::default();
+            let mut stats = AnswerStats::default();
             for _ in 0..reps {
                 let (_, s) = hippo.consistent_answers_with_stats(&q)?;
                 if s.t_prover < best {
@@ -999,9 +1000,9 @@ pub fn e10_base_mode(quick: bool) -> Result<Table, Box<dyn std::error::Error>> {
     // size — min-of-3 is plenty stable.
     let base_reps = 3usize;
     let time_prover_stage =
-        |opts: HippoOptions| -> Result<(Duration, RunStats), Box<dyn std::error::Error>> {
+        |opts: HippoOptions| -> Result<(Duration, AnswerStats), Box<dyn std::error::Error>> {
             let mut best = Duration::MAX;
-            let mut stats = RunStats::default();
+            let mut stats = AnswerStats::default();
             for _ in 0..base_reps {
                 let hippo = build(opts.clone())?;
                 let (_, s) = hippo.consistent_answers_with_stats(&q)?;
@@ -1191,10 +1192,10 @@ pub fn e11_index_probes(quick: bool) -> Result<Table, Box<dyn std::error::Error>
     // rep rebuilds the system so the cross-call verdict cache never
     // contaminates a timed call.
     let stage =
-        |opts: HippoOptions| -> Result<(Duration, Vec<Row>, RunStats), Box<dyn std::error::Error>> {
+        |opts: HippoOptions| -> Result<(Duration, Vec<Row>, AnswerStats), Box<dyn std::error::Error>> {
             let mut best = Duration::MAX;
             let mut answers = Vec::new();
-            let mut stats = RunStats::default();
+            let mut stats = AnswerStats::default();
             for _ in 0..reps {
                 let hippo = build(opts.clone())?;
                 let (a, s) = hippo.consistent_answers_with_stats(&q)?;

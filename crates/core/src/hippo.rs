@@ -13,12 +13,14 @@
 //!                  (`ColumnStore::for_each_hash`, bit-identical shards)
 //! ```
 //!
-//! Both SQL legs ride the engine's two-engine executor (PR 10): the
-//! envelope/KG evaluation and base-mode membership probes vectorize
+//! Both SQL legs ride the engine's one production executor, read
+//! through its one reader ([`DbSnapshot`] — a live [`Hippo`] answers
+//! through its database's own, a [`FrozenHippo`] through the epoch's):
+//! the envelope/KG evaluation and base-mode membership probes vectorize
 //! when their plan shapes are eligible, and the FD detector's Phase A
 //! hashes LHS projections straight off the typed column slices —
 //! answers and every stats counter stay bit-identical either way
-//! (`HIPPO_COLUMNAR=0` forces row mode).
+//! (tests force row mode with `hippo_engine::set_columnar_override`).
 //!
 //! A checkpoint is a no-op unless the call's [`HippoOptions`] configure
 //! a deadline, row budget, cancellation handle or fault plan. When one
@@ -59,8 +61,8 @@
 //!   │ core probe││           │             │            │  one slot, the
 //!   │ flags:    ││           │             │            │  siblings drain)
 //!   │  KG: rows ││           │             │            │
-//!   │  base:    │→ one frozen DbSnapshot Arc, prepared ←│
-//!   │  prepared │   physical probes (IndexLookup: O(1)
+//!   │  base:    │→ one shared DbSnapshot, prepared      ←│
+//!   │  prepared │   probe plans (IndexLookup: O(1)
 //!   │  probes ◆ │   hash-bucket per fact), memoized     ◆ "membership"
 //!   │ sig cache ││           │             │            │
 //!   │ prover  ◆ ││           │             │            │ ◆ strided tick
@@ -77,7 +79,7 @@
 //! configuration — resolves its membership probes against one
 //! read-only [`DbSnapshot`] shared by all workers (zero locking).
 //! Each shard compiles every literal's probe **once** into a prepared
-//! physical plan ([`MemoSqlMembership`]): the engine's optimizer picks
+//! plan ([`MemoSqlMembership`]): the engine's optimizer picks
 //! the access path, so on a relation with a covering hash index
 //! (auto-built on key columns, or `CREATE INDEX`) a membership check
 //! is an O(1) bucket probe — no SQL text, parsing or planning per
@@ -433,9 +435,6 @@ pub struct AnswerStats {
     /// Total wall-clock for the run.
     pub t_total: Duration,
 }
-
-/// Former name of [`AnswerStats`].
-pub type RunStats = AnswerStats;
 
 impl fmt::Display for AnswerStats {
     /// One-line report, symmetric across modes: shard count, cache hit
@@ -1308,7 +1307,7 @@ impl Hippo {
     ) -> Result<ConsistentAnswer, EngineError> {
         let gov = self.options.governance();
         answers_pipeline(
-            &Backend::Live(&self.db),
+            &self.db,
             &self.graph,
             &self.options,
             &self.verdict_cache,
@@ -1430,7 +1429,7 @@ impl FrozenHippo {
     ) -> Result<ConsistentAnswer, EngineError> {
         let gov = options.governance();
         answers_pipeline(
-            &Backend::Frozen(&self.snapshot),
+            &self.snapshot,
             &self.graph,
             options,
             &self.verdict_cache,
@@ -1440,52 +1439,12 @@ impl FrozenHippo {
     }
 }
 
-/// Where the answer pipeline reads data from: the live database (a
-/// [`Hippo`] answering in place) or a frozen snapshot (a
-/// [`FrozenHippo`] / published epoch). Both expose the same catalog
-/// and governed-query surface; the only behavioural difference is how
-/// base mode obtains its shared membership snapshot.
-enum Backend<'a> {
-    Live(&'a Database),
-    Frozen(&'a DbSnapshot),
-}
-
-impl Backend<'_> {
-    fn catalog(&self) -> &Catalog {
-        match self {
-            Backend::Live(db) => db.catalog(),
-            Backend::Frozen(s) => s.catalog(),
-        }
-    }
-
-    fn query_governed(
-        &self,
-        sql: &str,
-        budget: Option<&Budget>,
-        stage: &'static str,
-    ) -> Result<QueryResult, EngineError> {
-        match self {
-            Backend::Live(db) => db.query_governed(sql, budget, stage),
-            Backend::Frozen(s) => s.query_governed(sql, budget, stage),
-        }
-    }
-
-    /// Base mode's shared membership snapshot: freeze the live
-    /// database once per run, or hand out the already-frozen snapshot
-    /// (an `Arc` clone).
-    fn membership_snapshot(&self) -> DbSnapshot {
-        match self {
-            Backend::Live(db) => db.snapshot(),
-            Backend::Frozen(s) => (*s).clone(),
-        }
-    }
-}
-
 /// The shared answer pipeline behind both [`Hippo`] (live) and
 /// [`FrozenHippo`] (epoch) entry points: envelope → core filter →
-/// sharded prove/merge, all reads through `backend`.
+/// sharded prove/merge, all reads through `backend` — the engine's one
+/// reader, whether it is a live database's own or a frozen epoch's.
 fn answers_pipeline(
-    backend: &Backend<'_>,
+    backend: &DbSnapshot,
     graph: &ConflictHypergraph,
     options: &HippoOptions,
     verdict_cache: &Mutex<VerdictCache>,
@@ -1558,13 +1517,9 @@ fn answers_pipeline(
     let shards = parallel::split_ranges(candidates.len(), PROVER_SHARDS);
     let threads = options.resolved_prover_threads();
     let use_cache = options.prover_cache;
-    // Base mode: freeze the instance once; all workers share the one
-    // snapshot `Arc` and issue their membership SQL against it.
-    let snapshot: Option<DbSnapshot> = if flags.is_none() {
-        Some(backend.membership_snapshot())
-    } else {
-        None
-    };
+    // Base mode: all workers share the one snapshot and issue their
+    // membership probes against it.
+    let snapshot = flags.is_none().then_some(backend);
     // Cross-call verdicts: take the persistent map for this query
     // under the lock, then read it lock-free from every shard.
     let query_key = use_cache.then(|| query.to_string());
@@ -1577,7 +1532,7 @@ fn answers_pipeline(
         template: &template,
         candidates: &candidates,
         flags: flags.as_deref(),
-        snapshot: snapshot.as_ref(),
+        snapshot,
         filtered: filtered.as_ref(),
         use_cache,
         index_probes: options.index_probes,

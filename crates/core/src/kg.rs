@@ -9,12 +9,11 @@
 //! The prover then answers membership checks from the fetched flags and
 //! issues **zero** queries against the database.
 //!
-//! This module also houses the base-mode membership sources. They target
-//! a [`SqlBackend`] — the live [`hippo_engine::Database`] or a frozen,
-//! `Sync` [`hippo_engine::DbSnapshot`] — and the answer pipeline runs
-//! base mode through snapshots: every prover shard owns a
+//! This module also houses the base-mode membership sources. They read
+//! through the engine's one reader, the `Sync`
+//! [`hippo_engine::DbSnapshot`]: every prover shard owns a
 //! [`MemoSqlMembership`], which compiles each literal's probe **once**
-//! into a prepared physical plan (an `IndexLookup` when the relation
+//! into a prepared plan (an `IndexLookup` when the relation
 //! has a covering hash index) and re-executes it per candidate binding,
 //! memoized so the shard pays one probe per distinct fact instead of
 //! one per check. No SQL text is rendered, parsed or optimized on the
@@ -188,35 +187,6 @@ impl MembershipSource for GatheredMembership<'_> {
     }
 }
 
-/// A read-only SQL backend the base-mode membership path can target:
-/// either the live engine handle ([`hippo_engine::Database`]) or a
-/// frozen, `Sync` [`hippo_engine::DbSnapshot`] — the latter is what lets
-/// base-mode prover shards issue membership SQL from worker threads.
-pub trait SqlBackend {
-    /// The catalog the membership SQL is built against.
-    fn catalog(&self) -> &Catalog;
-    /// Evaluate one `SELECT` and return its rows.
-    fn query_rows(&self, sql: &str) -> Result<Vec<Row>, EngineError>;
-}
-
-impl SqlBackend for hippo_engine::Database {
-    fn catalog(&self) -> &Catalog {
-        hippo_engine::Database::catalog(self)
-    }
-    fn query_rows(&self, sql: &str) -> Result<Vec<Row>, EngineError> {
-        Ok(self.query(sql)?.rows)
-    }
-}
-
-impl SqlBackend for hippo_engine::DbSnapshot {
-    fn catalog(&self) -> &Catalog {
-        hippo_engine::DbSnapshot::catalog(self)
-    }
-    fn query_rows(&self, sql: &str) -> Result<Vec<Row>, EngineError> {
-        Ok(self.query(sql)?.rows)
-    }
-}
-
 /// Render the membership probe `SELECT 1 FROM rel WHERE col = v … LIMIT 1`.
 fn membership_probe_sql(catalog: &Catalog, rel: &str, values: &Row) -> Result<String, EngineError> {
     let schema = &catalog.table(rel)?.schema;
@@ -242,19 +212,18 @@ fn membership_probe_sql(catalog: &Catalog, rel: &str, values: &Row) -> Result<St
 
 /// A [`MembershipSource`] that issues one SQL membership query per check —
 /// the base system's behaviour, whose cost the KG optimization removes.
-/// Generic over the [`SqlBackend`]: the sequential path targets the live
-/// [`hippo_engine::Database`], the sharded base-mode pipeline targets a
-/// [`hippo_engine::DbSnapshot`].
-pub struct SqlMembership<'a, B: SqlBackend = hippo_engine::Database> {
+/// Reads through a [`hippo_engine::DbSnapshot`] (a live
+/// [`hippo_engine::Database`] dereferences to one).
+pub struct SqlMembership<'a> {
     /// The backend to query.
-    pub db: &'a B,
+    pub db: &'a hippo_engine::DbSnapshot,
     /// Number of SQL queries issued.
     pub queries_issued: usize,
 }
 
-impl<'a, B: SqlBackend> SqlMembership<'a, B> {
+impl<'a> SqlMembership<'a> {
     /// Constructor.
-    pub fn new(db: &'a B) -> Self {
+    pub fn new(db: &'a hippo_engine::DbSnapshot) -> Self {
         SqlMembership {
             db,
             queries_issued: 0,
@@ -262,29 +231,31 @@ impl<'a, B: SqlBackend> SqlMembership<'a, B> {
     }
 }
 
-impl<B: SqlBackend> MembershipSource for SqlMembership<'_, B> {
+impl MembershipSource for SqlMembership<'_> {
     fn fact_in_db(&mut self, rel: &str, values: &Row) -> Result<bool, EngineError> {
         let sql = membership_probe_sql(self.db.catalog(), rel, values)?;
         self.queries_issued += 1;
-        Ok(!self.db.query_rows(&sql)?.is_empty())
+        Ok(!self.db.query(&sql)?.rows.is_empty())
     }
 }
 
 /// One literal's membership probe, compiled **once** to a prepared
-/// physical plan and re-executed per candidate binding.
+/// plan and re-executed per candidate binding.
 struct PreparedProbe {
-    /// The physical plan: `LimitExec 1` over `ProjectExec [1]` over the
-    /// chosen access path — an `IndexLookup` keyed by `Param`s when the
-    /// relation has a covering index, a filtered `SeqScan` otherwise.
-    plan: hippo_engine::PhysicalPlan,
+    /// The plan: `Limit 1` over `Project [1]` over the chosen access
+    /// path — an `IndexLookup` keyed by `Param`s when the relation has
+    /// a covering index (and index probes are on), a filtered `Scan`
+    /// otherwise.
+    plan: hippo_engine::Plan,
     /// Whether the chosen access path is an index lookup.
     uses_index: bool,
 }
 
 impl PreparedProbe {
     /// Compile the probe `SELECT 1 FROM rel WHERE c0 = $0 AND … LIMIT 1`
-    /// for `lit`'s relation: build the logical pipeline with `Param`
-    /// placeholders, then let the optimizer pick the access path.
+    /// for `lit`'s relation: build the pipeline with `Param`
+    /// placeholders, then (unless `use_indexes` is off) let the
+    /// optimizer pick the access path.
     /// Parameter bindings come from candidate projections over the same
     /// columns, so their types always match (or are `NULL`, which
     /// matches nothing) — the contract index-safe `Param` keys require.
@@ -293,7 +264,7 @@ impl PreparedProbe {
         lit: &LitTemplate,
         use_indexes: bool,
     ) -> Result<PreparedProbe, EngineError> {
-        use hippo_engine::BoundExpr;
+        use hippo_engine::{BoundExpr, Plan};
         let schema = &catalog.table(&lit.rel)?.schema;
         if schema.arity() != lit.cols.len() {
             return Err(EngineError::new(format!(
@@ -306,10 +277,10 @@ impl PreparedProbe {
             left: Box::new(BoundExpr::Column(j)),
             right: Box::new(BoundExpr::Param(j)),
         }));
-        let plan = hippo_engine::LogicalPlan::Limit {
-            input: Box::new(hippo_engine::LogicalPlan::Project {
-                input: Box::new(hippo_engine::LogicalPlan::Filter {
-                    input: Box::new(hippo_engine::LogicalPlan::Scan {
+        let mut plan = Plan::Limit {
+            input: Box::new(Plan::Project {
+                input: Box::new(Plan::Filter {
+                    input: Box::new(Plan::Scan {
                         table: lit.rel.clone(),
                     }),
                     predicate,
@@ -319,23 +290,21 @@ impl PreparedProbe {
             limit: Some(1),
             offset: 0,
         };
-        let plan = hippo_engine::physicalize_with(
-            plan,
-            catalog,
-            &hippo_engine::PhysicalOptions { use_indexes },
-        );
+        if use_indexes {
+            hippo_engine::choose_access_paths(&mut plan, catalog);
+        }
         let uses_index = plan.uses_index();
         Ok(PreparedProbe { plan, uses_index })
     }
 }
 
 /// The base-mode shard's flag gatherer: resolves the per-literal
-/// membership flags of one candidate through **prepared physical
-/// probes** against a frozen snapshot, memoized per literal. At
+/// membership flags of one candidate through **prepared probes**
+/// against a frozen snapshot, memoized per literal. At
 /// construction each literal's probe is compiled once — access path
 /// and all — so the steady state has no SQL text, no parsing, no
 /// binding and no optimization: a memo miss is one
-/// [`hippo_engine::DbSnapshot::run_prepared`] call, which on an
+/// [`hippo_engine::exec::execute_physical_with`] call, which on an
 /// indexed relation is a hash-bucket probe (O(1) per candidate) and on
 /// an unindexed one an early-exiting scan. The memo is keyed by
 /// `(literal, projected key values)` and lives for the whole shard, so
@@ -440,7 +409,7 @@ impl<'a> MemoSqlMembership<'a> {
                     // sub-microsecond probe cost. The totals fold into
                     // the snapshot in one `record_prepared` call when
                     // the shard finishes (see `flush_backend_stats`).
-                    let b = !hippo_engine::exec::execute_physical_params_governed(
+                    let b = !hippo_engine::exec::execute_physical_with(
                         &probe.plan,
                         self.snapshot.catalog(),
                         &self.row_buf,

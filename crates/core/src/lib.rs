@@ -121,7 +121,7 @@ pub mod prelude {
     pub use crate::constraint::{AttrRef, Comparison, DenialConstraint, Term};
     pub use crate::detect::{detect_conflicts, detect_conflicts_with, DetectOptions, DetectStats};
     pub use crate::envelope::envelope;
-    pub use crate::hippo::{AnswerStats, FrozenHippo, Hippo, HippoOptions, RunStats};
+    pub use crate::hippo::{AnswerStats, FrozenHippo, Hippo, HippoOptions};
     pub use crate::hypergraph::{ConflictHypergraph, Fact, Vertex};
     pub use crate::inclusion::{FkIndex, ForeignKey};
     pub use crate::naive::{conflict_free_answers, naive_consistent_answers, plain_answers};

@@ -1,4 +1,4 @@
-//! Name resolution and lowering: SQL AST → [`LogicalPlan`].
+//! Name resolution and lowering: SQL AST → [`Plan`].
 //!
 //! The binder resolves table/column names against the catalog, expands
 //! wildcards, desugars `BETWEEN`, detects aggregation, and produces a plan
@@ -8,7 +8,7 @@
 
 use crate::catalog::Catalog;
 use crate::expr::{BoundExpr, ScalarFunc};
-use crate::plan::{AggExpr, AggFunc, JoinType, LogicalPlan};
+use crate::plan::{AggExpr, AggFunc, JoinType, Plan};
 use crate::schema::EngineError;
 use hippo_sql::{
     BinaryOp, Expr, JoinKind, Literal, OrderItem, Query, SelectCore, SelectItem, SetOp, TableRef,
@@ -18,7 +18,7 @@ use hippo_sql::{
 #[derive(Debug, Clone)]
 pub struct BoundQuery {
     /// The logical plan.
-    pub plan: LogicalPlan,
+    pub plan: Plan,
     /// Output column names (parallel to the plan's output columns).
     pub columns: Vec<String>,
 }
@@ -149,17 +149,17 @@ impl<'a> Binder<'a> {
                     )));
                 }
                 let plan = match op {
-                    SetOp::Union => LogicalPlan::Union {
+                    SetOp::Union => Plan::Union {
                         left: Box::new(l.plan),
                         right: Box::new(r.plan),
                         all: *all,
                     },
-                    SetOp::Except => LogicalPlan::Except {
+                    SetOp::Except => Plan::Except {
                         left: Box::new(l.plan),
                         right: Box::new(r.plan),
                         all: *all,
                     },
-                    SetOp::Intersect => LogicalPlan::Intersect {
+                    SetOp::Intersect => Plan::Intersect {
                         left: Box::new(l.plan),
                         right: Box::new(r.plan),
                         all: *all,
@@ -176,12 +176,12 @@ impl<'a> Binder<'a> {
     fn select_core(&mut self, core: &SelectCore) -> Result<BoundQuery, EngineError> {
         // ----- FROM -----
         let mut scope = Scope::default();
-        let mut plan = None::<LogicalPlan>;
+        let mut plan = None::<Plan>;
         for tr in &core.from {
             let (p, entries) = self.table_ref(tr, &mut scope)?;
             plan = Some(match plan {
                 None => p,
-                Some(prev) => LogicalPlan::CrossJoin {
+                Some(prev) => Plan::CrossJoin {
                     left: Box::new(prev),
                     right: Box::new(p),
                 },
@@ -189,7 +189,7 @@ impl<'a> Binder<'a> {
             // entries already added to scope by table_ref
             let _ = entries;
         }
-        let mut plan = plan.unwrap_or_else(LogicalPlan::one_row);
+        let mut plan = plan.unwrap_or_else(Plan::one_row);
 
         // Push the FROM scope: WHERE / projection bind against it.
         self.scopes.push(scope);
@@ -202,8 +202,8 @@ impl<'a> Binder<'a> {
     fn select_rest(
         &mut self,
         core: &SelectCore,
-        plan: &mut LogicalPlan,
-    ) -> Result<(LogicalPlan, Vec<String>), EngineError> {
+        plan: &mut Plan,
+    ) -> Result<(Plan, Vec<String>), EngineError> {
         // ----- WHERE -----
         if let Some(f) = &core.filter {
             if contains_aggregate(f) {
@@ -212,7 +212,7 @@ impl<'a> Binder<'a> {
                 ));
             }
             let predicate = self.expr(f)?;
-            *plan = LogicalPlan::Filter {
+            *plan = Plan::Filter {
                 input: Box::new(plan.clone()),
                 predicate,
             };
@@ -295,14 +295,14 @@ impl<'a> Binder<'a> {
                 .iter()
                 .map(|e| self.expr(e))
                 .collect::<Result<_, _>>()?;
-            plan = LogicalPlan::Project {
+            plan = Plan::Project {
                 input: Box::new(plan),
                 exprs: bound,
             };
         }
 
         if core.distinct {
-            plan = LogicalPlan::Distinct {
+            plan = Plan::Distinct {
                 input: Box::new(plan),
             };
         }
@@ -310,14 +310,14 @@ impl<'a> Binder<'a> {
         // ----- ORDER BY (binds against the output columns) -----
         if !core.order_by.is_empty() {
             let keys = self.bind_order_by(&core.order_by, &proj_names, &proj_exprs, has_agg)?;
-            plan = LogicalPlan::Sort {
+            plan = Plan::Sort {
                 input: Box::new(plan),
                 keys,
             };
         }
 
         if core.limit.is_some() || core.offset.is_some() {
-            plan = LogicalPlan::Limit {
+            plan = Plan::Limit {
                 input: Box::new(plan),
                 limit: core.limit,
                 offset: core.offset.unwrap_or(0),
@@ -333,10 +333,10 @@ impl<'a> Binder<'a> {
     fn bind_aggregate(
         &mut self,
         core: &SelectCore,
-        input: LogicalPlan,
+        input: Plan,
         proj_exprs: &[Expr],
         _proj_names: &[String],
-    ) -> Result<LogicalPlan, EngineError> {
+    ) -> Result<Plan, EngineError> {
         // Group expressions, bound over the FROM scope.
         let group_asts: Vec<Expr> = core.group_by.clone();
         let group_bound: Vec<BoundExpr> = group_asts
@@ -370,7 +370,7 @@ impl<'a> Binder<'a> {
             .map(|a| self.bind_agg_call(a))
             .collect::<Result<_, _>>()?;
 
-        let agg_plan = LogicalPlan::Aggregate {
+        let agg_plan = Plan::Aggregate {
             input: Box::new(input),
             group_exprs: group_bound,
             aggregates,
@@ -380,7 +380,7 @@ impl<'a> Binder<'a> {
         let mut plan = agg_plan;
         if let Some(h) = &core.having {
             let pred = self.rebind_over_groups(h, &group_asts, &agg_asts)?;
-            plan = LogicalPlan::Filter {
+            plan = Plan::Filter {
                 input: Box::new(plan),
                 predicate: pred,
             };
@@ -391,7 +391,7 @@ impl<'a> Binder<'a> {
             .iter()
             .map(|e| self.rebind_over_groups(e, &group_asts, &agg_asts))
             .collect::<Result<_, _>>()?;
-        Ok(LogicalPlan::Project {
+        Ok(Plan::Project {
             input: Box::new(plan),
             exprs,
         })
@@ -555,7 +555,7 @@ impl<'a> Binder<'a> {
         &mut self,
         tr: &TableRef,
         scope: &mut Scope,
-    ) -> Result<(LogicalPlan, usize), EngineError> {
+    ) -> Result<(Plan, usize), EngineError> {
         match tr {
             TableRef::Table { name, alias } => {
                 let t = self.catalog.table(name)?;
@@ -573,7 +573,7 @@ impl<'a> Binder<'a> {
                 }
                 scope.add(Some(qualifier), columns);
                 Ok((
-                    LogicalPlan::Scan {
+                    Plan::Scan {
                         table: name.clone(),
                     },
                     1,
@@ -605,14 +605,14 @@ impl<'a> Binder<'a> {
                 let (rp, _) = self.table_ref(right, scope)?;
                 match kind {
                     JoinKind::Cross => Ok((
-                        LogicalPlan::CrossJoin {
+                        Plan::CrossJoin {
                             left: Box::new(lp),
                             right: Box::new(rp),
                         },
                         2,
                     )),
                     JoinKind::Inner => {
-                        let plan = LogicalPlan::CrossJoin {
+                        let plan = Plan::CrossJoin {
                             left: Box::new(lp),
                             right: Box::new(rp),
                         };
@@ -624,7 +624,7 @@ impl<'a> Binder<'a> {
                         let pred = self.expr(on);
                         self.scopes.pop();
                         Ok((
-                            LogicalPlan::Filter {
+                            Plan::Filter {
                                 input: Box::new(plan),
                                 predicate: pred?,
                             },
@@ -639,7 +639,7 @@ impl<'a> Binder<'a> {
                         let pred = self.expr(on);
                         self.scopes.pop();
                         Ok((
-                            LogicalPlan::NestedLoopJoin {
+                            Plan::NestedLoopJoin {
                                 left: Box::new(lp),
                                 right: Box::new(rp),
                                 predicate: Some(pred?),
@@ -981,11 +981,11 @@ mod tests {
     fn binds_simple_select() {
         let b = bind("SELECT name, salary FROM emp WHERE salary > 100").unwrap();
         assert_eq!(b.columns, vec!["name", "salary"]);
-        let LogicalPlan::Project { exprs, input } = b.plan else {
+        let Plan::Project { exprs, input } = b.plan else {
             panic!()
         };
         assert_eq!(exprs, vec![BoundExpr::Column(0), BoundExpr::Column(2)]);
-        assert!(matches!(*input, LogicalPlan::Filter { .. }));
+        assert!(matches!(*input, Plan::Filter { .. }));
     }
 
     #[test]
@@ -1047,10 +1047,10 @@ mod tests {
     #[test]
     fn between_desugars() {
         let b = bind("SELECT name FROM emp WHERE salary BETWEEN 1 AND 2").unwrap();
-        let LogicalPlan::Project { input, .. } = b.plan else {
+        let Plan::Project { input, .. } = b.plan else {
             panic!()
         };
-        let LogicalPlan::Filter { predicate, .. } = *input else {
+        let Plan::Filter { predicate, .. } = *input else {
             panic!()
         };
         assert!(matches!(
@@ -1069,19 +1069,19 @@ mod tests {
         )
         .unwrap();
         // find the Exists expression and check it contains an OuterRef
-        let LogicalPlan::Project { input, .. } = b.plan else {
+        let Plan::Project { input, .. } = b.plan else {
             panic!()
         };
-        let LogicalPlan::Filter { predicate, .. } = *input else {
+        let Plan::Filter { predicate, .. } = *input else {
             panic!()
         };
         let BoundExpr::Exists { plan, .. } = predicate else {
             panic!("{predicate:?}")
         };
-        let LogicalPlan::Project { input, .. } = *plan else {
+        let Plan::Project { input, .. } = *plan else {
             panic!()
         };
-        let LogicalPlan::Filter { predicate, .. } = *input else {
+        let Plan::Filter { predicate, .. } = *input else {
             panic!()
         };
         let mut saw_outer = false;
@@ -1099,13 +1099,13 @@ mod tests {
             bind("SELECT dept, COUNT(*), SUM(salary) FROM emp GROUP BY dept HAVING COUNT(*) > 1")
                 .unwrap();
         assert_eq!(b.columns, vec!["dept", "count", "sum"]);
-        let LogicalPlan::Project { input, .. } = &b.plan else {
+        let Plan::Project { input, .. } = &b.plan else {
             panic!()
         };
-        let LogicalPlan::Filter { input: agg, .. } = &**input else {
+        let Plan::Filter { input: agg, .. } = &**input else {
             panic!()
         };
-        let LogicalPlan::Aggregate {
+        let Plan::Aggregate {
             group_exprs,
             aggregates,
             ..
@@ -1132,7 +1132,7 @@ mod tests {
     #[test]
     fn order_by_position_and_alias() {
         let b = bind("SELECT name AS n, salary FROM emp ORDER BY 2 DESC, n").unwrap();
-        let LogicalPlan::Sort { keys, .. } = &b.plan else {
+        let Plan::Sort { keys, .. } = &b.plan else {
             panic!()
         };
         assert_eq!(keys[0], (BoundExpr::Column(1), true));
@@ -1148,11 +1148,11 @@ mod tests {
     #[test]
     fn select_without_from() {
         let b = bind("SELECT 1, 'x'").unwrap();
-        let LogicalPlan::Project { input, exprs } = b.plan else {
+        let Plan::Project { input, exprs } = b.plan else {
             panic!()
         };
         assert_eq!(exprs.len(), 2);
-        assert!(matches!(*input, LogicalPlan::Values { .. }));
+        assert!(matches!(*input, Plan::Values { .. }));
     }
 
     #[test]
@@ -1164,24 +1164,24 @@ mod tests {
     #[test]
     fn inner_join_lowered_to_filter_over_cross() {
         let b = bind("SELECT * FROM emp e INNER JOIN dept d ON e.dept = d.dname").unwrap();
-        let LogicalPlan::Project { input, .. } = b.plan else {
+        let Plan::Project { input, .. } = b.plan else {
             panic!()
         };
-        let LogicalPlan::Filter { input: cj, .. } = *input else {
+        let Plan::Filter { input: cj, .. } = *input else {
             panic!()
         };
-        assert!(matches!(*cj, LogicalPlan::CrossJoin { .. }));
+        assert!(matches!(*cj, Plan::CrossJoin { .. }));
     }
 
     #[test]
     fn left_join_becomes_nested_loop_left() {
         let b = bind("SELECT * FROM emp e LEFT JOIN dept d ON e.dept = d.dname").unwrap();
-        let LogicalPlan::Project { input, .. } = b.plan else {
+        let Plan::Project { input, .. } = b.plan else {
             panic!()
         };
         assert!(matches!(
             *input,
-            LogicalPlan::NestedLoopJoin {
+            Plan::NestedLoopJoin {
                 join_type: JoinType::Left,
                 ..
             }

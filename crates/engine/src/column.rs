@@ -52,26 +52,27 @@
 //!
 //! # Eligible shapes and fallback rules
 //!
-//! [`compile`] accepts exactly these physical-plan roots (after
-//! peeling an optional `LimitExec{limit: Some}` and `ProjectExec`):
+//! [`compile`] accepts exactly these plan roots (after peeling an
+//! optional `Limit{limit: Some}` and `Project`):
 //!
-//! * **Select** — `FilterExec?(SeqScan)` where every conjunct is
+//! * **Select** — `Filter?(Scan)` where every conjunct is
 //!   `column ⟨cmp⟩ literal|param`, `column ⟨cmp⟩ column` (same-type or
 //!   numeric mix), or `column IS [NOT] NULL`, and every projection
 //!   item is a column, literal, or parameter;
-//! * **Agg** — `AggregateExec` over such a pipe with column-only
+//! * **Agg** — `Aggregate` over such a pipe with column-only
 //!   group keys and aggregate arguments;
-//! * **Join** — `HashJoinExec` (inner/left, no residual) with
+//! * **Join** — `HashJoin` (inner/left, no residual) with
 //!   column-only keys over two such pipes.
 //!
 //! Anything else returns `None` and runs row-mode — but because the
 //! vectorized hook sits at the top of `execute_physical`, *subtrees*
-//! of unconverted operators (a `DistinctExec` or `SortExec` input, a
-//! set-operation branch, a materialising `LimitExec` input) still
-//! vectorize when they match. The one deliberate exception: a
-//! `LimitExec{Some}` over a streaming shape the compiler rejected
-//! runs the row-wise early-exit scan (`streaming_limit`) without
-//! recursing, so `EXPLAIN` reports it as row-mode.
+//! of unconverted operators (a `Distinct` or `Sort` input, a
+//! set-operation branch, a materialising `Limit` input, an
+//! uncorrelated expression subquery) still vectorize when they match.
+//! The one deliberate exception: a `Limit{Some}` over a streaming
+//! shape the compiler rejected runs the row-wise early-exit scan
+//! (`streaming_limit`) without recursing, so `EXPLAIN` reports it as
+//! row-mode.
 //!
 //! Runtime conditions that cannot be checked structurally (unbound or
 //! type-mismatched parameters, `NaN` literals bound at execution
@@ -83,17 +84,17 @@
 //!
 //! The vectorized path replays row-mode's budget-charging sequence
 //! exactly: an unfiltered, unlimited scan charges one batch
-//! (`charge_batch`, like the `SeqScan` arm); a filtered or limited
+//! (`charge_batch`, like the `Scan` arm); a filtered or limited
 //! scan charges per examined row in row order, with the limit's
 //! check-before-charge rule (`LIMIT 0` charges nothing) preserved.
 //! Answers, errors, and every budget counter are bit-identical to row
 //! mode at any thread count; `EXPLAIN` shows which engine ran, and
-//! [`crate::DbStats`] counts `batches_executed` / `vectorized_rows` /
+//! [`crate::SnapshotStatsView`] counts `batches_executed` / `vectorized_rows` /
 //! `rowmode_rows`.
 
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 
 use hippo_sql::BinaryOp;
 use rustc_hash::FxHashMap;
@@ -101,7 +102,7 @@ use rustc_hash::FxHashMap;
 use crate::catalog::Catalog;
 use crate::exec::Acc;
 use crate::expr::{split_conjuncts_ref, BoundExpr, EvalEnv};
-use crate::plan::{AggExpr, JoinType, PhysicalPlan};
+use crate::plan::{AggExpr, JoinType, Plan};
 use crate::schema::{DataType, EngineError, TableSchema};
 use crate::table::Table;
 use crate::value::{Row, Value};
@@ -473,19 +474,16 @@ impl<'a> ColumnBatch<'a> {
 // Enable/disable switch
 // ---------------------------------------------------------------------------
 
-/// 0 = unset (read `HIPPO_COLUMNAR`), 1 = forced on, 2 = forced off.
-static COLUMNAR_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// Vectorized execution is on unless a test or bench turned it off.
+static COLUMNAR_OFF: AtomicBool = AtomicBool::new(false);
 
-/// Force vectorized execution on/off process-wide (tests, benches,
-/// and the differential suites use this; worker threads observe it
-/// immediately). `None` restores the `HIPPO_COLUMNAR` env default.
+/// Force vectorized execution on/off process-wide — the hook the
+/// differential suites, the toggle tests and the columnar benches use
+/// to run the row-mode operators on shapes that would vectorize;
+/// worker threads observe it immediately. `None` restores the default
+/// (on). Not a deployment setting: nothing reads the environment.
 pub fn set_columnar_override(v: Option<bool>) {
-    let code = match v {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    COLUMNAR_OVERRIDE.store(code, AtomicOrdering::Relaxed);
+    COLUMNAR_OFF.store(v == Some(false), AtomicOrdering::Relaxed);
 }
 
 /// Serialises unit tests that flip the process-wide override so they
@@ -497,16 +495,10 @@ pub(crate) fn override_guard() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Is vectorized execution enabled? Override first, then the
-/// `HIPPO_COLUMNAR` environment variable (default on; `"0"` = off).
+/// Is vectorized execution enabled (the default, unless
+/// [`set_columnar_override`] turned it off)?
 pub fn columnar_enabled() -> bool {
-    match COLUMNAR_OVERRIDE.load(AtomicOrdering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => std::env::var_os("HIPPO_COLUMNAR")
-            .map(|v| v != "0")
-            .unwrap_or(true),
-    }
+    !COLUMNAR_OFF.load(AtomicOrdering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
@@ -522,7 +514,7 @@ enum Root<'p> {
     Select {
         pipe: Pipe<'p>,
         project: Option<&'p [BoundExpr]>,
-        /// `(limit, offset)` from a peeled `LimitExec{limit: Some}`.
+        /// `(limit, offset)` from a peeled `Limit{limit: Some}`.
         limit: Option<(u64, u64)>,
     },
     Agg {
@@ -543,11 +535,11 @@ enum Root<'p> {
     },
 }
 
-/// A scan pipe: `FilterExec?(SeqScan)` with compiled conjuncts.
+/// A scan pipe: `Filter?(Scan)` with compiled conjuncts.
 struct Pipe<'p> {
     table: &'p str,
     preds: Vec<Pred<'p>>,
-    /// Whether a `FilterExec` was present (drives per-row charging
+    /// Whether a `Filter` was present (drives per-row charging
     /// parity even when `preds` is empty — it never is today, but the
     /// flag keeps charging tied to plan shape, not predicate count).
     has_filter: bool,
@@ -581,13 +573,13 @@ enum Pred<'p> {
     IsNull { col: usize, negated: bool },
 }
 
-/// Compile a physical plan into a vectorized query, or `None` if any
+/// Compile a plan into a vectorized query, or `None` if any
 /// part of the shape is unconverted. Purely structural: no table data
 /// or parameter bindings are consulted, so the answer is stable for a
 /// given plan and schema (which is what `EXPLAIN` prints).
-pub(crate) fn compile<'p>(plan: &'p PhysicalPlan, catalog: &Catalog) -> Option<VecQuery<'p>> {
+pub(crate) fn compile<'p>(plan: &'p Plan, catalog: &Catalog) -> Option<VecQuery<'p>> {
     let (limit, node) = match plan {
-        PhysicalPlan::LimitExec {
+        Plan::Limit {
             input,
             limit: Some(l),
             offset,
@@ -595,11 +587,11 @@ pub(crate) fn compile<'p>(plan: &'p PhysicalPlan, catalog: &Catalog) -> Option<V
         other => (None, other),
     };
     let (project, node) = match node {
-        PhysicalPlan::ProjectExec { input, exprs } => (Some(exprs.as_slice()), &**input),
+        Plan::Project { input, exprs } => (Some(exprs.as_slice()), &**input),
         other => (None, other),
     };
     match node {
-        PhysicalPlan::AggregateExec {
+        Plan::Aggregate {
             input,
             group_exprs,
             aggregates,
@@ -633,7 +625,7 @@ pub(crate) fn compile<'p>(plan: &'p PhysicalPlan, catalog: &Catalog) -> Option<V
                 },
             })
         }
-        PhysicalPlan::HashJoinExec {
+        Plan::HashJoin {
             left,
             right,
             left_keys,
@@ -663,7 +655,7 @@ pub(crate) fn compile<'p>(plan: &'p PhysicalPlan, catalog: &Catalog) -> Option<V
             let pipe = compile_pipe(other, catalog)?;
             // A bare unfiltered, unprojected, unlimited scan gains
             // nothing from the batch path; keep it on the one-charge
-            // row-mode `SeqScan` arm.
+            // row-mode `Scan` arm.
             if !pipe.has_filter && project.is_none() && limit.is_none() {
                 return None;
             }
@@ -704,13 +696,13 @@ fn key_columns(keys: &[BoundExpr], arity: usize) -> Option<Vec<usize>> {
         .collect()
 }
 
-fn compile_pipe<'p>(node: &'p PhysicalPlan, catalog: &Catalog) -> Option<Pipe<'p>> {
+fn compile_pipe<'p>(node: &'p Plan, catalog: &Catalog) -> Option<Pipe<'p>> {
     let (pred, scan) = match node {
-        PhysicalPlan::FilterExec { input, predicate } => (Some(predicate), &**input),
+        Plan::Filter { input, predicate } => (Some(predicate), &**input),
         other => (None, other),
     };
     let table = match scan {
-        PhysicalPlan::SeqScan { table } => table.as_str(),
+        Plan::Scan { table } => table.as_str(),
         _ => return None,
     };
     let schema = &catalog.table(table).ok()?.schema;
@@ -1253,7 +1245,7 @@ fn run_pipe(
 /// switch, or runtime binding) — the caller falls back to row mode
 /// having observed no side effects (no budget charges, no stats).
 pub(crate) fn try_execute(
-    plan: &PhysicalPlan,
+    plan: &Plan,
     env: &mut EvalEnv<'_>,
 ) -> Result<Option<Vec<Row>>, EngineError> {
     // Structural check first: it is a cheap match failure for the hot
@@ -1528,55 +1520,35 @@ fn join_selections(
 
 /// Would executing `plan` use the vectorized engine anywhere (assuming
 /// it is enabled)? True when the root compiles, or when any subtree
-/// row mode would recurse into compiles. A `LimitExec{Some}` over a
+/// row mode would recurse into compiles. A `Limit{Some}` over a
 /// streaming shape the compiler rejected does *not* recurse: row mode
 /// runs it with the row-wise early-exit scan, never re-entering the
 /// executor on its input.
-pub fn plan_uses_vectorized(plan: &PhysicalPlan, catalog: &Catalog) -> bool {
+pub fn plan_uses_vectorized(plan: &Plan, catalog: &Catalog) -> bool {
     if compile(plan, catalog).is_some() {
         return true;
     }
-    match plan {
-        PhysicalPlan::LimitExec {
-            input,
-            limit: Some(_),
-            ..
-        } if is_streaming_shape(input) => false,
-        PhysicalPlan::FilterExec { input, .. }
-        | PhysicalPlan::ProjectExec { input, .. }
-        | PhysicalPlan::DistinctExec { input }
-        | PhysicalPlan::AggregateExec { input, .. }
-        | PhysicalPlan::SortExec { input, .. }
-        | PhysicalPlan::LimitExec { input, .. } => plan_uses_vectorized(input, catalog),
-        PhysicalPlan::CrossJoinExec { left, right }
-        | PhysicalPlan::HashJoinExec { left, right, .. }
-        | PhysicalPlan::NestedLoopJoinExec { left, right, .. }
-        | PhysicalPlan::UnionExec { left, right, .. }
-        | PhysicalPlan::ExceptExec { left, right, .. }
-        | PhysicalPlan::IntersectExec { left, right, .. } => {
-            plan_uses_vectorized(left, catalog) || plan_uses_vectorized(right, catalog)
-        }
-        PhysicalPlan::Empty { .. }
-        | PhysicalPlan::Values { .. }
-        | PhysicalPlan::SeqScan { .. }
-        | PhysicalPlan::IndexLookup { .. } => false,
-    }
+    let streams = matches!(
+        plan,
+        Plan::Limit { input, limit: Some(_), .. } if is_streaming_shape(input)
+    );
+    !streams
+        && plan
+            .children()
+            .any(|child| plan_uses_vectorized(child, catalog))
 }
 
 /// The shape `streaming_limit` handles row-wise without recursion.
-fn is_streaming_shape(input: &PhysicalPlan) -> bool {
+fn is_streaming_shape(input: &Plan) -> bool {
     let node = match input {
-        PhysicalPlan::ProjectExec { input, .. } => &**input,
+        Plan::Project { input, .. } => &**input,
         other => other,
     };
     let node = match node {
-        PhysicalPlan::FilterExec { input, .. } => &**input,
+        Plan::Filter { input, .. } => &**input,
         other => other,
     };
-    matches!(
-        node,
-        PhysicalPlan::SeqScan { .. } | PhysicalPlan::IndexLookup { .. }
-    )
+    matches!(node, Plan::Scan { .. } | Plan::IndexLookup { .. })
 }
 
 #[cfg(test)]

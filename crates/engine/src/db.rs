@@ -5,26 +5,33 @@
 //! queries) and reads back row sets. A direct typed API is also provided
 //! for bulk loading and for the conflict detector's fast paths.
 //!
-//! # Snapshots
+//! # One reader
 //!
-//! [`Database::snapshot`] freezes the current instance into a
-//! [`DbSnapshot`]: a read-only, `Sync`, cheaply-cloneable handle that
-//! evaluates `SELECT`s against an immutable catalog with **zero
-//! locking**. The database keeps its catalog behind an [`Arc`], so
+//! Every read — `SELECT`, `EXPLAIN`, planning, prepared probes — is a
+//! method of [`DbSnapshot`]: a read-only, `Sync`, cheaply-cloneable
+//! handle that evaluates queries against an immutable catalog with
+//! **zero locking**. A [`Database`] is a snapshot it owns plus the
+//! mutating statements: it dereferences to its `DbSnapshot` (the way a
+//! `String` reads through `str`), so `db.query(..)` and
+//! `snapshot.query(..)` are the same code, and only DDL/DML live on
+//! `Database` itself.
+//!
+//! [`Database::snapshot`] freezes the current instance into an
+//! independent [`DbSnapshot`]. The catalog sits behind an [`Arc`], so
 //! taking a snapshot is one reference-count bump; the first mutation
 //! *after* a snapshot copies the storage once (copy-on-write via
-//! [`Arc::make_mut`]) and later mutations are free again. Snapshot
-//! statistics are per-snapshot atomics (shared by clones of the same
-//! snapshot), never the live database's counters — which is exactly
-//! what lets many prover shards hammer one snapshot concurrently while
-//! the query-count bookkeeping stays exact.
+//! [`Arc::make_mut`]) and later mutations are free again. Statistics
+//! are per-lineage atomics (shared by clones of one snapshot, fresh
+//! for every `Database::snapshot()` call), never the live database's
+//! counters — which is exactly what lets many prover shards hammer one
+//! snapshot concurrently while the query-count bookkeeping stays exact.
 
 use crate::bind::{bind_const_expr, bind_query, bind_table_expr, BoundQuery};
 use crate::catalog::Catalog;
-use crate::exec::{execute, execute_physical, execute_physical_params};
+use crate::exec::{execute, execute_physical, execute_physical_with};
 use crate::expr::{eval, EvalEnv};
-use crate::optimize::optimize;
-use crate::plan::{LogicalPlan, PhysicalPlan};
+use crate::optimize::{choose_access_paths, optimize};
+use crate::plan::Plan;
 use crate::schema::{Column, EngineError, TableSchema};
 use crate::table::TupleId;
 use crate::value::{Row, Value};
@@ -63,56 +70,25 @@ impl QueryResult {
     }
 }
 
-/// Statistics counters for one `Database` (queries executed, rows read).
-/// Hippo's experiments report the number of membership queries sent to the
-/// backend, so the backend counts every statement it executes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DbStats {
-    /// Queries (SELECT) executed.
-    pub queries: usize,
-    /// DML/DDL statements executed.
-    pub statements: usize,
-    /// Base-table access paths executed through an `IndexLookup`.
-    pub index_probes: usize,
-    /// Base-table access paths executed as sequential scans.
-    pub scan_probes: usize,
-    /// Column batches pushed through the vectorized engine
-    /// ([`crate::column`]).
-    pub batches_executed: usize,
-    /// Rows evaluated batch-at-a-time by the vectorized engine.
-    pub vectorized_rows: usize,
-    /// Rows streamed through the row-at-a-time physical operators
-    /// (vectorized-ineligible shapes, or columnar execution disabled).
-    pub rowmode_rows: usize,
-}
-
-impl fmt::Display for DbStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "queries={} statements={} index_probes={} scan_probes={} \
-             batches_executed={} vectorized_rows={} rowmode_rows={}",
-            self.queries,
-            self.statements,
-            self.index_probes,
-            self.scan_probes,
-            self.batches_executed,
-            self.vectorized_rows,
-            self.rowmode_rows
-        )
-    }
-}
-
-/// An in-memory SQL database.
+/// An in-memory SQL database: a [`DbSnapshot`] it owns (through which
+/// every read goes — see the module docs) plus DDL/DML.
 ///
 /// The catalog lives behind an [`Arc`] so [`Database::snapshot`] is a
 /// reference-count bump; mutation goes through [`Arc::make_mut`], which
 /// copies the storage only when a snapshot taken earlier is still alive
-/// (copy-on-write — an unshared database mutates in place as before).
+/// (copy-on-write — an unshared database mutates in place).
 #[derive(Debug, Default)]
 pub struct Database {
-    catalog: Arc<Catalog>,
-    stats: std::cell::Cell<DbStats>,
+    reader: DbSnapshot,
+}
+
+/// Reads on a `Database` are reads on the snapshot it owns.
+impl std::ops::Deref for Database {
+    type Target = DbSnapshot;
+
+    fn deref(&self) -> &DbSnapshot {
+        &self.reader
+    }
 }
 
 impl Database {
@@ -127,73 +103,56 @@ impl Database {
     /// serial system and compare answers bit-for-bit.
     pub fn from_catalog(catalog: Catalog) -> Database {
         Database {
-            catalog: Arc::new(catalog),
-            stats: Default::default(),
+            reader: DbSnapshot {
+                catalog: Arc::new(catalog),
+                stats: Default::default(),
+            },
         }
     }
 
     /// Read access to the catalog (used by conflict detection fast paths).
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        self.reader.catalog()
     }
 
     /// Mutable access to the catalog. Copy-on-write: if a
     /// [`DbSnapshot`] still shares the storage, the catalog is cloned
     /// once here; otherwise this is a plain borrow.
     pub fn catalog_mut(&mut self) -> &mut Catalog {
-        Arc::make_mut(&mut self.catalog)
+        Arc::make_mut(&mut self.reader.catalog)
     }
 
     /// Freeze the current instance into a read-only, `Sync`,
-    /// cheaply-cloneable snapshot. Cost: one `Arc` clone — no row is
-    /// copied now; the *next* mutation of this database pays a one-time
-    /// catalog copy instead (copy-on-write).
+    /// cheaply-cloneable snapshot with its own (zeroed) statistics.
+    /// Cost: one `Arc` clone — no row is copied now; the *next*
+    /// mutation of this database pays a one-time catalog copy instead
+    /// (copy-on-write).
     pub fn snapshot(&self) -> DbSnapshot {
         DbSnapshot {
-            catalog: Arc::clone(&self.catalog),
-            stats: Arc::new(SnapshotStats::default()),
+            catalog: Arc::clone(&self.reader.catalog),
+            stats: Default::default(),
         }
     }
 
-    /// Execution statistics so far.
-    pub fn stats(&self) -> DbStats {
-        self.stats.get()
-    }
-
-    /// Reset statistics counters.
+    /// Reset this database's statistics counters (see
+    /// [`DbSnapshot::stats`]).
     pub fn reset_stats(&self) {
-        self.stats.set(DbStats::default());
-    }
-
-    fn bump_queries(&self) {
-        let mut s = self.stats.get();
-        s.queries += 1;
-        self.stats.set(s);
+        let s = &self.reader.stats;
+        for counter in [
+            &s.queries,
+            &s.statements,
+            &s.index_probes,
+            &s.scan_probes,
+            &s.batches_executed,
+            &s.vectorized_rows,
+            &s.rowmode_rows,
+        ] {
+            counter.store(0, Ordering::Relaxed);
+        }
     }
 
     fn bump_statements(&self) {
-        let mut s = self.stats.get();
-        s.statements += 1;
-        self.stats.set(s);
-    }
-
-    fn bump_probes(&self, index_probes: usize, scan_probes: usize) {
-        let mut s = self.stats.get();
-        s.index_probes += index_probes;
-        s.scan_probes += scan_probes;
-        self.stats.set(s);
-    }
-
-    /// Fold the engine-choice counters one executed query accumulated
-    /// in its [`EvalEnv`] into the database statistics. Folded even
-    /// when the execution errored: the counters describe work actually
-    /// performed, which happens before a budget trip or type error.
-    fn bump_exec_counters(&self, env: &EvalEnv<'_>) {
-        let mut s = self.stats.get();
-        s.batches_executed += env.vec_batches as usize;
-        s.vectorized_rows += env.vec_rows as usize;
-        s.rowmode_rows += env.rowmode_rows as usize;
-        self.stats.set(s);
+        self.reader.stats.statements.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Execute one SQL statement.
@@ -212,113 +171,24 @@ impl Database {
         Ok(last)
     }
 
-    /// Run a query (read-only) and return its result set.
-    pub fn query(&self, sql: &str) -> Result<QueryResult, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Err(EngineError::new("expected a SELECT statement"));
-        };
-        self.run_query_ast(&q)
-    }
-
-    /// Run an already-parsed query: bind, optimize, lower to a physical
-    /// plan (access-path selection picks hash indexes where they cover
-    /// the predicate) and execute.
-    pub fn run_query_ast(&self, q: &hippo_sql::Query) -> Result<QueryResult, EngineError> {
-        self.run_query_ast_governed(q, None, "engine")
-    }
-
-    /// [`Database::query`] under an optional resource [`crate::budget::Budget`]:
-    /// the executor charges rows against it and unwinds with a
-    /// structured `Budget`/`Cancelled` error (reported as `stage`) when
-    /// it is exhausted. `budget = None` is exactly the ungoverned call.
-    pub fn query_governed(
-        &self,
-        sql: &str,
-        budget: Option<&crate::budget::Budget>,
-        stage: &'static str,
-    ) -> Result<QueryResult, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Err(EngineError::new("expected a SELECT statement"));
-        };
-        self.run_query_ast_governed(&q, budget, stage)
-    }
-
-    /// Governed core of [`Database::run_query_ast`].
-    pub fn run_query_ast_governed(
-        &self,
-        q: &hippo_sql::Query,
-        budget: Option<&crate::budget::Budget>,
-        stage: &'static str,
-    ) -> Result<QueryResult, EngineError> {
-        self.bump_queries();
-        let bound = bind_query(&self.catalog, q)?;
-        let plan = optimize(bound.plan, &self.catalog)?;
-        let plan = crate::optimize::physicalize(plan, &self.catalog);
-        let (idx, scan) = plan.access_paths();
-        self.bump_probes(idx, scan);
-        let mut env = EvalEnv::new(&self.catalog);
-        if let Some(b) = budget {
-            env.set_budget(b, stage);
-        }
-        let rows = execute_physical(&plan, &mut env);
-        env.flush_budget();
-        self.bump_exec_counters(&env);
-        Ok(QueryResult {
-            columns: bound.columns,
-            rows: rows?,
-        })
-    }
-
-    /// Plan a query without executing it (diagnostics / tests). Returns
-    /// the **optimized logical** plan — the input of physical lowering
-    /// and the reference the differential tests execute.
-    pub fn plan(&self, sql: &str) -> Result<BoundQuery, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Err(EngineError::new("expected a SELECT statement"));
-        };
-        let bound = bind_query(&self.catalog, &q)?;
-        let plan = optimize(bound.plan, &self.catalog)?;
-        Ok(BoundQuery {
-            plan,
-            columns: bound.columns,
-        })
-    }
-
-    /// The physical plan a query would execute as (diagnostics / tests).
-    pub fn physical_plan(&self, sql: &str) -> Result<PhysicalPlan, EngineError> {
-        let bound = self.plan(sql)?;
-        Ok(crate::optimize::physicalize(bound.plan, &self.catalog))
-    }
-
-    /// `EXPLAIN`-style rendering of the physical plan a query would
-    /// execute as: one operator per line, children indented — the
-    /// chosen access path (`IndexLookup` vs `SeqScan`) is visible at
-    /// the leaves, and a trailing `execution:` line reports whether the
-    /// vectorized engine ([`crate::column`]) or the row-at-a-time
-    /// operators would run the plan. Also reachable as a real SQL
-    /// statement: `EXPLAIN SELECT …` through [`Database::execute`].
-    pub fn explain(&self, sql: &str) -> Result<String, EngineError> {
-        let plan = self.physical_plan(sql)?;
-        Ok(render_explain(&plan, &self.catalog))
-    }
-
     fn execute_statement(&mut self, stmt: &Statement) -> Result<ExecResult, EngineError> {
         match stmt {
-            Statement::Select(q) => Ok(ExecResult::Rows(self.run_query_ast(q)?)),
+            Statement::Select(q) => Ok(ExecResult::Rows(self.run_query_ast(q, None, "engine")?)),
             Statement::Explain(q) => {
                 // Plans but never executes: no query/probe counters move,
-                // mirroring the diagnostic `Database::explain` API.
-                let bound = bind_query(&self.catalog, q)?;
-                let plan = optimize(bound.plan, &self.catalog)?;
-                let plan = crate::optimize::physicalize(plan, &self.catalog);
-                Ok(ExecResult::Rows(explain_result(&plan, &self.catalog)))
+                // mirroring the diagnostic `DbSnapshot::explain` API.
+                let plan = self.bind_with_access_paths(q)?.plan;
+                Ok(ExecResult::Rows(QueryResult {
+                    columns: vec!["plan".to_string()],
+                    rows: render_explain(&plan, self.catalog())
+                        .lines()
+                        .map(|l| vec![Value::text(l)])
+                        .collect(),
+                }))
             }
             Statement::CreateTable(ct) => {
                 self.bump_statements();
-                if ct.if_not_exists && self.catalog.contains(&ct.name) {
+                if ct.if_not_exists && self.catalog().contains(&ct.name) {
                     return Ok(ExecResult::Count(0));
                 }
                 let columns: Vec<Column> = ct
@@ -342,7 +212,7 @@ impl Database {
                 // must not trigger a copy-on-write catalog clone when a
                 // snapshot is alive.
                 let cols: Vec<usize> = {
-                    let t = self.catalog.table(&ci.table)?;
+                    let t = self.catalog().table(&ci.table)?;
                     let cols: Vec<usize> = ci
                         .columns
                         .iter()
@@ -387,8 +257,8 @@ impl Database {
                             let row: Row = vr
                                 .iter()
                                 .map(|e| {
-                                    let bound = bind_const_expr(&self.catalog, e)?;
-                                    let mut env = EvalEnv::new(&self.catalog);
+                                    let bound = bind_const_expr(self.catalog(), e)?;
+                                    let mut env = EvalEnv::new(self.catalog());
                                     eval(&bound, &[], &mut env)
                                 })
                                 .collect::<Result<_, _>>()?;
@@ -396,7 +266,7 @@ impl Database {
                         }
                         out
                     }
-                    InsertSource::Query(q) => self.run_query_ast(q)?.rows,
+                    InsertSource::Query(q) => self.run_query_ast(q, None, "engine")?.rows,
                 };
                 let n = self.insert_rows_ordered(&ins.table, &ins.columns, rows)?;
                 Ok(ExecResult::Count(n))
@@ -404,17 +274,17 @@ impl Database {
             Statement::Delete { table, filter } => {
                 self.bump_statements();
                 let pred = match filter {
-                    Some(f) => Some(bind_table_expr(&self.catalog, table, f)?),
+                    Some(f) => Some(bind_table_expr(self.catalog(), table, f)?),
                     None => None,
                 };
                 // Two-phase: find ids, then delete (no iterator invalidation).
                 let ids: Vec<TupleId> = {
-                    let t = self.catalog.table(table)?;
+                    let t = self.catalog().table(table)?;
                     let mut ids = Vec::new();
                     for (id, row) in t.iter() {
                         let keep = match &pred {
                             Some(p) => {
-                                let mut env = EvalEnv::new(&self.catalog);
+                                let mut env = EvalEnv::new(self.catalog());
                                 eval(p, row, &mut env)? == Value::Bool(true)
                             }
                             None => true,
@@ -441,26 +311,26 @@ impl Database {
             } => {
                 self.bump_statements();
                 let pred = match filter {
-                    Some(f) => Some(bind_table_expr(&self.catalog, table, f)?),
+                    Some(f) => Some(bind_table_expr(self.catalog(), table, f)?),
                     None => None,
                 };
                 let mut bound_assignments = Vec::with_capacity(assignments.len());
                 {
-                    let t = self.catalog.table(table)?;
+                    let t = self.catalog().table(table)?;
                     for (col, e) in assignments {
                         let idx = t.schema.column_index(col).ok_or_else(|| {
                             EngineError::new(format!("unknown column {col:?} in UPDATE"))
                         })?;
-                        bound_assignments.push((idx, bind_table_expr(&self.catalog, table, e)?));
+                        bound_assignments.push((idx, bind_table_expr(self.catalog(), table, e)?));
                     }
                 }
                 let updates: Vec<(TupleId, Row)> = {
-                    let t = self.catalog.table(table)?;
+                    let t = self.catalog().table(table)?;
                     let mut updates = Vec::new();
                     for (id, row) in t.iter() {
                         let hit = match &pred {
                             Some(p) => {
-                                let mut env = EvalEnv::new(&self.catalog);
+                                let mut env = EvalEnv::new(self.catalog());
                                 eval(p, row, &mut env)? == Value::Bool(true)
                             }
                             None => true,
@@ -468,7 +338,7 @@ impl Database {
                         if hit {
                             let mut new_row = row.clone();
                             for (idx, e) in &bound_assignments {
-                                let mut env = EvalEnv::new(&self.catalog);
+                                let mut env = EvalEnv::new(self.catalog());
                                 new_row[*idx] = eval(e, row, &mut env)?;
                             }
                             updates.push((id, new_row));
@@ -539,24 +409,22 @@ impl Database {
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<usize, EngineError> {
         self.insert_rows_ordered(table, &[], rows)
     }
+}
 
-    /// Evaluate a logical plan that was produced by [`Database::plan`]
-    /// through the **reference executor** (no physical lowering, no
-    /// index access paths). The differential tests run this against
-    /// [`Database::query`] to check the optimized path row-for-row.
-    pub fn run_plan(&self, plan: &LogicalPlan) -> Result<Vec<Row>, EngineError> {
-        self.bump_queries();
-        let mut env = EvalEnv::new(&self.catalog);
-        execute(plan, &mut env)
+/// Parse SQL text that must be a single `SELECT`.
+fn parse_select(sql: &str) -> Result<hippo_sql::Query, EngineError> {
+    match parse_statement(sql)? {
+        Statement::Select(q) => Ok(q),
+        _ => Err(EngineError::new("expected a SELECT statement")),
     }
 }
 
-/// Render a physical plan `EXPLAIN`-style: the operator tree (one line
-/// per operator, children indented) followed by an `execution:` line
+/// Render a plan `EXPLAIN`-style: the operator tree (one line per
+/// operator, children indented) followed by an `execution:` line
 /// naming the engine that would run it — `vectorized` when columnar
 /// execution is enabled and [`crate::column::plan_uses_vectorized`]
 /// accepts the plan, `rowmode` otherwise.
-fn render_explain(plan: &PhysicalPlan, catalog: &Catalog) -> String {
+fn render_explain(plan: &Plan, catalog: &Catalog) -> String {
     let engine = if crate::column::columnar_enabled()
         && crate::column::plan_uses_vectorized(plan, catalog)
     {
@@ -567,23 +435,11 @@ fn render_explain(plan: &PhysicalPlan, catalog: &Catalog) -> String {
     format!("{plan}execution: {engine}\n")
 }
 
-/// The `EXPLAIN <query>` statement's result set: one `plan` column,
-/// one row per rendered line (access paths at the leaves, the
-/// `execution:` engine line last).
-fn explain_result(plan: &PhysicalPlan, catalog: &Catalog) -> QueryResult {
-    QueryResult {
-        columns: vec!["plan".to_string()],
-        rows: render_explain(plan, catalog)
-            .lines()
-            .map(|l| vec![Value::text(l)])
-            .collect(),
-    }
-}
-
 /// Atomic statistics of one snapshot lineage (shared by clones).
 #[derive(Debug, Default)]
 struct SnapshotStats {
     queries: AtomicUsize,
+    statements: AtomicUsize,
     index_probes: AtomicUsize,
     scan_probes: AtomicUsize,
     batches_executed: AtomicUsize,
@@ -591,26 +447,33 @@ struct SnapshotStats {
     rowmode_rows: AtomicUsize,
 }
 
-/// A point-in-time copy of a snapshot lineage's statistics (see
+/// A point-in-time copy of a reader lineage's statistics (see
 /// [`DbSnapshot::stats`]): queries evaluated and how their base-table
 /// access paths executed — `index_probes` counts `IndexLookup` sources,
-/// `scan_probes` sequential scans.
+/// `scan_probes` sequential scans. Hippo's experiments report the
+/// number of membership queries sent to the backend, so the backend
+/// counts every statement it executes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStatsView {
     /// `SELECT`s evaluated against this snapshot lineage (all clones).
     pub queries: usize,
+    /// DML/DDL statements executed by the owning [`Database`] (always 0
+    /// for a [`Database::snapshot`], which cannot mutate).
+    pub statements: usize,
     /// Base-table access paths executed through an `IndexLookup`.
     pub index_probes: usize,
     /// Base-table access paths executed as sequential scans.
     pub scan_probes: usize,
-    /// Column batches pushed through the vectorized engine. Prepared
-    /// probes ([`DbSnapshot::run_prepared`]) are deliberately not
-    /// profiled per-row — they are sub-microsecond and counted by the
+    /// Column batches pushed through the vectorized engine
+    /// ([`crate::column`]). Prepared probes
+    /// ([`DbSnapshot::run_prepared`]) are deliberately not profiled
+    /// per-row — they are sub-microsecond and counted by the
     /// `queries` / probe counters alone.
     pub batches_executed: usize,
     /// Rows evaluated batch-at-a-time by the vectorized engine.
     pub vectorized_rows: usize,
-    /// Rows streamed through the row-at-a-time physical operators.
+    /// Rows streamed through the row-at-a-time operators
+    /// (vectorized-ineligible shapes, or columnar execution disabled).
     pub rowmode_rows: usize,
 }
 
@@ -618,9 +481,10 @@ impl fmt::Display for SnapshotStatsView {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "queries={} index_probes={} scan_probes={} \
+            "queries={} statements={} index_probes={} scan_probes={} \
              batches_executed={} vectorized_rows={} rowmode_rows={}",
             self.queries,
+            self.statements,
             self.index_probes,
             self.scan_probes,
             self.batches_executed,
@@ -630,16 +494,18 @@ impl fmt::Display for SnapshotStatsView {
     }
 }
 
-/// A read-only, `Sync`, cheaply-cloneable frozen view of a database.
+/// A read-only, `Sync`, cheaply-cloneable view of a database — the
+/// engine's one read path.
 ///
-/// Produced by [`Database::snapshot`]. The catalog is immutable and
-/// `Arc`-shared — later mutations of the originating database
-/// copy-on-write their own storage and never show through here — so any
-/// number of threads can evaluate `SELECT`s against one snapshot
-/// concurrently with **zero locking** on the read path (the only shared
-/// mutable state is the relaxed query counter). Cloning a snapshot is
-/// two reference-count bumps; clones share the same counter.
-#[derive(Debug, Clone)]
+/// Produced by [`Database::snapshot`] (and owned by every [`Database`]
+/// for its own reads). The catalog is immutable and `Arc`-shared —
+/// later mutations of the originating database copy-on-write their own
+/// storage and never show through here — so any number of threads can
+/// evaluate `SELECT`s against one snapshot concurrently with **zero
+/// locking** on the read path (the only shared mutable state is the
+/// relaxed statistics counters). Cloning a snapshot is two
+/// reference-count bumps; clones share the same counters.
+#[derive(Debug, Clone, Default)]
 pub struct DbSnapshot {
     catalog: Arc<Catalog>,
     stats: Arc<SnapshotStats>,
@@ -651,18 +517,13 @@ impl DbSnapshot {
         &self.catalog
     }
 
-    /// `SELECT` queries evaluated against this snapshot lineage so far
-    /// (summed over all clones).
-    pub fn queries_executed(&self) -> usize {
-        self.stats.queries.load(Ordering::Relaxed)
-    }
-
     /// This snapshot lineage's statistics so far (summed over all
     /// clones): queries plus the `index_probes` / `scan_probes` split
-    /// of their access paths.
+    /// of their access paths and the engine-choice row counters.
     pub fn stats(&self) -> SnapshotStatsView {
         SnapshotStatsView {
             queries: self.stats.queries.load(Ordering::Relaxed),
+            statements: self.stats.statements.load(Ordering::Relaxed),
             index_probes: self.stats.index_probes.load(Ordering::Relaxed),
             scan_probes: self.stats.scan_probes.load(Ordering::Relaxed),
             batches_executed: self.stats.batches_executed.load(Ordering::Relaxed),
@@ -684,10 +545,12 @@ impl DbSnapshot {
         }
     }
 
-    /// Fold one executed query's engine-choice counters (see
-    /// [`Database::bump_exec_counters`]); relaxed adds, zero skipped to
-    /// avoid touching the shared cache line for counters that did not
-    /// move.
+    /// Fold the engine-choice counters one executed query accumulated
+    /// in its [`EvalEnv`] into the statistics. Folded even when the
+    /// execution errored: the counters describe work actually
+    /// performed, which happens before a budget trip or type error.
+    /// Relaxed adds, zero skipped to avoid touching the shared cache
+    /// line for counters that did not move.
     fn bump_exec_counters(&self, env: &EvalEnv<'_>) {
         if env.vec_batches > 0 {
             self.stats
@@ -708,51 +571,40 @@ impl DbSnapshot {
 
     /// Run a query (read-only) and return its result set.
     pub fn query(&self, sql: &str) -> Result<QueryResult, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Err(EngineError::new("expected a SELECT statement"));
-        };
-        self.run_query_ast(&q)
-    }
-
-    /// Run an already-parsed query through the physical executor.
-    pub fn run_query_ast(&self, q: &hippo_sql::Query) -> Result<QueryResult, EngineError> {
-        self.run_query_ast_governed(q, None, "engine")
+        self.query_governed(sql, None, "engine")
     }
 
     /// [`DbSnapshot::query`] under an optional resource
-    /// [`crate::budget::Budget`] (see [`Database::query_governed`]).
+    /// [`crate::budget::Budget`]: the executor charges rows — those of
+    /// expression subqueries included — against it and unwinds with a
+    /// structured `Budget`/`Cancelled` error (reported as `stage`) when
+    /// it is exhausted. `budget = None` is exactly the ungoverned call.
     pub fn query_governed(
         &self,
         sql: &str,
         budget: Option<&crate::budget::Budget>,
         stage: &'static str,
     ) -> Result<QueryResult, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Err(EngineError::new("expected a SELECT statement"));
-        };
-        self.run_query_ast_governed(&q, budget, stage)
+        self.run_query_ast(&parse_select(sql)?, budget, stage)
     }
 
-    /// Governed core of [`DbSnapshot::run_query_ast`].
-    pub fn run_query_ast_governed(
+    /// Run an already-parsed query — the one place the engine goes
+    /// bind → optimize → access-path selection → execute.
+    pub fn run_query_ast(
         &self,
         q: &hippo_sql::Query,
         budget: Option<&crate::budget::Budget>,
         stage: &'static str,
     ) -> Result<QueryResult, EngineError> {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let bound = bind_query(&self.catalog, q)?;
-        let plan = optimize(bound.plan, &self.catalog)?;
-        let plan = crate::optimize::physicalize(plan, &self.catalog);
-        let (idx, scan) = plan.access_paths();
+        let bound = self.bind_with_access_paths(q)?;
+        let (idx, scan) = bound.plan.access_paths();
         self.bump_probes(idx, scan);
         let mut env = EvalEnv::new(&self.catalog);
         if let Some(b) = budget {
             env.set_budget(b, stage);
         }
-        let rows = execute_physical(&plan, &mut env);
+        let rows = execute_physical(&bound.plan, &mut env);
         env.flush_budget();
         self.bump_exec_counters(&env);
         Ok(QueryResult {
@@ -761,66 +613,81 @@ impl DbSnapshot {
         })
     }
 
-    /// Plan a query against the frozen catalog without executing it
-    /// (the optimized **logical** plan; see [`Database::plan`]).
-    pub fn plan(&self, sql: &str) -> Result<BoundQuery, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Err(EngineError::new("expected a SELECT statement"));
-        };
-        let bound = bind_query(&self.catalog, &q)?;
-        let plan = optimize(bound.plan, &self.catalog)?;
+    /// Bind and optimize, without access paths.
+    fn bind_optimized(&self, q: &hippo_sql::Query) -> Result<BoundQuery, EngineError> {
+        let bound = bind_query(&self.catalog, q)?;
         Ok(BoundQuery {
-            plan,
+            plan: optimize(bound.plan, &self.catalog)?,
             columns: bound.columns,
         })
     }
 
-    /// The physical plan a query would execute as against this
-    /// snapshot's catalog.
-    pub fn physical_plan(&self, sql: &str) -> Result<PhysicalPlan, EngineError> {
-        let bound = self.plan(sql)?;
-        Ok(crate::optimize::physicalize(bound.plan, &self.catalog))
+    /// Bind, optimize and pick index access paths: the plan a query
+    /// executes as.
+    fn bind_with_access_paths(&self, q: &hippo_sql::Query) -> Result<BoundQuery, EngineError> {
+        let mut bound = self.bind_optimized(q)?;
+        choose_access_paths(&mut bound.plan, &self.catalog);
+        Ok(bound)
     }
 
-    /// `EXPLAIN`-style rendering (see [`Database::explain`]).
+    /// Plan a query without executing it (diagnostics / tests). Returns
+    /// the optimized plan **before** access-path selection — every
+    /// source a `Scan` — which is what the differential tests hand to
+    /// [`DbSnapshot::run_plan`].
+    pub fn plan(&self, sql: &str) -> Result<BoundQuery, EngineError> {
+        self.bind_optimized(&parse_select(sql)?)
+    }
+
+    /// The plan a query would execute as, access paths chosen
+    /// (diagnostics / tests).
+    pub fn physical_plan(&self, sql: &str) -> Result<Plan, EngineError> {
+        Ok(self.bind_with_access_paths(&parse_select(sql)?)?.plan)
+    }
+
+    /// `EXPLAIN`-style rendering of the plan a query would execute as:
+    /// one operator per line, children indented — the chosen access
+    /// path (`IndexLookup` vs `SeqScan`) is visible at the leaves, and
+    /// a trailing `execution:` line reports whether the vectorized
+    /// engine ([`crate::column`]) or the row-at-a-time operators would
+    /// run the plan. Also reachable as a real SQL statement:
+    /// `EXPLAIN SELECT …` through [`Database::execute`].
     pub fn explain(&self, sql: &str) -> Result<String, EngineError> {
         let plan = self.physical_plan(sql)?;
         Ok(render_explain(&plan, &self.catalog))
     }
 
-    /// Evaluate a logical plan that was bound against this snapshot's
-    /// catalog through the reference executor.
-    pub fn run_plan(&self, plan: &LogicalPlan) -> Result<Vec<Row>, EngineError> {
+    /// Evaluate a plan bound against this catalog on the **reference
+    /// oracle** ([`crate::exec::execute`]): no streaming, no
+    /// vectorization, an `IndexLookup` read as scan + key equality. The
+    /// differential tests run this — on plans from both
+    /// [`DbSnapshot::plan`] and [`DbSnapshot::physical_plan`] — against
+    /// [`DbSnapshot::query`] to check the production path row-for-row.
+    pub fn run_plan(&self, plan: &Plan) -> Result<Vec<Row>, EngineError> {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        crate::exec::execute_read_only(plan, &self.catalog)
+        execute(plan, &mut EvalEnv::new(&self.catalog))
     }
 
-    /// Re-execute a **prepared physical plan** with the given parameter
+    /// Re-execute a **prepared plan** with the given parameter
     /// bindings (values for the plan's `Param` placeholders, which must
     /// match the probed columns' types or be `NULL`). This is the
-    /// base-mode membership hot path: the probe is compiled to a
-    /// physical plan once — access path and all — and this call is a
-    /// bucket probe plus a bounded pipeline, with no SQL text, parsing,
-    /// binding or optimization anywhere.
+    /// base-mode membership hot path: the probe is compiled to a plan
+    /// once — access path and all — and this call is a bucket probe
+    /// plus a bounded pipeline, with no SQL text, parsing, binding or
+    /// optimization anywhere.
     ///
     /// Statistics note: this bumps the shared snapshot counters per
     /// call. A worker issuing thousands of sub-microsecond probes from
     /// many threads should instead execute through
-    /// [`crate::exec::execute_physical_params`] against
+    /// [`crate::exec::execute_physical_with`] against
     /// [`DbSnapshot::catalog`] directly, count locally, and fold its
     /// totals in with one [`DbSnapshot::record_prepared`] at the end —
     /// the prover shards do exactly that, so the accounting stays exact
     /// without per-probe contention on the stats cache line.
-    pub fn run_prepared(
-        &self,
-        plan: &PhysicalPlan,
-        params: &[Value],
-    ) -> Result<Vec<Row>, EngineError> {
+    pub fn run_prepared(&self, plan: &Plan, params: &[Value]) -> Result<Vec<Row>, EngineError> {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         let (idx, scan) = plan.access_paths();
         self.bump_probes(idx, scan);
-        execute_physical_params(plan, &self.catalog, params)
+        execute_physical_with(plan, &self.catalog, params, None, "engine")
     }
 
     /// Fold a batch of locally-counted prepared executions into this
@@ -1091,7 +958,7 @@ mod tests {
         let clone = snap.clone();
         snap.query("SELECT * FROM emp").unwrap();
         clone.query("SELECT * FROM emp").unwrap();
-        assert_eq!(snap.queries_executed(), 2, "clones share the counter");
+        assert_eq!(snap.stats().queries, 2, "clones share the counter");
         assert_eq!(db.stats().queries, 0, "live stats untouched");
     }
 
@@ -1182,7 +1049,11 @@ mod tests {
             engine == "execution: vectorized" || engine == "execution: rowmode",
             "{engine}"
         );
-        assert_eq!(db.stats(), DbStats::default(), "EXPLAIN never executes");
+        assert_eq!(
+            db.stats(),
+            SnapshotStatsView::default(),
+            "EXPLAIN never executes"
+        );
         // The string API agrees line-for-line with the statement form.
         let api = db
             .explain("SELECT name FROM emp WHERE salary >= 200")
@@ -1254,9 +1125,9 @@ mod tests {
         db.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
         let snap = db.snapshot();
         // Compile the probe once with a parameter placeholder…
-        let plan = LogicalPlan::Limit {
-            input: Box::new(LogicalPlan::Filter {
-                input: Box::new(LogicalPlan::Scan { table: "t".into() }),
+        let mut plan = Plan::Limit {
+            input: Box::new(Plan::Filter {
+                input: Box::new(Plan::Scan { table: "t".into() }),
                 predicate: crate::expr::BoundExpr::Binary {
                     op: hippo_sql::BinaryOp::Eq,
                     left: Box::new(crate::expr::BoundExpr::Column(0)),
@@ -1266,28 +1137,71 @@ mod tests {
             limit: Some(1),
             offset: 0,
         };
-        let phys = crate::optimize::physicalize(plan, snap.catalog());
-        assert!(phys.uses_index(), "{phys}");
+        choose_access_paths(&mut plan, snap.catalog());
+        assert!(plan.uses_index(), "{plan}");
         // …and re-execute it per binding.
         assert!(!snap
-            .run_prepared(&phys, &[Value::Int(1)])
+            .run_prepared(&plan, &[Value::Int(1)])
             .unwrap()
             .is_empty());
         assert!(snap
-            .run_prepared(&phys, &[Value::Int(9)])
+            .run_prepared(&plan, &[Value::Int(9)])
             .unwrap()
             .is_empty());
         assert!(
-            snap.run_prepared(&phys, &[Value::Null]).unwrap().is_empty(),
+            snap.run_prepared(&plan, &[Value::Null]).unwrap().is_empty(),
             "NULL key matches nothing"
         );
         // A mis-typed binding violates the Param contract and errors
         // loudly instead of silently missing the bucket.
-        let err = snap.run_prepared(&phys, &[Value::text("1")]).unwrap_err();
+        let err = snap.run_prepared(&plan, &[Value::text("1")]).unwrap_err();
         assert!(err.message.contains("bound a text value"), "{err}");
         let s = snap.stats();
         // Four executions counted (the erroring one included).
         assert_eq!((s.queries, s.index_probes, s.scan_probes), (4, 4, 0));
+    }
+
+    #[test]
+    fn row_budget_trips_inside_an_in_subquery() {
+        // One outer row, 2000 inner rows: the outer scan alone stays
+        // far inside a 100-row budget, so only the rows the
+        // `IN (SELECT …)` examines can trip it. They are charged to the
+        // query's budget because the subquery runs on the production
+        // executor with the caller's environment.
+        let mut db = Database::new();
+        db.execute("CREATE TABLE o (k INT)").unwrap();
+        db.execute("INSERT INTO o VALUES (7)").unwrap();
+        db.execute("CREATE TABLE big (k INT, v INT)").unwrap();
+        db.insert_rows(
+            "big",
+            (0..2000)
+                .map(|i| vec![Value::Int(i), Value::Int(i % 3)])
+                .collect(),
+        )
+        .unwrap();
+        let q = "SELECT k FROM o WHERE k IN (SELECT k FROM big WHERE v >= 0)";
+        assert_eq!(db.query(q).unwrap().rows, vec![vec![Value::Int(7)]]);
+        for columnar in [true, false] {
+            let _g = crate::column::override_guard();
+            crate::column::set_columnar_override(Some(columnar));
+            let budget = crate::budget::Budget::new().with_row_limit(100);
+            let err = db.query_governed(q, Some(&budget), "envelope");
+            crate::column::set_columnar_override(None);
+            match err
+                .expect_err("the subquery's 2000 rows exceed the budget")
+                .kind
+            {
+                crate::schema::ErrorKind::Budget {
+                    stage,
+                    spent,
+                    limit,
+                } => {
+                    assert_eq!((stage, limit), ("envelope", 100));
+                    assert!(spent > limit, "spent {spent} <= limit {limit}");
+                }
+                ref k => panic!("expected Budget kind, got {k:?}"),
+            }
+        }
     }
 
     #[test]

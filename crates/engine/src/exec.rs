@@ -1,104 +1,111 @@
-//! Plan execution: the physical executor and the logical reference.
+//! Plan execution: the production executor and the reference oracle.
 //!
-//! Two executors share one set of operator implementations:
+//! Both run the one [`Plan`] type and share one set of operator
+//! implementations (joins, set operations, aggregation, sort):
 //!
-//! * [`execute_physical`] — the **production** path, running the
-//!   [`PhysicalPlan`] the optimizer lowered. Its row-wise pipeline
-//!   shapes stream: a `FilterExec` directly over a source clones only
-//!   surviving rows, a `LimitExec` over a
-//!   `ProjectExec?`/`FilterExec?`/source pipeline stops the scan as
-//!   soon as `offset + limit` rows are produced, and an `IndexLookup`
-//!   touches only the probed bucket. (These subsume the ad-hoc
-//!   `Filter`-over-`Scan` and `LIMIT` special cases the logical
-//!   executor used to carry.)
-//! * [`execute`] — the **unoptimized logical reference**: bottom-up,
-//!   fully materialising, no access-path tricks. It decides the
-//!   semantics; the differential suite (`tests/prop_physical.rs`)
-//!   checks the physical executor against it row-for-row. Expression
-//!   subqueries (`EXISTS`/`IN`/scalar) also run here — with the
-//!   correlated-`EXISTS` hash memo in [`EvalEnv`] covering the hot
-//!   shape.
+//! * [`execute_physical`] — the **production** executor, the only one
+//!   reachable from a query: [`crate::db::DbSnapshot`] runs every
+//!   statement through it, and expression subqueries
+//!   (`EXISTS`/`IN`/scalar) re-enter it through the same [`EvalEnv`],
+//!   so their rows are charged to the caller's budget like any other.
+//!   Its row-wise pipeline shapes stream: a `Filter` directly over a
+//!   `Scan` clones only surviving rows, a `Limit` over a
+//!   `Project?`/`Filter?`/source pipeline stops the scan as soon as
+//!   `offset + limit` rows are produced, and an `IndexLookup` touches
+//!   only the probed bucket.
+//! * [`execute`] — the **reference oracle**, off the production path:
+//!   bottom-up, fully materialising, no streaming, no vectorization,
+//!   no budget, an `IndexLookup` defined as scan + key equality. It
+//!   decides the semantics; [`crate::db::DbSnapshot::run_plan`] and the
+//!   differential suite (`tests/prop_physical.rs`) run it on plans with
+//!   and without access paths and compare the production executor
+//!   against it row-for-row. Subqueries of a plan it runs are also
+//!   evaluated by it (and without the correlated-`EXISTS` hash memo),
+//!   so the two legs share no executor code above the operator helpers.
 //!
-//! Since PR 10 the physical executor is two-engined: before walking an
-//! operator row-wise, [`execute_physical`] offers the whole subtree to
-//! the **vectorized** compiler ([`crate::column::try_execute`]), which
-//! runs eligible scan/aggregate/join shapes batch-at-a-time over the
-//! table's [`crate::column::ColumnStore`]:
+//! The production executor is two-engined: before walking an operator
+//! row-wise it offers the whole subtree to the **vectorized** compiler
+//! ([`crate::column::try_execute`]), which runs eligible
+//! scan/aggregate/join shapes batch-at-a-time over the table's
+//! [`crate::column::ColumnStore`]:
 //!
 //! ```text
-//!                 PhysicalPlan subtree
-//!                         │
-//!             column::try_execute(plan, env)?
-//!            ╱                              ╲
-//!   compiles (typed cols,            anything else
-//!   supported ops only)                     │
-//!            │                              ▼
-//!            ▼                      row-mode operators
-//!   ColumnStore ─ 1024-row ─▶ filter ─▶ project/agg/join
-//!   (Arc-shared) ColumnBatch   (selection vector, typed
-//!                               slices, no Value clones)
-//!            ╲                              ╱
-//!             same rows, errors, budget charges — the engine
-//!             choice shows only in EXPLAIN and DbStats
-//!             (batches_executed / vectorized_rows / rowmode_rows)
+//!   SQL ─▶ bind ─▶ optimize ─▶ choose_access_paths (optional) ─▶ Plan
+//!                                                                 │
+//!            ┌───────────── production ───────────────────────────┤
+//!            ▼                                                    ▼ tests only
+//!   execute_physical(plan, env) ◀──────────────┐          execute(plan, env)
+//!            │                                 │          reference oracle:
+//!   column::try_execute(subtree, env)?         │          materialise bottom-up,
+//!      ╱                       ╲               │          no budget, IndexLookup
+//!   compiles (typed cols,   anything else      │          = scan + key equality,
+//!   supported ops only)         │              │          subqueries stay here
+//!      │                        ▼              │
+//!      ▼                row-mode operators ────┘
+//!   ColumnStore ─ 1024-row ─▶ filter ─▶        EXISTS / IN / scalar subqueries
+//!   (Arc-shared) ColumnBatch  project/agg/join in expressions re-enter with
+//!      ╲                        ╱              the same env: same budget
+//!       same rows, errors, budget charges — the engine
+//!       choice shows only in EXPLAIN and the statistics
+//!       (batches_executed / vectorized_rows / rowmode_rows)
 //! ```
 //!
-//! Fallback is per-subtree, so a row-mode `SortExec` or `DistinctExec`
-//! still vectorizes its input; see `column.rs` for the eligibility
-//! rules and the charging-parity contract.
+//! Fallback is per-subtree, so a row-mode `Sort` or `Distinct` still
+//! vectorizes its input; see `column.rs` for the eligibility rules and
+//! the charging-parity contract. Row mode is the only path for sorts,
+//! set operations, outer joins and index probes.
 //!
 //! Execution never mutates the catalog: all run state (the enclosing-row
-//! stack, the correlated-`EXISTS` memo, prepared-parameter bindings)
-//! lives in the per-call [`EvalEnv`], which each invocation owns
-//! privately. That is what makes [`execute_physical_read_only`] — the
-//! [`crate::db::DbSnapshot`] entry point — safe to call from many
-//! threads over one shared `&Catalog` with no locking: each caller gets
+//! stack, the correlated-`EXISTS` memo, prepared-parameter bindings,
+//! the budget) lives in the per-call [`EvalEnv`], which each invocation
+//! owns privately. That is what makes execution against a shared
+//! `&Catalog` safe from many threads with no locking: each caller gets
 //! a fresh environment on its own stack.
 
 use crate::expr::{eval, BoundExpr, EvalEnv};
-use crate::plan::{AggExpr, AggFunc, JoinType, LogicalPlan, PhysicalPlan};
+use crate::plan::{AggExpr, AggFunc, JoinType, Plan};
 use crate::schema::EngineError;
 use crate::value::{Row, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 
-/// Execute a plan within an environment (catalog + enclosing rows).
-pub fn execute(plan: &LogicalPlan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError> {
+/// Run a plan on the **reference oracle** (tests and
+/// [`crate::db::DbSnapshot::run_plan`] only — never a production
+/// query). Marks `env` so that subqueries met while evaluating
+/// expressions stay on the oracle too.
+pub fn execute(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError> {
+    let was = std::mem::replace(&mut env.reference, true);
+    let rows = reference(plan, env);
+    env.reference = was;
+    rows
+}
+
+fn reference(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError> {
     match plan {
-        LogicalPlan::Empty { .. } => Ok(Vec::new()),
-        LogicalPlan::Values { rows, .. } => {
-            let mut out = Vec::with_capacity(rows.len());
-            for exprs in rows {
-                let row: Row = exprs
+        Plan::Empty { .. } => Ok(Vec::new()),
+        Plan::Values { rows, .. } => values_rows(rows, env),
+        Plan::Scan { table } => Ok(env.catalog.table(table)?.rows()),
+        // The defining semantics of an index probe: the rows a scan
+        // would produce whose indexed columns SQL-equal the key.
+        Plan::IndexLookup {
+            table,
+            index_cols,
+            key,
+        } => {
+            let key: Vec<Value> = key
+                .iter()
+                .map(|e| eval(e, &[], env))
+                .collect::<Result<_, _>>()?;
+            let mut rows = env.catalog.table(table)?.rows();
+            rows.retain(|row| {
+                index_cols
                     .iter()
-                    .map(|e| eval(e, &[], env))
-                    .collect::<Result<_, _>>()?;
-                out.push(row);
-            }
-            Ok(out)
+                    .zip(&key)
+                    .all(|(&c, k)| row[c].sql_eq(k) == Some(true))
+            });
+            Ok(rows)
         }
-        LogicalPlan::Scan { table } => Ok(env.catalog.table(table)?.rows()),
-        LogicalPlan::Filter { input, predicate } => {
-            // A filter directly over a scan evaluates the predicate on
-            // the *stored* rows and clones only the survivors. This is
-            // purely an allocation detail, not an access path: the
-            // same predicate runs on the same rows in the same (slot)
-            // order as materialise-then-filter, so the reference
-            // semantics are untouched — but the expression-subquery
-            // paths (`IN`/scalar/non-memo `EXISTS`), which re-execute
-            // their subplan here per outer row, don't pay a full-table
-            // clone per evaluation.
-            if let LogicalPlan::Scan { table } = &**input {
-                let catalog = env.catalog;
-                let t = catalog.table(table)?;
-                let mut out = Vec::new();
-                for (_, row) in t.iter() {
-                    if eval(predicate, row, env)? == Value::Bool(true) {
-                        out.push(row.clone());
-                    }
-                }
-                return Ok(out);
-            }
-            let rows = execute(input, env)?;
+        Plan::Filter { input, predicate } => {
+            let rows = reference(input, env)?;
             let mut out = Vec::new();
             for row in rows {
                 if eval(predicate, &row, env)? == Value::Bool(true) {
@@ -107,33 +114,16 @@ pub fn execute(plan: &LogicalPlan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, En
             }
             Ok(out)
         }
-        LogicalPlan::Project { input, exprs } => {
-            let rows = execute(input, env)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let projected: Row = exprs
-                    .iter()
-                    .map(|e| eval(e, &row, env))
-                    .collect::<Result<_, _>>()?;
-                out.push(projected);
-            }
-            Ok(out)
+        Plan::Project { input, exprs } => {
+            let rows = reference(input, env)?;
+            project_rows(rows, exprs, env)
         }
-        LogicalPlan::CrossJoin { left, right } => {
-            let l = execute(left, env)?;
-            let r = execute(right, env)?;
-            let mut out = Vec::with_capacity(l.len().saturating_mul(r.len()));
-            for lr in &l {
-                for rr in &r {
-                    let mut row = Vec::with_capacity(lr.len() + rr.len());
-                    row.extend_from_slice(lr);
-                    row.extend_from_slice(rr);
-                    out.push(row);
-                }
-            }
-            Ok(out)
+        Plan::CrossJoin { left, right } => {
+            let l = reference(left, env)?;
+            let r = reference(right, env)?;
+            Ok(cross_join_rows(&l, &r))
         }
-        LogicalPlan::HashJoin {
+        Plan::HashJoin {
             left,
             right,
             left_keys,
@@ -141,16 +131,12 @@ pub fn execute(plan: &LogicalPlan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, En
             residual,
             join_type,
         } => {
-            let l = execute(left, env)?;
-            let r = execute(right, env)?;
-            let right_arity = match r.first() {
-                Some(row) => row.len(),
-                None => right.arity(env.catalog)?,
-            };
+            let l = reference(left, env)?;
+            let r = reference(right, env)?;
             hash_join_rows(
                 l,
                 r,
-                right_arity,
+                right,
                 left_keys,
                 right_keys,
                 residual.as_ref(),
@@ -158,115 +144,87 @@ pub fn execute(plan: &LogicalPlan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, En
                 env,
             )
         }
-        LogicalPlan::NestedLoopJoin {
+        Plan::NestedLoopJoin {
             left,
             right,
             predicate,
             join_type,
         } => {
-            let l = execute(left, env)?;
-            let r = execute(right, env)?;
-            let right_arity = match r.first() {
-                Some(row) => row.len(),
-                None => right.arity(env.catalog)?,
-            };
-            nested_loop_rows(l, r, right_arity, predicate.as_ref(), *join_type, env)
+            let l = reference(left, env)?;
+            let r = reference(right, env)?;
+            nested_loop_rows(l, r, right, predicate.as_ref(), *join_type, env)
         }
-        LogicalPlan::Union { left, right, all } => {
-            let l = execute(left, env)?;
-            let r = execute(right, env)?;
+        Plan::Union { left, right, all } => {
+            let l = reference(left, env)?;
+            let r = reference(right, env)?;
             Ok(union_rows(l, r, *all))
         }
-        LogicalPlan::Except { left, right, all } => {
-            let l = execute(left, env)?;
-            let r = execute(right, env)?;
+        Plan::Except { left, right, all } => {
+            let l = reference(left, env)?;
+            let r = reference(right, env)?;
             Ok(except_rows(l, r, *all))
         }
-        LogicalPlan::Intersect { left, right, all } => {
-            let l = execute(left, env)?;
-            let r = execute(right, env)?;
+        Plan::Intersect { left, right, all } => {
+            let l = reference(left, env)?;
+            let r = reference(right, env)?;
             Ok(intersect_rows(l, r, *all))
         }
-        LogicalPlan::Distinct { input } => Ok(dedup(execute(input, env)?)),
-        LogicalPlan::Aggregate {
+        Plan::Distinct { input } => Ok(dedup(reference(input, env)?)),
+        Plan::Aggregate {
             input,
             group_exprs,
             aggregates,
         } => {
-            let rows = execute(input, env)?;
+            let rows = reference(input, env)?;
             aggregate_rows(rows, group_exprs, aggregates, env)
         }
-        LogicalPlan::Sort { input, keys } => {
-            let rows = execute(input, env)?;
+        Plan::Sort { input, keys } => {
+            let rows = reference(input, env)?;
             sort_rows(rows, keys, env)
         }
-        LogicalPlan::Limit {
+        Plan::Limit {
             input,
             limit,
             offset,
         } => {
-            let rows = execute(input, env)?;
+            let rows = reference(input, env)?;
             Ok(limit_slice(rows, *limit, *offset))
         }
     }
 }
 
-/// Evaluate a logical plan against a shared read-only catalog (the
-/// reference path). Builds a private [`EvalEnv`] on this call's stack,
-/// so concurrent callers over the same catalog never contend.
-pub fn execute_read_only(
-    plan: &LogicalPlan,
-    catalog: &crate::catalog::Catalog,
-) -> Result<Vec<Row>, EngineError> {
-    let mut env = EvalEnv::new(catalog);
-    execute(plan, &mut env)
-}
-
-/// Execute a physical plan within an environment.
+/// Execute a plan on the production executor, within an environment.
 ///
 /// Every call — including the recursive calls operator arms make on
-/// their inputs — first offers the plan to the vectorized engine
-/// ([`crate::column`]). That placement is what makes batch execution
-/// composable: a `DistinctExec`, `SortExec`, set operation, or
-/// materialising `LimitExec` whose *input* is an eligible
-/// scan/aggregate/join shape runs that subtree on column batches even
-/// though the operator itself stays row-mode.
-pub fn execute_physical(
-    plan: &PhysicalPlan,
-    env: &mut EvalEnv<'_>,
-) -> Result<Vec<Row>, EngineError> {
+/// their inputs, and the re-entrant calls expression subqueries make —
+/// first offers the plan to the vectorized engine ([`crate::column`]).
+/// That placement is what makes batch execution composable: a
+/// `Distinct`, `Sort`, set operation, or materialising `Limit` whose
+/// *input* is an eligible scan/aggregate/join shape runs that subtree
+/// on column batches even though the operator itself stays row-mode.
+pub fn execute_physical(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError> {
     if let Some(rows) = crate::column::try_execute(plan, env)? {
         return Ok(rows);
     }
     match plan {
-        PhysicalPlan::Empty { .. } => Ok(Vec::new()),
-        PhysicalPlan::Values { rows, .. } => {
-            let mut out = Vec::with_capacity(rows.len());
-            for exprs in rows {
-                let row: Row = exprs
-                    .iter()
-                    .map(|e| eval(e, &[], env))
-                    .collect::<Result<_, _>>()?;
-                out.push(row);
-            }
-            Ok(out)
-        }
-        PhysicalPlan::SeqScan { table } => {
+        Plan::Empty { .. } => Ok(Vec::new()),
+        Plan::Values { rows, .. } => values_rows(rows, env),
+        Plan::Scan { table } => {
             let rows = env.catalog.table(table)?.rows();
             env.charge_batch(rows.len())?;
             env.rowmode_rows += rows.len() as u64;
             Ok(rows)
         }
-        PhysicalPlan::IndexLookup {
+        Plan::IndexLookup {
             table,
             index_cols,
             key,
         } => index_lookup_rows(table, index_cols, key, env),
-        PhysicalPlan::FilterExec { input, predicate } => match &**input {
+        Plan::Filter { input, predicate } => match &**input {
             // Filter directly over a scan streams the stored rows and
             // clones only the survivors — materialising the scan first
             // would copy every row of the table per evaluation.
-            PhysicalPlan::SeqScan { table } => {
+            Plan::Scan { table } => {
                 let t = env.catalog.table(table)?;
                 let mut out = Vec::new();
                 for (_, row) in t.iter() {
@@ -290,33 +248,16 @@ pub fn execute_physical(
                 Ok(out)
             }
         },
-        PhysicalPlan::ProjectExec { input, exprs } => {
+        Plan::Project { input, exprs } => {
             let rows = execute_physical(input, env)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let projected: Row = exprs
-                    .iter()
-                    .map(|e| eval(e, &row, env))
-                    .collect::<Result<_, _>>()?;
-                out.push(projected);
-            }
-            Ok(out)
+            project_rows(rows, exprs, env)
         }
-        PhysicalPlan::CrossJoinExec { left, right } => {
+        Plan::CrossJoin { left, right } => {
             let l = execute_physical(left, env)?;
             let r = execute_physical(right, env)?;
-            let mut out = Vec::with_capacity(l.len().saturating_mul(r.len()));
-            for lr in &l {
-                for rr in &r {
-                    let mut row = Vec::with_capacity(lr.len() + rr.len());
-                    row.extend_from_slice(lr);
-                    row.extend_from_slice(rr);
-                    out.push(row);
-                }
-            }
-            Ok(out)
+            Ok(cross_join_rows(&l, &r))
         }
-        PhysicalPlan::HashJoinExec {
+        Plan::HashJoin {
             left,
             right,
             left_keys,
@@ -326,14 +267,10 @@ pub fn execute_physical(
         } => {
             let l = execute_physical(left, env)?;
             let r = execute_physical(right, env)?;
-            let right_arity = match r.first() {
-                Some(row) => row.len(),
-                None => right.arity(env.catalog)?,
-            };
             hash_join_rows(
                 l,
                 r,
-                right_arity,
+                right,
                 left_keys,
                 right_keys,
                 residual.as_ref(),
@@ -341,7 +278,7 @@ pub fn execute_physical(
                 env,
             )
         }
-        PhysicalPlan::NestedLoopJoinExec {
+        Plan::NestedLoopJoin {
             left,
             right,
             predicate,
@@ -349,29 +286,25 @@ pub fn execute_physical(
         } => {
             let l = execute_physical(left, env)?;
             let r = execute_physical(right, env)?;
-            let right_arity = match r.first() {
-                Some(row) => row.len(),
-                None => right.arity(env.catalog)?,
-            };
-            nested_loop_rows(l, r, right_arity, predicate.as_ref(), *join_type, env)
+            nested_loop_rows(l, r, right, predicate.as_ref(), *join_type, env)
         }
-        PhysicalPlan::UnionExec { left, right, all } => {
+        Plan::Union { left, right, all } => {
             let l = execute_physical(left, env)?;
             let r = execute_physical(right, env)?;
             Ok(union_rows(l, r, *all))
         }
-        PhysicalPlan::ExceptExec { left, right, all } => {
+        Plan::Except { left, right, all } => {
             let l = execute_physical(left, env)?;
             let r = execute_physical(right, env)?;
             Ok(except_rows(l, r, *all))
         }
-        PhysicalPlan::IntersectExec { left, right, all } => {
+        Plan::Intersect { left, right, all } => {
             let l = execute_physical(left, env)?;
             let r = execute_physical(right, env)?;
             Ok(intersect_rows(l, r, *all))
         }
-        PhysicalPlan::DistinctExec { input } => Ok(dedup(execute_physical(input, env)?)),
-        PhysicalPlan::AggregateExec {
+        Plan::Distinct { input } => Ok(dedup(execute_physical(input, env)?)),
+        Plan::Aggregate {
             input,
             group_exprs,
             aggregates,
@@ -379,11 +312,11 @@ pub fn execute_physical(
             let rows = execute_physical(input, env)?;
             aggregate_rows(rows, group_exprs, aggregates, env)
         }
-        PhysicalPlan::SortExec { input, keys } => {
+        Plan::Sort { input, keys } => {
             let rows = execute_physical(input, env)?;
             sort_rows(rows, keys, env)
         }
-        PhysicalPlan::LimitExec {
+        Plan::Limit {
             input,
             limit,
             offset,
@@ -397,53 +330,16 @@ pub fn execute_physical(
     }
 }
 
-/// Evaluate a physical plan against a shared read-only catalog: the
-/// snapshot entry point. Builds a private [`EvalEnv`] (enclosing-row
-/// stack + `EXISTS` memo) on this call's stack, so concurrent callers
-/// over the same catalog never contend on anything.
-pub fn execute_physical_read_only(
-    plan: &PhysicalPlan,
-    catalog: &crate::catalog::Catalog,
-) -> Result<Vec<Row>, EngineError> {
-    let mut env = EvalEnv::new(catalog);
-    execute_physical(plan, &mut env)
-}
-
-/// Evaluate a prepared (parameterised) physical plan against a shared
-/// read-only catalog: `params` binds the plan's [`BoundExpr::Param`]
-/// placeholders. One compiled probe plan is re-executed here per
-/// candidate binding by the base-mode membership path.
-pub fn execute_physical_params(
-    plan: &PhysicalPlan,
-    catalog: &crate::catalog::Catalog,
-    params: &[Value],
-) -> Result<Vec<Row>, EngineError> {
-    let mut env = EvalEnv::with_params(catalog, params);
-    execute_physical(plan, &mut env)
-}
-
-/// [`execute_physical_read_only`] under a resource [`Budget`]: the
-/// executor's streaming loops charge rows against `budget` and unwind
-/// with a structured `Budget`/`Cancelled` error (reported as `stage`)
-/// when it is exhausted.
-pub fn execute_physical_governed(
-    plan: &PhysicalPlan,
-    catalog: &crate::catalog::Catalog,
-    budget: &crate::budget::Budget,
-    stage: &'static str,
-) -> Result<Vec<Row>, EngineError> {
-    let mut env = EvalEnv::new(catalog);
-    env.set_budget(budget, stage);
-    let res = execute_physical(plan, &mut env);
-    env.flush_budget();
-    res
-}
-
-/// [`execute_physical_params`] under an optional resource [`Budget`]
-/// (the governed membership-probe path; `budget = None` is exactly the
-/// ungoverned call).
-pub fn execute_physical_params_governed(
-    plan: &PhysicalPlan,
+/// [`execute_physical`] against a shared read-only catalog, with the
+/// environment built here on the caller's stack (so concurrent callers
+/// over one catalog never contend): `params` binds the plan's
+/// [`BoundExpr::Param`] placeholders (empty for plain queries), and
+/// with a `budget` the executor's loops charge rows against it and
+/// unwind with a structured `Budget`/`Cancelled` error reported as
+/// `stage`. One compiled probe plan is re-executed here per candidate
+/// binding by the base-mode membership path.
+pub fn execute_physical_with(
+    plan: &Plan,
     catalog: &crate::catalog::Catalog,
     params: &[Value],
     budget: Option<&crate::budget::Budget>,
@@ -456,6 +352,65 @@ pub fn execute_physical_params_governed(
     let res = execute_physical(plan, &mut env);
     env.flush_budget();
     res
+}
+
+/// Evaluate an expression subquery for the current `row`: push it as
+/// the nearest enclosing row and run `plan` on the executor that is
+/// evaluating the enclosing expression — production unless the
+/// environment belongs to a reference-oracle run.
+pub(crate) fn execute_subquery(
+    plan: &Plan,
+    row: &[Value],
+    env: &mut EvalEnv<'_>,
+) -> Result<Vec<Row>, EngineError> {
+    env.outer.push(row.to_vec());
+    let result = if env.reference {
+        reference(plan, env)
+    } else {
+        execute_physical(plan, env)
+    };
+    env.outer.pop();
+    result
+}
+
+/// Evaluate literal `VALUES` rows.
+fn values_rows(rows: &[Vec<BoundExpr>], env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError> {
+    rows.iter()
+        .map(|exprs| exprs.iter().map(|e| eval(e, &[], env)).collect())
+        .collect()
+}
+
+/// Compute the projection of materialised rows. Consumes its input row
+/// by row, so each input row's allocation is released (and reusable
+/// for the next output row) as soon as it has been projected.
+fn project_rows(
+    rows: Vec<Row>,
+    exprs: &[BoundExpr],
+    env: &mut EvalEnv<'_>,
+) -> Result<Vec<Row>, EngineError> {
+    let mut out = Vec::with_capacity(rows.len());
+    for row in rows {
+        let projected: Row = exprs
+            .iter()
+            .map(|e| eval(e, &row, env))
+            .collect::<Result<_, _>>()?;
+        out.push(projected);
+    }
+    Ok(out)
+}
+
+/// Cartesian product of materialised inputs.
+fn cross_join_rows(l: &[Row], r: &[Row]) -> Vec<Row> {
+    let mut out = Vec::with_capacity(l.len().saturating_mul(r.len()));
+    for lr in l {
+        for rr in r {
+            let mut row = Vec::with_capacity(lr.len() + rr.len());
+            row.extend_from_slice(lr);
+            row.extend_from_slice(rr);
+            out.push(row);
+        }
+    }
+    out
 }
 
 /// The one index-probe protocol, shared by every consumer: evaluate
@@ -524,7 +479,7 @@ fn index_lookup_rows(
         .collect())
 }
 
-/// `LIMIT` over a row-wise `ProjectExec?(FilterExec?(source))` pipeline
+/// `LIMIT` over a row-wise `Project?(Filter?(source))` pipeline
 /// stops producing as soon as `offset + limit` rows exist, instead of
 /// materialising the whole input first. This turns an existence probe
 /// (`SELECT 1 FROM t WHERE … LIMIT 1` — the base-mode membership
@@ -533,20 +488,18 @@ fn index_lookup_rows(
 /// materialising path exactly (slot order), so results are identical.
 /// Returns `None` when the plan is not of that shape.
 fn streaming_limit(
-    input: &PhysicalPlan,
+    input: &Plan,
     limit: Option<u64>,
     offset: u64,
     env: &mut EvalEnv<'_>,
 ) -> Result<Option<Vec<Row>>, EngineError> {
     let Some(limit) = limit else { return Ok(None) };
     let (projection, filter, source) = match input {
-        PhysicalPlan::ProjectExec { input, exprs } => match &**input {
-            PhysicalPlan::FilterExec { input, predicate } => {
-                (Some(exprs), Some(predicate), &**input)
-            }
+        Plan::Project { input, exprs } => match &**input {
+            Plan::Filter { input, predicate } => (Some(exprs), Some(predicate), &**input),
             source => (Some(exprs), None, source),
         },
-        PhysicalPlan::FilterExec { input, predicate } => (None, Some(predicate), &**input),
+        Plan::Filter { input, predicate } => (None, Some(predicate), &**input),
         source => (None, None, source),
     };
     // The source must be a base-table access path; anything else (a
@@ -573,7 +526,7 @@ fn streaming_limit(
         }))
     };
     match source {
-        PhysicalPlan::SeqScan { table } => {
+        Plan::Scan { table } => {
             let t = catalog.table(table)?;
             for (_, row) in t.iter() {
                 if out.len() >= need {
@@ -586,7 +539,7 @@ fn streaming_limit(
                 }
             }
         }
-        PhysicalPlan::IndexLookup {
+        Plan::IndexLookup {
             table,
             index_cols,
             key,
@@ -718,20 +671,29 @@ fn dedup(rows: Vec<Row>) -> Vec<Row> {
     out
 }
 
-/// Hash join over materialised inputs (shared by both executors).
-/// `right_arity` is needed for LEFT-join NULL padding when the right
-/// side produced no rows.
+/// Arity of a join's materialised right side, for LEFT-join NULL
+/// padding: read off the first row, or off the plan when there is none.
+fn right_arity(r: &[Row], right: &Plan, env: &EvalEnv<'_>) -> Result<usize, EngineError> {
+    match r.first() {
+        Some(row) => Ok(row.len()),
+        None => right.arity(env.catalog),
+    }
+}
+
+/// Hash join over materialised inputs (shared by both executors);
+/// `right` is the plan that produced `r`.
 #[allow(clippy::too_many_arguments)]
 fn hash_join_rows(
     l: Vec<Row>,
     r: Vec<Row>,
-    right_arity: usize,
+    right: &Plan,
     left_keys: &[BoundExpr],
     right_keys: &[BoundExpr],
     residual: Option<&BoundExpr>,
     join_type: JoinType,
     env: &mut EvalEnv<'_>,
 ) -> Result<Vec<Row>, EngineError> {
+    let right_arity = right_arity(&r, right, env)?;
     // Build hash table over the right side; NULL keys never match.
     let mut table: FxHashMap<Vec<Value>, Vec<usize>> =
         FxHashMap::with_capacity_and_hasher(r.len(), Default::default());
@@ -794,11 +756,12 @@ fn hash_join_rows(
 fn nested_loop_rows(
     l: Vec<Row>,
     r: Vec<Row>,
-    right_arity: usize,
+    right: &Plan,
     predicate: Option<&BoundExpr>,
     join_type: JoinType,
     env: &mut EvalEnv<'_>,
 ) -> Result<Vec<Row>, EngineError> {
+    let right_arity = right_arity(&r, right, env)?;
     let mut out = Vec::new();
     for lrow in &l {
         let mut matched = false;
@@ -1077,19 +1040,19 @@ mod tests {
         c
     }
 
-    fn run(c: &Catalog, plan: &LogicalPlan) -> Vec<Row> {
+    fn run(c: &Catalog, plan: &Plan) -> Vec<Row> {
         let mut env = EvalEnv::new(c);
         execute(plan, &mut env).unwrap()
     }
 
-    fn scan() -> LogicalPlan {
-        LogicalPlan::Scan { table: "t".into() }
+    fn scan() -> Plan {
+        Plan::Scan { table: "t".into() }
     }
 
     #[test]
     fn scan_and_filter() {
         let c = catalog_with_t();
-        let plan = LogicalPlan::Filter {
+        let plan = Plan::Filter {
             input: Box::new(scan()),
             predicate: BoundExpr::Binary {
                 op: hippo_sql::BinaryOp::Gt,
@@ -1104,7 +1067,7 @@ mod tests {
     #[test]
     fn cross_join_sizes() {
         let c = catalog_with_t();
-        let plan = LogicalPlan::CrossJoin {
+        let plan = Plan::CrossJoin {
             left: Box::new(scan()),
             right: Box::new(scan()),
         };
@@ -1115,8 +1078,8 @@ mod tests {
     fn hash_join_inner_and_left() {
         let c = catalog_with_t();
         // join t with itself on b
-        let join = |jt| LogicalPlan::HashJoin {
-            left: Box::new(LogicalPlan::Filter {
+        let join = |jt| Plan::HashJoin {
+            left: Box::new(Plan::Filter {
                 input: Box::new(scan()),
                 predicate: BoundExpr::Binary {
                     op: hippo_sql::BinaryOp::Eq,
@@ -1142,9 +1105,9 @@ mod tests {
             TableSchema::new("empty", vec![Column::new("z", DataType::Int)], &[]).unwrap(),
         )
         .unwrap();
-        let plan = LogicalPlan::NestedLoopJoin {
+        let plan = Plan::NestedLoopJoin {
             left: Box::new(scan()),
-            right: Box::new(LogicalPlan::Scan {
+            right: Box::new(Plan::Scan {
                 table: "empty".into(),
             }),
             predicate: None,
@@ -1161,9 +1124,9 @@ mod tests {
         c.create_table(TableSchema::new("n", vec![Column::new("k", DataType::Int)], &[]).unwrap())
             .unwrap();
         c.table_mut("n").unwrap().insert(vec![Value::Null]).unwrap();
-        let plan = LogicalPlan::HashJoin {
-            left: Box::new(LogicalPlan::Scan { table: "n".into() }),
-            right: Box::new(LogicalPlan::Scan { table: "n".into() }),
+        let plan = Plan::HashJoin {
+            left: Box::new(Plan::Scan { table: "n".into() }),
+            right: Box::new(Plan::Scan { table: "n".into() }),
             left_keys: vec![BoundExpr::Column(0)],
             right_keys: vec![BoundExpr::Column(0)],
             residual: None,
@@ -1175,22 +1138,21 @@ mod tests {
     #[test]
     fn set_operations() {
         let c = Catalog::new();
-        let vals = |xs: &[i64]| {
-            LogicalPlan::values_literal(xs.iter().map(|&x| vec![Value::Int(x)]).collect(), 1)
-        };
-        let union = LogicalPlan::Union {
+        let vals =
+            |xs: &[i64]| Plan::values_literal(xs.iter().map(|&x| vec![Value::Int(x)]).collect(), 1);
+        let union = Plan::Union {
             left: Box::new(vals(&[1, 2, 2])),
             right: Box::new(vals(&[2, 3])),
             all: false,
         };
         assert_eq!(run(&c, &union).len(), 3);
-        let union_all = LogicalPlan::Union {
+        let union_all = Plan::Union {
             left: Box::new(vals(&[1, 2, 2])),
             right: Box::new(vals(&[2, 3])),
             all: true,
         };
         assert_eq!(run(&c, &union_all).len(), 5);
-        let except = LogicalPlan::Except {
+        let except = Plan::Except {
             left: Box::new(vals(&[1, 2, 2, 3])),
             right: Box::new(vals(&[2])),
             all: false,
@@ -1199,7 +1161,7 @@ mod tests {
             run(&c, &except),
             vec![vec![Value::Int(1)], vec![Value::Int(3)]]
         );
-        let except_all = LogicalPlan::Except {
+        let except_all = Plan::Except {
             left: Box::new(vals(&[1, 2, 2, 3])),
             right: Box::new(vals(&[2])),
             all: true,
@@ -1209,13 +1171,13 @@ mod tests {
             3,
             "EXCEPT ALL removes one occurrence"
         );
-        let intersect = LogicalPlan::Intersect {
+        let intersect = Plan::Intersect {
             left: Box::new(vals(&[1, 2, 2])),
             right: Box::new(vals(&[2, 2, 3])),
             all: false,
         };
         assert_eq!(run(&c, &intersect), vec![vec![Value::Int(2)]]);
-        let intersect_all = LogicalPlan::Intersect {
+        let intersect_all = Plan::Intersect {
             left: Box::new(vals(&[1, 2, 2])),
             right: Box::new(vals(&[2, 2, 3])),
             all: true,
@@ -1226,8 +1188,8 @@ mod tests {
     #[test]
     fn distinct_dedups_preserving_order() {
         let c = Catalog::new();
-        let plan = LogicalPlan::Distinct {
-            input: Box::new(LogicalPlan::values_literal(
+        let plan = Plan::Distinct {
+            input: Box::new(Plan::values_literal(
                 vec![
                     vec![Value::Int(2)],
                     vec![Value::Int(1)],
@@ -1245,7 +1207,7 @@ mod tests {
     #[test]
     fn aggregate_group_by() {
         let c = catalog_with_t();
-        let plan = LogicalPlan::Aggregate {
+        let plan = Plan::Aggregate {
             input: Box::new(scan()),
             group_exprs: vec![BoundExpr::Column(1)],
             aggregates: vec![
@@ -1296,8 +1258,8 @@ mod tests {
     #[test]
     fn global_aggregate_on_empty_input() {
         let c = Catalog::new();
-        let plan = LogicalPlan::Aggregate {
-            input: Box::new(LogicalPlan::Empty { arity: 1 }),
+        let plan = Plan::Aggregate {
+            input: Box::new(Plan::Empty { arity: 1 }),
             group_exprs: vec![],
             aggregates: vec![
                 AggExpr {
@@ -1319,8 +1281,8 @@ mod tests {
     #[test]
     fn count_distinct() {
         let c = Catalog::new();
-        let plan = LogicalPlan::Aggregate {
-            input: Box::new(LogicalPlan::values_literal(
+        let plan = Plan::Aggregate {
+            input: Box::new(Plan::values_literal(
                 vec![
                     vec![Value::Int(1)],
                     vec![Value::Int(1)],
@@ -1342,8 +1304,8 @@ mod tests {
     #[test]
     fn sort_and_limit() {
         let c = catalog_with_t();
-        let plan = LogicalPlan::Limit {
-            input: Box::new(LogicalPlan::Sort {
+        let plan = Plan::Limit {
+            input: Box::new(Plan::Sort {
                 input: Box::new(scan()),
                 keys: vec![(BoundExpr::Column(0), true)],
             }),
@@ -1359,8 +1321,8 @@ mod tests {
     #[test]
     fn count_skips_nulls_count_star_does_not() {
         let c = Catalog::new();
-        let input = LogicalPlan::values_literal(vec![vec![Value::Int(1)], vec![Value::Null]], 1);
-        let plan = LogicalPlan::Aggregate {
+        let input = Plan::values_literal(vec![vec![Value::Int(1)], vec![Value::Null]], 1);
+        let plan = Plan::Aggregate {
             input: Box::new(input),
             group_exprs: vec![],
             aggregates: vec![

@@ -6,7 +6,7 @@
 //! logic: comparisons and boolean connectives may yield `NULL`.
 
 use crate::catalog::Catalog;
-use crate::plan::LogicalPlan;
+use crate::plan::Plan;
 use crate::schema::EngineError;
 use crate::table::TupleId;
 use crate::value::Value;
@@ -20,7 +20,7 @@ pub enum BoundExpr {
     /// Column of the current row, by flat offset.
     Column(usize),
     /// Prepared-statement parameter, by position. Evaluates to
-    /// [`EvalEnv::params`]`[i]` — the binding a prepared physical plan
+    /// [`EvalEnv::params`]`[i]` — the binding a prepared plan
     /// (e.g. the membership probes of [`crate::db::DbSnapshot::run_prepared`])
     /// is re-executed with. Never produced by the binder from SQL text;
     /// callers construct parameterised plans programmatically.
@@ -91,7 +91,7 @@ pub enum BoundExpr {
     /// `[NOT] EXISTS (subplan)`.
     Exists {
         /// Subquery plan (may contain `OuterRef`s).
-        plan: Box<LogicalPlan>,
+        plan: Box<Plan>,
         /// `NOT EXISTS`.
         negated: bool,
     },
@@ -100,12 +100,12 @@ pub enum BoundExpr {
         /// Tested expression.
         expr: Box<BoundExpr>,
         /// Subquery plan.
-        plan: Box<LogicalPlan>,
+        plan: Box<Plan>,
         /// `NOT IN`.
         negated: bool,
     },
     /// Scalar subquery producing one row, one column (`NULL` if empty).
-    ScalarSubquery(Box<LogicalPlan>),
+    ScalarSubquery(Box<Plan>),
 }
 
 /// Scalar (non-aggregate) functions.
@@ -355,6 +355,10 @@ pub struct EvalEnv<'a> {
     pub vec_rows: u64,
     /// Rows examined through row-mode source operators this call.
     pub rowmode_rows: u64,
+    /// Set while [`crate::exec::execute`] (the reference oracle) runs a
+    /// plan with this environment: expression subqueries then stay on
+    /// the oracle and skip the correlated-`EXISTS` memo.
+    pub(crate) reference: bool,
 }
 
 impl<'a> EvalEnv<'a> {
@@ -372,6 +376,7 @@ impl<'a> EvalEnv<'a> {
             vec_batches: 0,
             vec_rows: 0,
             rowmode_rows: 0,
+            reference: false,
         }
     }
 
@@ -449,11 +454,11 @@ struct ExistsFastPath<'p> {
 
 /// Try to recognise the fast-path shape. Projections, DISTINCT and LIMIT
 /// do not affect emptiness and are unwrapped.
-fn exists_fast_path(plan: &LogicalPlan) -> Option<ExistsFastPath<'_>> {
+fn exists_fast_path(plan: &Plan) -> Option<ExistsFastPath<'_>> {
     let mut p = plan;
-    while let LogicalPlan::Project { input, .. }
-    | LogicalPlan::Distinct { input }
-    | LogicalPlan::Limit {
+    while let Plan::Project { input, .. }
+    | Plan::Distinct { input }
+    | Plan::Limit {
         input,
         limit: Some(_),
         offset: 0,
@@ -461,10 +466,10 @@ fn exists_fast_path(plan: &LogicalPlan) -> Option<ExistsFastPath<'_>> {
     {
         p = input;
     }
-    let LogicalPlan::Filter { input, predicate } = p else {
+    let Plan::Filter { input, predicate } = p else {
         return None;
     };
-    let LogicalPlan::Scan { table } = &**input else {
+    let Plan::Scan { table } = &**input else {
         return None;
     };
     let mut key_cols = Vec::new();
@@ -520,14 +525,16 @@ pub(crate) fn split_conjuncts_ref(e: &BoundExpr) -> Vec<&BoundExpr> {
 }
 
 /// Evaluate `EXISTS (plan)` for the current `row`, using the hash fast
-/// path when the plan shape allows it; falls back to full execution.
-fn eval_exists(
-    plan: &LogicalPlan,
-    row: &[Value],
-    env: &mut EvalEnv<'_>,
-) -> Result<bool, EngineError> {
-    if let Some(fp) = exists_fast_path(plan) {
-        let plan_key = plan as *const LogicalPlan as usize;
+/// path when the plan shape allows it (never on a reference-oracle
+/// run); falls back to full execution.
+fn eval_exists(plan: &Plan, row: &[Value], env: &mut EvalEnv<'_>) -> Result<bool, EngineError> {
+    let fast_path = if env.reference {
+        None
+    } else {
+        exists_fast_path(plan)
+    };
+    if let Some(fp) = fast_path {
+        let plan_key = plan as *const Plan as usize;
         // The table reference outlives `env`'s mutable borrows (it
         // borrows the `'a` catalog, not the env), so residuals below
         // can evaluate against borrowed rows with zero row copies.
@@ -592,7 +599,7 @@ fn eval_exists(
             // &mut env); ids are 4 bytes each, not rows.
             let matches: Option<Vec<TupleId>> = env
                 .exists_cache
-                .get(&(plan as *const LogicalPlan as usize))
+                .get(&(plan as *const Plan as usize))
                 .and_then(|m| m.get(&key))
                 .cloned();
             let Some(ids) = matches else {
@@ -619,10 +626,7 @@ fn eval_exists(
         env.outer.pop();
         return result;
     }
-    env.outer.push(row.to_vec());
-    let result = crate::exec::execute(plan, env);
-    env.outer.pop();
-    Ok(!result?.is_empty())
+    Ok(!crate::exec::execute_subquery(plan, row, env)?.is_empty())
 }
 
 /// Evaluate `expr` against `row` within `env`.
@@ -758,10 +762,7 @@ pub fn eval(expr: &BoundExpr, row: &[Value], env: &mut EvalEnv<'_>) -> Result<Va
             negated,
         } => {
             let v = eval(expr, row, env)?;
-            env.outer.push(row.to_vec());
-            let result = crate::exec::execute(plan, env);
-            env.outer.pop();
-            let rows = result?;
+            let rows = crate::exec::execute_subquery(plan, row, env)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
@@ -783,10 +784,7 @@ pub fn eval(expr: &BoundExpr, row: &[Value], env: &mut EvalEnv<'_>) -> Result<Va
             }
         }
         BoundExpr::ScalarSubquery(plan) => {
-            env.outer.push(row.to_vec());
-            let result = crate::exec::execute(plan, env);
-            env.outer.pop();
-            let rows = result?;
+            let rows = crate::exec::execute_subquery(plan, row, env)?;
             match rows.len() {
                 0 => Ok(Value::Null),
                 1 => rows[0]
@@ -1232,7 +1230,7 @@ mod tests {
 
     #[test]
     fn exists_fast_path_matches_slow_path() {
-        use crate::plan::LogicalPlan;
+        use crate::plan::Plan;
         use crate::schema::{Column, DataType, TableSchema};
         let mut catalog = Catalog::new();
         catalog
@@ -1253,8 +1251,8 @@ mod tests {
             t.insert(vec![Value::Int(k), Value::Int(v)]).unwrap();
         }
         // EXISTS (SELECT * FROM t WHERE t.k = <outer col 0> AND t.v > 15)
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Scan { table: "t".into() }),
+        let plan = Plan::Filter {
+            input: Box::new(Plan::Scan { table: "t".into() }),
             predicate: BoundExpr::Binary {
                 op: BinaryOp::And,
                 left: Box::new(bin(
@@ -1292,7 +1290,7 @@ mod tests {
 
     #[test]
     fn exists_without_equi_keys_falls_back() {
-        use crate::plan::LogicalPlan;
+        use crate::plan::Plan;
         use crate::schema::{Column, DataType, TableSchema};
         let mut catalog = Catalog::new();
         catalog
@@ -1307,8 +1305,8 @@ mod tests {
             .unwrap();
         // EXISTS (SELECT * FROM t WHERE t.v < <outer col 0>) — no equality,
         // must use the general path.
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Scan { table: "t".into() }),
+        let plan = Plan::Filter {
+            input: Box::new(Plan::Scan { table: "t".into() }),
             predicate: bin(
                 BinaryOp::Lt,
                 BoundExpr::Column(0),

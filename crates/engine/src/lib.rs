@@ -7,26 +7,32 @@
 //! The engine offers:
 //!
 //! * a [`Database`] facade: SQL text in, rows out ([`Database::execute`],
-//!   [`Database::query`]), plus bulk-load and direct catalog access;
+//!   [`DbSnapshot::query`]), plus bulk-load and direct catalog access.
+//!   Reads have **one path**: every `SELECT` is a method of the
+//!   read-only, `Sync` [`DbSnapshot`], and a `Database` reads through
+//!   the snapshot it owns;
 //! * a name-resolving binder ([`bind`]) lowering the `hippo-sql` AST to
-//!   [`plan::LogicalPlan`]s;
-//! * a two-stage optimizer ([`optimize`]): logical rewrites (constant
+//!   the engine's **one plan type**, [`plan::Plan`];
+//! * an optimizer ([`optimize`]) of plan → plan rewrites (constant
 //!   folding, predicate pushdown, cross-product → hash-join conversion)
-//!   followed by lowering to a [`plan::PhysicalPlan`] with
-//!   **access-path selection** — equality predicates over indexed
-//!   columns become O(1) [`plan::PhysicalPlan::IndexLookup`] probes;
-//! * a physical executor ([`exec::execute_physical`]) with streamed
-//!   filter/limit pipelines, hash joins, set operations (set and bag),
-//!   grouping/aggregation, sorting, and correlated `EXISTS` / `IN` /
-//!   scalar subqueries — plus the fully materialising logical
-//!   reference executor ([`exec::execute`]) it is differentially
-//!   tested against;
-//! * a **vectorized engine** ([`column`]): lazily maintained typed
-//!   column stores per table (validity bitmaps, dictionary-encoded
-//!   text) and batch-at-a-time filter/project/aggregate/hash-join
-//!   over selection vectors, bit-identical to row mode (answers,
-//!   errors, budget charges) and falling back to it for unconverted
-//!   shapes — `EXPLAIN` shows which engine runs;
+//!   plus **access-path selection**
+//!   ([`optimize::choose_access_paths`]), an in-place pass that turns
+//!   equality predicates over indexed columns into O(1)
+//!   [`plan::Plan::IndexLookup`] probes;
+//! * **one production executor** ([`exec::execute_physical`]) with
+//!   streamed filter/limit pipelines, hash joins, set operations (set
+//!   and bag), grouping/aggregation, sorting, and correlated `EXISTS` /
+//!   `IN` / scalar subqueries, all under one per-call budget. Its
+//!   row-mode operators hand eligible subtrees to the **vectorized
+//!   engine** ([`column`]): lazily maintained typed column stores per
+//!   table (validity bitmaps, dictionary-encoded text) and
+//!   batch-at-a-time filter/project/aggregate/hash-join over selection
+//!   vectors, bit-identical to row mode (answers, errors, budget
+//!   charges) — `EXPLAIN` shows which engine runs;
+//! * a fully materialising **reference oracle** ([`exec::execute`])
+//!   that no query reaches: [`DbSnapshot::run_plan`] and the
+//!   differential suites run it to check the production executor
+//!   row-for-row;
 //! * row storage with **stable tuple identifiers** ([`table::Table`],
 //!   [`table::TupleId`]) — the conflict hypergraph's vertices are physical
 //!   tuples, so ids must survive unrelated deletions — and secondary
@@ -62,10 +68,10 @@ pub use column::{
     columnar_enabled, plan_uses_vectorized, set_columnar_override, ColumnBatch, ColumnData,
     ColumnStore, ColumnVector, BATCH_ROWS,
 };
-pub use db::{Database, DbSnapshot, DbStats, ExecResult, QueryResult, SnapshotStatsView};
+pub use db::{Database, DbSnapshot, ExecResult, QueryResult, SnapshotStatsView};
 pub use expr::BoundExpr;
-pub use optimize::{physicalize, physicalize_with, PhysicalOptions};
-pub use plan::{LogicalPlan, PhysicalPlan};
+pub use optimize::choose_access_paths;
+pub use plan::Plan;
 pub use schema::{Column, DataType, EngineError, ErrorKind, TableSchema};
 pub use table::{Table, TupleId};
 pub use value::{Row, Value};

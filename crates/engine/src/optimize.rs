@@ -1,7 +1,6 @@
-//! The optimizer: logical rewrites, then logical → physical lowering
-//! with access-path selection.
+//! The optimizer: plan → plan rewrites, plus access-path selection.
 //!
-//! **Logical passes** ([`optimize`]), applied bottom-up (one traversal
+//! **Rewrite passes** ([`optimize`]), applied bottom-up (one traversal
 //! is enough for the shapes the binder emits):
 //!
 //! 1. **Constant folding** — literal-only expressions collapse to literals.
@@ -13,12 +12,14 @@
 //! Expressions containing subqueries are never moved (their `OuterRef`
 //! levels are position-dependent).
 //!
-//! **Physical lowering** ([`physicalize`]) maps the optimized logical
-//! tree onto [`PhysicalPlan`] operators 1:1, except for **access-path
-//! selection**: a `Filter` directly over a `Scan` whose equality
+//! **Access-path selection** ([`choose_access_paths`]) is a separate
+//! in-place pass over the same [`Plan`] type, which callers either run
+//! or skip (the index-ablation experiments and the differential tests
+//! skip it to get the sequential-scan plan with everything else
+//! unchanged): a `Filter` directly over a `Scan` whose equality
 //! conjuncts pin every column of one of the table's hash indexes
-//! becomes an [`PhysicalPlan::IndexLookup`] (largest covered index
-//! wins; leftover conjuncts stay as a residual `FilterExec`). Key
+//! becomes a [`Plan::IndexLookup`] (largest covered index wins;
+//! leftover conjuncts stay as a residual `Filter`). Key
 //! expressions must be row-independent (literals of exactly the
 //! column's type, or [`BoundExpr::Param`] placeholders whose bindings
 //! the prepared-plan caller guarantees to be type-matching or `NULL`);
@@ -35,144 +36,34 @@
 //! and an index can skip errors but never introduce one (key
 //! expressions are type-checked at plan time).
 //!
-//! Expression subqueries (`EXISTS`/`IN`/scalar) keep their logical
-//! subplans: they are evaluated by the reference executor through
-//! [`crate::expr::EvalEnv`]'s correlated-`EXISTS` hash memo, which
-//! already gives the hot membership-flag shape its O(1) probe.
+//! The pass does not descend into expression subqueries
+//! (`EXISTS`/`IN`/scalar): their subplans run as bound, with
+//! [`crate::expr::EvalEnv`]'s correlated-`EXISTS` hash memo giving the
+//! hot membership-flag shape its O(1) probe.
 
 use crate::catalog::Catalog;
 use crate::expr::{eval, BoundExpr, EvalEnv};
-use crate::plan::{JoinType, LogicalPlan, PhysicalPlan};
+use crate::plan::{JoinType, Plan};
 use crate::schema::{DataType, EngineError, TableSchema};
 use crate::value::Value;
 use hippo_sql::BinaryOp;
 
-/// Optimize a plan.
-pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan, EngineError> {
-    let plan = rewrite(plan, catalog)?;
-    Ok(plan)
-}
-
-/// Options controlling logical → physical lowering.
-#[derive(Debug, Clone, Copy)]
-pub struct PhysicalOptions {
-    /// Rewrite equality predicates over indexed columns into
-    /// [`PhysicalPlan::IndexLookup`] access paths. On by default; the
-    /// differential tests and the index-ablation experiments turn it
-    /// off to get the sequential-scan plan with everything else
-    /// unchanged.
-    pub use_indexes: bool,
-}
-
-impl Default for PhysicalOptions {
-    fn default() -> Self {
-        PhysicalOptions { use_indexes: true }
-    }
-}
-
-/// Lower an optimized logical plan to a physical plan with default
-/// options (index access paths enabled).
-pub fn physicalize(plan: LogicalPlan, catalog: &Catalog) -> PhysicalPlan {
-    physicalize_with(plan, catalog, &PhysicalOptions::default())
-}
-
-/// Lower an optimized logical plan to a physical plan.
-pub fn physicalize_with(
-    plan: LogicalPlan,
-    catalog: &Catalog,
-    opts: &PhysicalOptions,
-) -> PhysicalPlan {
-    match plan {
-        LogicalPlan::Empty { arity } => PhysicalPlan::Empty { arity },
-        LogicalPlan::Values { rows, arity } => PhysicalPlan::Values { rows, arity },
-        LogicalPlan::Scan { table } => PhysicalPlan::SeqScan { table },
-        LogicalPlan::Filter { input, predicate } => {
-            if let LogicalPlan::Scan { table } = &*input {
-                if opts.use_indexes {
-                    if let Some(p) = index_access_path(table, &predicate, catalog) {
-                        return p;
-                    }
-                }
-            }
-            PhysicalPlan::FilterExec {
-                input: Box::new(physicalize_with(*input, catalog, opts)),
-                predicate,
+/// Access-path selection, in place: every `Filter(Scan)` of `plan`
+/// whose equality conjuncts cover one of the table's hash indexes
+/// becomes an [`Plan::IndexLookup`] (plus a residual `Filter` for the
+/// remaining conjuncts). Skipping this pass leaves a plan that scans —
+/// same rows, same order.
+pub fn choose_access_paths(plan: &mut Plan, catalog: &Catalog) {
+    if let Plan::Filter { input, predicate } = plan {
+        if let Plan::Scan { table } = &**input {
+            if let Some(lookup) = index_access_path(table, predicate, catalog) {
+                *plan = lookup;
+                return;
             }
         }
-        LogicalPlan::Project { input, exprs } => PhysicalPlan::ProjectExec {
-            input: Box::new(physicalize_with(*input, catalog, opts)),
-            exprs,
-        },
-        LogicalPlan::CrossJoin { left, right } => PhysicalPlan::CrossJoinExec {
-            left: Box::new(physicalize_with(*left, catalog, opts)),
-            right: Box::new(physicalize_with(*right, catalog, opts)),
-        },
-        LogicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-            join_type,
-        } => PhysicalPlan::HashJoinExec {
-            left: Box::new(physicalize_with(*left, catalog, opts)),
-            right: Box::new(physicalize_with(*right, catalog, opts)),
-            left_keys,
-            right_keys,
-            residual,
-            join_type,
-        },
-        LogicalPlan::NestedLoopJoin {
-            left,
-            right,
-            predicate,
-            join_type,
-        } => PhysicalPlan::NestedLoopJoinExec {
-            left: Box::new(physicalize_with(*left, catalog, opts)),
-            right: Box::new(physicalize_with(*right, catalog, opts)),
-            predicate,
-            join_type,
-        },
-        LogicalPlan::Union { left, right, all } => PhysicalPlan::UnionExec {
-            left: Box::new(physicalize_with(*left, catalog, opts)),
-            right: Box::new(physicalize_with(*right, catalog, opts)),
-            all,
-        },
-        LogicalPlan::Except { left, right, all } => PhysicalPlan::ExceptExec {
-            left: Box::new(physicalize_with(*left, catalog, opts)),
-            right: Box::new(physicalize_with(*right, catalog, opts)),
-            all,
-        },
-        LogicalPlan::Intersect { left, right, all } => PhysicalPlan::IntersectExec {
-            left: Box::new(physicalize_with(*left, catalog, opts)),
-            right: Box::new(physicalize_with(*right, catalog, opts)),
-            all,
-        },
-        LogicalPlan::Distinct { input } => PhysicalPlan::DistinctExec {
-            input: Box::new(physicalize_with(*input, catalog, opts)),
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_exprs,
-            aggregates,
-        } => PhysicalPlan::AggregateExec {
-            input: Box::new(physicalize_with(*input, catalog, opts)),
-            group_exprs,
-            aggregates,
-        },
-        LogicalPlan::Sort { input, keys } => PhysicalPlan::SortExec {
-            input: Box::new(physicalize_with(*input, catalog, opts)),
-            keys,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => PhysicalPlan::LimitExec {
-            input: Box::new(physicalize_with(*input, catalog, opts)),
-            limit,
-            offset,
-        },
+    }
+    for child in plan.children_mut() {
+        choose_access_paths(child, catalog);
     }
 }
 
@@ -182,11 +73,7 @@ pub fn physicalize_with(
 /// the remaining conjuncts as a residual filter. Ties between
 /// equal-length indexes break to the lexicographically smallest column
 /// set, so plan choice is deterministic.
-fn index_access_path(
-    table: &str,
-    predicate: &BoundExpr,
-    catalog: &Catalog,
-) -> Option<PhysicalPlan> {
+fn index_access_path(table: &str, predicate: &BoundExpr, catalog: &Catalog) -> Option<Plan> {
     let t = catalog.table(table).ok()?;
     let conjuncts = split_conjuncts(predicate);
     // column → (conjunct index, key expression); first conjunct wins.
@@ -229,7 +116,7 @@ fn index_access_path(
         .filter(|(_, consumed)| !**consumed)
         .map(|(c, _)| c)
         .collect();
-    let lookup = PhysicalPlan::IndexLookup {
+    let lookup = Plan::IndexLookup {
         table: table.to_string(),
         index_cols,
         key,
@@ -237,7 +124,7 @@ fn index_access_path(
     Some(if residual.is_empty() {
         lookup
     } else {
-        PhysicalPlan::FilterExec {
+        Plan::Filter {
             input: Box::new(lookup),
             predicate: BoundExpr::conjoin(residual),
         }
@@ -280,145 +167,71 @@ fn as_index_key<'a>(c: &'a BoundExpr, schema: &TableSchema) -> Option<(usize, &'
     }
 }
 
-fn rewrite(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan, EngineError> {
-    // Recurse first (bottom-up).
-    let plan = match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            let input = rewrite(*input, catalog)?;
+/// Optimize a plan: the rewrite passes of the module docs, bottom-up.
+pub fn optimize(mut plan: Plan, catalog: &Catalog) -> Result<Plan, EngineError> {
+    for child in plan.children_mut() {
+        let taken = std::mem::replace(child, Plan::Empty { arity: 0 });
+        *child = optimize(taken, catalog)?;
+    }
+    Ok(match plan {
+        Plan::Filter { input, predicate } => {
             let predicate = fold_expr(predicate, catalog);
             // Drop trivially-true filters; empty out trivially-false ones.
             match &predicate {
-                BoundExpr::Literal(crate::value::Value::Bool(true)) => return Ok(input),
-                BoundExpr::Literal(
-                    crate::value::Value::Bool(false) | crate::value::Value::Null,
-                ) => {
-                    let arity = input.arity(catalog)?;
-                    return Ok(LogicalPlan::Empty { arity });
-                }
-                _ => {}
+                BoundExpr::Literal(Value::Bool(true)) => *input,
+                BoundExpr::Literal(Value::Bool(false) | Value::Null) => Plan::Empty {
+                    arity: input.arity(catalog)?,
+                },
+                _ => push_filter(*input, predicate, catalog)?,
             }
-            push_filter(input, predicate, catalog)?
         }
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(rewrite(*input, catalog)?),
+        Plan::Project { input, exprs } => Plan::Project {
+            input,
             exprs: exprs.into_iter().map(|e| fold_expr(e, catalog)).collect(),
         },
-        LogicalPlan::CrossJoin { left, right } => LogicalPlan::CrossJoin {
-            left: Box::new(rewrite(*left, catalog)?),
-            right: Box::new(rewrite(*right, catalog)?),
-        },
-        LogicalPlan::HashJoin {
+        // Try converting a LEFT nested-loop with pure equi predicate
+        // into a left hash join.
+        Plan::NestedLoopJoin {
             left,
             right,
-            left_keys,
-            right_keys,
-            residual,
-            join_type,
-        } => LogicalPlan::HashJoin {
-            left: Box::new(rewrite(*left, catalog)?),
-            right: Box::new(rewrite(*right, catalog)?),
-            left_keys,
-            right_keys,
-            residual,
-            join_type,
-        },
-        LogicalPlan::NestedLoopJoin {
-            left,
-            right,
-            predicate,
-            join_type,
-        } => {
-            let left = rewrite(*left, catalog)?;
-            let right = rewrite(*right, catalog)?;
-            // Try converting a LEFT nested-loop with pure equi predicate
-            // into a left hash join.
-            if join_type == JoinType::Left {
-                if let Some(pred) = &predicate {
-                    if !pred.contains_subquery() {
-                        let la = left.arity(catalog)?;
-                        let (equi, residual) = split_equi(pred, la);
-                        if !equi.is_empty() {
-                            return Ok(LogicalPlan::HashJoin {
-                                left: Box::new(left),
-                                right: Box::new(right),
-                                left_keys: equi.iter().map(|(l, _)| l.clone()).collect(),
-                                right_keys: equi.iter().map(|(_, r)| r.clone()).collect(),
-                                residual,
-                                join_type: JoinType::Left,
-                            });
-                        }
-                    }
+            predicate: Some(pred),
+            join_type: JoinType::Left,
+        } if !pred.contains_subquery() => {
+            let (equi, residual) = split_equi(&pred, left.arity(catalog)?);
+            if equi.is_empty() {
+                Plan::NestedLoopJoin {
+                    left,
+                    right,
+                    predicate: Some(pred),
+                    join_type: JoinType::Left,
+                }
+            } else {
+                let (left_keys, right_keys) = equi.into_iter().unzip();
+                Plan::HashJoin {
+                    left,
+                    right,
+                    left_keys,
+                    right_keys,
+                    residual,
+                    join_type: JoinType::Left,
                 }
             }
-            LogicalPlan::NestedLoopJoin {
-                left: Box::new(left),
-                right: Box::new(right),
-                predicate,
-                join_type,
-            }
         }
-        LogicalPlan::Union { left, right, all } => LogicalPlan::Union {
-            left: Box::new(rewrite(*left, catalog)?),
-            right: Box::new(rewrite(*right, catalog)?),
-            all,
-        },
-        LogicalPlan::Except { left, right, all } => LogicalPlan::Except {
-            left: Box::new(rewrite(*left, catalog)?),
-            right: Box::new(rewrite(*right, catalog)?),
-            all,
-        },
-        LogicalPlan::Intersect { left, right, all } => LogicalPlan::Intersect {
-            left: Box::new(rewrite(*left, catalog)?),
-            right: Box::new(rewrite(*right, catalog)?),
-            all,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(rewrite(*input, catalog)?),
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_exprs,
-            aggregates,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(rewrite(*input, catalog)?),
-            group_exprs,
-            aggregates,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(rewrite(*input, catalog)?),
-            keys,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(rewrite(*input, catalog)?),
-            limit,
-            offset,
-        },
-        leaf @ (LogicalPlan::Empty { .. }
-        | LogicalPlan::Values { .. }
-        | LogicalPlan::Scan { .. }) => leaf,
-    };
-    Ok(plan)
+        other => other,
+    })
 }
 
 /// Place a filter above `input`, pushing conjuncts down / converting joins.
-fn push_filter(
-    input: LogicalPlan,
-    predicate: BoundExpr,
-    catalog: &Catalog,
-) -> Result<LogicalPlan, EngineError> {
+fn push_filter(input: Plan, predicate: BoundExpr, catalog: &Catalog) -> Result<Plan, EngineError> {
     match input {
         // Filters commute with duplicate elimination.
-        LogicalPlan::Distinct { input } => Ok(LogicalPlan::Distinct {
+        Plan::Distinct { input } => Ok(Plan::Distinct {
             input: Box::new(push_filter(*input, predicate, catalog)?),
         }),
         // Push through a projection when every column the predicate reads
         // maps to a plain column of the input (no computed expressions),
         // so the join-conversion rule can see the cross join underneath.
-        LogicalPlan::Project {
+        Plan::Project {
             input: proj_input,
             exprs,
         } if !predicate.contains_subquery() && remappable(&predicate, &exprs) => {
@@ -426,12 +239,12 @@ fn push_filter(
                 BoundExpr::Column(c) => *c,
                 _ => unreachable!("remappable() checked"),
             });
-            Ok(LogicalPlan::Project {
+            Ok(Plan::Project {
                 input: Box::new(push_filter(*proj_input, mapped, catalog)?),
                 exprs,
             })
         }
-        LogicalPlan::CrossJoin { left, right } => {
+        Plan::CrossJoin { left, right } => {
             let la = left.arity(catalog)?;
             let conjuncts = split_conjuncts(&predicate);
 
@@ -462,26 +275,26 @@ fn push_filter(
 
             let mut l = *left;
             if !left_preds.is_empty() {
-                l = LogicalPlan::Filter {
+                l = Plan::Filter {
                     input: Box::new(l),
                     predicate: BoundExpr::conjoin(left_preds),
                 };
             }
             let mut r = *right;
             if !right_preds.is_empty() {
-                r = LogicalPlan::Filter {
+                r = Plan::Filter {
                     input: Box::new(r),
                     predicate: BoundExpr::conjoin(right_preds),
                 };
             }
 
             let joined = if equi.is_empty() {
-                LogicalPlan::CrossJoin {
+                Plan::CrossJoin {
                     left: Box::new(l),
                     right: Box::new(r),
                 }
             } else {
-                LogicalPlan::HashJoin {
+                Plan::HashJoin {
                     left: Box::new(l),
                     right: Box::new(r),
                     left_keys: equi.iter().map(|(lk, _)| lk.clone()).collect(),
@@ -496,13 +309,13 @@ fn push_filter(
             if rest.is_empty() {
                 Ok(joined)
             } else {
-                Ok(LogicalPlan::Filter {
+                Ok(Plan::Filter {
                     input: Box::new(joined),
                     predicate: BoundExpr::conjoin(rest),
                 })
             }
         }
-        other => Ok(LogicalPlan::Filter {
+        other => Ok(Plan::Filter {
             input: Box::new(other),
             predicate,
         }),
@@ -628,7 +441,6 @@ fn contains_outer_ref(e: &BoundExpr) -> bool {
 mod tests {
     use super::*;
     use crate::schema::{Column, DataType, TableSchema};
-    use crate::value::Value;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -661,15 +473,15 @@ mod tests {
     #[test]
     fn filter_over_cross_becomes_hash_join() {
         let c = catalog();
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::CrossJoin {
-                left: Box::new(LogicalPlan::Scan { table: "r".into() }),
-                right: Box::new(LogicalPlan::Scan { table: "s".into() }),
+        let plan = Plan::Filter {
+            input: Box::new(Plan::CrossJoin {
+                left: Box::new(Plan::Scan { table: "r".into() }),
+                right: Box::new(Plan::Scan { table: "s".into() }),
             }),
             predicate: eq(col(0), col(2)),
         };
         let opt = optimize(plan, &c).unwrap();
-        let LogicalPlan::HashJoin {
+        let Plan::HashJoin {
             left_keys,
             right_keys,
             ..
@@ -687,22 +499,19 @@ mod tests {
         let pred = eq(col(0), col(2))
             .and(eq(col(1), lit(5)))
             .and(eq(col(3), lit(7)));
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::CrossJoin {
-                left: Box::new(LogicalPlan::Scan { table: "r".into() }),
-                right: Box::new(LogicalPlan::Scan { table: "s".into() }),
+        let plan = Plan::Filter {
+            input: Box::new(Plan::CrossJoin {
+                left: Box::new(Plan::Scan { table: "r".into() }),
+                right: Box::new(Plan::Scan { table: "s".into() }),
             }),
             predicate: pred,
         };
         let opt = optimize(plan, &c).unwrap();
-        let LogicalPlan::HashJoin { left, right, .. } = opt else {
+        let Plan::HashJoin { left, right, .. } = opt else {
             panic!("{opt:?}")
         };
-        assert!(
-            matches!(*left, LogicalPlan::Filter { .. }),
-            "left filter pushed"
-        );
-        let LogicalPlan::Filter { predicate, .. } = *right else {
+        assert!(matches!(*left, Plan::Filter { .. }), "left filter pushed");
+        let Plan::Filter { predicate, .. } = *right else {
             panic!()
         };
         // right-side predicate rebased: col(3) -> col(1)
@@ -717,40 +526,40 @@ mod tests {
             left: Box::new(col(0)),
             right: Box::new(col(2)),
         };
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::CrossJoin {
-                left: Box::new(LogicalPlan::Scan { table: "r".into() }),
-                right: Box::new(LogicalPlan::Scan { table: "s".into() }),
+        let plan = Plan::Filter {
+            input: Box::new(Plan::CrossJoin {
+                left: Box::new(Plan::Scan { table: "r".into() }),
+                right: Box::new(Plan::Scan { table: "s".into() }),
             }),
             predicate: pred.clone(),
         };
         let opt = optimize(plan, &c).unwrap();
-        let LogicalPlan::Filter { input, predicate } = opt else {
+        let Plan::Filter { input, predicate } = opt else {
             panic!("{opt:?}")
         };
         assert_eq!(predicate, pred);
-        assert!(matches!(*input, LogicalPlan::CrossJoin { .. }));
+        assert!(matches!(*input, Plan::CrossJoin { .. }));
     }
 
     #[test]
     fn constant_folding_collapses_filters() {
         let c = catalog();
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Scan { table: "r".into() }),
+        let plan = Plan::Filter {
+            input: Box::new(Plan::Scan { table: "r".into() }),
             predicate: eq(lit(1), lit(1)),
         };
         let opt = optimize(plan, &c).unwrap();
         assert!(
-            matches!(opt, LogicalPlan::Scan { .. }),
+            matches!(opt, Plan::Scan { .. }),
             "true filter removed: {opt:?}"
         );
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Scan { table: "r".into() }),
+        let plan = Plan::Filter {
+            input: Box::new(Plan::Scan { table: "r".into() }),
             predicate: eq(lit(1), lit(2)),
         };
         let opt = optimize(plan, &c).unwrap();
         assert!(
-            matches!(opt, LogicalPlan::Empty { arity: 2 }),
+            matches!(opt, Plan::Empty { arity: 2 }),
             "false filter empties: {opt:?}"
         );
     }
@@ -758,9 +567,9 @@ mod tests {
     #[test]
     fn left_nested_loop_with_equi_becomes_left_hash_join() {
         let c = catalog();
-        let plan = LogicalPlan::NestedLoopJoin {
-            left: Box::new(LogicalPlan::Scan { table: "r".into() }),
-            right: Box::new(LogicalPlan::Scan { table: "s".into() }),
+        let plan = Plan::NestedLoopJoin {
+            left: Box::new(Plan::Scan { table: "r".into() }),
+            right: Box::new(Plan::Scan { table: "s".into() }),
             predicate: Some(eq(col(0), col(2))),
             join_type: JoinType::Left,
         };
@@ -768,7 +577,7 @@ mod tests {
         assert!(
             matches!(
                 opt,
-                LogicalPlan::HashJoin {
+                Plan::HashJoin {
                     join_type: JoinType::Left,
                     ..
                 }
@@ -782,21 +591,21 @@ mod tests {
         // Filter(Project(CrossJoin)) with a column-only projection becomes
         // Project(HashJoin) — the shape SJUD SQL rendering produces.
         let c = catalog();
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Project {
-                input: Box::new(LogicalPlan::CrossJoin {
-                    left: Box::new(LogicalPlan::Scan { table: "r".into() }),
-                    right: Box::new(LogicalPlan::Scan { table: "s".into() }),
+        let plan = Plan::Filter {
+            input: Box::new(Plan::Project {
+                input: Box::new(Plan::CrossJoin {
+                    left: Box::new(Plan::Scan { table: "r".into() }),
+                    right: Box::new(Plan::Scan { table: "s".into() }),
                 }),
                 exprs: vec![col(1), col(0), col(2), col(3)], // permuted columns
             }),
             predicate: eq(col(1), col(2)), // output cols 1,2 = input cols 0,2
         };
         let opt = optimize(plan, &c).unwrap();
-        let LogicalPlan::Project { input, .. } = opt else {
+        let Plan::Project { input, .. } = opt else {
             panic!("{opt:?}")
         };
-        let LogicalPlan::HashJoin {
+        let Plan::HashJoin {
             left_keys,
             right_keys,
             ..
@@ -807,20 +616,20 @@ mod tests {
         assert_eq!(left_keys, vec![col(0)]);
         assert_eq!(right_keys, vec![col(0)]);
 
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Distinct {
-                input: Box::new(LogicalPlan::CrossJoin {
-                    left: Box::new(LogicalPlan::Scan { table: "r".into() }),
-                    right: Box::new(LogicalPlan::Scan { table: "s".into() }),
+        let plan = Plan::Filter {
+            input: Box::new(Plan::Distinct {
+                input: Box::new(Plan::CrossJoin {
+                    left: Box::new(Plan::Scan { table: "r".into() }),
+                    right: Box::new(Plan::Scan { table: "s".into() }),
                 }),
             }),
             predicate: eq(col(0), col(2)),
         };
         let opt = optimize(plan, &c).unwrap();
-        let LogicalPlan::Distinct { input } = opt else {
+        let Plan::Distinct { input } = opt else {
             panic!("{opt:?}")
         };
-        assert!(matches!(*input, LogicalPlan::HashJoin { .. }));
+        assert!(matches!(*input, Plan::HashJoin { .. }));
     }
 
     #[test]
@@ -831,16 +640,16 @@ mod tests {
             left: Box::new(col(0)),
             right: Box::new(lit(1)),
         };
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Project {
-                input: Box::new(LogicalPlan::Scan { table: "r".into() }),
+        let plan = Plan::Filter {
+            input: Box::new(Plan::Project {
+                input: Box::new(Plan::Scan { table: "r".into() }),
                 exprs: vec![computed],
             }),
             predicate: eq(col(0), lit(5)),
         };
         let opt = optimize(plan, &c).unwrap();
         assert!(
-            matches!(opt, LogicalPlan::Filter { .. }),
+            matches!(opt, Plan::Filter { .. }),
             "computed projections block pushdown: {opt:?}"
         );
     }
@@ -863,9 +672,15 @@ mod tests {
         c
     }
 
-    fn filter_scan(pred: BoundExpr) -> LogicalPlan {
-        LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Scan { table: "t".into() }),
+    /// Run the access-path pass on an owned plan (test convenience).
+    fn with_access_paths(mut plan: Plan, catalog: &Catalog) -> Plan {
+        choose_access_paths(&mut plan, catalog);
+        plan
+    }
+
+    fn filter_scan(pred: BoundExpr) -> Plan {
+        Plan::Filter {
+            input: Box::new(Plan::Scan { table: "t".into() }),
             predicate: pred,
         }
     }
@@ -873,14 +688,14 @@ mod tests {
     #[test]
     fn equality_on_indexed_key_becomes_index_lookup() {
         let c = indexed_catalog();
-        let phys = physicalize(filter_scan(eq(col(0), lit(5))), &c);
-        let PhysicalPlan::IndexLookup {
+        let plan = with_access_paths(filter_scan(eq(col(0), lit(5))), &c);
+        let Plan::IndexLookup {
             table,
             index_cols,
             key,
-        } = phys
+        } = plan
         else {
-            panic!("expected IndexLookup, got:\n{phys}")
+            panic!("expected IndexLookup, got:\n{plan}")
         };
         assert_eq!(table, "t");
         assert_eq!(index_cols, vec![0]);
@@ -895,18 +710,18 @@ mod tests {
             left: Box::new(col(1)),
             right: Box::new(lit(7)),
         });
-        let phys = physicalize(filter_scan(pred), &c);
-        let PhysicalPlan::FilterExec { input, .. } = phys else {
-            panic!("expected residual filter, got:\n{phys}")
+        let plan = with_access_paths(filter_scan(pred), &c);
+        let Plan::Filter { input, .. } = plan else {
+            panic!("expected residual filter, got:\n{plan}")
         };
-        assert!(matches!(*input, PhysicalPlan::IndexLookup { .. }));
+        assert!(matches!(*input, Plan::IndexLookup { .. }));
     }
 
     #[test]
     fn param_keys_are_index_safe() {
         let c = indexed_catalog();
-        let phys = physicalize(filter_scan(eq(col(0), BoundExpr::Param(0))), &c);
-        assert!(matches!(phys, PhysicalPlan::IndexLookup { .. }), "{phys}");
+        let plan = with_access_paths(filter_scan(eq(col(0), BoundExpr::Param(0))), &c);
+        assert!(matches!(plan, Plan::IndexLookup { .. }), "{plan}");
     }
 
     #[test]
@@ -914,22 +729,22 @@ mod tests {
         let c = indexed_catalog();
         // Type-mismatched literal: hash identity would not coincide
         // with SQL equality semantics.
-        let phys = physicalize(
+        let plan = with_access_paths(
             filter_scan(eq(col(0), BoundExpr::Literal(Value::text("x")))),
             &c,
         );
         assert!(matches!(
-            phys,
-            PhysicalPlan::FilterExec {
+            plan,
+            Plan::Filter {
                 ref input,
                 ..
-            } if matches!(**input, PhysicalPlan::SeqScan { .. })
+            } if matches!(**input, Plan::Scan { .. })
         ));
         // Column = column is row-dependent.
-        let phys = physicalize(filter_scan(eq(col(0), col(1))), &c);
-        assert!(matches!(phys, PhysicalPlan::FilterExec { .. }));
+        let plan = with_access_paths(filter_scan(eq(col(0), col(1))), &c);
+        assert!(matches!(plan, Plan::Filter { .. }));
         // Non-equality never probes.
-        let phys = physicalize(
+        let plan = with_access_paths(
             filter_scan(BoundExpr::Binary {
                 op: BinaryOp::Lt,
                 left: Box::new(col(0)),
@@ -937,18 +752,18 @@ mod tests {
             }),
             &c,
         );
-        assert!(matches!(phys, PhysicalPlan::FilterExec { .. }));
+        assert!(matches!(plan, Plan::Filter { .. }));
     }
 
     #[test]
     fn float_columns_are_never_index_probed() {
         let mut c = indexed_catalog();
         c.table_mut("t").unwrap().create_index(vec![2]).unwrap();
-        let phys = physicalize(
+        let plan = with_access_paths(
             filter_scan(eq(col(2), BoundExpr::Literal(Value::Float(1.0)))),
             &c,
         );
-        assert!(matches!(phys, PhysicalPlan::FilterExec { .. }), "{phys}");
+        assert!(matches!(plan, Plan::Filter { .. }), "{plan}");
     }
 
     #[test]
@@ -956,40 +771,29 @@ mod tests {
         let mut c = indexed_catalog();
         c.table_mut("t").unwrap().create_index(vec![0, 1]).unwrap();
         let pred = eq(col(0), lit(5)).and(eq(col(1), lit(7)));
-        let phys = physicalize(filter_scan(pred), &c);
-        let PhysicalPlan::IndexLookup { index_cols, .. } = phys else {
-            panic!("expected IndexLookup, got:\n{phys}")
+        let plan = with_access_paths(filter_scan(pred), &c);
+        let Plan::IndexLookup { index_cols, .. } = plan else {
+            panic!("expected IndexLookup, got:\n{plan}")
         };
         assert_eq!(index_cols, vec![0, 1], "two-column index preferred");
-    }
-
-    #[test]
-    fn physical_options_can_disable_index_selection() {
-        let c = indexed_catalog();
-        let phys = physicalize_with(
-            filter_scan(eq(col(0), lit(5))),
-            &c,
-            &PhysicalOptions { use_indexes: false },
-        );
-        assert!(matches!(phys, PhysicalPlan::FilterExec { .. }), "{phys}");
     }
 
     #[test]
     fn subquery_predicates_are_not_moved() {
         let c = catalog();
         let sub = BoundExpr::Exists {
-            plan: Box::new(LogicalPlan::Scan { table: "s".into() }),
+            plan: Box::new(Plan::Scan { table: "s".into() }),
             negated: false,
         };
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::CrossJoin {
-                left: Box::new(LogicalPlan::Scan { table: "r".into() }),
-                right: Box::new(LogicalPlan::Scan { table: "s".into() }),
+        let plan = Plan::Filter {
+            input: Box::new(Plan::CrossJoin {
+                left: Box::new(Plan::Scan { table: "r".into() }),
+                right: Box::new(Plan::Scan { table: "s".into() }),
             }),
             predicate: sub.clone(),
         };
         let opt = optimize(plan, &c).unwrap();
-        let LogicalPlan::Filter { predicate, .. } = opt else {
+        let Plan::Filter { predicate, .. } = opt else {
             panic!("{opt:?}")
         };
         assert_eq!(predicate, sub);

@@ -1,20 +1,21 @@
-//! Logical and physical query plans.
+//! The query plan: one tree type from binder to executor.
 //!
-//! The binder lowers a SQL AST into a [`LogicalPlan`]; the logical
-//! optimizer rewrites it (constant folding, predicate pushdown, join
-//! conversion); then [`crate::optimize::physicalize`] lowers the result
-//! into a [`PhysicalPlan`] — the tree the production executor
-//! ([`crate::exec::execute_physical`]) runs. Plans carry only column
-//! *offsets* — output names live in the binder's result
-//! ([`crate::bind::BoundQuery`]).
+//! The binder lowers a SQL AST into a [`Plan`]; the optimizer rewrites
+//! it into another [`Plan`] (constant folding, predicate pushdown, join
+//! conversion — [`crate::optimize::optimize`]); and **access-path
+//! selection** ([`crate::optimize::choose_access_paths`]) is one more
+//! rewrite a caller either runs or skips: a `Filter` over a `Scan`
+//! becomes an O(1) [`Plan::IndexLookup`] against one of the table's
+//! secondary hash indexes (see [`crate::table::Table`]) when its
+//! equality conjuncts cover one. There is no separate "physical" tree:
+//! the production executor and the reference oracle ([`crate::exec`])
+//! both run this type, so any plan — rewritten or not — can be
+//! executed by either and compared.
 //!
-//! The logical → physical split is where **access paths** are chosen:
-//! a logical `Filter` over a `Scan` becomes either a streamed
-//! [`PhysicalPlan::SeqScan`]+[`PhysicalPlan::FilterExec`] pipeline or an
-//! O(1) [`PhysicalPlan::IndexLookup`] against one of the table's
-//! secondary hash indexes (see [`crate::table::Table`]). The physical
-//! tree renders `EXPLAIN`-style through its [`std::fmt::Display`] impl,
-//! one operator per line, children indented.
+//! Plans carry only column *offsets* — output names live in the
+//! binder's result ([`crate::bind::BoundQuery`]). The tree renders
+//! `EXPLAIN`-style through its [`std::fmt::Display`] impl, one operator
+//! per line, children indented.
 
 use crate::catalog::Catalog;
 use crate::expr::BoundExpr;
@@ -62,7 +63,7 @@ impl AggFunc {
     }
 }
 
-/// One aggregate computation in an [`LogicalPlan::Aggregate`] node.
+/// One aggregate computation in a [`Plan::Aggregate`] node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggExpr {
     /// The function.
@@ -73,9 +74,21 @@ pub struct AggExpr {
     pub distinct: bool,
 }
 
-/// A logical plan node. Execution is bottom-up and materialising.
+/// A query plan node — the one plan type of the engine.
+///
+/// The binder emits it, [`crate::optimize::optimize`] rewrites it, and
+/// [`crate::optimize::choose_access_paths`] optionally replaces
+/// `Filter(Scan)` subtrees whose equality conjuncts cover a hash index
+/// with [`Plan::IndexLookup`] (the only node the binder never produces).
+/// Both executors run it: the production one
+/// ([`crate::exec::execute_physical`]) streams the row-wise pipeline
+/// shapes — `Limit`/`Filter`/`Project` directly over a source — with
+/// early exit, which is what turns a membership probe
+/// (`SELECT 1 FROM t WHERE … LIMIT 1`) into a bounded amount of work;
+/// the reference oracle ([`crate::exec::execute`]) materialises
+/// everything bottom-up.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LogicalPlan {
+pub enum Plan {
     /// Produces no rows, with the given arity.
     Empty {
         /// Output arity.
@@ -88,38 +101,52 @@ pub enum LogicalPlan {
         /// Output arity.
         arity: usize,
     },
-    /// Full scan of a base table.
+    /// Full scan of a base table, in slot order.
     Scan {
         /// Table name.
         table: String,
     },
+    /// O(1) probe of a secondary hash index: produces the live rows
+    /// whose `index_cols` values equal the evaluated `key`, in slot
+    /// order (identical to what a `Scan` + equality filter yields).
+    /// A `NULL` key component produces no rows (SQL equality). Key
+    /// expressions must be row-independent (literals or
+    /// [`BoundExpr::Param`]s).
+    IndexLookup {
+        /// Table name.
+        table: String,
+        /// The indexed column set (an existing index of the table).
+        index_cols: Vec<usize>,
+        /// Key expressions, parallel to `index_cols`.
+        key: Vec<BoundExpr>,
+    },
     /// Filter rows by a boolean predicate.
     Filter {
         /// Input plan.
-        input: Box<LogicalPlan>,
+        input: Box<Plan>,
         /// Keep rows where this evaluates to `TRUE`.
         predicate: BoundExpr,
     },
     /// Compute output columns from input rows.
     Project {
         /// Input plan.
-        input: Box<LogicalPlan>,
+        input: Box<Plan>,
         /// Output expressions.
         exprs: Vec<BoundExpr>,
     },
     /// Cartesian product.
     CrossJoin {
         /// Left input.
-        left: Box<LogicalPlan>,
+        left: Box<Plan>,
         /// Right input.
-        right: Box<LogicalPlan>,
+        right: Box<Plan>,
     },
     /// Equi-join executed with a hash table on the right side.
     HashJoin {
         /// Left input.
-        left: Box<LogicalPlan>,
+        left: Box<Plan>,
         /// Right input.
-        right: Box<LogicalPlan>,
+        right: Box<Plan>,
         /// Key expressions over left rows.
         left_keys: Vec<BoundExpr>,
         /// Key expressions over right rows.
@@ -132,9 +159,9 @@ pub enum LogicalPlan {
     /// General join evaluated by nested loops.
     NestedLoopJoin {
         /// Left input.
-        left: Box<LogicalPlan>,
+        left: Box<Plan>,
         /// Right input.
-        right: Box<LogicalPlan>,
+        right: Box<Plan>,
         /// Join predicate over the concatenated row (`None` = always true).
         predicate: Option<BoundExpr>,
         /// Inner or left outer.
@@ -143,39 +170,39 @@ pub enum LogicalPlan {
     /// Set/bag union.
     Union {
         /// Left input.
-        left: Box<LogicalPlan>,
+        left: Box<Plan>,
         /// Right input.
-        right: Box<LogicalPlan>,
+        right: Box<Plan>,
         /// Bag semantics (`UNION ALL`).
         all: bool,
     },
     /// Set/bag difference.
     Except {
         /// Left input.
-        left: Box<LogicalPlan>,
+        left: Box<Plan>,
         /// Right input.
-        right: Box<LogicalPlan>,
+        right: Box<Plan>,
         /// Bag semantics (`EXCEPT ALL`).
         all: bool,
     },
     /// Set/bag intersection.
     Intersect {
         /// Left input.
-        left: Box<LogicalPlan>,
+        left: Box<Plan>,
         /// Right input.
-        right: Box<LogicalPlan>,
+        right: Box<Plan>,
         /// Bag semantics (`INTERSECT ALL`).
         all: bool,
     },
     /// Duplicate elimination.
     Distinct {
         /// Input plan.
-        input: Box<LogicalPlan>,
+        input: Box<Plan>,
     },
     /// Grouped aggregation. Output = group expressions, then aggregates.
     Aggregate {
         /// Input plan.
-        input: Box<LogicalPlan>,
+        input: Box<Plan>,
         /// Grouping expressions (empty = single global group).
         group_exprs: Vec<BoundExpr>,
         /// Aggregates.
@@ -184,14 +211,14 @@ pub enum LogicalPlan {
     /// Sort.
     Sort {
         /// Input plan.
-        input: Box<LogicalPlan>,
+        input: Box<Plan>,
         /// `(expression, descending)` keys, major first.
         keys: Vec<(BoundExpr, bool)>,
     },
     /// Limit/offset.
     Limit {
         /// Input plan.
-        input: Box<LogicalPlan>,
+        input: Box<Plan>,
         /// Maximum rows to emit (`None` = unbounded).
         limit: Option<u64>,
         /// Rows to skip.
@@ -199,26 +226,28 @@ pub enum LogicalPlan {
     },
 }
 
-impl LogicalPlan {
+impl Plan {
     /// Output arity of the plan.
     pub fn arity(&self, catalog: &Catalog) -> Result<usize, EngineError> {
         Ok(match self {
-            LogicalPlan::Empty { arity } | LogicalPlan::Values { arity, .. } => *arity,
-            LogicalPlan::Scan { table } => catalog.table(table)?.schema.arity(),
-            LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Distinct { input }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. } => input.arity(catalog)?,
-            LogicalPlan::Project { exprs, .. } => exprs.len(),
-            LogicalPlan::CrossJoin { left, right }
-            | LogicalPlan::HashJoin { left, right, .. }
-            | LogicalPlan::NestedLoopJoin { left, right, .. } => {
+            Plan::Empty { arity } | Plan::Values { arity, .. } => *arity,
+            Plan::Scan { table } | Plan::IndexLookup { table, .. } => {
+                catalog.table(table)?.schema.arity()
+            }
+            Plan::Filter { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. } => input.arity(catalog)?,
+            Plan::Project { exprs, .. } => exprs.len(),
+            Plan::CrossJoin { left, right }
+            | Plan::HashJoin { left, right, .. }
+            | Plan::NestedLoopJoin { left, right, .. } => {
                 left.arity(catalog)? + right.arity(catalog)?
             }
-            LogicalPlan::Union { left, .. }
-            | LogicalPlan::Except { left, .. }
-            | LogicalPlan::Intersect { left, .. } => left.arity(catalog)?,
-            LogicalPlan::Aggregate {
+            Plan::Union { left, .. } | Plan::Except { left, .. } | Plan::Intersect { left, .. } => {
+                left.arity(catalog)?
+            }
+            Plan::Aggregate {
                 group_exprs,
                 aggregates,
                 ..
@@ -228,16 +257,16 @@ impl LogicalPlan {
 
     /// A plan producing exactly one empty row (used for `SELECT` without
     /// `FROM`).
-    pub fn one_row() -> LogicalPlan {
-        LogicalPlan::Values {
+    pub fn one_row() -> Plan {
+        Plan::Values {
             rows: vec![Vec::new()],
             arity: 0,
         }
     }
 
     /// Literal single-row values plan.
-    pub fn values_literal(rows: Vec<Vec<Value>>, arity: usize) -> LogicalPlan {
-        LogicalPlan::Values {
+    pub fn values_literal(rows: Vec<Vec<Value>>, arity: usize) -> Plan {
+        Plan::Values {
             rows: rows
                 .into_iter()
                 .map(|r| r.into_iter().map(BoundExpr::Literal).collect())
@@ -246,27 +275,60 @@ impl LogicalPlan {
         }
     }
 
+    /// The node's child plans, left to right (not descending into
+    /// subquery plans inside expressions).
+    pub fn children(&self) -> impl Iterator<Item = &Plan> {
+        let (first, second): (Option<&Plan>, Option<&Plan>) = match self {
+            Plan::Empty { .. }
+            | Plan::Values { .. }
+            | Plan::Scan { .. }
+            | Plan::IndexLookup { .. } => (None, None),
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Aggregate { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. } => (Some(input), None),
+            Plan::CrossJoin { left, right }
+            | Plan::HashJoin { left, right, .. }
+            | Plan::NestedLoopJoin { left, right, .. }
+            | Plan::Union { left, right, .. }
+            | Plan::Except { left, right, .. }
+            | Plan::Intersect { left, right, .. } => (Some(left), Some(right)),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Mutable counterpart of [`Plan::children`], for in-place rewrite
+    /// passes.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut Plan> {
+        let (first, second): (Option<&mut Plan>, Option<&mut Plan>) = match self {
+            Plan::Empty { .. }
+            | Plan::Values { .. }
+            | Plan::Scan { .. }
+            | Plan::IndexLookup { .. } => (None, None),
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Aggregate { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. } => (Some(input), None),
+            Plan::CrossJoin { left, right }
+            | Plan::HashJoin { left, right, .. }
+            | Plan::NestedLoopJoin { left, right, .. }
+            | Plan::Union { left, right, .. }
+            | Plan::Except { left, right, .. }
+            | Plan::Intersect { left, right, .. } => (Some(left), Some(right)),
+        };
+        first.into_iter().chain(second)
+    }
+
     /// Visit all nodes of the plan tree (pre-order), not descending into
     /// subquery plans inside expressions.
-    pub fn visit(&self, f: &mut impl FnMut(&LogicalPlan)) {
+    pub fn visit(&self, f: &mut impl FnMut(&Plan)) {
         f(self);
-        match self {
-            LogicalPlan::Empty { .. } | LogicalPlan::Values { .. } | LogicalPlan::Scan { .. } => {}
-            LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Distinct { input }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. } => input.visit(f),
-            LogicalPlan::CrossJoin { left, right }
-            | LogicalPlan::HashJoin { left, right, .. }
-            | LogicalPlan::NestedLoopJoin { left, right, .. }
-            | LogicalPlan::Union { left, right, .. }
-            | LogicalPlan::Except { left, right, .. }
-            | LogicalPlan::Intersect { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
+        for child in self.children() {
+            child.visit(f);
         }
     }
 
@@ -276,237 +338,16 @@ impl LogicalPlan {
         self.visit(&mut |_| n += 1);
         n
     }
-}
-
-// Plans are pure owned data (no interior mutability, no borrows), so a
-// plan bound once — e.g. against a [`crate::db::DbSnapshot`]'s catalog —
-// may be evaluated concurrently from many threads via
-// [`crate::exec::execute_read_only`]. Compile-time proof.
-const _: () = {
-    const fn assert_sync_send<T: Sync + Send>() {}
-    assert_sync_send::<LogicalPlan>();
-    assert_sync_send::<PhysicalPlan>();
-};
-
-/// A physical plan node: what the production executor
-/// ([`crate::exec::execute_physical`]) actually runs. Produced from an
-/// optimized [`LogicalPlan`] by [`crate::optimize::physicalize`], which
-/// maps every logical operator 1:1 **except** access paths: a `Filter`
-/// over a `Scan` whose equality conjuncts cover one of the table's hash
-/// indexes becomes an [`PhysicalPlan::IndexLookup`] (plus a residual
-/// [`PhysicalPlan::FilterExec`] for the remaining conjuncts).
-///
-/// The executor streams the row-wise pipeline shapes —
-/// `LimitExec`/`FilterExec`/`ProjectExec` directly over a source — with
-/// early exit, which is what turns a membership probe
-/// (`SELECT 1 FROM t WHERE … LIMIT 1`) into a bounded amount of work;
-/// everything else materialises bottom-up exactly like the logical
-/// reference executor.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PhysicalPlan {
-    /// Produces no rows, with the given arity.
-    Empty {
-        /// Output arity.
-        arity: usize,
-    },
-    /// Literal rows.
-    Values {
-        /// The rows.
-        rows: Vec<Vec<BoundExpr>>,
-        /// Output arity.
-        arity: usize,
-    },
-    /// Full scan of a base table, in slot order.
-    SeqScan {
-        /// Table name.
-        table: String,
-    },
-    /// O(1) probe of a secondary hash index: produces the live rows
-    /// whose `index_cols` values equal the evaluated `key`, in slot
-    /// order (identical to what a `SeqScan` + equality filter yields).
-    /// A `NULL` key component produces no rows (SQL equality). Key
-    /// expressions must be row-independent (literals or
-    /// [`BoundExpr::Param`]s).
-    IndexLookup {
-        /// Table name.
-        table: String,
-        /// The indexed column set (an existing index of the table).
-        index_cols: Vec<usize>,
-        /// Key expressions, parallel to `index_cols`.
-        key: Vec<BoundExpr>,
-    },
-    /// Filter rows by a boolean predicate (streams over a source input).
-    FilterExec {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-        /// Keep rows where this evaluates to `TRUE`.
-        predicate: BoundExpr,
-    },
-    /// Compute output columns from input rows.
-    ProjectExec {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-        /// Output expressions.
-        exprs: Vec<BoundExpr>,
-    },
-    /// Cartesian product.
-    CrossJoinExec {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-    },
-    /// Equi-join executed with a hash table on the right side.
-    HashJoinExec {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// Key expressions over left rows.
-        left_keys: Vec<BoundExpr>,
-        /// Key expressions over right rows.
-        right_keys: Vec<BoundExpr>,
-        /// Residual predicate over the concatenated row.
-        residual: Option<BoundExpr>,
-        /// Inner or left outer.
-        join_type: JoinType,
-    },
-    /// General join evaluated by nested loops.
-    NestedLoopJoinExec {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// Join predicate over the concatenated row (`None` = always true).
-        predicate: Option<BoundExpr>,
-        /// Inner or left outer.
-        join_type: JoinType,
-    },
-    /// Set/bag union.
-    UnionExec {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// Bag semantics (`UNION ALL`).
-        all: bool,
-    },
-    /// Set/bag difference.
-    ExceptExec {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// Bag semantics (`EXCEPT ALL`).
-        all: bool,
-    },
-    /// Set/bag intersection.
-    IntersectExec {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// Bag semantics (`INTERSECT ALL`).
-        all: bool,
-    },
-    /// Duplicate elimination.
-    DistinctExec {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-    },
-    /// Grouped aggregation. Output = group expressions, then aggregates.
-    AggregateExec {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-        /// Grouping expressions (empty = single global group).
-        group_exprs: Vec<BoundExpr>,
-        /// Aggregates.
-        aggregates: Vec<AggExpr>,
-    },
-    /// Sort.
-    SortExec {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-        /// `(expression, descending)` keys, major first.
-        keys: Vec<(BoundExpr, bool)>,
-    },
-    /// Limit/offset (streams its pipeline input with early exit).
-    LimitExec {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-        /// Maximum rows to emit (`None` = unbounded).
-        limit: Option<u64>,
-        /// Rows to skip.
-        offset: u64,
-    },
-}
-
-impl PhysicalPlan {
-    /// Output arity of the plan.
-    pub fn arity(&self, catalog: &Catalog) -> Result<usize, EngineError> {
-        Ok(match self {
-            PhysicalPlan::Empty { arity } | PhysicalPlan::Values { arity, .. } => *arity,
-            PhysicalPlan::SeqScan { table } | PhysicalPlan::IndexLookup { table, .. } => {
-                catalog.table(table)?.schema.arity()
-            }
-            PhysicalPlan::FilterExec { input, .. }
-            | PhysicalPlan::DistinctExec { input }
-            | PhysicalPlan::SortExec { input, .. }
-            | PhysicalPlan::LimitExec { input, .. } => input.arity(catalog)?,
-            PhysicalPlan::ProjectExec { exprs, .. } => exprs.len(),
-            PhysicalPlan::CrossJoinExec { left, right }
-            | PhysicalPlan::HashJoinExec { left, right, .. }
-            | PhysicalPlan::NestedLoopJoinExec { left, right, .. } => {
-                left.arity(catalog)? + right.arity(catalog)?
-            }
-            PhysicalPlan::UnionExec { left, .. }
-            | PhysicalPlan::ExceptExec { left, .. }
-            | PhysicalPlan::IntersectExec { left, .. } => left.arity(catalog)?,
-            PhysicalPlan::AggregateExec {
-                group_exprs,
-                aggregates,
-                ..
-            } => group_exprs.len() + aggregates.len(),
-        })
-    }
-
-    /// Visit all nodes of the plan tree (pre-order), not descending into
-    /// subquery plans inside expressions.
-    pub fn visit(&self, f: &mut impl FnMut(&PhysicalPlan)) {
-        f(self);
-        match self {
-            PhysicalPlan::Empty { .. }
-            | PhysicalPlan::Values { .. }
-            | PhysicalPlan::SeqScan { .. }
-            | PhysicalPlan::IndexLookup { .. } => {}
-            PhysicalPlan::FilterExec { input, .. }
-            | PhysicalPlan::ProjectExec { input, .. }
-            | PhysicalPlan::DistinctExec { input }
-            | PhysicalPlan::AggregateExec { input, .. }
-            | PhysicalPlan::SortExec { input, .. }
-            | PhysicalPlan::LimitExec { input, .. } => input.visit(f),
-            PhysicalPlan::CrossJoinExec { left, right }
-            | PhysicalPlan::HashJoinExec { left, right, .. }
-            | PhysicalPlan::NestedLoopJoinExec { left, right, .. }
-            | PhysicalPlan::UnionExec { left, right, .. }
-            | PhysicalPlan::ExceptExec { left, right, .. }
-            | PhysicalPlan::IntersectExec { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
-        }
-    }
 
     /// Count the plan's base-table access paths: `(index_probes,
-    /// scan_probes)` — how many [`PhysicalPlan::IndexLookup`] /
-    /// [`PhysicalPlan::SeqScan`] sources one execution of this plan
-    /// touches. Feeds the engine's probe counters (`DbStats` /
-    /// snapshot statistics).
+    /// scan_probes)` — how many [`Plan::IndexLookup`] / [`Plan::Scan`]
+    /// sources one execution of this plan touches. Feeds the engine's
+    /// probe counters ([`crate::SnapshotStatsView`]).
     pub fn access_paths(&self) -> (usize, usize) {
         let (mut idx, mut scan) = (0, 0);
         self.visit(&mut |p| match p {
-            PhysicalPlan::IndexLookup { .. } => idx += 1,
-            PhysicalPlan::SeqScan { .. } => scan += 1,
+            Plan::IndexLookup { .. } => idx += 1,
+            Plan::Scan { .. } => scan += 1,
             _ => {}
         });
         (idx, scan)
@@ -521,13 +362,16 @@ impl PhysicalPlan {
         for _ in 0..depth {
             f.write_str("  ")?;
         }
+        // Operator labels are the executor's names (`SeqScan`,
+        // `FilterExec`, …): `EXPLAIN` output is pinned by tests and read
+        // by people, independent of how the enum spells its variants.
         match self {
-            PhysicalPlan::Empty { arity } => writeln!(f, "Empty arity={arity}"),
-            PhysicalPlan::Values { rows, arity } => {
-                writeln!(f, "Values rows={} arity={arity}", rows.len())
+            Plan::Empty { arity } => writeln!(f, "Empty arity={arity}")?,
+            Plan::Values { rows, arity } => {
+                writeln!(f, "Values rows={} arity={arity}", rows.len())?
             }
-            PhysicalPlan::SeqScan { table } => writeln!(f, "SeqScan {table}"),
-            PhysicalPlan::IndexLookup {
+            Plan::Scan { table } => writeln!(f, "SeqScan {table}")?,
+            Plan::IndexLookup {
                 table,
                 index_cols,
                 key,
@@ -539,25 +383,15 @@ impl PhysicalPlan {
                     "IndexLookup {table} index=({}) key=({})",
                     cols.join(", "),
                     keys.join(", ")
-                )
+                )?
             }
-            PhysicalPlan::FilterExec { input, predicate } => {
-                writeln!(f, "FilterExec {}", fmt_expr(predicate))?;
-                input.fmt_indented(f, depth + 1)
-            }
-            PhysicalPlan::ProjectExec { input, exprs } => {
+            Plan::Filter { predicate, .. } => writeln!(f, "FilterExec {}", fmt_expr(predicate))?,
+            Plan::Project { exprs, .. } => {
                 let out: Vec<String> = exprs.iter().map(fmt_expr).collect();
-                writeln!(f, "ProjectExec [{}]", out.join(", "))?;
-                input.fmt_indented(f, depth + 1)
+                writeln!(f, "ProjectExec [{}]", out.join(", "))?
             }
-            PhysicalPlan::CrossJoinExec { left, right } => {
-                writeln!(f, "CrossJoinExec")?;
-                left.fmt_indented(f, depth + 1)?;
-                right.fmt_indented(f, depth + 1)
-            }
-            PhysicalPlan::HashJoinExec {
-                left,
-                right,
+            Plan::CrossJoin { .. } => writeln!(f, "CrossJoinExec")?,
+            Plan::HashJoin {
                 left_keys,
                 right_keys,
                 join_type,
@@ -571,78 +405,56 @@ impl PhysicalPlan {
                     join_type,
                     lk.join(", "),
                     rk.join(", ")
-                )?;
-                left.fmt_indented(f, depth + 1)?;
-                right.fmt_indented(f, depth + 1)
+                )?
             }
-            PhysicalPlan::NestedLoopJoinExec {
-                left,
-                right,
-                join_type,
-                ..
-            } => {
-                writeln!(f, "NestedLoopJoinExec {join_type:?}")?;
-                left.fmt_indented(f, depth + 1)?;
-                right.fmt_indented(f, depth + 1)
+            Plan::NestedLoopJoin { join_type, .. } => {
+                writeln!(f, "NestedLoopJoinExec {join_type:?}")?
             }
-            PhysicalPlan::UnionExec { left, right, all } => {
-                writeln!(f, "UnionExec all={all}")?;
-                left.fmt_indented(f, depth + 1)?;
-                right.fmt_indented(f, depth + 1)
-            }
-            PhysicalPlan::ExceptExec { left, right, all } => {
-                writeln!(f, "ExceptExec all={all}")?;
-                left.fmt_indented(f, depth + 1)?;
-                right.fmt_indented(f, depth + 1)
-            }
-            PhysicalPlan::IntersectExec { left, right, all } => {
-                writeln!(f, "IntersectExec all={all}")?;
-                left.fmt_indented(f, depth + 1)?;
-                right.fmt_indented(f, depth + 1)
-            }
-            PhysicalPlan::DistinctExec { input } => {
-                writeln!(f, "DistinctExec")?;
-                input.fmt_indented(f, depth + 1)
-            }
-            PhysicalPlan::AggregateExec {
-                input,
+            Plan::Union { all, .. } => writeln!(f, "UnionExec all={all}")?,
+            Plan::Except { all, .. } => writeln!(f, "ExceptExec all={all}")?,
+            Plan::Intersect { all, .. } => writeln!(f, "IntersectExec all={all}")?,
+            Plan::Distinct { .. } => writeln!(f, "DistinctExec")?,
+            Plan::Aggregate {
                 group_exprs,
                 aggregates,
-            } => {
-                writeln!(
-                    f,
-                    "AggregateExec groups={} aggs={}",
-                    group_exprs.len(),
-                    aggregates.len()
-                )?;
-                input.fmt_indented(f, depth + 1)
-            }
-            PhysicalPlan::SortExec { input, keys } => {
+                ..
+            } => writeln!(
+                f,
+                "AggregateExec groups={} aggs={}",
+                group_exprs.len(),
+                aggregates.len()
+            )?,
+            Plan::Sort { keys, .. } => {
                 let ks: Vec<String> = keys
                     .iter()
                     .map(|(e, desc)| format!("{}{}", fmt_expr(e), if *desc { " DESC" } else { "" }))
                     .collect();
-                writeln!(f, "SortExec [{}]", ks.join(", "))?;
-                input.fmt_indented(f, depth + 1)
+                writeln!(f, "SortExec [{}]", ks.join(", "))?
             }
-            PhysicalPlan::LimitExec {
-                input,
-                limit,
-                offset,
-            } => {
-                match limit {
-                    Some(l) => writeln!(f, "LimitExec limit={l} offset={offset}")?,
-                    None => writeln!(f, "LimitExec offset={offset}")?,
-                }
-                input.fmt_indented(f, depth + 1)
-            }
+            Plan::Limit { limit, offset, .. } => match limit {
+                Some(l) => writeln!(f, "LimitExec limit={l} offset={offset}")?,
+                None => writeln!(f, "LimitExec offset={offset}")?,
+            },
         }
+        for child in self.children() {
+            child.fmt_indented(f, depth + 1)?;
+        }
+        Ok(())
     }
 }
 
+// Plans are pure owned data (no interior mutability, no borrows), so a
+// plan bound once — e.g. against a [`crate::db::DbSnapshot`]'s catalog —
+// may be evaluated concurrently from many threads, each with its own
+// [`crate::expr::EvalEnv`]. Compile-time proof.
+const _: () = {
+    const fn assert_sync_send<T: Sync + Send>() {}
+    assert_sync_send::<Plan>();
+};
+
 /// `EXPLAIN`-style rendering: one operator per line, children indented
 /// two spaces — the access path actually chosen is visible at the leaf.
-impl std::fmt::Display for PhysicalPlan {
+impl std::fmt::Display for Plan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.fmt_indented(f, 0)
     }
@@ -700,19 +512,19 @@ mod tests {
     #[test]
     fn arity_propagates() {
         let c = catalog();
-        let scan = LogicalPlan::Scan { table: "t".into() };
+        let scan = Plan::Scan { table: "t".into() };
         assert_eq!(scan.arity(&c).unwrap(), 2);
-        let join = LogicalPlan::CrossJoin {
+        let join = Plan::CrossJoin {
             left: Box::new(scan.clone()),
             right: Box::new(scan.clone()),
         };
         assert_eq!(join.arity(&c).unwrap(), 4);
-        let proj = LogicalPlan::Project {
+        let proj = Plan::Project {
             input: Box::new(join),
             exprs: vec![BoundExpr::Column(0)],
         };
         assert_eq!(proj.arity(&c).unwrap(), 1);
-        let agg = LogicalPlan::Aggregate {
+        let agg = Plan::Aggregate {
             input: Box::new(scan),
             group_exprs: vec![BoundExpr::Column(1)],
             aggregates: vec![AggExpr {
@@ -727,7 +539,7 @@ mod tests {
     #[test]
     fn arity_errors_on_missing_table() {
         let c = catalog();
-        let scan = LogicalPlan::Scan {
+        let scan = Plan::Scan {
             table: "missing".into(),
         };
         assert!(scan.arity(&c).is_err());
@@ -735,9 +547,9 @@ mod tests {
 
     #[test]
     fn node_count_counts() {
-        let scan = LogicalPlan::Scan { table: "t".into() };
-        let plan = LogicalPlan::Filter {
-            input: Box::new(LogicalPlan::Distinct {
+        let scan = Plan::Scan { table: "t".into() };
+        let plan = Plan::Filter {
+            input: Box::new(Plan::Distinct {
                 input: Box::new(scan),
             }),
             predicate: BoundExpr::true_(),
@@ -747,8 +559,8 @@ mod tests {
 
     #[test]
     fn one_row_has_single_empty_row() {
-        let p = LogicalPlan::one_row();
-        let LogicalPlan::Values { rows, arity } = p else {
+        let p = Plan::one_row();
+        let Plan::Values { rows, arity } = p else {
             panic!()
         };
         assert_eq!(rows.len(), 1);

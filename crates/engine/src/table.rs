@@ -14,7 +14,7 @@
 //! index is maintained **incrementally** on [`Table::insert`] /
 //! [`Table::delete`] / [`Table::update`] — never rebuilt — and its
 //! buckets keep tuple ids in ascending (slot) order, so an
-//! [`crate::plan::PhysicalPlan::IndexLookup`] yields rows in exactly
+//! [`crate::plan::Plan::IndexLookup`] yields rows in exactly
 //! the order a sequential scan would.
 //!
 //! # Snapshot sharing

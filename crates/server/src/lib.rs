@@ -19,7 +19,7 @@
 //! write(ops) ──▶  │ apply ops ──▶ redetect (◆ governed, panics      │
 //!                 │ (recorded)     contained) ──▶ freeze()          │
 //!                 │    │ Err / panic: writer_recoveries += 1,       │
-//!                 │    │ state poisoned → next redetect rebuilds;   │
+//!                 │    │ writer rebuilt from the published epoch;   │
 //!                 │    ▼ NOTHING PUBLISHED                          │
 //!                 │ publish: swap RwLock<Arc<Epoch>> ── epoch n+1   │
 //!                 └──────────────────────────┬──────────────────────┘
@@ -30,8 +30,8 @@
 //!
 //! A panicking or budget-tripped write therefore **never** replaces
 //! the published epoch — readers keep answering from the last good
-//! one, and the writer stays usable (the next successful write
-//! reconciles from scratch and publishes everything).
+//! one, and the writer stays usable (it is rebuilt from the published
+//! epoch, so the next successful write publishes its own ops only).
 //!
 //! # Admission and overload
 //!
@@ -87,11 +87,10 @@
 //!             publish epoch 1
 //! ```
 //!
-//! Failed durable writes never ride along: the writer is rebuilt from
-//! the published epoch's catalog, so the live state always equals
-//! "checkpoint + committed log" exactly. (Non-durable engines keep the
-//! cheaper poison-and-ride-along recovery, where a failed write's
-//! partially applied ops become visible with the next success.)
+//! Failed writes never ride along, durable engine or not: the writer
+//! is rebuilt from the published epoch's catalog, so the live state
+//! always equals the published state plus the surviving transactions
+//! (on a durable engine: "checkpoint + committed log" exactly).
 //! Conflict state is derived data and never logged — recovery recomputes
 //! it, so a stale verdict cannot survive a crash.
 //!
@@ -306,7 +305,7 @@ struct WriterState {
     hippo: Hippo,
     writes_applied: u64,
     durability: Option<Durability>,
-    /// A durable writer rebuild failed; retry before the next commit.
+    /// A writer rebuild failed; retry before the next commit.
     needs_rebuild: bool,
 }
 
@@ -563,18 +562,17 @@ impl Engine {
     /// On **any** failure — op validation, a governed redetect
     /// tripping its budget, an injected fault, or a panic inside
     /// reconciliation — nothing is published: readers keep the last
-    /// good epoch, the writer state is poisoned so the next
-    /// reconciliation rebuilds from scratch, and
-    /// [`ServiceStats::writer_recoveries`] increments. Ops applied
-    /// before the failure remain in the (unpublished) live state and
-    /// become visible with the next successful write's epoch.
+    /// good epoch, [`ServiceStats::writer_recoveries`] increments, and
+    /// if any op of the failed transaction had landed the writer is
+    /// rebuilt from the published epoch. Failed writes never ride
+    /// along: a write that returned `Err` is never visible in a later
+    /// epoch.
     /// On a durable engine the receipt additionally means the
     /// transaction's frame is **fsync'd in the WAL** — a crash after
     /// `write` returns cannot lose it — and a group of writers blocked
     /// on the writer slot commits together: one log write, one fsync,
     /// one reconciliation, one epoch swap (each still gets its own
-    /// receipt). Failed durable writes never ride along; the writer is
-    /// rebuilt from the published epoch instead of poisoned.
+    /// receipt).
     pub fn write(&self, ops: Vec<WriteOp>) -> Result<WriteReceipt, EngineError> {
         let permit = match self.shared.admission.admit(None) {
             Ok(p) => p,
@@ -674,7 +672,7 @@ impl Engine {
             self.reset_writer(w);
             if w.needs_rebuild {
                 let err = EngineError::new(
-                    "write: durable writer rebuild failed and is still pending; \
+                    "write: writer rebuild failed and is still pending; \
                      this write was not attempted",
                 );
                 for req in &group {
@@ -697,7 +695,6 @@ impl Engine {
         group: &[CommitReq],
     ) -> Vec<Result<WriteReceipt, EngineError>> {
         let n = group.len();
-        let durable = w.durability.is_some();
         let mut results: Vec<Option<Result<WriteReceipt, EngineError>>> =
             (0..n).map(|_| None).collect();
         // Recorded effects of transactions applied in the current pass.
@@ -714,12 +711,11 @@ impl Engine {
         // Apply pass. A transaction that fails cleanly (validated
         // up-front, zero ops landed) just resolves to its error. A
         // partial failure or panic resolves the transaction AND resets
-        // the writer: durable engines rebuild from the published epoch
-        // and restart the pass — every already-applied groupmate is
+        // the writer: it is rebuilt from the published epoch and the
+        // pass restarts — every already-applied groupmate is
         // re-applied so the live state holds exactly the surviving
-        // transactions — while non-durable engines keep the PR 7
-        // poison-and-ride-along semantics. Each restart permanently
-        // resolves at least one transaction, so the loop is bounded.
+        // transactions. Each restart permanently resolves at least one
+        // transaction, so the loop is bounded.
         'apply: loop {
             for i in 0..n {
                 if results[i].is_some() || applied[i].is_some() {
@@ -775,43 +771,32 @@ impl Engine {
                     }
                     Ok(())
                 }));
-                match attempt {
+                let landed_ops = match attempt {
                     Ok(Ok(())) => {
                         applied[i] = Some((walops, inserted));
+                        false
                     }
                     Ok(Err(e)) => {
                         fail(&mut results, i, e);
-                        if ops_done > 0 {
-                            if durable {
-                                self.reset_writer(w);
-                                if w.needs_rebuild {
-                                    return self.fail_unresolved(results, applied);
-                                }
-                                applied.iter_mut().for_each(|a| *a = None);
-                                continue 'apply;
-                            }
-                            let _ = w.hippo.db_mut();
-                        }
+                        ops_done > 0
                     }
+                    // A panic may have interrupted op application.
                     Err(payload) => {
                         fail(
                             &mut results,
                             i,
                             EngineError::worker_panic("write", 0, &panic_message(payload.as_ref())),
                         );
-                        if durable {
-                            self.reset_writer(w);
-                            if w.needs_rebuild {
-                                return self.fail_unresolved(results, applied);
-                            }
-                            applied.iter_mut().for_each(|a| *a = None);
-                            continue 'apply;
-                        }
-                        // A panic may have interrupted op application,
-                        // leaving recorded state out of sync with the
-                        // catalog — poison so the next redetect rebuilds.
-                        let _ = w.hippo.db_mut();
+                        true
                     }
+                };
+                if landed_ops {
+                    self.reset_writer(w);
+                    if w.needs_rebuild {
+                        return self.fail_unresolved(results);
+                    }
+                    applied.iter_mut().for_each(|a| *a = None);
+                    continue 'apply;
                 }
             }
             break;
@@ -836,7 +821,7 @@ impl Engine {
                 for &i in &survivors {
                     fail(&mut results, i, e.clone());
                 }
-                self.recover_writer(w, durable);
+                self.reset_writer(w);
                 return results.into_iter().map(Option::unwrap).collect();
             }
             Err(payload) => {
@@ -844,7 +829,7 @@ impl Engine {
                 for &i in &survivors {
                     fail(&mut results, i, e.clone());
                 }
-                self.recover_writer(w, durable);
+                self.reset_writer(w);
                 return results.into_iter().map(Option::unwrap).collect();
             }
         };
@@ -882,7 +867,7 @@ impl Engine {
                     for &i in &survivors {
                         fail(&mut results, i, e.clone());
                     }
-                    self.recover_writer(w, true);
+                    self.reset_writer(w);
                     return results.into_iter().map(Option::unwrap).collect();
                 }
                 Err(payload) => {
@@ -890,7 +875,7 @@ impl Engine {
                     for &i in &survivors {
                         fail(&mut results, i, e.clone());
                     }
-                    self.recover_writer(w, true);
+                    self.reset_writer(w);
                     return results.into_iter().map(Option::unwrap).collect();
                 }
             }
@@ -928,10 +913,8 @@ impl Engine {
     fn fail_unresolved(
         &self,
         mut results: Vec<Option<Result<WriteReceipt, EngineError>>>,
-        _applied: Vec<Option<(Vec<WalOp>, Vec<TupleId>)>>,
     ) -> Vec<Result<WriteReceipt, EngineError>> {
-        let err =
-            EngineError::new("write: durable writer rebuild failed; transaction not committed");
+        let err = EngineError::new("write: writer rebuild failed; transaction not committed");
         for r in results.iter_mut() {
             if r.is_none() {
                 *r = Some(Err(err.clone()));
@@ -943,23 +926,13 @@ impl Engine {
         results.into_iter().map(Option::unwrap).collect()
     }
 
-    /// Post-failure writer recovery: durable engines rebuild the live
-    /// state from the published epoch (failed writes must not ride
-    /// along — the WAL never saw them); non-durable engines poison so
-    /// the next reconciliation runs the full path (PR 7 semantics:
-    /// partial ops become visible with the next success).
-    fn recover_writer(&self, w: &mut WriterState, durable: bool) {
-        if durable {
-            self.reset_writer(w);
-        } else {
-            let _ = w.hippo.db_mut();
-        }
-    }
-
-    /// Rebuild the writer's Hippo from the currently published epoch's
-    /// catalog (full ungoverned re-detection, then the original options
-    /// restored so unfired fault arms survive). On failure flags
-    /// `needs_rebuild`; the next commit attempt retries.
+    /// Post-failure writer recovery, the same on every engine: rebuild
+    /// the writer's Hippo from the currently published epoch's catalog
+    /// (full ungoverned re-detection, then the original options
+    /// restored so unfired fault arms survive), so ops a failed
+    /// transaction already applied can never be published with a later
+    /// success. On failure flags `needs_rebuild`; the next commit
+    /// attempt retries.
     fn reset_writer(&self, w: &mut WriterState) {
         let epoch = self.current_epoch();
         let rebuilt = catch_unwind(AssertUnwindSafe(|| -> Result<Hippo, EngineError> {

@@ -322,8 +322,8 @@ fn fsync_panic_with_immediate_death_resolves_forward() {
 }
 
 // ---------------------------------------------------------------------
-// Durable engines do NOT ride along failed writes (they rebuild), in
-// contrast to the non-durable poison-and-carry semantics.
+// Failed writes never ride along (the writer is rebuilt), and recovery
+// agrees; `service.rs` pins the same on a non-durable engine.
 // ---------------------------------------------------------------------
 
 #[test]

@@ -124,6 +124,14 @@ fn replica_follows_and_answers_bit_identically() {
     let (a, b) = ChannelTransport::pair();
     let replica = Replica::start(Box::new(b), replica_config(21));
     eng.attach_replica(Box::new(a)).unwrap();
+    // Let the initial snapshot land first, so the writes below must
+    // stream as frames (a snapshot taken after them would absorb all
+    // three and leave `frames_applied` at 0).
+    let start = Instant::now();
+    while !replica.stats().has_state {
+        assert!(start.elapsed() < Duration::from_secs(10), "no initial sync");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 
     // Writes that insert (with conflicts), update and delete.
     eng.write(vec![insert(conflict_pair(1_000_000))]).unwrap();
@@ -167,8 +175,6 @@ fn replica_follows_and_answers_bit_identically() {
     let rs = replica.stats();
     assert!(rs.has_state, "{rs}");
     assert!(!rs.broken, "{rs}");
-    // The initial snapshot may absorb early frames (attach races the
-    // first write), but at least one frame must have streamed.
     assert!(rs.frames_applied >= 1, "{rs}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
