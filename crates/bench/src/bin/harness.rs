@@ -11,6 +11,31 @@
 
 use hippo_bench::experiments as ex;
 
+type Experiment = fn(bool) -> Result<ex::Table, Box<dyn std::error::Error>>;
+
+/// Every experiment, in run order. The ids are the command line's
+/// vocabulary: anything else (bar `all`) is rejected.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("d1", ex::d1_information),
+    ("d2", |_| ex::d2_expressiveness()),
+    ("e1", ex::e1_scaling),
+    ("e2", ex::e2_conflicts),
+    ("e3", ex::e3_query_classes),
+    ("e4", ex::e4_detection),
+    ("e5", ex::e5_ablation),
+    ("e6", ex::e6_envelope),
+    ("e7", ex::e7_repair_blowup),
+    ("e8", ex::e8_parallel),
+    ("e9", ex::e9_prover),
+    ("e10", ex::e10_base_mode),
+    ("e11", ex::e11_index_probes),
+    ("e12", ex::e12_governance),
+    ("e13", ex::e13_chaos_service),
+    ("e14", ex::e14_crash_recovery),
+    ("e15", ex::e15_replication_failover),
+    ("e16", ex::e16_columnar),
+];
+
 fn main() {
     // Hidden crash-child modes for E14/E15: selected purely by env var
     // so arbitrary argv (meant for libtest targets) is ignored. Never
@@ -39,13 +64,30 @@ fn main() {
             other => wanted.push(other.to_string()),
         }
     }
+    // A CI leg naming an experiment that no longer exists must fail,
+    // not pass having run nothing.
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|w| *w != "all" && !EXPERIMENTS.iter().any(|(id, _)| id == w))
+    {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "unknown experiment {unknown}; valid ids: all {}",
+            ids.join(" ")
+        );
+        std::process::exit(2);
+    }
     let run_all = wanted.is_empty() || wanted.iter().any(|w| w == "all");
 
+    println!(
+        "# Hippo experiment harness ({} mode)\n",
+        if quick { "quick" } else { "full" }
+    );
     let mut failures = 0;
     let mut tables: Vec<ex::Table> = Vec::new();
-    let mut run = |id: &str, f: &dyn Fn(bool) -> Result<ex::Table, Box<dyn std::error::Error>>| {
+    for (id, experiment) in EXPERIMENTS {
         if run_all || wanted.iter().any(|w| w == id) {
-            match f(quick) {
+            match experiment(quick) {
                 Ok(t) => {
                     println!("{}\n", t.render());
                     tables.push(t);
@@ -56,30 +98,7 @@ fn main() {
                 }
             }
         }
-    };
-
-    println!(
-        "# Hippo experiment harness ({} mode)\n",
-        if quick { "quick" } else { "full" }
-    );
-    run("d1", &ex::d1_information);
-    run("d2", &|_| ex::d2_expressiveness());
-    run("e1", &ex::e1_scaling);
-    run("e2", &ex::e2_conflicts);
-    run("e3", &ex::e3_query_classes);
-    run("e4", &ex::e4_detection);
-    run("e5", &ex::e5_ablation);
-    run("e6", &ex::e6_envelope);
-    run("e7", &ex::e7_repair_blowup);
-    run("e8", &ex::e8_parallel);
-    run("e9", &ex::e9_prover);
-    run("e10", &ex::e10_base_mode);
-    run("e11", &ex::e11_index_probes);
-    run("e12", &ex::e12_governance);
-    run("e13", &ex::e13_chaos_service);
-    run("e14", &ex::e14_crash_recovery);
-    run("e15", &ex::e15_replication_failover);
-    run("e16", &ex::e16_columnar);
+    }
 
     if let Some(path) = json_path {
         let json = render_json(quick, &tables);

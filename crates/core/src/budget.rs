@@ -19,9 +19,8 @@
 //! |-------------------|-------------|----------------------------------------------------------|
 //! | `detect`          | CQA pipeline| conflict-detection shard loops (`detect.rs`)             |
 //! | `envelope`        | CQA pipeline| the candidate query's executor loops (engine `exec.rs`)  |
-//! | `corefilter`      | CQA pipeline| the core-filter probe (`corefilter.rs`)                  |
 //! | `membership`      | CQA pipeline| base-mode membership probing (`kg.rs`)                   |
-//! | `prover`          | CQA pipeline| the per-candidate prover shard loops (`hippo.rs`)        |
+//! | `prover`          | CQA pipeline| core-filter test + prover shard loops (`hippo.rs`)       |
 //! | `wal:append`      | durability  | before WAL bytes are written (`server/wal.rs`)           |
 //! | `wal:fsync`       | durability  | between WAL write and fsync (`server/wal.rs`)            |
 //! | `checkpoint:write`| durability  | before the checkpoint tmp file lands (`server/checkpoint.rs`) |
@@ -541,9 +540,9 @@ mod tests {
 
     #[test]
     fn wildcard_shard_fires_on_first_checkpoint() {
-        let p = FaultPlan::new("corefilter", None, FaultKind::BudgetTrip);
-        assert_eq!(p.try_fire("corefilter", 11), Some(FaultKind::BudgetTrip));
-        assert!(p.try_fire("corefilter", 0).is_none());
+        let p = FaultPlan::new("envelope", None, FaultKind::BudgetTrip);
+        assert_eq!(p.try_fire("envelope", 11), Some(FaultKind::BudgetTrip));
+        assert!(p.try_fire("envelope", 0).is_none());
     }
 
     #[test]

@@ -14,22 +14,130 @@
 //!
 //! By induction this yields `F(D) ⊆ Q(D')` for every repair `D'`, i.e.
 //! every filtered tuple is a consistent answer.
+//!
+//! The class is projection-free, so whether a candidate is in `F(D)`
+//! depends only on the base facts the candidate is built from. The
+//! filter is therefore a **per-candidate test** ([`passes`]) over the
+//! query's [`MembershipTemplate`], fed by what the answer pipeline
+//! already holds for the candidate — its membership flags and the
+//! hypergraph's interned-fact index — rather than a second query
+//! execution:
+//!
+//! * a literal in positive position holds iff its flag is set **and**
+//!   its fact carries no conflicting vertex;
+//! * a literal under a `Not` (a subtracted branch) holds iff its flag
+//!   is set, and a `Not` nested beneath it counts as true — the
+//!   branch's envelope on the full instance;
+//! * guards evaluate on the candidate, as they do for the prover.
+//!
+//! [`crate::hippo`]'s prover shards run the test on each candidate
+//! before the signature cache and the prover; [`core_filter_set`] runs
+//! it over one envelope evaluation; [`core_filter_direct`] is the
+//! set-at-a-time reference the tests compare both against.
 
 use crate::envelope::envelope;
+use crate::formula::{FormulaTemplate, MembershipTemplate};
 use crate::hypergraph::ConflictHypergraph;
+use crate::kg::{extended_envelope_sql, split_gathered};
+use crate::prover::Prover;
 use crate::query::SjudQuery;
-use hippo_engine::{Catalog, Row};
+use hippo_engine::{Catalog, EngineError, Row};
 use rustc_hash::FxHashSet;
 
-/// Evaluate the core filter: a set of tuples guaranteed to be consistent
-/// answers. `core` is the conflict-free instance view, `full` the complete
-/// instance view.
-pub fn core_filter_rows(
+/// The per-candidate core-filter test: is `tuple` in the filter's
+/// result? `flags` are the candidate's per-literal membership answers
+/// and `conflict_free(li)` says whether literal `li`'s fact, as
+/// instantiated by the candidate, carries no conflicting vertex
+/// ([`Prover::lit_conflict_free`]). `true` means the candidate is a
+/// consistent answer; `false` decides nothing.
+pub(crate) fn passes(
+    formula: &FormulaTemplate,
+    tuple: &Row,
+    flags: &[bool],
+    conflict_free: &impl Fn(usize) -> bool,
+) -> bool {
+    match formula {
+        FormulaTemplate::True => true,
+        FormulaTemplate::False => false,
+        FormulaTemplate::Lit(li) => flags[*li] && conflict_free(*li),
+        FormulaTemplate::Guard(p) => p.eval(tuple),
+        FormulaTemplate::And(a, b) => {
+            passes(a, tuple, flags, conflict_free) && passes(b, tuple, flags, conflict_free)
+        }
+        FormulaTemplate::Or(a, b) => {
+            passes(a, tuple, flags, conflict_free) || passes(b, tuple, flags, conflict_free)
+        }
+        // A subtracted branch: the candidate must be outside the
+        // branch's envelope on the full instance, an over-approximation
+        // of the branch in any repair.
+        FormulaTemplate::Not(branch) => !in_envelope(branch, tuple, flags),
+    }
+}
+
+/// Is `tuple` in the envelope of the branch `formula` describes, on the
+/// full instance? A nested subtraction is dropped, as
+/// [`crate::envelope::envelope`] drops it.
+fn in_envelope(formula: &FormulaTemplate, tuple: &Row, flags: &[bool]) -> bool {
+    match formula {
+        FormulaTemplate::True | FormulaTemplate::Not(_) => true,
+        FormulaTemplate::False => false,
+        FormulaTemplate::Lit(li) => flags[*li],
+        FormulaTemplate::Guard(p) => p.eval(tuple),
+        FormulaTemplate::And(a, b) => in_envelope(a, tuple, flags) && in_envelope(b, tuple, flags),
+        FormulaTemplate::Or(a, b) => in_envelope(a, tuple, flags) || in_envelope(b, tuple, flags),
+    }
+}
+
+/// The core filter's result on `catalog`: the envelope rows that pass
+/// the per-candidate test, sorted. One envelope evaluation (the
+/// knowledge-gathering form, which carries the membership flags) over
+/// the given catalog; nothing is copied. A query that does not validate
+/// against the catalog has no envelope, hence the empty — trivially
+/// sound — result.
+pub fn core_filter_set(q: &SjudQuery, catalog: &Catalog, g: &ConflictHypergraph) -> Vec<Row> {
+    passing_envelope_rows(q, catalog, g).unwrap_or_default()
+}
+
+fn passing_envelope_rows(
     q: &SjudQuery,
-    core: &impl Fn(&str) -> Vec<Row>,
-    full: &impl Fn(&str) -> Vec<Row>,
-) -> Vec<Row> {
-    let mut rows = eval_filter(q, core, full);
+    catalog: &Catalog,
+    g: &ConflictHypergraph,
+) -> Result<Vec<Row>, EngineError> {
+    let arity = q.validate(catalog)?;
+    let template = MembershipTemplate::build(q, catalog)?;
+    let ast = extended_envelope_sql(&envelope(q), &template, catalog)?;
+    let bound = hippo_engine::bind::bind_query(catalog, &ast)?;
+    let mut plan = hippo_engine::optimize::optimize(bound.plan, catalog)?;
+    hippo_engine::choose_access_paths(&mut plan, catalog);
+    let rows = hippo_engine::exec::execute_physical_with(&plan, catalog, &[], None, "envelope")?;
+    let gathered = split_gathered(rows, arity, template.literals.len());
+    let prover = Prover::new(g, &template);
+    let mut accepted: Vec<Row> = gathered
+        .candidates
+        .into_iter()
+        .zip(&gathered.flags)
+        .filter(|(cand, flags)| {
+            passes(&template.formula, cand, flags, &|li| {
+                prover.lit_conflict_free(li, cand)
+            })
+        })
+        .map(|(cand, _)| cand)
+        .collect();
+    accepted.sort();
+    accepted.dedup();
+    Ok(accepted)
+}
+
+/// Direct (nested-loop, set-at-a-time) evaluation of the filter over
+/// instance views: positive leaves read the conflict-free core,
+/// subtracted branches the envelope over the full instance. The
+/// reference implementation the per-candidate test is checked against
+/// in tests; rows compare by identity, so it differs from the test on
+/// `NULL`-bearing tuples (see [`crate::hippo`]).
+pub fn core_filter_direct(q: &SjudQuery, catalog: &Catalog, g: &ConflictHypergraph) -> Vec<Row> {
+    let core = crate::repair::core_instance(catalog, g);
+    let full = |rel: &str| catalog.table(rel).map(|t| t.rows()).unwrap_or_default();
+    let mut rows = eval_filter(q, &core, &full);
     rows.sort();
     rows.dedup();
     rows
@@ -82,173 +190,6 @@ fn eval_filter(
     }
 }
 
-/// Convenience wrapper over a catalog + hypergraph: sorted row list
-/// (direct evaluation; fine for small inputs and used as the test
-/// oracle for the SQL path). Thin ordering shim over
-/// [`core_filter_set`] so the SQL-error fallback lives in one place.
-pub fn core_filter_on_catalog(
-    q: &SjudQuery,
-    catalog: &Catalog,
-    g: &ConflictHypergraph,
-) -> Vec<Row> {
-    let mut rows: Vec<Row> = core_filter_set(q, catalog, g).into_iter().collect();
-    rows.sort();
-    rows
-}
-
-/// The core filter as the probe set the **answer pipeline** shares
-/// read-only across its prover shards (each shard tests its candidates
-/// against this set and skips the prover on a hit). Skips the
-/// row-list API's final sort — set membership is all the shards need.
-pub fn core_filter_set(q: &SjudQuery, catalog: &Catalog, g: &ConflictHypergraph) -> FxHashSet<Row> {
-    match core_filter_via_sql(q, catalog, g) {
-        Ok(rows) => rows.into_iter().collect(),
-        Err(_) => {
-            let core = crate::repair::core_instance(catalog, g);
-            let full = |rel: &str| catalog.table(rel).map(|t| t.rows()).unwrap_or_default();
-            eval_filter(q, &core, &full).into_iter().collect()
-        }
-    }
-}
-
-/// [`core_filter_set`] under per-call governance: the scratch-database
-/// SQL evaluation runs with the call's budget (stage `"corefilter"`),
-/// the fault checkpoint fires first, and the direct-eval fallback
-/// charges its materialised rows. A *governance* trip propagates — it
-/// must not silently fall back to an ungoverned evaluation — while any
-/// other SQL-path error still falls back exactly like the ungoverned
-/// entry point.
-pub fn core_filter_set_governed(
-    q: &SjudQuery,
-    catalog: &Catalog,
-    g: &ConflictHypergraph,
-    gov: &crate::budget::Governance,
-) -> Result<FxHashSet<Row>, hippo_engine::EngineError> {
-    if !gov.active() {
-        return Ok(core_filter_set(q, catalog, g));
-    }
-    gov.checkpoint("corefilter", 0)?;
-    match core_filter_via_sql_governed(q, catalog, g, gov.budget_ref()) {
-        Ok(rows) => Ok(rows.into_iter().collect()),
-        Err(e) if e.is_governance() => Err(e),
-        Err(_) => {
-            let core = crate::repair::core_instance(catalog, g);
-            let full = |rel: &str| catalog.table(rel).map(|t| t.rows()).unwrap_or_default();
-            let rows = eval_filter(q, &core, &full);
-            if let Some(b) = gov.budget_ref() {
-                b.charge_rows(rows.len() as u64);
-                b.check("corefilter")?;
-            }
-            Ok(rows.into_iter().collect())
-        }
-    }
-}
-
-/// Direct (nested-loop) evaluation over instance views — the reference
-/// implementation the SQL path is checked against in tests.
-pub fn core_filter_direct(q: &SjudQuery, catalog: &Catalog, g: &ConflictHypergraph) -> Vec<Row> {
-    let core = crate::repair::core_instance(catalog, g);
-    let full = |rel: &str| catalog.table(rel).map(|t| t.rows()).unwrap_or_default();
-    core_filter_rows(q, &core, &full)
-}
-
-/// Evaluate the core filter through the SQL engine: the conflict-free core
-/// and the full contents of each referenced relation are materialised into
-/// a scratch database (`core_<rel>` / `full_<rel>`), the filter expression
-/// is rewritten over those names, rendered to SQL, and executed — so joins
-/// inside the filter benefit from the engine's hash joins instead of the
-/// direct evaluator's nested loops.
-pub fn core_filter_via_sql(
-    q: &SjudQuery,
-    catalog: &Catalog,
-    g: &ConflictHypergraph,
-) -> Result<Vec<Row>, hippo_engine::EngineError> {
-    core_filter_via_sql_governed(q, catalog, g, None)
-}
-
-/// [`core_filter_via_sql`] with an optional budget: the scratch query
-/// executes under it (stage `"corefilter"`), so a long-running filter
-/// join observes deadlines and row budgets cooperatively. `None` takes
-/// the exact ungoverned path.
-pub fn core_filter_via_sql_governed(
-    q: &SjudQuery,
-    catalog: &Catalog,
-    g: &ConflictHypergraph,
-    budget: Option<&hippo_engine::Budget>,
-) -> Result<Vec<Row>, hippo_engine::EngineError> {
-    use hippo_engine::Database;
-    let core = crate::repair::core_instance(catalog, g);
-    let mut scratch = Database::new();
-    for rel in q.relations() {
-        let table = catalog.table(&rel)?;
-        let mut schema = table.schema.clone();
-        schema.name = format!("core_{rel}");
-        scratch.catalog_mut().create_table(schema)?;
-        scratch.insert_rows(&format!("core_{rel}"), core(&rel))?;
-        let mut schema = table.schema.clone();
-        schema.name = format!("full_{rel}");
-        scratch.catalog_mut().create_table(schema)?;
-        scratch.insert_rows(&format!("full_{rel}"), table.rows())?;
-    }
-    let filter_query = filter_expression(q);
-    let sql = filter_query.to_sql(scratch.catalog())?;
-    let mut rows = scratch.query_governed(&sql, budget, "corefilter")?.rows;
-    rows.sort();
-    rows.dedup();
-    Ok(rows)
-}
-
-/// The filter as a plain SJUD expression over `core_*` / `full_*`
-/// relations: positive leaves read the core, subtracted branches read the
-/// envelope over the full instance.
-fn filter_expression(q: &SjudQuery) -> SjudQuery {
-    fn rename(q: &SjudQuery, prefix: &str) -> SjudQuery {
-        match q {
-            SjudQuery::Rel(r) => SjudQuery::Rel(format!("{prefix}_{r}")),
-            SjudQuery::Select { input, pred } => SjudQuery::Select {
-                input: Box::new(rename(input, prefix)),
-                pred: pred.clone(),
-            },
-            SjudQuery::Product(l, r) => {
-                SjudQuery::Product(Box::new(rename(l, prefix)), Box::new(rename(r, prefix)))
-            }
-            SjudQuery::Union(l, r) => {
-                SjudQuery::Union(Box::new(rename(l, prefix)), Box::new(rename(r, prefix)))
-            }
-            SjudQuery::Diff(l, r) => {
-                SjudQuery::Diff(Box::new(rename(l, prefix)), Box::new(rename(r, prefix)))
-            }
-            SjudQuery::Permute { input, perm } => SjudQuery::Permute {
-                input: Box::new(rename(input, prefix)),
-                perm: perm.clone(),
-            },
-        }
-    }
-    match q {
-        SjudQuery::Rel(r) => SjudQuery::Rel(format!("core_{r}")),
-        SjudQuery::Select { input, pred } => SjudQuery::Select {
-            input: Box::new(filter_expression(input)),
-            pred: pred.clone(),
-        },
-        SjudQuery::Product(l, r) => SjudQuery::Product(
-            Box::new(filter_expression(l)),
-            Box::new(filter_expression(r)),
-        ),
-        SjudQuery::Union(l, r) => SjudQuery::Union(
-            Box::new(filter_expression(l)),
-            Box::new(filter_expression(r)),
-        ),
-        SjudQuery::Diff(l, r) => SjudQuery::Diff(
-            Box::new(filter_expression(l)),
-            Box::new(rename(&envelope(r), "full")),
-        ),
-        SjudQuery::Permute { input, perm } => SjudQuery::Permute {
-            input: Box::new(filter_expression(input)),
-            perm: perm.clone(),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,7 +231,7 @@ mod tests {
         let fd = [DenialConstraint::functional_dependency("emp", &[0], 1)];
         let (g, _) = detect_conflicts(db.catalog(), &fd).unwrap();
         let q = SjudQuery::rel("emp");
-        let rows = core_filter_on_catalog(&q, db.catalog(), &g);
+        let rows = core_filter_set(&q, db.catalog(), &g);
         assert_eq!(rows, vec![vec![Value::text("bob"), Value::Int(300)]]);
     }
 
@@ -305,7 +246,7 @@ mod tests {
             CmpOp::Lt,
             150i64,
         )));
-        let filtered = core_filter_on_catalog(&q, db.catalog(), &g);
+        let filtered = core_filter_set(&q, db.catalog(), &g);
         // Every filtered tuple must be verified consistent by the prover.
         let template = MembershipTemplate::build(&q, db.catalog()).unwrap();
         let mut prover = Prover::new(&g, &template);
@@ -330,7 +271,7 @@ mod tests {
         let fd = [DenialConstraint::functional_dependency("emp", &[0], 1)];
         let (g, _) = detect_conflicts(db.catalog(), &fd).unwrap();
         let q = SjudQuery::rel("emp").select(Pred::cmp_const(1, CmpOp::Ge, 200i64));
-        let filtered = core_filter_on_catalog(&q, db.catalog(), &g);
+        let filtered = core_filter_set(&q, db.catalog(), &g);
         let direct = q.eval_on_catalog(db.catalog()).unwrap();
         assert_eq!(filtered, direct, "no conflicts → filter is exact");
     }
@@ -341,16 +282,16 @@ mod tests {
         let fd = [DenialConstraint::functional_dependency("emp", &[0], 1)];
         let (g, _) = detect_conflicts(db.catalog(), &fd).unwrap();
         let q = SjudQuery::rel("emp").product(SjudQuery::rel("emp"));
-        let rows = core_filter_on_catalog(&q, db.catalog(), &g);
+        let rows = core_filter_set(&q, db.catalog(), &g);
         assert_eq!(rows.len(), 1, "only bob×bob survives the core");
         let q = SjudQuery::rel("emp").union(SjudQuery::rel("emp"));
-        let rows = core_filter_on_catalog(&q, db.catalog(), &g);
+        let rows = core_filter_set(&q, db.catalog(), &g);
         assert_eq!(rows.len(), 1);
     }
 }
 
 #[cfg(test)]
-mod sql_path_tests {
+mod per_candidate_tests {
     use super::*;
     use crate::constraint::DenialConstraint;
     use crate::detect::detect_conflicts;
@@ -386,7 +327,7 @@ mod sql_path_tests {
     }
 
     #[test]
-    fn sql_path_matches_direct_path() {
+    fn per_candidate_test_matches_direct_evaluation() {
         let db = db();
         let constraints = [DenialConstraint::functional_dependency("t", &[0], 1)];
         let (g, _) = detect_conflicts(db.catalog(), &constraints).unwrap();
@@ -401,11 +342,13 @@ mod sql_path_tests {
             SjudQuery::rel("t")
                 .permute(vec![1, 0])
                 .diff(SjudQuery::rel("u").permute(vec![1, 0])),
+            // A subtraction nested in a subtracted branch is dropped.
+            SjudQuery::rel("t").diff(SjudQuery::rel("u").diff(SjudQuery::rel("t"))),
         ];
         for q in queries {
             let direct = core_filter_direct(&q, db.catalog(), &g);
-            let via_sql = core_filter_via_sql(&q, db.catalog(), &g).unwrap();
-            assert_eq!(via_sql, direct, "mismatch for {q}");
+            let per_candidate = core_filter_set(&q, db.catalog(), &g);
+            assert_eq!(per_candidate, direct, "mismatch for {q}");
         }
     }
 }

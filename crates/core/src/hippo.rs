@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! Query ──▶ Enveloping ──▶ Candidates(SQL) ──▶ Evaluation (RDBMS) ──▶ Prover ──▶ Answer Set
-//!                              ◆ "envelope"       ◆ "corefilter"   ◆ "prover" / "membership"
+//!                              ◆ "envelope"                        ◆ "prover" / "membership"
 //!                              └─ vectorized scans (column batches)
 //!                                 when the engine's columnar store is on
 //! IC, DB ──▶ Conflict Detection ──▶ Conflict Hypergraph (main memory) ──▶ Prover
@@ -13,13 +13,15 @@
 //!                  (`ColumnStore::for_each_hash`, bit-identical shards)
 //! ```
 //!
-//! Both SQL legs ride the engine's one production executor, read
-//! through its one reader ([`DbSnapshot`] — a live [`Hippo`] answers
-//! through its database's own, a [`FrozenHippo`] through the epoch's):
-//! the envelope/KG evaluation and base-mode membership probes vectorize
-//! when their plan shapes are eligible, and the FD detector's Phase A
-//! hashes LHS projections straight off the typed column slices —
-//! answers and every stats counter stay bit-identical either way
+//! A request is **one** engine query execution — the envelope, handed
+//! to the engine as an AST — plus, in base mode, its prepared
+//! membership probes. Both ride the engine's one production executor,
+//! read through its one reader ([`DbSnapshot`] — a live [`Hippo`]
+//! answers through its database's own, a [`FrozenHippo`] through the
+//! epoch's): the envelope/KG evaluation and base-mode membership probes
+//! vectorize when their plan shapes are eligible, and the FD detector's
+//! Phase A hashes LHS projections straight off the typed column slices
+//! — answers and every stats counter stay bit-identical either way
 //! (tests force row mode with `hippo_engine::set_columnar_override`).
 //!
 //! A checkpoint is a no-op unless the call's [`HippoOptions`] configure
@@ -41,8 +43,20 @@
 //!   check (the costly behaviour the paper describes);
 //! * **knowledge gathering** — the envelope is extended to prefetch every
 //!   membership flag; zero membership queries;
-//! * **core filter** — additionally, tuples provably consistent from the
-//!   conflict-free core skip the prover.
+//! * **core filter** — additionally, candidates passing a per-candidate
+//!   test ([`crate::corefilter`]: built from conflict-free facts only
+//!   and outside every subtracted branch's envelope) skip the prover.
+//!
+//! # One membership notion
+//!
+//! Every mode decides "is this fact in the database?" the same way: by
+//! SQL equality on every column (the KG envelope's `EXISTS` flags and
+//! base mode's prepared probes both compare with `=`). A fact with a
+//! `NULL` component therefore equals nothing, itself included: it is
+//! never present, so a candidate that needs one is not a consistent
+//! answer. The core-filter test reads the same flags, so base, KG and
+//! full mode agree on such tuples. (The repair-enumeration oracle in
+//! [`crate::naive`] compares rows by identity and differs there.)
 //!
 //! # The shard → merge answer pipeline
 //!
@@ -58,12 +72,12 @@
 //!   ┌─ shard 0 ─┐┌─ shard 1 ─┐        …   ┌─ shard 15 ─┐ HIPPO_PROVER_THREADS
 //!   │ ◆ entry   ││           │             │            │ (panic-isolated:
 //!   │ dedup     ││   (same)  │             │   (same)   │  a crash poisons
-//!   │ core probe││           │             │            │  one slot, the
-//!   │ flags:    ││           │             │            │  siblings drain)
-//!   │  KG: rows ││           │             │            │
+//!   │ flags:    ││           │             │            │  one slot, the
+//!   │  KG: rows ││           │             │            │  siblings drain)
 //!   │  base:    │→ one shared DbSnapshot, prepared      ←│
 //!   │  prepared │   probe plans (IndexLookup: O(1)
 //!   │  probes ◆ │   hash-bucket per fact), memoized     ◆ "membership"
+//!   │ core test ││           │             │            │
 //!   │ sig cache ││           │             │            │
 //!   │ prover  ◆ ││           │             │            │ ◆ strided tick
 //!   └────┬──────┘└────┬──────┘             └────┬───────┘   per candidate
@@ -73,7 +87,7 @@
 //! ```
 //!
 //! There is **no serial prefix beyond candidate collection**: dedup,
-//! the core-filter probe, membership resolution and the prover all run
+//! membership resolution, the core-filter test and the prover all run
 //! inside the shards. Knowledge-gathering mode reads prefetched flag
 //! rows; **base mode** — the paper's canonical per-check-SQL
 //! configuration — resolves its membership probes against one
@@ -147,7 +161,7 @@
 
 use crate::budget::{trip_stage, Budget, CancelHandle, Completeness, ConsistentAnswer, Governance};
 use crate::constraint::DenialConstraint;
-use crate::corefilter::core_filter_set_governed;
+use crate::corefilter;
 use crate::detect::{
     build_gen_index, detect_with_index, fd_delta_delete, fd_delta_insert, general_delta_insert,
     DetectIndex, DetectOptions, DetectStats,
@@ -426,11 +440,15 @@ pub struct AnswerStats {
     pub cancelled_shards: usize,
     /// The call ran in degraded mode (whether or not it truncated).
     pub degraded: bool,
-    /// Time enveloping + evaluating candidates.
+    /// Time enveloping (template and envelope construction included) +
+    /// evaluating candidates.
     pub t_envelope: Duration,
-    /// Time in the core filter.
+    /// Always zero: the core-filter test runs inside the prover shards
+    /// and is counted in [`AnswerStats::t_prover`]. The field is kept
+    /// because `benchmark/API.md` pins it.
     pub t_filter: Duration,
-    /// Time proving.
+    /// Time in the sharded answer stage: flags, core-filter test,
+    /// prover, merge and the final ordering of the answers.
     pub t_prover: Duration,
     /// Total wall-clock for the run.
     pub t_total: Duration,
@@ -1263,11 +1281,12 @@ impl Hippo {
     /// The answer-filtering stage is a **shard → merge pipeline**
     /// mirroring detection's, with no serial prefix beyond candidate
     /// collection: the candidate list is cut into [`PROVER_SHARDS`]
-    /// contiguous slices, and each shard dedups, probes the core
-    /// filter, resolves membership (prefetched flags in KG mode, one
-    /// shared read-only [`DbSnapshot`] with per-shard memoized SQL in
-    /// base mode) and proves, with a private closure-signature verdict
-    /// cache seeded by previous calls' verdicts. Shard outputs are
+    /// contiguous slices, and each shard dedups, resolves membership
+    /// (prefetched flags in KG mode, one shared read-only
+    /// [`DbSnapshot`] with per-shard memoized probes in base mode),
+    /// runs the core-filter test and proves, with a private
+    /// closure-signature verdict cache seeded by previous calls'
+    /// verdicts. Shard outputs are
     /// merged in shard order, so answers and stats are identical for
     /// any worker count.
     pub fn consistent_answers_with_stats(
@@ -1292,7 +1311,7 @@ impl Hippo {
     /// * Governed, **degraded** ([`HippoOptions::degraded`]): a trip
     ///   yields `Ok` with the *sound subset* proved before the trip and
     ///   [`Completeness::TruncatedAt`] naming the stage — an
-    ///   envelope/core-filter trip truncates to the empty set, a
+    ///   envelope trip truncates to the empty set, a
     ///   prover-stage trip keeps every candidate fully proved before
     ///   the budget ran out (each stopped shard counts in
     ///   [`AnswerStats::cancelled_shards`]).
@@ -1440,9 +1459,10 @@ impl FrozenHippo {
 }
 
 /// The shared answer pipeline behind both [`Hippo`] (live) and
-/// [`FrozenHippo`] (epoch) entry points: envelope → core filter →
-/// sharded prove/merge, all reads through `backend` — the engine's one
-/// reader, whether it is a live database's own or a frozen epoch's.
+/// [`FrozenHippo`] (epoch) entry points: envelope → sharded
+/// flags / core-filter test / prove → merge, all reads through
+/// `backend` — the engine's one reader, whether it is a live
+/// database's own or a frozen epoch's.
 fn answers_pipeline(
     backend: &DbSnapshot,
     graph: &ConflictHypergraph,
@@ -1460,22 +1480,20 @@ fn answers_pipeline(
     let template = MembershipTemplate::build(query, backend.catalog())?;
     let env = envelope(query);
 
-    // ---- Enveloping + Evaluation ----
-    let te = Instant::now();
+    // ---- Enveloping + Evaluation (timed from the call's start) ----
     let env_res: Result<_, EngineError> = (|| {
         gov.checkpoint("envelope", 0)?;
         if options.knowledge_gathering {
-            let sql_q = extended_envelope_sql(&env, &template, backend.catalog())?;
-            let sql = hippo_sql::print_query(&sql_q);
+            let ast = extended_envelope_sql(&env, &template, backend.catalog())?;
             let rows = backend
-                .query_governed(&sql, gov.budget_ref(), "envelope")?
+                .run_query_ast(&ast, gov.budget_ref(), "envelope")?
                 .rows;
             let gathered = split_gathered(rows, arity, template.literals.len());
             Ok((gathered.candidates, Some(gathered.flags)))
         } else {
-            let sql = env.to_sql(backend.catalog())?;
+            let ast = env.to_sql_query(backend.catalog())?;
             let rows = backend
-                .query_governed(&sql, gov.budget_ref(), "envelope")?
+                .run_query_ast(&ast, gov.budget_ref(), "envelope")?
                 .rows;
             Ok((rows, None))
         }
@@ -1488,27 +1506,13 @@ fn answers_pipeline(
         Err(e) => return Err(e),
     };
     stats.candidates = candidates.len();
-    stats.t_envelope = te.elapsed();
-
-    // ---- Core filter (optional): compute the accepting set ----
-    let tf = Instant::now();
-    let filtered: Option<FxHashSet<Row>> = if options.core_filter {
-        match core_filter_set_governed(query, backend.catalog(), graph, gov) {
-            Ok(set) => Some(set),
-            Err(e) if gov.degraded && e.is_governance() => {
-                return Ok(truncated(stats, &e, gov, t0));
-            }
-            Err(e) => return Err(e),
-        }
-    } else {
-        None
-    };
-    stats.t_filter = tf.elapsed();
+    stats.t_envelope = t0.elapsed();
 
     // ---- Sharded answer stage ----
     //
-    // No serial prefix beyond candidate collection: dedup, the
-    // core-filter probe and the prover all run inside the shards.
+    // No serial prefix beyond candidate collection: dedup, membership
+    // resolution, the core-filter test and the prover all run inside
+    // the shards.
     // Dedup is shard-local (a duplicate crossing a shard boundary is
     // decided twice and collapsed by the final sort+dedup — the
     // envelope is set-semantics, so this is a belt-and-braces case),
@@ -1533,7 +1537,7 @@ fn answers_pipeline(
         candidates: &candidates,
         flags: flags.as_deref(),
         snapshot,
-        filtered: filtered.as_ref(),
+        core_filter: options.core_filter,
         use_cache,
         index_probes: options.index_probes,
         persistent: persistent.as_deref(),
@@ -1610,10 +1614,9 @@ fn answers_pipeline(
             }
         }
     }
-    stats.t_prover = tp.elapsed();
-
     answers.sort();
     answers.dedup();
+    stats.t_prover = tp.elapsed();
     stats.answers = answers.len();
     if let Some(b) = gov.budget_ref() {
         stats.budget_checks = b.checks();
@@ -1657,8 +1660,7 @@ fn truncated(
 /// Read-only state shared by every shard of one answer run. Everything
 /// here is `Sync`: the frozen graph, the compiled template, the
 /// candidate rows, the prefetched flag matrix (KG mode) *or* the frozen
-/// database snapshot (base mode), the core-filter accepting set, and
-/// the previous calls' verdict map.
+/// database snapshot (base mode), and the previous calls' verdict map.
 struct ShardInput<'a> {
     graph: &'a ConflictHypergraph,
     template: &'a MembershipTemplate,
@@ -1667,8 +1669,8 @@ struct ShardInput<'a> {
     flags: Option<&'a [Vec<bool>]>,
     /// Base mode: the snapshot all shards issue membership SQL against.
     snapshot: Option<&'a DbSnapshot>,
-    /// Core-filter accepting set (candidates in it skip the prover).
-    filtered: Option<&'a FxHashSet<Row>>,
+    /// Run the core-filter test: candidates passing it skip the prover.
+    core_filter: bool,
     use_cache: bool,
     /// Base mode: let the prepared probes use index access paths.
     index_probes: bool,
@@ -1679,10 +1681,11 @@ struct ShardInput<'a> {
     gov: &'a Governance,
 }
 
-/// Decide the candidate slice `lo..hi`: dedup (shard-local), probe the
-/// core filter, resolve membership flags (prefetched in KG mode,
-/// memoized snapshot SQL in base mode), then decide by signature cache
-/// or prover run. Runs on a worker thread; mutates nothing shared.
+/// Decide the candidate slice `lo..hi`: dedup (shard-local), resolve
+/// membership flags (prefetched in KG mode, memoized prepared probes in
+/// base mode), run the core-filter test ([`crate::corefilter`]), then
+/// decide by signature cache or prover run. Runs on a worker thread;
+/// mutates nothing shared.
 ///
 /// Governance: the shard checkpoints at entry (fault-injection point
 /// `("prover", si)`) and ticks the budget per candidate. In degraded
@@ -1745,17 +1748,8 @@ fn prove_shard(
         if !seen.insert(cand) {
             continue; // duplicate candidate within the shard
         }
-        if let Some(f) = input.filtered {
-            if f.contains(cand) {
-                out.filtered_consistent += 1;
-                out.accepted.push(i as u32);
-                continue;
-            }
-        }
-        out.prover_calls += 1;
-        pending_rows += 1;
         // Membership flags: prefetched (KG) or gathered through the
-        // shard's memoized snapshot-SQL probe (base). A governance trip
+        // shard's memoized prepared probes (base). A governance trip
         // inside the probe (stage "membership") cancels the shard in
         // degraded mode — the candidate was not decided, so it is not
         // counted or accepted.
@@ -1770,7 +1764,6 @@ fn prove_shard(
                 match gather {
                     Ok(()) => &flag_buf,
                     Err(e) if input.gov.degraded && e.is_governance() => {
-                        out.prover_calls -= 1;
                         out.cancelled = true;
                         break;
                     }
@@ -1778,6 +1771,17 @@ fn prove_shard(
                 }
             }
         };
+        if input.core_filter
+            && corefilter::passes(&input.template.formula, cand, cand_flags, &|li| {
+                prover.lit_conflict_free(li, cand)
+            })
+        {
+            out.filtered_consistent += 1;
+            out.accepted.push(i as u32);
+            continue;
+        }
+        out.prover_calls += 1;
+        pending_rows += 1;
         let ok = if input.use_cache {
             prover.closure_signature(cand, cand_flags, &mut sig);
             if let Some(&v) = local.get(&sig) {

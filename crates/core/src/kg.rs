@@ -9,7 +9,7 @@
 //! The prover then answers membership checks from the fetched flags and
 //! issues **zero** queries against the database.
 //!
-//! This module also houses the base-mode membership sources. They read
+//! This module also houses the base-mode membership source. It reads
 //! through the engine's one reader, the `Sync`
 //! [`hippo_engine::DbSnapshot`]: every prover shard owns a
 //! [`MemoSqlMembership`], which compiles each literal's probe **once**
@@ -20,7 +20,6 @@
 //! hot path.
 
 use crate::formula::{LitTemplate, MembershipTemplate};
-use crate::pred::value_to_sql;
 use crate::prover::MembershipSource;
 use crate::query::SjudQuery;
 use hippo_engine::{Catalog, EngineError, Row};
@@ -184,58 +183,6 @@ impl MembershipSource for GatheredMembership<'_> {
 
     fn literal_in_db(&mut self, li: usize, _rel: &str, _values: &Row) -> Result<bool, EngineError> {
         Ok(self.flags[li])
-    }
-}
-
-/// Render the membership probe `SELECT 1 FROM rel WHERE col = v … LIMIT 1`.
-fn membership_probe_sql(catalog: &Catalog, rel: &str, values: &Row) -> Result<String, EngineError> {
-    let schema = &catalog.table(rel)?.schema;
-    let mut core = SelectCore::empty();
-    core.projection = vec![SelectItem::Expr {
-        expr: Expr::int(1),
-        alias: None,
-    }];
-    core.from = vec![TableRef::Table {
-        name: rel.to_string(),
-        alias: None,
-    }];
-    core.filter = Expr::conjoin(
-        schema
-            .columns
-            .iter()
-            .zip(values)
-            .map(|(c, v)| Expr::col(c.name.clone()).eq(value_to_sql(v))),
-    );
-    core.limit = Some(1);
-    Ok(hippo_sql::print_query(&Query::Select(Box::new(core))))
-}
-
-/// A [`MembershipSource`] that issues one SQL membership query per check —
-/// the base system's behaviour, whose cost the KG optimization removes.
-/// Reads through a [`hippo_engine::DbSnapshot`] (a live
-/// [`hippo_engine::Database`] dereferences to one).
-pub struct SqlMembership<'a> {
-    /// The backend to query.
-    pub db: &'a hippo_engine::DbSnapshot,
-    /// Number of SQL queries issued.
-    pub queries_issued: usize,
-}
-
-impl<'a> SqlMembership<'a> {
-    /// Constructor.
-    pub fn new(db: &'a hippo_engine::DbSnapshot) -> Self {
-        SqlMembership {
-            db,
-            queries_issued: 0,
-        }
-    }
-}
-
-impl MembershipSource for SqlMembership<'_> {
-    fn fact_in_db(&mut self, rel: &str, values: &Row) -> Result<bool, EngineError> {
-        let sql = membership_probe_sql(self.db.catalog(), rel, values)?;
-        self.queries_issued += 1;
-        Ok(!self.db.query(&sql)?.rows.is_empty())
     }
 }
 
@@ -513,20 +460,26 @@ mod tests {
     }
 
     #[test]
-    fn sql_membership_counts_queries() {
+    fn memo_membership_counts_probes_and_memo_hits() {
         let db = db();
-        let mut m = SqlMembership::new(&db);
-        assert!(m
-            .fact_in_db("r", &vec![Value::Int(1), Value::Int(10)])
-            .unwrap());
-        assert!(!m
-            .fact_in_db("r", &vec![Value::Int(9), Value::Int(9)])
-            .unwrap());
-        assert_eq!(m.queries_issued, 2);
+        let q = SjudQuery::rel("r");
+        let template = MembershipTemplate::build(&q, db.catalog()).unwrap();
+        let mut m = MemoSqlMembership::new(&db, &template, true).unwrap();
+        let mut flags = Vec::new();
+        m.gather_flags(&vec![Value::Int(1), Value::Int(10)], &mut flags)
+            .unwrap();
+        assert_eq!(flags, vec![true]);
+        m.gather_flags(&vec![Value::Int(9), Value::Int(9)], &mut flags)
+            .unwrap();
+        assert_eq!(flags, vec![false]);
+        m.gather_flags(&vec![Value::Int(1), Value::Int(10)], &mut flags)
+            .unwrap();
+        assert_eq!(flags, vec![true]);
+        assert_eq!((m.queries_issued, m.memo_hits), (2, 1));
     }
 
     #[test]
-    fn flags_agree_with_sql_membership() {
+    fn flags_agree_with_prepared_probes() {
         let db = db();
         let q = SjudQuery::rel("r")
             .select(Pred::cmp_const(1, CmpOp::Ge, 0i64))
@@ -537,13 +490,11 @@ mod tests {
         let result = db.query(&hippo_sql::print_query(&sql_q)).unwrap();
         let arity = 2;
         let gathered = split_gathered(result.rows, arity, template.literals.len());
-        let mut sqlm = SqlMembership::new(&db);
+        let mut probes = MemoSqlMembership::new(&db, &template, true).unwrap();
+        let mut expected = Vec::new();
         for (cand, flags) in gathered.candidates.iter().zip(&gathered.flags) {
-            for (fi, lit) in template.literals.iter().enumerate() {
-                let fact = lit.instantiate(cand);
-                let expected = sqlm.fact_in_db(&fact.rel, &fact.values).unwrap();
-                assert_eq!(flags[fi], expected, "candidate {cand:?} literal {fi}");
-            }
+            probes.gather_flags(cand, &mut expected).unwrap();
+            assert_eq!(flags, &expected, "candidate {cand:?}");
         }
     }
 }

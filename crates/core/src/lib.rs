@@ -22,8 +22,8 @@
 //!    [`formula::MembershipTemplate`] and blocking-edge search on the
 //!    hypergraph;
 //! 4. optimizations: [`kg`] (knowledge gathering — prefetch all membership
-//!    facts in the envelope query) and [`corefilter`] (accept
-//!    provably-consistent tuples without the prover).
+//!    facts in the envelope query) and [`corefilter`] (a per-candidate
+//!    test that accepts provably-consistent tuples without the prover).
 //!
 //! # Resource governance: strict vs. degraded mode
 //!
@@ -33,9 +33,9 @@
 //! ([`hippo::HippoOptions::with_row_budget`]), and/or a cooperative
 //! cancellation flag ([`hippo::HippoOptions::cancel_handle`]) trippable
 //! from another thread. Each pipeline stage (detection, envelope
-//! evaluation, core filter, membership probing, the prover shards)
-//! checks the budget cooperatively at shard-loop granularity, so a
-//! governed call never hangs and never panics on exhaustion.
+//! evaluation, membership probing, the prover shards) checks the
+//! budget cooperatively at shard-loop granularity, so a governed call
+//! never hangs and never panics on exhaustion.
 //!
 //! What happens when the budget trips depends on the mode:
 //!
@@ -49,8 +49,8 @@
 //!   proved before the trip plus
 //!   [`budget::Completeness::TruncatedAt`]`(stage)`. Degradation is
 //!   always *sound*: every returned row is a true consistent answer
-//!   (the prover only accepts candidates it fully proved; a trip during
-//!   envelope/filter stages yields the empty — trivially sound — set).
+//!   (a shard only accepts candidates it fully decided; a trip during
+//!   envelope evaluation yields the empty — trivially sound — set).
 //!   Conflict detection is the one stage that stays strict even in
 //!   degraded mode: an incomplete conflict hypergraph would make the
 //!   prover *unsound*, not merely incomplete.

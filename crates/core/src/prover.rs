@@ -142,6 +142,18 @@ impl<'a> Prover<'a> {
         }
     }
 
+    /// Does literal `li`'s fact, instantiated with `tuple`, carry no
+    /// conflicting vertex? Such a fact, if present, is in every repair —
+    /// the positive-position condition of the core filter
+    /// ([`crate::corefilter`]). Allocation-free, like
+    /// [`Prover::closure_signature`]'s probe.
+    pub(crate) fn lit_conflict_free(&self, li: usize, tuple: &Row) -> bool {
+        let cols = &self.template.literals[li].cols;
+        self.lit_rels[li]
+            .and_then(|r| self.graph.fact_id_projected(r, tuple, cols))
+            .is_none_or(|fid| self.graph.vertices_of_fact_id(fid).is_empty())
+    }
+
     /// Compute the candidate's **conflict-closure signature** into `sig`
     /// (cleared first): packed guard truth bits, then one word per
     /// literal combining the prefetched membership flag with the

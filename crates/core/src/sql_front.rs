@@ -16,6 +16,12 @@
 //! * combines blocks with `UNION` / `EXCEPT` (set semantics).
 //!
 //! Anything else produces a descriptive [`SqlClassError`].
+//!
+//! `NULL`s: a tuple is an answer only if the base facts it is built
+//! from are *present*, and presence is SQL equality on every column
+//! (see "One membership notion" in [`crate::hippo`]). A row with a
+//! `NULL` component equals nothing, so `SELECT * FROM t` never returns
+//! it as a consistent answer — in any of the three modes.
 
 use crate::pred::{CmpOp, Operand, Pred};
 use crate::query::SjudQuery;

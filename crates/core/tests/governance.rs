@@ -85,7 +85,7 @@ fn millisecond_deadline_on_16k_workload_trips_strict() {
         );
         match err.kind {
             ErrorKind::Budget { stage, .. } => assert!(
-                ["envelope", "corefilter", "membership", "prover"].contains(&stage),
+                ["envelope", "membership", "prover"].contains(&stage),
                 "unexpected trip stage {stage}"
             ),
             ref k => panic!("expected Budget kind, got {k:?}"),
@@ -293,7 +293,6 @@ fn detect_stage_trips_are_strict_even_in_degraded_mode() {
 fn budget_trip_in_each_stage_errors_in_strict_mode() {
     for (stage, opts) in [
         ("envelope", HippoOptions::full()),
-        ("corefilter", HippoOptions::full()),
         ("prover", HippoOptions::full()),
         // Membership probes only run in base mode (no prefetched flags).
         ("membership", HippoOptions::base()),
@@ -313,7 +312,6 @@ fn budget_trip_in_each_stage_degrades_to_sound_subset() {
     let complete = reference_rows(400, 99);
     for (stage, opts) in [
         ("envelope", HippoOptions::full()),
-        ("corefilter", HippoOptions::full()),
         ("prover", HippoOptions::full()),
         ("membership", HippoOptions::base()),
     ] {

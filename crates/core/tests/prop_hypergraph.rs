@@ -182,8 +182,8 @@ proptest! {
 
 /// `HippoOptions::base` / `kg` / `full` must agree on seeded random
 /// workloads — end-to-end differential check over the interned hot path
-/// (base exercises `SqlMembership`, kg the literal-indexed flags, full
-/// additionally the core filter).
+/// (base exercises `MemoSqlMembership`'s prepared probes, kg the
+/// literal-indexed flags, full additionally the core-filter test).
 #[test]
 fn option_levels_agree_on_seeded_workloads() {
     use hippo_cqa::prelude::*;
@@ -222,6 +222,50 @@ fn option_levels_agree_on_seeded_workloads() {
         let (_, reference) = &answers_by_level[0];
         for (opts, got) in &answers_by_level[1..] {
             assert_eq!(got, reference, "options {opts:?} diverged on seed {seed}");
+        }
+    }
+}
+
+/// One membership notion — SQL equality, the prover's — decides in
+/// every mode, so the three modes agree on tuples with a `NULL`
+/// component: such a fact equals nothing, is never "present", and no
+/// mode returns it. (Before the core filter became a per-candidate test
+/// over the same flags, its scratch evaluation compared rows by
+/// identity and full mode returned `cyd` and the `NULL`-named row.)
+#[test]
+fn modes_agree_on_null_bearing_tuples() {
+    use hippo_cqa::prelude::*;
+    use hippo_engine::{Database, Value};
+
+    let build = |opts: HippoOptions| {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE emp (name TEXT, salary INT)")
+            .unwrap();
+        db.execute(
+            "INSERT INTO emp VALUES ('ann', 100), ('ann', 200), ('bob', 300), \
+             ('cyd', NULL), (NULL, 5)",
+        )
+        .unwrap();
+        let fd = DenialConstraint::functional_dependency("emp", &[0], 1);
+        Hippo::with_options(db, vec![fd], opts).unwrap()
+    };
+    let bob = vec![vec![Value::text("bob"), Value::Int(300)]];
+    for sql in [
+        "SELECT * FROM emp",
+        "SELECT * FROM emp EXCEPT SELECT * FROM emp WHERE salary < 150",
+    ] {
+        for opts in [
+            HippoOptions::base(),
+            HippoOptions::base().without_index_probes(),
+            HippoOptions::kg(),
+            HippoOptions::full(),
+        ] {
+            let hippo = build(opts.clone());
+            let live = hippo.consistent_answers_sql(sql).unwrap();
+            assert_eq!(live, bob, "{sql} live, options {opts:?}");
+            let q = sjud_from_sql(sql, hippo.db().catalog()).unwrap();
+            let frozen = hippo.freeze().unwrap().consistent_answers(&q).unwrap();
+            assert_eq!(frozen, bob, "{sql} frozen, options {opts:?}");
         }
     }
 }

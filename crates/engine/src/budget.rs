@@ -325,7 +325,7 @@ mod tests {
     fn forced_trip_reports_budget_kind() {
         let b = Budget::new();
         b.force_trip();
-        assert!(b.check("corefilter").unwrap_err().is_budget());
+        assert!(b.check("envelope").unwrap_err().is_budget());
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //! * query rewriting ≡ ground truth on its supported class;
 //! * SJUD SQL rendering ≡ direct algebra evaluation.
 
-use hippo::cqa::corefilter::core_filter_on_catalog;
+use hippo::cqa::corefilter::{core_filter_direct, core_filter_set};
 use hippo::cqa::detect::detect_conflicts;
+use hippo::cqa::formula::MembershipTemplate;
+use hippo::cqa::hippo::PROVER_SHARDS;
+use hippo::cqa::kg::{extended_envelope_sql, split_gathered};
 use hippo::cqa::naive::naive_consistent_answers;
+use hippo::cqa::parallel::split_ranges;
 use hippo::cqa::prelude::*;
 use hippo::engine::{Database, Row, Value};
 use proptest::prelude::*;
@@ -74,6 +78,60 @@ fn query_arity_ok(q: &SjudQuery) -> bool {
     arity(q).is_some()
 }
 
+/// Rows of two binary relations.
+type TwoRelRows = (Vec<(i64, i64)>, Vec<(i64, i64)>);
+
+/// Bag instances for the core-filter property: `emp` (under the FD
+/// `name → salary`) and `dept` (under no constraint, so in no conflict),
+/// duplicate rows kept.
+fn arb_bag_instance() -> impl Strategy<Value = TwoRelRows> {
+    (
+        prop::collection::vec((0i64..5, 0i64..3), 0..10),
+        prop::collection::vec((0i64..5, 0i64..3), 0..6),
+    )
+}
+
+/// Two binary relations loaded as given, duplicate rows included.
+fn build_bag_db(tables: [(&str, &[(i64, i64)]); 2]) -> Database {
+    let mut db = Database::new();
+    for (name, rows) in tables {
+        db.execute(&format!("CREATE TABLE {name} (name INT, salary INT)"))
+            .unwrap();
+        db.insert_rows(
+            name,
+            rows.iter()
+                .map(|&(n, s)| vec![Value::Int(n), Value::Int(s)])
+                .collect(),
+        )
+        .unwrap();
+    }
+    db
+}
+
+/// Random SJUD queries over `emp` and `dept`: nested union / difference,
+/// the column swap, and the duplicating permutation `[0, 1, 0]` (which
+/// raises the arity, so a union or difference above it needs it on both
+/// sides — mismatches are filtered out).
+fn arb_bag_query() -> impl Strategy<Value = SjudQuery> {
+    let leaf = prop_oneof![Just(SjudQuery::rel("emp")), Just(SjudQuery::rel("dept"))];
+    leaf.prop_recursive(3, 12, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), 0i64..3).prop_map(|(q, c)| q.select(Pred::cmp_const(1, CmpOp::Ge, c))),
+            (inner.clone(), 0i64..5).prop_map(|(q, c)| q.select(Pred::cmp_const(0, CmpOp::Eq, c))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.union(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.diff(b)),
+            inner.clone().prop_map(|q| q.permute(vec![1, 0])),
+            inner.clone().prop_map(|q| q.permute(vec![0, 1, 0])),
+            (inner.clone(), inner.clone())
+                .prop_map(|(a, b)| a.permute(vec![0, 1, 0]).diff(b.permute(vec![0, 1, 0]))),
+            // A subtraction inside a subtracted branch (dropped by the
+            // branch's envelope).
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(a, b, c)| a.diff(b.diff(c))),
+        ]
+    })
+    .prop_filter("consistent arities", query_arity_ok)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
@@ -110,22 +168,70 @@ proptest! {
         }
     }
 
+    /// The core filter, against its set-at-a-time reference and the
+    /// repair-enumeration oracle, over bag instances (duplicate rows
+    /// kept), a relation in no conflict (`dept`) and nested
+    /// union/difference/duplicating-permutation queries:
+    /// `{c ∈ envelope : test(c)}` = `core_filter_direct` ⊆ consistent ⊆
+    /// envelope, and full mode's counters are the ones the reference
+    /// predicts, at any prover thread count.
     #[test]
-    fn filter_subset_consistent_subset_envelope(rows in arb_instance(), q in arb_query()) {
+    fn filter_subset_consistent_subset_envelope(
+        (emp, dept) in arb_bag_instance(),
+        q in arb_bag_query(),
+    ) {
         let constraints = vec![DenialConstraint::functional_dependency("emp", &[0], 1)];
-        let db = build_db(&rows);
-        let (g, _) = detect_conflicts(db.catalog(), &constraints).unwrap();
-        let truth: HashSet<Row> =
-            naive_consistent_answers(&q, db.catalog(), &g).into_iter().collect();
+        let db = build_bag_db([("emp", &emp), ("dept", &dept)]);
+        let cat = db.catalog();
+        let (g, _) = detect_conflicts(cat, &constraints).unwrap();
+        let truth = naive_consistent_answers(&q, cat, &g);
+        let truth_set: HashSet<&Row> = truth.iter().collect();
+        // per-candidate test ≡ direct evaluation
+        let direct = core_filter_direct(&q, cat, &g);
+        prop_assert_eq!(&core_filter_set(&q, cat, &g), &direct, "filter diverges for {}", q);
         // core filter ⊆ consistent
-        for row in core_filter_on_catalog(&q, db.catalog(), &g) {
-            prop_assert!(truth.contains(&row), "filter overclaims {:?} for {}", row, q);
+        for row in &direct {
+            prop_assert!(truth_set.contains(row), "filter overclaims {:?} for {}", row, q);
         }
         // consistent ⊆ envelope(D)
         let env_rows: HashSet<Row> =
-            envelope(&q).eval_on_catalog(db.catalog()).unwrap().into_iter().collect();
+            envelope(&q).eval_on_catalog(cat).unwrap().into_iter().collect();
         for row in &truth {
             prop_assert!(env_rows.contains(row), "envelope misses {:?} for {}", row, q);
+        }
+
+        // The counters the reference predicts: the candidates are the KG
+        // envelope's rows in its order, deduplicated within each fixed
+        // shard; those in the reference filter skip the prover, the rest
+        // reach it and are decided by a cache hit or a prover run.
+        let template = MembershipTemplate::build(&q, cat).unwrap();
+        let ast = extended_envelope_sql(&envelope(&q), &template, cat).unwrap();
+        let rows = db.query(&hippo::sql::print_query(&ast)).unwrap().rows;
+        let cands =
+            split_gathered(rows, q.validate(cat).unwrap(), template.literals.len()).candidates;
+        let (mut decided, mut filtered) = (0, 0);
+        for (lo, hi) in split_ranges(cands.len(), PROVER_SHARDS) {
+            let distinct: HashSet<&Row> = cands[lo..hi].iter().collect();
+            decided += distinct.len();
+            filtered += distinct.iter().filter(|c| direct.binary_search(c).is_ok()).count();
+        }
+        for threads in [1usize, 4] {
+            let hippo = Hippo::with_options(
+                build_bag_db([("emp", &emp), ("dept", &dept)]),
+                constraints.clone(),
+                HippoOptions::full().with_prover_threads(threads),
+            ).unwrap();
+            let (got, s) = hippo.consistent_answers_with_stats(&q).unwrap();
+            prop_assert_eq!(&got, &truth, "query {} threads {}", q, threads);
+            prop_assert_eq!(
+                (s.candidates, s.filtered_consistent, s.prover_calls, s.answers),
+                (cands.len(), filtered, decided - filtered, truth.len()),
+                "query {} threads {}", q, threads
+            );
+            prop_assert_eq!(
+                s.prover_cache_hits, s.prover_calls - s.prover.tuples_checked,
+                "query {} threads {}", q, threads
+            );
         }
     }
 
@@ -206,8 +312,6 @@ proptest! {
 
 /// Two-relation instances with an FD on `emp` plus an exclusion constraint
 /// between `emp` and `ban` — cross-relation hyperedges.
-type TwoRelRows = (Vec<(i64, i64)>, Vec<(i64, i64)>);
-
 fn arb_two_rel() -> impl Strategy<Value = TwoRelRows> {
     (
         prop::collection::vec((0i64..5, 0i64..3), 0..9),
@@ -216,19 +320,14 @@ fn arb_two_rel() -> impl Strategy<Value = TwoRelRows> {
 }
 
 fn build_two_rel_db(emp: &[(i64, i64)], ban: &[(i64, i64)]) -> Database {
-    let mut db = Database::new();
-    db.execute("CREATE TABLE emp (name INT, salary INT)")
-        .unwrap();
-    db.execute("CREATE TABLE ban (name INT, why INT)").unwrap();
-    let dedup = |rows: &[(i64, i64)]| -> Vec<Vec<Value>> {
-        let u: HashSet<(i64, i64)> = rows.iter().copied().collect();
-        u.into_iter()
-            .map(|(a, b)| vec![Value::Int(a), Value::Int(b)])
+    let dedup = |rows: &[(i64, i64)]| -> Vec<(i64, i64)> {
+        rows.iter()
+            .copied()
+            .collect::<HashSet<_>>()
+            .into_iter()
             .collect()
     };
-    db.insert_rows("emp", dedup(emp)).unwrap();
-    db.insert_rows("ban", dedup(ban)).unwrap();
-    db
+    build_bag_db([("emp", &dedup(emp)), ("ban", &dedup(ban))])
 }
 
 fn two_rel_constraints() -> Vec<DenialConstraint> {
