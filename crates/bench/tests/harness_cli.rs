@@ -22,5 +22,16 @@ fn runs_a_named_experiment_and_rejects_an_unknown_one() {
     assert!(out.stdout.is_empty(), "rejected before anything ran");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown experiment zz"), "{err}");
-    assert!(err.contains("e13 e14 e15"), "lists the valid ids: {err}");
+    assert!(
+        err.contains("valid ids: all d1 d2 e1 e2 e3 e4 e5 e6 e7\n"),
+        "lists exactly the valid ids: {err}"
+    );
+
+    // E8–E16 were retired: a stale CI leg naming one must fail loudly.
+    let out = Command::new(harness)
+        .args(["--quick", "e13"])
+        .output()
+        .expect("spawn the harness");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment e13"));
 }

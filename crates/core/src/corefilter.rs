@@ -197,7 +197,7 @@ mod tests {
     use crate::detect::detect_conflicts;
     use crate::formula::MembershipTemplate;
     use crate::pred::{CmpOp, Pred};
-    use crate::prover::{CatalogMembership, Prover};
+    use crate::prover::{catalog_flags, Prover};
     use hippo_engine::{Column, DataType, Database, TableSchema, Value};
 
     fn emp_db(rows: &[(&str, i64)]) -> Database {
@@ -250,12 +250,10 @@ mod tests {
         // Every filtered tuple must be verified consistent by the prover.
         let template = MembershipTemplate::build(&q, db.catalog()).unwrap();
         let mut prover = Prover::new(&g, &template);
-        let mut membership = CatalogMembership {
-            catalog: db.catalog(),
-        };
         for row in &filtered {
+            let flags = catalog_flags(&template, db.catalog(), row);
             assert!(
-                prover.is_consistent_answer(row, &mut membership).unwrap(),
+                prover.is_consistent_answer(row, &flags),
                 "core filter produced non-consistent {row:?}"
             );
         }

@@ -6,7 +6,7 @@
 //! Query ──▶ Enveloping ──▶ Candidates(SQL) ──▶ Evaluation (RDBMS) ──▶ Prover ──▶ Answer Set
 //!                              ◆ "envelope"                        ◆ "prover" / "membership"
 //!                              └─ vectorized scans (column batches)
-//!                                 when the engine's columnar store is on
+//!                                 on eligible plan shapes
 //! IC, DB ──▶ Conflict Detection ──▶ Conflict Hypergraph (main memory) ──▶ Prover
 //!               ◆ "detect" (always strict)
 //!               └─ FD hash pass off contiguous column slices
@@ -169,7 +169,7 @@ use crate::detect::{
 use crate::envelope::envelope;
 use crate::formula::MembershipTemplate;
 use crate::hypergraph::{ConflictHypergraph, FactId, Vertex};
-use crate::kg::{extended_envelope_sql, split_gathered, GatheredMembership, MemoSqlMembership};
+use crate::kg::{extended_envelope_sql, split_gathered, MemoSqlMembership};
 use crate::parallel;
 use crate::prover::{Prover, ProverRunStats};
 use crate::query::SjudQuery;
@@ -288,8 +288,7 @@ impl HippoOptions {
     }
 
     /// Force base mode's membership probes onto sequential-scan plans
-    /// (the pre-optimizer access path; used by the differential tests
-    /// and the E11 index ablation).
+    /// (the pre-optimizer access path; used by the differential tests).
     pub fn without_index_probes(mut self) -> Self {
         self.index_probes = false;
         self
@@ -538,9 +537,8 @@ pub struct Hippo {
     /// recorded change flips orphan edges in O(affected children)
     /// instead of forcing a full rebuild.
     fk_indexes: Vec<crate::inclusion::FkIndex>,
-    /// Persistent detection state for incremental redetection; `None`
-    /// only after a legacy build path that did not request it.
-    detect_index: Option<DetectIndex>,
+    /// Persistent detection state for incremental redetection.
+    detect_index: DetectIndex,
     /// Changes recorded since the last (re)detection, in order.
     pending: Vec<PendingOp>,
     /// Set by [`Hippo::db_mut`]: the database may have changed in ways
@@ -603,7 +601,7 @@ impl Hippo {
             detect_stats,
             foreign_keys: Vec::new(),
             fk_indexes: Vec::new(),
-            detect_index: Some(index),
+            detect_index: index,
             pending: Vec::new(),
             catalog_dirty: false,
             verdict_cache: Arc::new(Mutex::new(VerdictCache::default())),
@@ -616,9 +614,11 @@ impl Hippo {
         &self.db
     }
 
-    /// Mutable database access. Mutations invalidate the hypergraph — call
-    /// [`Hippo::redetect`] afterwards. Changes made through this handle
-    /// are *not* recorded, so the next redetection is a full rebuild;
+    /// Mutable database access. Taking this handle invalidates the
+    /// hypergraph: until [`Hippo::redetect`] runs, every
+    /// `consistent_answers*` call and [`Hippo::freeze`] return an error
+    /// rather than answer from a stale graph. Changes made through this
+    /// handle are *not* recorded, so that redetection is a full rebuild;
     /// prefer [`Hippo::insert_tuples`] / [`Hippo::delete_tuples`] for
     /// updates that should be reconciled incrementally.
     pub fn db_mut(&mut self) -> &mut Database {
@@ -627,10 +627,12 @@ impl Hippo {
     }
 
     /// Insert rows into `table`, recording them so the next
-    /// [`Hippo::redetect`] can reconcile the hypergraph incrementally.
-    /// Returns the new tuples' stable ids. The batch is validated
-    /// up-front: a bad row rejects the whole call before anything is
-    /// inserted, so `Err` means the database is unchanged.
+    /// [`Hippo::redetect`] can reconcile the hypergraph incrementally;
+    /// until it does, `consistent_answers*` and [`Hippo::freeze`] refuse
+    /// (as after any recorded change). Returns the new tuples' stable
+    /// ids. The batch is validated up-front: a bad row rejects the whole
+    /// call before anything is inserted, so `Err` means the database is
+    /// unchanged.
     pub fn insert_tuples(
         &mut self,
         table: &str,
@@ -757,7 +759,7 @@ impl Hippo {
     /// a full sharded rebuild. With no changes at all it returns the
     /// current stats untouched.
     pub fn redetect(&mut self) -> Result<DetectStats, EngineError> {
-        if self.catalog_dirty || self.detect_index.is_none() {
+        if self.catalog_dirty {
             return self.redetect_full();
         }
         if self.pending.is_empty() {
@@ -818,7 +820,7 @@ impl Hippo {
         })??;
         self.graph = Arc::new(graph);
         self.detect_stats = stats;
-        self.detect_index = Some(index);
+        self.detect_index = index;
         self.fk_indexes = fk_indexes;
         self.pending.clear();
         self.catalog_dirty = false;
@@ -835,16 +837,6 @@ impl Hippo {
     /// their verdicts stay valid for the graph they were proved on.
     fn invalidate_verdicts(&mut self) {
         self.verdict_cache = Arc::new(Mutex::new(VerdictCache::default()));
-    }
-
-    /// Drop the persistent cross-call verdict cache through a shared
-    /// handle. Verdicts re-accumulate on the next run; answers never
-    /// change. For callers that want every `consistent_answers` call
-    /// measured (or bounded) cold — benchmarks clear between
-    /// iterations so repeated runs on one system don't collapse into
-    /// cache reads.
-    pub fn clear_verdict_cache(&self) {
-        self.verdict_cache.lock().unwrap().by_query.clear();
     }
 
     /// The incremental path: reconcile the recorded pending operations
@@ -865,7 +857,7 @@ impl Hippo {
         self.catalog_dirty = true;
         let gov = self.options.governance();
         // Panic containment, symmetric with `redetect_full`: an
-        // injected `detect` fault (the chaos harness's "writer panic
+        // injected `detect` fault (the service chaos test's "writer panic
         // mid-redetect") or a genuine bug in the delta code surfaces as
         // a structured `WorkerPanic` error instead of unwinding through
         // the caller — and the dirty flag above keeps the system
@@ -887,10 +879,7 @@ impl Hippo {
             ..DetectStats::default()
         };
         let pending = std::mem::take(&mut self.pending);
-        let DetectIndex { fd, general } = self
-            .detect_index
-            .as_mut()
-            .expect("incremental path requires a detect index");
+        let DetectIndex { fd, general } = &mut self.detect_index;
         // Materialise any missing general-denial join indexes **lazily**
         // from the current catalog. The catalog already reflects this
         // pending batch, so a freshly built index is up to date and must
@@ -1250,7 +1239,7 @@ impl Hippo {
             detect_stats,
             foreign_keys,
             fk_indexes,
-            detect_index: Some(index),
+            detect_index: index,
             pending: Vec::new(),
             catalog_dirty: false,
             verdict_cache: Arc::new(Mutex::new(VerdictCache::default())),
@@ -1324,6 +1313,7 @@ impl Hippo {
         &self,
         query: &SjudQuery,
     ) -> Result<ConsistentAnswer, EngineError> {
+        self.ensure_reconciled("answer")?;
         let gov = self.options.governance();
         answers_pipeline(
             &self.db,
@@ -1335,6 +1325,22 @@ impl Hippo {
         )
     }
 
+    /// The readiness rule shared by answering and freezing: the
+    /// hypergraph must reflect the data. While changes are recorded but
+    /// not reconciled (or the catalog was handed out through
+    /// [`Hippo::db_mut`]), pairing the pre-change graph with post-change
+    /// data would make prover verdicts unsound — non-certain answers
+    /// returned as certain — so both refuse until [`Hippo::redetect`].
+    fn ensure_reconciled(&self, what: &str) -> Result<(), EngineError> {
+        if self.catalog_dirty || !self.pending.is_empty() {
+            return Err(EngineError::new(format!(
+                "cannot {what}: data changes recorded since the last detection \
+                 (call redetect() first)"
+            )));
+        }
+        Ok(())
+    }
+
     /// Freeze the current state into an immutable, `Send + Sync`
     /// [`FrozenHippo`]: the catalog snapshot, the conflict hypergraph
     /// and the persistent verdict cache, all shared by cheap `Arc`
@@ -1344,16 +1350,9 @@ impl Hippo {
     /// mutation of this `Hippo`: redetection *replaces* the graph and
     /// verdict-cache `Arc`s, so the view keeps exactly the state it
     /// captured. Refuses while changes are recorded but not yet
-    /// reconciled (`redetect` first) — freezing then would pair a
-    /// pre-change hypergraph with post-change data, making every
-    /// prover verdict unsound.
+    /// reconciled (`redetect` first), like every answer call.
     pub fn freeze(&self) -> Result<FrozenHippo, EngineError> {
-        if self.catalog_dirty || !self.pending.is_empty() {
-            return Err(EngineError::new(
-                "cannot freeze: data changes recorded since the last detection \
-                 (call redetect() before freeze())",
-            ));
-        }
+        self.ensure_reconciled("freeze")?;
         Ok(FrozenHippo {
             snapshot: self.db.snapshot(),
             graph: Arc::clone(&self.graph),
@@ -1792,18 +1791,14 @@ fn prove_shard(
                 out.cross_hits += 1;
                 v
             } else {
-                let mut membership =
-                    GatheredMembership::for_candidate(input.template, cand, cand_flags);
-                let v = prover.is_consistent_answer(cand, &mut membership)?;
+                let v = prover.is_consistent_answer(cand, cand_flags);
                 let key = std::mem::take(&mut sig);
                 out.fresh.push((key.clone(), v));
                 local.insert(key, v);
                 v
             }
         } else {
-            let mut membership =
-                GatheredMembership::for_candidate(input.template, cand, cand_flags);
-            prover.is_consistent_answer(cand, &mut membership)?
+            prover.is_consistent_answer(cand, cand_flags)
         };
         if ok {
             out.accepted.push(i as u32);
@@ -1858,7 +1853,6 @@ struct ShardVerdicts {
 fn merge(a: ProverRunStats, b: ProverRunStats) -> ProverRunStats {
     ProverRunStats {
         tuples_checked: a.tuples_checked + b.tuples_checked,
-        membership_checks: a.membership_checks + b.membership_checks,
         disjuncts_checked: a.disjuncts_checked + b.disjuncts_checked,
         edge_visits: a.edge_visits + b.edge_visits,
     }
@@ -1963,10 +1957,6 @@ mod tests {
         assert_eq!(
             kg_stats.membership_queries, 0,
             "KG answers from gathered flags"
-        );
-        assert!(
-            kg_stats.prover.membership_checks > 0,
-            "checks still happen, just locally"
         );
     }
 
@@ -2459,6 +2449,28 @@ mod tests {
         let stats = hippo.redetect().unwrap();
         assert!(stats.incremental);
         assert_eq!(hippo.graph().edge_count(), 0);
+
+        // At scale, with an FD riding along: the same one-row delta
+        // checks at most 1% of the combinations the full pass does.
+        use crate::workload::FdTableSpec;
+        let spec = FdTableSpec::new("t", 2000, 0.02, 83);
+        let mut db = Database::new();
+        spec.populate(&mut db).unwrap();
+        db.execute("CREATE TABLE s (k INT, v INT, payload INT)")
+            .unwrap();
+        let excl = DenialConstraint::exclusion("t", "s", &[(0, 0)]);
+        let mut hippo = Hippo::new(db, vec![spec.fd(), excl]).unwrap();
+        let full = hippo.redetect_full().unwrap().combinations_checked;
+        hippo
+            .insert_tuples("s", vec![vec![Value::Int(0), Value::Int(0), Value::Int(0)]])
+            .unwrap();
+        let delta = hippo.redetect().unwrap();
+        assert!(delta.incremental);
+        assert!(
+            delta.combinations_checked * 100 <= full,
+            "delta combos {} vs full {full}",
+            delta.combinations_checked
+        );
     }
 
     #[test]
@@ -2559,11 +2571,11 @@ mod tests {
             for opts in [HippoOptions::base(), HippoOptions::kg()] {
                 let label = format!("threads={threads} options={opts:?}");
                 let run = |columnar: bool| {
-                    hippo_engine::set_columnar_override(Some(columnar));
+                    hippo_engine::set_columnar_override(columnar);
                     let out = build(opts.clone().with_prover_threads(threads))
                         .consistent_answers_with_stats(&q)
                         .unwrap();
-                    hippo_engine::set_columnar_override(None);
+                    hippo_engine::set_columnar_override(true);
                     out
                 };
                 let (ans_on, s_on) = run(true);

@@ -6,12 +6,17 @@
 //! the *same single evaluation* also returns, per candidate tuple, the
 //! truth of every membership the prover could ask: one extra boolean
 //! column (`EXISTS (SELECT … FROM rel WHERE …)`) per literal template.
-//! The prover then answers membership checks from the fetched flags and
-//! issues **zero** queries against the database.
+//! The prover then issues **zero** queries against the database.
 //!
-//! This module also houses the base-mode membership source. It reads
-//! through the engine's one reader, the `Sync`
-//! [`hippo_engine::DbSnapshot`]: every prover shard owns a
+//! This module is the one place that decides where a candidate's
+//! per-literal membership flags come from: the extended envelope's
+//! `EXISTS` columns ([`split_gathered`]) or, in base mode,
+//! [`MemoSqlMembership::gather_flags`]. Everything downstream — the
+//! core-filter test, the closure signature, the prover — reads the
+//! resulting `&[bool]` and does not know which.
+//!
+//! The base-mode gatherer reads through the engine's one reader, the
+//! `Sync` [`hippo_engine::DbSnapshot`]: every prover shard owns a
 //! [`MemoSqlMembership`], which compiles each literal's probe **once**
 //! into a prepared plan (an `IndexLookup` when the relation
 //! has a covering hash index) and re-executes it per candidate binding,
@@ -20,7 +25,6 @@
 //! hot path.
 
 use crate::formula::{LitTemplate, MembershipTemplate};
-use crate::prover::MembershipSource;
 use crate::query::SjudQuery;
 use hippo_engine::{Catalog, EngineError, Row};
 use hippo_sql::{Expr, Query, SelectCore, SelectItem, TableRef};
@@ -104,86 +108,6 @@ pub fn split_gathered(rows: Vec<Row>, arity: usize, n_literals: usize) -> Gather
         flags.push(f);
     }
     GatheredCandidates { candidates, flags }
-}
-
-/// A [`MembershipSource`] answering from gathered flags for the current
-/// candidate. Construction is allocation-free: it borrows the template,
-/// the candidate tuple and the flag slice — which is what makes it the
-/// per-candidate view of the **parallel answer pipeline** (see
-/// [`crate::hippo`]): every prover shard builds one of these per
-/// candidate over the shared read-only flag matrix and passes it `&mut`
-/// into [`crate::prover::Prover::is_consistent_answer`]; no shard ever
-/// touches the engine handle.
-///
-/// The prover only ever asks about the facts the literal templates produce
-/// for the current tuple, and it knows *which* literal it is asking about,
-/// so the fast path ([`MembershipSource::literal_in_db`]) is a bare array
-/// access into the prefetched flags — no hashing, no allocation, no
-/// comparison. The by-value path ([`MembershipSource::fact_in_db`]) is
-/// kept for generic callers and matches the (query-size-bounded) literal
-/// templates against the borrowed key column-by-column, so no fact is ever
-/// instantiated; the former `HashMap<(String, Row), bool>` keyed lookup —
-/// which cloned the relation name *and* the row on every probe — is gone.
-pub struct GatheredMembership<'a> {
-    template: &'a MembershipTemplate,
-    tuple: &'a Row,
-    flags: &'a [bool],
-    /// Checks that could not be answered from gathered knowledge (should
-    /// stay zero; tested).
-    pub misses: usize,
-}
-
-impl<'a> GatheredMembership<'a> {
-    /// Build for one candidate; `flags` are the prefetched per-literal
-    /// membership answers, parallel to `template.literals`.
-    pub fn for_candidate(
-        template: &'a MembershipTemplate,
-        tuple: &'a Row,
-        flags: &'a [bool],
-    ) -> GatheredMembership<'a> {
-        debug_assert_eq!(template.literals.len(), flags.len());
-        GatheredMembership {
-            template,
-            tuple,
-            flags,
-            misses: 0,
-        }
-    }
-
-    /// Would literal `lit`, instantiated with the current tuple, produce
-    /// exactly the fact `(rel, values)`? Borrowed comparison, no build.
-    fn literal_matches(&self, lit: &LitTemplate, rel: &str, values: &Row) -> bool {
-        lit.rel == rel
-            && lit.cols.len() == values.len()
-            && lit
-                .cols
-                .iter()
-                .zip(values)
-                .all(|(&c, v)| &self.tuple[c] == v)
-    }
-}
-
-impl MembershipSource for GatheredMembership<'_> {
-    fn fact_in_db(&mut self, rel: &str, values: &Row) -> Result<bool, EngineError> {
-        match self
-            .template
-            .literals
-            .iter()
-            .position(|lit| self.literal_matches(lit, rel, values))
-        {
-            Some(fi) => Ok(self.flags[fi]),
-            None => {
-                self.misses += 1;
-                Err(EngineError::new(format!(
-                    "knowledge gathering miss for fact {rel}{values:?}"
-                )))
-            }
-        }
-    }
-
-    fn literal_in_db(&mut self, li: usize, _rel: &str, _values: &Row) -> Result<bool, EngineError> {
-        Ok(self.flags[li])
-    }
 }
 
 /// One literal's membership probe, compiled **once** to a prepared
@@ -440,23 +364,6 @@ mod tests {
                 assert_eq!(flags, &vec![true, false]);
             }
         }
-    }
-
-    #[test]
-    fn gathered_membership_answers_without_queries() {
-        let db = db();
-        let q = SjudQuery::rel("r").diff(SjudQuery::rel("s"));
-        let template = MembershipTemplate::build(&q, db.catalog()).unwrap();
-        let tuple = vec![Value::Int(1), Value::Int(10)];
-        let mut m = GatheredMembership::for_candidate(&template, &tuple, &[true, false]);
-        assert!(m.fact_in_db("r", &tuple).unwrap());
-        assert!(!m.fact_in_db("s", &tuple).unwrap());
-        assert_eq!(m.misses, 0);
-        // Unknown fact is a miss (the prover never asks for one).
-        assert!(m
-            .fact_in_db("r", &vec![Value::Int(9), Value::Int(9)])
-            .is_err());
-        assert_eq!(m.misses, 1);
     }
 
     #[test]

@@ -18,23 +18,20 @@
 //!    candidate edges of each `b`. `|A| + |B|` is bounded by query size,
 //!    so data complexity stays polynomial.
 //!
-//! Membership of facts in `D` is resolved through a [`MembershipSource`]:
-//! the base system issues a SQL query per check (costly — the paper's
-//! motivation for optimization), while knowledge gathering pre-computes the
-//! answers during envelope evaluation.
+//! Membership of facts in `D` arrives as one flag per literal template,
+//! resolved for the candidate before the prover runs; [`crate::kg`] is
+//! the one place that decides where the flags come from.
 //!
 //! # Batched proving
 //!
 //! A [`Prover`] owns no per-candidate state beyond a reusable
-//! **workspace** (literal-row buffers, membership memo, witness sets):
-//! the immutable part — hypergraph, compiled template, per-literal
-//! interned relation indexes — is split from the per-call scratch, so
-//! one prover instance decides a whole batch of candidates with zero
-//! steady-state allocation. The membership source is passed `&mut` per
-//! call rather than owned, which is what lets
-//! [`crate::hippo::Hippo::consistent_answers`] run one prover per
-//! shard over a shared read-only graph (see the shard → merge answer
-//! pipeline in [`crate::hippo`]).
+//! **workspace** (literal-row buffers, witness sets): the immutable
+//! part — hypergraph, compiled template, per-literal interned relation
+//! indexes — is split from the per-call scratch, so one prover instance
+//! decides a whole batch of candidates with zero steady-state
+//! allocation, and [`crate::hippo::Hippo::consistent_answers`] runs one
+//! prover per shard over a shared read-only graph (see the shard →
+//! merge answer pipeline in [`crate::hippo`]).
 //!
 //! # Conflict-closure signatures
 //!
@@ -53,32 +50,14 @@
 use crate::formula::{to_dnf, Disjunct, MembershipTemplate};
 use crate::hypergraph::{ConflictHypergraph, Vertex};
 use crate::pred::Pred;
-use hippo_engine::{EngineError, Row};
+use hippo_engine::Row;
 use rustc_hash::FxHashSet;
-
-/// How the prover learns whether a base fact is present in the database.
-pub trait MembershipSource {
-    /// Is the fact `rel(values)` present in the current instance `D`?
-    fn fact_in_db(&mut self, rel: &str, values: &Row) -> Result<bool, EngineError>;
-
-    /// Literal-indexed fast path: the prover always asks about the fact of
-    /// literal template `li` instantiated with the current candidate, so
-    /// sources that prefetched per-literal answers (knowledge gathering)
-    /// can respond with an array access instead of any lookup. Defaults to
-    /// [`MembershipSource::fact_in_db`].
-    fn literal_in_db(&mut self, li: usize, rel: &str, values: &Row) -> Result<bool, EngineError> {
-        let _ = li;
-        self.fact_in_db(rel, values)
-    }
-}
 
 /// Counters accumulated while proving (experiment E5 reports these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProverRunStats {
     /// Tuples checked.
     pub tuples_checked: usize,
-    /// Membership checks issued to the [`MembershipSource`].
-    pub membership_checks: usize,
     /// DNF disjuncts examined.
     pub disjuncts_checked: usize,
     /// Blocking-edge backtracking steps.
@@ -90,9 +69,8 @@ pub struct ProverRunStats {
 /// The immutable inputs (graph, template, per-literal interned relation
 /// indexes, guard list) are fixed at construction; everything a single
 /// [`Prover::is_consistent_answer`] call needs — literal-row buffers,
-/// the per-tuple membership memo, witness sets — lives in a reusable
-/// workspace, so deciding a batch of candidates allocates only on the
-/// first call. The membership source is passed `&mut` per call.
+/// witness sets — lives in a reusable workspace, so deciding a batch of
+/// candidates allocates only on the first call.
 pub struct Prover<'a> {
     graph: &'a ConflictHypergraph,
     template: &'a MembershipTemplate,
@@ -105,7 +83,6 @@ pub struct Prover<'a> {
     pub stats: ProverRunStats,
     // ---- reusable per-call workspace ----
     lit_rows: Vec<Row>,
-    in_db: Vec<Option<bool>>,
     a_set: FxHashSet<Vertex>,
     s_set: FxHashSet<Vertex>,
 }
@@ -126,7 +103,6 @@ impl<'a> Prover<'a> {
             guards,
             stats: ProverRunStats::default(),
             lit_rows: Vec::new(),
-            in_db: Vec::new(),
             a_set: FxHashSet::default(),
             s_set: FxHashSet::default(),
         }
@@ -187,24 +163,21 @@ impl<'a> Prover<'a> {
     }
 
     /// Is `tuple` a consistent answer to the template's query?
-    pub fn is_consistent_answer<M: MembershipSource>(
-        &mut self,
-        tuple: &Row,
-        membership: &mut M,
-    ) -> Result<bool, EngineError> {
+    /// `flags[li]` says whether literal `li`'s fact, instantiated with
+    /// `tuple`, is present in the database.
+    pub fn is_consistent_answer(&mut self, tuple: &Row, flags: &[bool]) -> bool {
+        debug_assert_eq!(flags.len(), self.template.literals.len());
         self.stats.tuples_checked += 1;
         let formula = self.template.instantiate(tuple);
         let negated = crate::formula::negate(formula);
         let dnf = to_dnf(&negated);
         if dnf.is_empty() {
-            return Ok(true);
+            return true;
         }
         // Resolve every literal once per tuple into the reusable
         // workspace: instantiating a literal template is the only place
-        // row values are copied; all later membership and hypergraph
-        // probes borrow from here. Membership answers are memoized so
-        // each literal consults the source at most once per tuple, no
-        // matter how many disjuncts mention it.
+        // row values are copied; all later hypergraph probes borrow
+        // from here.
         let mut lit_rows = std::mem::take(&mut self.lit_rows);
         lit_rows.resize_with(self.template.literals.len(), Row::new);
         for (li, lit) in self.template.literals.iter().enumerate() {
@@ -212,58 +185,22 @@ impl<'a> Prover<'a> {
             row.clear();
             row.extend(lit.cols.iter().map(|&c| tuple[c].clone()));
         }
-        let mut in_db = std::mem::take(&mut self.in_db);
-        in_db.clear();
-        in_db.resize(self.template.literals.len(), None);
-        let mut verdict = Ok(true);
+        let mut verdict = true;
         for disjunct in &dnf {
             self.stats.disjuncts_checked += 1;
-            match self.disjunct_satisfiable(disjunct, &lit_rows, &mut in_db, membership) {
+            if self.disjunct_satisfiable(disjunct, &lit_rows, flags) {
                 // Some repair falsifies membership → not consistent.
-                Ok(true) => {
-                    verdict = Ok(false);
-                    break;
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    verdict = Err(e);
-                    break;
-                }
+                verdict = false;
+                break;
             }
         }
         self.lit_rows = lit_rows;
-        self.in_db = in_db;
         verdict
-    }
-
-    /// Memoized membership check for literal `li` (free of `self` borrows
-    /// beyond `stats`/`template` so callers can hold the workspace).
-    fn lit_in_db<M: MembershipSource>(
-        stats: &mut ProverRunStats,
-        template: &MembershipTemplate,
-        li: usize,
-        lit_rows: &[Row],
-        memo: &mut [Option<bool>],
-        membership: &mut M,
-    ) -> Result<bool, EngineError> {
-        if let Some(b) = memo[li] {
-            return Ok(b);
-        }
-        stats.membership_checks += 1;
-        let b = membership.literal_in_db(li, &template.literals[li].rel, &lit_rows[li])?;
-        memo[li] = Some(b);
-        Ok(b)
     }
 
     /// Can some repair contain all `positive` facts and none of the
     /// `negative` facts?
-    fn disjunct_satisfiable<M: MembershipSource>(
-        &mut self,
-        d: &Disjunct,
-        lit_rows: &[Row],
-        in_db: &mut [Option<bool>],
-        membership: &mut M,
-    ) -> Result<bool, EngineError> {
+    fn disjunct_satisfiable(&mut self, d: &Disjunct, lit_rows: &[Row], in_db: &[bool]) -> bool {
         // Resolve literals to facts and database status.
         // A-side: every positive fact must exist in D; collect the vertex
         // choices carrying it (non-conflicting facts are in every repair
@@ -271,15 +208,8 @@ impl<'a> Prover<'a> {
         // directly — no copy.
         let mut a_choices: Vec<&[Vertex]> = Vec::new();
         for &li in &d.positive {
-            if !Self::lit_in_db(
-                &mut self.stats,
-                self.template,
-                li,
-                lit_rows,
-                in_db,
-                membership,
-            )? {
-                return Ok(false); // required fact missing from D entirely
+            if !in_db[li] {
+                return false; // required fact missing from D entirely
             }
             let vs = self.lit_vertices(li, lit_rows);
             if !vs.is_empty() {
@@ -294,19 +224,12 @@ impl<'a> Prover<'a> {
         // vertices excluded.
         let mut b_vertices: Vec<Vertex> = Vec::new();
         for &li in &d.negative {
-            if !Self::lit_in_db(
-                &mut self.stats,
-                self.template,
-                li,
-                lit_rows,
-                in_db,
-                membership,
-            )? {
+            if !in_db[li] {
                 continue;
             }
             let vs = self.lit_vertices(li, lit_rows);
             if vs.is_empty() {
-                return Ok(false); // in D, never in a conflict → in every repair
+                return false; // in D, never in a conflict → in every repair
             }
             b_vertices.extend_from_slice(vs);
         }
@@ -331,30 +254,30 @@ impl<'a> Prover<'a> {
         a: &mut FxHashSet<Vertex>,
         b: &[Vertex],
         s: &mut FxHashSet<Vertex>,
-    ) -> Result<bool, EngineError> {
+    ) -> bool {
         if idx == choices.len() {
             // A complete; reject if it intersects B (B is sorted).
             if a.iter().any(|v| b.binary_search(v).is_ok()) {
-                return Ok(false);
+                return false;
             }
             if !self.graph.is_independent(a) {
-                return Ok(false);
+                return false;
             }
             s.clear();
             s.extend(a.iter().copied());
-            return Ok(self.block_all(b, 0, s));
+            return self.block_all(b, 0, s);
         }
         for &v in choices[idx] {
             let inserted = a.insert(v);
-            let ok = self.enumerate_a(choices, idx + 1, a, b, s)?;
+            let ok = self.enumerate_a(choices, idx + 1, a, b, s);
             if inserted {
                 a.remove(&v);
             }
             if ok {
-                return Ok(true);
+                return true;
             }
         }
-        Ok(false)
+        false
     }
 
     /// Backtracking search for blocking edges: for each `b` pick an edge
@@ -398,17 +321,26 @@ impl<'a> Prover<'a> {
     }
 }
 
-/// A membership source answering from the engine catalog directly (no SQL
-/// round trip). Used in tests and as the in-memory fast path.
-pub struct CatalogMembership<'a> {
-    /// The catalog to probe.
-    pub catalog: &'a hippo_engine::Catalog,
-}
-
-impl<'a> MembershipSource for CatalogMembership<'a> {
-    fn fact_in_db(&mut self, rel: &str, values: &Row) -> Result<bool, EngineError> {
-        Ok(!self.catalog.table(rel)?.find_exact(values).is_empty())
-    }
+/// Test helper: a candidate's per-literal membership flags straight
+/// from the catalog (exact-row lookup, no SQL).
+#[cfg(test)]
+pub(crate) fn catalog_flags(
+    template: &MembershipTemplate,
+    catalog: &hippo_engine::Catalog,
+    tuple: &Row,
+) -> Vec<bool> {
+    template
+        .literals
+        .iter()
+        .map(|lit| {
+            let fact: Row = lit.cols.iter().map(|&c| tuple[c].clone()).collect();
+            !catalog
+                .table(&lit.rel)
+                .unwrap()
+                .find_exact(&fact)
+                .is_empty()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -454,12 +386,8 @@ mod tests {
         let (g, _) = detect_conflicts(db.catalog(), constraints).unwrap();
         let template = MembershipTemplate::build(q, db.catalog()).unwrap();
         let mut prover = Prover::new(&g, &template);
-        let mut membership = CatalogMembership {
-            catalog: db.catalog(),
-        };
-        prover
-            .is_consistent_answer(&tuple, &mut membership)
-            .unwrap()
+        let flags = catalog_flags(&template, db.catalog(), &tuple);
+        prover.is_consistent_answer(&tuple, &flags)
     }
 
     #[test]
@@ -671,12 +599,10 @@ mod tests {
         // reusing one prover + workspace across the whole batch.
         let template = MembershipTemplate::build(&q, db.catalog()).unwrap();
         let mut prover = Prover::new(&g, &template);
-        let mut membership = CatalogMembership {
-            catalog: db.catalog(),
-        };
         for (_, row) in db.catalog().table("emp").unwrap().iter() {
             let expected = naive.contains(row);
-            let got = prover.is_consistent_answer(row, &mut membership).unwrap();
+            let flags = catalog_flags(&template, db.catalog(), row);
+            let got = prover.is_consistent_answer(row, &flags);
             assert_eq!(got, expected, "tuple {row:?}");
         }
     }
@@ -689,14 +615,8 @@ mod tests {
         let q = SjudQuery::rel("emp");
         let template = MembershipTemplate::build(&q, db.catalog()).unwrap();
         let mut prover = Prover::new(&g, &template);
-        let mut membership = CatalogMembership {
-            catalog: db.catalog(),
-        };
-        prover
-            .is_consistent_answer(&vec![Value::text("ann"), Value::Int(100)], &mut membership)
-            .unwrap();
+        prover.is_consistent_answer(&vec![Value::text("ann"), Value::Int(100)], &[true]);
         assert_eq!(prover.stats.tuples_checked, 1);
-        assert!(prover.stats.membership_checks >= 1);
         assert!(prover.stats.disjuncts_checked >= 1);
     }
 
@@ -729,12 +649,9 @@ mod tests {
         assert_ne!(sig(&bob), sig(&low), "guard outcome changes the signature");
         // And the collapse is sound: identical verdicts.
         let mut prover = prover;
-        let mut m = CatalogMembership {
-            catalog: db.catalog(),
-        };
         assert_eq!(
-            prover.is_consistent_answer(&bob, &mut m).unwrap(),
-            prover.is_consistent_answer(&cyd, &mut m).unwrap()
+            prover.is_consistent_answer(&bob, &[true]),
+            prover.is_consistent_answer(&cyd, &[true])
         );
     }
 }

@@ -10,7 +10,7 @@
 
 use hippo_cqa::prelude::*;
 use hippo_engine::schema::ErrorKind;
-use hippo_engine::Database;
+use hippo_engine::{Database, Value};
 use std::time::Duration;
 
 /// Seeded FD workload: `t(k, v, payload)` with `k -> v` violated on
@@ -22,7 +22,7 @@ fn workload(rows: usize, seed: u64) -> (Database, Vec<DenialConstraint>) {
     (db, vec![spec.fd()])
 }
 
-/// The E9-style projection-free difference query: tuples of `t` minus
+/// The projection-free difference query: tuples of `t` minus
 /// the high-`v` slice. Keeps every base tuple a prover candidate.
 fn query() -> SjudQuery {
     SjudQuery::rel("t").diff(SjudQuery::rel("t").select(Pred::cmp_const(2, CmpOp::Ge, 900i64)))
@@ -62,7 +62,7 @@ fn ungoverned_calls_report_no_budget_accounting() {
 }
 
 // ---------------------------------------------------------------------
-// Acceptance: a 1ms deadline on the 16k E9 workload trips (never hangs
+// Acceptance: a 1ms deadline on the 16k-row workload trips (never hangs
 // or panics), in strict and degraded mode, at 1 and 4 prover threads.
 // ---------------------------------------------------------------------
 
@@ -261,6 +261,57 @@ fn detect_panic_during_redetect_leaves_hippo_usable() {
     let ans = hippo.consistent_answers_governed(&query()).unwrap();
     assert!(ans.completeness.is_complete());
     assert_eq!(ans.rows, reference_rows(500, 77));
+}
+
+/// An answer is returned iff it is certain. A live `Hippo` whose data
+/// moved since the last detection would pair the old hypergraph with the
+/// new rows and hand back non-certain answers, so it must refuse — in
+/// every mode, for unrecorded (`db_mut`) and recorded (`insert_tuples`)
+/// changes alike — until `redetect` has run.
+#[test]
+fn live_answers_refuse_unreconciled_state() {
+    let emp = || {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE emp (name TEXT, salary INT)")
+            .unwrap();
+        db.execute("INSERT INTO emp VALUES ('ann', 100), ('bob', 300)")
+            .unwrap();
+        db
+    };
+    let fd = DenialConstraint::functional_dependency("emp", &[0], 1);
+    let q = SjudQuery::rel("emp");
+    let ann = vec![Value::text("ann"), Value::Int(100)];
+    let refused = |h: &Hippo| {
+        let err = h.consistent_answers(&q).unwrap_err();
+        assert!(err.to_string().contains("call redetect() first"), "{err}");
+        assert!(h.consistent_answers_sql("SELECT * FROM emp").is_err());
+        assert!(h.consistent_answers_governed(&q).is_err());
+    };
+    for opts in [
+        HippoOptions::base(),
+        HippoOptions::kg(),
+        HippoOptions::full(),
+    ] {
+        let mut hippo = Hippo::with_options(emp(), vec![fd.clone()], opts).unwrap();
+        assert_eq!(hippo.consistent_answers(&q).unwrap().len(), 2);
+
+        // DML behind the hypergraph's back: bob now has two salaries.
+        hippo
+            .db_mut()
+            .execute("INSERT INTO emp VALUES ('bob', 400)")
+            .unwrap();
+        refused(&hippo);
+        hippo.redetect().unwrap();
+        assert_eq!(hippo.consistent_answers(&q).unwrap(), vec![ann.clone()]);
+
+        // A recorded change refuses the same way until reconciled.
+        hippo
+            .insert_tuples("emp", vec![vec![Value::text("ann"), Value::Int(150)]])
+            .unwrap();
+        refused(&hippo);
+        assert!(hippo.redetect().unwrap().incremental);
+        assert!(hippo.consistent_answers(&q).unwrap().is_empty());
+    }
 }
 
 #[test]

@@ -86,7 +86,6 @@ fn counters(s: &AnswerStats) -> Vec<usize> {
         s.membership_memo_hits,
         s.answers,
         s.prover.tuples_checked,
-        s.prover.membership_checks,
         s.prover.disjuncts_checked,
         s.prover.edge_visits,
     ]

@@ -100,7 +100,6 @@ fn counters(
     usize,
     usize,
     usize,
-    usize,
 ) {
     (
         s.candidates,
@@ -112,7 +111,6 @@ fn counters(
         s.membership_queries,
         s.membership_memo_hits,
         s.prover.tuples_checked,
-        s.prover.membership_checks,
         s.prover.disjuncts_checked,
         s.prover.edge_visits,
     )

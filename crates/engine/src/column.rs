@@ -474,16 +474,16 @@ impl<'a> ColumnBatch<'a> {
 // Enable/disable switch
 // ---------------------------------------------------------------------------
 
-/// Vectorized execution is on unless a test or bench turned it off.
+/// Vectorized execution is on unless a test turned it off.
 static COLUMNAR_OFF: AtomicBool = AtomicBool::new(false);
 
-/// Force vectorized execution on/off process-wide — the hook the
-/// differential suites, the toggle tests and the columnar benches use
-/// to run the row-mode operators on shapes that would vectorize;
-/// worker threads observe it immediately. `None` restores the default
-/// (on). Not a deployment setting: nothing reads the environment.
-pub fn set_columnar_override(v: Option<bool>) {
-    COLUMNAR_OFF.store(v == Some(false), AtomicOrdering::Relaxed);
+/// Turn vectorized execution off (`false`) or back on (`true`, the
+/// default) process-wide — the hook the differential suites and the
+/// toggle tests use to run the row-mode operators on shapes that would
+/// vectorize; worker threads observe it immediately. Not a deployment
+/// setting: nothing reads the environment.
+pub fn set_columnar_override(on: bool) {
+    COLUMNAR_OFF.store(!on, AtomicOrdering::Relaxed);
 }
 
 /// Serialises unit tests that flip the process-wide override so they
@@ -1722,13 +1722,12 @@ mod tests {
     }
 
     #[test]
-    fn override_beats_env() {
+    fn override_toggles_vectorized_execution() {
         let _g = override_guard();
-        set_columnar_override(Some(false));
+        set_columnar_override(false);
         assert!(!columnar_enabled());
-        set_columnar_override(Some(true));
+        set_columnar_override(true);
         assert!(columnar_enabled());
-        set_columnar_override(None);
     }
 
     #[test]

@@ -1060,11 +1060,11 @@ mod tests {
             .unwrap();
         assert_eq!(api.lines().collect::<Vec<_>>(), text);
         // The engine choice tracks the columnar toggle.
-        crate::column::set_columnar_override(Some(false));
+        crate::column::set_columnar_override(false);
         let off = db
             .explain("SELECT name FROM emp WHERE salary >= 200")
             .unwrap();
-        crate::column::set_columnar_override(None);
+        crate::column::set_columnar_override(true);
         assert!(off.ends_with("execution: rowmode\n"), "{off}");
     }
 
@@ -1183,10 +1183,10 @@ mod tests {
         assert_eq!(db.query(q).unwrap().rows, vec![vec![Value::Int(7)]]);
         for columnar in [true, false] {
             let _g = crate::column::override_guard();
-            crate::column::set_columnar_override(Some(columnar));
+            crate::column::set_columnar_override(columnar);
             let budget = crate::budget::Budget::new().with_row_limit(100);
             let err = db.query_governed(q, Some(&budget), "envelope");
-            crate::column::set_columnar_override(None);
+            crate::column::set_columnar_override(true);
             match err
                 .expect_err("the subquery's 2000 rows exceed the budget")
                 .kind

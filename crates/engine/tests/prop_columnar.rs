@@ -133,12 +133,12 @@ fn bits(rows: &[Row]) -> Vec<Vec<String>> {
 }
 
 fn run_mode(db: &Database, q: &str, columnar: bool) -> Result<Vec<Vec<String>>, String> {
-    set_columnar_override(Some(columnar));
+    set_columnar_override(columnar);
     let out = db
         .query(q)
         .map(|r| bits(&r.rows))
         .map_err(|e| e.to_string());
-    set_columnar_override(None);
+    set_columnar_override(true);
     out
 }
 
@@ -190,13 +190,13 @@ proptest! {
         ] {
             let mut outcomes = Vec::new();
             for columnar in [true, false] {
-                set_columnar_override(Some(columnar));
+                set_columnar_override(columnar);
                 let budget = hippo_engine::Budget::new().with_row_limit(limit);
                 let res = db
                     .query_governed(q, Some(&budget), "prop")
                     .map(|r| bits(&r.rows))
                     .map_err(|e| e.to_string());
-                set_columnar_override(None);
+                set_columnar_override(true);
                 outcomes.push((res, budget.rows_charged()));
             }
             let (on, off) = (outcomes.remove(0), outcomes.remove(0));

@@ -700,7 +700,7 @@ impl Replica {
     /// term is what disambiguates it). Frames the dead primary never
     /// transmitted are gone — the promoted state is exactly the
     /// committed prefix this replica applied, which the caller can (and
-    /// the E15 harness does) verify bit-identical against an oracle.
+    /// `tests/kill.rs` does) verify bit-identical against an oracle.
     ///
     /// The old primary, should it come back, is fenced: its frames
     /// carry the previous term and every replica following the new

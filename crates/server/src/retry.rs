@@ -14,7 +14,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Duration;
 
 /// Retry policy for one logical request. Deterministic for a given
-/// seed — the chaos harness replays identical schedules.
+/// seed, so a test replays identical schedules.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (`1` = no retries).

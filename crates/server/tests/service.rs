@@ -1,7 +1,8 @@
 //! Integration tests for the concurrent CQA service layer: epoch
 //! pinning, publish-only-on-success under injected writer faults,
 //! admission shedding + retry, deadline propagation through the queue
-//! into the answer pipeline, and graceful drain.
+//! into the answer pipeline, graceful drain, and one seeded run of
+//! concurrent mixed traffic with all of those faults armed at once.
 
 use hippo_cqa::budget::{FaultKind, FaultPlan};
 use hippo_cqa::prelude::*;
@@ -378,4 +379,200 @@ fn cancel_from_another_thread_is_structured_and_resettable() {
     let handle = session.cancel_handle();
     handle.reset();
     assert!(!session.consistent_answers(&query()).unwrap().is_empty());
+}
+
+// ---------------------------------------------------------------------
+// Chaos: concurrent mixed traffic with faults armed, checked per pinned
+// epoch against a serial oracle.
+// ---------------------------------------------------------------------
+
+#[test]
+fn concurrent_traffic_under_faults_matches_the_serial_oracle_per_epoch() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicI64, Ordering};
+    use std::sync::{Arc, Mutex};
+
+    const CLIENTS: u64 = 4;
+    const ITERS: usize = 24;
+    let eng = engine(1_200, 71, EngineConfig::default());
+    let q = query();
+    let next_key = AtomicI64::new(10_000_000);
+    // Per epoch: the first clean CQA answer any reader saw on it (later
+    // ones must agree bit for bit) and the row count plain reads saw.
+    type Samples = Mutex<HashMap<u64, (Arc<hippo_server::Epoch>, Vec<Row>)>>;
+    let cqa_samples: Samples = Mutex::new(HashMap::new());
+    let read_counts: Mutex<HashMap<u64, usize>> = Mutex::new(HashMap::new());
+    // Keys of the writes that returned `Ok`. The armed `detect` panic is
+    // one-shot and engine-wide, so it may land on any client's write,
+    // not only the saboteur's.
+    let committed: Mutex<Vec<i64>> = Mutex::new(Vec::new());
+    let write = |pair: bool| {
+        let key = next_key.fetch_add(1, Ordering::Relaxed);
+        let rows = if pair {
+            conflict_pair(key)
+        } else {
+            vec![vec![Value::Int(key), Value::Int(5), Value::Int(0)]]
+        };
+        eng.write(vec![WriteOp::Insert {
+            table: "t".into(),
+            rows,
+        }])
+        .map(|_| committed.lock().unwrap().push(key))
+    };
+
+    std::thread::scope(|s| {
+        for c in 0..CLIENTS {
+            let (eng, q, write) = (&eng, &q, &write);
+            let (cqa_samples, read_counts) = (&cqa_samples, &read_counts);
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0xE13 + c);
+                let mut session = eng.session();
+                for k in 0..ITERS {
+                    // Re-pin every few requests so new epochs get read.
+                    if k % 4 == 0 {
+                        session.refresh();
+                    }
+                    // Client 0 is the saboteur: each arm is a fresh
+                    // one-shot fault injected into the live traffic.
+                    let clean = c != 0
+                        || match k % 8 {
+                            2 => {
+                                // Writer panic mid-redetect.
+                                eng.set_writer_options(HippoOptions::full().with_faults(
+                                    FaultPlan::new("detect", Some(0), FaultKind::Panic),
+                                ));
+                                let r = write(false);
+                                assert!(
+                                    r.as_ref().map_or_else(|e| e.is_worker_panic(), |()| true),
+                                    "sabotaged write must fail structurally: {r:?}"
+                                );
+                                eng.set_writer_options(HippoOptions::full());
+                                continue;
+                            }
+                            3 => {
+                                session.set_deadline(Some(Duration::from_millis(1)));
+                                false
+                            }
+                            5 => {
+                                // Prover-shard panic inside a CQA read.
+                                *session.options_mut() = HippoOptions::full().with_faults(
+                                    FaultPlan::new("prover", Some(0), FaultKind::Panic),
+                                );
+                                false
+                            }
+                            7 => {
+                                // A delayed shard racing a short deadline.
+                                *session.options_mut() =
+                                    HippoOptions::full().with_faults(FaultPlan::new(
+                                        "prover",
+                                        None,
+                                        FaultKind::Delay(Duration::from_millis(30)),
+                                    ));
+                                session.set_deadline(Some(Duration::from_millis(10)));
+                                false
+                            }
+                            _ => true,
+                        };
+                    let die = rng.gen_range(0u32..100);
+                    let outcome = if die < 45 {
+                        // Plain read on the pinned epoch.
+                        session.query("SELECT * FROM t").map(|r| {
+                            if clean {
+                                let epoch = session.epoch().id();
+                                let mut counts = read_counts.lock().unwrap();
+                                let n = *counts.entry(epoch).or_insert(r.rows.len());
+                                assert_eq!(n, r.rows.len(), "epoch {epoch}: reads disagree");
+                            }
+                        })
+                    } else if die < 55 {
+                        write(die % 2 == 0)
+                    } else {
+                        // CQA on the pinned epoch.
+                        session.consistent_answers(q).map(|rows| {
+                            if clean {
+                                let epoch = Arc::clone(session.epoch());
+                                let mut samples = cqa_samples.lock().unwrap();
+                                let (_, first) = samples
+                                    .entry(epoch.id())
+                                    .or_insert_with(|| (epoch, rows.clone()));
+                                assert_eq!(*first, rows, "readers of one epoch diverged");
+                            }
+                        })
+                    };
+                    // Structured failures only.
+                    if let Err(e) = outcome {
+                        assert!(
+                            e.is_overloaded()
+                                || e.is_cancelled()
+                                || e.is_budget()
+                                || e.is_worker_panic(),
+                            "unstructured failure: {e}"
+                        );
+                    }
+                    if !clean {
+                        *session.options_mut() = HippoOptions::full();
+                        session.set_deadline(None);
+                    }
+                }
+            });
+        }
+    });
+
+    // The traffic joined (no deadlock); drain completes and closes the
+    // gate behind itself.
+    eng.drain();
+    assert!(eng
+        .session()
+        .consistent_answers(&q)
+        .unwrap_err()
+        .is_shutdown());
+
+    // A failed write never publishes: the final epoch holds the keys of
+    // exactly the writes that returned `Ok`, and counts as many.
+    let stats = eng.stats();
+    assert!(stats.writer_recoveries >= 1, "writer panic never fired");
+    let mut committed = committed.into_inner().unwrap();
+    committed.sort_unstable();
+    assert_eq!(stats.writes_applied, committed.len() as u64, "{stats}");
+    let last = eng.current_epoch();
+    let mut published: Vec<i64> = last
+        .frozen()
+        .catalog()
+        .table("t")
+        .unwrap()
+        .iter()
+        .filter_map(|(_, r)| match r[0] {
+            Value::Int(k) if k >= 10_000_000 => Some(k),
+            _ => None,
+        })
+        .collect();
+    published.sort_unstable();
+    published.dedup();
+    assert_eq!(published, committed);
+
+    // Serial oracle: every sampled epoch, rebuilt from its own catalog
+    // into a fresh single-threaded Hippo, reproduces what the
+    // concurrent readers saw.
+    let (_, cons) = workload(1, 71);
+    let samples = cqa_samples.into_inner().unwrap();
+    let read_counts = read_counts.into_inner().unwrap();
+    assert!(samples.len() > 1, "readers saw more than the birth epoch");
+    for (id, (epoch, seen)) in &samples {
+        let oracle = Hippo::with_options(
+            Database::from_catalog(epoch.frozen().catalog().clone()),
+            cons.clone(),
+            HippoOptions::full().with_prover_threads(1),
+        )
+        .unwrap();
+        assert_eq!(
+            oracle.consistent_answers(&q).unwrap(),
+            *seen,
+            "epoch {id} diverged from its serial oracle"
+        );
+        if let Some(n) = read_counts.get(id) {
+            let rows = epoch.frozen().query("SELECT * FROM t").unwrap().rows;
+            assert_eq!(rows.len(), *n, "epoch {id}: plain-read row count");
+        }
+    }
 }

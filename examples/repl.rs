@@ -6,7 +6,10 @@
 //!   <sql>;                     execute a SQL statement on the backend
 //!   .fd <table> <lhs> <rhs>    add an FD constraint (column indices)
 //!   .detect                    (re)build the conflict hypergraph
-//!   .cqa <sql>                 consistent answers to a SELECT (SJUD class)
+//!   .cqa <sql>                 consistent answers to a SELECT (SJUD class);
+//!                              re-detects first if statements ran since
+//!                              `.detect` (a live `Hippo` refuses to answer
+//!                              from a stale hypergraph)
 //!   .quit
 
 use hippo::cqa::prelude::*;
@@ -63,8 +66,11 @@ fn main() {
                 Err(e) => println!("error: {e}"),
             }
         } else if let Some(sql) = line.strip_prefix(".cqa ") {
-            match &hippo {
-                Some(h) => match h.consistent_answers_sql(sql.trim().trim_end_matches(';')) {
+            match &mut hippo {
+                Some(h) => match h
+                    .redetect()
+                    .and_then(|_| h.consistent_answers_sql(sql.trim().trim_end_matches(';')))
+                {
                     Ok(rows) => {
                         for r in &rows {
                             println!("{r:?}");
