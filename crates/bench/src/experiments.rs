@@ -129,7 +129,7 @@ fn measure_strategies(
     let run = |opts: HippoOptions| -> Result<(Duration, usize), Box<dyn std::error::Error>> {
         let hippo = Hippo::with_options(workload.build()?, workload.constraints(), opts)?;
         let t = Instant::now();
-        let answers = hippo.consistent_answers(q)?;
+        let answers = hippo.freeze()?.answer(q, &hippo.options)?.rows;
         Ok((t.elapsed(), answers.len()))
     };
     let (hippo_base, _) = run(HippoOptions::base())?;
@@ -211,7 +211,7 @@ pub fn d1_information(quick: bool) -> Result<Table, Box<dyn std::error::Error>> 
         let straw = conflict_free_answers(&q, db.catalog(), &g).len();
         let total_rows = db.catalog().table("t")?.len();
         let hippo = Hippo::new(db, constraints)?;
-        let cqa = hippo.consistent_answers(&q)?.len();
+        let cqa = hippo.freeze()?.answer(&q, &hippo.options)?.rows.len();
         let gain = cqa as i64 - straw as i64;
         t.rows.push(vec![
             format!("{:.0}%", rate * 100.0),
@@ -303,7 +303,7 @@ pub fn d2_expressiveness() -> Result<Table, Box<dyn std::error::Error>> {
         let truth = naive_consistent_answers(&q, db.catalog(), &g);
 
         let hippo = Hippo::new(fresh_db()?, constraints.clone())?;
-        let hippo_cell = if hippo.consistent_answers(&q)? == truth {
+        let hippo_cell = if hippo.freeze()?.answer(&q, &hippo.options)?.rows == truth {
             "✓"
         } else {
             "✗ WRONG"
@@ -458,7 +458,7 @@ pub fn e3_query_classes(quick: bool) -> Result<Table, Box<dyn std::error::Error>
 
         let hippo = Hippo::with_options(w.build()?, w.constraints(), HippoOptions::full())?;
         let t0 = Instant::now();
-        let answers = hippo.consistent_answers(&q)?;
+        let answers = hippo.freeze()?.answer(&q, &hippo.options)?.rows;
         let full = t0.elapsed();
 
         t.rows.push(vec![
@@ -538,7 +538,11 @@ pub fn e5_ablation(quick: bool) -> Result<Table, Box<dyn std::error::Error>> {
         spec.populate(&mut db)?;
         let hippo = Hippo::with_options(db, constraints.clone(), opts)?;
         let t0 = Instant::now();
-        let (answers, stats) = hippo.consistent_answers_with_stats(&q)?;
+        let ConsistentAnswer {
+            rows: answers,
+            stats,
+            ..
+        } = hippo.freeze()?.answer(&q, &hippo.options)?;
         let elapsed = t0.elapsed();
         t.rows.push(vec![
             label.to_string(),
@@ -582,7 +586,11 @@ pub fn e6_envelope(quick: bool) -> Result<Table, Box<dyn std::error::Error>> {
             900i64,
         )));
         let hippo = Hippo::with_options(db, constraints, HippoOptions::full())?;
-        let (answers, stats) = hippo.consistent_answers_with_stats(&q)?;
+        let ConsistentAnswer {
+            rows: answers,
+            stats,
+            ..
+        } = hippo.freeze()?.answer(&q, &hippo.options)?;
         t.rows.push(vec![
             format!("{:.0}%", rate * 100.0),
             stats.candidates.to_string(),
@@ -639,7 +647,7 @@ pub fn e7_repair_blowup(quick: bool) -> Result<Table, Box<dyn std::error::Error>
 
         let hippo = Hippo::with_options(db, constraints, HippoOptions::full())?;
         let t0 = Instant::now();
-        let answers = hippo.consistent_answers(&q)?;
+        let answers = hippo.freeze()?.answer(&q, &hippo.options)?.rows;
         let hippo_time = t0.elapsed();
 
         t.rows.push(vec![

@@ -3,7 +3,7 @@
 //!
 //! The engine crate owns the raw mechanism ([`Budget`], [`CancelHandle`]
 //! — re-exported here); this module owns the **policy**: how one
-//! `consistent_answers` call bundles its budget with an optional
+//! `FrozenHippo::answer` call bundles its budget with an optional
 //! [`FaultPlan`] into a [`Governance`] handle, how the pipeline's stages
 //! consult it, and what a budget trip produces — a structured
 //! `EngineError` in strict mode, or a sound-but-partial
@@ -170,7 +170,7 @@ impl FaultArm {
     }
 }
 
-/// A deterministic fault plan: one or more [`FaultArm`]s, each firing at
+/// A deterministic fault plan: one or more `FaultArm`s, each firing at
 /// most once. Built from a comma-separated `stage:shard:kind` list so
 /// crash-matrix tests can compose faults
 /// (`HIPPO_FAULT=wal:0:panic,detect:0:trip`).

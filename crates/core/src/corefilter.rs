@@ -17,7 +17,7 @@
 //!
 //! The class is projection-free, so whether a candidate is in `F(D)`
 //! depends only on the base facts the candidate is built from. The
-//! filter is therefore a **per-candidate test** ([`passes`]) over the
+//! filter is therefore a **per-candidate test** (`passes`) over the
 //! query's [`MembershipTemplate`], fed by what the answer pipeline
 //! already holds for the candidate — its membership flags and the
 //! hypergraph's interned-fact index — rather than a second query

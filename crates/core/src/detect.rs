@@ -45,9 +45,9 @@
 //! so each constraint spawns its workers once instead of twice.
 //!
 //! The FD grouping pass doubles as the builder of the persistent
-//! [`FdIndex`] (LHS-hash → tuple ids) that [`crate::hippo::Hippo`] keeps
+//! `FdIndex` (LHS-hash → tuple ids) that [`crate::hippo::Hippo`] keeps
 //! for **incremental redetection**. General denials get the analogous
-//! treatment through [`GenIndex`]: the per-atom join indexes (linked
+//! treatment through `GenIndex`: the per-atom join indexes (linked
 //! columns → tuple ids) are persisted for every *seed orientation* of
 //! the constraint, so a delta pass binds the changed tuple first and
 //! hash-extends outward — `O(delta × matches)` work, never a rescan of

@@ -16,9 +16,8 @@
 //! A request is **one** engine query execution — the envelope, handed
 //! to the engine as an AST — plus, in base mode, its prepared
 //! membership probes. Both ride the engine's one production executor,
-//! read through its one reader ([`DbSnapshot`] — a live [`Hippo`]
-//! answers through its database's own, a [`FrozenHippo`] through the
-//! epoch's): the envelope/KG evaluation and base-mode membership probes
+//! read through its one reader (the [`DbSnapshot`] a [`FrozenHippo`]
+//! captured): the envelope/KG evaluation and base-mode membership probes
 //! vectorize when their plan shapes are eligible, and the FD detector's
 //! Phase A hashes LHS projections straight off the typed column slices
 //! — answers and every stats counter stay bit-identical either way
@@ -34,10 +33,12 @@
 //! every later prover verdict unsound, so there is no sound partial
 //! answer to fall back on).
 //!
-//! [`Hippo::new`] performs conflict detection once; each
-//! [`Hippo::consistent_answers`] run envelopes the query, evaluates the
-//! candidates on the SQL backend, and filters them through the Prover.
-//! [`HippoOptions`] selects the optimization level:
+//! [`Hippo::new`] performs conflict detection once and [`Hippo::freeze`]
+//! captures the reconciled state in O(1); each [`FrozenHippo::answer`]
+//! run — the one consistent-answer call, a live system answers as
+//! `hippo.freeze()?.answer(&q, &hippo.options)` — envelopes the query,
+//! evaluates the candidates on the engine, and filters them through
+//! the Prover. [`HippoOptions`] selects the optimization level:
 //!
 //! * **base** — the prover issues one SQL membership query per literal
 //!   check (the costly behaviour the paper describes);
@@ -106,7 +107,7 @@
 //! verdict ([`AnswerStats::prover_cache_hits`]). Newly proved
 //! signatures are folded, at merge time and in shard order, into a
 //! **persistent per-query verdict cache** reused by later
-//! `consistent_answers` calls on the same graph
+//! `answer` calls on the same graph
 //! ([`AnswerStats::prover_cache_cross_hits`]); the cache is dropped
 //! whenever the graph is replaced. Shard decomposition is fixed by the
 //! candidate count — answers and every [`AnswerStats`] counter are
@@ -147,7 +148,7 @@
 //! writer:  insert/delete ──▶ redetect ──▶ freeze() ──▶ publish Arc<Epoch>
 //!          (recorded ops)      │ Err / panic: nothing published —
 //!                              │ readers keep the previous epoch
-//! readers: pin epoch ──▶ FrozenHippo::consistent_answers  (lock-free,
+//! readers: pin epoch ──▶ FrozenHippo::answer  (lock-free,
 //!          shared verdict cache, same shard → merge pipeline as above)
 //! ```
 //!
@@ -226,9 +227,9 @@ pub struct HippoOptions {
     /// auto (the `HIPPO_PROVER_THREADS` environment variable if set,
     /// else available parallelism). Every mode shards: knowledge
     /// gathering reads prefetched flags, base mode issues its
-    /// membership SQL against a frozen [`DbSnapshot`] shared by all
-    /// workers. The thread count never affects answers or stats, only
-    /// wall-clock.
+    /// membership SQL against a frozen [`hippo_engine::DbSnapshot`]
+    /// shared by all workers. The thread count never affects answers or
+    /// stats, only wall-clock.
     pub prover_threads: usize,
     /// Memoize prover verdicts by conflict-closure signature (see
     /// [`crate::prover::Prover::closure_signature`]); candidates whose
@@ -359,8 +360,8 @@ impl HippoOptions {
     /// (no deadline, row budget, armed cancellation or fault plan)
     /// return an inactive governance whose checks compile to no-ops —
     /// that call takes exactly the pre-governance code path. Public so
-    /// service layers can hand the same budget to [`FrozenHippo`]
-    /// entry points that take a raw [`Budget`].
+    /// service layers can hand the same budget to engine calls that take
+    /// a raw [`Budget`].
     pub fn governance(&self) -> Governance {
         let g = &self.governance;
         let governed =
@@ -409,7 +410,7 @@ pub struct AnswerStats {
     pub prover_cache_hits: usize,
     /// Subset of [`AnswerStats::prover_cache_hits`] served by the
     /// persistent cross-call verdict cache (signatures proved by an
-    /// earlier `consistent_answers` run on the same graph).
+    /// earlier `answer` run on the same graph).
     pub prover_cache_cross_hits: usize,
     /// Prover shards the candidate list was decomposed into (`0` when
     /// there were no candidates). Base and KG mode report this
@@ -545,7 +546,7 @@ pub struct Hippo {
     /// the pending log does not capture, so only a full rebuild is safe.
     catalog_dirty: bool,
     /// Persistent closure-signature verdicts, shared **across**
-    /// `consistent_answers` calls: each run's shards read the previous
+    /// `answer` calls: each run's shards read the previous
     /// runs' verdicts lock-free (behind an `Arc` taken once at run
     /// start) and newly proved signatures are folded back in shard
     /// order during the merge phase — the lock is held only at the two
@@ -615,9 +616,8 @@ impl Hippo {
     }
 
     /// Mutable database access. Taking this handle invalidates the
-    /// hypergraph: until [`Hippo::redetect`] runs, every
-    /// `consistent_answers*` call and [`Hippo::freeze`] return an error
-    /// rather than answer from a stale graph. Changes made through this
+    /// hypergraph: until [`Hippo::redetect`] runs, [`Hippo::freeze`]
+    /// returns an error rather than answer from a stale graph. Changes made through this
     /// handle are *not* recorded, so that redetection is a full rebuild;
     /// prefer [`Hippo::insert_tuples`] / [`Hippo::delete_tuples`] for
     /// updates that should be reconciled incrementally.
@@ -628,8 +628,8 @@ impl Hippo {
 
     /// Insert rows into `table`, recording them so the next
     /// [`Hippo::redetect`] can reconcile the hypergraph incrementally;
-    /// until it does, `consistent_answers*` and [`Hippo::freeze`] refuse
-    /// (as after any recorded change). Returns the new tuples' stable
+    /// until it does, [`Hippo::freeze`] refuses (as after any recorded
+    /// change). Returns the new tuples' stable
     /// ids. The batch is validated up-front: a bad row rejects the whole
     /// call before anything is inserted, so `Err` means the database is
     /// unchanged.
@@ -1247,100 +1247,6 @@ impl Hippo {
         })
     }
 
-    /// Compute the consistent answers to `query`. Returns sorted rows.
-    ///
-    /// When the options carry a budget ([`HippoOptions::with_deadline`]
-    /// etc.) this is the strict governed call: a trip surfaces as a
-    /// structured error. Degraded callers who want the partial result
-    /// use [`Hippo::consistent_answers_governed`].
-    pub fn consistent_answers(&self, query: &SjudQuery) -> Result<Vec<Row>, EngineError> {
-        Ok(self.consistent_answers_governed(query)?.rows)
-    }
-
-    /// Compute the consistent answers to a SQL `SELECT` (see
-    /// [`crate::sql_front`] for the accepted class).
-    pub fn consistent_answers_sql(&self, sql: &str) -> Result<Vec<Row>, EngineError> {
-        let q = crate::sql_front::sjud_from_sql(sql, self.db.catalog())
-            .map_err(|e| EngineError::new(e.to_string()))?;
-        self.consistent_answers(&q)
-    }
-
-    /// Compute consistent answers plus run statistics.
-    ///
-    /// The answer-filtering stage is a **shard → merge pipeline**
-    /// mirroring detection's, with no serial prefix beyond candidate
-    /// collection: the candidate list is cut into [`PROVER_SHARDS`]
-    /// contiguous slices, and each shard dedups, resolves membership
-    /// (prefetched flags in KG mode, one shared read-only
-    /// [`DbSnapshot`] with per-shard memoized probes in base mode),
-    /// runs the core-filter test and proves, with a private
-    /// closure-signature verdict cache seeded by previous calls'
-    /// verdicts. Shard outputs are
-    /// merged in shard order, so answers and stats are identical for
-    /// any worker count.
-    pub fn consistent_answers_with_stats(
-        &self,
-        query: &SjudQuery,
-    ) -> Result<(Vec<Row>, AnswerStats), EngineError> {
-        let a = self.consistent_answers_governed(query)?;
-        Ok((a.rows, a.stats))
-    }
-
-    /// The governed entry point: compute consistent answers under the
-    /// options' resource budget and report how complete the result is.
-    ///
-    /// * Ungoverned options (the default): identical to
-    ///   [`Hippo::consistent_answers_with_stats`] — no budget object is
-    ///   even created, every stage runs the exact pre-governance path,
-    ///   and the result is [`Completeness::Complete`].
-    /// * Governed, **strict** (default mode): a deadline / row-budget /
-    ///   cancellation trip anywhere in the pipeline returns
-    ///   `Err` with kind `Budget { stage, spent, limit }` or
-    ///   `Cancelled { stage }`.
-    /// * Governed, **degraded** ([`HippoOptions::degraded`]): a trip
-    ///   yields `Ok` with the *sound subset* proved before the trip and
-    ///   [`Completeness::TruncatedAt`] naming the stage — an
-    ///   envelope trip truncates to the empty set, a
-    ///   prover-stage trip keeps every candidate fully proved before
-    ///   the budget ran out (each stopped shard counts in
-    ///   [`AnswerStats::cancelled_shards`]).
-    ///
-    /// A worker panic in the prover stage is contained either way: the
-    /// sibling shards drain, the error is `WorkerPanic { stage, shard }`,
-    /// no partial merge happens, and this `Hippo` (including its
-    /// persistent verdict cache) stays fully usable.
-    pub fn consistent_answers_governed(
-        &self,
-        query: &SjudQuery,
-    ) -> Result<ConsistentAnswer, EngineError> {
-        self.ensure_reconciled("answer")?;
-        let gov = self.options.governance();
-        answers_pipeline(
-            &self.db,
-            &self.graph,
-            &self.options,
-            &self.verdict_cache,
-            query,
-            &gov,
-        )
-    }
-
-    /// The readiness rule shared by answering and freezing: the
-    /// hypergraph must reflect the data. While changes are recorded but
-    /// not reconciled (or the catalog was handed out through
-    /// [`Hippo::db_mut`]), pairing the pre-change graph with post-change
-    /// data would make prover verdicts unsound — non-certain answers
-    /// returned as certain — so both refuse until [`Hippo::redetect`].
-    fn ensure_reconciled(&self, what: &str) -> Result<(), EngineError> {
-        if self.catalog_dirty || !self.pending.is_empty() {
-            return Err(EngineError::new(format!(
-                "cannot {what}: data changes recorded since the last detection \
-                 (call redetect() first)"
-            )));
-        }
-        Ok(())
-    }
-
     /// Freeze the current state into an immutable, `Send + Sync`
     /// [`FrozenHippo`]: the catalog snapshot, the conflict hypergraph
     /// and the persistent verdict cache, all shared by cheap `Arc`
@@ -1349,10 +1255,19 @@ impl Hippo {
     /// The frozen view answers queries concurrently with further
     /// mutation of this `Hippo`: redetection *replaces* the graph and
     /// verdict-cache `Arc`s, so the view keeps exactly the state it
-    /// captured. Refuses while changes are recorded but not yet
-    /// reconciled (`redetect` first), like every answer call.
+    /// captured. This is the only way to an answer, so it carries the
+    /// readiness rule: while changes are recorded but not reconciled (or
+    /// the catalog was handed out through [`Hippo::db_mut`]), pairing
+    /// the pre-change graph with post-change data would make prover
+    /// verdicts unsound — non-certain answers returned as certain — so
+    /// it refuses until [`Hippo::redetect`].
     pub fn freeze(&self) -> Result<FrozenHippo, EngineError> {
-        self.ensure_reconciled("freeze")?;
+        if self.catalog_dirty || !self.pending.is_empty() {
+            return Err(EngineError::new(
+                "cannot freeze: data changes recorded since the last detection \
+                 (call redetect() first)",
+            ));
+        }
         Ok(FrozenHippo {
             snapshot: self.db.snapshot(),
             graph: Arc::clone(&self.graph),
@@ -1366,7 +1281,7 @@ impl Hippo {
 /// time: the frozen catalog snapshot, the conflict hypergraph and the
 /// persistent verdict cache, produced by [`Hippo::freeze`].
 ///
-/// Any number of threads may run [`FrozenHippo::consistent_answers`]
+/// Any number of threads may run [`FrozenHippo::answer`]
 /// (or plain [`FrozenHippo::query`]) on one view — or on clones, which
 /// share everything — with no locks beyond the verdict cache's
 /// merge-phase write-back, entirely independent of the live `Hippo`
@@ -1377,9 +1292,9 @@ pub struct FrozenHippo {
     snapshot: DbSnapshot,
     graph: Arc<ConflictHypergraph>,
     verdict_cache: Arc<Mutex<VerdictCache>>,
-    /// Default options for answer runs on this view (captured from the
-    /// `Hippo` at freeze time; per-request governance goes through
-    /// [`FrozenHippo::consistent_answers_with`]).
+    /// The options of the `Hippo` at freeze time. A reader passes its
+    /// own options to [`FrozenHippo::answer`]; the service layer seeds
+    /// sessions from this field's answer-mode switches only.
     pub options: HippoOptions,
 }
 
@@ -1411,36 +1326,32 @@ impl FrozenHippo {
         self.snapshot.query(sql)
     }
 
-    /// Run a plain SQL query under an explicit budget.
-    pub fn query_governed(
-        &self,
-        sql: &str,
-        budget: Option<&Budget>,
-    ) -> Result<QueryResult, EngineError> {
-        self.snapshot.query_governed(sql, budget, "engine")
-    }
-
-    /// Consistent answers on the frozen view (sorted rows; governance
-    /// per [`FrozenHippo::options`]).
-    pub fn consistent_answers(&self, query: &SjudQuery) -> Result<Vec<Row>, EngineError> {
-        Ok(self.consistent_answers_governed(query)?.rows)
-    }
-
-    /// The governed entry point, mirroring
-    /// [`Hippo::consistent_answers_governed`] — identical answers,
-    /// stats and degradation semantics, just sourced from the frozen
-    /// snapshot instead of the live database.
-    pub fn consistent_answers_governed(
-        &self,
-        query: &SjudQuery,
-    ) -> Result<ConsistentAnswer, EngineError> {
-        self.consistent_answers_with(query, &self.options)
-    }
-
-    /// Run with per-request options (the service layer's deadline
-    /// propagation: each request derives its own governance without
-    /// touching the shared view).
-    pub fn consistent_answers_with(
+    /// Compute the consistent answers to `query` on this view under
+    /// `options` — the one consistent-answer call. A live [`Hippo`]
+    /// answers through it by freezing:
+    /// `hippo.freeze()?.answer(&q, &hippo.options)`.
+    ///
+    /// Rows come back sorted, with the run's [`AnswerStats`] and a
+    /// [`Completeness`] marker:
+    ///
+    /// * Ungoverned options (the default): no budget object is even
+    ///   created, every stage runs the exact pre-governance path, and
+    ///   the result is [`Completeness::Complete`].
+    /// * Governed, **strict** (default mode): a deadline / row-budget /
+    ///   cancellation trip anywhere in the pipeline returns `Err` with
+    ///   kind `Budget { stage, spent, limit }` or `Cancelled { stage }`.
+    /// * Governed, **degraded** ([`HippoOptions::degraded`]): a trip
+    ///   yields `Ok` with the *sound subset* proved before the trip and
+    ///   [`Completeness::TruncatedAt`] naming the stage — an envelope
+    ///   trip truncates to the empty set, a prover-stage trip keeps
+    ///   every candidate fully proved before the budget ran out (each
+    ///   stopped shard counts in [`AnswerStats::cancelled_shards`]).
+    ///
+    /// A worker panic in the prover stage is contained either way: the
+    /// sibling shards drain, the error is `WorkerPanic { stage, shard }`,
+    /// no partial merge happens, and the view (including its persistent
+    /// verdict cache) stays fully usable.
+    pub fn answer(
         &self,
         query: &SjudQuery,
         options: &HippoOptions,
@@ -1457,11 +1368,9 @@ impl FrozenHippo {
     }
 }
 
-/// The shared answer pipeline behind both [`Hippo`] (live) and
-/// [`FrozenHippo`] (epoch) entry points: envelope → sharded
-/// flags / core-filter test / prove → merge, all reads through
-/// `backend` — the engine's one reader, whether it is a live
-/// database's own or a frozen epoch's.
+/// The answer pipeline behind [`FrozenHippo::answer`]: envelope →
+/// sharded flags / core-filter test / prove → merge, all reads through
+/// `backend`, the epoch's snapshot.
 fn answers_pipeline(
     backend: &DbSnapshot,
     graph: &ConflictHypergraph,
@@ -1894,6 +1803,11 @@ mod tests {
         vec![DenialConstraint::functional_dependency("emp", &[0], 1)]
     }
 
+    /// A live system answers by freezing, then the one answer call.
+    fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, EngineError> {
+        h.freeze()?.answer(q, &h.options)
+    }
+
     fn queries() -> Vec<SjudQuery> {
         vec![
             SjudQuery::rel("emp"),
@@ -1929,7 +1843,7 @@ mod tests {
             let hippo = Hippo::with_options(db, fd(), opts.clone()).unwrap();
             let truth_graph = hippo.graph();
             for q in queries() {
-                let got = hippo.consistent_answers(&q).unwrap();
+                let got = answer(&hippo, &q).unwrap().rows;
                 let truth = naive_consistent_answers(&q, hippo.db().catalog(), truth_graph);
                 assert_eq!(got, truth, "query {q} options {opts:?}");
             }
@@ -1946,14 +1860,14 @@ mod tests {
         )));
 
         let hippo = Hippo::with_options(emp_db(&rows), fd(), HippoOptions::base()).unwrap();
-        let (_, base_stats) = hippo.consistent_answers_with_stats(&q).unwrap();
+        let base_stats = answer(&hippo, &q).unwrap().stats;
         assert!(
             base_stats.membership_queries > 0,
             "base mode pays per-check queries"
         );
 
         let hippo = Hippo::with_options(emp_db(&rows), fd(), HippoOptions::kg()).unwrap();
-        let (_, kg_stats) = hippo.consistent_answers_with_stats(&q).unwrap();
+        let kg_stats = answer(&hippo, &q).unwrap().stats;
         assert_eq!(
             kg_stats.membership_queries, 0,
             "KG answers from gathered flags"
@@ -1977,14 +1891,22 @@ mod tests {
         // The workload's key column is indexed (auto-built on the
         // primary key), so every executed probe is an IndexLookup…
         let hippo = build(HippoOptions::base());
-        let (answers, s) = hippo.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer {
+            rows: answers,
+            stats: s,
+            ..
+        } = answer(&hippo, &q).unwrap();
         assert!(s.membership_queries > 0);
         assert_eq!(s.index_probes, s.membership_queries, "{s}");
         assert_eq!(s.scan_probes, 0, "{s}");
         // …and disabling index probes flips every probe to a scan with
         // answers and all other counters unchanged.
         let hippo = build(HippoOptions::base().without_index_probes());
-        let (answers2, s2) = hippo.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer {
+            rows: answers2,
+            stats: s2,
+            ..
+        } = answer(&hippo, &q).unwrap();
         assert_eq!(answers, answers2);
         assert_eq!(s2.scan_probes, s2.membership_queries);
         assert_eq!(s2.index_probes, 0);
@@ -2053,10 +1975,18 @@ mod tests {
             HippoOptions::kg(),
         )
         .unwrap();
-        let (ans_kg, s_kg) = h_kg.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer {
+            rows: ans_kg,
+            stats: s_kg,
+            ..
+        } = answer(&h_kg, &q).unwrap();
 
         let h_full = Hippo::with_options(db, fd(), HippoOptions::full()).unwrap();
-        let (ans_full, s_full) = h_full.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer {
+            rows: ans_full,
+            stats: s_full,
+            ..
+        } = answer(&h_full, &q).unwrap();
 
         assert_eq!(ans_kg, ans_full);
         assert!(s_full.prover_calls < s_kg.prover_calls);
@@ -2070,9 +2000,7 @@ mod tests {
     #[test]
     fn stats_populated() {
         let hippo = Hippo::new(emp_db(&[("ann", 100), ("ann", 200)]), fd()).unwrap();
-        let (_, stats) = hippo
-            .consistent_answers_with_stats(&SjudQuery::rel("emp"))
-            .unwrap();
+        let stats = answer(&hippo, &SjudQuery::rel("emp")).unwrap().stats;
         assert_eq!(stats.candidates, 2);
         assert_eq!(stats.answers, 0);
         assert!(hippo.detect_stats().combinations_checked > 0);
@@ -2093,7 +2021,7 @@ mod tests {
             "unrecorded db_mut changes force a full rebuild"
         );
         assert_eq!(hippo.graph().edge_count(), 1);
-        let answers = hippo.consistent_answers(&SjudQuery::rel("emp")).unwrap();
+        let answers = answer(&hippo, &SjudQuery::rel("emp")).unwrap().rows;
         assert!(answers.is_empty());
     }
 
@@ -2109,7 +2037,7 @@ mod tests {
         assert!(stats.incremental, "recorded inserts take the delta path");
         assert_eq!(stats.shards_used, 0);
         assert_eq!(hippo.graph().edge_count(), 1);
-        let answers = hippo.consistent_answers(&SjudQuery::rel("emp")).unwrap();
+        let answers = answer(&hippo, &SjudQuery::rel("emp")).unwrap().rows;
         assert_eq!(answers, vec![vec![Value::text("bob"), Value::Int(200)]]);
     }
 
@@ -2126,7 +2054,7 @@ mod tests {
         let stats = hippo.redetect().unwrap();
         assert!(stats.incremental);
         assert_eq!(hippo.graph().edge_count(), 0);
-        let answers = hippo.consistent_answers(&SjudQuery::rel("emp")).unwrap();
+        let answers = answer(&hippo, &SjudQuery::rel("emp")).unwrap().rows;
         assert_eq!(answers.len(), 2, "ann(100) is consistent again");
     }
 
@@ -2184,10 +2112,8 @@ mod tests {
         };
         assert_eq!(canon(&hippo), canon(&reference));
         assert_eq!(
-            hippo.consistent_answers(&SjudQuery::rel("emp")).unwrap(),
-            reference
-                .consistent_answers(&SjudQuery::rel("emp"))
-                .unwrap()
+            answer(&hippo, &SjudQuery::rel("emp")).unwrap().rows,
+            answer(&reference, &SjudQuery::rel("emp")).unwrap().rows
         );
     }
 
@@ -2342,9 +2268,9 @@ mod tests {
         let stats = hippo.redetect().unwrap();
         assert!(stats.incremental, "recorded updates take the delta path");
         assert_eq!(hippo.graph().edge_count(), 1, "ann now disagrees with ann");
-        assert!(hippo
-            .consistent_answers(&SjudQuery::rel("emp"))
+        assert!(answer(&hippo, &SjudQuery::rel("emp"))
             .unwrap()
+            .rows
             .is_empty());
         // Update the same tuple id again to clear the conflict.
         hippo
@@ -2360,10 +2286,7 @@ mod tests {
         assert!(stats.incremental);
         assert_eq!(hippo.graph().edge_count(), 0);
         assert_eq!(
-            hippo
-                .consistent_answers(&SjudQuery::rel("emp"))
-                .unwrap()
-                .len(),
+            answer(&hippo, &SjudQuery::rel("emp")).unwrap().rows.len(),
             2
         );
     }
@@ -2508,10 +2431,18 @@ mod tests {
             .unwrap();
             Hippo::with_options(db, fd(), HippoOptions::kg().with_prover_threads(threads)).unwrap()
         };
-        let (ans1, s1) = build(1).consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer {
+            rows: ans1,
+            stats: s1,
+            ..
+        } = answer(&build(1), &q).unwrap();
         assert!(s1.prover_calls > 0);
         for threads in [2usize, 4, 8] {
-            let (ans, s) = build(threads).consistent_answers_with_stats(&q).unwrap();
+            let ConsistentAnswer {
+                rows: ans,
+                stats: s,
+                ..
+            } = answer(&build(threads), &q).unwrap();
             assert_eq!(ans, ans1, "threads={threads}");
             assert_eq!(s.prover_calls, s1.prover_calls);
             assert_eq!(s.prover_cache_hits, s1.prover_cache_hits);
@@ -2572,11 +2503,10 @@ mod tests {
                 let label = format!("threads={threads} options={opts:?}");
                 let run = |columnar: bool| {
                     hippo_engine::set_columnar_override(columnar);
-                    let out = build(opts.clone().with_prover_threads(threads))
-                        .consistent_answers_with_stats(&q)
-                        .unwrap();
+                    let out =
+                        answer(&build(opts.clone().with_prover_threads(threads)), &q).unwrap();
                     hippo_engine::set_columnar_override(true);
-                    out
+                    (out.rows, out.stats)
                 };
                 let (ans_on, s_on) = run(true);
                 let (ans_off, s_off) = run(false);
@@ -2599,7 +2529,11 @@ mod tests {
         let db = emp_db(&rows);
         let q = SjudQuery::rel("emp");
         let hippo = Hippo::with_options(db, fd(), HippoOptions::kg()).unwrap();
-        let (answers, stats) = hippo.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer {
+            rows: answers,
+            stats,
+            ..
+        } = answer(&hippo, &q).unwrap();
         assert_eq!(answers.len(), 40);
         assert_eq!(stats.prover_calls, 42, "no core filter: everything proved");
         // The cache is per shard (16 shards here), so each shard pays at
@@ -2615,7 +2549,11 @@ mod tests {
         let db2 = emp_db(&rows);
         let hippo2 =
             Hippo::with_options(db2, fd(), HippoOptions::kg().without_prover_cache()).unwrap();
-        let (answers2, stats2) = hippo2.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer {
+            rows: answers2,
+            stats: stats2,
+            ..
+        } = answer(&hippo2, &q).unwrap();
         assert_eq!(answers, answers2);
         assert_eq!(stats2.prover_cache_hits, 0);
         assert_eq!(stats2.prover.tuples_checked, stats2.prover_calls);
@@ -2630,12 +2568,20 @@ mod tests {
         }
         let q = SjudQuery::rel("emp");
         let mut hippo = Hippo::with_options(emp_db(&rows), fd(), HippoOptions::kg()).unwrap();
-        let (ans1, s1) = hippo.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer {
+            rows: ans1,
+            stats: s1,
+            ..
+        } = answer(&hippo, &q).unwrap();
         assert_eq!(s1.prover_cache_cross_hits, 0, "first call has no history");
         assert!(s1.prover.tuples_checked > 0);
         // Second identical call: every signature class was proved by the
         // first call, so no prover runs at all — all hits are cross-call.
-        let (ans2, s2) = hippo.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer {
+            rows: ans2,
+            stats: s2,
+            ..
+        } = answer(&hippo, &q).unwrap();
         assert_eq!(ans2, ans1);
         assert_eq!(s2.prover.tuples_checked, 0, "everything served from cache");
         assert_eq!(s2.prover_cache_cross_hits, s2.prover_cache_hits);
@@ -2645,7 +2591,7 @@ mod tests {
             .insert_tuples("emp", vec![vec![Value::text("zzz"), Value::Int(7)]])
             .unwrap();
         hippo.redetect().unwrap();
-        let (_, s3) = hippo.consistent_answers_with_stats(&q).unwrap();
+        let s3 = answer(&hippo, &q).unwrap().stats;
         assert_eq!(s3.prover_cache_cross_hits, 0, "cache cleared on redetect");
         assert!(s3.prover.tuples_checked > 0);
     }
@@ -2660,7 +2606,11 @@ mod tests {
         let rows: Vec<(&str, i64)> = rows.iter().map(|(n, s)| (n.as_str(), *s)).collect();
         let q = SjudQuery::rel("emp").product(SjudQuery::rel("emp"));
         let hippo = Hippo::with_options(emp_db(&rows), fd(), HippoOptions::base()).unwrap();
-        let (answers, stats) = hippo.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer {
+            rows: answers,
+            stats,
+            ..
+        } = answer(&hippo, &q).unwrap();
         assert_eq!(answers.len(), 9 * 9, "pairs of the 9 conflict-free rows");
         assert!(stats.shards_used > 1, "base mode shards now");
         assert!(stats.membership_queries > 0, "base mode still pays SQL");
@@ -2677,41 +2627,14 @@ mod tests {
     #[test]
     fn consistent_database_passes_everything_through() {
         let hippo = Hippo::new(emp_db(&[("ann", 100), ("bob", 200)]), fd()).unwrap();
-        let (answers, stats) = hippo
-            .consistent_answers_with_stats(&SjudQuery::rel("emp"))
-            .unwrap();
+        let ConsistentAnswer {
+            rows: answers,
+            stats,
+            ..
+        } = answer(&hippo, &SjudQuery::rel("emp")).unwrap();
         assert_eq!(answers.len(), 2);
         assert_eq!(stats.answers, 2);
         assert_eq!(stats.prover_calls, 0, "core filter accepts everything");
-    }
-
-    #[test]
-    fn frozen_view_matches_live_in_every_mode() {
-        let rows = [
-            ("ann", 100),
-            ("ann", 200),
-            ("bob", 300),
-            ("cyd", 50),
-            ("cyd", 60),
-        ];
-        for opts in [
-            HippoOptions::base(),
-            HippoOptions::kg(),
-            HippoOptions::full(),
-        ] {
-            let hippo = Hippo::with_options(emp_db(&rows), fd(), opts.clone()).unwrap();
-            let frozen = hippo.freeze().unwrap();
-            for q in queries() {
-                let live = hippo.consistent_answers_governed(&q).unwrap();
-                let cold = frozen.consistent_answers_governed(&q).unwrap();
-                assert_eq!(live.rows, cold.rows, "query {q} options {opts:?}");
-                assert_eq!(live.stats.candidates, cold.stats.candidates);
-                assert_eq!(live.stats.answers, cold.stats.answers);
-                // Plain SQL flows through the snapshot too.
-                let via_sql = frozen.query("SELECT * FROM emp").unwrap();
-                assert_eq!(via_sql.rows.len(), rows.len());
-            }
-        }
     }
 
     #[test]
@@ -2720,17 +2643,17 @@ mod tests {
             Hippo::new(emp_db(&[("ann", 100), ("ann", 200), ("bob", 1)]), fd()).unwrap();
         let q = SjudQuery::rel("emp");
         let frozen = hippo.freeze().unwrap();
-        let before = frozen.consistent_answers(&q).unwrap();
+        let before = frozen.answer(&q, &frozen.options).unwrap().rows;
         assert_eq!(before, vec![vec![Value::text("bob"), Value::Int(1)]]);
         // Mutate and reconcile the live system: bob becomes conflicted.
         hippo
             .insert_tuples("emp", vec![vec![Value::text("bob"), Value::Int(999)]])
             .unwrap();
         hippo.redetect().unwrap();
-        assert!(hippo.consistent_answers(&q).unwrap().is_empty());
+        assert!(answer(&hippo, &q).unwrap().rows.is_empty());
         // The frozen view still answers from its captured state: old
         // data, old graph, old verdict cache.
-        assert_eq!(frozen.consistent_answers(&q).unwrap(), before);
+        assert_eq!(frozen.answer(&q, &frozen.options).unwrap().rows, before);
         assert_eq!(frozen.graph().edge_count(), 1, "pre-mutation graph");
         assert_eq!(hippo.graph().edge_count(), 2);
     }
@@ -2759,16 +2682,22 @@ mod tests {
         let rows: Vec<(&str, i64)> = rows.iter().map(|(n, s)| (n.as_str(), *s)).collect();
         let hippo = Hippo::new(emp_db(&rows), fd()).unwrap();
         let frozen = hippo.freeze().unwrap();
-        let expected = frozen.consistent_answers(&SjudQuery::rel("emp")).unwrap();
+        let expected = frozen
+            .answer(&SjudQuery::rel("emp"), &frozen.options)
+            .unwrap()
+            .rows;
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let view = frozen.clone();
                 let expected = &expected;
                 s.spawn(move || {
                     for q in queries() {
-                        let _ = view.consistent_answers(&q).unwrap();
+                        let _ = view.answer(&q, &view.options).unwrap().rows;
                     }
-                    let got = view.consistent_answers(&SjudQuery::rel("emp")).unwrap();
+                    let got = view
+                        .answer(&SjudQuery::rel("emp"), &view.options)
+                        .unwrap()
+                        .rows;
                     assert_eq!(&got, expected);
                 });
             }
@@ -2794,7 +2723,7 @@ mod tests {
         let stats = hippo.redetect().unwrap();
         assert!(!stats.incremental, "poisoned state takes the full path");
         assert_eq!(hippo.graph().edge_count(), 1);
-        let answers = hippo.consistent_answers(&SjudQuery::rel("emp")).unwrap();
+        let answers = answer(&hippo, &SjudQuery::rel("emp")).unwrap().rows;
         assert_eq!(answers, vec![vec![Value::text("bob"), Value::Int(200)]]);
     }
 

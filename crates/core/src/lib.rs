@@ -27,7 +27,10 @@
 //!
 //! # Resource governance: strict vs. degraded mode
 //!
-//! Every consistent-answer call can be governed by a per-call
+//! There is one consistent-answer call, [`hippo::FrozenHippo::answer`]
+//! (a live [`hippo::Hippo`] answers by freezing first — O(1), `Arc`
+//! clones), and its [`hippo::HippoOptions`] argument carries the
+//! governance. Each call can be bounded by a per-call
 //! [`budget::Budget`] — a wall-clock deadline
 //! ([`hippo::HippoOptions::with_deadline`]), a row budget
 //! ([`hippo::HippoOptions::with_row_budget`]), and/or a cooperative
@@ -65,7 +68,7 @@
 //!   tripped;
 //! * `WorkerPanic { stage, shard }` — a worker panicked; the panic is
 //!   contained to that call (sibling shards drain, caches stay valid,
-//!   the [`hippo::Hippo`] instance remains usable).
+//!   the [`hippo::FrozenHippo`] view remains usable).
 //!
 //! Deterministic fault injection for tests and CI lives in
 //! [`budget::FaultPlan`] (`HIPPO_FAULT=stage:shard:kind`).
@@ -86,9 +89,9 @@
 //! let fd = DenialConstraint::functional_dependency("emp", &[0], 1);
 //! let hippo = Hippo::new(db, vec![fd]).unwrap();
 //!
-//! let answers = hippo.consistent_answers(&SjudQuery::rel("emp")).unwrap();
+//! let answer = hippo.freeze().unwrap().answer(&SjudQuery::rel("emp"), &hippo.options).unwrap();
 //! // ann's salary is in doubt; only bob's row is consistently true.
-//! assert_eq!(answers, vec![vec![Value::text("bob"), Value::Int(300)]]);
+//! assert_eq!(answer.rows, vec![vec![Value::text("bob"), Value::Int(300)]]);
 //! ```
 
 pub mod aggregate;

@@ -29,7 +29,7 @@
 //! part — hypergraph, compiled template, per-literal interned relation
 //! indexes — is split from the per-call scratch, so one prover instance
 //! decides a whole batch of candidates with zero steady-state
-//! allocation, and [`crate::hippo::Hippo::consistent_answers`] runs one
+//! allocation, and [`crate::hippo::FrozenHippo::answer`] runs one
 //! prover per shard over a shared read-only graph (see the shard →
 //! merge answer pipeline in [`crate::hippo`]).
 //!

@@ -560,7 +560,12 @@ mod tests {
                 constraints.clone(),
             )
             .unwrap();
-            assert_eq!(hippo.consistent_answers(&q).unwrap(), truth, "{sql}");
+            let frozen = hippo.freeze().unwrap();
+            assert_eq!(
+                frozen.answer(&q, &hippo.options).unwrap().rows,
+                truth,
+                "{sql}"
+            );
         }
     }
 }

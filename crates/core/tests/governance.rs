@@ -13,6 +13,11 @@ use hippo_engine::schema::ErrorKind;
 use hippo_engine::{Database, Value};
 use std::time::Duration;
 
+/// A live system answers by freezing, then the one answer call.
+fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
+    h.freeze()?.answer(q, &h.options)
+}
+
 /// Seeded FD workload: `t(k, v, payload)` with `k -> v` violated on
 /// `conflict_rate` of the keys.
 fn workload(rows: usize, seed: u64) -> (Database, Vec<DenialConstraint>) {
@@ -32,7 +37,7 @@ fn query() -> SjudQuery {
 fn reference_rows(rows: usize, seed: u64) -> Vec<hippo_engine::Row> {
     let (db, cons) = workload(rows, seed);
     let hippo = Hippo::with_options(db, cons, HippoOptions::full()).unwrap();
-    hippo.consistent_answers(&query()).unwrap()
+    answer(&hippo, &query()).unwrap().rows
 }
 
 /// `sub` must be a subset of the (sorted, deduped) `sup`.
@@ -53,7 +58,7 @@ fn assert_subset(sub: &[hippo_engine::Row], sup: &[hippo_engine::Row]) {
 fn ungoverned_calls_report_no_budget_accounting() {
     let (db, cons) = workload(400, 11);
     let hippo = Hippo::with_options(db, cons, HippoOptions::full()).unwrap();
-    let ans = hippo.consistent_answers_governed(&query()).unwrap();
+    let ans = answer(&hippo, &query()).unwrap();
     assert!(ans.completeness.is_complete());
     assert_eq!(ans.stats.budget_checks, 0, "no budget => no checks");
     assert_eq!(ans.stats.cancelled_shards, 0);
@@ -76,9 +81,7 @@ fn millisecond_deadline_on_16k_workload_trips_strict() {
         hippo.options = HippoOptions::full()
             .with_prover_threads(threads)
             .with_deadline(Duration::from_millis(1));
-        let err = hippo
-            .consistent_answers_governed(&query())
-            .expect_err("1ms deadline over 16k rows must trip");
+        let err = answer(&hippo, &query()).expect_err("1ms deadline over 16k rows must trip");
         assert!(
             err.is_budget(),
             "expected a Budget error at threads={threads}, got {err:?}"
@@ -103,9 +106,7 @@ fn millisecond_deadline_on_16k_workload_degrades_soundly() {
             .with_prover_threads(threads)
             .with_deadline(Duration::from_millis(1))
             .degraded();
-        let ans = hippo
-            .consistent_answers_governed(&query())
-            .expect("degraded mode absorbs the trip");
+        let ans = answer(&hippo, &query()).expect("degraded mode absorbs the trip");
         assert!(
             !ans.completeness.is_complete(),
             "1ms over 16k rows cannot complete (threads={threads})"
@@ -125,9 +126,7 @@ fn strict_row_budget_reports_stage_and_spend() {
     let (db, cons) = workload(4_000, 29);
     let mut hippo = Hippo::with_options(db, cons, HippoOptions::full()).unwrap();
     hippo.options = HippoOptions::full().with_row_budget(64);
-    let err = hippo
-        .consistent_answers_governed(&query())
-        .expect_err("64-row budget over 4k rows must trip");
+    let err = answer(&hippo, &query()).expect_err("64-row budget over 4k rows must trip");
     match err.kind {
         ErrorKind::Budget { spent, limit, .. } => {
             assert_eq!(limit, 64);
@@ -146,14 +145,12 @@ fn cancellation_trips_and_is_resettable() {
     hippo.options = opts;
 
     handle.cancel();
-    let err = hippo
-        .consistent_answers_governed(&query())
-        .expect_err("cancelled before the call even starts");
+    let err = answer(&hippo, &query()).expect_err("cancelled before the call even starts");
     assert!(err.is_cancelled(), "expected Cancelled, got {err:?}");
 
     // Un-trip the flag: the very same instance answers normally.
     handle.reset();
-    let ans = hippo.consistent_answers_governed(&query()).unwrap();
+    let ans = answer(&hippo, &query()).unwrap();
     assert!(ans.completeness.is_complete());
     assert_eq!(ans.rows, reference_rows(300, 5));
 }
@@ -167,7 +164,7 @@ fn cancellation_in_degraded_mode_yields_truncated_answer() {
     hippo.options = opts;
 
     handle.cancel();
-    let ans = hippo.consistent_answers_governed(&query()).unwrap();
+    let ans = answer(&hippo, &query()).unwrap();
     assert!(!ans.completeness.is_complete());
     assert!(
         ans.rows.is_empty(),
@@ -194,9 +191,7 @@ fn prover_shard_panic_is_isolated_and_recoverable() {
             .with_prover_threads(threads)
             .with_faults(FaultPlan::new("prover", Some(7), FaultKind::Panic));
 
-        let err = hippo
-            .consistent_answers_governed(&query())
-            .expect_err("injected panic in shard 7 must surface");
+        let err = answer(&hippo, &query()).expect_err("injected panic in shard 7 must surface");
         match err.kind {
             ErrorKind::WorkerPanic { stage, shard } => {
                 assert_eq!(stage, "prover", "threads={threads}");
@@ -207,7 +202,7 @@ fn prover_shard_panic_is_isolated_and_recoverable() {
 
         // The one-shot plan is spent: the same instance — same verdict
         // cache, same snapshot — must now answer correctly.
-        let ans = hippo.consistent_answers_governed(&query()).unwrap();
+        let ans = answer(&hippo, &query()).unwrap();
         assert!(ans.completeness.is_complete(), "threads={threads}");
         assert_eq!(ans.rows, complete, "recovery diverged at threads={threads}");
     }
@@ -224,9 +219,7 @@ fn prover_shard_panic_in_degraded_mode_is_still_an_error() {
         Some(3),
         FaultKind::Panic,
     ));
-    let err = hippo
-        .consistent_answers_governed(&query())
-        .expect_err("panics are never absorbed");
+    let err = answer(&hippo, &query()).expect_err("panics are never absorbed");
     assert!(err.is_worker_panic(), "got {err:?}");
 }
 
@@ -258,14 +251,15 @@ fn detect_panic_during_redetect_leaves_hippo_usable() {
     // redetect performs the full rebuild that just failed — and the
     // instance then answers exactly like a fresh one.
     hippo.redetect().expect("recovery redetect");
-    let ans = hippo.consistent_answers_governed(&query()).unwrap();
+    let ans = answer(&hippo, &query()).unwrap();
     assert!(ans.completeness.is_complete());
     assert_eq!(ans.rows, reference_rows(500, 77));
 }
 
 /// An answer is returned iff it is certain. A live `Hippo` whose data
 /// moved since the last detection would pair the old hypergraph with the
-/// new rows and hand back non-certain answers, so it must refuse — in
+/// new rows and hand back non-certain answers, so its `freeze` — the
+/// only way to an answer — must refuse — in
 /// every mode, for unrecorded (`db_mut`) and recorded (`insert_tuples`)
 /// changes alike — until `redetect` has run.
 #[test]
@@ -282,10 +276,8 @@ fn live_answers_refuse_unreconciled_state() {
     let q = SjudQuery::rel("emp");
     let ann = vec![Value::text("ann"), Value::Int(100)];
     let refused = |h: &Hippo| {
-        let err = h.consistent_answers(&q).unwrap_err();
+        let err = h.freeze().unwrap_err();
         assert!(err.to_string().contains("call redetect() first"), "{err}");
-        assert!(h.consistent_answers_sql("SELECT * FROM emp").is_err());
-        assert!(h.consistent_answers_governed(&q).is_err());
     };
     for opts in [
         HippoOptions::base(),
@@ -293,7 +285,7 @@ fn live_answers_refuse_unreconciled_state() {
         HippoOptions::full(),
     ] {
         let mut hippo = Hippo::with_options(emp(), vec![fd.clone()], opts).unwrap();
-        assert_eq!(hippo.consistent_answers(&q).unwrap().len(), 2);
+        assert_eq!(answer(&hippo, &q).unwrap().rows.len(), 2);
 
         // DML behind the hypergraph's back: bob now has two salaries.
         hippo
@@ -302,7 +294,7 @@ fn live_answers_refuse_unreconciled_state() {
             .unwrap();
         refused(&hippo);
         hippo.redetect().unwrap();
-        assert_eq!(hippo.consistent_answers(&q).unwrap(), vec![ann.clone()]);
+        assert_eq!(answer(&hippo, &q).unwrap().rows, vec![ann.clone()]);
 
         // A recorded change refuses the same way until reconciled.
         hippo
@@ -310,7 +302,7 @@ fn live_answers_refuse_unreconciled_state() {
             .unwrap();
         refused(&hippo);
         assert!(hippo.redetect().unwrap().incremental);
-        assert!(hippo.consistent_answers(&q).unwrap().is_empty());
+        assert!(answer(&hippo, &q).unwrap().rows.is_empty());
     }
 }
 
@@ -351,9 +343,7 @@ fn budget_trip_in_each_stage_errors_in_strict_mode() {
         let (db, cons) = workload(400, 99);
         let mut hippo = Hippo::with_options(db, cons, HippoOptions::full()).unwrap();
         hippo.options = opts.with_faults(FaultPlan::new(stage, None, FaultKind::BudgetTrip));
-        let err = hippo
-            .consistent_answers_governed(&query())
-            .expect_err("strict mode propagates the trip");
+        let err = answer(&hippo, &query()).expect_err("strict mode propagates the trip");
         assert!(err.is_budget(), "stage {stage}: got {err:?}");
     }
 }
@@ -371,8 +361,7 @@ fn budget_trip_in_each_stage_degrades_to_sound_subset() {
         hippo.options =
             opts.degraded()
                 .with_faults(FaultPlan::new(stage, None, FaultKind::BudgetTrip));
-        let ans = hippo
-            .consistent_answers_governed(&query())
+        let ans = answer(&hippo, &query())
             .unwrap_or_else(|e| panic!("stage {stage}: degraded mode must absorb, got {e:?}"));
         assert!(
             !ans.completeness.is_complete(),
@@ -417,9 +406,7 @@ fn hippo_fault_env_var_round_trips() {
     let (db, cons) = workload(600, 3);
     let mut hippo = Hippo::with_options(db, cons, HippoOptions::full()).unwrap();
     hippo.options = HippoOptions::full().with_faults(plan);
-    let err = hippo
-        .consistent_answers_governed(&query())
-        .expect_err("env-sourced plan injects like the API one");
+    let err = answer(&hippo, &query()).expect_err("env-sourced plan injects like the API one");
     match err.kind {
         ErrorKind::WorkerPanic { stage, shard } => {
             assert_eq!((stage, shard), ("prover", 2));
@@ -428,7 +415,7 @@ fn hippo_fault_env_var_round_trips() {
     }
     // Spent plan: the instance recovers.
     assert_eq!(
-        hippo.consistent_answers_governed(&query()).unwrap().rows,
+        answer(&hippo, &query()).unwrap().rows,
         reference_rows(600, 3)
     );
 }
@@ -443,7 +430,7 @@ fn hippo_fault_env_var_round_trips() {
 fn cancel_race_from_second_thread_is_prompt_and_resettable() {
     let (db, cons) = workload(16_000, 84);
     let mut hippo = Hippo::with_options(db, cons, HippoOptions::full()).unwrap();
-    let reference = hippo.consistent_answers(&query()).unwrap();
+    let reference = answer(&hippo, &query()).unwrap().rows;
     for threads in [1usize, 4] {
         hippo.options = HippoOptions::full().with_prover_threads(threads);
         let handle = hippo.options.cancel_handle();
@@ -453,9 +440,7 @@ fn cancel_race_from_second_thread_is_prompt_and_resettable() {
                 handle.cancel();
             });
             let t0 = std::time::Instant::now();
-            let err = hippo
-                .consistent_answers_governed(&query())
-                .expect_err("cancelled mid-call");
+            let err = answer(&hippo, &query()).expect_err("cancelled mid-call");
             assert!(err.is_cancelled(), "threads={threads}: {err}");
             assert!(
                 t0.elapsed() < Duration::from_secs(5),
@@ -469,7 +454,7 @@ fn cancel_race_from_second_thread_is_prompt_and_resettable() {
         let handle = hippo.options.cancel_handle();
         handle.reset();
         assert_eq!(
-            hippo.consistent_answers_governed(&query()).unwrap().rows,
+            answer(&hippo, &query()).unwrap().rows,
             reference,
             "threads={threads}: instance unusable after cancel+reset"
         );
@@ -498,9 +483,7 @@ fn delayed_shard_does_not_stall_sibling_budget_checks() {
             .with_deadline(Duration::from_millis(250))
             .with_faults(FaultPlan::new("prover", Some(0), FaultKind::Delay(delay)));
         let t0 = std::time::Instant::now();
-        let err = hippo
-            .consistent_answers_governed(&query())
-            .expect_err("deadline < injected delay must trip");
+        let err = answer(&hippo, &query()).expect_err("deadline < injected delay must trip");
         let elapsed = t0.elapsed();
         assert!(err.is_budget(), "threads={threads}: {err}");
         assert!(
@@ -517,7 +500,7 @@ fn delayed_shard_does_not_stall_sibling_budget_checks() {
     // Spent plans, tripped budgets: the instance stays fully usable.
     hippo.options = HippoOptions::full();
     assert_eq!(
-        hippo.consistent_answers(&query()).unwrap(),
+        answer(&hippo, &query()).unwrap().rows,
         reference_rows(4_000, 29)
     );
 }

@@ -17,6 +17,11 @@ use hippo_cqa::prelude::*;
 use hippo_engine::{Column, DataType, Database, Row, TableSchema, Value};
 use proptest::prelude::*;
 
+/// A live system answers by freezing, then the one answer call.
+fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
+    h.freeze()?.answer(q, &h.options)
+}
+
 fn db_with(t_rows: &[(u32, u32)]) -> Database {
     let mut db = Database::new();
     db.catalog_mut()
@@ -71,10 +76,12 @@ proptest! {
         threads in 1usize..5,
     ) {
         let q = query(pick);
-        let complete = Hippo::with_options(db_with(&t_rows), fd(), HippoOptions::full())
-            .unwrap()
-            .consistent_answers(&q)
-            .unwrap();
+        let complete = answer(
+            &Hippo::with_options(db_with(&t_rows), fd(), HippoOptions::full()).unwrap(),
+            &q,
+        )
+        .unwrap()
+        .rows;
 
         let hippo = Hippo::with_options(
             db_with(&t_rows),
@@ -84,7 +91,7 @@ proptest! {
                 .with_row_budget(budget)
                 .degraded(),
         ).unwrap();
-        let ans = hippo.consistent_answers_governed(&q).unwrap();
+        let ans = answer(&hippo, &q).unwrap();
 
         for row in &ans.rows {
             prop_assert!(
@@ -109,7 +116,7 @@ proptest! {
             fd(),
             HippoOptions::full().with_prover_threads(threads),
         ).unwrap();
-        let (rows_plain, st_plain) = plain.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer { rows: rows_plain, stats: st_plain, .. } = answer(&plain, &q).unwrap();
 
         let governed = Hippo::with_options(
             db_with(&t_rows),
@@ -119,7 +126,7 @@ proptest! {
                 .with_row_budget(u64::MAX)
                 .with_deadline(std::time::Duration::from_secs(3600)),
         ).unwrap();
-        let ans = governed.consistent_answers_governed(&q).unwrap();
+        let ans = answer(&governed, &q).unwrap();
 
         prop_assert!(ans.completeness.is_complete());
         prop_assert_eq!(&ans.rows, &rows_plain, "generous budget changed the answers");
@@ -139,10 +146,12 @@ proptest! {
         threads in 1usize..5,
     ) {
         let q = query(0);
-        let complete = Hippo::with_options(db_with(&t_rows), fd(), HippoOptions::full())
-            .unwrap()
-            .consistent_answers(&q)
-            .unwrap();
+        let complete = answer(
+            &Hippo::with_options(db_with(&t_rows), fd(), HippoOptions::full()).unwrap(),
+            &q,
+        )
+        .unwrap()
+        .rows;
 
         let hippo = Hippo::with_options(
             db_with(&t_rows),
@@ -152,7 +161,7 @@ proptest! {
                 .degraded()
                 .with_faults(FaultPlan::new("prover", Some(shard), FaultKind::BudgetTrip)),
         ).unwrap();
-        let ans = hippo.consistent_answers_governed(&q).unwrap();
+        let ans = answer(&hippo, &q).unwrap();
         for row in &ans.rows {
             prop_assert!(
                 complete.binary_search(row).is_ok(),

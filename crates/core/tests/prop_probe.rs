@@ -16,6 +16,11 @@ use hippo_cqa::prelude::*;
 use hippo_engine::{Column, DataType, Database, Row, TableSchema, Value};
 use proptest::prelude::*;
 
+/// A live system answers by freezing, then the one answer call.
+fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
+    h.freeze()?.answer(q, &h.options)
+}
+
 /// `t` declares its (violated) FD key as PRIMARY KEY, so the engine
 /// auto-builds a hash index on `k`; `s` stays unindexed — its probes
 /// must fall back to scans even with index selection on.
@@ -108,14 +113,14 @@ proptest! {
             constraints(),
             HippoOptions::base().with_prover_threads(threads),
         ).unwrap();
-        let (ans_idx, st_idx) = indexed.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer { rows: ans_idx, stats: st_idx, .. } = answer(&indexed, &q).unwrap();
 
         let scanned = Hippo::with_options(
             db_with(&t_rows, &s_rows),
             constraints(),
             HippoOptions::base().without_index_probes().with_prover_threads(threads),
         ).unwrap();
-        let (ans_scan, st_scan) = scanned.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer { rows: ans_scan, stats: st_scan, .. } = answer(&scanned, &q).unwrap();
 
         prop_assert_eq!(&ans_idx, &ans_scan, "optimizer changed answers at threads={}", threads);
         prop_assert_eq!(counters(&st_idx), counters(&st_scan),
@@ -133,7 +138,7 @@ proptest! {
             constraints(),
             HippoOptions::kg().with_prover_threads(threads),
         ).unwrap();
-        let (ans_kg, st_kg) = kg.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer { rows: ans_kg, stats: st_kg, .. } = answer(&kg, &q).unwrap();
         prop_assert_eq!(ans_kg, ans_idx, "base and KG disagree");
         prop_assert_eq!((st_kg.index_probes, st_kg.scan_probes), (0, 0));
     }
@@ -151,7 +156,7 @@ proptest! {
             vec![DenialConstraint::functional_dependency("t", &[0], 1)],
             HippoOptions::base(),
         ).unwrap();
-        let (_, st) = hippo.consistent_answers_with_stats(&q).unwrap();
+        let st = answer(&hippo, &q).unwrap().stats;
         prop_assert_eq!(st.scan_probes, 0, "indexed relation fell back to a scan: {}", st);
         prop_assert_eq!(st.index_probes, st.membership_queries);
     }

@@ -6,7 +6,7 @@
 //! `t`) across a small query zoo:
 //!
 //! 1. **Thread count is invisible** — for random prover worker counts,
-//!    `consistent_answers_with_stats` returns the same answer rows *and*
+//!    `FrozenHippo::answer` returns the same answer rows *and*
 //!    the same exact `AnswerStats` counters (prover calls, cache hits,
 //!    prover-internal counters) as the single-threaded run, in both KG
 //!    and full option modes.
@@ -20,6 +20,11 @@ use hippo_cqa::pred::CmpOp;
 use hippo_cqa::prelude::*;
 use hippo_engine::{Column, DataType, Database, Row, TableSchema, Value};
 use proptest::prelude::*;
+
+/// A live system answers by freezing, then the one answer call.
+fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
+    h.freeze()?.answer(q, &h.options)
+}
 
 fn db_with(t_rows: &[(u32, u32)], s_rows: &[(u32, u32)]) -> Database {
     let mut db = Database::new();
@@ -134,14 +139,14 @@ proptest! {
             constraints(),
             base.clone().with_prover_threads(1),
         ).unwrap();
-        let (ans_seq, st_seq) = seq.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer { rows: ans_seq, stats: st_seq, .. } = answer(&seq, &q).unwrap();
 
         let par = Hippo::with_options(
             db_with(&t_rows, &s_rows),
             constraints(),
             base.with_prover_threads(threads),
         ).unwrap();
-        let (ans_par, st_par) = par.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer { rows: ans_par, stats: st_par, .. } = answer(&par, &q).unwrap();
 
         prop_assert_eq!(ans_par, ans_seq, "answers diverged at threads={}", threads);
         prop_assert_eq!(counters(&st_par), counters(&st_seq),
@@ -165,14 +170,14 @@ proptest! {
             constraints(),
             HippoOptions::base().with_prover_threads(1),
         ).unwrap();
-        let (ans_seq, st_seq) = seq.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer { rows: ans_seq, stats: st_seq, .. } = answer(&seq, &q).unwrap();
 
         let par = Hippo::with_options(
             db_with(&t_rows, &s_rows),
             constraints(),
             HippoOptions::base().with_prover_threads(threads),
         ).unwrap();
-        let (ans_par, st_par) = par.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer { rows: ans_par, stats: st_par, .. } = answer(&par, &q).unwrap();
 
         prop_assert_eq!(&ans_par, &ans_seq, "base answers diverged at threads={}", threads);
         prop_assert_eq!(counters(&st_par), counters(&st_seq),
@@ -183,7 +188,7 @@ proptest! {
             constraints(),
             HippoOptions::kg().with_prover_threads(threads),
         ).unwrap();
-        let (ans_kg, st_kg) = kg.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer { rows: ans_kg, stats: st_kg, .. } = answer(&kg, &q).unwrap();
         prop_assert_eq!(ans_kg, ans_par, "base and KG disagree");
         prop_assert_eq!(st_kg.membership_queries, 0, "KG never issues membership SQL");
     }
@@ -201,14 +206,14 @@ proptest! {
             constraints(),
             HippoOptions::kg().with_prover_threads(threads),
         ).unwrap();
-        let (ans_c, st_c) = cached.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer { rows: ans_c, stats: st_c, .. } = answer(&cached, &q).unwrap();
 
         let raw = Hippo::with_options(
             db_with(&t_rows, &s_rows),
             constraints(),
             HippoOptions::kg().with_prover_threads(threads).without_prover_cache(),
         ).unwrap();
-        let (ans_r, st_r) = raw.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer { rows: ans_r, stats: st_r, .. } = answer(&raw, &q).unwrap();
 
         prop_assert_eq!(ans_c, ans_r, "cache changed the answer set");
         prop_assert_eq!(st_c.prover_calls, st_r.prover_calls);

@@ -52,7 +52,7 @@
 //!
 //! # Eligible shapes and fallback rules
 //!
-//! [`compile`] accepts exactly these plan roots (after peeling an
+//! `compile` accepts exactly these plan roots (after peeling an
 //! optional `Limit{limit: Some}` and `Project`):
 //!
 //! * **Select** — `Filter?(Scan)` where every conjunct is

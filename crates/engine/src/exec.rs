@@ -25,7 +25,7 @@
 //!
 //! The production executor is two-engined: before walking an operator
 //! row-wise it offers the whole subtree to the **vectorized** compiler
-//! ([`crate::column::try_execute`]), which runs eligible
+//! (`column::try_execute`), which runs eligible
 //! scan/aggregate/join shapes batch-at-a-time over the table's
 //! [`crate::column::ColumnStore`]:
 //!

@@ -24,7 +24,7 @@
 //!   and bag), grouping/aggregation, sorting, and correlated `EXISTS` /
 //!   `IN` / scalar subqueries, all under one per-call budget. Its
 //!   row-mode operators hand eligible subtrees to the **vectorized
-//!   engine** ([`column`]): lazily maintained typed column stores per
+//!   engine** ([`column`](mod@column)): lazily maintained typed column stores per
 //!   table (validity bitmaps, dictionary-encoded text) and
 //!   batch-at-a-time filter/project/aggregate/hash-join over selection
 //!   vectors, bit-identical to row mode (answers, errors, budget

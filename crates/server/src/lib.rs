@@ -24,8 +24,8 @@
 //!                 │ publish: swap RwLock<Arc<Epoch>> ── epoch n+1   │
 //!                 └──────────────────────────┬──────────────────────┘
 //!                                            ▼
-//!            readers: Session::pin ──▶ Arc<Epoch n> ── lock-free
-//!            query / consistent_answers on the pinned epoch
+//!            readers: Engine::session ──▶ Arc<Epoch n> ── lock-free
+//!            Session::{query, answer} on the pinned epoch
 //! ```
 //!
 //! A panicking or budget-tripped write therefore **never** replaces
@@ -152,7 +152,7 @@ pub mod transport;
 pub mod wal;
 
 pub use recover::RecoveryReport;
-pub use replicate::{PromotionReport, Replica, ReplicaConfig, ReplicaSession};
+pub use replicate::{PromotionReport, Replica, ReplicaConfig};
 pub use retry::RetryPolicy;
 pub use stats::{ReplicaStats, ReplicationStats, ServiceStats, SessionStats, Staleness};
 pub use transport::{ChannelTransport, TcpTransport, Transport};
@@ -163,7 +163,7 @@ use checkpoint::{read_checkpoint, write_checkpoint};
 use hippo_cqa::budget::ConsistentAnswer;
 use hippo_cqa::constraint::DenialConstraint;
 use hippo_cqa::detect::DetectStats;
-use hippo_cqa::hippo::{FrozenHippo, Hippo, HippoOptions};
+use hippo_cqa::hippo::{FrozenHippo, GovernanceOptions, Hippo, HippoOptions};
 use hippo_cqa::inclusion::ForeignKey;
 use hippo_cqa::parallel::panic_message;
 use hippo_cqa::query::SjudQuery;
@@ -190,8 +190,9 @@ pub struct EngineConfig {
     /// The back-off hint attached to `Overloaded` rejections.
     pub retry_after: Duration,
     /// Default per-request deadline for sessions (covers queue wait
-    /// *and* execution); `None` = ungoverned. Sessions can override
-    /// per request via [`Session::set_deadline`].
+    /// *and* execution); `None` = ungoverned. It seeds each session's
+    /// `options.governance.deadline`, which the session may change
+    /// through [`Session::options_mut`].
     pub default_deadline: Option<Duration>,
 }
 
@@ -544,14 +545,13 @@ impl Engine {
     /// Open a reader session pinned to the current epoch.
     pub fn session(&self) -> Session {
         let epoch = self.current_epoch();
-        let options = epoch.frozen.options.clone();
-        Session {
-            shared: Arc::clone(&self.shared),
-            deadline: self.shared.config.default_deadline,
-            options,
+        let mode = epoch.frozen.options.clone();
+        Session::open(
+            EpochSource::Primary(Arc::clone(&self.shared)),
             epoch,
-            requests: 0,
-        }
+            mode,
+            self.shared.config.default_deadline,
+        )
     }
 
     /// Apply a write transaction through the serialized writer path
@@ -1312,42 +1312,77 @@ fn audit_walops(ops: &[WriteOp]) -> Vec<WalOp> {
         .collect()
 }
 
-/// A reader session: pinned to one epoch until [`Session::refresh`],
-/// with its own deadline and (armable) cancellation handle. Cheap —
-/// one per client thread, or one per request, as the caller prefers.
+/// Where a [`Session`] pins its epochs from.
+pub(crate) enum EpochSource {
+    /// The primary's published pointer; every request passes admission.
+    Primary(Arc<Shared>),
+    /// A replica's replayed pointer; no admission (replicas are
+    /// read-scale fan-out, admission stays a primary concern).
+    Replica(Arc<replicate::ReplState>),
+}
+
+/// A reader session — on the primary ([`Engine::session`]) or on a
+/// replica ([`Replica::session`](replicate::Replica::session)) — pinned
+/// to one epoch until [`Session::refresh`], with its own options: the
+/// answer-mode switches, a deadline and an (armable) cancellation
+/// handle. Cheap — one per client thread, or one per request, as the
+/// caller prefers.
 ///
-/// Every data call runs admission → deadline-budgeted execution
-/// against the pinned epoch's [`FrozenHippo`]; the live writer is
-/// never touched.
+/// Every data call runs against the pinned epoch's [`FrozenHippo`];
+/// the live writer is never touched. On the primary a call first passes
+/// admission, and the time it queued is charged against the deadline.
 pub struct Session {
-    shared: Arc<Shared>,
+    source: EpochSource,
     epoch: Arc<Epoch>,
     options: HippoOptions,
-    deadline: Option<Duration>,
     requests: u64,
 }
 
 impl Session {
+    /// A session on `epoch` with `mode`'s answer-mode switches (KG, core
+    /// filter, threads, cache, probes) and a fresh governance whose only
+    /// setting is `deadline`. Nothing else of the epoch's options rides
+    /// along: a fault plan, row budget or cancel handle armed on the
+    /// writer stays the writer's.
+    pub(crate) fn open(
+        source: EpochSource,
+        epoch: Arc<Epoch>,
+        mode: HippoOptions,
+        deadline: Option<Duration>,
+    ) -> Session {
+        let mut options = mode;
+        options.governance = GovernanceOptions::default();
+        options.governance.deadline = deadline;
+        Session {
+            source,
+            epoch,
+            options,
+            requests: 0,
+        }
+    }
+
     /// The epoch this session reads from.
     pub fn epoch(&self) -> &Arc<Epoch> {
         &self.epoch
     }
 
     /// Re-pin to the latest published epoch (keeping this session's
-    /// deadline, mode flags and armed cancellation).
+    /// options and armed cancellation).
     pub fn refresh(&mut self) {
-        self.epoch = self.shared.epoch.read().unwrap().clone();
+        let latest = match &self.source {
+            EpochSource::Primary(shared) => Some(shared.epoch.read().unwrap().clone()),
+            EpochSource::Replica(state) => state.current_epoch(),
+        };
+        if let Some(epoch) = latest {
+            self.epoch = epoch;
+        }
     }
 
-    /// Override the per-request deadline (`None` = ungoverned). The
-    /// deadline covers queue wait and execution together.
-    pub fn set_deadline(&mut self, deadline: Option<Duration>) {
-        self.deadline = deadline;
-    }
-
-    /// Mutable access to the session's answer-mode options (KG/core
-    /// filter/threads/degraded). Governance deadlines still come from
-    /// [`Session::set_deadline`].
+    /// Mutable access to the session's options: the answer-mode
+    /// switches and the governance (deadline, row budget, degraded
+    /// mode). The deadline is seeded from
+    /// [`EngineConfig::default_deadline`] and covers queue wait and
+    /// execution together.
     pub fn options_mut(&mut self) -> &mut HippoOptions {
         &mut self.options
     }
@@ -1369,58 +1404,57 @@ impl Session {
         }
     }
 
-    /// Admission + remaining-deadline accounting shared by the data
-    /// calls. Returns the request's effective options (deadline
-    /// adjusted for time spent queueing).
-    fn admit(
-        &self,
-        arrival: Instant,
-    ) -> Result<(admission::Permit<'_>, HippoOptions), EngineError> {
-        let absolute = self.deadline.map(|d| arrival + d);
-        let permit = self.shared.admission.admit(absolute)?;
-        let mut options = self.options.clone();
-        options.governance.deadline = match self.deadline {
-            None => None,
-            Some(d) => {
-                let remaining = d.saturating_sub(arrival.elapsed());
-                if remaining.is_zero() {
-                    return Err(EngineError::budget(
-                        "admission",
-                        arrival.elapsed().as_micros() as u64,
-                        d.as_micros() as u64,
-                    ));
-                }
-                Some(remaining)
-            }
+    /// Admission (primary only) and remaining-deadline accounting
+    /// shared by the data calls. Returns the request's effective options
+    /// — the deadline reduced by the time spent queueing.
+    fn admit(&self) -> Result<(Option<admission::Permit<'_>>, HippoOptions), EngineError> {
+        let arrival = Instant::now();
+        let EpochSource::Primary(shared) = &self.source else {
+            return Ok((None, self.options.clone()));
         };
-        Ok((permit, options))
+        let deadline = self.options.governance.deadline;
+        let permit = shared.admission.admit(deadline.map(|d| arrival + d))?;
+        let mut options = self.options.clone();
+        if let Some(d) = deadline {
+            let remaining = d.saturating_sub(arrival.elapsed());
+            if remaining.is_zero() {
+                return Err(EngineError::budget(
+                    "admission",
+                    arrival.elapsed().as_micros() as u64,
+                    d.as_micros() as u64,
+                ));
+            }
+            options.governance.deadline = Some(remaining);
+        }
+        Ok((Some(permit), options))
     }
 
     /// Run a plain (non-CQA) SQL `SELECT` against the pinned epoch.
     pub fn query(&mut self, sql: &str) -> Result<QueryResult, EngineError> {
-        let arrival = Instant::now();
         self.requests += 1;
-        let (_permit, options) = self.admit(arrival)?;
+        let (_permit, options) = self.admit()?;
         let gov = options.governance();
-        self.epoch.frozen.query_governed(sql, gov.budget_ref())
+        self.epoch
+            .frozen
+            .snapshot()
+            .query_governed(sql, gov.budget_ref(), "engine")
     }
 
-    /// Compute consistent answers on the pinned epoch (sorted rows).
-    pub fn consistent_answers(&mut self, query: &SjudQuery) -> Result<Vec<Row>, EngineError> {
-        Ok(self.consistent_answers_governed(query)?.rows)
+    /// Compute consistent answers on the pinned epoch under this
+    /// session's options: [`FrozenHippo::answer`], after admission.
+    pub fn answer(&mut self, query: &SjudQuery) -> Result<ConsistentAnswer, EngineError> {
+        self.requests += 1;
+        let (_permit, options) = self.admit()?;
+        self.epoch.frozen.answer(query, &options)
     }
 
-    /// The governed CQA entry point: admission, deadline propagation,
-    /// then the epoch's full answer pipeline with this session's mode
-    /// flags. Completeness semantics are exactly
-    /// [`Hippo::consistent_answers_governed`]'s.
+    /// [`Session::answer`] under the name `benchmark/API.md` pins; goes
+    /// when the benchmark re-pins its surface.
+    #[doc(hidden)]
     pub fn consistent_answers_governed(
         &mut self,
         query: &SjudQuery,
     ) -> Result<ConsistentAnswer, EngineError> {
-        let arrival = Instant::now();
-        self.requests += 1;
-        let (_permit, options) = self.admit(arrival)?;
-        self.epoch.frozen.consistent_answers_with(query, &options)
+        self.answer(query)
     }
 }

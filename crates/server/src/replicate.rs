@@ -43,15 +43,15 @@ use crate::recover::diverged;
 use crate::stats::{ReplicaStats, Staleness};
 use crate::transport::Transport;
 use crate::wal::{decode_frame_payload, encode_frame_payload, Frame, FrameKind, WalOp};
-use crate::{DurabilityConfig, Engine, EngineConfig, Epoch, WriteOp, WriteReceipt};
-use hippo_cqa::budget::ConsistentAnswer;
+use crate::{
+    DurabilityConfig, Engine, EngineConfig, Epoch, EpochSource, Session, WriteOp, WriteReceipt,
+};
 use hippo_cqa::constraint::DenialConstraint;
 use hippo_cqa::hippo::{Hippo, HippoOptions};
 use hippo_cqa::inclusion::ForeignKey;
 use hippo_cqa::parallel::panic_message;
-use hippo_cqa::query::SjudQuery;
 use hippo_engine::codec::{self, Reader};
-use hippo_engine::{Database, EngineError, QueryResult, Row};
+use hippo_engine::{Database, EngineError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -535,6 +535,10 @@ impl ReplState {
         self.term.load(Ordering::SeqCst)
     }
 
+    pub(crate) fn current_epoch(&self) -> Option<Arc<Epoch>> {
+        self.epoch.read().unwrap().clone()
+    }
+
     fn staleness(&self) -> Staleness {
         let applied = self.published_lsn.load(Ordering::SeqCst);
         let primary = self.primary_lsn.load(Ordering::SeqCst).max(applied);
@@ -556,10 +560,10 @@ impl ReplState {
 }
 
 /// A read replica: replays the primary's committed WAL frames into its
-/// own published epochs. Serves reads and CQA (with surfaced
-/// [`Staleness`]), refuses writes with [`ErrorKind::NotPrimary`]
-/// (hippo_engine::ErrorKind::NotPrimary), and can be promoted to a
-/// fresh primary with a bumped fencing term.
+/// own published epochs. Serves reads and CQA through [`Session`]s
+/// (with surfaced [`Staleness`]), refuses writes with
+/// [`ErrorKind::NotPrimary`](hippo_engine::ErrorKind::NotPrimary), and
+/// can be promoted to a fresh primary with a bumped fencing term.
 pub struct Replica {
     state: Arc<ReplState>,
     attach_tx: mpsc::Sender<Box<dyn Transport>>,
@@ -630,26 +634,34 @@ impl Replica {
         let _ = self.attach_tx.send(transport);
     }
 
-    /// Open a read session pinned to the replica's current epoch.
+    /// Open a read session pinned to the replica's current epoch, with
+    /// [`ReplicaConfig::options`]' answer-mode switches and no deadline.
     /// Errors until the first snapshot/frame batch has been applied.
-    pub fn session(&self) -> Result<ReplicaSession, EngineError> {
+    /// Replica sessions honour their deadline and cancel handle but pass
+    /// no admission gate.
+    pub fn session(&self) -> Result<Session, EngineError> {
         let epoch = self
-            .state
-            .epoch
-            .read()
-            .unwrap()
-            .clone()
+            .current_epoch()
             .ok_or_else(|| EngineError::new("replica: no state replicated yet"))?;
-        Ok(ReplicaSession {
-            state: Arc::clone(&self.state),
-            options: self.config.options.clone(),
+        Ok(Session::open(
+            EpochSource::Replica(Arc::clone(&self.state)),
             epoch,
-        })
+            self.config.options.clone(),
+            None,
+        ))
     }
 
     /// The replica's current published epoch, if any.
     pub fn current_epoch(&self) -> Option<Arc<Epoch>> {
-        self.state.epoch.read().unwrap().clone()
+        self.state.current_epoch()
+    }
+
+    /// Replicas never accept writes: always
+    /// [`EngineError::not_primary`] carrying the replica's current
+    /// fencing term, so the client knows which primary generation to
+    /// resubmit to.
+    pub fn write(&self, _ops: Vec<WriteOp>) -> Result<WriteReceipt, EngineError> {
+        Err(EngineError::not_primary(self.state.term()))
     }
 
     /// The fencing term this replica follows (0 until first contact).
@@ -748,71 +760,6 @@ impl Drop for Replica {
         if let Some(w) = self.worker.take() {
             let _ = w.join();
         }
-    }
-}
-
-/// A reader session on a [`Replica`], pinned to one replayed epoch.
-/// The lock-free data path of [`crate::Session`] without the admission
-/// gate (replicas are read-scale fan-out; admission stays a primary
-/// concern).
-pub struct ReplicaSession {
-    state: Arc<ReplState>,
-    epoch: Arc<Epoch>,
-    options: HippoOptions,
-}
-
-impl ReplicaSession {
-    /// The epoch this session reads from.
-    pub fn epoch(&self) -> &Arc<Epoch> {
-        &self.epoch
-    }
-
-    /// Re-pin to the replica's latest replayed epoch.
-    pub fn refresh(&mut self) {
-        if let Some(e) = self.state.epoch.read().unwrap().clone() {
-            self.epoch = e;
-        }
-    }
-
-    /// Mutable access to the session's answer-mode options.
-    pub fn options_mut(&mut self) -> &mut HippoOptions {
-        &mut self.options
-    }
-
-    /// How stale this replica is right now (not the pinned epoch: the
-    /// replica's live applied position vs the primary's last known
-    /// horizon).
-    pub fn staleness(&self) -> Staleness {
-        self.state.staleness()
-    }
-
-    /// Run a plain SQL `SELECT` against the pinned epoch.
-    pub fn query(&mut self, sql: &str) -> Result<QueryResult, EngineError> {
-        let gov = self.options.governance();
-        self.epoch.frozen.query_governed(sql, gov.budget_ref())
-    }
-
-    /// Compute consistent answers on the pinned epoch (sorted rows).
-    pub fn consistent_answers(&mut self, query: &SjudQuery) -> Result<Vec<Row>, EngineError> {
-        Ok(self.consistent_answers_governed(query)?.rows)
-    }
-
-    /// The governed CQA entry point on the pinned epoch.
-    pub fn consistent_answers_governed(
-        &mut self,
-        query: &SjudQuery,
-    ) -> Result<ConsistentAnswer, EngineError> {
-        self.epoch
-            .frozen
-            .consistent_answers_with(query, &self.options)
-    }
-
-    /// Replicas never accept writes: always
-    /// [`EngineError::not_primary`] carrying the replica's current
-    /// fencing term, so the client knows which primary generation to
-    /// resubmit to.
-    pub fn write(&self, _ops: Vec<WriteOp>) -> Result<WriteReceipt, EngineError> {
-        Err(EngineError::not_primary(self.state.term()))
     }
 }
 

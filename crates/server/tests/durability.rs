@@ -102,7 +102,8 @@ fn oracle_answers(rows: usize, seed: u64, ops: &[WriteOp]) -> Vec<Row> {
         }
     }
     hippo.redetect().unwrap();
-    hippo.consistent_answers(&query()).unwrap()
+    let frozen = hippo.freeze().unwrap();
+    frozen.answer(&query(), &hippo.options).unwrap().rows
 }
 
 // ---------------------------------------------------------------------
@@ -149,7 +150,7 @@ fn recovery_is_bit_identical_after_clean_shutdown() {
     assert!(!report.torn_tail_truncated);
     let mut s = eng2.session();
     assert_eq!(s.epoch().id(), 1, "recovery publishes epoch 1");
-    let got = s.consistent_answers(&query()).unwrap();
+    let got = s.answer(&query()).unwrap().rows;
     // The update+delete pair cancels out: the oracle only needs the
     // two surviving inserts (ids differ, answers — row sets — do not).
     assert_eq!(got, oracle_answers(400, 11, &committed));
@@ -198,7 +199,7 @@ fn wal_fault_matrix_loses_only_the_faulted_write() {
         drop(eng);
 
         let eng2 = recover_engine(23, &dir);
-        let got = eng2.session().consistent_answers(&query()).unwrap();
+        let got = eng2.session().answer(&query()).unwrap().rows;
         let expect = oracle_answers(
             300,
             23,
@@ -240,7 +241,7 @@ fn checkpoint_fault_matrix_never_loses_the_log() {
         drop(eng);
         let eng2 = recover_engine(29, &dir);
         assert_eq!(eng2.recovery_report().unwrap().frames_replayed, 2);
-        let got = eng2.session().consistent_answers(&query()).unwrap();
+        let got = eng2.session().answer(&query()).unwrap().rows;
         let expect = oracle_answers(
             300,
             29,
@@ -272,7 +273,7 @@ fn checkpoint_truncates_log_and_recovery_uses_it() {
         "checkpoint absorbed the first two frames"
     );
     assert_eq!(report.frames_replayed, 1, "only the post-checkpoint suffix");
-    let got = eng2.session().consistent_answers(&query()).unwrap();
+    let got = eng2.session().answer(&query()).unwrap().rows;
     let expect = oracle_answers(
         300,
         31,
@@ -308,7 +309,7 @@ fn fsync_panic_with_immediate_death_resolves_forward() {
         // (CRC-complete) but never acknowledged.
     }
     let eng2 = recover_engine(37, &dir);
-    let got = eng2.session().consistent_answers(&query()).unwrap();
+    let got = eng2.session().answer(&query()).unwrap().rows;
     let expect = oracle_answers(
         300,
         37,
@@ -330,7 +331,7 @@ fn fsync_panic_with_immediate_death_resolves_forward() {
 fn durable_failed_writes_never_ride_along() {
     let dir = tmp_dir("noride");
     let eng = durable_engine(300, 41, &dir, 0);
-    let before = eng.session().consistent_answers(&query()).unwrap();
+    let before = eng.session().answer(&query()).unwrap().rows;
 
     // First op lands, second op fails → partial transaction. A durable
     // writer must roll the first op back out of the live state.
@@ -352,7 +353,7 @@ fn durable_failed_writes_never_ride_along() {
     );
     let receipt = eng.write(vec![insert(clean_row(6_000_000))]).unwrap();
     assert_eq!(receipt.epoch, 1, "the failed write consumed no epoch");
-    let after = eng.session().consistent_answers(&query()).unwrap();
+    let after = eng.session().answer(&query()).unwrap().rows;
     assert_eq!(
         after.len(),
         before.len() + 1,
@@ -360,7 +361,7 @@ fn durable_failed_writes_never_ride_along() {
     );
     drop(eng);
     let eng2 = recover_engine(41, &dir);
-    let got = eng2.session().consistent_answers(&query()).unwrap();
+    let got = eng2.session().answer(&query()).unwrap().rows;
     assert_eq!(got, after, "recovery agrees with the live engine");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -407,17 +408,17 @@ fn pinned_sessions_outlive_the_engine_while_a_successor_recovers() {
     let eng = durable_engine(300, 47, &dir, 0);
     eng.write(vec![insert(conflict_pair(1_000_000))]).unwrap();
     let mut pinned = eng.session();
-    let before = pinned.consistent_answers(&query()).unwrap();
+    let before = pinned.answer(&query()).unwrap().rows;
 
     // Drop every Engine clone: the dir lock releases, but the session
     // holds the epoch alive.
     drop(eng);
     let eng2 = recover_engine(47, &dir);
-    let successor = eng2.session().consistent_answers(&query()).unwrap();
+    let successor = eng2.session().answer(&query()).unwrap().rows;
 
     // The old session still answers, bit-identically, from its pinned
     // epoch — no file-lock deadlock, no interference.
-    assert_eq!(pinned.consistent_answers(&query()).unwrap(), before);
+    assert_eq!(pinned.answer(&query()).unwrap().rows, before);
     assert_eq!(successor, before);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -445,7 +446,7 @@ fn drained_writes_are_counted_and_audited() {
         report.abandoned_skipped, 1,
         "audit frame seen, not replayed"
     );
-    let got = eng2.session().consistent_answers(&query()).unwrap();
+    let got = eng2.session().answer(&query()).unwrap().rows;
     assert_eq!(
         got,
         oracle_answers(300, 53, &[insert(conflict_pair(1_000_000))]),
@@ -481,7 +482,7 @@ fn write_group_shares_one_fsync_and_one_epoch() {
     }
     let eng2 = recover_engine(59, &dir);
     assert_eq!(eng2.recovery_report().unwrap().frames_replayed, 4);
-    let got = eng2.session().consistent_answers(&query()).unwrap();
+    let got = eng2.session().answer(&query()).unwrap().rows;
     assert_eq!(got, oracle_answers(300, 59, &committed));
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -512,7 +513,7 @@ fn bad_transaction_fails_alone_in_its_group() {
         assert_eq!(eng.stats().writer_recoveries, 1);
     }
     let eng2 = recover_engine(61, &dir);
-    let got = eng2.session().consistent_answers(&query()).unwrap();
+    let got = eng2.session().answer(&query()).unwrap().rows;
     let expect = oracle_answers(
         300,
         61,
@@ -544,7 +545,7 @@ fn concurrent_writers_all_commit_and_recover() {
     }
     let eng2 = recover_engine(67, &dir);
     let committed: Vec<WriteOp> = (0..6).map(|i| insert(clean_row(7_000_000 + i))).collect();
-    let got = eng2.session().consistent_answers(&query()).unwrap();
+    let got = eng2.session().answer(&query()).unwrap().rows;
     assert_eq!(got, oracle_answers(300, 67, &committed));
     std::fs::remove_dir_all(&dir).unwrap();
 }

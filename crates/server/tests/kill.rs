@@ -85,7 +85,8 @@ fn oracle(k: u64) -> Vec<Row> {
         .insert_tuples("t", (0..k).map(sequenced_row).collect())
         .unwrap();
     hippo.redetect().unwrap();
-    hippo.consistent_answers(&query()).unwrap()
+    let frozen = hippo.freeze().unwrap();
+    frozen.answer(&query(), &hippo.options).unwrap().rows
 }
 
 /// How many sequenced rows `eng` holds; they must be exactly `0..k`.
@@ -254,7 +255,7 @@ fn sigkill_mid_traffic_recovers_every_acked_write() {
             eng.recovery_report().unwrap()
         );
         assert_eq!(
-            eng.session().consistent_answers(&query()).unwrap(),
+            eng.session().answer(&query()).unwrap().rows,
             oracle(k),
             "round {round}: recovered answers diverged from the oracle on the committed prefix"
         );
@@ -304,7 +305,7 @@ fn sigkill_of_replicating_primary_then_promotion() {
     let k = sequenced_prefix(&promoted);
     assert!(k > 0, "the replica followed the primary before the kill");
     assert_eq!(
-        promoted.session().consistent_answers(&query()).unwrap(),
+        promoted.session().answer(&query()).unwrap().rows,
         oracle(k),
         "promoted answers diverged from the oracle on the applied prefix"
     );
@@ -312,10 +313,7 @@ fn sigkill_of_replicating_primary_then_promotion() {
     // acked transaction survived in the primary's own log.
     let dead = recover(&dir);
     let m = sequenced_prefix(&dead);
-    assert_eq!(
-        dead.session().consistent_answers(&query()).unwrap(),
-        oracle(m)
-    );
+    assert_eq!(dead.session().answer(&query()).unwrap().rows, oracle(m));
     assert!(k <= m, "replica applied {k} writes, only {m} committed");
     assert!(acked <= m, "{acked} acked writes, only {m} recovered");
     let _ = std::fs::remove_dir_all(&dir);

@@ -78,7 +78,7 @@ fn populated_dir(tag: &str, seed: u64) -> (PathBuf, Vec<Row>) {
         rows: vec![vec![Value::Int(2_000_000), Value::Int(5), Value::Int(0)]],
     }])
     .unwrap();
-    let answers = eng.session().consistent_answers(&query()).unwrap();
+    let answers = eng.session().answer(&query()).unwrap().rows;
     drop(eng);
     (dir, answers)
 }
@@ -129,7 +129,7 @@ fn torn_checkpoint_at_every_byte_offset_is_structured() {
     // and recovery is whole again.
     std::fs::write(&path, &intact).unwrap();
     let eng = try_recover(&dir, seed).unwrap();
-    let got = eng.session().consistent_answers(&query()).unwrap();
+    let got = eng.session().answer(&query()).unwrap().rows;
     assert_eq!(got, want, "restored checkpoint lost data");
     drop(eng);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -152,7 +152,7 @@ fn torn_tmp_file_never_shadows_the_real_checkpoint() {
         std::fs::write(&tmp, &intact[..cut]).unwrap();
         let eng = try_recover(&dir, seed)
             .unwrap_or_else(|e| panic!("torn tmp ({cut} bytes) broke recovery: {e}"));
-        let got = eng.session().consistent_answers(&query()).unwrap();
+        let got = eng.session().answer(&query()).unwrap().rows;
         assert_eq!(got, want, "torn tmp ({cut} bytes) changed answers");
         drop(eng);
     }

@@ -105,12 +105,12 @@ fn wait_caught_up(primary: &Engine, replica: &Replica, deadline: Duration) {
 }
 
 fn primary_answers(eng: &Engine) -> Vec<Row> {
-    eng.session().consistent_answers(&query()).unwrap()
+    eng.session().answer(&query()).unwrap().rows
 }
 
 fn replica_answers(replica: &Replica) -> Vec<Row> {
     let mut s = replica.session().unwrap();
-    s.consistent_answers(&query()).unwrap()
+    s.answer(&query()).unwrap().rows
 }
 
 // ---------------------------------------------------------------------
@@ -189,8 +189,7 @@ fn replica_refuses_writes_with_structured_not_primary() {
     eng.write(vec![insert(clean_row(1_000_000))]).unwrap();
     wait_caught_up(&eng, &replica, Duration::from_secs(10));
 
-    let session = replica.session().unwrap();
-    let err = session
+    let err = replica
         .write(vec![insert(clean_row(2_000_000))])
         .unwrap_err();
     assert!(err.is_not_primary(), "{err}");
@@ -199,6 +198,49 @@ fn replica_refuses_writes_with_structured_not_primary() {
         "the error must carry the fencing term so the client knows \
          which primary generation to resubmit to: {err}"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn replica_sessions_honour_deadline_and_cancel_without_admission() {
+    let dir = tmp_dir("governed");
+    let eng = durable_engine(16_000, 84, &dir, 0);
+    let (a, b) = ChannelTransport::pair();
+    let replica = Replica::start(Box::new(b), replica_config(84));
+    eng.attach_replica(Box::new(a)).unwrap();
+    eng.write(vec![insert(conflict_pair(1_000_000))]).unwrap();
+    wait_caught_up(&eng, &replica, Duration::from_secs(30));
+    let complete = replica_answers(&replica);
+    let admitted = eng.stats().requests_admitted;
+
+    // Strict: a 1 ms deadline over 16k rows trips.
+    let mut s = replica.session().unwrap();
+    s.options_mut().governance.deadline = Some(Duration::from_millis(1));
+    let err = s.answer(&query()).unwrap_err();
+    assert!(err.is_budget(), "{err}");
+
+    // Degraded: the same deadline returns a sound subset.
+    *s.options_mut() = HippoOptions::full()
+        .with_deadline(Duration::from_millis(1))
+        .degraded();
+    let ans = s.answer(&query()).unwrap();
+    assert!(!ans.completeness.is_complete());
+    assert!(
+        ans.rows.iter().all(|r| complete.binary_search(r).is_ok()),
+        "degraded replica answers must be a subset of the complete set"
+    );
+
+    // The cancel handle is sticky until reset, then the session answers
+    // in full again.
+    *s.options_mut() = HippoOptions::full();
+    let handle = s.cancel_handle();
+    handle.cancel();
+    assert!(s.answer(&query()).unwrap_err().is_cancelled());
+    handle.reset();
+    assert_eq!(s.answer(&query()).unwrap().rows, complete);
+
+    // No admission on a replica: the primary's gate never saw these.
+    assert_eq!(eng.stats().requests_admitted, admitted);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

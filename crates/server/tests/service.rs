@@ -49,7 +49,7 @@ fn sessions_pin_epochs_across_writes() {
     let eng = engine(600, 3, EngineConfig::default());
     let mut pinned = eng.session();
     assert_eq!(pinned.epoch().id(), 0);
-    let before = pinned.consistent_answers(&query()).unwrap();
+    let before = pinned.answer(&query()).unwrap().rows;
 
     let receipt = eng
         .write(vec![WriteOp::Insert {
@@ -61,7 +61,7 @@ fn sessions_pin_epochs_across_writes() {
     assert_eq!(receipt.inserted.len(), 2);
 
     // The pinned session still answers from epoch 0, bit-identically.
-    assert_eq!(pinned.consistent_answers(&query()).unwrap(), before);
+    assert_eq!(pinned.answer(&query()).unwrap().rows, before);
     assert_eq!(pinned.stats().pinned_epoch, 0);
 
     // A refreshed session sees epoch 1, whose conflict hypergraph has
@@ -78,7 +78,7 @@ fn sessions_pin_epochs_across_writes() {
         .unwrap();
     assert_eq!(receipt.epoch, 2);
     let mut fresh = eng.session();
-    let after = fresh.consistent_answers(&query()).unwrap();
+    let after = fresh.answer(&query()).unwrap().rows;
     assert_eq!(after.len(), before.len() + 1, "clean tuple is an answer");
 }
 
@@ -98,7 +98,7 @@ fn epoch_answers_match_a_from_scratch_oracle() {
         }])
         .unwrap();
         let mut session = eng.session();
-        let got = session.consistent_answers(&query()).unwrap();
+        let got = session.answer(&query()).unwrap().rows;
         let oracle_db = Database::from_catalog(session.epoch().frozen().catalog().clone());
         let oracle = Hippo::with_options(
             oracle_db,
@@ -106,9 +106,10 @@ fn epoch_answers_match_a_from_scratch_oracle() {
             HippoOptions::full().with_prover_threads(1),
         )
         .unwrap();
+        let frozen = oracle.freeze().unwrap();
         assert_eq!(
             got,
-            oracle.consistent_answers(&query()).unwrap(),
+            frozen.answer(&query(), &oracle.options).unwrap().rows,
             "epoch {} diverged from its serial oracle",
             session.epoch().id()
         );
@@ -124,7 +125,7 @@ fn epoch_answers_match_a_from_scratch_oracle() {
 fn writer_panic_never_publishes_and_recovers() {
     let eng = engine(400, 7, EngineConfig::default());
     let mut session = eng.session();
-    let before = session.consistent_answers(&query()).unwrap();
+    let before = session.answer(&query()).unwrap().rows;
 
     eng.set_writer_options(HippoOptions::full().with_faults(FaultPlan::new(
         "detect",
@@ -142,7 +143,7 @@ fn writer_panic_never_publishes_and_recovers() {
     // Nothing was published: readers still see epoch 0, old and new
     // sessions alike, and the recovery is counted.
     assert_eq!(eng.current_epoch().id(), 0);
-    assert_eq!(session.consistent_answers(&query()).unwrap(), before);
+    assert_eq!(session.answer(&query()).unwrap().rows, before);
     let stats = eng.stats();
     assert_eq!(stats.writer_recoveries, 1);
     assert_eq!(stats.epochs_published, 1);
@@ -159,12 +160,35 @@ fn writer_panic_never_publishes_and_recovers() {
         .unwrap();
     assert_eq!(receipt.epoch, 1);
     session.refresh();
-    let after = session.consistent_answers(&query()).unwrap();
+    let after = session.answer(&query()).unwrap().rows;
     assert_eq!(
         after.len(),
         before.len() + 1,
         "only the successful write's clean tuple is an answer"
     );
+}
+
+#[test]
+fn writer_governance_never_reaches_reader_sessions() {
+    let eng = engine(400, 23, EngineConfig::default());
+    let mut writer_opts = HippoOptions::full()
+        .with_faults(FaultPlan::new("prover", Some(0), FaultKind::Panic))
+        .with_row_budget(1 << 40);
+    let writer_cancel = writer_opts.cancel_handle();
+    eng.set_writer_options(writer_opts);
+    // The writer never reaches the prover, so its fault stays armed, and
+    // the freeze copies the writer's options into the published epoch.
+    eng.write(vec![WriteOp::Insert {
+        table: "t".into(),
+        rows: conflict_pair(9_000_000),
+    }])
+    .unwrap();
+    writer_cancel.cancel();
+    // A reader takes only the answer-mode switches: no fault plan, no
+    // row budget, no cancel handle of the writer's.
+    let ans = eng.session().answer(&query()).unwrap();
+    assert!(ans.completeness.is_complete());
+    assert_eq!(ans.stats.budget_checks, 0, "reader is ungoverned");
 }
 
 #[test]
@@ -225,7 +249,7 @@ fn overload_sheds_immediately_and_retry_recovers() {
         // Queue capacity is zero: the reader is shed, not parked.
         let mut session = eng.session();
         let t0 = Instant::now();
-        let err = session.consistent_answers(&query()).unwrap_err();
+        let err = session.answer(&query()).unwrap_err();
         assert!(err.is_overloaded(), "{err}");
         assert!(err.is_retryable());
         assert_eq!(err.retry_after(), Some(Duration::from_millis(2)));
@@ -241,10 +265,8 @@ fn overload_sheds_immediately_and_retry_recovers() {
             cap: Duration::from_millis(20),
             seed: 42,
         };
-        let rows = policy
-            .run(|_| session.consistent_answers(&query()))
-            .unwrap();
-        assert!(!rows.is_empty());
+        let answer = policy.run(|_| session.answer(&query())).unwrap();
+        assert!(!answer.rows.is_empty());
         writer.join().unwrap().unwrap();
     });
     let stats = eng.stats();
@@ -260,12 +282,39 @@ fn overload_sheds_immediately_and_retry_recovers() {
 fn session_deadline_propagates_into_the_pipeline() {
     let eng = engine(16_000, 84, EngineConfig::default());
     let mut session = eng.session();
-    session.set_deadline(Some(Duration::from_millis(1)));
-    let err = session.consistent_answers(&query()).unwrap_err();
+    session.options_mut().governance.deadline = Some(Duration::from_millis(1));
+    let err = session.answer(&query()).unwrap_err();
     assert!(err.is_budget(), "{err}");
-    session.set_deadline(None);
-    assert!(!session.consistent_answers(&query()).unwrap().is_empty());
+    session.options_mut().governance.deadline = None;
+    assert!(!session.answer(&query()).unwrap().rows.is_empty());
     assert_eq!(session.stats().requests, 2);
+}
+
+#[test]
+fn the_session_deadline_lives_in_its_options() {
+    let eng = engine(
+        300,
+        19,
+        EngineConfig {
+            default_deadline: Some(Duration::from_secs(60)),
+            ..EngineConfig::default()
+        },
+    );
+    let mut session = eng.session();
+    assert_eq!(
+        session.options_mut().governance.deadline,
+        Some(Duration::from_secs(60)),
+        "seeded from EngineConfig::default_deadline"
+    );
+    assert!(session.answer(&query()).unwrap().completeness.is_complete());
+    // A deadline set through the options is the request's deadline: one
+    // nanosecond cannot be met, so the request trips instead of running
+    // ungoverned.
+    session.options_mut().governance.deadline = Some(Duration::from_nanos(1));
+    let err = session.answer(&query()).unwrap_err();
+    assert!(err.is_budget(), "{err}");
+    session.options_mut().governance.deadline = None;
+    assert!(session.answer(&query()).unwrap().completeness.is_complete());
 }
 
 #[test]
@@ -294,9 +343,9 @@ fn queue_wait_is_charged_against_the_deadline() {
         });
         std::thread::sleep(Duration::from_millis(40));
         let mut session = eng.session();
-        session.set_deadline(Some(Duration::from_millis(30)));
+        session.options_mut().governance.deadline = Some(Duration::from_millis(30));
         let t0 = Instant::now();
-        let err = session.consistent_answers(&query()).unwrap_err();
+        let err = session.answer(&query()).unwrap_err();
         assert!(err.is_budget(), "{err}");
         assert!(
             format!("{err}").contains("admission"),
@@ -345,7 +394,7 @@ fn drain_rejects_reads_and_writes_with_shutdown() {
     let mut session = eng.session();
     eng.drain();
     assert!(eng.is_draining());
-    let err = session.consistent_answers(&query()).unwrap_err();
+    let err = session.answer(&query()).unwrap_err();
     assert!(err.is_shutdown(), "{err}");
     assert!(!err.is_retryable(), "shutdown is terminal for this server");
     assert!(eng.write(vec![]).unwrap_err().is_shutdown());
@@ -369,7 +418,7 @@ fn cancel_from_another_thread_is_structured_and_resettable() {
             std::thread::sleep(Duration::from_millis(5));
             handle.cancel();
         });
-        let err = session.consistent_answers(&query()).unwrap_err();
+        let err = session.answer(&query()).unwrap_err();
         assert!(err.is_cancelled(), "{err}");
         assert!(err.is_retryable());
         canceller.join().unwrap();
@@ -378,7 +427,7 @@ fn cancel_from_another_thread_is_structured_and_resettable() {
     // answers normally.
     let handle = session.cancel_handle();
     handle.reset();
-    assert!(!session.consistent_answers(&query()).unwrap().is_empty());
+    assert!(!session.answer(&query()).unwrap().rows.is_empty());
 }
 
 // ---------------------------------------------------------------------
@@ -451,7 +500,8 @@ fn concurrent_traffic_under_faults_matches_the_serial_oracle_per_epoch() {
                                 continue;
                             }
                             3 => {
-                                session.set_deadline(Some(Duration::from_millis(1)));
+                                session.options_mut().governance.deadline =
+                                    Some(Duration::from_millis(1));
                                 false
                             }
                             5 => {
@@ -463,13 +513,13 @@ fn concurrent_traffic_under_faults_matches_the_serial_oracle_per_epoch() {
                             }
                             7 => {
                                 // A delayed shard racing a short deadline.
-                                *session.options_mut() =
-                                    HippoOptions::full().with_faults(FaultPlan::new(
+                                *session.options_mut() = HippoOptions::full()
+                                    .with_faults(FaultPlan::new(
                                         "prover",
                                         None,
                                         FaultKind::Delay(Duration::from_millis(30)),
-                                    ));
-                                session.set_deadline(Some(Duration::from_millis(10)));
+                                    ))
+                                    .with_deadline(Duration::from_millis(10));
                                 false
                             }
                             _ => true,
@@ -489,8 +539,9 @@ fn concurrent_traffic_under_faults_matches_the_serial_oracle_per_epoch() {
                         write(die % 2 == 0)
                     } else {
                         // CQA on the pinned epoch.
-                        session.consistent_answers(q).map(|rows| {
+                        session.answer(q).map(|a| {
                             if clean {
+                                let rows = a.rows;
                                 let epoch = Arc::clone(session.epoch());
                                 let mut samples = cqa_samples.lock().unwrap();
                                 let (_, first) = samples
@@ -512,7 +563,6 @@ fn concurrent_traffic_under_faults_matches_the_serial_oracle_per_epoch() {
                     }
                     if !clean {
                         *session.options_mut() = HippoOptions::full();
-                        session.set_deadline(None);
                     }
                 }
             });
@@ -522,11 +572,7 @@ fn concurrent_traffic_under_faults_matches_the_serial_oracle_per_epoch() {
     // The traffic joined (no deadlock); drain completes and closes the
     // gate behind itself.
     eng.drain();
-    assert!(eng
-        .session()
-        .consistent_answers(&q)
-        .unwrap_err()
-        .is_shutdown());
+    assert!(eng.session().answer(&q).unwrap_err().is_shutdown());
 
     // A failed write never publishes: the final epoch holds the keys of
     // exactly the writes that returned `Ok`, and counts as many.
@@ -565,8 +611,9 @@ fn concurrent_traffic_under_faults_matches_the_serial_oracle_per_epoch() {
             HippoOptions::full().with_prover_threads(1),
         )
         .unwrap();
+        let frozen = oracle.freeze().unwrap();
         assert_eq!(
-            oracle.consistent_answers(&q).unwrap(),
+            frozen.answer(&q, &oracle.options).unwrap().rows,
             *seen,
             "epoch {id} diverged from its serial oracle"
         );

@@ -37,7 +37,12 @@ fn main() {
 
     // Accounts with a consistently-known balance of at least 50 000.
     let q = SjudQuery::rel("ledger").select(Pred::cmp_const(1, CmpOp::Ge, 50_000i64));
-    let (answers, stats) = hippo.consistent_answers_with_stats(&q).unwrap();
+    let frozen = hippo.freeze().unwrap();
+    let ConsistentAnswer {
+        rows: answers,
+        stats,
+        ..
+    } = frozen.answer(&q, &hippo.options).unwrap();
     println!(
         "\nbalance ≥ 50000: {} consistent rows ({} candidates, {} prover calls, {:?})",
         answers.len(),
@@ -59,7 +64,7 @@ fn main() {
     let q = SjudQuery::rel("ledger")
         .select(Pred::cmp_const(1, CmpOp::Lt, 1_000i64))
         .union(SjudQuery::rel("ledger").select(Pred::cmp_const(1, CmpOp::Gt, 90_000i64)));
-    let answers = hippo.consistent_answers(&q).unwrap();
+    let answers = frozen.answer(&q, &hippo.options).unwrap().rows;
     println!(
         "\nextreme balances (union query): {} consistent rows",
         answers.len()

@@ -81,7 +81,11 @@ fn main() {
     ] {
         let hippo = Hippo::with_options(build_db(), constraints.clone(), opts).unwrap();
         let t = Instant::now();
-        let (answers, stats) = hippo.consistent_answers_with_stats(&q).unwrap();
+        let ConsistentAnswer {
+            rows: answers,
+            stats,
+            ..
+        } = hippo.freeze().unwrap().answer(&q, &hippo.options).unwrap();
         assert_eq!(answers, truth);
         println!(
             "{label}: {} answers in {:?} (membership queries: {}, prover calls: {})",

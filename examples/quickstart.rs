@@ -26,10 +26,14 @@ fn main() {
         hippo.graph().conflicting_vertex_count()
     );
 
+    // Answers come from a frozen view of the reconciled system (O(1):
+    // shared `Arc`s), queried with the system's options.
+    let frozen = hippo.freeze().unwrap();
+
     // Query 1: the whole relation. Only tuples true in EVERY repair count.
     let q = SjudQuery::rel("emp");
     println!("\nconsistent answers to `emp`:");
-    for row in hippo.consistent_answers(&q).unwrap() {
+    for row in frozen.answer(&q, &hippo.options).unwrap().rows {
         println!("  {row:?}");
     }
 
@@ -37,7 +41,7 @@ fn main() {
     // consistently; ann only in the repair that kept the 200 salary.
     let q = SjudQuery::rel("emp").select(Pred::cmp_const(1, CmpOp::Ge, 150i64));
     println!("\nconsistent answers to `σ(salary ≥ 150) emp`:");
-    for row in hippo.consistent_answers(&q).unwrap() {
+    for row in frozen.answer(&q, &hippo.options).unwrap().rows {
         println!("  {row:?}");
     }
 
@@ -47,21 +51,21 @@ fn main() {
         .select(Pred::cmp_const(1, CmpOp::Eq, 100i64))
         .union(SjudQuery::rel("emp").select(Pred::cmp_const(1, CmpOp::Eq, 200i64)));
     println!("\nconsistent answers to `σ(=100) emp ∪ σ(=200) emp`:");
-    for row in hippo.consistent_answers(&q).unwrap() {
+    for row in frozen.answer(&q, &hippo.options).unwrap().rows {
         println!("  {row:?}");
     }
 
     // The same answers straight from SQL text (the paper's titular
     // "class of SQL queries").
-    let answers = hippo
-        .consistent_answers_sql("SELECT * FROM emp WHERE salary >= 150")
-        .unwrap();
-    println!("\nvia SQL text: {} consistent rows", answers.len());
+    let q = sjud_from_sql("SELECT * FROM emp WHERE salary >= 150", frozen.catalog()).unwrap();
+    let answer = frozen.answer(&q, &hippo.options).unwrap();
+    println!("\nvia SQL text: {} consistent rows", answer.rows.len());
 
     // Statistics of a run.
-    let (_, stats) = hippo
-        .consistent_answers_with_stats(&SjudQuery::rel("emp"))
-        .unwrap();
+    let stats = frozen
+        .answer(&SjudQuery::rel("emp"), &hippo.options)
+        .unwrap()
+        .stats;
     println!(
         "\nrun stats: {} candidates, {} prover calls, {} answers ({:?} total)",
         stats.candidates, stats.prover_calls, stats.answers, stats.t_total

@@ -13,8 +13,16 @@
 //!   .quit
 
 use hippo::cqa::prelude::*;
-use hippo::engine::{Database, ExecResult};
+use hippo::engine::{Database, ExecResult, Row};
 use std::io::{self, BufRead, Write};
+
+/// `.cqa`: reconcile, classify the SQL into SJUD, freeze, answer.
+fn cqa(h: &mut Hippo, sql: &str) -> Result<Vec<Row>, Box<dyn std::error::Error>> {
+    h.redetect()?;
+    let frozen = h.freeze()?;
+    let q = sjud_from_sql(sql, frozen.catalog())?;
+    Ok(frozen.answer(&q, &h.options)?.rows)
+}
 
 fn main() {
     let mut db = Some(Database::new());
@@ -67,10 +75,7 @@ fn main() {
             }
         } else if let Some(sql) = line.strip_prefix(".cqa ") {
             match &mut hippo {
-                Some(h) => match h
-                    .redetect()
-                    .and_then(|_| h.consistent_answers_sql(sql.trim().trim_end_matches(';')))
-                {
+                Some(h) => match cqa(h, sql.trim().trim_end_matches(';')) {
                     Ok(rows) => {
                         for r in &rows {
                             println!("{r:?}");

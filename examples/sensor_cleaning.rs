@@ -72,7 +72,12 @@ fn main() {
     // in every repair and remains a consistent answer. The prover's
     // blocking-edge reasoning handles this automatically.
     let q = SjudQuery::rel("readings").select(Pred::cmp_const(2, CmpOp::Ge, 90i64));
-    let (answers, stats) = hippo.consistent_answers_with_stats(&q).unwrap();
+    let frozen = hippo.freeze().unwrap();
+    let ConsistentAnswer {
+        rows: answers,
+        stats,
+        ..
+    } = frozen.answer(&q, &hippo.options).unwrap();
     println!(
         "certain readings ≥ 90: {} ({} candidates, {} via core filter, {} prover calls)",
         answers.len(),
@@ -88,6 +93,6 @@ fn main() {
         CmpOp::Ge,
         95i64,
     )));
-    let answers = hippo.consistent_answers(&q).unwrap();
+    let answers = frozen.answer(&q, &hippo.options).unwrap().rows;
     println!("rows certainly below alarm level: {}", answers.len());
 }

@@ -7,6 +7,11 @@ use hippo::cqa::naive::{conflict_free_answers, naive_consistent_answers, plain_a
 use hippo::cqa::prelude::*;
 use hippo::engine::{Database, Value};
 
+/// A live system answers by freezing, then the one answer call.
+fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
+    h.freeze()?.answer(q, &h.options)
+}
+
 fn emp_db(rows: &[(&str, i64)]) -> Database {
     let mut db = Database::new();
     db.execute("CREATE TABLE emp (name TEXT, salary INT)")
@@ -45,7 +50,11 @@ fn f1_pipeline_end_to_end() {
     assert_eq!(candidates.rows.len(), 3, "envelope drops the subtrahend");
 
     // Stage 4: prover filters candidates into the answer set.
-    let (answers, stats) = hippo.consistent_answers_with_stats(&q).unwrap();
+    let ConsistentAnswer {
+        rows: answers,
+        stats,
+        ..
+    } = answer(&hippo, &q).unwrap();
     assert_eq!(answers, vec![vec![Value::text("bob"), Value::Int(300)]]);
     assert_eq!(stats.candidates, 3);
     assert!(stats.answers <= stats.candidates);
@@ -81,7 +90,7 @@ fn all_strategies_agree_where_applicable() {
         ] {
             let hippo =
                 Hippo::with_options(emp_db(&rows), constraints.clone(), opts.clone()).unwrap();
-            assert_eq!(hippo.consistent_answers(&q).unwrap(), truth, "{q} {opts:?}");
+            assert_eq!(answer(&hippo, &q).unwrap().rows, truth, "{q} {opts:?}");
         }
     }
 }
@@ -141,13 +150,13 @@ fn exclusion_and_fd_mix_three_relations() {
     assert_eq!(truth, vec![vec![Value::text("bob"), Value::Int(3)]]);
 
     let hippo = Hippo::new(db, constraints).unwrap();
-    assert_eq!(hippo.consistent_answers(&q).unwrap(), truth);
+    assert_eq!(answer(&hippo, &q).unwrap().rows, truth);
 
     // Join staff × audit on name: only bob joins consistently.
     let q = SjudQuery::rel("staff")
         .product(SjudQuery::rel("audit"))
         .select(Pred::cmp_cols(0, CmpOp::Eq, 2));
-    let answers = hippo.consistent_answers(&q).unwrap();
+    let answers = answer(&hippo, &q).unwrap().rows;
     let truth = naive_consistent_answers(&q, hippo.db().catalog(), hippo.graph());
     assert_eq!(answers, truth);
     assert_eq!(answers.len(), 1);
@@ -168,14 +177,14 @@ fn mutation_then_redetect_keeps_answers_correct() {
     let fd = DenialConstraint::functional_dependency("emp", &[0], 1);
     let mut hippo = Hippo::new(db, vec![fd]).unwrap();
     let q = SjudQuery::rel("emp");
-    assert_eq!(hippo.consistent_answers(&q).unwrap().len(), 2);
+    assert_eq!(answer(&hippo, &q).unwrap().rows.len(), 2);
 
     hippo
         .db_mut()
         .execute("INSERT INTO emp VALUES ('bob', 999)")
         .unwrap();
     hippo.redetect().unwrap();
-    let answers = hippo.consistent_answers(&q).unwrap();
+    let answers = answer(&hippo, &q).unwrap().rows;
     assert_eq!(answers, vec![vec![Value::text("ann"), Value::Int(100)]]);
     let truth = naive_consistent_answers(&q, hippo.db().catalog(), hippo.graph());
     assert_eq!(answers, truth);
@@ -192,9 +201,11 @@ fn large_consistent_instance_fast_path() {
     db.insert_rows("big", rows).unwrap();
     let fd = DenialConstraint::functional_dependency("big", &[0], 1);
     let hippo = Hippo::new(db, vec![fd]).unwrap();
-    let (answers, stats) = hippo
-        .consistent_answers_with_stats(&SjudQuery::rel("big"))
-        .unwrap();
+    let ConsistentAnswer {
+        rows: answers,
+        stats,
+        ..
+    } = answer(&hippo, &SjudQuery::rel("big")).unwrap();
     assert_eq!(answers.len(), 5000);
     assert_eq!(stats.prover_calls, 0);
     assert_eq!(stats.filtered_consistent, 5000);

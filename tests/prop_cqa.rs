@@ -19,6 +19,11 @@ use hippo::engine::{Database, Row, Value};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
+/// A live system answers by freezing, then the one answer call.
+fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
+    h.freeze()?.answer(q, &h.options)
+}
+
 /// A small random instance: emp(name:int, salary:int) with values from a
 /// narrow domain so conflicts happen often but repairs stay enumerable.
 fn arb_instance() -> impl Strategy<Value = Vec<(i64, i64)>> {
@@ -163,7 +168,7 @@ proptest! {
         let truth = naive_consistent_answers(&q, db.catalog(), &g);
         for opts in [HippoOptions::base(), HippoOptions::kg(), HippoOptions::full()] {
             let hippo = Hippo::with_options(build_db(&rows), constraints.clone(), opts.clone()).unwrap();
-            let got = hippo.consistent_answers(&q).unwrap();
+            let got = answer(&hippo, &q).unwrap().rows;
             prop_assert_eq!(&got, &truth, "query {} opts {:?}", q, opts);
         }
     }
@@ -221,7 +226,7 @@ proptest! {
                 constraints.clone(),
                 HippoOptions::full().with_prover_threads(threads),
             ).unwrap();
-            let (got, s) = hippo.consistent_answers_with_stats(&q).unwrap();
+            let ConsistentAnswer { rows: got, stats: s, .. } = answer(&hippo, &q).unwrap();
             prop_assert_eq!(&got, &truth, "query {} threads {}", q, threads);
             prop_assert_eq!(
                 (s.candidates, s.filtered_consistent, s.prover_calls, s.answers),
@@ -265,7 +270,7 @@ proptest! {
         let constraints = vec![DenialConstraint::functional_dependency("emp", &[0], 1)];
         let db = build_db(&rows);
         let hippo = Hippo::new(db, constraints).unwrap();
-        let answers = hippo.consistent_answers(&q).unwrap();
+        let answers = answer(&hippo, &q).unwrap().rows;
         let repairs = enumerate_repairs(hippo.graph(), None);
         for kept in &repairs {
             let inst = hippo::cqa::repair::repair_instance(
@@ -304,7 +309,7 @@ proptest! {
         let truth = naive_consistent_answers(&q, db.catalog(), &g);
         for opts in [HippoOptions::kg(), HippoOptions::full()] {
             let hippo = Hippo::with_options(build_db(&rows), constraints.clone(), opts.clone()).unwrap();
-            prop_assert_eq!(hippo.consistent_answers(&q).unwrap(), truth.clone(),
+            prop_assert_eq!(answer(&hippo, &q).unwrap().rows, truth.clone(),
                 "query {} opts {:?}", q, opts);
         }
     }
@@ -363,7 +368,7 @@ proptest! {
             for opts in [HippoOptions::kg(), HippoOptions::full()] {
                 let hippo = Hippo::with_options(
                     build_two_rel_db(&emp, &ban), constraints.clone(), opts.clone()).unwrap();
-                prop_assert_eq!(hippo.consistent_answers(&q).unwrap(), truth.clone(),
+                prop_assert_eq!(answer(&hippo, &q).unwrap().rows, truth.clone(),
                     "query {} opts {:?}", q, opts);
             }
         }

@@ -1,10 +1,22 @@
-//! Integration tests for the SQL-facing API (`consistent_answers_sql`) and
+//! Integration tests for the SQL-facing API (`sjud_from_sql` → freeze →
+//! `answer`) and
 //! the restricted foreign-key extension, end to end through the umbrella
 //! crate.
 
 use hippo::cqa::naive::naive_consistent_answers;
 use hippo::cqa::prelude::*;
 use hippo::engine::{Database, Value};
+
+/// A live system answers by freezing, then the one answer call.
+fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
+    h.freeze()?.answer(q, &h.options)
+}
+
+/// Consistent answers to SQL text: classify into SJUD, then answer.
+fn answer_sql(h: &Hippo, sql: &str) -> Vec<hippo_engine::Row> {
+    let q = sjud_from_sql(sql, h.db().catalog()).unwrap();
+    answer(h, &q).unwrap().rows
+}
 
 fn inventory_db() -> Database {
     let mut db = Database::new();
@@ -23,7 +35,7 @@ fn sql_text_to_consistent_answers() {
     let constraints = vec![DenialConstraint::functional_dependency("parts", &[0], 1)];
     let hippo = Hippo::new(inventory_db(), constraints.clone()).unwrap();
 
-    let answers = hippo.consistent_answers_sql("SELECT * FROM parts").unwrap();
+    let answers = answer_sql(&hippo, "SELECT * FROM parts");
     assert_eq!(
         answers,
         vec![
@@ -34,41 +46,35 @@ fn sql_text_to_consistent_answers() {
     );
 
     // Join through SQL.
-    let answers = hippo
-        .consistent_answers_sql(
-            "SELECT p.pid, p.weight, s.pid, s.qty FROM parts p \
+    let answers = answer_sql(
+        &hippo,
+        "SELECT p.pid, p.weight, s.pid, s.qty FROM parts p \
              INNER JOIN stock s ON p.pid = s.pid",
-        )
-        .unwrap();
+    );
     assert_eq!(answers.len(), 1);
     assert_eq!(answers[0][0], Value::Int(2));
 
     // Union through SQL (the class rewriting cannot express).
-    let answers = hippo
-        .consistent_answers_sql(
-            "SELECT * FROM parts WHERE weight < 15 UNION SELECT * FROM parts WHERE weight > 25",
-        )
-        .unwrap();
+    let answers = answer_sql(
+        &hippo,
+        "SELECT * FROM parts WHERE weight < 15 UNION SELECT * FROM parts WHERE weight > 25",
+    );
     assert_eq!(answers, vec![vec![Value::Int(3), Value::Int(30)]]);
 
     // Agreement with ground truth for each.
     let q = sjud_from_sql("SELECT * FROM parts", hippo.db().catalog()).unwrap();
     let truth = naive_consistent_answers(&q, hippo.db().catalog(), hippo.graph());
-    assert_eq!(hippo.consistent_answers(&q).unwrap(), truth);
+    assert_eq!(answer(&hippo, &q).unwrap().rows, truth);
 }
 
 #[test]
 fn sql_outside_class_is_rejected_with_explanation() {
     let hippo = Hippo::new(inventory_db(), vec![]).unwrap();
-    let err = hippo
-        .consistent_answers_sql("SELECT pid FROM parts")
-        .unwrap_err();
-    assert!(err.message.contains("existential"), "{err}");
-    let err = hippo
-        .consistent_answers_sql("SELECT COUNT(*) FROM parts")
-        .unwrap_err();
+    let err = sjud_from_sql("SELECT pid FROM parts", hippo.db().catalog()).unwrap_err();
+    assert!(err.to_string().contains("existential"), "{err}");
+    let err = sjud_from_sql("SELECT COUNT(*) FROM parts", hippo.db().catalog()).unwrap_err();
     assert!(
-        err.message.contains("SJUD") || err.message.contains("plain columns"),
+        err.to_string().contains("SJUD") || err.to_string().contains("plain columns"),
         "{err}"
     );
 }
@@ -92,14 +98,12 @@ fn foreign_keys_combine_with_fds_end_to_end() {
 
     // Shipment (7,3) is orphaned (supplier 7 does not exist): a singleton
     // edge, so it is in no repair.
-    let answers = hippo
-        .consistent_answers(&SjudQuery::rel("shipments"))
-        .unwrap();
+    let answers = answer(&hippo, &SjudQuery::rel("shipments")).unwrap().rows;
     assert_eq!(answers.len(), 2);
     assert!(answers.iter().all(|r| r[0] != Value::Int(7)));
 
     // The FD on parts still works in the same system.
-    let answers = hippo.consistent_answers(&SjudQuery::rel("parts")).unwrap();
+    let answers = answer(&hippo, &SjudQuery::rel("parts")).unwrap().rows;
     assert_eq!(answers.len(), 2);
 }
 
@@ -127,12 +131,11 @@ fn intersect_sql_answers_match_algebra() {
         vec![DenialConstraint::functional_dependency("parts", &[0], 1)],
     )
     .unwrap();
-    let via_sql = hippo
-        .consistent_answers_sql(
-            "SELECT * FROM parts INTERSECT SELECT * FROM parts WHERE weight >= 20",
-        )
-        .unwrap();
+    let via_sql = answer_sql(
+        &hippo,
+        "SELECT * FROM parts INTERSECT SELECT * FROM parts WHERE weight >= 20",
+    );
     let q = SjudQuery::rel("parts").select(Pred::cmp_const(1, CmpOp::Ge, 20i64));
-    let direct = hippo.consistent_answers(&q).unwrap();
+    let direct = answer(&hippo, &q).unwrap().rows;
     assert_eq!(via_sql, direct);
 }
