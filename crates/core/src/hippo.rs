@@ -234,7 +234,9 @@ pub struct Hippo {
     /// ([`Hippo::freeze`]) keep the old `Arc`, which stays sound for
     /// *their* graph.
     verdict_cache: Arc<Mutex<VerdictCache>>,
-    /// Options applied to subsequent runs.
+    /// Options of subsequent redetection runs, captured by
+    /// [`Hippo::freeze`]; a live caller answers with them as
+    /// `hippo.freeze()?.answer(&q, &hippo.options)`.
     pub options: HippoOptions,
 }
 

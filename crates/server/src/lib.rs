@@ -545,11 +545,11 @@ impl Engine {
     /// Open a reader session pinned to the current epoch.
     pub fn session(&self) -> Session {
         let epoch = self.current_epoch();
-        let mode = epoch.frozen.options.clone();
+        let options = epoch.frozen.options.clone();
         Session::open(
             EpochSource::Primary(Arc::clone(&self.shared)),
             epoch,
-            mode,
+            options,
             self.shared.config.default_deadline,
         )
     }
@@ -1339,18 +1339,17 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session on `epoch` with `mode`'s answer-mode switches (KG, core
-    /// filter, threads, cache, probes) and a fresh governance whose only
-    /// setting is `deadline`. Nothing else of the epoch's options rides
-    /// along: a fault plan, row budget or cancel handle armed on the
-    /// writer stays the writer's.
+    /// A session on `epoch` with `options`' answer-mode switches (KG,
+    /// core filter, threads, cache, probes) and a fresh governance whose
+    /// only setting is `deadline`. Nothing else of the epoch's options
+    /// rides along: a fault plan, row budget or cancel handle armed on
+    /// the writer stays the writer's.
     pub(crate) fn open(
         source: EpochSource,
         epoch: Arc<Epoch>,
-        mode: HippoOptions,
+        mut options: HippoOptions,
         deadline: Option<Duration>,
     ) -> Session {
-        let mut options = mode;
         options.governance = GovernanceOptions::default();
         options.governance.deadline = deadline;
         Session {
