@@ -174,7 +174,7 @@ pub use options::{AnswerStats, GovernanceOptions, HippoOptions};
 pub use pipeline::{FrozenHippo, PROVER_SHARDS};
 
 use crate::constraint::DenialConstraint;
-use crate::detect::{detect_with_index, DetectIndex, DetectOptions, DetectStats};
+use crate::detect::{DetectIndex, DetectStats};
 use crate::hypergraph::ConflictHypergraph;
 use hippo_engine::{Database, EngineError, Row, TupleId};
 use rustc_hash::FxHashMap;
@@ -265,22 +265,57 @@ impl Hippo {
         constraints: Vec<DenialConstraint>,
         options: HippoOptions,
     ) -> Result<Hippo, EngineError> {
-        let gov = options.governance();
-        let (graph, detect_stats, index) =
-            detect_with_index(db.catalog(), &constraints, &DetectOptions::default(), &gov)?;
+        Hippo {
+            options,
+            ..Hippo::unreconciled(db, constraints, Vec::new())?
+        }
+        .reconciled()
+    }
+
+    /// Build the system with restricted foreign keys in addition to denial
+    /// constraints (the paper's future-work extension — see
+    /// [`crate::inclusion`]): parents must be constraint-free; orphaned
+    /// child tuples become singleton hyperedges.
+    pub fn with_foreign_keys(
+        db: Database,
+        constraints: Vec<DenialConstraint>,
+        foreign_keys: Vec<crate::inclusion::ForeignKey>,
+    ) -> Result<Hippo, EngineError> {
+        Hippo::unreconciled(db, constraints, foreign_keys)?.reconciled()
+    }
+
+    /// The system before its first detection: validates the foreign
+    /// keys and starts from an empty conflict graph with the catalog
+    /// marked dirty, so [`Hippo::freeze`] refuses until
+    /// [`Hippo::redetect`] runs one full detection. Every constructor
+    /// goes through here; the service layer also replays logged history
+    /// onto a restored catalog in this state, so that the replay and
+    /// the detection after it are the only work a restore does.
+    pub fn unreconciled(
+        db: Database,
+        constraints: Vec<DenialConstraint>,
+        foreign_keys: Vec<crate::inclusion::ForeignKey>,
+    ) -> Result<Hippo, EngineError> {
+        crate::inclusion::validate_restricted(&foreign_keys, &constraints, db.catalog())?;
         Ok(Hippo {
             db,
             constraints,
-            graph: Arc::new(graph),
-            detect_stats,
-            foreign_keys: Vec::new(),
+            graph: Arc::new(ConflictHypergraph::new()),
+            detect_stats: DetectStats::default(),
+            foreign_keys,
             fk_indexes: Vec::new(),
-            detect_index: index,
+            detect_index: DetectIndex::default(),
             pending: Vec::new(),
-            catalog_dirty: false,
+            catalog_dirty: true,
             verdict_cache: Arc::new(Mutex::new(VerdictCache::default())),
-            options,
+            options: HippoOptions::default(),
         })
+    }
+
+    /// Run the construction-time full detection.
+    fn reconciled(mut self) -> Result<Hippo, EngineError> {
+        self.redetect_full()?;
+        Ok(self)
     }
 
     /// The underlying database (read access).
@@ -316,7 +351,7 @@ impl Hippo {
     }
 
     /// The restricted foreign keys (empty unless built via
-    /// [`Hippo::with_foreign_keys`]). The durability layer needs these
+    /// [`Hippo::with_foreign_keys`] or [`Hippo::unreconciled`]). The durability layer needs these
     /// to rebuild an equivalent `Hippo` around a recovered database —
     /// constraints are code, not data, so they are re-supplied at
     /// recovery rather than serialized.
@@ -324,64 +359,9 @@ impl Hippo {
         &self.foreign_keys
     }
 
-    /// Number of recorded-but-unreconciled changes (inserts + deletes
-    /// recorded since the last [`Hippo::redetect`]). The write-ahead log
-    /// frames a transaction only once this is back to zero — a non-zero
-    /// count at frame time would mean logging a state the hypergraph
-    /// does not yet reflect.
-    pub fn pending_changes(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Conflict-detection statistics.
     pub fn detect_stats(&self) -> DetectStats {
         self.detect_stats
-    }
-
-    /// Build the system with restricted foreign keys in addition to denial
-    /// constraints (the paper's future-work extension — see
-    /// [`crate::inclusion`]): parents must be constraint-free; orphaned
-    /// child tuples become singleton hyperedges.
-    pub fn with_foreign_keys(
-        db: Database,
-        constraints: Vec<DenialConstraint>,
-        foreign_keys: Vec<crate::inclusion::ForeignKey>,
-    ) -> Result<Hippo, EngineError> {
-        if foreign_keys.is_empty() {
-            // No orphan edges to derive: identical to `new`, which keeps
-            // the incremental redetection path available.
-            return Hippo::new(db, constraints);
-        }
-        crate::inclusion::validate_restricted(&foreign_keys, &constraints, db.catalog())?;
-        // Un-finalized: orphan edges are still coming; freeze once, below.
-        let gov = crate::budget::Governance::default();
-        let (mut graph, mut detect_stats, index) =
-            crate::detect::detect_unfinalized_with_index(db.catalog(), &constraints, &gov)?;
-        let mut fk_indexes = Vec::with_capacity(foreign_keys.len());
-        for (i, fk) in foreign_keys.iter().enumerate() {
-            let added = crate::inclusion::orphan_edges(
-                &mut graph,
-                db.catalog(),
-                fk,
-                constraints.len() + i,
-            )?;
-            detect_stats.edges_emitted += added;
-            fk_indexes.push(crate::inclusion::FkIndex::build(db.catalog(), fk)?);
-        }
-        graph.finalize();
-        Ok(Hippo {
-            db,
-            constraints,
-            graph: Arc::new(graph),
-            detect_stats,
-            foreign_keys,
-            fk_indexes,
-            detect_index: index,
-            pending: Vec::new(),
-            catalog_dirty: false,
-            verdict_cache: Arc::new(Mutex::new(VerdictCache::default())),
-            options: HippoOptions::default(),
-        })
     }
 }
 
@@ -451,5 +431,28 @@ mod tests {
         assert_eq!(stats.answers, 0);
         assert!(hippo.detect_stats().combinations_checked > 0);
         assert_eq!(hippo.graph().edge_count(), 1);
+    }
+
+    #[test]
+    fn unreconciled_refuses_freeze_until_one_full_detection() {
+        let db = || emp_db(&[("ann", 100), ("ann", 200), ("bob", 300)]);
+        let built = Hippo::new(db(), fd()).unwrap();
+        let mut h = Hippo::unreconciled(db(), fd(), Vec::new()).unwrap();
+        assert_eq!(h.graph().edge_count(), 0);
+        let err = h.freeze().unwrap_err();
+        assert!(err.message.contains("redetect"), "{err}");
+        // Recorded changes on top of the unreconciled state are folded
+        // into the one full detection, never replayed incrementally.
+        h.delete_tuples("emp", &[TupleId(2)]).unwrap();
+        h.insert_tuples("emp", vec![vec![Value::text("bob"), Value::Int(300)]])
+            .unwrap();
+        let stats = h.redetect().unwrap();
+        assert!(!stats.incremental);
+        assert_eq!(stats.edges_emitted, built.detect_stats().edges_emitted);
+        assert_eq!(h.graph().edge_count(), built.graph().edge_count());
+        assert_eq!(
+            answer(&h, &SjudQuery::rel("emp")).unwrap().rows,
+            answer(&built, &SjudQuery::rel("emp")).unwrap().rows
+        );
     }
 }

@@ -85,6 +85,12 @@
 //! recover:    lock dir ─▶ load checkpoint ─▶ replay committed log suffix
 //!             (torn tail truncated) ─▶ full conflict re-detection ─▶
 //!             publish epoch 1
+//!
+//! one path:   write ─▶ apply(op) ─▶ WalOp ─▶ log ─▶ replay(WalOp) ─▶ apply(op)
+//!             (recovery and replicas replay through the commit's own
+//!              apply and check the ids it returns against the log;
+//!              recovery, writer resets and replica snapshots all
+//!              restore as catalog ─▶ replayed tail ─▶ one full detection)
 //! ```
 //!
 //! Failed writes never ride along, durable engine or not: the writer
@@ -101,8 +107,9 @@
 //! every message rides the same crc-checked frame envelope as the log
 //! itself). The ship point sits strictly after the group-commit fsync:
 //! a replica can only ever see frames the primary is committed to.
-//! Replicas replay with crash-recovery's discipline (contiguous LSNs,
-//! verified tuple ids, abandoned-audit frames skipped), publish each
+//! Replicas replay through crash recovery's own replay function
+//! (contiguous LSNs, verified tuple ids, abandoned-audit frames
+//! skipped), publish each
 //! applied batch as a fresh epoch, and serve reads/CQA with surfaced
 //! staleness; writes are refused with a structured `NotPrimary` error.
 //!
@@ -143,6 +150,7 @@
 //! [`Transport`]: transport::Transport
 
 mod admission;
+mod apply;
 pub mod checkpoint;
 pub mod recover;
 pub mod replicate;
@@ -159,6 +167,7 @@ pub use transport::{ChannelTransport, TcpTransport, Transport};
 pub use wal::DirLock;
 
 use admission::Admission;
+use apply::{apply, restore};
 use checkpoint::{read_checkpoint, write_checkpoint};
 use hippo_cqa::budget::ConsistentAnswer;
 use hippo_cqa::constraint::DenialConstraint;
@@ -167,8 +176,7 @@ use hippo_cqa::hippo::{FrozenHippo, GovernanceOptions, Hippo, HippoOptions};
 use hippo_cqa::inclusion::ForeignKey;
 use hippo_cqa::parallel::panic_message;
 use hippo_cqa::query::SjudQuery;
-use hippo_engine::{CancelHandle, Database, EngineError, QueryResult, Row, TupleId};
-use recover::recover_dir;
+use hippo_engine::{CancelHandle, EngineError, QueryResult, Row, TupleId};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -270,8 +278,8 @@ impl Epoch {
 pub enum WriteOp {
     /// Insert rows into a table.
     Insert { table: String, rows: Vec<Row> },
-    /// Delete tuples by id (unknown ids are skipped, matching
-    /// [`Hippo::delete_tuples`]).
+    /// Delete tuples by id (unknown, already-deleted and repeated ids
+    /// are skipped, matching [`Hippo::delete_tuples`]).
     Delete { table: String, tids: Vec<TupleId> },
     /// Update tuples in place (ids survive).
     Update {
@@ -300,6 +308,18 @@ struct Durability {
     frames_since_checkpoint: u64,
     /// LSN of the newest appended frame (0 = none yet).
     last_lsn: u64,
+}
+
+impl Durability {
+    fn new(wal: Wal, config: &DurabilityConfig, frames_since_checkpoint: u64) -> Durability {
+        Durability {
+            last_lsn: wal.next_lsn().saturating_sub(1),
+            wal,
+            dir: config.dir.clone(),
+            checkpoint_every: config.checkpoint_every_frames,
+            frames_since_checkpoint,
+        }
+    }
 }
 
 struct WriterState {
@@ -410,22 +430,7 @@ impl Engine {
     /// (same rule as [`Hippo::freeze`]).
     pub fn new(hippo: Hippo, config: EngineConfig) -> Result<Engine, EngineError> {
         let frozen = hippo.freeze()?;
-        let epoch = Arc::new(Epoch {
-            id: 0,
-            frozen,
-            writes_applied: 0,
-            published_at: Instant::now(),
-        });
-        let writer = WriterState {
-            hippo,
-            writes_applied: 0,
-            durability: None,
-            needs_rebuild: false,
-        };
-        Ok(Engine {
-            shared: Arc::new(Shared::new(epoch, writer, config, None)),
-            _dir_lock: None,
-        })
+        Ok(Engine::assemble(hippo, frozen, 0, config, None, None))
     }
 
     /// Start a **durable** service: lock `durability.dir`, write the
@@ -455,37 +460,27 @@ impl Engine {
             &hippo.options.governance(),
         )?;
         let (wal, _scan) = Wal::open(&durability.dir)?;
-        let epoch = Arc::new(Epoch {
-            id: 0,
-            frozen,
-            writes_applied: 0,
-            published_at: Instant::now(),
-        });
-        let writer = WriterState {
+        let durable = (Durability::new(wal, &durability, 0), dir_lock);
+        Ok(Engine::assemble(
             hippo,
-            writes_applied: 0,
-            durability: Some(Durability {
-                last_lsn: wal.next_lsn().saturating_sub(1),
-                wal,
-                dir: durability.dir.clone(),
-                checkpoint_every: durability.checkpoint_every_frames,
-                frames_since_checkpoint: 0,
-            }),
-            needs_rebuild: false,
-        };
-        Ok(Engine {
-            shared: Arc::new(Shared::new(epoch, writer, config, None)),
-            _dir_lock: Some(dir_lock),
-        })
+            frozen,
+            0,
+            config,
+            Some(durable),
+            None,
+        ))
     }
 
     /// Reopen a durability directory after a crash or shutdown: load
-    /// the latest checkpoint, replay the committed log suffix
-    /// (truncating any torn tail), rebuild the Hippo system — which
-    /// re-runs **full** conflict detection from the recovered data —
-    /// and publish the result as epoch 1. The constraints and foreign
-    /// keys are schema-level configuration the log does not carry, so
-    /// the caller supplies them (they must match the crashed engine's).
+    /// the latest checkpoint, scan the log (truncating any torn tail),
+    /// replay the committed suffix onto an unreconciled Hippo through
+    /// the same `apply` every commit ran, run **one** full conflict
+    /// detection over the result, and publish it as epoch 1. That is
+    /// the restore a writer reset and a replica snapshot run too, with
+    /// an empty tail. The constraints and foreign keys are schema-level
+    /// configuration the log does not carry, so the caller supplies
+    /// them (they must match the crashed engine's); `options` apply
+    /// from the first call after recovery on.
     pub fn recover(
         config: EngineConfig,
         durability: DurabilityConfig,
@@ -494,46 +489,56 @@ impl Engine {
         options: HippoOptions,
     ) -> Result<Engine, EngineError> {
         let dir_lock = Arc::new(DirLock::acquire(&durability.dir)?);
-        let (catalog, wal, report) = recover_dir(&durability.dir)?;
-        let db = Database::from_catalog(catalog);
-        // Construction runs the full ungoverned detect; the caller's
-        // options (fault plans included) only apply to later calls.
-        let mut hippo = Hippo::with_foreign_keys(db, constraints, foreign_keys)?;
-        hippo.options = options;
+        let (catalog, wal, tail, report) = recover::read_dir(&durability.dir)?;
+        let hippo = restore(catalog, constraints, foreign_keys, options, &tail)?;
         let frozen = hippo.freeze()?;
+        let durable = (
+            Durability::new(wal, &durability, report.frames_replayed),
+            dir_lock,
+        );
+        Ok(Engine::assemble(
+            hippo,
+            frozen,
+            1,
+            config,
+            Some(durable),
+            Some(report),
+        ))
+    }
+
+    /// The one engine assembly: publish `frozen` (a freeze of `hippo`)
+    /// as epoch `epoch_id` and hand `hippo` to the writer slot.
+    fn assemble(
+        hippo: Hippo,
+        frozen: FrozenHippo,
+        epoch_id: u64,
+        config: EngineConfig,
+        durable: Option<(Durability, Arc<DirLock>)>,
+        recovery: Option<recover::RecoveryReport>,
+    ) -> Engine {
         let epoch = Arc::new(Epoch {
-            id: 1,
+            id: epoch_id,
             frozen,
             writes_applied: 0,
             published_at: Instant::now(),
         });
+        let (durability, dir_lock) = durable.unzip();
         let writer = WriterState {
             hippo,
             writes_applied: 0,
-            durability: Some(Durability {
-                last_lsn: wal.next_lsn().saturating_sub(1),
-                wal,
-                dir: durability.dir.clone(),
-                checkpoint_every: durability.checkpoint_every_frames,
-                frames_since_checkpoint: report.frames_replayed,
-            }),
+            durability,
             needs_rebuild: false,
         };
-        Ok(Engine {
-            shared: Arc::new(Shared::new(epoch, writer, config, Some(report))),
-            _dir_lock: Some(dir_lock),
-        })
+        Engine {
+            shared: Arc::new(Shared::new(epoch, writer, config, recovery)),
+            _dir_lock: dir_lock,
+        }
     }
 
     /// What [`Engine::recover`] found and replayed (`None` on engines
     /// not born from recovery).
     pub fn recovery_report(&self) -> Option<recover::RecoveryReport> {
         self.shared.recovery.clone()
-    }
-
-    /// Is this engine writing a WAL?
-    pub fn is_durable(&self) -> bool {
-        self.shared.durable
     }
 
     /// The currently published epoch (an `Arc` clone; the caller's
@@ -727,46 +732,11 @@ impl Engine {
                 let mut ops_done = 0usize;
                 let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<(), EngineError> {
                     for op in ops {
-                        match op {
-                            WriteOp::Insert { table, rows } => {
-                                let tids = w.hippo.insert_tuples(table, rows.clone())?;
-                                inserted.extend(tids.iter().copied());
-                                walops.push(WalOp::Insert {
-                                    table: table.clone(),
-                                    rows: rows.clone(),
-                                    tids,
-                                });
-                            }
-                            WriteOp::Delete { table, tids } => {
-                                // The engine skips unknown ids; the log
-                                // must record only real deletions or
-                                // replay would refuse the frame.
-                                let live: Vec<TupleId> = w
-                                    .hippo
-                                    .db()
-                                    .catalog()
-                                    .table(table)
-                                    .map(|t| {
-                                        tids.iter()
-                                            .copied()
-                                            .filter(|&id| t.get(id).is_some())
-                                            .collect()
-                                    })
-                                    .unwrap_or_default();
-                                w.hippo.delete_tuples(table, tids)?;
-                                walops.push(WalOp::Delete {
-                                    table: table.clone(),
-                                    tids: live,
-                                });
-                            }
-                            WriteOp::Update { table, updates } => {
-                                w.hippo.update_tuples(table, updates.clone())?;
-                                walops.push(WalOp::Update {
-                                    table: table.clone(),
-                                    updates: updates.clone(),
-                                });
-                            }
+                        let walop = apply(&mut w.hippo, op)?;
+                        if let WalOp::Insert { tids, .. } = &walop {
+                            inserted.extend_from_slice(tids);
                         }
+                        walops.push(walop);
                         ops_done += 1;
                     }
                     Ok(())
@@ -926,23 +896,23 @@ impl Engine {
         results.into_iter().map(Option::unwrap).collect()
     }
 
-    /// Post-failure writer recovery, the same on every engine: rebuild
+    /// Post-failure writer recovery, the same on every engine: restore
     /// the writer's Hippo from the currently published epoch's catalog
-    /// (full ungoverned re-detection, then the original options
-    /// restored so unfired fault arms survive), so ops a failed
-    /// transaction already applied can never be published with a later
-    /// success. On failure flags `needs_rebuild`; the next commit
-    /// attempt retries.
+    /// with an empty tail (full ungoverned re-detection, then the
+    /// original options restored so unfired fault arms survive), so ops
+    /// a failed transaction already applied can never be published with
+    /// a later success. On failure flags `needs_rebuild`; the next
+    /// commit attempt retries.
     fn reset_writer(&self, w: &mut WriterState) {
         let epoch = self.current_epoch();
-        let rebuilt = catch_unwind(AssertUnwindSafe(|| -> Result<Hippo, EngineError> {
-            let db = Database::from_catalog(epoch.frozen().catalog().clone());
-            let constraints = w.hippo.constraints().to_vec();
-            let fks = w.hippo.foreign_keys().to_vec();
-            let options = w.hippo.options.clone();
-            let mut h = Hippo::with_foreign_keys(db, constraints, fks)?;
-            h.options = options;
-            Ok(h)
+        let rebuilt = catch_unwind(AssertUnwindSafe(|| {
+            restore(
+                epoch.frozen().catalog().clone(),
+                w.hippo.constraints().to_vec(),
+                w.hippo.foreign_keys().to_vec(),
+                w.hippo.options.clone(),
+                &[],
+            )
         }));
         match rebuilt {
             Ok(Ok(h)) => {

@@ -5,25 +5,24 @@
 //! recover(dir):
 //!   1. read checkpoint.bin        → catalog image, last_lsn
 //!   2. scan wal.bin               → committed frames, torn tail gone
-//!   3. replay frames lsn > last_lsn onto the catalog, in LSN order
-//!   4. (caller) rebuild Hippo     → full conflict re-detection
+//!   3. replay frames lsn > last_lsn onto an unreconciled Hippo over
+//!      the catalog, in LSN order, through the commit path's own apply
+//!   4. (caller) one full conflict re-detection
 //!   5. (caller) publish epoch 1
 //! ```
 //!
-//! Replay is **self-verifying**: each logged insert carries the tuple
-//! ids the live engine assigned, and the replayed insert must be
-//! assigned the same ids. Because the checkpoint preserves slot
-//! structure exactly (tombstones included) and inserts always append,
-//! any mismatch means the checkpoint and log disagree about history —
-//! a corruption we refuse to paper over. Abandoned-audit frames are
-//! counted but never replayed.
+//! Replay is self-verifying: each logged op carries the tuple ids the
+//! live engine produced, and replaying it through the same `apply` must
+//! produce them again (inserts equal, deletes equal as a set).
+//! Abandoned-audit frames are counted but never replayed.
 //!
 //! Conflict state is *not* logged: the hypergraph is derived data, so
 //! step 4 recomputes it from scratch — recovery can never resurrect a
 //! stale conflict verdict.
 
+use crate::apply::replay_onto;
 use crate::checkpoint::read_checkpoint;
-use crate::wal::{FrameKind, Wal, WalOp};
+use crate::wal::{Frame, FrameKind, Wal};
 use hippo_engine::{Catalog, EngineError};
 use std::path::Path;
 
@@ -68,57 +67,6 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
-pub(crate) fn diverged(what: impl std::fmt::Display) -> EngineError {
-    EngineError::new(format!(
-        "recover: replay diverged from the log ({what}) — checkpoint and WAL \
-         disagree about history; the durability directory is corrupt"
-    ))
-}
-
-pub(crate) fn apply_op(catalog: &mut Catalog, lsn: u64, op: &WalOp) -> Result<(), EngineError> {
-    match op {
-        WalOp::Insert { table, rows, tids } => {
-            let t = catalog
-                .table_mut(table)
-                .map_err(|_| diverged(format!("frame {lsn} inserts into missing table {table}")))?;
-            for (row, want) in rows.iter().zip(tids) {
-                let got = t
-                    .insert(row.clone())
-                    .map_err(|e| diverged(format!("frame {lsn} insert rejected: {e}")))?;
-                if got != *want {
-                    return Err(diverged(format!(
-                        "frame {lsn} insert into {table} got tid {} but the log recorded {}",
-                        got.0, want.0
-                    )));
-                }
-            }
-        }
-        WalOp::Delete { table, tids } => {
-            let t = catalog
-                .table_mut(table)
-                .map_err(|_| diverged(format!("frame {lsn} deletes from missing table {table}")))?;
-            for tid in tids {
-                if !t.delete(*tid) {
-                    return Err(diverged(format!(
-                        "frame {lsn} deletes absent tuple {} from {table}",
-                        tid.0
-                    )));
-                }
-            }
-        }
-        WalOp::Update { table, updates } => {
-            let t = catalog
-                .table_mut(table)
-                .map_err(|_| diverged(format!("frame {lsn} updates missing table {table}")))?;
-            for (tid, row) in updates {
-                t.update(*tid, row.clone())
-                    .map_err(|e| diverged(format!("frame {lsn} update rejected: {e}")))?;
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Load the directory's checkpoint, scan its log, and replay the
 /// committed suffix. Returns the recovered catalog, the open log
 /// (positioned for further appends), and a report. The caller owns
@@ -128,6 +76,18 @@ pub(crate) fn apply_op(catalog: &mut Catalog, lsn: u64, op: &WalOp) -> Result<()
 /// born with one (see [`crate::Engine::new_durable`]), so its absence
 /// means this was never a durability directory.
 pub fn recover_dir(dir: &Path) -> Result<(Catalog, Wal, RecoveryReport), EngineError> {
+    let (catalog, wal, tail, report) = read_dir(dir)?;
+    let mut hippo = replay_onto(catalog, Vec::new(), Vec::new(), &tail)?;
+    let catalog = std::mem::take(hippo.db_mut().catalog_mut());
+    Ok((catalog, wal, report))
+}
+
+/// Load the checkpoint and scan the log: the checkpoint's catalog, the
+/// open log, the committed frames past the checkpoint (the tail to
+/// replay), and the report counting them. Replays nothing.
+pub(crate) fn read_dir(
+    dir: &Path,
+) -> Result<(Catalog, Wal, Vec<Frame>, RecoveryReport), EngineError> {
     let ck = read_checkpoint(dir)?.ok_or_else(|| {
         EngineError::new(format!(
             "recover: no checkpoint in {} — not a durability directory \
@@ -147,30 +107,27 @@ pub fn recover_dir(dir: &Path) -> Result<(Catalog, Wal, RecoveryReport), EngineE
         wal_bytes: wal.len(),
         ..RecoveryReport::default()
     };
-    let mut catalog = ck.catalog;
-    for frame in &scan.frames {
+    let mut tail = Vec::new();
+    for frame in scan.frames {
         if frame.kind == FrameKind::Abandoned {
             report.abandoned_skipped += 1;
-            continue;
+        } else if frame.lsn > ck.last_lsn {
+            // (Frames at or below it were already folded into the
+            // checkpoint: the crash landed between the checkpoint
+            // rename and the log truncation.)
+            report.frames_replayed += 1;
+            report.ops_replayed += frame.ops.len() as u64;
+            tail.push(frame);
         }
-        if frame.lsn <= ck.last_lsn {
-            // Already folded into the checkpoint (crash landed between
-            // the checkpoint rename and the log truncation).
-            continue;
-        }
-        for op in &frame.ops {
-            apply_op(&mut catalog, frame.lsn, op)?;
-            report.ops_replayed += 1;
-        }
-        report.frames_replayed += 1;
     }
-    Ok((catalog, wal, report))
+    Ok((ck.catalog, wal, tail, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checkpoint::write_checkpoint;
+    use crate::wal::WalOp;
     use hippo_cqa::budget::Governance;
     use hippo_engine::{Database, TupleId, Value};
     use std::path::PathBuf;

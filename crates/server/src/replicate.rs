@@ -32,17 +32,22 @@
 //!
 //! # Replay = recovery
 //!
-//! A replica applies frames with exactly the crash-recovery discipline
-//! ([`crate::recover`]): LSNs must be contiguous (a gap triggers a
-//! resync `Hello`, never a silent skip), inserts must land on the tuple
-//! ids the primary recorded (anything else is a loud divergence error
-//! that marks the replica broken), and abandoned-audit frames advance
+//! A replica replays frames through the same function crash recovery
+//! uses, `replay` in the private `apply` module, which runs each logged
+//! op through the commit path's own `apply` and checks the tuple ids
+//! it produces against the log. Anything else — a wrong insert id, a
+//! delete of an absent tuple, an update of a missing one, an op on a
+//! missing table — is a loud divergence error that marks the replica
+//! broken, and recovery refuses the same frame with the same verdict.
+//! A snapshot is loaded by the same restore recovery runs, with an
+//! empty tail. LSNs must be contiguous (a gap triggers a resync
+//! `Hello`, never a silent skip), and abandoned-audit frames advance
 //! the LSN without touching data.
 
-use crate::recover::diverged;
+use crate::apply::{replay, restore};
 use crate::stats::{ReplicaStats, Staleness};
 use crate::transport::Transport;
-use crate::wal::{decode_frame_payload, encode_frame_payload, Frame, FrameKind, WalOp};
+use crate::wal::{decode_frame_payload, encode_frame_payload, Frame, FrameKind};
 use crate::{
     DurabilityConfig, Engine, EngineConfig, Epoch, EpochSource, Session, WriteOp, WriteReceipt,
 };
@@ -51,7 +56,7 @@ use hippo_cqa::hippo::{Hippo, HippoOptions};
 use hippo_cqa::inclusion::ForeignKey;
 use hippo_cqa::parallel::panic_message;
 use hippo_engine::codec::{self, Reader};
-use hippo_engine::{Database, EngineError};
+use hippo_engine::EngineError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -914,6 +919,13 @@ fn handle_message(
         state.term.store(msg_term, Ordering::SeqCst);
     }
 
+    if matches!(msg, ReplMsg::Snapshot { .. } | ReplMsg::Frames { .. })
+        && state.broken.lock().unwrap().is_some()
+    {
+        // A broken replica's applier may hold a half-replayed frame:
+        // it applies nothing more and keeps serving its last epoch.
+        return false;
+    }
     match msg {
         ReplMsg::Snapshot {
             last_lsn, catalog, ..
@@ -961,17 +973,18 @@ fn mark_broken(state: &ReplState, e: EngineError) {
     }
 }
 
-/// Build a fresh Hippo from a shipped catalog image (full conflict
-/// detection — the snapshot carries data, not derived state) and
-/// publish it.
+/// Restore a Hippo from a shipped catalog image with an empty tail
+/// (one full conflict detection — the snapshot carries data, not
+/// derived state) and publish it.
 fn load_snapshot(state: &ReplState, config: &ReplicaConfig, catalog: &[u8], lsn: u64) -> bool {
-    let built = catch_unwind(AssertUnwindSafe(|| -> Result<Hippo, EngineError> {
-        let catalog = codec::decode_catalog(catalog)?;
-        let db = Database::from_catalog(catalog);
-        let mut hippo =
-            Hippo::with_foreign_keys(db, config.constraints.clone(), config.foreign_keys.clone())?;
-        hippo.options = config.options.clone();
-        Ok(hippo)
+    let built = catch_unwind(AssertUnwindSafe(|| {
+        restore(
+            codec::decode_catalog(catalog)?,
+            config.constraints.clone(),
+            config.foreign_keys.clone(),
+            config.options.clone(),
+            &[],
+        )
     }));
     match built {
         Ok(Ok(hippo)) => {
@@ -997,9 +1010,11 @@ fn load_snapshot(state: &ReplState, config: &ReplicaConfig, catalog: &[u8], lsn:
     }
 }
 
-/// Apply one shipped batch with recovery's discipline: contiguous LSNs,
-/// verified tuple ids, abandoned frames skipped. Returns whether any
-/// frame landed.
+/// Apply one shipped batch: contiguous LSNs, each committed frame's ops
+/// through [`replay`] (recovery's own replay, verified tuple ids
+/// included), abandoned frames skipped. A frame that fails to replay
+/// breaks the replica and nothing of the batch is published. Returns
+/// whether the batch was published.
 fn apply_frames(state: &ReplState, frames: &[Frame], transport: &mut Box<dyn Transport>) -> bool {
     let mut applier = state.applier.lock().unwrap();
     if applier.hippo.is_none() {
@@ -1039,23 +1054,28 @@ fn apply_frames(state: &ReplState, frames: &[Frame], transport: &mut Box<dyn Tra
             continue;
         }
         let hippo = applier.hippo.as_mut().expect("checked above");
-        let applied = catch_unwind(AssertUnwindSafe(|| apply_frame(hippo, frame)));
-        match applied {
-            Ok(Ok(n)) => {
+        let replayed = catch_unwind(AssertUnwindSafe(|| -> Result<(), EngineError> {
+            for op in &frame.ops {
+                replay(hippo, frame.lsn, op)?;
+            }
+            Ok(())
+        }));
+        match replayed {
+            Ok(Ok(())) => {
                 applier.applied_lsn = frame.lsn;
                 landed += 1;
-                ops_landed += n;
+                ops_landed += frame.ops.len() as u64;
             }
             Ok(Err(e)) => {
                 mark_broken(state, e);
-                break;
+                return false;
             }
             Err(p) => {
                 mark_broken(
                     state,
                     EngineError::worker_panic("replica", 0, &panic_message(p.as_ref())),
                 );
-                break;
+                return false;
             }
         }
     }
@@ -1088,50 +1108,6 @@ fn apply_frames(state: &ReplState, frames: &[Frame], transport: &mut Box<dyn Tra
             false
         }
     }
-}
-
-fn apply_frame(hippo: &mut Hippo, frame: &Frame) -> Result<u64, EngineError> {
-    let mut ops = 0u64;
-    for op in &frame.ops {
-        match op {
-            WalOp::Insert { table, rows, tids } => {
-                let got = hippo.insert_tuples(table, rows.clone())?;
-                if got != *tids {
-                    return Err(diverged(format!(
-                        "replica frame {} insert into {table} assigned ids {:?} \
-                         but the primary recorded {:?}",
-                        frame.lsn,
-                        got.iter().map(|t| t.0).collect::<Vec<_>>(),
-                        tids.iter().map(|t| t.0).collect::<Vec<_>>(),
-                    )));
-                }
-            }
-            WalOp::Delete { table, tids } => {
-                {
-                    let t = hippo.db().catalog().table(table).map_err(|_| {
-                        diverged(format!(
-                            "replica frame {} deletes from missing table {table}",
-                            frame.lsn
-                        ))
-                    })?;
-                    for tid in tids {
-                        if t.get(*tid).is_none() {
-                            return Err(diverged(format!(
-                                "replica frame {} deletes absent tuple {} from {table}",
-                                frame.lsn, tid.0
-                            )));
-                        }
-                    }
-                }
-                hippo.delete_tuples(table, tids)?;
-            }
-            WalOp::Update { table, updates } => {
-                hippo.update_tuples(table, updates.clone())?;
-            }
-        }
-        ops += 1;
-    }
-    Ok(ops)
 }
 
 /// Freeze the applier's state and publish it as the replica's next
@@ -1173,6 +1149,7 @@ fn publish(state: &ReplState) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WalOp;
     use hippo_engine::{TupleId, Value};
 
     fn sample_frames() -> Vec<Frame> {

@@ -56,10 +56,13 @@ pub(crate) fn io_err(ctx: &str, e: std::io::Error) -> EngineError {
     EngineError::new(format!("wal: {ctx}: {e}"))
 }
 
-/// One logged mutation: the [`crate::WriteOp`] shape plus, for inserts,
-/// the tuple ids the live engine assigned — replay asserts it gets the
-/// same ids back, which catches any divergence between the recovered
-/// slot structure and the one the log was written against.
+/// One logged mutation: what the commit path's `apply` did with a
+/// [`crate::WriteOp`] — the op plus, for inserts, the tuple ids it
+/// assigned and, for deletes, only the ids it actually removed (each
+/// once). Recovery and replicas replay it through that same `apply`
+/// and check they get the same ids back (deletes as a set), which
+/// catches any divergence between the replayed slot structure and the
+/// one the log was written against.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
     /// Rows inserted, with their assigned ids (parallel to `rows`).
@@ -68,7 +71,7 @@ pub enum WalOp {
         rows: Vec<Row>,
         tids: Vec<TupleId>,
     },
-    /// Tuples deleted by id.
+    /// Tuples deleted by id (the ids that were live).
     Delete { table: String, tids: Vec<TupleId> },
     /// Tuples updated in place.
     Update {
@@ -394,8 +397,8 @@ impl Wal {
     /// it even when the file itself is empty. Without this, a log
     /// truncated by a checkpoint and then reopened would hand out LSNs
     /// the checkpoint already covers — and replay would silently skip
-    /// those committed frames. [`crate::recover::recover_dir`] calls it
-    /// with the checkpoint's `last_lsn`.
+    /// those committed frames. Recovery calls it with the checkpoint's
+    /// `last_lsn`.
     pub fn set_floor(&mut self, lsn: u64) {
         self.floor_lsn = self.floor_lsn.max(lsn);
         self.next_lsn = self.next_lsn.max(lsn + 1);

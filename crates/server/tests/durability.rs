@@ -7,9 +7,10 @@
 //! are **bit-identical** to a serial oracle built from scratch on the
 //! data the committed writes describe.
 
-use hippo_cqa::budget::{FaultKind, FaultPlan};
+use hippo_cqa::budget::{FaultKind, FaultPlan, Governance};
 use hippo_cqa::prelude::*;
-use hippo_engine::{Database, Row, Value};
+use hippo_engine::{Database, Row, TupleId, Value};
+use hippo_server::wal::{FrameKind, Wal, WalOp};
 use hippo_server::{DurabilityConfig, Engine, EngineConfig, WriteOp};
 use std::path::{Path, PathBuf};
 
@@ -547,5 +548,69 @@ fn concurrent_writers_all_commit_and_recover() {
     let committed: Vec<WriteOp> = (0..6).map(|i| insert(clean_row(7_000_000 + i))).collect();
     let got = eng2.session().answer(&query()).unwrap().rows;
     assert_eq!(got, oracle_answers(300, 67, &committed));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Repeated ids: a committed delete logs each deleted id once, and a
+// frame logged with a repeated id still replays.
+// ---------------------------------------------------------------------
+
+/// Tuple 0 holds key 0, which the workload puts in conflict, so
+/// deleting it changes the consistent answers.
+fn delete_twice() -> WriteOp {
+    WriteOp::Delete {
+        table: "t".into(),
+        tids: vec![TupleId(0), TupleId(0)],
+    }
+}
+
+#[test]
+fn repeated_delete_ids_commit_and_recover() {
+    let dir = tmp_dir("dupdelete");
+    let live = {
+        let eng = durable_engine(200, 71, &dir, 0);
+        eng.write(vec![delete_twice()]).unwrap();
+        eng.session().answer(&query()).unwrap().rows
+    };
+    assert_eq!(live, oracle_answers(200, 71, &[delete_twice()]));
+    let eng = recover_engine(71, &dir);
+    assert_eq!(eng.recovery_report().unwrap().frames_replayed, 1);
+    assert_eq!(eng.session().answer(&query()).unwrap().rows, live);
+    drop(eng);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_frame_logged_with_a_repeated_delete_id_still_recovers() {
+    let dir = tmp_dir("dupframe");
+    drop(durable_engine(200, 73, &dir, 0));
+    // The frame as earlier builds logged it: the id twice.
+    let (mut wal, _) = Wal::open(&dir).unwrap();
+    wal.append(
+        &[(
+            FrameKind::Commit,
+            vec![WalOp::Delete {
+                table: "t".into(),
+                tids: vec![TupleId(0), TupleId(0)],
+            }],
+        )],
+        &Governance::default(),
+    )
+    .unwrap();
+    drop(wal);
+    let eng = recover_engine(73, &dir);
+    assert_eq!(eng.recovery_report().unwrap().frames_replayed, 1);
+    let t = eng.current_epoch();
+    assert!(t
+        .frozen()
+        .catalog()
+        .table("t")
+        .unwrap()
+        .get(TupleId(0))
+        .is_none());
+    let got = eng.session().answer(&query()).unwrap().rows;
+    assert_eq!(got, oracle_answers(200, 73, &[delete_twice()]));
+    drop(eng);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -8,10 +8,13 @@
 //! clean streaming, injected drops/corruption/disconnects, resyncs,
 //! and promotion with fencing.
 
-use hippo_cqa::budget::{FaultKind, FaultPlan};
+use hippo_cqa::budget::{FaultKind, FaultPlan, Governance};
 use hippo_cqa::prelude::*;
-use hippo_engine::{Database, Row, Value};
+use hippo_engine::{Database, Row, TupleId, Value};
+use hippo_server::checkpoint::write_checkpoint;
+use hippo_server::recover::recover_dir;
 use hippo_server::replicate::ReplMsg;
+use hippo_server::wal::{Frame, FrameKind, Wal, WalOp};
 use hippo_server::{
     ChannelTransport, DurabilityConfig, Engine, EngineConfig, Replica, ReplicaConfig, Transport,
     WriteOp,
@@ -581,4 +584,104 @@ fn tcp_replication_end_to_end() {
     assert_eq!(replica.staleness().lsn_lag, 0);
     server.stop();
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Lying frames: recovery and replicas share one replay, so they reach
+// the same verdict.
+// ---------------------------------------------------------------------
+
+/// Four frames that lie about history, each applied to the same base
+/// image: recovery refuses the directory as diverged, and a replica
+/// fed the frame breaks with the same verdict while it keeps serving
+/// the epoch it had.
+#[test]
+fn recovery_and_replicas_agree_on_lying_frames() {
+    let (db, _) = workload(60, 91);
+    let catalog = db.catalog().clone();
+    let next = catalog.table("t").unwrap().iter().count() as u32;
+    let row = clean_row(5_000_000).remove(0);
+    let lies = [
+        (
+            "insert at the wrong tid",
+            WalOp::Insert {
+                table: "t".into(),
+                rows: vec![row.clone()],
+                tids: vec![TupleId(next + 7)],
+            },
+        ),
+        (
+            "delete of an absent tid",
+            WalOp::Delete {
+                table: "t".into(),
+                tids: vec![TupleId(next + 3)],
+            },
+        ),
+        (
+            "update of a missing tid",
+            WalOp::Update {
+                table: "t".into(),
+                updates: vec![(TupleId(next + 3), row.clone())],
+            },
+        ),
+        (
+            "op on a missing table",
+            WalOp::Insert {
+                table: "nope".into(),
+                rows: vec![row.clone()],
+                tids: vec![TupleId(0)],
+            },
+        ),
+    ];
+    let wait = |what: &str, done: &dyn Fn() -> bool| {
+        let start = Instant::now();
+        while !done() {
+            assert!(start.elapsed() < Duration::from_secs(10), "{what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    for (case, op) in lies {
+        let frame = Frame {
+            lsn: 1,
+            kind: FrameKind::Commit,
+            ops: vec![op],
+        };
+
+        let dir = tmp_dir("lie");
+        std::fs::create_dir_all(&dir).unwrap();
+        write_checkpoint(&dir, &catalog, 0, &Governance::default()).unwrap();
+        let (mut wal, _) = Wal::open(&dir).unwrap();
+        wal.append(&[(frame.kind, frame.ops.clone())], &Governance::default())
+            .unwrap();
+        drop(wal);
+        let err = recover_dir(&dir)
+            .err()
+            .unwrap_or_else(|| panic!("{case}: recovered"));
+        assert!(err.message.contains("diverged"), "{case}: {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let (mut primary, theirs) = ChannelTransport::pair();
+        let replica = Replica::start(Box::new(theirs), replica_config(91));
+        let hello = primary.recv(Duration::from_secs(10)).unwrap().unwrap();
+        assert!(matches!(ReplMsg::decode(&hello), Ok(ReplMsg::Hello { .. })));
+        let snapshot = ReplMsg::Snapshot {
+            term: 1,
+            last_lsn: 0,
+            catalog: hippo_engine::codec::encode_catalog(&catalog),
+        };
+        primary.send(&snapshot.encode()).unwrap();
+        wait(case, &|| replica.current_epoch().is_some());
+        let before = replica.current_epoch().unwrap().id();
+        let answers = replica_answers(&replica);
+        let frames = ReplMsg::Frames {
+            term: 1,
+            frames: vec![frame],
+        };
+        primary.send(&frames.encode()).unwrap();
+        wait(case, &|| replica.broken().is_some());
+        let err = replica.broken().unwrap();
+        assert!(err.message.contains("diverged"), "{case}: {err}");
+        assert_eq!(replica.current_epoch().unwrap().id(), before, "{case}");
+        assert_eq!(replica_answers(&replica), answers, "{case}");
+    }
 }
