@@ -265,11 +265,10 @@ impl Hippo {
         constraints: Vec<DenialConstraint>,
         options: HippoOptions,
     ) -> Result<Hippo, EngineError> {
-        Hippo {
-            options,
-            ..Hippo::unreconciled(db, constraints, Vec::new())?
-        }
-        .reconciled()
+        let mut hippo = Hippo::unreconciled(db, constraints, Vec::new())?;
+        hippo.options = options;
+        hippo.redetect_full()?;
+        Ok(hippo)
     }
 
     /// Build the system with restricted foreign keys in addition to denial
@@ -281,7 +280,9 @@ impl Hippo {
         constraints: Vec<DenialConstraint>,
         foreign_keys: Vec<crate::inclusion::ForeignKey>,
     ) -> Result<Hippo, EngineError> {
-        Hippo::unreconciled(db, constraints, foreign_keys)?.reconciled()
+        let mut hippo = Hippo::unreconciled(db, constraints, foreign_keys)?;
+        hippo.redetect_full()?;
+        Ok(hippo)
     }
 
     /// The system before its first detection: validates the foreign
@@ -310,12 +311,6 @@ impl Hippo {
             verdict_cache: Arc::new(Mutex::new(VerdictCache::default())),
             options: HippoOptions::default(),
         })
-    }
-
-    /// Run the construction-time full detection.
-    fn reconciled(mut self) -> Result<Hippo, EngineError> {
-        self.redetect_full()?;
-        Ok(self)
     }
 
     /// The underlying database (read access).

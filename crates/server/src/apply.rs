@@ -1,18 +1,11 @@
 //! The one path from an op to state. A commit [`apply`]s each
-//! [`WriteOp`] to the writer's [`Hippo`] and logs the [`WalOp`] it
-//! returns; recovery and replicas [`replay`] that logged op through the
-//! same `apply` and check that it did the same thing again. Every
-//! rebuild of a [`Hippo`] from a stored catalog — recovery, a writer
-//! reset, a replica snapshot — is [`restore`]: the catalog, the
-//! replayed tail, then one full conflict detection.
-//!
-//! Replay is **self-verifying**. The logged op carries the tuple ids
-//! the commit produced: inserts must be assigned the same ids again,
-//! and deletes must remove the same set of ids. Checkpoints keep slot
-//! structure exactly (tombstones included) and inserts always append,
-//! so any mismatch, or any error from `apply`, means the base image
-//! and the log disagree about history — a corruption that is refused,
-//! never papered over.
+//! [`WriteOp`] and logs the [`WalOp`] it returns; recovery and replicas
+//! [`replay`] that op through the same `apply`. Every rebuild of a
+//! [`Hippo`] from a stored catalog (recovery, writer reset, replica
+//! snapshot) is one [`restore`]. Checkpoints keep slot structure
+//! exactly and inserts always append, so a replay that does not give
+//! back the logged ids means the base image and the log disagree about
+//! history: a corruption that is refused, never papered over.
 
 use crate::wal::{Frame, WalOp};
 use crate::WriteOp;
@@ -67,48 +60,33 @@ pub(crate) fn apply(hippo: &mut Hippo, op: &WriteOp) -> Result<WalOp, EngineErro
 /// logged with a repeated id still replays). A mismatch or an error
 /// from `apply` is a [`diverged`] error.
 pub(crate) fn replay(hippo: &mut Hippo, lsn: u64, op: &WalOp) -> Result<(), EngineError> {
-    let (write, table) = match op {
-        WalOp::Insert { table, rows, .. } => (
-            WriteOp::Insert {
-                table: table.clone(),
-                rows: rows.clone(),
-            },
-            table,
-        ),
-        WalOp::Delete { table, tids } => (
-            WriteOp::Delete {
-                table: table.clone(),
-                tids: tids.clone(),
-            },
-            table,
-        ),
-        WalOp::Update { table, updates } => (
-            WriteOp::Update {
-                table: table.clone(),
-                updates: updates.clone(),
-            },
-            table,
-        ),
+    let write = match op.clone() {
+        WalOp::Insert { table, rows, .. } => WriteOp::Insert { table, rows },
+        WalOp::Delete { table, tids } => WriteOp::Delete { table, tids },
+        WalOp::Update { table, updates } => WriteOp::Update { table, updates },
     };
-    let got = apply(hippo, &write)
-        .map_err(|e| diverged(format!("frame {lsn} on {table}: {}", e.message)))?;
-    let (want, got) = match (op, &got) {
-        (WalOp::Insert { tids: want, .. }, WalOp::Insert { tids: got, .. }) if want != got => {
-            (want, got)
-        }
-        (WalOp::Delete { tids: want, .. }, WalOp::Delete { tids: got, .. })
-            if want.iter().collect::<HashSet<_>>() != got.iter().collect::<HashSet<_>>() =>
-        {
-            (want, got)
-        }
-        _ => return Ok(()),
+    let got = apply(hippo, &write).map_err(|e| diverged(format!("frame {lsn}: {}", e.message)))?;
+    let (want, got) = (ids(op), ids(&got));
+    let same = match op {
+        WalOp::Delete { .. } => want.iter().collect::<HashSet<_>>() == got.iter().collect(),
+        _ => want == got,
     };
-    let ids = |tids: &[TupleId]| tids.iter().map(|t| t.0).collect::<Vec<_>>();
-    Err(diverged(format!(
-        "frame {lsn} on {table}: the log recorded tuple ids {:?}, replay produced {:?}",
-        ids(want),
-        ids(got)
-    )))
+    if !same {
+        return Err(diverged(format!(
+            "frame {lsn}: the log recorded tuple ids {want:?}, replay produced {got:?}"
+        )));
+    }
+    Ok(())
+}
+
+/// The tuple ids an op carries (none for an update).
+fn ids(op: &WalOp) -> Vec<u32> {
+    match op {
+        WalOp::Insert { tids, .. } | WalOp::Delete { tids, .. } => {
+            tids.iter().map(|t| t.0).collect()
+        }
+        WalOp::Update { .. } => Vec::new(),
+    }
 }
 
 pub(crate) fn diverged(what: impl std::fmt::Display) -> EngineError {
@@ -118,12 +96,16 @@ pub(crate) fn diverged(what: impl std::fmt::Display) -> EngineError {
     ))
 }
 
-/// `catalog` as an unreconciled [`Hippo`] with the committed `tail`
-/// replayed onto it, op by op.
-pub(crate) fn replay_onto(
+/// Rebuild a reconciled [`Hippo`] from a stored `catalog` and the
+/// committed `tail` past it: an unreconciled system over the catalog,
+/// every op of the tail [`replay`]ed in order, then one full conflict
+/// detection. Detection runs ungoverned; `options` (fault plans
+/// included) apply to later calls only.
+pub(crate) fn restore(
     catalog: Catalog,
     constraints: Vec<DenialConstraint>,
     foreign_keys: Vec<ForeignKey>,
+    options: HippoOptions,
     tail: &[Frame],
 ) -> Result<Hippo, EngineError> {
     let mut hippo =
@@ -133,21 +115,6 @@ pub(crate) fn replay_onto(
             replay(&mut hippo, frame.lsn, op)?;
         }
     }
-    Ok(hippo)
-}
-
-/// Rebuild a reconciled [`Hippo`] from a stored `catalog` and the
-/// committed `tail` past it ([`replay_onto`]), with one full conflict
-/// detection after the replay. Detection runs ungoverned; `options`
-/// (fault plans included) apply to later calls only.
-pub(crate) fn restore(
-    catalog: Catalog,
-    constraints: Vec<DenialConstraint>,
-    foreign_keys: Vec<ForeignKey>,
-    options: HippoOptions,
-    tail: &[Frame],
-) -> Result<Hippo, EngineError> {
-    let mut hippo = replay_onto(catalog, constraints, foreign_keys, tail)?;
     hippo.redetect()?;
     hippo.options = options;
     Ok(hippo)

@@ -83,14 +83,8 @@
 //!              between rename and truncate double-applies nothing)
 //!
 //! recover:    lock dir ─▶ load checkpoint ─▶ replay committed log suffix
-//!             (torn tail truncated) ─▶ full conflict re-detection ─▶
-//!             publish epoch 1
-//!
-//! one path:   write ─▶ apply(op) ─▶ WalOp ─▶ log ─▶ replay(WalOp) ─▶ apply(op)
-//!             (recovery and replicas replay through the commit's own
-//!              apply and check the ids it returns against the log;
-//!              recovery, writer resets and replica snapshots all
-//!              restore as catalog ─▶ replayed tail ─▶ one full detection)
+//!             (torn tail truncated) through the write's own apply, ids
+//!             checked ─▶ one full conflict re-detection ─▶ publish epoch 1
 //! ```
 //!
 //! Failed writes never ride along, durable engine or not: the writer
@@ -461,26 +455,18 @@ impl Engine {
         )?;
         let (wal, _scan) = Wal::open(&durability.dir)?;
         let durable = (Durability::new(wal, &durability, 0), dir_lock);
-        Ok(Engine::assemble(
-            hippo,
-            frozen,
-            0,
-            config,
-            Some(durable),
-            None,
-        ))
+        let engine = Engine::assemble(hippo, frozen, 0, config, Some(durable), None);
+        Ok(engine)
     }
 
     /// Reopen a durability directory after a crash or shutdown: load
-    /// the latest checkpoint, scan the log (truncating any torn tail),
-    /// replay the committed suffix onto an unreconciled Hippo through
-    /// the same `apply` every commit ran, run **one** full conflict
-    /// detection over the result, and publish it as epoch 1. That is
-    /// the restore a writer reset and a replica snapshot run too, with
-    /// an empty tail. The constraints and foreign keys are schema-level
+    /// the latest checkpoint, replay the committed log suffix (torn tail
+    /// truncated) through the same `apply` every commit ran, run **one**
+    /// full conflict detection, and publish the result as epoch 1 — the
+    /// restore a writer reset and a replica snapshot run with an empty
+    /// tail. The constraints and foreign keys are schema-level
     /// configuration the log does not carry, so the caller supplies
-    /// them (they must match the crashed engine's); `options` apply
-    /// from the first call after recovery on.
+    /// them (they must match the crashed engine's).
     pub fn recover(
         config: EngineConfig,
         durability: DurabilityConfig,
@@ -496,14 +482,8 @@ impl Engine {
             Durability::new(wal, &durability, report.frames_replayed),
             dir_lock,
         );
-        Ok(Engine::assemble(
-            hippo,
-            frozen,
-            1,
-            config,
-            Some(durable),
-            Some(report),
-        ))
+        let engine = Engine::assemble(hippo, frozen, 1, config, Some(durable), Some(report));
+        Ok(engine)
     }
 
     /// The one engine assembly: publish `frozen` (a freeze of `hippo`)
