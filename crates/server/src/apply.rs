@@ -16,19 +16,12 @@ use hippo_engine::{Catalog, Database, EngineError, TupleId};
 use std::collections::HashSet;
 
 /// Apply one op to `hippo` (recorded, so the next `redetect` reconciles
-/// it) and return what to log: the op with the tuple ids it assigned
-/// (inserts) or actually removed (deletes). Inserts and updates are
+/// it) and return the tuple ids it assigned (inserts) or actually
+/// removed (deletes); an update returns none. Inserts and updates are
 /// validated up front, so `Err` means nothing landed.
-pub(crate) fn apply(hippo: &mut Hippo, op: &WriteOp) -> Result<WalOp, EngineError> {
+pub(crate) fn apply(hippo: &mut Hippo, op: &WriteOp) -> Result<Vec<TupleId>, EngineError> {
     match op {
-        WriteOp::Insert { table, rows } => {
-            let tids = hippo.insert_tuples(table, rows.clone())?;
-            Ok(WalOp::Insert {
-                table: table.clone(),
-                rows: rows.clone(),
-                tids,
-            })
-        }
+        WriteOp::Insert { table, rows } => hippo.insert_tuples(table, rows.clone()),
         WriteOp::Delete { table, tids } => {
             // Unknown, already-deleted and repeated ids are skipped, so
             // the log holds each deleted id once, in first-seen order.
@@ -40,18 +33,31 @@ pub(crate) fn apply(hippo: &mut Hippo, op: &WriteOp) -> Result<WalOp, EngineErro
                 .filter(|&id| t.get(id).is_some() && seen.insert(id))
                 .collect();
             hippo.delete_tuples(table, &live)?;
-            Ok(WalOp::Delete {
-                table: table.clone(),
-                tids: live,
-            })
+            Ok(live)
         }
         WriteOp::Update { table, updates } => {
             hippo.update_tuples(table, updates.clone())?;
-            Ok(WalOp::Update {
-                table: table.clone(),
-                updates: updates.clone(),
-            })
+            Ok(Vec::new())
         }
+    }
+}
+
+/// What the log records for `op` once [`apply`] returned `ids`.
+pub(crate) fn logged(op: &WriteOp, ids: Vec<TupleId>) -> WalOp {
+    match op {
+        WriteOp::Insert { table, rows } => WalOp::Insert {
+            table: table.clone(),
+            rows: rows.clone(),
+            tids: ids,
+        },
+        WriteOp::Delete { table, .. } => WalOp::Delete {
+            table: table.clone(),
+            tids: ids,
+        },
+        WriteOp::Update { table, updates } => WalOp::Update {
+            table: table.clone(),
+            updates: updates.clone(),
+        },
     }
 }
 
@@ -59,34 +65,34 @@ pub(crate) fn apply(hippo: &mut Hippo, op: &WriteOp) -> Result<WalOp, EngineErro
 /// it: insert ids must be equal, delete ids equal as sets (so a frame
 /// logged with a repeated id still replays). A mismatch or an error
 /// from `apply` is a [`diverged`] error.
-pub(crate) fn replay(hippo: &mut Hippo, lsn: u64, op: &WalOp) -> Result<(), EngineError> {
-    let write = match op.clone() {
-        WalOp::Insert { table, rows, .. } => WriteOp::Insert { table, rows },
-        WalOp::Delete { table, tids } => WriteOp::Delete { table, tids },
-        WalOp::Update { table, updates } => WriteOp::Update { table, updates },
+pub(crate) fn replay(hippo: &mut Hippo, lsn: u64, op: WalOp) -> Result<(), EngineError> {
+    let (write, want) = match op {
+        WalOp::Insert { table, rows, tids } => (WriteOp::Insert { table, rows }, tids),
+        WalOp::Delete { table, tids } => (
+            WriteOp::Delete {
+                table,
+                tids: tids.clone(),
+            },
+            tids,
+        ),
+        WalOp::Update { table, updates } => (WriteOp::Update { table, updates }, Vec::new()),
     };
     let got = apply(hippo, &write).map_err(|e| diverged(format!("frame {lsn}: {}", e.message)))?;
-    let (want, got) = (ids(op), ids(&got));
-    let same = match op {
-        WalOp::Delete { .. } => want.iter().collect::<HashSet<_>>() == got.iter().collect(),
+    let same = match write {
+        WriteOp::Delete { .. } => {
+            want.iter().collect::<HashSet<_>>() == got.iter().collect::<HashSet<_>>()
+        }
         _ => want == got,
     };
     if !same {
+        let ids = |v: &[TupleId]| v.iter().map(|t| t.0).collect::<Vec<_>>();
         return Err(diverged(format!(
-            "frame {lsn}: the log recorded tuple ids {want:?}, replay produced {got:?}"
+            "frame {lsn}: the log recorded tuple ids {:?}, replay produced {:?}",
+            ids(&want),
+            ids(&got)
         )));
     }
     Ok(())
-}
-
-/// The tuple ids an op carries (none for an update).
-fn ids(op: &WalOp) -> Vec<u32> {
-    match op {
-        WalOp::Insert { tids, .. } | WalOp::Delete { tids, .. } => {
-            tids.iter().map(|t| t.0).collect()
-        }
-        WalOp::Update { .. } => Vec::new(),
-    }
 }
 
 pub(crate) fn diverged(what: impl std::fmt::Display) -> EngineError {
@@ -106,12 +112,12 @@ pub(crate) fn restore(
     constraints: Vec<DenialConstraint>,
     foreign_keys: Vec<ForeignKey>,
     options: HippoOptions,
-    tail: &[Frame],
+    tail: Vec<Frame>,
 ) -> Result<Hippo, EngineError> {
     let mut hippo =
         Hippo::unreconciled(Database::from_catalog(catalog), constraints, foreign_keys)?;
     for frame in tail {
-        for op in &frame.ops {
+        for op in frame.ops {
             replay(&mut hippo, frame.lsn, op)?;
         }
     }

@@ -161,7 +161,7 @@ pub use transport::{ChannelTransport, TcpTransport, Transport};
 pub use wal::DirLock;
 
 use admission::Admission;
-use apply::{apply, restore};
+use apply::{apply, logged, restore};
 use checkpoint::{read_checkpoint, write_checkpoint};
 use hippo_cqa::budget::ConsistentAnswer;
 use hippo_cqa::constraint::DenialConstraint;
@@ -476,7 +476,7 @@ impl Engine {
     ) -> Result<Engine, EngineError> {
         let dir_lock = Arc::new(DirLock::acquire(&durability.dir)?);
         let (catalog, wal, tail, report) = recover::read_dir(&durability.dir)?;
-        let hippo = restore(catalog, constraints, foreign_keys, options, &tail)?;
+        let hippo = restore(catalog, constraints, foreign_keys, options, tail)?;
         let frozen = hippo.freeze()?;
         let durable = (
             Durability::new(wal, &durability, report.frames_replayed),
@@ -712,11 +712,11 @@ impl Engine {
                 let mut ops_done = 0usize;
                 let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<(), EngineError> {
                     for op in ops {
-                        let walop = apply(&mut w.hippo, op)?;
-                        if let WalOp::Insert { tids, .. } = &walop {
-                            inserted.extend_from_slice(tids);
+                        let ids = apply(&mut w.hippo, op)?;
+                        if let WriteOp::Insert { .. } = op {
+                            inserted.extend_from_slice(&ids);
                         }
-                        walops.push(walop);
+                        walops.push(logged(op, ids));
                         ops_done += 1;
                     }
                     Ok(())
@@ -891,7 +891,7 @@ impl Engine {
                 w.hippo.constraints().to_vec(),
                 w.hippo.foreign_keys().to_vec(),
                 w.hippo.options.clone(),
-                &[],
+                Vec::new(),
             )
         }));
         match rebuilt {

@@ -84,7 +84,7 @@ pub fn recover_dir(dir: &Path) -> Result<(Catalog, Wal, RecoveryReport), EngineE
         Vec::new(),
         Vec::new(),
         HippoOptions::default(),
-        &tail,
+        tail,
     )?;
     let catalog = std::mem::take(hippo.db_mut().catalog_mut());
     Ok((catalog, wal, report))
@@ -208,6 +208,32 @@ mod tests {
             Value::Int(3),
             "insert replayed at the recorded tid"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tid_mismatch_is_a_loud_corruption_error() {
+        let dir = tmp_dir("tidmismatch");
+        let gov = Governance::default();
+        write_checkpoint(&dir, &seed_catalog(), 0, &gov).unwrap();
+        {
+            let (mut wal, _) = Wal::open(&dir).unwrap();
+            // The live engine would have assigned tid 2; the log lies.
+            wal.append(
+                &[(
+                    FrameKind::Commit,
+                    vec![WalOp::Insert {
+                        table: "t".into(),
+                        rows: vec![vec![Value::Int(3), Value::text("z")]],
+                        tids: vec![TupleId(9)],
+                    }],
+                )],
+                &gov,
+            )
+            .unwrap();
+        }
+        let err = recover_dir(&dir).unwrap_err();
+        assert!(err.message.contains("diverged"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -39,8 +39,9 @@
 //! delete of an absent tuple, an update of a missing one, an op on a
 //! missing table — is a loud divergence error that marks the replica
 //! broken, and recovery refuses the same frame with the same verdict.
-//! A snapshot is loaded by the same restore recovery runs, with an
-//! empty tail. LSNs must be contiguous (a gap triggers a resync
+//! The broken replica keeps serving its last epoch, drops its
+//! half-replayed state and asks for a fresh snapshot, which is loaded
+//! by the same restore recovery runs, with an empty tail. LSNs must be contiguous (a gap triggers a resync
 //! `Hello`, never a silent skip), and abandoned-audit frames advance
 //! the LSN without touching data.
 
@@ -919,13 +920,6 @@ fn handle_message(
         state.term.store(msg_term, Ordering::SeqCst);
     }
 
-    if matches!(msg, ReplMsg::Snapshot { .. } | ReplMsg::Frames { .. })
-        && state.broken.lock().unwrap().is_some()
-    {
-        // A broken replica's applier may hold a half-replayed frame:
-        // it applies nothing more and keeps serving its last epoch.
-        return false;
-    }
     match msg {
         ReplMsg::Snapshot {
             last_lsn, catalog, ..
@@ -937,9 +931,10 @@ fn handle_message(
             loaded
         }
         ReplMsg::Frames { frames, .. } => {
-            let advanced = apply_frames(state, &frames, transport);
-            if let Some(last) = frames.last() {
-                state.primary_lsn.fetch_max(last.lsn, Ordering::SeqCst);
+            let last = frames.last().map(|f| f.lsn);
+            let advanced = apply_frames(state, frames, transport);
+            if let Some(last) = last {
+                state.primary_lsn.fetch_max(last, Ordering::SeqCst);
             }
             ack(state, transport);
             state.mark_caught_up_if_current();
@@ -983,7 +978,7 @@ fn load_snapshot(state: &ReplState, config: &ReplicaConfig, catalog: &[u8], lsn:
             config.constraints.clone(),
             config.foreign_keys.clone(),
             config.options.clone(),
-            &[],
+            Vec::new(),
         )
     }));
     match built {
@@ -1013,13 +1008,14 @@ fn load_snapshot(state: &ReplState, config: &ReplicaConfig, catalog: &[u8], lsn:
 /// Apply one shipped batch: contiguous LSNs, each committed frame's ops
 /// through [`replay`] (recovery's own replay, verified tuple ids
 /// included), abandoned frames skipped. A frame that fails to replay
-/// breaks the replica and nothing of the batch is published. Returns
+/// breaks the replica, discards the applier's state (the next delivery
+/// asks for a snapshot), and nothing of the batch is published. Returns
 /// whether the batch was published.
-fn apply_frames(state: &ReplState, frames: &[Frame], transport: &mut Box<dyn Transport>) -> bool {
+fn apply_frames(state: &ReplState, frames: Vec<Frame>, transport: &mut Box<dyn Transport>) -> bool {
     let mut applier = state.applier.lock().unwrap();
     if applier.hippo.is_none() {
-        // Frames without a base image (the Hello/Snapshot raced): ask
-        // for the snapshot again.
+        // Frames without a base image (the Hello/Snapshot raced, or a
+        // failed replay discarded it): ask for a snapshot.
         drop(applier);
         state.gaps_detected.fetch_add(1, Ordering::Relaxed);
         state.resync_requests.fetch_add(1, Ordering::Relaxed);
@@ -1054,30 +1050,29 @@ fn apply_frames(state: &ReplState, frames: &[Frame], transport: &mut Box<dyn Tra
             continue;
         }
         let hippo = applier.hippo.as_mut().expect("checked above");
+        let (lsn, ops) = (frame.lsn, frame.ops.len() as u64);
         let replayed = catch_unwind(AssertUnwindSafe(|| -> Result<(), EngineError> {
-            for op in &frame.ops {
-                replay(hippo, frame.lsn, op)?;
+            for op in frame.ops {
+                replay(hippo, lsn, op)?;
             }
             Ok(())
         }));
-        match replayed {
+        let e = match replayed {
             Ok(Ok(())) => {
-                applier.applied_lsn = frame.lsn;
+                applier.applied_lsn = lsn;
                 landed += 1;
-                ops_landed += frame.ops.len() as u64;
+                ops_landed += ops;
+                continue;
             }
-            Ok(Err(e)) => {
-                mark_broken(state, e);
-                return false;
-            }
-            Err(p) => {
-                mark_broken(
-                    state,
-                    EngineError::worker_panic("replica", 0, &panic_message(p.as_ref())),
-                );
-                return false;
-            }
-        }
+            Ok(Err(e)) => e,
+            Err(p) => EngineError::worker_panic("replica", 0, &panic_message(p.as_ref())),
+        };
+        // The applier may hold a half-replayed frame: drop it, so the
+        // next delivery asks for a fresh snapshot instead of replaying
+        // onto it. The last published epoch keeps serving.
+        applier.hippo = None;
+        mark_broken(state, e);
+        return false;
     }
     if landed == 0 {
         return false;

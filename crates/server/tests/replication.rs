@@ -594,7 +594,8 @@ fn tcp_replication_end_to_end() {
 /// Four frames that lie about history, each applied to the same base
 /// image: recovery refuses the directory as diverged, and a replica
 /// fed the frame breaks with the same verdict while it keeps serving
-/// the epoch it had.
+/// the epoch it had. The broken replica answers a redelivery with a
+/// snapshot request and loads the snapshot it is sent.
 #[test]
 fn recovery_and_replicas_agree_on_lying_frames() {
     let (db, _) = workload(60, 91);
@@ -676,12 +677,30 @@ fn recovery_and_replicas_agree_on_lying_frames() {
         let frames = ReplMsg::Frames {
             term: 1,
             frames: vec![frame],
-        };
-        primary.send(&frames.encode()).unwrap();
+        }
+        .encode();
+        primary.send(&frames).unwrap();
         wait(case, &|| replica.broken().is_some());
         let err = replica.broken().unwrap();
         assert!(err.message.contains("diverged"), "{case}: {err}");
         assert_eq!(replica.current_epoch().unwrap().id(), before, "{case}");
+        assert_eq!(replica_answers(&replica), answers, "{case}");
+
+        primary.send(&frames).unwrap();
+        let start = Instant::now();
+        loop {
+            assert!(start.elapsed() < Duration::from_secs(10), "{case}");
+            let Some(msg) = primary.recv(Duration::from_secs(10)).unwrap() else {
+                continue;
+            };
+            if let Ok(ReplMsg::Hello { needs_snapshot, .. }) = ReplMsg::decode(&msg) {
+                assert!(needs_snapshot, "{case}: resync without a snapshot");
+                break;
+            }
+        }
+        primary.send(&snapshot.encode()).unwrap();
+        wait(case, &|| replica.stats().snapshots_loaded == 2);
+        assert_ne!(replica.current_epoch().unwrap().id(), before, "{case}");
         assert_eq!(replica_answers(&replica), answers, "{case}");
     }
 }
