@@ -285,13 +285,10 @@ impl Hippo {
         Ok(hippo)
     }
 
-    /// The system before its first detection: validates the foreign
-    /// keys and starts from an empty conflict graph with the catalog
-    /// marked dirty, so [`Hippo::freeze`] refuses until
-    /// [`Hippo::redetect`] runs one full detection. Every constructor
-    /// goes through here; the service layer also replays logged history
-    /// onto a restored catalog in this state, so that the replay and
-    /// the detection after it are the only work a restore does.
+    /// The system before its first detection (every constructor starts
+    /// here): the foreign keys validated, an empty conflict graph and
+    /// the catalog marked dirty, so [`Hippo::freeze`] refuses until
+    /// [`Hippo::redetect`] runs one full detection.
     pub fn unreconciled(
         db: Database,
         constraints: Vec<DenialConstraint>,
@@ -346,10 +343,10 @@ impl Hippo {
     }
 
     /// The restricted foreign keys (empty unless built via
-    /// [`Hippo::with_foreign_keys`] or [`Hippo::unreconciled`]). The durability layer needs these
-    /// to rebuild an equivalent `Hippo` around a recovered database —
-    /// constraints are code, not data, so they are re-supplied at
-    /// recovery rather than serialized.
+    /// [`Hippo::with_foreign_keys`] or [`Hippo::unreconciled`]). The
+    /// durability layer needs these to rebuild an equivalent `Hippo`
+    /// around a recovered database — constraints are code, not data, so
+    /// they are re-supplied at recovery rather than serialized.
     pub fn foreign_keys(&self) -> &[crate::inclusion::ForeignKey] {
         &self.foreign_keys
     }

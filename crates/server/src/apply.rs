@@ -44,20 +44,14 @@ pub(crate) fn apply(hippo: &mut Hippo, op: &WriteOp) -> Result<Vec<TupleId>, Eng
 
 /// What the log records for `op` once [`apply`] returned `ids`.
 pub(crate) fn logged(op: &WriteOp, ids: Vec<TupleId>) -> WalOp {
-    match op {
+    match op.clone() {
         WriteOp::Insert { table, rows } => WalOp::Insert {
-            table: table.clone(),
-            rows: rows.clone(),
+            table,
+            rows,
             tids: ids,
         },
-        WriteOp::Delete { table, .. } => WalOp::Delete {
-            table: table.clone(),
-            tids: ids,
-        },
-        WriteOp::Update { table, updates } => WalOp::Update {
-            table: table.clone(),
-            updates: updates.clone(),
-        },
+        WriteOp::Delete { table, .. } => WalOp::Delete { table, tids: ids },
+        WriteOp::Update { table, updates } => WalOp::Update { table, updates },
     }
 }
 
@@ -78,18 +72,14 @@ pub(crate) fn replay(hippo: &mut Hippo, lsn: u64, op: WalOp) -> Result<(), Engin
         WalOp::Update { table, updates } => (WriteOp::Update { table, updates }, Vec::new()),
     };
     let got = apply(hippo, &write).map_err(|e| diverged(format!("frame {lsn}: {}", e.message)))?;
+    let set = |v: &[TupleId]| v.iter().copied().collect::<HashSet<_>>();
     let same = match write {
-        WriteOp::Delete { .. } => {
-            want.iter().collect::<HashSet<_>>() == got.iter().collect::<HashSet<_>>()
-        }
+        WriteOp::Delete { .. } => set(&want) == set(&got),
         _ => want == got,
     };
     if !same {
-        let ids = |v: &[TupleId]| v.iter().map(|t| t.0).collect::<Vec<_>>();
         return Err(diverged(format!(
-            "frame {lsn}: the log recorded tuple ids {:?}, replay produced {:?}",
-            ids(&want),
-            ids(&got)
+            "frame {lsn}: the log recorded {want:?}, replay produced {got:?}"
         )));
     }
     Ok(())

@@ -32,18 +32,17 @@
 //!
 //! # Replay = recovery
 //!
-//! A replica replays frames through the same function crash recovery
-//! uses, `replay` in the private `apply` module, which runs each logged
-//! op through the commit path's own `apply` and checks the tuple ids
-//! it produces against the log. Anything else — a wrong insert id, a
-//! delete of an absent tuple, an update of a missing one, an op on a
-//! missing table — is a loud divergence error that marks the replica
-//! broken, and recovery refuses the same frame with the same verdict.
-//! The broken replica keeps serving its last epoch, drops its
-//! half-replayed state and asks for a fresh snapshot, which is loaded
-//! by the same restore recovery runs, with an empty tail. LSNs must be contiguous (a gap triggers a resync
-//! `Hello`, never a silent skip), and abandoned-audit frames advance
-//! the LSN without touching data.
+//! A replica replays frames through crash recovery's own `replay`
+//! (private `apply` module): each logged op runs through the commit
+//! path's `apply`, and the tuple ids it produces must match the log.
+//! Anything else — a wrong insert id, a delete of an absent tuple, an
+//! update of a missing one, an op on a missing table — is a loud
+//! divergence error, the same verdict recovery gives that frame. It
+//! marks the replica broken; the replica keeps serving its last epoch,
+//! drops its half-replayed state and asks for a fresh snapshot, loaded
+//! by the same restore recovery runs, with an empty tail. LSNs must be
+//! contiguous (a gap triggers a resync `Hello`, never a silent skip),
+//! and abandoned-audit frames advance the LSN without touching data.
 
 use crate::apply::{replay, restore};
 use crate::stats::{ReplicaStats, Staleness};

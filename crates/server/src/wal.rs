@@ -56,13 +56,11 @@ pub(crate) fn io_err(ctx: &str, e: std::io::Error) -> EngineError {
     EngineError::new(format!("wal: {ctx}: {e}"))
 }
 
-/// One logged mutation: what the commit path's `apply` did with a
-/// [`crate::WriteOp`] — the op plus, for inserts, the tuple ids it
-/// assigned and, for deletes, only the ids it actually removed (each
-/// once). Recovery and replicas replay it through that same `apply`
-/// and check they get the same ids back (deletes as a set), which
-/// catches any divergence between the replayed slot structure and the
-/// one the log was written against.
+/// One logged mutation: a [`crate::WriteOp`] with the tuple ids the
+/// commit path's `apply` assigned (inserts) or removed, each once
+/// (deletes). Recovery and replicas replay it through that same `apply`
+/// and must get the same ids back (deletes as a set), which catches any
+/// divergence from the slot structure the log was written against.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
     /// Rows inserted, with their assigned ids (parallel to `rows`).
