@@ -48,16 +48,28 @@
 //!   test ([`crate::corefilter`]: built from conflict-free facts only
 //!   and outside every subtracted branch's envelope) skip the prover.
 //!
-//! # One membership notion
+//! # What "is this fact in the database?" compares
 //!
-//! Every mode decides "is this fact in the database?" the same way: by
-//! SQL equality on every column (the KG envelope's `EXISTS` flags and
-//! base mode's prepared probes both compare with `=`). A fact with a
-//! `NULL` component therefore equals nothing, itself included: it is
-//! never present, so a candidate that needs one is not a consistent
-//! answer. The core-filter test reads the same flags, so base, KG and
-//! full mode agree on such tuples. (The repair-enumeration oracle in
-//! [`crate::naive`] compares rows by identity and differs there.)
+//! The modes do not ask the question the same way:
+//!
+//! * **base** mode's prepared probes (`SELECT 1 FROM rel WHERE c0 = $0
+//!   AND … LIMIT 1`) compare with **SQL `=`** on every column — through
+//!   an index bucket only where hash identity and `=` coincide (exact
+//!   column types; `Float` columns are always scanned);
+//! * **KG and full** mode's envelope flags are
+//!   [`hippo_engine::Plan::MarkJoin`]s, which compare by **`Value`
+//!   identity**; the core-filter test and the prover read those flags;
+//! * the repair-enumeration oracle in [`crate::naive`] compares whole
+//!   rows by identity too, `NULL` equal to `NULL` included.
+//!
+//! On `NULL` the three Hippo modes agree: a key component that is
+//! `NULL` matches nothing, so a fact with one is never present and a
+//! candidate that needs one is not a consistent answer — where the
+//! oracle, which lets `NULL` equal itself, can differ. On `Float`s
+//! they do not: with `r(x REAL) = {0.0}` and `s(x REAL) = {-0.0}`,
+//! `r − s` is `[]` in base mode (`0.0 = -0.0`) but `[(0.0)]` in KG and
+//! full mode and in the oracle (`0.0` and `-0.0` are distinct values).
+//! ROADMAP direction 9 settles one reading for every path.
 //!
 //! # The shard → merge answer pipeline
 //!

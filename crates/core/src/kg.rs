@@ -6,7 +6,12 @@
 //! the *same single evaluation* also returns, per candidate tuple, the
 //! truth of every membership the prover could ask: one extra boolean
 //! column (`EXISTS (SELECT … FROM rel WHERE …)`) per literal template.
-//! The prover then issues **zero** queries against the database.
+//! The prover then issues **zero** queries against the database. The
+//! engine's access-path selection plans each flag as one
+//! [`hippo_engine::Plan::MarkJoin`] over the envelope: a probe of the
+//! relation's hash index per envelope row when the relation has one
+//! (e.g. its primary key), one hash build per evaluation otherwise —
+//! `EXPLAIN` of the extended envelope shows which.
 //!
 //! This module is the one place that decides where a candidate's
 //! per-literal membership flags come from: the extended envelope's
@@ -58,7 +63,9 @@ pub fn extended_envelope_sql(
     Ok(Query::Select(Box::new(core)))
 }
 
-/// `EXISTS (SELECT * FROM rel WHERE rel.col_j = e.c{lit.cols[j]} ...)`.
+/// `EXISTS (SELECT * FROM rel WHERE rel.col_j = e.c{lit.cols[j]} ...)`:
+/// equi-correlated on every column, so it plans as a mark join whose
+/// keys compare by value identity.
 fn membership_exists_expr(lit: &LitTemplate, catalog: &Catalog) -> Result<Expr, EngineError> {
     let schema = &catalog.table(&lit.rel)?.schema;
     if schema.arity() != lit.cols.len() {
@@ -403,5 +410,52 @@ mod tests {
             probes.gather_flags(cand, &mut expected).unwrap();
             assert_eq!(flags, &expected, "candidate {cand:?}");
         }
+    }
+
+    /// `EXPLAIN` of the extended envelope: every flag is one mark join
+    /// over the envelope, through the relation's primary-key index when
+    /// it has one and a per-execution hash build when it has none.
+    #[test]
+    fn explain_names_the_mark_join_and_its_access_path() {
+        let mut db = Database::new();
+        for name in ["r", "s"] {
+            db.execute(&format!(
+                "CREATE TABLE {name} (k INT, v INT, payload INT, PRIMARY KEY (k))"
+            ))
+            .unwrap();
+        }
+        let join = crate::sql_front::sjud_from_sql(
+            "SELECT * FROM r, s WHERE r.k = s.k AND r.payload >= 400",
+            db.catalog(),
+        )
+        .unwrap();
+        let explain = |db: &Database, q: &SjudQuery| {
+            let template = MembershipTemplate::build(q, db.catalog()).unwrap();
+            let ast = extended_envelope_sql(&envelope(q), &template, db.catalog()).unwrap();
+            db.explain(&hippo_sql::print_query(&ast)).unwrap()
+        };
+        let plan = explain(&db, &join);
+        assert!(
+            plan.contains("MarkJoinExec r key=(#0 = #0, #1 = #1, #2 = #2) via index (#0)"),
+            "{plan}"
+        );
+        assert!(
+            plan.contains("MarkJoinExec s key=(#0 = #3, #1 = #4, #2 = #5) via index (#0)"),
+            "{plan}"
+        );
+        assert!(
+            plan.starts_with("MarkJoinExec s"),
+            "the flag projection is the identity over the marks, so it is dropped:\n{plan}"
+        );
+
+        // quickstart's `emp` has no index: the mark builds a partition.
+        let mut db = Database::new();
+        db.execute("CREATE TABLE emp (name TEXT, salary INT)")
+            .unwrap();
+        let plan = explain(&db, &SjudQuery::rel("emp"));
+        assert!(
+            plan.contains("MarkJoinExec emp key=(#0 = #0, #1 = #1) via hash build"),
+            "{plan}"
+        );
     }
 }

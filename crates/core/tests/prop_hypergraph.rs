@@ -234,10 +234,11 @@ fn option_levels_agree_on_seeded_workloads() {
     }
 }
 
-/// One membership notion — SQL equality, the prover's — decides in
-/// every mode, so the three modes agree on tuples with a `NULL`
-/// component: such a fact equals nothing, is never "present", and no
-/// mode returns it. (Before the core filter became a per-candidate test
+/// In every mode a `NULL` key component matches nothing (base mode's
+/// probes compare with SQL `=`, KG/full mode's mark joins by identity
+/// with `NULL` keys excluded), so the three modes agree on tuples with
+/// a `NULL` component: such a fact is never "present", and no mode
+/// returns it. (Before the core filter became a per-candidate test
 /// over the same flags, its scratch evaluation compared rows by
 /// identity and full mode returned `cyd` and the `NULL`-named row.)
 #[test]

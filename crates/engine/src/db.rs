@@ -646,7 +646,9 @@ impl DbSnapshot {
 
     /// `EXPLAIN`-style rendering of the plan a query would execute as:
     /// one operator per line, children indented — the chosen access
-    /// path (`IndexLookup` vs `SeqScan`) is visible at the leaves, and
+    /// path (`IndexLookup` vs `SeqScan`) is visible at the leaves, a
+    /// `MarkJoinExec` names its table, keys and probe (`via index (…)`
+    /// or `via hash build`), and
     /// a trailing `execution:` line reports whether the vectorized
     /// engine ([`crate::column`]) or the row-at-a-time operators would
     /// run the plan. Also reachable as a real SQL statement:

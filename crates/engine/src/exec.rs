@@ -11,17 +11,19 @@
 //!   Its row-wise pipeline shapes stream: a `Filter` directly over a
 //!   `Scan` clones only surviving rows, a `Limit` over a
 //!   `Project?`/`Filter?`/source pipeline stops the scan as soon as
-//!   `offset + limit` rows are produced, and an `IndexLookup` touches
-//!   only the probed bucket.
+//!   `offset + limit` rows are produced, an `IndexLookup` touches
+//!   only the probed bucket, and a `MarkJoin` probes one index bucket
+//!   (or one per-execution hash partition) per input row.
 //! * [`execute`] — the **reference oracle**, off the production path:
 //!   bottom-up, fully materialising, no streaming, no vectorization,
-//!   no budget, an `IndexLookup` defined as scan + key equality. It
+//!   no budget, an `IndexLookup` defined as scan + key equality and a
+//!   `MarkJoin` as scan + key identity + residual per input row. It
 //!   decides the semantics; [`crate::db::DbSnapshot::run_plan`] and the
 //!   differential suite (`tests/prop_physical.rs`) run it on plans with
 //!   and without access paths and compare the production executor
 //!   against it row-for-row. Subqueries of a plan it runs are also
-//!   evaluated by it (and without the correlated-`EXISTS` hash memo),
-//!   so the two legs share no executor code above the operator helpers.
+//!   evaluated by it, so the two legs share no executor code above the
+//!   operator helpers.
 //!
 //! The production executor is two-engined: before walking an operator
 //! row-wise it offers the whole subtree to the **vectorized** compiler
@@ -39,11 +41,13 @@
 //!   column::try_execute(subtree, env)?         │          materialise bottom-up,
 //!      ╱                       ╲               │          no budget, IndexLookup
 //!   compiles (typed cols,   anything else      │          = scan + key equality,
-//!   supported ops only)         │              │          subqueries stay here
-//!      │                        ▼              │
-//!      ▼                row-mode operators ────┘
-//!   ColumnStore ─ 1024-row ─▶ filter ─▶        EXISTS / IN / scalar subqueries
-//!   (Arc-shared) ColumnBatch  project/agg/join in expressions re-enter with
+//!   supported ops only)         │              │          MarkJoin = scan + key
+//!      │                        ▼              │          identity + residual,
+//!      ▼                row-mode operators ────┘          subqueries stay here
+//!   ColumnStore ─ 1024-row ─▶ filter ─▶        MarkJoin: index bucket or hash
+//!   (Arc-shared) ColumnBatch  project/agg/join build per input row; other
+//!      │                        │              EXISTS / IN / scalar subqueries
+//!      │                        │              in expressions re-enter with
 //!      ╲                        ╱              the same env: same budget
 //!       same rows, errors, budget charges — the engine
 //!       choice shows only in EXPLAIN and the statistics
@@ -53,11 +57,11 @@
 //! Fallback is per-subtree, so a row-mode `Sort` or `Distinct` still
 //! vectorizes its input; see `column.rs` for the eligibility rules and
 //! the charging-parity contract. Row mode is the only path for sorts,
-//! set operations, outer joins and index probes.
+//! set operations, outer joins, index probes and mark joins.
 //!
 //! Execution never mutates the catalog: all run state (the enclosing-row
-//! stack, the correlated-`EXISTS` memo, prepared-parameter bindings,
-//! the budget) lives in the per-call [`EvalEnv`], which each invocation
+//! stack, prepared-parameter bindings, the budget) lives in the per-call
+//! [`EvalEnv`] and in the operators' own locals, which each invocation
 //! owns privately. That is what makes execution against a shared
 //! `&Catalog` safe from many threads with no locking: each caller gets
 //! a fresh environment on its own stack.
@@ -65,6 +69,7 @@
 use crate::expr::{eval, BoundExpr, EvalEnv};
 use crate::plan::{AggExpr, AggFunc, JoinType, Plan};
 use crate::schema::EngineError;
+use crate::table::TupleId;
 use crate::value::{Row, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -189,6 +194,36 @@ fn reference(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError
         } => {
             let rows = reference(input, env)?;
             Ok(limit_slice(rows, *limit, *offset))
+        }
+        // The defining semantics of a mark: does any row a scan of
+        // `table` produces identity-equal the evaluated keys (none if
+        // one is `NULL`) and satisfy the residual?
+        Plan::MarkJoin {
+            input,
+            table,
+            keys,
+            residual,
+            negated,
+            ..
+        } => {
+            let mut rows = reference(input, env)?;
+            let inner = env.catalog.table(table)?.rows();
+            let (mut key, mut joined) = (Vec::new(), Vec::new());
+            for row in &mut rows {
+                let mut found = false;
+                if mark_key(keys, row, &mut key, env)? {
+                    for irow in &inner {
+                        if keys.iter().zip(&key).all(|((c, _), k)| irow[*c] == *k)
+                            && residual_holds(residual.as_ref(), row, irow, &mut joined, env)?
+                        {
+                            found = true;
+                            break;
+                        }
+                    }
+                }
+                row.push(Value::Bool(found != *negated));
+            }
+            Ok(rows)
         }
     }
 }
@@ -327,6 +362,25 @@ pub fn execute_physical(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, 
             let rows = execute_physical(input, env)?;
             Ok(limit_slice(rows, *limit, *offset))
         }
+        Plan::MarkJoin {
+            input,
+            table,
+            keys,
+            residual,
+            index,
+            negated,
+        } => {
+            let rows = execute_physical(input, env)?;
+            mark_join_rows(
+                rows,
+                table,
+                keys,
+                residual.as_ref(),
+                index.as_deref(),
+                *negated,
+                env,
+            )
+        }
     }
 }
 
@@ -382,12 +436,24 @@ fn values_rows(rows: &[Vec<BoundExpr>], env: &mut EvalEnv<'_>) -> Result<Vec<Row
 
 /// Compute the projection of materialised rows. Consumes its input row
 /// by row, so each input row's allocation is released (and reusable
-/// for the next output row) as soon as it has been projected.
+/// for the next output row) as soon as it has been projected. A
+/// projection onto a leading run of columns (`#0, #1, …` — e.g. one
+/// dropping a `Filter`'s mark columns) truncates the rows in place.
 fn project_rows(
-    rows: Vec<Row>,
+    mut rows: Vec<Row>,
     exprs: &[BoundExpr],
     env: &mut EvalEnv<'_>,
 ) -> Result<Vec<Row>, EngineError> {
+    let prefix = exprs
+        .iter()
+        .enumerate()
+        .all(|(i, e)| *e == BoundExpr::Column(i));
+    if prefix && rows.iter().all(|row| row.len() >= exprs.len()) {
+        for row in &mut rows {
+            row.truncate(exprs.len());
+        }
+        return Ok(rows);
+    }
     let mut out = Vec::with_capacity(rows.len());
     for row in rows {
         let projected: Row = exprs
@@ -397,6 +463,112 @@ fn project_rows(
         out.push(projected);
     }
     Ok(out)
+}
+
+/// Evaluate a mark join's key values for input `row` into `key`, in
+/// order; `false` at the first `NULL` (it matches nothing).
+fn mark_key(
+    keys: &[(usize, BoundExpr)],
+    row: &[Value],
+    key: &mut Vec<Value>,
+    env: &mut EvalEnv<'_>,
+) -> Result<bool, EngineError> {
+    key.clear();
+    for (_, e) in keys {
+        let v = eval(e, row, env)?;
+        if v.is_null() {
+            return Ok(false);
+        }
+        key.push(v);
+    }
+    Ok(true)
+}
+
+/// Does a mark join's residual hold on `row ++ inner`? (`joined` is a
+/// reusable buffer.)
+fn residual_holds(
+    residual: Option<&BoundExpr>,
+    row: &[Value],
+    inner: &[Value],
+    joined: &mut Row,
+    env: &mut EvalEnv<'_>,
+) -> Result<bool, EngineError> {
+    let Some(r) = residual else {
+        return Ok(true);
+    };
+    joined.clear();
+    joined.extend_from_slice(row);
+    joined.extend_from_slice(inner);
+    Ok(eval(r, joined, env)? == Value::Bool(true))
+}
+
+/// The production mark join: append each input row's mark. With an
+/// `index`, the leading keys probe it once per row and the remaining
+/// keys and the residual are checked on the bucket; without one, a
+/// hash partition of the table on all key columns is built first (and
+/// charged to the budget as one batch). Buckets hold live tuple ids in
+/// slot order, so the first match — and any residual error — is the
+/// one a scan would meet.
+fn mark_join_rows(
+    mut rows: Vec<Row>,
+    table: &str,
+    keys: &[(usize, BoundExpr)],
+    residual: Option<&BoundExpr>,
+    index: Option<&[usize]>,
+    negated: bool,
+    env: &mut EvalEnv<'_>,
+) -> Result<Vec<Row>, EngineError> {
+    let catalog = env.catalog;
+    let t = catalog.table(table)?;
+    let (probe_len, partition) = match index {
+        Some(cols) => {
+            if !t.has_index(cols) {
+                return Err(EngineError::new(format!(
+                    "plan references a missing index on {table:?}"
+                )));
+            }
+            (cols.len(), FxHashMap::default())
+        }
+        None => {
+            env.charge_batch(t.len())?;
+            let mut map: FxHashMap<Vec<Value>, Vec<TupleId>> = FxHashMap::default();
+            'rows: for (tid, trow) in t.iter() {
+                let mut key = Vec::with_capacity(keys.len());
+                for (c, _) in keys {
+                    if trow[*c].is_null() {
+                        continue 'rows; // NULL keys never match
+                    }
+                    key.push(trow[*c].clone());
+                }
+                map.entry(key).or_default().push(tid);
+            }
+            (keys.len(), map)
+        }
+    };
+    let (mut key, mut joined) = (Vec::with_capacity(keys.len()), Row::new());
+    for row in &mut rows {
+        let mut found = false;
+        if mark_key(keys, row, &mut key, env)? {
+            let ids = match index {
+                Some(cols) => t.index_bucket(cols, &key[..probe_len]).unwrap_or(&[]),
+                None => partition.get(&key).map_or(&[][..], Vec::as_slice),
+            };
+            for &id in ids {
+                let inner = t.get(id).expect("buckets hold live ids");
+                if keys[probe_len..]
+                    .iter()
+                    .zip(&key[probe_len..])
+                    .all(|((c, _), k)| inner[*c] == *k)
+                    && residual_holds(residual, row, inner, &mut joined, env)?
+                {
+                    found = true;
+                    break;
+                }
+            }
+        }
+        row.push(Value::Bool(found != negated));
+    }
+    Ok(rows)
 }
 
 /// Cartesian product of materialised inputs.
@@ -1339,5 +1511,107 @@ mod tests {
             ],
         };
         assert_eq!(run(&c, &plan), vec![vec![Value::Int(2), Value::Int(1)]]);
+    }
+
+    /// The mark join against the per-row `EXISTS` it replaces: `EXISTS
+    /// (SELECT * FROM t WHERE t.k = <outer #0> AND t.v > 15)` over outer
+    /// keys 1, 2, 9 and `NULL`, with a hash build and through an index,
+    /// on the production executor and the oracle alike.
+    #[test]
+    fn mark_join_matches_per_row_exists() {
+        use hippo_sql::BinaryOp;
+        let mut c = Catalog::new();
+        c.create_table(
+            TableSchema::new(
+                "t",
+                vec![
+                    Column::new("k", DataType::Int),
+                    Column::new("v", DataType::Int),
+                ],
+                &[],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        for (k, v) in [(1, 10), (1, 20), (2, 30)] {
+            c.table_mut("t")
+                .unwrap()
+                .insert(vec![Value::Int(k), Value::Int(v)])
+                .unwrap();
+        }
+        let bin = |op, l, r| BoundExpr::Binary {
+            op,
+            left: Box::new(l),
+            right: Box::new(r),
+        };
+        let outer = || {
+            Plan::values_literal(
+                vec![
+                    vec![Value::Int(1)],
+                    vec![Value::Int(2)],
+                    vec![Value::Int(9)],
+                    vec![Value::Null],
+                ],
+                1,
+            )
+        };
+        let per_row = Plan::Project {
+            input: Box::new(outer()),
+            exprs: vec![
+                BoundExpr::Column(0),
+                BoundExpr::Exists {
+                    plan: Box::new(Plan::Filter {
+                        input: Box::new(scan()),
+                        predicate: bin(
+                            BinaryOp::Eq,
+                            BoundExpr::Column(0),
+                            BoundExpr::OuterRef { level: 0, index: 0 },
+                        )
+                        .and(bin(
+                            BinaryOp::Gt,
+                            BoundExpr::Column(1),
+                            BoundExpr::Literal(Value::Int(15)),
+                        )),
+                    }),
+                    negated: false,
+                },
+            ],
+        };
+        let expected: Vec<Row> = [(1, true), (2, true), (9, false)]
+            .into_iter()
+            .map(|(k, m)| vec![Value::Int(k), Value::Bool(m)])
+            .chain([vec![Value::Null, Value::Bool(false)]])
+            .collect();
+        assert_eq!(run(&c, &per_row), expected);
+        for indexed in [false, true] {
+            if indexed {
+                c.table_mut("t").unwrap().create_index(vec![0]).unwrap();
+            }
+            let mut plan = per_row.clone();
+            crate::optimize::choose_access_paths(&mut plan, &c);
+            let Plan::MarkJoin {
+                index, residual, ..
+            } = &plan
+            else {
+                panic!("expected a mark join:\n{plan}")
+            };
+            assert_eq!(index.is_some(), indexed, "{plan}");
+            assert_eq!(
+                residual.as_ref(),
+                Some(&bin(
+                    BinaryOp::Gt,
+                    BoundExpr::Column(2),
+                    BoundExpr::Literal(Value::Int(15))
+                )),
+                "the residual reads the inner row after the input row"
+            );
+            assert_eq!(run(&c, &plan), expected, "oracle, indexed={indexed}");
+            let mut env = EvalEnv::new(&c);
+            assert_eq!(
+                execute_physical(&plan, &mut env).unwrap(),
+                expected,
+                "production, indexed={indexed}"
+            );
+        }
     }
 }

@@ -8,7 +8,6 @@
 use crate::catalog::Catalog;
 use crate::plan::Plan;
 use crate::schema::EngineError;
-use crate::table::TupleId;
 use crate::value::Value;
 use hippo_sql::{BinaryOp, UnaryOp};
 
@@ -230,22 +229,31 @@ impl BoundExpr {
     /// Rewrite every current-row column offset through `f` (used when an
     /// expression moves across an operator that permutes columns).
     pub fn map_columns(&self, f: &impl Fn(usize) -> usize) -> BoundExpr {
-        match self {
+        self.map_refs(&|e| match e {
             BoundExpr::Column(i) => BoundExpr::Column(f(*i)),
-            BoundExpr::Literal(_) | BoundExpr::Param(_) | BoundExpr::OuterRef { .. } => {
-                self.clone()
-            }
+            other => other.clone(),
+        })
+    }
+
+    /// Rewrite every row reference — [`BoundExpr::Column`] and
+    /// [`BoundExpr::OuterRef`] leaves — through `f` (used when an
+    /// expression moves to another row context, e.g. out of a
+    /// subquery).
+    pub fn map_refs(&self, f: &impl Fn(&BoundExpr) -> BoundExpr) -> BoundExpr {
+        match self {
+            BoundExpr::Column(_) | BoundExpr::OuterRef { .. } => f(self),
+            BoundExpr::Literal(_) | BoundExpr::Param(_) => self.clone(),
             BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
                 op: *op,
-                left: Box::new(left.map_columns(f)),
-                right: Box::new(right.map_columns(f)),
+                left: Box::new(left.map_refs(f)),
+                right: Box::new(right.map_refs(f)),
             },
             BoundExpr::Unary { op, expr } => BoundExpr::Unary {
                 op: *op,
-                expr: Box::new(expr.map_columns(f)),
+                expr: Box::new(expr.map_refs(f)),
             },
             BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-                expr: Box::new(expr.map_columns(f)),
+                expr: Box::new(expr.map_refs(f)),
                 negated: *negated,
             },
             BoundExpr::Like {
@@ -253,8 +261,8 @@ impl BoundExpr {
                 pattern,
                 negated,
             } => BoundExpr::Like {
-                expr: Box::new(expr.map_columns(f)),
-                pattern: Box::new(pattern.map_columns(f)),
+                expr: Box::new(expr.map_refs(f)),
+                pattern: Box::new(pattern.map_refs(f)),
                 negated: *negated,
             },
             BoundExpr::InList {
@@ -262,8 +270,8 @@ impl BoundExpr {
                 list,
                 negated,
             } => BoundExpr::InList {
-                expr: Box::new(expr.map_columns(f)),
-                list: list.iter().map(|e| e.map_columns(f)).collect(),
+                expr: Box::new(expr.map_refs(f)),
+                list: list.iter().map(|e| e.map_refs(f)).collect(),
                 negated: *negated,
             },
             BoundExpr::Case {
@@ -272,13 +280,13 @@ impl BoundExpr {
             } => BoundExpr::Case {
                 branches: branches
                     .iter()
-                    .map(|(c, v)| (c.map_columns(f), v.map_columns(f)))
+                    .map(|(c, v)| (c.map_refs(f), v.map_refs(f)))
                     .collect(),
-                else_value: else_value.as_ref().map(|e| Box::new(e.map_columns(f))),
+                else_value: else_value.as_ref().map(|e| Box::new(e.map_refs(f))),
             },
             BoundExpr::Function { func, args } => BoundExpr::Function {
                 func: *func,
-                args: args.iter().map(|e| e.map_columns(f)).collect(),
+                args: args.iter().map(|e| e.map_refs(f)).collect(),
             },
             // Subquery plans capture outer columns via OuterRef levels, which
             // are unaffected by permutations of the *current* row only if the
@@ -292,7 +300,7 @@ impl BoundExpr {
                 plan,
                 negated,
             } => BoundExpr::InSubquery {
-                expr: Box::new(expr.map_columns(f)),
+                expr: Box::new(expr.map_refs(f)),
                 plan: plan.clone(),
                 negated: *negated,
             },
@@ -327,16 +335,6 @@ pub struct EvalEnv<'a> {
     pub params: &'a [Value],
     /// Enclosing query rows; `OuterRef{level: 0}` reads `outer.last()`.
     pub outer: Vec<Vec<Value>>,
-    /// Per-query memo for correlated `EXISTS` fast paths: plan address →
-    /// hash partition of the scanned table on the equi-correlated columns.
-    /// Built lazily on the first probe of each `EXISTS` plan; turns the
-    /// per-row rescan (O(n) per outer row) into an O(1) probe — the same
-    /// effect an index gives the original system's PostgreSQL backend.
-    /// Buckets hold tuple ids (ascending slot order), not row copies:
-    /// a probe clones one small id bucket, never row data, and the
-    /// build reads keys from the table's column store when one is
-    /// available (contiguous typed slices) instead of slot rows.
-    exists_cache: rustc_hash::FxHashMap<usize, rustc_hash::FxHashMap<Vec<Value>, Vec<TupleId>>>,
     /// Optional per-call resource budget; when set, the executor's
     /// streaming loops charge rows here and trip cooperatively.
     budget: Option<&'a crate::budget::Budget>,
@@ -357,7 +355,7 @@ pub struct EvalEnv<'a> {
     pub rowmode_rows: u64,
     /// Set while [`crate::exec::execute`] (the reference oracle) runs a
     /// plan with this environment: expression subqueries then stay on
-    /// the oracle and skip the correlated-`EXISTS` memo.
+    /// the oracle.
     pub(crate) reference: bool,
 }
 
@@ -368,7 +366,6 @@ impl<'a> EvalEnv<'a> {
             catalog,
             params: &[],
             outer: Vec::new(),
-            exists_cache: rustc_hash::FxHashMap::default(),
             budget: None,
             budget_stage: "engine",
             work: 0,
@@ -439,76 +436,6 @@ impl<'a> EvalEnv<'a> {
     }
 }
 
-/// The shape recognised by the correlated-`EXISTS` fast path:
-/// `EXISTS (SELECT … FROM table WHERE key_col_1 = k_1 ∧ … ∧ residual)`
-/// where each `k_i` is computed from outer rows/constants only.
-struct ExistsFastPath<'p> {
-    table: &'p str,
-    /// Inner key columns.
-    key_cols: Vec<usize>,
-    /// Outer key expressions (no inner-column references).
-    key_exprs: Vec<&'p BoundExpr>,
-    /// Remaining conjuncts, evaluated against each matching inner row.
-    residual: Vec<&'p BoundExpr>,
-}
-
-/// Try to recognise the fast-path shape. Projections, DISTINCT and LIMIT
-/// do not affect emptiness and are unwrapped.
-fn exists_fast_path(plan: &Plan) -> Option<ExistsFastPath<'_>> {
-    let mut p = plan;
-    while let Plan::Project { input, .. }
-    | Plan::Distinct { input }
-    | Plan::Limit {
-        input,
-        limit: Some(_),
-        offset: 0,
-    } = p
-    {
-        p = input;
-    }
-    let Plan::Filter { input, predicate } = p else {
-        return None;
-    };
-    let Plan::Scan { table } = &**input else {
-        return None;
-    };
-    let mut key_cols = Vec::new();
-    let mut key_exprs = Vec::new();
-    let mut residual = Vec::new();
-    for conjunct in split_conjuncts_ref(predicate) {
-        if conjunct.contains_subquery() {
-            return None;
-        }
-        match conjunct {
-            BoundExpr::Binary {
-                op: BinaryOp::Eq,
-                left,
-                right,
-            } => match (&**left, &**right) {
-                (BoundExpr::Column(c), e) if !e.references_columns() => {
-                    key_cols.push(*c);
-                    key_exprs.push(e);
-                }
-                (e, BoundExpr::Column(c)) if !e.references_columns() => {
-                    key_cols.push(*c);
-                    key_exprs.push(e);
-                }
-                _ => residual.push(conjunct),
-            },
-            other => residual.push(other),
-        }
-    }
-    if key_cols.is_empty() {
-        return None;
-    }
-    Some(ExistsFastPath {
-        table,
-        key_cols,
-        key_exprs,
-        residual,
-    })
-}
-
 pub(crate) fn split_conjuncts_ref(e: &BoundExpr) -> Vec<&BoundExpr> {
     match e {
         BoundExpr::Binary {
@@ -522,111 +449,6 @@ pub(crate) fn split_conjuncts_ref(e: &BoundExpr) -> Vec<&BoundExpr> {
         }
         other => vec![other],
     }
-}
-
-/// Evaluate `EXISTS (plan)` for the current `row`, using the hash fast
-/// path when the plan shape allows it (never on a reference-oracle
-/// run); falls back to full execution.
-fn eval_exists(plan: &Plan, row: &[Value], env: &mut EvalEnv<'_>) -> Result<bool, EngineError> {
-    let fast_path = if env.reference {
-        None
-    } else {
-        exists_fast_path(plan)
-    };
-    if let Some(fp) = fast_path {
-        let plan_key = plan as *const Plan as usize;
-        // The table reference outlives `env`'s mutable borrows (it
-        // borrows the `'a` catalog, not the env), so residuals below
-        // can evaluate against borrowed rows with zero row copies.
-        let table = env.catalog.table(fp.table)?;
-        if let std::collections::hash_map::Entry::Vacant(slot) = env.exists_cache.entry(plan_key) {
-            // Build the partition: key values → live tuple ids, in
-            // slot order. Keys are gathered from the column store's
-            // contiguous typed slices when one is available (the KG
-            // envelope's `EXISTS` flags are the hot caller), falling
-            // back to the slot rows otherwise — both produce the same
-            // map bit for bit.
-            let mut map: rustc_hash::FxHashMap<Vec<Value>, Vec<TupleId>> =
-                rustc_hash::FxHashMap::default();
-            let store = if crate::column::columnar_enabled() {
-                table.column_store()
-            } else {
-                None
-            };
-            match store {
-                Some(store) => {
-                    'positions: for pos in 0..store.len() {
-                        let mut key = Vec::with_capacity(fp.key_cols.len());
-                        for &c in &fp.key_cols {
-                            let v = store.column(c).value_at(pos);
-                            if v.is_null() {
-                                continue 'positions; // NULL keys never equi-match
-                            }
-                            key.push(v);
-                        }
-                        map.entry(key).or_default().push(TupleId(store.tid(pos)));
-                    }
-                }
-                None => {
-                    'rows: for (tid, trow) in table.iter() {
-                        let mut key = Vec::with_capacity(fp.key_cols.len());
-                        for &c in &fp.key_cols {
-                            if trow[c].is_null() {
-                                continue 'rows; // NULL keys never equi-match
-                            }
-                            key.push(trow[c].clone());
-                        }
-                        map.entry(key).or_default().push(tid);
-                    }
-                }
-            }
-            slot.insert(map);
-        }
-        // Key expressions reference the current row through OuterRef{0},
-        // so push it before evaluating them (with an empty inner row).
-        env.outer.push(row.to_vec());
-        let result = (|| -> Result<bool, EngineError> {
-            let mut key = Vec::with_capacity(fp.key_exprs.len());
-            for e in &fp.key_exprs {
-                let v = eval(e, &[], env)?;
-                if v.is_null() {
-                    return Ok(false);
-                }
-                key.push(v);
-            }
-            // Clone the matching id bucket out to release the borrow on
-            // env (residuals may contain nested subqueries needing
-            // &mut env); ids are 4 bytes each, not rows.
-            let matches: Option<Vec<TupleId>> = env
-                .exists_cache
-                .get(&(plan as *const Plan as usize))
-                .and_then(|m| m.get(&key))
-                .cloned();
-            let Some(ids) = matches else {
-                return Ok(false);
-            };
-            if fp.residual.is_empty() {
-                return Ok(!ids.is_empty());
-            }
-            for id in ids {
-                let inner = table.get(id).expect("cached exists ids are live");
-                let mut ok = true;
-                for r in &fp.residual {
-                    if eval(r, inner, env)? != Value::Bool(true) {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
-                    return Ok(true);
-                }
-            }
-            Ok(false)
-        })();
-        env.outer.pop();
-        return result;
-    }
-    Ok(!crate::exec::execute_subquery(plan, row, env)?.is_empty())
 }
 
 /// Evaluate `expr` against `row` within `env`.
@@ -753,7 +575,7 @@ pub fn eval(expr: &BoundExpr, row: &[Value], env: &mut EvalEnv<'_>) -> Result<Va
             eval_function(*func, vals)
         }
         BoundExpr::Exists { plan, negated } => {
-            let exists = eval_exists(plan, row, env)?;
+            let exists = !crate::exec::execute_subquery(plan, row, env)?.is_empty();
             Ok(Value::Bool(exists != *negated))
         }
         BoundExpr::InSubquery {
@@ -1226,66 +1048,6 @@ mod tests {
         assert_eq!(BoundExpr::conjoin(vec![]), BoundExpr::true_());
         let e = BoundExpr::conjoin(vec![lit(true), lit(false)]);
         assert_eq!(ev(&e, &[]), Value::Bool(false));
-    }
-
-    #[test]
-    fn exists_fast_path_matches_slow_path() {
-        use crate::plan::Plan;
-        use crate::schema::{Column, DataType, TableSchema};
-        let mut catalog = Catalog::new();
-        catalog
-            .create_table(
-                TableSchema::new(
-                    "t",
-                    vec![
-                        Column::new("k", DataType::Int),
-                        Column::new("v", DataType::Int),
-                    ],
-                    &[],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        let t = catalog.table_mut("t").unwrap();
-        for (k, v) in [(1, 10), (1, 20), (2, 30)] {
-            t.insert(vec![Value::Int(k), Value::Int(v)]).unwrap();
-        }
-        // EXISTS (SELECT * FROM t WHERE t.k = <outer col 0> AND t.v > 15)
-        let plan = Plan::Filter {
-            input: Box::new(Plan::Scan { table: "t".into() }),
-            predicate: BoundExpr::Binary {
-                op: BinaryOp::And,
-                left: Box::new(bin(
-                    BinaryOp::Eq,
-                    BoundExpr::Column(0),
-                    BoundExpr::OuterRef { level: 0, index: 0 },
-                )),
-                right: Box::new(bin(BinaryOp::Gt, BoundExpr::Column(1), lit(15))),
-            },
-        };
-        let e = BoundExpr::Exists {
-            plan: Box::new(plan),
-            negated: false,
-        };
-        let mut env = EvalEnv::new(&catalog);
-        // k=1 has v=20 > 15 → true; k=2 has v=30 → true; k=9 → false.
-        assert_eq!(
-            eval(&e, &[Value::Int(1)], &mut env).unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(
-            eval(&e, &[Value::Int(2)], &mut env).unwrap(),
-            Value::Bool(true)
-        );
-        assert_eq!(
-            eval(&e, &[Value::Int(9)], &mut env).unwrap(),
-            Value::Bool(false)
-        );
-        assert_eq!(
-            eval(&e, &[Value::Null], &mut env).unwrap(),
-            Value::Bool(false),
-            "NULL outer key never matches"
-        );
     }
 
     #[test]

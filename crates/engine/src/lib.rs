@@ -18,7 +18,8 @@
 //!   plus **access-path selection**
 //!   ([`optimize::choose_access_paths`]), an in-place pass that turns
 //!   equality predicates over indexed columns into O(1)
-//!   [`plan::Plan::IndexLookup`] probes;
+//!   [`plan::Plan::IndexLookup`] probes and equi-correlated `EXISTS`
+//!   into [`plan::Plan::MarkJoin`]s;
 //! * **one production executor** ([`exec::execute_physical`]) with
 //!   streamed filter/limit pipelines, hash joins, set operations (set
 //!   and bag), grouping/aggregation, sorting, and correlated `EXISTS` /

@@ -36,43 +36,55 @@
 //! and an index can skip errors but never introduce one (key
 //! expressions are type-checked at plan time).
 //!
-//! The pass does not descend into expression subqueries
-//! (`EXISTS`/`IN`/scalar): their subplans run as bound, with
-//! [`crate::expr::EvalEnv`]'s correlated-`EXISTS` hash memo giving the
-//! hot membership-flag shape its O(1) probe.
+//! The same pass turns every **equi-correlated `EXISTS`** — `[NOT]
+//! EXISTS (SELECT … FROM t WHERE t.c = e ∧ … ∧ rest)` with each `e` free
+//! of `t`'s columns, under any projection, `DISTINCT` or `LIMIT n ≥ 1` —
+//! that is a top-level `Project` item (the knowledge-gathering flags)
+//! or a `Filter` conjunct (the rewriting's residues) into a
+//! [`Plan::MarkJoin`], which appends the flag to each input row. Its
+//! access path is chosen here from the catalog: the largest hash index
+//! of `t` the key columns cover, probed once per input row, or else a
+//! hash partition built once per execution. A mark compares keys by
+//! `Value` identity and a `NULL` key matches nothing, so on the
+//! `Float` values SQL `=` equates but identity tells apart (`0.0` vs
+//! `-0.0`, int-widening) it can differ from the per-row subquery (see
+//! ROADMAP direction 9). The pass does not descend into expression
+//! subqueries: their subplans, and any other `EXISTS`, run per row as
+//! bound.
 
 use crate::catalog::Catalog;
-use crate::expr::{eval, BoundExpr, EvalEnv};
+use crate::expr::{eval, split_conjuncts_ref, BoundExpr, EvalEnv};
 use crate::plan::{JoinType, Plan};
 use crate::schema::{DataType, EngineError, TableSchema};
+use crate::table::Table;
 use crate::value::Value;
-use hippo_sql::BinaryOp;
+use hippo_sql::{BinaryOp, UnaryOp};
 
 /// Access-path selection, in place: every `Filter(Scan)` of `plan`
 /// whose equality conjuncts cover one of the table's hash indexes
 /// becomes an [`Plan::IndexLookup`] (plus a residual `Filter` for the
-/// remaining conjuncts). Skipping this pass leaves a plan that scans —
-/// same rows, same order.
+/// remaining conjuncts), and every equi-correlated `EXISTS` that is a
+/// top-level `Project` item or `Filter` conjunct becomes a
+/// [`Plan::MarkJoin`]. Skipping this pass leaves a plan that scans and
+/// evaluates its `EXISTS` per row — same rows, same order.
 pub fn choose_access_paths(plan: &mut Plan, catalog: &Catalog) {
     if let Plan::Filter { input, predicate } = plan {
         if let Plan::Scan { table } = &**input {
             if let Some(lookup) = index_access_path(table, predicate, catalog) {
                 *plan = lookup;
-                return;
             }
         }
     }
     for child in plan.children_mut() {
         choose_access_paths(child, catalog);
     }
+    mark_joins(plan, catalog);
 }
 
 /// Access-path selection for `Filter(Scan)`: pick the largest index of
 /// `table` whose every column is pinned by an index-safe equality
-/// conjunct, emit an `IndexLookup` keyed by those expressions and keep
-/// the remaining conjuncts as a residual filter. Ties between
-/// equal-length indexes break to the lexicographically smallest column
-/// set, so plan choice is deterministic.
+/// conjunct ([`best_index`]), emit an `IndexLookup` keyed by those
+/// expressions and keep the remaining conjuncts as a residual filter.
 fn index_access_path(table: &str, predicate: &BoundExpr, catalog: &Catalog) -> Option<Plan> {
     let t = catalog.table(table).ok()?;
     let conjuncts = split_conjuncts(predicate);
@@ -87,20 +99,7 @@ fn index_access_path(table: &str, predicate: &BoundExpr, catalog: &Catalog) -> O
     if eq.is_empty() {
         return None;
     }
-    let mut best: Option<&Vec<usize>> = None;
-    for cols in t.index_column_sets() {
-        if !cols.iter().all(|c| eq.contains_key(c)) {
-            continue;
-        }
-        let better = match best {
-            None => true,
-            Some(b) => cols.len() > b.len() || (cols.len() == b.len() && cols < b),
-        };
-        if better {
-            best = Some(cols);
-        }
-    }
-    let index_cols = best?.clone();
+    let index_cols = best_index(t, |c| eq.contains_key(&c))?.clone();
     let mut used = vec![false; conjuncts.len()];
     let key: Vec<BoundExpr> = index_cols
         .iter()
@@ -129,6 +128,226 @@ fn index_access_path(table: &str, predicate: &BoundExpr, catalog: &Catalog) -> O
             predicate: BoundExpr::conjoin(residual),
         }
     })
+}
+
+/// The largest index of `t` whose every column satisfies `covered`;
+/// ties between equal-length indexes break to the lexicographically
+/// smallest column set, so plan choice is deterministic.
+fn best_index(t: &Table, covered: impl Fn(usize) -> bool) -> Option<&Vec<usize>> {
+    let mut best: Option<&Vec<usize>> = None;
+    for cols in t.index_column_sets() {
+        if !cols.iter().all(|&c| covered(c)) {
+            continue;
+        }
+        let better = match best {
+            None => true,
+            Some(b) => cols.len() > b.len() || (cols.len() == b.len() && cols < b),
+        };
+        if better {
+            best = Some(cols);
+        }
+    }
+    best
+}
+
+/// Turn the equi-correlated `EXISTS` items of a `Project` and conjuncts
+/// of a `Filter` into [`Plan::MarkJoin`]s under it, reading the marks
+/// as columns. A `Project` left as the identity is dropped. In a
+/// `Filter`, the conjuncts before each `EXISTS` filter the rows before
+/// its mark join, so the mark is computed on exactly the rows `AND`'s
+/// left-to-right evaluation would reach, and a closing `Project` drops
+/// the marks again.
+fn mark_joins(plan: &mut Plan, catalog: &Catalog) {
+    match plan {
+        Plan::Project { input, exprs } => {
+            let Ok(arity) = input.arity(catalog) else {
+                return;
+            };
+            let mut width = arity;
+            for e in exprs.iter_mut() {
+                if let Some(mark) =
+                    as_exists(e).and_then(|(sub, negated)| mark_join(sub, negated, width, catalog))
+                {
+                    mark_join_over(input, mark);
+                    *e = BoundExpr::Column(width);
+                    width += 1;
+                }
+            }
+            let identity = exprs.len() == width
+                && exprs
+                    .iter()
+                    .enumerate()
+                    .all(|(i, e)| *e == BoundExpr::Column(i));
+            if width > arity && identity {
+                *plan = take(input);
+            }
+        }
+        Plan::Filter { input, predicate } => {
+            let Ok(arity) = input.arity(catalog) else {
+                return;
+            };
+            let mut width = arity;
+            let mut pending = Vec::new();
+            for c in split_conjuncts(predicate) {
+                let Some(mark) = as_exists(&c)
+                    .and_then(|(sub, negated)| mark_join(sub, negated, width, catalog))
+                else {
+                    pending.push(c);
+                    continue;
+                };
+                if !pending.is_empty() {
+                    **input = Plan::Filter {
+                        input: Box::new(take(input)),
+                        predicate: BoundExpr::conjoin(pending.drain(..)),
+                    };
+                }
+                mark_join_over(input, mark);
+                pending.push(BoundExpr::Column(width));
+                width += 1;
+            }
+            if width > arity {
+                *plan = Plan::Project {
+                    input: Box::new(Plan::Filter {
+                        input: Box::new(take(input)),
+                        predicate: BoundExpr::conjoin(pending),
+                    }),
+                    exprs: (0..arity).map(BoundExpr::Column).collect(),
+                };
+            }
+        }
+        _ => {}
+    }
+}
+
+/// `[NOT] EXISTS (sub)` as `(sub, negated)`, through any number of
+/// `NOT`s (the binder reads `NOT EXISTS` as `NOT (EXISTS …)`; `EXISTS`
+/// is never `NULL`, so each `NOT` just flips it).
+fn as_exists(e: &BoundExpr) -> Option<(&Plan, bool)> {
+    match e {
+        BoundExpr::Exists { plan, negated } => Some((plan, *negated)),
+        BoundExpr::Unary {
+            op: UnaryOp::Not,
+            expr,
+        } => as_exists(expr).map(|(plan, negated)| (plan, !negated)),
+        _ => None,
+    }
+}
+
+/// Move a plan out of its slot, leaving an empty placeholder.
+fn take(slot: &mut Plan) -> Plan {
+    std::mem::replace(slot, Plan::Empty { arity: 0 })
+}
+
+/// The [`Plan::MarkJoin`] computing `[NOT] EXISTS (sub)` for input rows
+/// of arity `width` (its input a placeholder), if `sub` is
+/// equi-correlated. It probes the largest hash index of the table that
+/// the key columns cover, if there is one.
+fn mark_join(sub: &Plan, negated: bool, width: usize, catalog: &Catalog) -> Option<Plan> {
+    let (table, mut keys, residual) = equi_correlated(sub, width)?;
+    let t = catalog.table(table).ok()?;
+    let index = best_index(t, |c| keys.iter().any(|(k, _)| *k == c)).cloned();
+    if let Some(cols) = &index {
+        // The index's columns lead, in its order (first pair per column);
+        // the remaining pairs are checked on the probed bucket.
+        let mut probe = Vec::with_capacity(keys.len());
+        for c in cols {
+            let at = keys
+                .iter()
+                .position(|(k, _)| k == c)
+                .expect("index covered");
+            probe.push(keys.remove(at));
+        }
+        probe.append(&mut keys);
+        keys = probe;
+    }
+    Some(Plan::MarkJoin {
+        input: Box::new(Plan::Empty { arity: 0 }),
+        table: table.to_string(),
+        keys,
+        residual,
+        index,
+        negated,
+    })
+}
+
+/// Put `mark` (from [`mark_join`]) over the plan in `input`'s slot.
+fn mark_join_over(input: &mut Plan, mut mark: Plan) {
+    if let Plan::MarkJoin { input: slot, .. } = &mut mark {
+        **slot = take(input);
+    }
+    *input = mark;
+}
+
+/// An `EXISTS` subplan's mark-join parts, re-expressed for an input row
+/// of arity `width`: the scanned table, `(inner column, key expression
+/// over the input row)` pairs, and the residual over `input ++ inner`.
+type MarkParts<'p> = (&'p str, Vec<(usize, BoundExpr)>, Option<BoundExpr>);
+
+/// Recognise `[NOT] EXISTS (SELECT … FROM t WHERE t.c = e ∧ … ∧ rest)`:
+/// `Filter(Scan t)` under any `Project`, `Distinct` or `LIMIT n` with
+/// `n ≥ 1` and no offset (none of which change emptiness), at least one
+/// conjunct equating an inner column to an expression free of inner
+/// columns, and no conjunct holding a subquery.
+fn equi_correlated(sub: &Plan, width: usize) -> Option<MarkParts<'_>> {
+    let mut p = sub;
+    while let Plan::Project { input, .. }
+    | Plan::Distinct { input }
+    | Plan::Limit {
+        input,
+        limit: Some(1..),
+        offset: 0,
+    } = p
+    {
+        p = input;
+    }
+    let Plan::Filter { input, predicate } = p else {
+        return None;
+    };
+    let Plan::Scan { table } = &**input else {
+        return None;
+    };
+    // Inside the subquery, `OuterRef` level 0 is the input row and level
+    // l + 1 is the input's own level-l enclosing row.
+    let outward = |e: &BoundExpr| {
+        e.map_refs(&|leaf| match *leaf {
+            BoundExpr::Column(i) => BoundExpr::Column(width + i),
+            BoundExpr::OuterRef { level: 0, index } => BoundExpr::Column(index),
+            BoundExpr::OuterRef { level, index } => BoundExpr::OuterRef {
+                level: level - 1,
+                index,
+            },
+            ref other => other.clone(),
+        })
+    };
+    let mut keys = Vec::new();
+    let mut residual = Vec::new();
+    for conjunct in split_conjuncts_ref(predicate) {
+        if conjunct.contains_subquery() {
+            return None;
+        }
+        if let BoundExpr::Binary {
+            op: BinaryOp::Eq,
+            left,
+            right,
+        } = conjunct
+        {
+            match (&**left, &**right) {
+                (BoundExpr::Column(c), e) | (e, BoundExpr::Column(c))
+                    if !e.references_columns() =>
+                {
+                    keys.push((*c, outward(e)));
+                    continue;
+                }
+                _ => {}
+            }
+        }
+        residual.push(outward(conjunct));
+    }
+    if keys.is_empty() {
+        return None;
+    }
+    let residual = (!residual.is_empty()).then(|| BoundExpr::conjoin(residual));
+    Some((table, keys, residual))
 }
 
 /// Is `c` an equality pinning one column of `schema` to a

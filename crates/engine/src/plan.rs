@@ -7,7 +7,8 @@
 //! rewrite a caller either runs or skips: a `Filter` over a `Scan`
 //! becomes an O(1) [`Plan::IndexLookup`] against one of the table's
 //! secondary hash indexes (see [`crate::table::Table`]) when its
-//! equality conjuncts cover one. There is no separate "physical" tree:
+//! equality conjuncts cover one, and an equi-correlated `EXISTS` becomes
+//! a [`Plan::MarkJoin`]. There is no separate "physical" tree:
 //! the production executor and the reference oracle ([`crate::exec`])
 //! both run this type, so any plan — rewritten or not — can be
 //! executed by either and compared.
@@ -79,7 +80,8 @@ pub struct AggExpr {
 /// The binder emits it, [`crate::optimize::optimize`] rewrites it, and
 /// [`crate::optimize::choose_access_paths`] optionally replaces
 /// `Filter(Scan)` subtrees whose equality conjuncts cover a hash index
-/// with [`Plan::IndexLookup`] (the only node the binder never produces).
+/// with [`Plan::IndexLookup`] and equi-correlated `EXISTS` with
+/// [`Plan::MarkJoin`] (the two nodes the binder never produces).
 /// Both executors run it: the production one
 /// ([`crate::exec::execute_physical`]) streams the row-wise pipeline
 /// shapes — `Limit`/`Filter`/`Project` directly over a source — with
@@ -224,6 +226,30 @@ pub enum Plan {
         /// Rows to skip.
         offset: u64,
     },
+    /// Mark join: appends one `Bool` column to every input row — does
+    /// `table` hold a live row whose `keys` columns equal the key
+    /// expressions evaluated on the input row, and on which `residual`
+    /// holds? (`negated` flips it: `NOT EXISTS`.) Keys compare by
+    /// [`Value`] identity, and a `NULL` key value matches nothing.
+    /// Access-path selection builds it from an equi-correlated `EXISTS`;
+    /// with `index` set the first `index.len()` keys probe that hash
+    /// index of `table` once per input row, otherwise one hash
+    /// partition of `table` on all key columns is built per execution.
+    MarkJoin {
+        /// Input plan.
+        input: Box<Plan>,
+        /// Inner table name.
+        table: String,
+        /// `(inner column, key expression over the input row)` pairs.
+        keys: Vec<(usize, BoundExpr)>,
+        /// Predicate over `input row ++ inner row`, checked on key matches.
+        residual: Option<BoundExpr>,
+        /// The probed index's columns (the leading keys, in order), or
+        /// `None` for a hash build.
+        index: Option<Vec<usize>>,
+        /// `NOT EXISTS`.
+        negated: bool,
+    },
 }
 
 impl Plan {
@@ -239,6 +265,7 @@ impl Plan {
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. } => input.arity(catalog)?,
             Plan::Project { exprs, .. } => exprs.len(),
+            Plan::MarkJoin { input, .. } => input.arity(catalog)? + 1,
             Plan::CrossJoin { left, right }
             | Plan::HashJoin { left, right, .. }
             | Plan::NestedLoopJoin { left, right, .. } => {
@@ -288,7 +315,8 @@ impl Plan {
             | Plan::Distinct { input }
             | Plan::Aggregate { input, .. }
             | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => (Some(input), None),
+            | Plan::Limit { input, .. }
+            | Plan::MarkJoin { input, .. } => (Some(input), None),
             Plan::CrossJoin { left, right }
             | Plan::HashJoin { left, right, .. }
             | Plan::NestedLoopJoin { left, right, .. }
@@ -312,7 +340,8 @@ impl Plan {
             | Plan::Distinct { input }
             | Plan::Aggregate { input, .. }
             | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. } => (Some(input), None),
+            | Plan::Limit { input, .. }
+            | Plan::MarkJoin { input, .. } => (Some(input), None),
             Plan::CrossJoin { left, right }
             | Plan::HashJoin { left, right, .. }
             | Plan::NestedLoopJoin { left, right, .. }
@@ -342,7 +371,9 @@ impl Plan {
     /// Count the plan's base-table access paths: `(index_probes,
     /// scan_probes)` — how many [`Plan::IndexLookup`] / [`Plan::Scan`]
     /// sources one execution of this plan touches. Feeds the engine's
-    /// probe counters ([`crate::SnapshotStatsView`]).
+    /// probe counters ([`crate::SnapshotStatsView`]). A
+    /// [`Plan::MarkJoin`]'s table is not a source here, as the
+    /// expression subquery it replaces was not.
     pub fn access_paths(&self) -> (usize, usize) {
         let (mut idx, mut scan) = (0, 0);
         self.visit(&mut |p| match p {
@@ -435,6 +466,35 @@ impl Plan {
                 Some(l) => writeln!(f, "LimitExec limit={l} offset={offset}")?,
                 None => writeln!(f, "LimitExec offset={offset}")?,
             },
+            Plan::MarkJoin {
+                table,
+                keys,
+                residual,
+                index,
+                negated,
+                ..
+            } => {
+                let ks: Vec<String> = keys
+                    .iter()
+                    .map(|(c, e)| format!("#{c} = {}", fmt_expr(e)))
+                    .collect();
+                write!(
+                    f,
+                    "MarkJoinExec {}{table} key=({})",
+                    if *negated { "NOT " } else { "" },
+                    ks.join(", ")
+                )?;
+                if let Some(r) = residual {
+                    write!(f, " residual={}", fmt_expr(r))?;
+                }
+                match index {
+                    Some(cols) => {
+                        let cols: Vec<String> = cols.iter().map(|c| format!("#{c}")).collect();
+                        writeln!(f, " via index ({})", cols.join(", "))?
+                    }
+                    None => writeln!(f, " via hash build")?,
+                }
+            }
         }
         for child in self.children() {
             child.fmt_indented(f, depth + 1)?;

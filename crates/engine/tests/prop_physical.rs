@@ -44,20 +44,42 @@ fn apply(db: &mut Database, op: Op) {
         // Re-keying update: moves rows across index buckets.
         4 => format!("UPDATE t SET k = {v} WHERE v = {v}"),
         5 => format!("UPDATE t SET v = {v}, s = '{s}' WHERE k = {k}"),
-        _ => format!("INSERT INTO u VALUES ({k}, {v})"),
+        6 => format!("INSERT INTO u VALUES ({k}, {v})"),
+        // Repeats make duplicate rows; `v = 0` is stored as NULL.
+        _ if v == 0 => format!("INSERT INTO w VALUES ({k}, NULL, '{s}')"),
+        _ => format!("INSERT INTO w VALUES ({k}, {v}, '{s}')"),
     };
     db.execute(&sql).unwrap();
 }
 
 /// `t` carries a primary-key auto-index on `k` plus a `CREATE INDEX` on
-/// `(v, s)`; `u` is unindexed.
+/// `(v, s)`; `u` and `w` (`t`'s columns) are unindexed.
 fn fresh_db() -> Database {
     let mut db = Database::new();
     db.execute("CREATE TABLE t (k INT, v INT, s TEXT, PRIMARY KEY (k))")
         .unwrap();
     db.execute("CREATE INDEX t_vs ON t (v, s)").unwrap();
     db.execute("CREATE TABLE u (k INT, v INT)").unwrap();
+    db.execute("CREATE TABLE w (k INT, v INT, s TEXT)").unwrap();
     db
+}
+
+/// The query rewriting's residue shape: `NOT EXISTS` with a residual
+/// that reads the outer row.
+const RESIDUE: &str =
+    "SELECT * FROM t t0 WHERE NOT EXISTS (SELECT * FROM t t1 WHERE t1.k = t0.k AND t1.v <> t0.v)";
+
+/// The knowledge-gathering envelope's flag shape: the envelope's rows
+/// plus one `EXISTS` per relation over all three columns.
+fn flag_query(envelope: &str) -> String {
+    let flag = |rel: &str| {
+        format!("EXISTS (SELECT * FROM {rel} m WHERE m.k = e.k AND m.v = e.v AND m.s = e.s)")
+    };
+    format!(
+        "SELECT e.k AS k, e.v AS v, e.s AS s, {} AS f0, {} AS f1 FROM ({envelope}) e",
+        flag("t"),
+        flag("w")
+    )
 }
 
 /// Query templates; `{k}`/`{v}` are substituted with random values so
@@ -95,6 +117,22 @@ fn queries(k: u32, v: u32) -> Vec<String> {
         "SELECT k FROM u WHERE v = (SELECT MAX(v) FROM t WHERE t.k = u.k) ORDER BY k".to_string(),
         format!("SELECT k, (SELECT COUNT(*) FROM t WHERE v = {v}) FROM u ORDER BY k"),
         "SELECT k, (SELECT s FROM t WHERE t.k = u.k) FROM u ORDER BY k".to_string(),
+        // Mark joins: the KG flags over an indexed (`t`) and an unindexed
+        // (`w`) relation, on envelopes with NULLs and duplicate rows …
+        flag_query("SELECT * FROM w"),
+        flag_query(&format!("SELECT * FROM t WHERE v >= {v}")),
+        // … the rewriting's `NOT EXISTS` residues, whose residual reads
+        // the outer row, behind and between other conjuncts …
+        RESIDUE.to_string(),
+        format!("SELECT k, s FROM w t0 WHERE t0.s <> 'z' AND NOT EXISTS (SELECT * FROM w t1 WHERE t1.k = t0.k AND t1.s <> t0.s) AND t0.k < {k}"),
+        format!("SELECT * FROM t t0 WHERE t0.k = {k} AND NOT EXISTS (SELECT * FROM w t1 WHERE t1.k = t0.k AND t1.v > t0.v)"),
+        // … `LIMIT 0` (never true), `LIMIT 1`, an offset (not a mark) …
+        "SELECT k FROM u WHERE EXISTS (SELECT * FROM t WHERE t.k = u.k LIMIT 0)".to_string(),
+        "SELECT k FROM u WHERE EXISTS (SELECT * FROM w WHERE w.k = u.k LIMIT 1)".to_string(),
+        "SELECT k FROM u WHERE EXISTS (SELECT * FROM w WHERE w.k = u.k LIMIT 1 OFFSET 1)".to_string(),
+        // … and constant keys, as a filter and as a projected flag.
+        format!("SELECT k FROM u WHERE EXISTS (SELECT * FROM t WHERE t.k = {k})"),
+        format!("SELECT k, v, NOT EXISTS (SELECT 1 FROM w WHERE w.k = {k} AND w.v = u.v) FROM u"),
     ]
 }
 
@@ -134,9 +172,15 @@ proptest! {
             // A handed-out snapshot reads through the same code.
             prop_assert_eq!(&snap.query(&q).map(|r| r.rows), &reference, "snapshot diverged on {}", q);
         }
-        // Sanity: the pk point probe really plans as an index lookup.
+        // Sanity: the pk point probe really plans as an index lookup,
+        // and the flags as mark joins through the index and a build.
         let plan = db.physical_plan(&format!("SELECT * FROM t WHERE k = {k}")).unwrap();
         prop_assert!(plan.uses_index(), "expected IndexLookup:\n{}", plan);
+        let plan = db.physical_plan(&flag_query("SELECT * FROM w")).unwrap().to_string();
+        prop_assert!(plan.contains("MarkJoinExec t key=(#1 = #1, #2 = #2, #0 = #0) via index (#1, #2)"), "{}", plan);
+        prop_assert!(plan.contains("MarkJoinExec w key=(#0 = #0, #1 = #1, #2 = #2) via hash build"), "{}", plan);
+        let plan = db.physical_plan(RESIDUE).unwrap().to_string();
+        prop_assert!(plan.contains("MarkJoinExec NOT t key=(#0 = #0) residual=(#4 <> #1) via index (#0)"), "{}", plan);
     }
 
     #[test]
@@ -183,4 +227,67 @@ fn residual_errors_on_excluded_rows_are_skipped_by_the_index() {
         Vec::<Vec<hippo_engine::Value>>::new(),
         "the divergence is the rewrite's, not the executor's: the oracle skips it too"
     );
+}
+
+/// `EXISTS` over a `LIMIT 0` subquery is false for every row, whatever
+/// the subquery's key shape: correlated, constant, or no equality.
+#[test]
+fn exists_over_limit_zero_is_never_true() {
+    let mut db = fresh_db();
+    db.execute("INSERT INTO t VALUES (1, 10, 'x'), (2, 20, 'y')")
+        .unwrap();
+    db.execute("INSERT INTO u VALUES (1, 0), (3, 0)").unwrap();
+    let int_rows = |ks: &[i64]| -> Vec<Vec<hippo_engine::Value>> {
+        ks.iter()
+            .map(|&k| vec![hippo_engine::Value::Int(k)])
+            .collect()
+    };
+    for (cond, limit_one) in [
+        ("t.k = u.k", &[1][..]),
+        ("t.k = 1", &[1, 3][..]),
+        ("t.k < u.k", &[3][..]),
+    ] {
+        for (limit, expected) in [(0, &[][..]), (1, limit_one)] {
+            let q = format!(
+                "SELECT k FROM u WHERE EXISTS (SELECT * FROM t WHERE {cond} LIMIT {limit})"
+            );
+            let expected = int_rows(expected);
+            assert_eq!(
+                db.run_plan(&db.plan(&q).unwrap().plan).unwrap(),
+                expected,
+                "reference: {q}"
+            );
+            assert_eq!(
+                db.run_plan(&db.physical_plan(&q).unwrap()).unwrap(),
+                expected,
+                "oracle: {q}"
+            );
+            assert_eq!(db.query(&q).unwrap().rows, expected, "production: {q}");
+        }
+    }
+}
+
+/// A `Filter`'s conjuncts before an `EXISTS` filter the rows its mark
+/// join sees, as `AND`'s left-to-right evaluation does for the per-row
+/// subquery: a key that would fail on a row they reject (here a
+/// division by zero) is never evaluated.
+#[test]
+fn mark_keys_skip_rows_earlier_conjuncts_reject() {
+    let mut db = fresh_db();
+    db.execute("INSERT INTO t VALUES (1, 10, 'x'), (2, 20, 'y')")
+        .unwrap();
+    db.execute("INSERT INTO u VALUES (0, 0), (2, 1)").unwrap();
+    let q = "SELECT k FROM u WHERE k <> 0 AND EXISTS (SELECT * FROM t WHERE t.k = 2 / u.k)";
+    assert!(db
+        .physical_plan(q)
+        .unwrap()
+        .to_string()
+        .contains("MarkJoinExec"));
+    let expected = vec![vec![hippo_engine::Value::Int(2)]];
+    assert_eq!(db.run_plan(&db.plan(q).unwrap().plan).unwrap(), expected);
+    assert_eq!(
+        db.run_plan(&db.physical_plan(q).unwrap()).unwrap(),
+        expected
+    );
+    assert_eq!(db.query(q).unwrap().rows, expected);
 }
