@@ -239,7 +239,7 @@ impl BoundExpr {
     /// [`BoundExpr::OuterRef`] leaves — through `f` (used when an
     /// expression moves to another row context, e.g. out of a
     /// subquery).
-    pub fn map_refs(&self, f: &impl Fn(&BoundExpr) -> BoundExpr) -> BoundExpr {
+    pub(crate) fn map_refs(&self, f: &impl Fn(&BoundExpr) -> BoundExpr) -> BoundExpr {
         match self {
             BoundExpr::Column(_) | BoundExpr::OuterRef { .. } => f(self),
             BoundExpr::Literal(_) | BoundExpr::Param(_) => self.clone(),
