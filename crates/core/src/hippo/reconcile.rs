@@ -60,8 +60,7 @@ impl Hippo {
         {
             let t = self.db.catalog_mut().table_mut(table)?;
             for &tid in tids {
-                if let Some(row) = t.get(tid).cloned() {
-                    t.delete(tid);
+                if let Some(row) = t.delete(tid) {
                     removed.push((tid, row));
                 }
             }

@@ -1,7 +1,7 @@
 //! The catalog: a name → table map.
 
 use crate::schema::{EngineError, TableSchema};
-use crate::table::Table;
+use crate::table::{CopyStats, Table};
 use std::collections::BTreeMap;
 
 /// Holds all tables of one database instance.
@@ -12,7 +12,9 @@ use std::collections::BTreeMap;
 /// `&Catalog` is freely readable from many threads — this is what makes
 /// [`crate::db::DbSnapshot`] `Sync`. `Clone` backs the snapshot layer's
 /// copy-on-write: mutating a database whose catalog is still shared with
-/// a live snapshot clones the storage once.
+/// a live snapshot clones the catalog, which copies no row — each table
+/// clone shares its row chunks and index shards, and a write then
+/// copies only the chunk and shards it touches (see [`crate::table`]).
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
@@ -78,6 +80,12 @@ impl Catalog {
     /// Iterate tables sorted by name.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Table)> {
         self.tables.iter()
+    }
+
+    /// What copy-on-write has copied, summed over every table (see
+    /// [`Table::copy_stats`]).
+    pub fn copy_stats(&self) -> CopyStats {
+        self.tables.values().map(Table::copy_stats).sum()
     }
 
     /// All table names, sorted.

@@ -354,9 +354,8 @@ fn decode_schema(r: &mut Reader<'_>) -> Result<TableSchema, EngineError> {
 
 fn encode_table(out: &mut Vec<u8>, t: &Table) {
     encode_schema(out, &t.schema);
-    let slots = t.slot_entries();
-    put_u64(out, slots.len() as u64);
-    for slot in slots {
+    put_u64(out, t.slot_count() as u64);
+    for slot in t.slot_entries() {
         match slot {
             Some(row) => {
                 out.push(1);

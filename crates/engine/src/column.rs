@@ -1717,7 +1717,7 @@ mod tests {
         .unwrap();
         assert_eq!(t.column_store().unwrap().len(), 5);
         let victim = t.iter().next().map(|(tid, _)| tid).unwrap();
-        assert!(t.delete(victim));
+        assert!(t.delete(victim).is_some());
         assert_eq!(t.column_store().unwrap().len(), 4);
     }
 

@@ -18,9 +18,15 @@
 //!
 //! [`Database::snapshot`] freezes the current instance into an
 //! independent [`DbSnapshot`]. The catalog sits behind an [`Arc`], so
-//! taking a snapshot is one reference-count bump; the first mutation
-//! *after* a snapshot copies the storage once (copy-on-write via
-//! [`Arc::make_mut`]) and later mutations are free again. Statistics
+//! taking a snapshot is one reference-count bump. The first mutation
+//! *after* a snapshot clones the catalog ([`Arc::make_mut`]), which
+//! copies no row: tables keep their rows in `Arc`'d chunks and their
+//! hash indexes in `Arc`'d shards (see [`crate::table`]), and a clone
+//! shares them all. Each write then copies only what it touches — the
+//! chunk holding its slot and one shard per index whose key it changes
+//! (two for a re-keying update) — so a one-row write costs O(chunk),
+//! not O(table), and the table a write does not touch costs nothing.
+//! Statistics
 //! are per-lineage atomics (shared by clones of one snapshot, fresh
 //! for every `Database::snapshot()` call), never the live database's
 //! counters — which is exactly what lets many prover shards hammer one
@@ -75,8 +81,10 @@ impl QueryResult {
 ///
 /// The catalog lives behind an [`Arc`] so [`Database::snapshot`] is a
 /// reference-count bump; mutation goes through [`Arc::make_mut`], which
-/// copies the storage only when a snapshot taken earlier is still alive
-/// (copy-on-write — an unshared database mutates in place).
+/// clones the catalog only when a snapshot taken earlier is still alive.
+/// That clone shares every row chunk and index shard; a write then
+/// copies just the chunk and shards it touches (copy-on-write — an
+/// unshared database mutates in place).
 #[derive(Debug, Default)]
 pub struct Database {
     reader: DbSnapshot,
@@ -116,17 +124,20 @@ impl Database {
     }
 
     /// Mutable access to the catalog. Copy-on-write: if a
-    /// [`DbSnapshot`] still shares the storage, the catalog is cloned
-    /// once here; otherwise this is a plain borrow.
+    /// [`DbSnapshot`] still shares it, the catalog is cloned here — a
+    /// reference-count bump per row chunk and index shard, no row
+    /// copied — and each later write copies only the chunk and shards
+    /// it touches while the snapshot shares them; otherwise this is a
+    /// plain borrow.
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         Arc::make_mut(&mut self.reader.catalog)
     }
 
     /// Freeze the current instance into a read-only, `Sync`,
     /// cheaply-cloneable snapshot with its own (zeroed) statistics.
-    /// Cost: one `Arc` clone — no row is copied now; the *next*
-    /// mutation of this database pays a one-time catalog copy instead
-    /// (copy-on-write).
+    /// Cost: one `Arc` clone — no row is copied now. While the snapshot
+    /// lives, each mutation of this database copies the one row chunk
+    /// and the index shards it touches (copy-on-write), never a table.
     pub fn snapshot(&self) -> DbSnapshot {
         DbSnapshot {
             catalog: Arc::clone(&self.reader.catalog),
@@ -298,7 +309,7 @@ impl Database {
                 let t = self.catalog_mut().table_mut(table)?;
                 let mut n = 0;
                 for id in ids {
-                    if t.delete(id) {
+                    if t.delete(id).is_some() {
                         n += 1;
                     }
                 }

@@ -2,8 +2,8 @@
 //!
 //! The conflict hypergraph identifies vertices by *physical tuple*, so the
 //! store must hand out identifiers that stay valid across deletions of
-//! other tuples. Rows live in an append-only slot vector; deletion leaves a
-//! tombstone. A [`TupleId`] is the slot index.
+//! other tuples. Rows live in an append-only slot sequence; deletion
+//! leaves a tombstone. A [`TupleId`] is the slot index.
 //!
 //! # Indexes
 //!
@@ -19,65 +19,294 @@
 //!
 //! # Snapshot sharing
 //!
-//! `Clone` is what backs the snapshot layer's copy-on-write:
-//! [`crate::db::Database`] keeps its catalog (and therefore every
-//! table, *including its indexes*) behind an `Arc` that
-//! [`crate::db::DbSnapshot`] shares. Taking a snapshot copies nothing;
-//! the first mutation after one clones the storage once via
-//! `Arc::make_mut`. A frozen table is immutable, so any number of
-//! threads may probe its indexes with zero locking — that is what makes
-//! the prepared membership probes of the base-mode answer pipeline
-//! O(1) *and* lock-free.
+//! The storage is persistent. Slots live in fixed-size chunks of 1024,
+//! and every hash index is split into 64 shards chosen by key hash;
+//! each chunk and each shard sits behind its own `Arc`. `Clone` is what
+//! backs the snapshot layer: [`crate::db::Database`] keeps its catalog
+//! behind an `Arc` that [`crate::db::DbSnapshot`] shares, and cloning a
+//! table bumps one reference count per chunk and shard — it copies no
+//! row and no index entry. A mutation made while a snapshot still
+//! shares the table copies only what it touches: the chunk that holds
+//! its slot (an insert: the tail chunk) and, in each index whose key it
+//! changes, the shard that holds the key (an update that re-keys: the
+//! old key's shard and the new key's). Everything else stays shared, so
+//! retiring a snapshot frees only the chunks and shards it alone owned.
+//! [`Table::copy_stats`] counts what these copies cost.
+//!
+//! A frozen table is immutable, so any number of threads may probe its
+//! indexes with zero locking — that is what makes the prepared
+//! membership probes of the base-mode answer pipeline O(1) *and*
+//! lock-free.
 
 use crate::column::ColumnStore;
 use crate::schema::{EngineError, TableSchema};
 use crate::value::{Row, Value};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHasher};
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
+
+/// Slots per chunk is `1 << CHUNK_BITS`; a power of two, so a
+/// [`TupleId`] splits into chunk and offset by shift and mask.
+const CHUNK_BITS: u32 = 10;
+const CHUNK: usize = 1 << CHUNK_BITS;
+/// Shards per hash index (a power of two, at most 256).
+const SHARDS: usize = 64;
+
+/// `CHUNK` consecutive slots. Every chunk but the last is full.
+type Chunk = Vec<Option<Row>>;
+
+/// Key values → slots holding live rows with that key, for the keys
+/// that hash to one shard.
+type Shard = FxHashMap<Key, Bucket>;
+
+/// An index key: a single-column key's value inline, a wider key's
+/// values boxed. It hashes and compares as the `[Value]` slice it
+/// borrows as, so lookups by `&[Value]` need no allocation.
+#[derive(Debug, Clone)]
+enum Key {
+    One(Value),
+    Many(Box<[Value]>),
+}
+
+impl Key {
+    /// The key of `row` over `cols`.
+    fn of(row: &[Value], cols: &[usize]) -> Key {
+        match cols {
+            [c] => Key::One(row[*c].clone()),
+            _ => Key::Many(cols.iter().map(|&c| row[c].clone()).collect()),
+        }
+    }
+
+    fn values(&self) -> &[Value] {
+        match self {
+            Key::One(v) => std::slice::from_ref(v),
+            Key::Many(vs) => vs,
+        }
+    }
+}
+
+impl Borrow<[Value]> for Key {
+    fn borrow(&self) -> &[Value] {
+        self.values()
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for Key {}
+
+/// The ids of the live rows holding one key, ascending: a lone id
+/// inline (every key of a clean primary key), more in a `Vec`.
+#[derive(Debug, Clone)]
+enum Bucket {
+    One(TupleId),
+    Many(Vec<TupleId>),
+}
+
+impl Bucket {
+    fn ids(&self) -> &[TupleId] {
+        match self {
+            Bucket::One(id) => std::slice::from_ref(id),
+            Bucket::Many(ids) => ids,
+        }
+    }
+
+    /// Add `id`, keeping ascending (slot) order so index lookups see
+    /// rows in scan order. Fresh inserts carry the largest id so far
+    /// (append-only slots) and append; only the re-keying of an UPDATE
+    /// ever inserts mid-bucket.
+    fn insert(&mut self, id: TupleId) {
+        match self {
+            Bucket::One(x) => {
+                let x = *x;
+                *self = Bucket::Many(if x < id { vec![x, id] } else { vec![id, x] });
+            }
+            Bucket::Many(ids) => {
+                let pos = ids.partition_point(|x| *x < id);
+                ids.insert(pos, id);
+            }
+        }
+    }
+
+    /// Drop `id`; returns whether the bucket is now empty.
+    fn remove(&mut self, id: TupleId) -> bool {
+        match self {
+            Bucket::One(x) => *x == id,
+            Bucket::Many(ids) => {
+                ids.retain(|x| *x != id);
+                ids.is_empty()
+            }
+        }
+    }
+}
 
 /// Stable identifier of a row within one table (slot index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TupleId(pub u32);
 
-/// A hash index over a fixed set of columns.
-#[derive(Debug, Clone, Default)]
+/// What copy-on-write has copied in one table's lineage: the chunks and
+/// index shards that a mutation had to copy because a snapshot still
+/// shared them, and what they held. Counted on every copy, so the cost
+/// of a write is a deterministic count rather than a timing; a clone of
+/// the table inherits the counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CopyStats {
+    /// Row chunks copied.
+    pub chunks: u64,
+    /// Live rows cloned with those chunks.
+    pub rows: u64,
+    /// Index shards copied.
+    pub shards: u64,
+    /// Index keys (each with its id bucket) cloned with those shards.
+    pub index_keys: u64,
+}
+
+impl CopyStats {
+    /// The copies made since `earlier` was read off the same lineage
+    /// (saturating, so a lineage rebuilt in between reads as zero
+    /// rather than wrapping).
+    pub fn since(self, earlier: CopyStats) -> CopyStats {
+        CopyStats {
+            chunks: self.chunks.saturating_sub(earlier.chunks),
+            rows: self.rows.saturating_sub(earlier.rows),
+            shards: self.shards.saturating_sub(earlier.shards),
+            index_keys: self.index_keys.saturating_sub(earlier.index_keys),
+        }
+    }
+}
+
+impl std::ops::AddAssign for CopyStats {
+    fn add_assign(&mut self, o: CopyStats) {
+        self.chunks += o.chunks;
+        self.rows += o.rows;
+        self.shards += o.shards;
+        self.index_keys += o.index_keys;
+    }
+}
+
+impl std::iter::Sum for CopyStats {
+    fn sum<I: Iterator<Item = CopyStats>>(iter: I) -> CopyStats {
+        iter.fold(CopyStats::default(), |mut total, c| {
+            total += c;
+            total
+        })
+    }
+}
+
+/// `arc`'s value, made unique first: if anything else still shares
+/// it, `copy` builds the replacement.
+fn make_unique<T>(arc: &mut Arc<T>, copy: impl FnOnce(&T) -> T) -> &mut T {
+    if Arc::get_mut(arc).is_none() {
+        let fresh = copy(arc);
+        *arc = Arc::new(fresh);
+    }
+    Arc::get_mut(arc).expect("sole owner after the copy")
+}
+
+/// Copy a shared chunk with room for `capacity` slots, counting it.
+fn copy_chunk(chunk: &Chunk, capacity: usize, copies: &mut CopyStats) -> Chunk {
+    let mut fresh = Vec::with_capacity(capacity);
+    fresh.extend_from_slice(chunk);
+    copies.chunks += 1;
+    copies.rows += chunk.iter().filter(|s| s.is_some()).count() as u64;
+    fresh
+}
+
+/// The slot at `id`, its chunk made unique first; `None` past the end.
+fn slot_mut<'a>(
+    chunks: &'a mut [Arc<Chunk>],
+    id: TupleId,
+    copies: &mut CopyStats,
+) -> Option<&'a mut Option<Row>> {
+    let i = id.0 as usize;
+    let (c, off) = (i >> CHUNK_BITS, i & (CHUNK - 1));
+    let chunk = chunks.get_mut(c).filter(|ch| off < ch.len())?;
+    let chunk = make_unique(chunk, |ch| copy_chunk(ch, ch.len(), copies));
+    Some(&mut chunk[off])
+}
+
+/// The shard a key belongs to. Hashes the values one by one, so a key
+/// read off a row needs no allocation, and takes the hash's middle
+/// bits: the shard's own map picks buckets by low bits and tags by top
+/// bits, and keys that share a shard must still spread over both.
+fn shard_of<'a>(key: impl IntoIterator<Item = &'a Value>) -> usize {
+    let mut h = FxHasher::default();
+    for v in key {
+        v.hash(&mut h);
+    }
+    (h.finish() >> 32) as usize & (SHARDS - 1)
+}
+
+/// A hash index over a fixed set of columns, in `SHARDS` shards.
+#[derive(Debug, Clone)]
 struct HashIndex {
-    /// Key values → slots holding live rows with that key.
-    map: FxHashMap<Vec<Value>, Vec<TupleId>>,
+    shards: Vec<Arc<Shard>>,
 }
 
 impl HashIndex {
-    fn insert(&mut self, key: Vec<Value>, id: TupleId) {
-        let ids = self.map.entry(key).or_default();
-        // Buckets stay in ascending (slot) order so index lookups see
-        // rows in scan order. Fresh inserts carry the largest id so far
-        // (append-only slots) and append in O(1); only the re-keying of
-        // an UPDATE ever inserts mid-bucket.
-        let pos = ids.partition_point(|x| *x < id);
-        ids.insert(pos, id);
+    /// An index whose shards have room for `sizes[s]` keys each.
+    fn with_capacities(sizes: &[usize; SHARDS]) -> HashIndex {
+        HashIndex {
+            shards: sizes
+                .iter()
+                .map(|&n| Arc::new(Shard::with_capacity_and_hasher(n, Default::default())))
+                .collect(),
+        }
     }
 
-    fn remove(&mut self, key: &[Value], id: TupleId) {
-        if let Some(ids) = self.map.get_mut(key) {
-            ids.retain(|x| *x != id);
-            if ids.is_empty() {
-                self.map.remove(key);
-            }
+    fn bucket(&self, key: &[Value]) -> &[TupleId] {
+        self.shards[shard_of(key)]
+            .get(key)
+            .map(Bucket::ids)
+            .unwrap_or(&[])
+    }
+
+    /// Shard `s`, made unique first (counted in `copies`).
+    fn shard_mut(&mut self, s: usize, copies: &mut CopyStats) -> &mut Shard {
+        make_unique(&mut self.shards[s], |shard| {
+            copies.shards += 1;
+            copies.index_keys += shard.len() as u64;
+            shard.clone()
+        })
+    }
+
+    fn insert(&mut self, key: Key, id: TupleId, copies: &mut CopyStats) {
+        self.shard_mut(shard_of(key.values()), copies)
+            .entry(key)
+            .and_modify(|ids| ids.insert(id))
+            .or_insert(Bucket::One(id));
+    }
+
+    fn remove(&mut self, key: &[Value], id: TupleId, copies: &mut CopyStats) {
+        let shard = self.shard_mut(shard_of(key), copies);
+        if shard.get_mut(key).is_some_and(|ids| ids.remove(id)) {
+            shard.remove(key);
         }
     }
 }
 
 /// An in-memory table: schema + slotted rows + optional hash indexes.
 ///
-/// `Clone` is deliberately derived: [`crate::db::Database`] keeps its
-/// catalog behind an `Arc` and clones a table lazily (copy-on-write)
-/// only when it is mutated while a [`crate::db::DbSnapshot`] still
-/// shares the storage.
+/// `Clone` is deliberately derived and cheap: it shares every chunk and
+/// index shard (see the module docs), which is what lets
+/// [`crate::db::Database`] clone its catalog copy-on-write while a
+/// [`crate::db::DbSnapshot`] still shares it.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// The table schema.
     pub schema: TableSchema,
-    slots: Vec<Option<Row>>,
+    chunks: Vec<Arc<Chunk>>,
     live: usize,
     /// column sets → index
     indexes: FxHashMap<Vec<usize>, HashIndex>,
@@ -90,6 +319,7 @@ pub struct Table {
     /// the cell; snapshots share a built store through the `Arc` when
     /// the catalog is cloned copy-on-write, exactly like indexes.
     columns: OnceLock<Option<Arc<ColumnStore>>>,
+    copies: CopyStats,
 }
 
 impl Table {
@@ -100,11 +330,12 @@ impl Table {
     pub fn new(schema: TableSchema) -> Table {
         let mut t = Table {
             schema,
-            slots: Vec::new(),
+            chunks: Vec::new(),
             live: 0,
             indexes: FxHashMap::default(),
             index_names: FxHashMap::default(),
             columns: OnceLock::new(),
+            copies: CopyStats::default(),
         };
         if !t.schema.primary_key.is_empty() {
             let cols = t.schema.primary_key.clone();
@@ -126,64 +357,79 @@ impl Table {
 
     /// Total slots (live + tombstoned); tuple ids range over `0..slot_count`.
     pub fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.chunks
+            .last()
+            .map_or(0, |tail| (self.chunks.len() - 1) * CHUNK + tail.len())
+    }
+
+    /// What copy-on-write has copied in this table's lineage.
+    pub fn copy_stats(&self) -> CopyStats {
+        self.copies
     }
 
     /// Insert a row (validated and coerced against the schema); returns its id.
     pub fn insert(&mut self, row: Row) -> Result<TupleId, EngineError> {
         let row = self.schema.check_row(row)?;
-        if self.slots.len() > u32::MAX as usize {
+        let n = self.slot_count();
+        if n > u32::MAX as usize {
             return Err(EngineError::new("table full"));
         }
         self.columns.take();
-        let id = TupleId(self.slots.len() as u32);
+        let id = TupleId(n as u32);
         for (cols, index) in &mut self.indexes {
-            let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
-            index.insert(key, id);
+            index.insert(Key::of(&row, cols), id, &mut self.copies);
         }
-        self.slots.push(Some(row));
+        if n.is_multiple_of(CHUNK) {
+            // The first chunk grows with the table; later ones are
+            // allocated whole.
+            let capacity = if n == 0 { 0 } else { CHUNK };
+            self.chunks.push(Arc::new(Vec::with_capacity(capacity)));
+        }
+        let copies = &mut self.copies;
+        let tail = self.chunks.last_mut().expect("pushed above if missing");
+        make_unique(tail, |ch| copy_chunk(ch, CHUNK, copies)).push(Some(row));
         self.live += 1;
         Ok(id)
     }
 
     /// Fetch a live row by id.
     pub fn get(&self, id: TupleId) -> Option<&Row> {
-        self.slots.get(id.0 as usize).and_then(|s| s.as_ref())
+        let i = id.0 as usize;
+        self.chunks
+            .get(i >> CHUNK_BITS)?
+            .get(i & (CHUNK - 1))?
+            .as_ref()
     }
 
-    /// Delete by id; returns `true` if the row existed.
-    pub fn delete(&mut self, id: TupleId) -> bool {
-        let Some(slot) = self.slots.get_mut(id.0 as usize) else {
-            return false;
-        };
-        let Some(row) = slot.take() else { return false };
+    /// Delete by id; returns the removed row, or `None` if no live row
+    /// had that id.
+    pub fn delete(&mut self, id: TupleId) -> Option<Row> {
+        self.get(id)?;
+        let row = slot_mut(&mut self.chunks, id, &mut self.copies)?.take()?;
         self.columns.take();
         self.live -= 1;
         for (cols, index) in &mut self.indexes {
-            let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
-            index.remove(&key, id);
+            index.remove(Key::of(&row, cols).values(), id, &mut self.copies);
         }
-        true
+        Some(row)
     }
 
     /// Replace the row at `id`; returns the old row.
     pub fn update(&mut self, id: TupleId, new_row: Row) -> Result<Row, EngineError> {
         let new_row = self.schema.check_row(new_row)?;
-        let slot = self
-            .slots
-            .get_mut(id.0 as usize)
-            .and_then(|s| s.as_mut())
-            .ok_or_else(|| EngineError::new("update of missing tuple"))?;
+        if self.get(id).is_none() {
+            return Err(EngineError::new("update of missing tuple"));
+        }
         self.columns.take();
-        let old = std::mem::replace(slot, new_row);
+        let slot = slot_mut(&mut self.chunks, id, &mut self.copies).expect("checked live");
+        let old = slot.replace(new_row).expect("checked live");
         // Re-key indexes.
-        let new_ref = self.slots[id.0 as usize].as_ref().expect("just replaced");
+        let new_ref = slot.as_ref().expect("just replaced");
         for (cols, index) in &mut self.indexes {
-            let old_key: Vec<Value> = cols.iter().map(|&c| old[c].clone()).collect();
-            let new_key: Vec<Value> = cols.iter().map(|&c| new_ref[c].clone()).collect();
+            let (old_key, new_key) = (Key::of(&old, cols), Key::of(new_ref, cols));
             if old_key != new_key {
-                index.remove(&old_key, id);
-                index.insert(new_key, id);
+                index.remove(old_key.values(), id, &mut self.copies);
+                index.insert(new_key, id, &mut self.copies);
             }
         }
         Ok(old)
@@ -191,10 +437,13 @@ impl Table {
 
     /// Iterate live rows with their ids, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (TupleId, &Row)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|r| (TupleId(i as u32), r)))
+        self.chunks.iter().enumerate().flat_map(|(c, chunk)| {
+            let base = c * CHUNK;
+            chunk
+                .iter()
+                .enumerate()
+                .filter_map(move |(i, s)| s.as_ref().map(|r| (TupleId((base + i) as u32), r)))
+        })
     }
 
     /// Clone all live rows (in slot order).
@@ -211,7 +460,9 @@ impl Table {
             .as_deref()
     }
 
-    /// Build (or rebuild) a hash index on the given columns.
+    /// Build (or rebuild) a hash index on the given columns. Each shard
+    /// is sized up front from a first pass over the live rows, so the
+    /// build never rehashes.
     pub fn create_index(&mut self, cols: Vec<usize>) -> Result<(), EngineError> {
         for &c in &cols {
             if c >= self.schema.arity() {
@@ -221,20 +472,27 @@ impl Table {
                 )));
             }
         }
-        let mut index = HashIndex::default();
-        for (id, row) in self
-            .slots
+        let mut sizes = [0usize; SHARDS];
+        let shard_ids: Vec<u8> = self
             .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|r| (TupleId(i as u32), r)))
-        {
-            let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
-            index.insert(key, id);
+            .map(|(_, row)| {
+                let s = shard_of(cols.iter().map(|&c| &row[c]));
+                sizes[s] += 1;
+                s as u8
+            })
+            .collect();
+        let mut index = HashIndex::with_capacities(&sizes);
+        for ((id, row), s) in self.iter().zip(shard_ids) {
+            let shard = Arc::get_mut(&mut index.shards[s as usize]).expect("fresh shard");
+            // Slot order: every bucket comes out ascending.
+            shard
+                .entry(Key::of(row, &cols))
+                .and_modify(|ids| ids.insert(id))
+                .or_insert(Bucket::One(id));
         }
         self.indexes.insert(cols, index);
         Ok(())
     }
-
     /// Build a hash index and register it under a `CREATE INDEX` name.
     /// Errors if the name is already taken by a different column set;
     /// re-creating the same index under the same name is a no-op.
@@ -277,9 +535,7 @@ impl Table {
     /// order, allocation-free); `None` if no index exists on `cols`,
     /// `Some(&[])` if the index exists but holds no such key.
     pub fn index_bucket(&self, cols: &[usize], key: &[Value]) -> Option<&[TupleId]> {
-        self.indexes
-            .get(cols)
-            .map(|ix| ix.map.get(key).map(Vec::as_slice).unwrap_or(&[]))
+        self.indexes.get(cols).map(|ix| ix.bucket(key))
     }
 
     /// Does an index exist on exactly these columns?
@@ -301,9 +557,10 @@ impl Table {
             .collect()
     }
 
-    /// The raw slot vector (live rows and tombstones), for serialization.
-    pub(crate) fn slot_entries(&self) -> &[Option<Row>] {
-        &self.slots
+    /// Every slot (live rows and tombstones) in slot order, for
+    /// serialization; there are [`Table::slot_count`] of them.
+    pub(crate) fn slot_entries(&self) -> impl Iterator<Item = &Option<Row>> {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
     }
 
     /// Every `CREATE INDEX` name with the column set it covers
@@ -316,9 +573,10 @@ impl Table {
     /// vector (tombstones included — slot indices are [`TupleId`]s, so
     /// preserving them is what keeps recovered ids identical to
     /// pre-crash ids), the column sets to index, and the `CREATE INDEX`
-    /// name registry. Indexes are rebuilt by scanning the slots; rows
-    /// are trusted to have been validated when first inserted, but
-    /// index column sets are still range-checked.
+    /// name registry. The slots are moved into chunks and the indexes
+    /// rebuilt by scanning them; rows are trusted to have been validated
+    /// when first inserted, but index column sets are still
+    /// range-checked.
     pub(crate) fn from_parts(
         schema: TableSchema,
         slots: Vec<Option<Row>>,
@@ -326,13 +584,23 @@ impl Table {
         index_names: Vec<(String, Vec<usize>)>,
     ) -> Result<Table, EngineError> {
         let live = slots.iter().filter(|s| s.is_some()).count();
+        let mut chunks = Vec::with_capacity(slots.len().div_ceil(CHUNK));
+        let mut rest = slots.into_iter();
+        loop {
+            let chunk: Chunk = rest.by_ref().take(CHUNK).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            chunks.push(Arc::new(chunk));
+        }
         let mut t = Table {
             schema,
-            slots,
+            chunks,
             live,
             indexes: FxHashMap::default(),
             index_names: FxHashMap::default(),
             columns: OnceLock::new(),
+            copies: CopyStats::default(),
         };
         for cols in index_sets {
             t.create_index(cols)?;
@@ -351,11 +619,11 @@ impl Table {
 
     /// Remove all rows.
     pub fn clear(&mut self) {
-        self.slots.clear();
+        self.chunks.clear();
         self.columns.take();
         self.live = 0;
         for index in self.indexes.values_mut() {
-            index.map.clear();
+            *index = HashIndex::with_capacities(&[0; SHARDS]);
         }
     }
 }
@@ -386,8 +654,8 @@ mod tests {
         let id1 = t.insert(vec![Value::Int(2), Value::text("y")]).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.get(id0).unwrap()[0], Value::Int(1));
-        assert!(t.delete(id0));
-        assert!(!t.delete(id0), "double delete is a no-op");
+        assert_eq!(t.delete(id0), Some(vec![Value::Int(1), Value::text("x")]));
+        assert!(t.delete(id0).is_none(), "double delete is a no-op");
         assert_eq!(t.len(), 1);
         assert!(t.get(id0).is_none());
         // id1 stays valid after deleting id0 (stability requirement).
@@ -516,5 +784,176 @@ mod tests {
         let mut t = table();
         assert!(t.insert(vec![Value::text("wrong"), Value::Null]).is_err());
         assert!(t.insert(vec![Value::Int(1)]).is_err());
+    }
+
+    /// `k INT, v INT` keyed on `k`, with a second index on `v`; `n`
+    /// rows `(i, i % 7)`.
+    fn keyed(n: usize) -> Table {
+        let mut t = Table::new(
+            TableSchema::new(
+                "t",
+                vec![
+                    Column::new("k", DataType::Int),
+                    Column::new("v", DataType::Int),
+                ],
+                &["k"],
+            )
+            .unwrap(),
+        );
+        t.create_index(vec![1]).unwrap();
+        for i in 0..n as i64 {
+            t.insert(vec![Value::Int(i), Value::Int(i % 7)]).unwrap();
+        }
+        t
+    }
+
+    /// Chunks of `a` that `b` no longer shares.
+    fn unshared_chunks(a: &Table, b: &Table) -> Vec<usize> {
+        (0..a.chunks.len())
+            .filter(|&c| {
+                b.chunks
+                    .get(c)
+                    .is_none_or(|ch| !Arc::ptr_eq(ch, &a.chunks[c]))
+            })
+            .collect()
+    }
+
+    /// Shards of index `cols` that `b` no longer shares with `a`.
+    fn unshared_shards(a: &Table, b: &Table, cols: &[usize]) -> usize {
+        let (x, y) = (&a.indexes[cols], &b.indexes[cols]);
+        x.shards
+            .iter()
+            .zip(&y.shards)
+            .filter(|(p, q)| !Arc::ptr_eq(p, q))
+            .count()
+    }
+
+    #[test]
+    fn clone_shares_every_chunk_and_shard() {
+        let t = keyed(3 * CHUNK + 5);
+        assert_eq!(t.chunks.len(), 4);
+        let snap = t.clone();
+        assert!(unshared_chunks(&t, &snap).is_empty());
+        assert_eq!(unshared_shards(&t, &snap, &[0]), 0);
+        assert_eq!(t.copy_stats(), CopyStats::default());
+    }
+
+    #[test]
+    fn insert_after_snapshot_copies_the_tail_chunk_only() {
+        let mut t = keyed(3 * CHUNK + 5);
+        let snap = t.clone();
+        let id = t.insert(vec![Value::Int(-1), Value::Int(3)]).unwrap();
+        assert_eq!(id, TupleId((3 * CHUNK + 5) as u32));
+        assert_eq!(unshared_chunks(&snap, &t), vec![3]);
+        assert_eq!(unshared_shards(&snap, &t, &[0]), 1);
+        assert_eq!(unshared_shards(&snap, &t, &[1]), 1);
+        let c = t.copy_stats();
+        assert_eq!((c.chunks, c.rows, c.shards), (1, 5, 2));
+        // The snapshot still reads its old rows, ids and buckets.
+        assert_eq!(snap.slot_count(), 3 * CHUNK + 5);
+        assert!(snap.get(id).is_none());
+        assert!(snap
+            .index_bucket(&[0], &[Value::Int(-1)])
+            .unwrap()
+            .is_empty());
+        assert_eq!(t.index_bucket(&[0], &[Value::Int(-1)]).unwrap(), &[id]);
+        assert_eq!(
+            snap.index_bucket(&[1], &[Value::Int(3)]).unwrap().len() + 1,
+            t.index_bucket(&[1], &[Value::Int(3)]).unwrap().len()
+        );
+        // A full tail: the insert opens a fresh chunk and copies none.
+        let mut full = keyed(2 * CHUNK);
+        let snap = full.clone();
+        full.insert(vec![Value::Int(-1), Value::Int(0)]).unwrap();
+        assert!(unshared_chunks(&snap, &full).is_empty());
+        assert_eq!(full.chunks.len(), 3);
+        assert_eq!(full.copy_stats().chunks, 0);
+    }
+
+    #[test]
+    fn update_and_delete_at_chunk_edges_copy_one_chunk() {
+        for (id, chunk) in [
+            (CHUNK - 1, 0),
+            (CHUNK, 1),
+            (2 * CHUNK - 1, 1),
+            (2 * CHUNK, 2),
+        ] {
+            let id = TupleId(id as u32);
+            let mut t = keyed(3 * CHUNK + 5);
+            let snap = t.clone();
+            let old = t.get(id).unwrap().clone();
+            // Re-key `k`, keep `v`: the `v` index is untouched.
+            t.update(id, vec![Value::Int(-7), old[1].clone()]).unwrap();
+            assert_eq!(unshared_chunks(&snap, &t), vec![chunk]);
+            assert!((1..=2).contains(&unshared_shards(&snap, &t, &[0])));
+            assert_eq!(unshared_shards(&snap, &t, &[1]), 0);
+            assert_eq!(snap.get(id), Some(&old));
+            assert_eq!(snap.index_bucket(&[0], &old[..1]).unwrap(), &[id]);
+            assert!(t.index_bucket(&[0], &old[..1]).unwrap().is_empty());
+            assert_eq!(t.index_bucket(&[0], &[Value::Int(-7)]).unwrap(), &[id]);
+
+            let mut t = keyed(3 * CHUNK + 5);
+            let snap = t.clone();
+            assert_eq!(t.delete(id), Some(old.clone()));
+            assert_eq!(unshared_chunks(&snap, &t), vec![chunk]);
+            assert_eq!(unshared_shards(&snap, &t, &[0]), 1);
+            assert_eq!(unshared_shards(&snap, &t, &[1]), 1);
+            let c = t.copy_stats();
+            assert_eq!((c.chunks, c.rows, c.shards), (1, CHUNK as u64, 2));
+            assert_eq!(snap.get(id), Some(&old));
+            assert_eq!(snap.len(), t.len() + 1);
+            assert_eq!(
+                snap.iter()
+                    .map(|(i, _)| i)
+                    .filter(|&i| i != id)
+                    .collect::<Vec<_>>(),
+                t.iter().map(|(i, _)| i).collect::<Vec<_>>()
+            );
+            // A tombstone costs no copy.
+            let before = t.copy_stats();
+            assert!(t.delete(id).is_none());
+            assert_eq!(t.copy_stats(), before);
+        }
+    }
+
+    #[test]
+    fn unshared_writes_copy_nothing() {
+        let mut t = keyed(CHUNK + 3);
+        t.insert(vec![Value::Int(-1), Value::Int(0)]).unwrap();
+        t.update(TupleId(0), vec![Value::Int(-2), Value::Int(5)])
+            .unwrap();
+        t.delete(TupleId(CHUNK as u32));
+        assert_eq!(t.copy_stats(), CopyStats::default());
+    }
+
+    #[test]
+    fn from_parts_rebuilds_chunks_and_indexes() {
+        let mut t = keyed(2 * CHUNK + 9);
+        for id in [0, CHUNK - 1, CHUNK, 2 * CHUNK + 8] {
+            t.delete(TupleId(id as u32)).unwrap();
+        }
+        t.update(TupleId(5), vec![Value::Int(3), Value::Int(1)])
+            .unwrap();
+        let slots: Vec<Option<Row>> = t.slot_entries().cloned().collect();
+        assert_eq!(slots.len(), t.slot_count());
+        let back =
+            Table::from_parts(t.schema.clone(), slots, vec![vec![0], vec![1]], vec![]).unwrap();
+        assert_eq!(back.slot_count(), t.slot_count());
+        assert_eq!(back.len(), t.len());
+        assert!(back.iter().eq(t.iter()));
+        for k in [0, 3, 5, CHUNK as i64, 2 * CHUNK as i64 + 7] {
+            let key = [Value::Int(k)];
+            assert_eq!(back.index_bucket(&[0], &key), t.index_bucket(&[0], &key));
+        }
+        for v in 0..7 {
+            let key = [Value::Int(v)];
+            assert_eq!(back.index_bucket(&[1], &key), t.index_bucket(&[1], &key));
+        }
+        // Inserting continues at the next slot, in the partial tail chunk.
+        let mut back = back;
+        assert_eq!(
+            back.insert(vec![Value::Int(-1), Value::Int(0)]).unwrap(),
+            TupleId((2 * CHUNK + 9) as u32)
+        );
     }
 }

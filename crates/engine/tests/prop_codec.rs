@@ -95,3 +95,46 @@ proptest! {
         }
     }
 }
+
+/// A fixed small catalog: a keyed table with a named secondary index,
+/// tombstones left by `DELETE` (one at the first slot), a re-keyed
+/// `UPDATE`, every value type, and an empty keyless table.
+fn pinned_catalog() -> hippo_engine::Catalog {
+    let mut db = hippo_engine::Database::new();
+    db.execute_script(
+        "CREATE TABLE r (k INT, v TEXT, f REAL, b BOOLEAN, PRIMARY KEY (k));
+         CREATE INDEX r_v ON r (v);
+         CREATE TABLE e (a INT);
+         INSERT INTO r VALUES (1, 'a', 0.5, TRUE), (2, 'b', -1.25, FALSE),
+                              (2, 'c', NULL, NULL), (3, '', 2.0, TRUE), (4, 'd', 0.0, FALSE);
+         DELETE FROM r WHERE k = 1;
+         DELETE FROM r WHERE v = '';
+         UPDATE r SET k = 5 WHERE v = 'c';",
+    )
+    .unwrap();
+    db.catalog().clone()
+}
+
+/// The checkpoint byte format is pinned: the catalog above encodes to
+/// exactly these bytes, and decoding them re-encodes identically. A
+/// change to the storage layout behind `Table` must leave this literal
+/// alone; a deliberate format change bumps the catalog version and this
+/// literal together.
+#[test]
+fn catalog_bytes_are_pinned() {
+    const PINNED: &str = concat!(
+        "484950504f434154010000000200000001000000650100000001000000610000",
+        "0000000000000000000000000000000000000000010000007204000000010000",
+        "006b000001000000760200010000006601000100000062030001000000000000",
+        "0005000000000000000001040000000202000000000000000401000000620300",
+        "0000000000f4bf01000104000000020500000000000000040100000063000000",
+        "0104000000020400000000000000040100000064030000000000000000010002",
+        "000000010000000000000001000000010000000100000003000000725f760100",
+        "000001000000",
+    );
+    let bytes = codec::encode_catalog(&pinned_catalog());
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, PINNED);
+    let back = codec::decode_catalog(&bytes).unwrap();
+    assert_eq!(codec::encode_catalog(&back), bytes);
+}

@@ -22,11 +22,21 @@
 //!                 │    │ writer rebuilt from the published epoch;   │
 //!                 │    ▼ NOTHING PUBLISHED                          │
 //!                 │ publish: swap RwLock<Arc<Epoch>> ── epoch n+1   │
+//!                 │ retire: drop epoch n AFTER the lock is released │
 //!                 └──────────────────────────┬──────────────────────┘
 //!                                            ▼
 //!            readers: Engine::session ──▶ Arc<Epoch n> ── lock-free
 //!            Session::{query, answer} on the pinned epoch
 //! ```
+//!
+//! An epoch's catalog shares its row chunks and index shards with the
+//! writer's (see `hippo_engine::table`), so applying a one-row write
+//! copies one chunk and one shard per index, not the tables, and
+//! retiring the replaced epoch frees only what it alone still owned
+//! ([`ServiceStats::write_copies`] counts the copies). The swap holds
+//! the epoch lock only for the pointer exchange: the retired epoch is
+//! dropped after the guard is released, so freeing it never blocks a
+//! reader pinning the new one.
 //!
 //! A panicking or budget-tripped write therefore **never** replaces
 //! the published epoch — readers keep answering from the last good
@@ -170,7 +180,7 @@ use hippo_cqa::hippo::{FrozenHippo, GovernanceOptions, Hippo, HippoOptions};
 use hippo_cqa::inclusion::ForeignKey;
 use hippo_cqa::parallel::panic_message;
 use hippo_cqa::query::SjudQuery;
-use hippo_engine::{CancelHandle, EngineError, QueryResult, Row, TupleId};
+use hippo_engine::{CancelHandle, CopyStats, EngineError, QueryResult, Row, TupleId};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -356,6 +366,8 @@ struct Shared {
     group_commits: AtomicU64,
     grouped_writes: AtomicU64,
     writes_abandoned: AtomicU64,
+    /// What copy-on-write copied while commits applied their ops.
+    write_copies: Mutex<CopyStats>,
 }
 
 impl Shared {
@@ -392,6 +404,7 @@ impl Shared {
             group_commits: AtomicU64::new(0),
             grouped_writes: AtomicU64::new(0),
             writes_abandoned: AtomicU64::new(0),
+            write_copies: Mutex::new(CopyStats::default()),
         }
     }
 }
@@ -701,6 +714,7 @@ impl Engine {
         // re-applied so the live state holds exactly the surviving
         // transactions. Each restart permanently resolves at least one
         // transaction, so the loop is bounded.
+        let mut copies_before = w.hippo.db().catalog().copy_stats();
         'apply: loop {
             for i in 0..n {
                 if results[i].is_some() || applied[i].is_some() {
@@ -746,11 +760,18 @@ impl Engine {
                         return self.fail_unresolved(results);
                     }
                     applied.iter_mut().for_each(|a| *a = None);
+                    copies_before = w.hippo.db().catalog().copy_stats();
                     continue 'apply;
                 }
             }
             break;
         }
+        let copies = w.hippo.db().catalog().copy_stats().since(copies_before);
+        *self
+            .shared
+            .write_copies
+            .lock()
+            .expect("copy counter: held only for an addition, which cannot panic") += copies;
 
         let survivors: Vec<usize> = (0..n).filter(|&i| applied[i].is_some()).collect();
         if survivors.is_empty() {
@@ -833,17 +854,21 @@ impl Engine {
 
         // Publish: one epoch swap for the whole group.
         w.writes_applied += survivors.len() as u64;
-        let epoch_id = {
+        let (epoch_id, retired) = {
             let mut cur = self.shared.epoch.write().unwrap();
             let id = cur.id + 1;
-            *cur = Arc::new(Epoch {
+            let next = Arc::new(Epoch {
                 id,
                 frozen,
                 writes_applied: w.writes_applied,
                 published_at: Instant::now(),
             });
-            id
+            (id, std::mem::replace(&mut *cur, next))
         };
+        // Freed after the guard is released: when the writer held the
+        // last reference, dropping the old epoch's catalog chunks and
+        // graph must not block `current_epoch`, `session` or `refresh`.
+        drop(retired);
         self.shared.epochs_published.fetch_add(1, Ordering::Relaxed);
         for &i in &survivors {
             let (_, inserted) = applied[i].take().unwrap();
@@ -1038,6 +1063,11 @@ impl Engine {
             group_commits: self.shared.group_commits.load(Ordering::Relaxed),
             grouped_writes: self.shared.grouped_writes.load(Ordering::Relaxed),
             writes_abandoned: self.shared.writes_abandoned.load(Ordering::Relaxed),
+            write_copies: *self
+                .shared
+                .write_copies
+                .lock()
+                .expect("copy counter: held only for an addition, which cannot panic"),
             active,
             queued,
             epoch_age: epoch.age(),

@@ -1134,9 +1134,17 @@ fn publish(state: &ReplState) -> bool {
         writes_applied: state.frames_applied.load(Ordering::Relaxed),
         published_at: Instant::now(),
     });
-    *state.epoch.write().unwrap() = Some(epoch);
+    // Swap under the lock, free the replaced epoch after releasing it:
+    // when this holds its last reference, dropping its catalog and graph
+    // must not block readers pinning the new one.
+    let retired = state
+        .epoch
+        .write()
+        .expect("epoch lock: held only for a pointer swap, which cannot panic")
+        .replace(epoch);
     // Only now do readers see the frames: advertise the new horizon.
     state.published_lsn.fetch_max(frozen_lsn, Ordering::SeqCst);
+    drop(retired);
     true
 }
 

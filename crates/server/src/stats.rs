@@ -1,6 +1,7 @@
 //! Service-level counters, mirroring the one-line `Display` style of
 //! the core crate's `DetectStats` / `AnswerStats`.
 
+use hippo_engine::CopyStats;
 use std::fmt;
 use std::time::Duration;
 
@@ -35,6 +36,12 @@ pub struct ServiceStats {
     pub grouped_writes: u64,
     /// Writes refused at the admission gate during drain.
     pub writes_abandoned: u64,
+    /// What copy-on-write copied while commits applied their ops,
+    /// summed over every commit: the row chunks and index shards a
+    /// write had to copy because a published epoch still shared them.
+    /// A one-row write copies at most one chunk and one shard per index
+    /// (two for an update that changes the key).
+    pub write_copies: CopyStats,
     /// Requests executing right now.
     pub active: usize,
     /// Requests waiting in the admission queue right now.
@@ -54,13 +61,18 @@ impl fmt::Display for ServiceStats {
         write!(
             f,
             "epochs_published={} writes_applied={} requests_admitted={} \
-             requests_shed={} writer_recoveries={} active={} queued={} \
+             requests_shed={} writer_recoveries={} copied_chunks={} copied_rows={} \
+             copied_shards={} copied_index_keys={} active={} queued={} \
              epoch_age={:.3}ms",
             self.epochs_published,
             self.writes_applied,
             self.requests_admitted,
             self.requests_shed,
             self.writer_recoveries,
+            self.write_copies.chunks,
+            self.write_copies.rows,
+            self.write_copies.shards,
+            self.write_copies.index_keys,
             self.active,
             self.queued,
             self.epoch_age.as_secs_f64() * 1e3,
@@ -285,6 +297,12 @@ mod tests {
             requests_admitted: 40,
             requests_shed: 5,
             writer_recoveries: 1,
+            write_copies: CopyStats {
+                chunks: 2,
+                rows: 2048,
+                shards: 3,
+                index_keys: 700,
+            },
             active: 2,
             queued: 1,
             epoch_age: Duration::from_micros(1500),
@@ -292,6 +310,10 @@ mod tests {
         };
         let line = s.to_string();
         assert!(line.contains("epochs_published=3"), "{line}");
+        assert!(
+            line.contains("copied_chunks=2 copied_rows=2048 copied_shards=3 copied_index_keys=700"),
+            "{line}"
+        );
         assert!(line.contains("requests_shed=5"), "{line}");
         assert!(line.contains("writer_recoveries=1"), "{line}");
         assert!(line.contains("epoch_age=1.500ms"), "{line}");

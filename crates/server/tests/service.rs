@@ -6,7 +6,7 @@
 
 use hippo_cqa::budget::{FaultKind, FaultPlan};
 use hippo_cqa::prelude::*;
-use hippo_engine::{Database, Row, Value};
+use hippo_engine::{CopyStats, Database, Row, TupleId, Value};
 use hippo_server::{Engine, EngineConfig, RetryPolicy, WriteOp};
 use std::time::{Duration, Instant};
 
@@ -114,6 +114,93 @@ fn epoch_answers_match_a_from_scratch_oracle() {
             session.epoch().id()
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Copy-on-write cost: a one-row commit copies one chunk, not a table.
+// ---------------------------------------------------------------------
+
+/// Regression gate against an O(table) copy per write: with an epoch
+/// pinned, each one-row commit copies at most one chunk of rows (1024
+/// slots) and one shard of the primary-key index — two for an update
+/// that changes the key — and the table it does not touch copies
+/// nothing.
+#[test]
+fn one_row_commits_copy_one_chunk_and_one_shard() {
+    let mut db = Database::new();
+    let big = FdTableSpec::new("t", 3_500, 0.05, 5);
+    let small = FdTableSpec::new("u", 300, 0.05, 6);
+    big.populate(&mut db).unwrap();
+    small.populate(&mut db).unwrap();
+    let slots = db.catalog().table("t").unwrap().slot_count();
+    assert!(slots > 3 * 1024, "t spans more than three chunks");
+    let hippo = Hippo::with_options(db, vec![big.fd(), small.fd()], HippoOptions::full()).unwrap();
+    let eng = Engine::new(hippo, EngineConfig::default()).unwrap();
+    let pinned = eng.session();
+
+    let commit = |op: WriteOp| -> CopyStats {
+        let before = eng.stats().write_copies;
+        eng.write(vec![op]).unwrap();
+        let copies = eng.stats().write_copies.since(before);
+        let u = eng
+            .current_epoch()
+            .frozen()
+            .catalog()
+            .table("u")
+            .unwrap()
+            .copy_stats();
+        assert_eq!(
+            u,
+            CopyStats::default(),
+            "the untouched table copied nothing"
+        );
+        assert_eq!(copies.chunks, 1, "{copies:?}");
+        assert!(copies.rows <= 1024, "{copies:?}");
+        copies
+    };
+    let copies = commit(WriteOp::Insert {
+        table: "t".into(),
+        rows: vec![vec![Value::Int(9_000_000), Value::Int(1), Value::Int(0)]],
+    });
+    assert_eq!(copies.shards, 1, "{copies:?}");
+    // First slot of the second chunk, re-keyed.
+    let copies = commit(WriteOp::Update {
+        table: "t".into(),
+        updates: vec![(
+            TupleId(1024),
+            vec![Value::Int(9_000_001), Value::Int(2), Value::Int(0)],
+        )],
+    });
+    assert!((1..=2).contains(&copies.shards), "{copies:?}");
+    // Last slot of the first chunk.
+    let copies = commit(WriteOp::Delete {
+        table: "t".into(),
+        tids: vec![TupleId(1023)],
+    });
+    assert_eq!(copies.shards, 1, "{copies:?}");
+
+    // The pinned epoch still holds the pre-write rows and ids.
+    let t0 = pinned.epoch().frozen().catalog().table("t").unwrap();
+    assert_eq!(t0.slot_count(), slots);
+    assert_eq!(t0.get(TupleId(1023)).unwrap()[0], Value::Int(1023));
+    assert_eq!(t0.get(TupleId(1024)).unwrap()[0], Value::Int(1024));
+    let current = eng.current_epoch();
+    let t3 = current.frozen().catalog().table("t").unwrap();
+    assert!(t3.get(TupleId(1023)).is_none());
+    assert_eq!(t3.get(TupleId(1024)).unwrap()[0], Value::Int(9_000_001));
+    assert_eq!(t3.slot_count(), slots + 1);
+
+    // What no commit touched is the same memory in both epochs: slots
+    // 2048..3072 (a chunk none of the three writes hit) and all of `u`.
+    for id in (2048..3072).map(TupleId) {
+        assert!(std::ptr::eq(t0.get(id).unwrap(), t3.get(id).unwrap()));
+    }
+    let u0 = pinned.epoch().frozen().catalog().table("u").unwrap();
+    let u3 = current.frozen().catalog().table("u").unwrap();
+    assert!(u0
+        .iter()
+        .zip(u3.iter())
+        .all(|((_, a), (_, b))| std::ptr::eq(a, b)));
 }
 
 // ---------------------------------------------------------------------

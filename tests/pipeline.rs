@@ -5,7 +5,7 @@
 use hippo::cqa::detect::detect_conflicts;
 use hippo::cqa::naive::{conflict_free_answers, naive_consistent_answers, plain_answers};
 use hippo::cqa::prelude::*;
-use hippo::engine::{Database, Value};
+use hippo::engine::{Database, TupleId, Value};
 
 /// A live system answers by freezing, then the one answer call.
 fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
@@ -209,4 +209,91 @@ fn large_consistent_instance_fast_path() {
     assert_eq!(answers.len(), 5000);
     assert_eq!(stats.prover_calls, 0);
     assert_eq!(stats.filtered_consistent, 5000);
+}
+
+/// Copy-on-write at chunk edges, end to end. Tables keep their rows in
+/// chunks of 1024 slots that a frozen view shares with the live
+/// database; recorded inserts, updates and deletes on the first and last
+/// slots of chunks must leave the frozen view's answers and tuple ids
+/// exactly as they were, and after `redetect` the live view must answer
+/// like a fresh `Hippo` built from its rows.
+#[test]
+fn frozen_view_survives_writes_at_chunk_edges() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE big (k INT, v INT, PRIMARY KEY (k))")
+        .unwrap();
+    // 2,200 clean rows (row i in slot i), then 40 conflicting copies.
+    let mut rows: Vec<Vec<Value>> = (0..2200)
+        .map(|i| vec![Value::Int(i), Value::Int(i * 7)])
+        .collect();
+    rows.extend((0..40).map(|i| vec![Value::Int(i * 50), Value::Int(-1)]));
+    db.insert_rows("big", rows).unwrap();
+    let fd = DenialConstraint::functional_dependency("big", &[0], 1);
+    let mut hippo = Hippo::new(db, vec![fd.clone()]).unwrap();
+    let queries = [
+        SjudQuery::rel("big"),
+        SjudQuery::rel("big").select(Pred::cmp_const(0, CmpOp::Ge, 1000i64)),
+        SjudQuery::rel("big").diff(SjudQuery::rel("big").select(Pred::cmp_const(
+            1,
+            CmpOp::Lt,
+            7000i64,
+        ))),
+    ];
+    let frozen = hippo.freeze().unwrap();
+    let options = hippo.options.clone();
+    let answers = |f: &FrozenHippo| -> Vec<Vec<Vec<Value>>> {
+        queries
+            .iter()
+            .map(|q| f.answer(q, &options).unwrap().rows)
+            .collect()
+    };
+    let ids = |f: &FrozenHippo| -> Vec<(TupleId, Vec<Value>)> {
+        let t = f.catalog().table("big").unwrap();
+        t.iter().map(|(id, r)| (id, r.clone())).collect()
+    };
+    let (answers_before, ids_before) = (answers(&frozen), ids(&frozen));
+    let edges_before = frozen.graph().edge_count();
+
+    hippo
+        .insert_tuples(
+            "big",
+            vec![
+                vec![Value::Int(1023), Value::Int(1)],
+                vec![Value::Int(9000), Value::Int(0)],
+            ],
+        )
+        .unwrap();
+    hippo
+        .update_tuples(
+            "big",
+            vec![
+                (TupleId(1024), vec![Value::Int(1024), Value::Int(5)]),
+                (TupleId(2047), vec![Value::Int(7), Value::Int(0)]),
+            ],
+        )
+        .unwrap();
+    let deleted = hippo
+        .delete_tuples("big", &[TupleId(0), TupleId(2048), TupleId(2239)])
+        .unwrap();
+    assert_eq!(deleted, 3);
+    hippo.redetect().unwrap();
+
+    // The frozen view is untouched: same answers, ids and graph.
+    assert_eq!(answers(&frozen), answers_before);
+    assert_eq!(ids(&frozen), ids_before);
+    assert_eq!(frozen.graph().edge_count(), edges_before);
+
+    // The live view equals a fresh Hippo over its rows.
+    let live = hippo.freeze().unwrap();
+    assert_ne!(answers(&live), answers_before, "the writes changed answers");
+    let mut fresh_db = Database::new();
+    fresh_db
+        .execute("CREATE TABLE big (k INT, v INT, PRIMARY KEY (k))")
+        .unwrap();
+    fresh_db
+        .insert_rows("big", hippo.db().catalog().table("big").unwrap().rows())
+        .unwrap();
+    let fresh = Hippo::new(fresh_db, vec![fd]).unwrap();
+    assert_eq!(answers(&live), answers(&fresh.freeze().unwrap()));
+    assert_eq!(hippo.graph().edge_count(), fresh.graph().edge_count());
 }
