@@ -85,7 +85,11 @@ impl Catalog {
     /// What copy-on-write has copied, summed over every table (see
     /// [`Table::copy_stats`]).
     pub fn copy_stats(&self) -> CopyStats {
-        self.tables.values().map(Table::copy_stats).sum()
+        let mut total = CopyStats::default();
+        for t in self.tables.values() {
+            total += t.copy_stats();
+        }
+        total
     }
 
     /// All table names, sorted.

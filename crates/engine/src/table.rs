@@ -46,6 +46,10 @@ use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
+/// Stable identifier of a row within one table (slot index).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TupleId(pub u32);
+
 /// Slots per chunk is `1 << CHUNK_BITS`; a power of two, so a
 /// [`TupleId`] splits into chunk and offset by shift and mask.
 const CHUNK_BITS: u32 = 10;
@@ -151,10 +155,6 @@ impl Bucket {
     }
 }
 
-/// Stable identifier of a row within one table (slot index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TupleId(pub u32);
-
 /// What copy-on-write has copied in one table's lineage: the chunks and
 /// index shards that a mutation had to copy because a snapshot still
 /// shared them, and what they held. Counted on every copy, so the cost
@@ -192,15 +192,6 @@ impl std::ops::AddAssign for CopyStats {
         self.rows += o.rows;
         self.shards += o.shards;
         self.index_keys += o.index_keys;
-    }
-}
-
-impl std::iter::Sum for CopyStats {
-    fn sum<I: Iterator<Item = CopyStats>>(iter: I) -> CopyStats {
-        iter.fold(CopyStats::default(), |mut total, c| {
-            total += c;
-            total
-        })
     }
 }
 
