@@ -19,7 +19,6 @@
 //! |-------------------|-------------|----------------------------------------------------------|
 //! | `detect`          | CQA pipeline| conflict-detection shard loops (`detect.rs`)             |
 //! | `envelope`        | CQA pipeline| the candidate query's executor loops (engine `exec.rs`)  |
-//! | `membership`      | CQA pipeline| base-mode membership probing (`kg.rs`)                   |
 //! | `prover`          | CQA pipeline| core-filter test + prover shard loops (`hippo.rs`)       |
 //! | `wal:append`      | durability  | before WAL bytes are written (`server/wal.rs`)           |
 //! | `wal:fsync`       | durability  | between WAL write and fsync (`server/wal.rs`)            |
@@ -426,7 +425,7 @@ mod tests {
             (p.arms[0].shard, p.arms[0].kind),
             (None, FaultKind::BudgetTrip)
         );
-        let p = FaultPlan::parse("membership:0:delay25").unwrap();
+        let p = FaultPlan::parse("envelope:0:delay25").unwrap();
         assert_eq!(p.arms[0].kind, FaultKind::Delay(Duration::from_millis(25)));
         let p = FaultPlan::parse("wal:append:0:shortwrite").unwrap();
         let a = &p.arms[0];

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! Query ──▶ Enveloping ──▶ Candidates(SQL) ──▶ Evaluation (RDBMS) ──▶ Prover ──▶ Answer Set
-//!                              ◆ "envelope"                        ◆ "prover" / "membership"
+//!                              ◆ "envelope"                        ◆ "prover"
 //!                              └─ vectorized scans (column batches)
 //!                                 on eligible plan shapes
 //! IC, DB ──▶ Conflict Detection ──▶ Conflict Hypergraph (main memory) ──▶ Prover
@@ -13,15 +13,14 @@
 //!                  (`ColumnStore::for_each_hash`, bit-identical shards)
 //! ```
 //!
-//! A request is **one** engine query execution — the envelope, handed
-//! to the engine as an AST — plus, in base mode, its prepared
-//! membership probes. Both ride the engine's one production executor,
-//! read through its one reader (the [`DbSnapshot`] a [`FrozenHippo`]
-//! captured): the envelope/KG evaluation and base-mode membership probes
-//! vectorize when their plan shapes are eligible, and the FD detector's
-//! Phase A hashes LHS projections straight off the typed column slices
-//! — answers and every stats counter stay bit-identical either way
-//! (tests force row mode with `hippo_engine::set_columnar_override`).
+//! A request is **one** engine query execution — the extended
+//! envelope, handed to the engine as an AST, on the engine's one
+//! production executor through its one reader (the [`DbSnapshot`] a
+//! [`FrozenHippo`] captured). Eligible plan shapes vectorize, and the
+//! FD detector's Phase A hashes LHS projections straight off the typed
+//! column slices — answers and every stats counter stay bit-identical
+//! either way (tests force row mode with
+//! `hippo_engine::set_columnar_override`).
 //!
 //! A checkpoint is a no-op unless the call's [`HippoOptions`] configure
 //! a deadline, row budget, cancellation handle or fault plan. When one
@@ -38,60 +37,52 @@
 //! run — the one consistent-answer call, a live system answers as
 //! `hippo.freeze()?.answer(&q, &hippo.options)` — envelopes the query,
 //! evaluates the candidates on the engine, and filters them through
-//! the Prover. [`HippoOptions`] selects the optimization level:
+//! the Prover. Every mode reads the prover's membership flags from the
+//! same evaluation: the envelope is extended with one
+//! [`hippo_engine::Plan::MarkJoin`] per literal ([`crate::kg`]), so no
+//! mode issues a membership query. [`HippoOptions`] selects the
+//! optimization level:
 //!
-//! * **base** — the prover issues one SQL membership query per literal
-//!   check (the costly behaviour the paper describes);
-//! * **knowledge gathering** — the envelope is extended to prefetch every
-//!   membership flag; zero membership queries;
+//! * **base** and **knowledge gathering** — every candidate goes to the
+//!   prover ([`HippoOptions::base`] equals [`HippoOptions::kg`]; the
+//!   paper's base system, with one SQL query per membership check, is
+//!   reproduced only by the experiment harness);
 //! * **core filter** — additionally, candidates passing a per-candidate
 //!   test ([`crate::corefilter`]: built from conflict-free facts only
 //!   and outside every subtracted branch's envelope) skip the prover.
 //!
 //! # What "is this fact in the database?" compares
 //!
-//! The modes do not ask the question the same way:
+//! Every mode asks the question the same way: the envelope's flags are
+//! [`hippo_engine::Plan::MarkJoin`]s, which compare by **`Value`
+//! identity**, and the core-filter test and the prover read those
+//! flags. The repair-enumeration oracle in [`crate::naive`] compares
+//! whole rows by identity too. So on `Float`s the modes and the oracle
+//! agree: with `r(x REAL) = {0.0}` and `s(x REAL) = {-0.0}`, `r − s` is
+//! `[(0.0)]` everywhere (`0.0` and `-0.0` are distinct values).
 //!
-//! * **base** mode's prepared probes (`SELECT 1 FROM rel WHERE c0 = $0
-//!   AND … LIMIT 1`) compare with **SQL `=`** on every column — through
-//!   an index bucket only where hash identity and `=` coincide (exact
-//!   column types; `Float` columns are always scanned);
-//! * **KG and full** mode's envelope flags are
-//!   [`hippo_engine::Plan::MarkJoin`]s, which compare by **`Value`
-//!   identity**; the core-filter test and the prover read those flags;
-//! * the repair-enumeration oracle in [`crate::naive`] compares whole
-//!   rows by identity too, `NULL` equal to `NULL` included.
-//!
-//! On `NULL` the three Hippo modes agree: a key component that is
-//! `NULL` matches nothing, so a fact with one is never present and a
-//! candidate that needs one is not a consistent answer — where the
-//! oracle, which lets `NULL` equal itself, can differ. On `Float`s
-//! they do not: with `r(x REAL) = {0.0}` and `s(x REAL) = {-0.0}`,
-//! `r − s` is `[]` in base mode (`0.0 = -0.0`) but `[(0.0)]` in KG and
-//! full mode and in the oracle (`0.0` and `-0.0` are distinct values).
-//! ROADMAP direction 9 settles one reading for every path.
+//! `NULL` is where they still differ. In the mark joins a key component
+//! that is `NULL` matches nothing, so a fact with one is never present
+//! and a candidate that needs one is not a consistent answer — where
+//! the oracle, which lets `NULL` equal itself, can differ. ROADMAP
+//! direction 9 settles one reading for every path.
 //!
 //! # The shard → merge answer pipeline
 //!
 //! Candidate decisions are independent of each other — each depends
 //! only on the candidate's conflict neighbourhood — so the answer stage
-//! mirrors detection's shard → merge design, in **every** mode:
+//! mirrors detection's shard → merge design:
 //!
 //! ```text
-//!                 candidates (one envelope evaluation)  ◆ "envelope"
+//!        candidates + flags (one extended-envelope evaluation)  ◆ "envelope"
 //!                         │ split_ranges → PROVER_SHARDS fixed slices
 //!        ┌────────────┬───┴────────┬────────────┐
 //!        ▼            ▼            ▼            ▼        workers:
 //!   ┌─ shard 0 ─┐┌─ shard 1 ─┐        …   ┌─ shard 15 ─┐ HIPPO_PROVER_THREADS
 //!   │ ◆ entry   ││           │             │            │ (panic-isolated:
 //!   │ dedup     ││   (same)  │             │   (same)   │  a crash poisons
-//!   │ flags:    ││           │             │            │  one slot, the
-//!   │  KG: rows ││           │             │            │  siblings drain)
-//!   │  base:    │→ one shared DbSnapshot, prepared      ←│
-//!   │  prepared │   probe plans (IndexLookup: O(1)
-//!   │  probes ◆ │   hash-bucket per fact), memoized     ◆ "membership"
-//!   │ core test ││           │             │            │
-//!   │ sig cache ││           │             │            │
+//!   │ core test ││           │             │            │  one slot, the
+//!   │ sig cache ││           │             │            │  siblings drain)
 //!   │ prover  ◆ ││           │             │            │ ◆ strided tick
 //!   └────┬──────┘└────┬──────┘             └────┬───────┘   per candidate
 //!        └────────────┴─── merge in shard order┴──▶ answers + stats
@@ -100,23 +91,12 @@
 //! ```
 //!
 //! There is **no serial prefix beyond candidate collection**: dedup,
-//! membership resolution, the core-filter test and the prover all run
-//! inside the shards. Knowledge-gathering mode reads prefetched flag
-//! rows; **base mode** — the paper's canonical per-check-SQL
-//! configuration — resolves its membership probes against one
-//! read-only [`DbSnapshot`] shared by all workers (zero locking).
-//! Each shard compiles every literal's probe **once** into a prepared
-//! plan ([`MemoSqlMembership`]): the engine's optimizer picks
-//! the access path, so on a relation with a covering hash index
-//! (auto-built on key columns, or `CREATE INDEX`) a membership check
-//! is an O(1) bucket probe — no SQL text, parsing or planning per
-//! candidate — and per-shard memoization collapses repeated facts
-//! ([`AnswerStats::index_probes`] / [`AnswerStats::scan_probes`] count
-//! how the executed probes ran). Each shard owns one reusable
-//! [`Prover`] workspace and a private **closure-signature cache**
-//! ([`Prover::closure_signature`]): candidates whose guard outcomes,
-//! membership flags and per-literal conflict facts coincide share one
-//! verdict ([`AnswerStats::prover_cache_hits`]). Newly proved
+//! the core-filter test and the prover all run inside the shards, on
+//! the flag rows the envelope evaluation returned. Each shard owns one
+//! reusable [`Prover`] workspace and a private **closure-signature
+//! cache** ([`Prover::closure_signature`]): candidates whose guard
+//! outcomes, membership flags and per-literal conflict facts coincide
+//! share one verdict ([`AnswerStats::prover_cache_hits`]). Newly proved
 //! signatures are folded, at merge time and in shard order, into a
 //! **persistent per-query verdict cache** reused by later
 //! `answer` calls on the same graph
@@ -174,7 +154,6 @@
 //!
 //! [`DbSnapshot`]: hippo_engine::DbSnapshot
 //! [`Completeness::TruncatedAt`]: crate::budget::Completeness::TruncatedAt
-//! [`MemoSqlMembership`]: crate::kg::MemoSqlMembership
 //! [`Prover`]: crate::prover::Prover
 //! [`Prover::closure_signature`]: crate::prover::Prover::closure_signature
 

@@ -40,51 +40,37 @@ pub struct HippoOptions {
     /// code path, so answers *and stats* are bit-identical to a build
     /// without governance.
     pub governance: GovernanceOptions,
-    /// Prefetch membership flags in the envelope query (knowledge
-    /// gathering) instead of issuing per-check SQL queries.
-    pub knowledge_gathering: bool,
     /// Skip the prover for tuples caught by the core filter.
     pub core_filter: bool,
     /// Worker threads for the answer pipeline's prover stage; `0` =
     /// auto (the `HIPPO_PROVER_THREADS` environment variable if set,
-    /// else available parallelism). Every mode shards: knowledge
-    /// gathering reads prefetched flags, base mode issues its
-    /// membership SQL against a frozen [`hippo_engine::DbSnapshot`]
-    /// shared by all workers. The thread count never affects answers or
-    /// stats, only wall-clock.
+    /// else available parallelism). The thread count never affects
+    /// answers or stats, only wall-clock.
     pub prover_threads: usize,
     /// Memoize prover verdicts by conflict-closure signature (see
     /// [`crate::prover::Prover::closure_signature`]); candidates whose
     /// signatures match an already-proved candidate in the same shard
     /// are decided without running the prover.
     pub prover_cache: bool,
-    /// Let base mode's prepared membership probes use the engine's
-    /// index access paths (`IndexLookup`); `false` forces the
-    /// sequential-scan plans — answers and every other counter are
-    /// identical either way (differentially tested), only
-    /// [`AnswerStats::index_probes`] / [`AnswerStats::scan_probes`] and
-    /// wall-clock move.
-    pub index_probes: bool,
 }
 
 impl HippoOptions {
-    /// Base system: no optimizations.
+    /// The paper's base system. Every mode reads its membership flags
+    /// from the extended envelope's mark joins, so this equals
+    /// [`HippoOptions::kg`]: flags from the envelope, no core filter.
+    /// Kept because `benchmark/API.md` pins it.
     pub fn base() -> Self {
+        HippoOptions::kg()
+    }
+
+    /// Knowledge gathering: membership flags from the extended
+    /// envelope, every candidate proved (no core filter).
+    pub fn kg() -> Self {
         HippoOptions {
             governance: GovernanceOptions::default(),
-            knowledge_gathering: false,
             core_filter: false,
             prover_threads: 0,
             prover_cache: true,
-            index_probes: true,
-        }
-    }
-
-    /// Knowledge gathering only.
-    pub fn kg() -> Self {
-        HippoOptions {
-            knowledge_gathering: true,
-            ..HippoOptions::base()
         }
     }
 
@@ -110,13 +96,6 @@ impl HippoOptions {
         self
     }
 
-    /// Force base mode's membership probes onto sequential-scan plans
-    /// (the pre-optimizer access path; used by the differential tests).
-    pub fn without_index_probes(mut self) -> Self {
-        self.index_probes = false;
-        self
-    }
-
     /// Bound every governed call's wall-clock time. On exhaustion the
     /// call returns a structured `Budget` error (strict, the default)
     /// or the sound subset proved so far ([`HippoOptions::degraded`]).
@@ -126,7 +105,7 @@ impl HippoOptions {
     }
 
     /// Bound the rows a governed call may materialise/visit across all
-    /// stages (envelope evaluation, membership probes, prover loops).
+    /// stages (envelope evaluation, prover loops).
     pub fn with_row_budget(mut self, rows: u64) -> Self {
         self.governance.row_budget = Some(rows);
         self
@@ -227,23 +206,20 @@ pub struct AnswerStats {
     /// earlier `answer` run on the same graph).
     pub prover_cache_cross_hits: usize,
     /// Prover shards the candidate list was decomposed into (`0` when
-    /// there were no candidates). Base and KG mode report this
-    /// identically now that both run the sharded pipeline.
+    /// there were no candidates).
     pub shards_used: usize,
     /// Prover-internal counters.
     pub prover: ProverRunStats,
-    /// Membership probes executed against the backend (base mode; memo
-    /// misses only — each shard memoizes per-literal probes).
+    /// Always zero: every mode reads its membership flags from the
+    /// extended envelope, so no membership query reaches the backend.
+    /// The field is kept because `benchmark/API.md` pins it.
     pub membership_queries: usize,
-    /// Base-mode membership checks answered from a shard's probe memo
-    /// instead of an execution.
+    /// Always zero, as [`AnswerStats::membership_queries`]. The field
+    /// is kept because `benchmark/API.md` pins it.
     pub membership_memo_hits: usize,
-    /// Subset of [`AnswerStats::membership_queries`] that executed as
-    /// O(1) `IndexLookup` access paths (the optimizer chose an index).
+    /// Always zero, as [`AnswerStats::membership_queries`]. The field
+    /// is kept because `benchmark/API.md` pins it.
     pub index_probes: usize,
-    /// Subset of [`AnswerStats::membership_queries`] that executed as
-    /// sequential scans (no covering index, or index probes disabled).
-    pub scan_probes: usize,
     /// Consistent answers produced.
     pub answers: usize,
     /// Full budget checks performed across every governed stage and
@@ -269,29 +245,18 @@ pub struct AnswerStats {
 }
 
 impl fmt::Display for AnswerStats {
-    /// One-line report, symmetric across modes: shard count, cache hit
-    /// rate (with the cross-call share) and the membership-probe memo
-    /// rate (with its index/scan access-path split) are always printed
-    /// — base mode reports its shards exactly like KG mode does.
+    /// One-line report, the same in every mode: shard count and cache
+    /// hit rate (with the cross-call share) are always printed.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let hit_rate = if self.prover_calls > 0 {
             100.0 * self.prover_cache_hits as f64 / self.prover_calls as f64
         } else {
             0.0
         };
-        let memo_rate = {
-            let probes = self.membership_queries + self.membership_memo_hits;
-            if probes > 0 {
-                100.0 * self.membership_memo_hits as f64 / probes as f64
-            } else {
-                0.0
-            }
-        };
         write!(
             f,
             "answers={} candidates={} filtered={} prover_calls={} shards={} \
              cache_hits={} ({hit_rate:.1}% hit rate, {} cross-call) \
-             membership_queries={} (memo {memo_rate:.1}%, {} index / {} scan) \
              t_total={:.3}ms",
             self.answers,
             self.candidates,
@@ -300,9 +265,6 @@ impl fmt::Display for AnswerStats {
             self.shards_used,
             self.prover_cache_hits,
             self.prover_cache_cross_hits,
-            self.membership_queries,
-            self.index_probes,
-            self.scan_probes,
             self.t_total.as_secs_f64() * 1e3,
         )?;
         if self.budget_checks > 0 || self.degraded {

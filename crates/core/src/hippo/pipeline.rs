@@ -10,7 +10,7 @@ use crate::corefilter;
 use crate::envelope::envelope;
 use crate::formula::MembershipTemplate;
 use crate::hypergraph::ConflictHypergraph;
-use crate::kg::{extended_envelope_sql, split_gathered, MemoSqlMembership};
+use crate::kg::{extended_envelope_sql, split_gathered};
 use crate::parallel;
 use crate::prover::{Prover, ProverRunStats};
 use crate::query::SjudQuery;
@@ -186,36 +186,27 @@ fn answers_pipeline(
     // ---- Enveloping + Evaluation (timed from the call's start) ----
     let env_res: Result<_, EngineError> = (|| {
         gov.checkpoint("envelope", 0)?;
-        if options.knowledge_gathering {
-            let ast = extended_envelope_sql(&env, &template, backend.catalog())?;
-            let rows = backend
-                .run_query_ast(&ast, gov.budget_ref(), "envelope")?
-                .rows;
-            let gathered = split_gathered(rows, arity, template.literals.len());
-            Ok((gathered.candidates, Some(gathered.flags)))
-        } else {
-            let ast = env.to_sql_query(backend.catalog())?;
-            let rows = backend
-                .run_query_ast(&ast, gov.budget_ref(), "envelope")?
-                .rows;
-            Ok((rows, None))
-        }
+        let ast = extended_envelope_sql(&env, &template, backend.catalog())?;
+        let rows = backend
+            .run_query_ast(&ast, gov.budget_ref(), "envelope")?
+            .rows;
+        Ok(split_gathered(rows, arity, template.literals.len()))
     })();
-    let (candidates, flags) = match env_res {
+    let gathered = match env_res {
         Ok(v) => v,
         Err(e) if gov.degraded && e.is_governance() => {
             return Ok(truncated(stats, &e, gov, t0));
         }
         Err(e) => return Err(e),
     };
+    let candidates = gathered.candidates;
     stats.candidates = candidates.len();
     stats.t_envelope = t0.elapsed();
 
     // ---- Sharded answer stage ----
     //
-    // No serial prefix beyond candidate collection: dedup, membership
-    // resolution, the core-filter test and the prover all run inside
-    // the shards.
+    // No serial prefix beyond candidate collection: dedup, the
+    // core-filter test and the prover all run inside the shards.
     // Dedup is shard-local (a duplicate crossing a shard boundary is
     // decided twice and collapsed by the final sort+dedup — the
     // envelope is set-semantics, so this is a belt-and-braces case),
@@ -224,9 +215,6 @@ fn answers_pipeline(
     let shards = parallel::split_ranges(candidates.len(), PROVER_SHARDS);
     let threads = options.resolved_prover_threads();
     let use_cache = options.prover_cache;
-    // Base mode: all workers share the one snapshot and issue their
-    // membership probes against it.
-    let snapshot = flags.is_none().then_some(backend);
     // Cross-call verdicts: take the persistent map for this query
     // under the lock, then read it lock-free from every shard.
     let query_key = use_cache.then(|| query.to_string());
@@ -238,11 +226,9 @@ fn answers_pipeline(
         graph,
         template: &template,
         candidates: &candidates,
-        flags: flags.as_deref(),
-        snapshot,
+        flags: &gathered.flags,
         core_filter: options.core_filter,
         use_cache,
-        index_probes: options.index_probes,
         persistent: persistent.as_deref(),
         gov,
     };
@@ -290,10 +276,6 @@ fn answers_pipeline(
         stats.prover_cache_hits += out.cache_hits;
         stats.prover_cache_cross_hits += out.cross_hits;
         stats.filtered_consistent += out.filtered_consistent;
-        stats.membership_queries += out.membership_queries;
-        stats.membership_memo_hits += out.membership_memo_hits;
-        stats.index_probes += out.index_probes;
-        stats.scan_probes += out.scan_probes;
         for i in out.accepted {
             answers.push(candidates[i as usize].clone());
         }
@@ -362,21 +344,17 @@ fn truncated(
 
 /// Read-only state shared by every shard of one answer run. Everything
 /// here is `Sync`: the frozen graph, the compiled template, the
-/// candidate rows, the prefetched flag matrix (KG mode) *or* the frozen
-/// database snapshot (base mode), and the previous calls' verdict map.
+/// candidate rows, their prefetched flag matrix and the previous calls'
+/// verdict map.
 struct ShardInput<'a> {
     graph: &'a ConflictHypergraph,
     template: &'a MembershipTemplate,
     candidates: &'a [Row],
-    /// KG mode: per-candidate prefetched membership flags.
-    flags: Option<&'a [Vec<bool>]>,
-    /// Base mode: the snapshot all shards issue membership SQL against.
-    snapshot: Option<&'a DbSnapshot>,
+    /// Per-candidate membership flags from the extended envelope.
+    flags: &'a [Vec<bool>],
     /// Run the core-filter test: candidates passing it skip the prover.
     core_filter: bool,
     use_cache: bool,
-    /// Base mode: let the prepared probes use index access paths.
-    index_probes: bool,
     /// Cross-call verdicts proved by earlier runs on this graph.
     persistent: Option<&'a FxHashMap<Vec<u64>, bool>>,
     /// The call's governance (inactive on ungoverned calls: every
@@ -384,10 +362,9 @@ struct ShardInput<'a> {
     gov: &'a Governance,
 }
 
-/// Decide the candidate slice `lo..hi`: dedup (shard-local), resolve
-/// membership flags (prefetched in KG mode, memoized prepared probes in
-/// base mode), run the core-filter test ([`crate::corefilter`]), then
-/// decide by signature cache or prover run. Runs on a worker thread;
+/// Decide the candidate slice `lo..hi`: dedup (shard-local), run the
+/// core-filter test ([`crate::corefilter`]) on the prefetched flags,
+/// then decide by signature cache or prover run. Runs on a worker thread;
 /// mutates nothing shared.
 ///
 /// Governance: the shard checkpoints at entry (fault-injection point
@@ -415,14 +392,6 @@ fn prove_shard(
     let mut sig: Vec<u64> = Vec::new();
     let mut seen: FxHashSet<&Row> =
         FxHashSet::with_capacity_and_hasher(hi - lo, Default::default());
-    let mut sql = match input.snapshot {
-        Some(s) => Some(
-            MemoSqlMembership::new(s, input.template, input.index_probes)?
-                .with_budget(input.gov.budget_ref()),
-        ),
-        None => None,
-    };
-    let mut flag_buf: Vec<bool> = Vec::new();
     // Cooperative per-candidate checkpoint, flattened by hand: one
     // local increment and a predicted branch per candidate; every
     // CHECK_STRIDE candidates the locally-accumulated row charges are
@@ -451,29 +420,7 @@ fn prove_shard(
         if !seen.insert(cand) {
             continue; // duplicate candidate within the shard
         }
-        // Membership flags: prefetched (KG) or gathered through the
-        // shard's memoized prepared probes (base). A governance trip
-        // inside the probe (stage "membership") cancels the shard in
-        // degraded mode — the candidate was not decided, so it is not
-        // counted or accepted.
-        let cand_flags: &[bool] = match input.flags {
-            Some(fl) => &fl[i],
-            None => {
-                let gather = input.gov.fault_point("membership", si).and_then(|()| {
-                    sql.as_mut()
-                        .expect("base mode carries a snapshot")
-                        .gather_flags(cand, &mut flag_buf)
-                });
-                match gather {
-                    Ok(()) => &flag_buf,
-                    Err(e) if input.gov.degraded && e.is_governance() => {
-                        out.cancelled = true;
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        };
+        let cand_flags: &[bool] = &input.flags[i];
         if input.core_filter
             && corefilter::passes(&input.template.formula, cand, cand_flags, &|li| {
                 prover.lit_conflict_free(li, cand)
@@ -512,13 +459,6 @@ fn prove_shard(
         b.charge_rows(pending_rows);
     }
     out.stats = prover.stats;
-    if let Some(sql) = sql {
-        sql.flush_backend_stats();
-        out.membership_queries = sql.queries_issued;
-        out.membership_memo_hits = sql.memo_hits;
-        out.index_probes = sql.index_probes;
-        out.scan_probes = sql.scan_probes;
-    }
     Ok(out)
 }
 
@@ -541,14 +481,6 @@ struct ShardVerdicts {
     cache_hits: usize,
     /// Subset of `cache_hits` answered from the persistent map.
     cross_hits: usize,
-    /// Base mode: probes executed (memo misses).
-    membership_queries: usize,
-    /// Base mode: probes answered from the shard memo.
-    membership_memo_hits: usize,
-    /// Base mode: executed probes that ran as `IndexLookup`s.
-    index_probes: usize,
-    /// Base mode: executed probes that ran as sequential scans.
-    scan_probes: usize,
     /// Degraded mode: this shard stopped early on a budget trip; its
     /// accepted list is the sound prefix proved before the trip.
     cancelled: bool,
@@ -598,71 +530,30 @@ mod tests {
     }
 
     #[test]
-    fn kg_issues_no_membership_queries_base_does() {
+    fn every_mode_reads_flags_from_the_envelope() {
         let rows = [("ann", 100), ("ann", 200), ("bob", 300)];
         let q = SjudQuery::rel("emp").diff(SjudQuery::rel("emp").select(Pred::cmp_const(
             1,
             CmpOp::Lt,
             150i64,
         )));
-
-        let hippo = Hippo::with_options(emp_db(&rows), fd(), HippoOptions::base()).unwrap();
-        let base_stats = answer(&hippo, &q).unwrap().stats;
-        assert!(
-            base_stats.membership_queries > 0,
-            "base mode pays per-check queries"
-        );
-
-        let hippo = Hippo::with_options(emp_db(&rows), fd(), HippoOptions::kg()).unwrap();
-        let kg_stats = answer(&hippo, &q).unwrap().stats;
-        assert_eq!(
-            kg_stats.membership_queries, 0,
-            "KG answers from gathered flags"
-        );
-    }
-
-    #[test]
-    fn base_mode_probes_plan_as_index_lookups() {
-        use crate::workload::FdTableSpec;
-        let q = SjudQuery::rel("t").diff(SjudQuery::rel("t").select(Pred::cmp_const(
-            1,
-            CmpOp::Ge,
-            500_000i64,
-        )));
-        let build = |opts: HippoOptions| {
-            let spec = FdTableSpec::new("t", 200, 0.1, 11);
-            let mut db = Database::new();
-            spec.populate(&mut db).unwrap();
-            Hippo::with_options(db, vec![spec.fd()], opts).unwrap()
+        let run = |opts: HippoOptions| {
+            let hippo = Hippo::with_options(emp_db(&rows), fd(), opts).unwrap();
+            let mut out = answer(&hippo, &q).unwrap();
+            let s = &out.stats;
+            assert_eq!(
+                (s.membership_queries, s.membership_memo_hits, s.index_probes),
+                (0, 0, 0),
+                "no mode issues membership queries: {s}"
+            );
+            out.stats.t_envelope = Duration::ZERO;
+            out.stats.t_prover = Duration::ZERO;
+            out.stats.t_total = Duration::ZERO;
+            (out.rows, format!("{:?}", out.stats))
         };
-        // The workload's key column is indexed (auto-built on the
-        // primary key), so every executed probe is an IndexLookup…
-        let hippo = build(HippoOptions::base());
-        let ConsistentAnswer {
-            rows: answers,
-            stats: s,
-            ..
-        } = answer(&hippo, &q).unwrap();
-        assert!(s.membership_queries > 0);
-        assert_eq!(s.index_probes, s.membership_queries, "{s}");
-        assert_eq!(s.scan_probes, 0, "{s}");
-        // …and disabling index probes flips every probe to a scan with
-        // answers and all other counters unchanged.
-        let hippo = build(HippoOptions::base().without_index_probes());
-        let ConsistentAnswer {
-            rows: answers2,
-            stats: s2,
-            ..
-        } = answer(&hippo, &q).unwrap();
-        assert_eq!(answers, answers2);
-        assert_eq!(s2.scan_probes, s2.membership_queries);
-        assert_eq!(s2.index_probes, 0);
-        assert_eq!(s.membership_queries, s2.membership_queries);
-        assert_eq!(s.membership_memo_hits, s2.membership_memo_hits);
-        assert_eq!(s.prover_calls, s2.prover_calls);
-        assert_eq!(s.answers, s2.answers);
-        // The one-line report carries the access-path split.
-        assert!(format!("{s}").contains("index"), "{s}");
+        // Base mode is knowledge gathering: same answers, same counters.
+        assert_eq!(run(HippoOptions::base()), run(HippoOptions::kg()));
+        run(HippoOptions::full());
     }
 
     #[test]
@@ -804,7 +695,7 @@ mod tests {
     fn columnar_toggle_never_changes_answers_or_stats() {
         // The vectorized engine claims bit-identical behaviour: same
         // answers and the same AnswerStats counters (only wall-clock
-        // may differ) in base and KG mode, serial and sharded alike.
+        // may differ) in KG and full mode, serial and sharded alike.
         let mut rows: Vec<(String, i64)> = (0..50).map(|i| (format!("p{i}"), 100 + i)).collect();
         for c in 0..10 {
             rows.push((format!("p{c}"), 5000 + c)); // conflicting duplicates
@@ -847,7 +738,7 @@ mod tests {
             format!("{s:?}")
         };
         for threads in [1usize, 4] {
-            for opts in [HippoOptions::base(), HippoOptions::kg()] {
+            for opts in [HippoOptions::kg(), HippoOptions::full()] {
                 let label = format!("threads={threads} options={opts:?}");
                 let run = |columnar: bool| {
                     hippo_engine::set_columnar_override(columnar);
@@ -945,10 +836,8 @@ mod tests {
     }
 
     #[test]
-    fn base_mode_shards_report_and_memoize_membership() {
-        // Product query: candidates are pairs, so many candidates in one
-        // shard share each side's literal projection — the shard's SQL
-        // memo must absorb the repeats.
+    fn base_mode_shards_and_reports_them() {
+        // Product query: candidates are pairs of the 10 distinct names.
         let mut rows: Vec<(String, i64)> = (0..10).map(|i| (format!("p{i}"), 100)).collect();
         rows.push(("p0".into(), 999)); // one conflict
         let rows: Vec<(&str, i64)> = rows.iter().map(|(n, s)| (n.as_str(), *s)).collect();
@@ -960,16 +849,10 @@ mod tests {
             ..
         } = answer(&hippo, &q).unwrap();
         assert_eq!(answers.len(), 9 * 9, "pairs of the 9 conflict-free rows");
-        assert!(stats.shards_used > 1, "base mode shards now");
-        assert!(stats.membership_queries > 0, "base mode still pays SQL");
-        assert!(
-            stats.membership_memo_hits > 0,
-            "repeated projections answered from the shard memo"
-        );
-        // The Display impl reports shards for base mode.
+        assert!(stats.shards_used > 1, "base mode shards");
         let line = stats.to_string();
         assert!(line.contains("shards="), "{line}");
-        assert!(line.contains("membership_queries="), "{line}");
+        assert!(!line.contains("membership"), "{line}");
     }
 
     #[test]

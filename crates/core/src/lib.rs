@@ -36,7 +36,7 @@
 //! ([`hippo::HippoOptions::with_row_budget`]), and/or a cooperative
 //! cancellation flag ([`hippo::HippoOptions::cancel_handle`]) trippable
 //! from another thread. Each pipeline stage (detection, envelope
-//! evaluation, membership probing, the prover shards) checks the
+//! evaluation, the prover shards) checks the
 //! budget cooperatively at shard-loop granularity, so a governed call
 //! never hangs and never panics on exhaustion.
 //!

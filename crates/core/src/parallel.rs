@@ -1,6 +1,5 @@
 //! Scoped worker pools for sharded conflict detection and the parallel
-//! answer pipeline (every mode since PR 4 — base mode's workers issue
-//! membership SQL against a shared read-only `DbSnapshot`).
+//! answer pipeline (every answer mode).
 //!
 //! Work is decomposed into **shards** — deterministic units (FD
 //! hash-bucket ranges, outer-atom tuple ranges, candidate-slice ranges)

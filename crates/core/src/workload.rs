@@ -50,7 +50,7 @@ impl FdTableSpec {
     pub fn populate(&self, db: &mut Database) -> Result<usize, EngineError> {
         // `k` is declared as the (violated) primary key: the engine
         // auto-builds a hash index on key columns, which is what lets
-        // base-mode membership probes plan as `IndexLookup`s. Key
+        // the envelope's membership mark joins probe an index. Key
         // uniqueness is *not* enforced — conflicting pairs share a key,
         // exactly the paper's inconsistent-database setting.
         db.catalog_mut().create_table(TableSchema::new(

@@ -88,7 +88,7 @@ fn millisecond_deadline_on_16k_workload_trips_strict() {
         );
         match err.kind {
             ErrorKind::Budget { stage, .. } => assert!(
-                ["envelope", "membership", "prover"].contains(&stage),
+                ["envelope", "prover"].contains(&stage),
                 "unexpected trip stage {stage}"
             ),
             ref k => panic!("expected Budget kind, got {k:?}"),
@@ -337,8 +337,6 @@ fn budget_trip_in_each_stage_errors_in_strict_mode() {
     for (stage, opts) in [
         ("envelope", HippoOptions::full()),
         ("prover", HippoOptions::full()),
-        // Membership probes only run in base mode (no prefetched flags).
-        ("membership", HippoOptions::base()),
     ] {
         let (db, cons) = workload(400, 99);
         let mut hippo = Hippo::with_options(db, cons, HippoOptions::full()).unwrap();
@@ -354,7 +352,6 @@ fn budget_trip_in_each_stage_degrades_to_sound_subset() {
     for (stage, opts) in [
         ("envelope", HippoOptions::full()),
         ("prover", HippoOptions::full()),
-        ("membership", HippoOptions::base()),
     ] {
         let (db, cons) = workload(400, 99);
         let mut hippo = Hippo::with_options(db, cons, HippoOptions::full()).unwrap();

@@ -190,8 +190,8 @@ proptest! {
 
 /// `HippoOptions::base` / `kg` / `full` must agree on seeded random
 /// workloads — end-to-end differential check over the interned hot path
-/// (base exercises `MemoSqlMembership`'s prepared probes, kg the
-/// literal-indexed flags, full additionally the core-filter test).
+/// (base and kg read the literal-indexed envelope flags, full
+/// additionally runs the core-filter test).
 #[test]
 fn option_levels_agree_on_seeded_workloads() {
     use hippo_cqa::prelude::*;
@@ -265,7 +265,6 @@ fn modes_agree_on_null_bearing_tuples() {
     ] {
         for opts in [
             HippoOptions::base(),
-            HippoOptions::base().without_index_probes(),
             HippoOptions::kg(),
             HippoOptions::full(),
         ] {

@@ -160,10 +160,9 @@ proptest! {
         threads in 2usize..5,
         pick in 0u32..4,
     ) {
-        // Base mode now runs the same sharded pipeline over a frozen
-        // engine snapshot: answers *and* every counter — including the
-        // SQL membership query/memo counts — must be bit-identical for
-        // any worker count, and the answers must agree with KG mode.
+        // Base mode runs the same sharded pipeline over a frozen engine
+        // snapshot: answers *and* every counter must be bit-identical
+        // for any worker count, and the answers must agree with KG mode.
         let q = query(pick);
         let seq = Hippo::with_options(
             db_with(&t_rows, &s_rows),

@@ -56,9 +56,9 @@
 //! optional `Limit{limit: Some}` and `Project`):
 //!
 //! * **Select** — `Filter?(Scan)` where every conjunct is
-//!   `column ⟨cmp⟩ literal|param`, `column ⟨cmp⟩ column` (same-type or
+//!   `column ⟨cmp⟩ literal`, `column ⟨cmp⟩ column` (same-type or
 //!   numeric mix), or `column IS [NOT] NULL`, and every projection
-//!   item is a column, literal, or parameter;
+//!   item is a column or literal;
 //! * **Agg** — `Aggregate` over such a pipe with column-only
 //!   group keys and aggregate arguments;
 //! * **Join** — `HashJoin` (inner/left, no residual) with
@@ -74,9 +74,9 @@
 //! (`streaming_limit`) without recursing, so `EXPLAIN` reports it as
 //! row-mode.
 //!
-//! Runtime conditions that cannot be checked structurally (unbound or
-//! type-mismatched parameters, `NaN` literals bound at execution
-//! time, a store that failed to build) fall back **before** any
+//! Runtime conditions that cannot be checked structurally (a literal
+//! the column store cannot pre-evaluate, a store that failed to
+//! build) fall back **before** any
 //! budget charge or stats side effect, so row-mode then reproduces
 //! the exact success or error behaviour.
 //!
@@ -545,12 +545,6 @@ struct Pipe<'p> {
     has_filter: bool,
 }
 
-/// Right-hand side of a column-vs-constant comparison.
-enum Rhs<'p> {
-    Lit(&'p Value),
-    Param(usize),
-}
-
 /// One compiled conjunct.
 enum Pred<'p> {
     /// `col ⟨op⟩ rhs` — already flipped so the column is on the left;
@@ -560,7 +554,7 @@ enum Pred<'p> {
     Cmp {
         col: usize,
         op: BinaryOp,
-        rhs: Rhs<'p>,
+        rhs: &'p Value,
         orig_col_left: bool,
     },
     /// `col ⟨op⟩ col`.
@@ -575,7 +569,7 @@ enum Pred<'p> {
 
 /// Compile a plan into a vectorized query, or `None` if any
 /// part of the shape is unconverted. Purely structural: no table data
-/// or parameter bindings are consulted, so the answer is stable for a
+/// is consulted, so the answer is stable for a
 /// given plan and schema (which is what `EXPLAIN` prints).
 pub(crate) fn compile<'p>(plan: &'p Plan, catalog: &Catalog) -> Option<VecQuery<'p>> {
     let (limit, node) = match plan {
@@ -672,13 +666,13 @@ pub(crate) fn compile<'p>(plan: &'p Plan, catalog: &Catalog) -> Option<VecQuery<
     }
 }
 
-/// Validate a peeled projection: columns in range, literals, params.
+/// Validate a peeled projection: columns in range and literals.
 fn check_project(project: Option<&[BoundExpr]>, arity: usize) -> Option<()> {
     if let Some(exprs) = project {
         for e in exprs {
             match e {
                 BoundExpr::Column(i) if *i < arity => {}
-                BoundExpr::Literal(_) | BoundExpr::Param(_) => {}
+                BoundExpr::Literal(_) => {}
                 _ => return None,
             }
         }
@@ -765,15 +759,7 @@ fn compile_cmp<'p>(
 ) -> Option<Pred<'p>> {
     let ty = schema.columns.get(col)?.ty;
     let rhs = match other {
-        BoundExpr::Literal(v) => {
-            if !lit_comparable(ty, v) {
-                return None;
-            }
-            Rhs::Lit(v)
-        }
-        // Parameter comparability depends on the binding; checked at
-        // resolve time with fallback to row mode.
-        BoundExpr::Param(i) => Rhs::Param(*i),
+        BoundExpr::Literal(v) if lit_comparable(ty, v) => v,
         _ => return None,
     };
     Some(Pred::Cmp {
@@ -799,10 +785,10 @@ fn lit_comparable(ty: DataType, v: &Value) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime resolution (parameter bindings, store lookup)
+// Runtime resolution (store lookup)
 // ---------------------------------------------------------------------------
 
-/// A conjunct resolved against parameter bindings and column types.
+/// A conjunct resolved against the column store and column types.
 enum RtPred {
     /// `INT col ⟨op⟩ i64` — exact integer compare, never errors.
     IntVsInt { col: usize, op: BinaryOp, k: i64 },
@@ -831,7 +817,7 @@ enum RtPred {
     IsNull { col: usize, negated: bool },
 }
 
-/// A projection item resolved against parameter bindings.
+/// A resolved projection item.
 enum RtProj {
     Col(usize),
     Val(Value),
@@ -852,14 +838,9 @@ fn apply_cmp(op: BinaryOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
-/// Resolve one compiled conjunct. `Ok(None)` = fall back to row mode
-/// (unbound or incomparable parameter, `NaN` binding).
-fn resolve_pred(
-    p: &Pred<'_>,
-    store: &ColumnStore,
-    schema: &TableSchema,
-    params: &[Value],
-) -> Option<RtPred> {
+/// Resolve one compiled conjunct against the live column store. `None`
+/// = fall back to row mode.
+fn resolve_pred(p: &Pred<'_>, store: &ColumnStore, schema: &TableSchema) -> Option<RtPred> {
     match p {
         Pred::IsNull { col, negated } => Some(RtPred::IsNull {
             col: *col,
@@ -873,21 +854,11 @@ fn resolve_pred(
         Pred::Cmp {
             col,
             op,
-            rhs,
+            rhs: v,
             orig_col_left,
         } => {
             let ty = schema.columns[*col].ty;
-            let v: &Value = match rhs {
-                Rhs::Lit(v) => v,
-                Rhs::Param(i) => {
-                    let v = params.get(*i)?;
-                    if !lit_comparable(ty, v) {
-                        return None;
-                    }
-                    v
-                }
-            };
-            Some(match (ty, v) {
+            Some(match (ty, *v) {
                 (_, Value::Null) => RtPred::AlwaysNull,
                 (DataType::Int, Value::Int(k)) => RtPred::IntVsInt {
                     col: *col,
@@ -935,20 +906,17 @@ fn resolve_pred(
     }
 }
 
-fn resolve_project(project: Option<&[BoundExpr]>, params: &[Value]) -> Option<Option<Vec<RtProj>>> {
-    let Some(exprs) = project else {
-        return Some(None);
-    };
-    let mut out = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        out.push(match e {
+fn resolve_project(project: Option<&[BoundExpr]>) -> Option<Vec<RtProj>> {
+    let exprs = project?;
+    let out = exprs
+        .iter()
+        .map(|e| match e {
             BoundExpr::Column(i) => RtProj::Col(*i),
             BoundExpr::Literal(v) => RtProj::Val(v.clone()),
-            BoundExpr::Param(i) => RtProj::Val(params.get(*i)?.clone()),
-            _ => return None,
-        });
-    }
-    Some(Some(out))
+            _ => unreachable!("check_project admits columns and literals only"),
+        })
+        .collect();
+    Some(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1248,9 +1216,9 @@ pub(crate) fn try_execute(
     plan: &Plan,
     env: &mut EvalEnv<'_>,
 ) -> Result<Option<Vec<Row>>, EngineError> {
-    // Structural check first: it is a cheap match failure for the hot
-    // prepared-probe plans (`IndexLookup` roots), cheaper than the
-    // switch's env read.
+    // Structural check first: it is a cheap match failure for
+    // ineligible shapes (`IndexLookup` roots, mark joins), cheaper than
+    // the switch's env read.
     let Some(q) = compile(plan, env.catalog) else {
         return Ok(None);
     };
@@ -1264,12 +1232,10 @@ pub(crate) fn try_execute(
             project,
             limit,
         } => {
-            let Some(rt) = resolve_pipe(pipe, catalog, env.params) else {
+            let Some(rt) = resolve_pipe(pipe, catalog) else {
                 return Ok(None);
             };
-            let Some(proj) = resolve_project(*project, env.params) else {
-                return Ok(None);
-            };
+            let proj = resolve_project(*project);
             let stop_after = limit.map(|(l, o)| o as usize + l as usize);
             let sel = run_pipe(env, rt.store, &rt.preds, pipe.has_filter, stop_after)?;
             let skip = match limit {
@@ -1289,12 +1255,10 @@ pub(crate) fn try_execute(
             arg_cols,
             project,
         } => {
-            let Some(rt) = resolve_pipe(pipe, catalog, env.params) else {
+            let Some(rt) = resolve_pipe(pipe, catalog) else {
                 return Ok(None);
             };
-            let Some(proj) = resolve_project(*project, env.params) else {
-                return Ok(None);
-            };
+            let proj = resolve_project(*project);
             let sel = run_pipe(env, rt.store, &rt.preds, pipe.has_filter, None)?;
             let rows = aggregate_selection(rt.store, &sel, group_cols, aggs, arg_cols)?;
             Ok(Some(match proj {
@@ -1321,15 +1285,13 @@ pub(crate) fn try_execute(
             join_type,
             project,
         } => {
-            let Some(lrt) = resolve_pipe(left, catalog, env.params) else {
+            let Some(lrt) = resolve_pipe(left, catalog) else {
                 return Ok(None);
             };
-            let Some(rrt) = resolve_pipe(right, catalog, env.params) else {
+            let Some(rrt) = resolve_pipe(right, catalog) else {
                 return Ok(None);
             };
-            let Some(proj) = resolve_project(*project, env.params) else {
-                return Ok(None);
-            };
+            let proj = resolve_project(*project);
             // Row mode executes left before right; keep the charge order.
             let lsel = run_pipe(env, lrt.store, &lrt.preds, left.has_filter, None)?;
             let rsel = run_pipe(env, rrt.store, &rrt.preds, right.has_filter, None)?;
@@ -1353,12 +1315,12 @@ struct RtPipe<'a> {
     preds: Vec<RtPred>,
 }
 
-fn resolve_pipe<'a>(pipe: &Pipe<'_>, catalog: &'a Catalog, params: &[Value]) -> Option<RtPipe<'a>> {
+fn resolve_pipe<'a>(pipe: &Pipe<'_>, catalog: &'a Catalog) -> Option<RtPipe<'a>> {
     let t = catalog.table(pipe.table).ok()?;
     let store = t.column_store()?;
     let mut preds = Vec::with_capacity(pipe.preds.len());
     for p in &pipe.preds {
-        preds.push(resolve_pred(p, store, &t.schema, params)?);
+        preds.push(resolve_pred(p, store, &t.schema)?);
     }
     Some(RtPipe { store, preds })
 }

@@ -7,7 +7,7 @@
 //!
 //! # One reader
 //!
-//! Every read — `SELECT`, `EXPLAIN`, planning, prepared probes — is a
+//! Every read — `SELECT`, `EXPLAIN`, planning — is a
 //! method of [`DbSnapshot`]: a read-only, `Sync`, cheaply-cloneable
 //! handle that evaluates queries against an immutable catalog with
 //! **zero locking**. A [`Database`] is a snapshot it owns plus the
@@ -34,7 +34,7 @@
 
 use crate::bind::{bind_const_expr, bind_query, bind_table_expr, BoundQuery};
 use crate::catalog::Catalog;
-use crate::exec::{execute, execute_physical, execute_physical_with};
+use crate::exec::{execute, execute_physical};
 use crate::expr::{eval, EvalEnv};
 use crate::optimize::{choose_access_paths, optimize};
 use crate::plan::Plan;
@@ -461,9 +461,7 @@ struct SnapshotStats {
 /// A point-in-time copy of a reader lineage's statistics (see
 /// [`DbSnapshot::stats`]): queries evaluated and how their base-table
 /// access paths executed — `index_probes` counts `IndexLookup` sources,
-/// `scan_probes` sequential scans. Hippo's experiments report the
-/// number of membership queries sent to the backend, so the backend
-/// counts every statement it executes.
+/// `scan_probes` sequential scans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStatsView {
     /// `SELECT`s evaluated against this snapshot lineage (all clones).
@@ -476,10 +474,7 @@ pub struct SnapshotStatsView {
     /// Base-table access paths executed as sequential scans.
     pub scan_probes: usize,
     /// Column batches pushed through the vectorized engine
-    /// ([`crate::column`]). Prepared probes
-    /// ([`DbSnapshot::run_prepared`]) are deliberately not profiled
-    /// per-row — they are sub-microsecond and counted by the
-    /// `queries` / probe counters alone.
+    /// ([`crate::column`]).
     pub batches_executed: usize,
     /// Rows evaluated batch-at-a-time by the vectorized engine.
     pub vectorized_rows: usize,
@@ -678,38 +673,6 @@ impl DbSnapshot {
     pub fn run_plan(&self, plan: &Plan) -> Result<Vec<Row>, EngineError> {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
         execute(plan, &mut EvalEnv::new(&self.catalog))
-    }
-
-    /// Re-execute a **prepared plan** with the given parameter
-    /// bindings (values for the plan's `Param` placeholders, which must
-    /// match the probed columns' types or be `NULL`). This is the
-    /// base-mode membership hot path: the probe is compiled to a plan
-    /// once — access path and all — and this call is a bucket probe
-    /// plus a bounded pipeline, with no SQL text, parsing, binding or
-    /// optimization anywhere.
-    ///
-    /// Statistics note: this bumps the shared snapshot counters per
-    /// call. A worker issuing thousands of sub-microsecond probes from
-    /// many threads should instead execute through
-    /// [`crate::exec::execute_physical_with`] against
-    /// [`DbSnapshot::catalog`] directly, count locally, and fold its
-    /// totals in with one [`DbSnapshot::record_prepared`] at the end —
-    /// the prover shards do exactly that, so the accounting stays exact
-    /// without per-probe contention on the stats cache line.
-    pub fn run_prepared(&self, plan: &Plan, params: &[Value]) -> Result<Vec<Row>, EngineError> {
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let (idx, scan) = plan.access_paths();
-        self.bump_probes(idx, scan);
-        execute_physical_with(plan, &self.catalog, params, None, "engine")
-    }
-
-    /// Fold a batch of locally-counted prepared executions into this
-    /// snapshot lineage's statistics (see [`DbSnapshot::run_prepared`]).
-    pub fn record_prepared(&self, queries: usize, index_probes: usize, scan_probes: usize) {
-        if queries > 0 {
-            self.stats.queries.fetch_add(queries, Ordering::Relaxed);
-        }
-        self.bump_probes(index_probes, scan_probes);
     }
 }
 
@@ -1128,50 +1091,6 @@ mod tests {
             let reference = db.run_plan(&db.plan(probe).unwrap().plan).unwrap();
             assert_eq!(got, reference, "{probe}");
         }
-    }
-
-    #[test]
-    fn snapshot_prepared_probe_hits_the_index() {
-        let mut db = Database::new();
-        db.execute("CREATE TABLE t (k INT, v INT, PRIMARY KEY (k))")
-            .unwrap();
-        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
-        let snap = db.snapshot();
-        // Compile the probe once with a parameter placeholder…
-        let mut plan = Plan::Limit {
-            input: Box::new(Plan::Filter {
-                input: Box::new(Plan::Scan { table: "t".into() }),
-                predicate: crate::expr::BoundExpr::Binary {
-                    op: hippo_sql::BinaryOp::Eq,
-                    left: Box::new(crate::expr::BoundExpr::Column(0)),
-                    right: Box::new(crate::expr::BoundExpr::Param(0)),
-                },
-            }),
-            limit: Some(1),
-            offset: 0,
-        };
-        choose_access_paths(&mut plan, snap.catalog());
-        assert!(plan.uses_index(), "{plan}");
-        // …and re-execute it per binding.
-        assert!(!snap
-            .run_prepared(&plan, &[Value::Int(1)])
-            .unwrap()
-            .is_empty());
-        assert!(snap
-            .run_prepared(&plan, &[Value::Int(9)])
-            .unwrap()
-            .is_empty());
-        assert!(
-            snap.run_prepared(&plan, &[Value::Null]).unwrap().is_empty(),
-            "NULL key matches nothing"
-        );
-        // A mis-typed binding violates the Param contract and errors
-        // loudly instead of silently missing the bucket.
-        let err = snap.run_prepared(&plan, &[Value::text("1")]).unwrap_err();
-        assert!(err.message.contains("bound a text value"), "{err}");
-        let s = snap.stats();
-        // Four executions counted (the erroring one included).
-        assert_eq!((s.queries, s.index_probes, s.scan_probes), (4, 4, 0));
     }
 
     #[test]

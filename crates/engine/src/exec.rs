@@ -60,7 +60,7 @@
 //! set operations, outer joins, index probes and mark joins.
 //!
 //! Execution never mutates the catalog: all run state (the enclosing-row
-//! stack, prepared-parameter bindings, the budget) lives in the per-call
+//! stack, the budget) lives in the per-call
 //! [`EvalEnv`] and in the operators' own locals, which each invocation
 //! owns privately. That is what makes execution against a shared
 //! `&Catalog` safe from many threads with no locking: each caller gets
@@ -386,20 +386,16 @@ pub fn execute_physical(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, 
 
 /// [`execute_physical`] against a shared read-only catalog, with the
 /// environment built here on the caller's stack (so concurrent callers
-/// over one catalog never contend): `params` binds the plan's
-/// [`BoundExpr::Param`] placeholders (empty for plain queries), and
-/// with a `budget` the executor's loops charge rows against it and
-/// unwind with a structured `Budget`/`Cancelled` error reported as
-/// `stage`. One compiled probe plan is re-executed here per candidate
-/// binding by the base-mode membership path.
+/// over one catalog never contend): with a `budget` the executor's
+/// loops charge rows against it and unwind with a structured
+/// `Budget`/`Cancelled` error reported as `stage`.
 pub fn execute_physical_with(
     plan: &Plan,
     catalog: &crate::catalog::Catalog,
-    params: &[Value],
     budget: Option<&crate::budget::Budget>,
     stage: &'static str,
 ) -> Result<Vec<Row>, EngineError> {
-    let mut env = EvalEnv::with_params(catalog, params);
+    let mut env = EvalEnv::new(catalog);
     if let Some(b) = budget {
         env.set_budget(b, stage);
     }
@@ -592,9 +588,9 @@ fn cross_join_rows(l: &[Row], r: &[Row]) -> Vec<Row> {
 /// if the plan references an index the table does not have, or if a
 /// key value does not inhabit the indexed column's type exactly — hash
 /// identity only coincides with SQL equality for exact-type keys, so a
-/// mis-typed [`BoundExpr::Param`] binding (a contract violation by the
-/// prepared-plan caller) fails loudly instead of silently diverging
-/// from the scan plan.
+/// hand-built plan with a mis-typed key fails loudly instead of
+/// silently diverging from the scan plan (access-path selection only
+/// emits exact-type literal keys).
 fn resolve_index_bucket<'a>(
     table: &str,
     index_cols: &[usize],
@@ -621,7 +617,7 @@ fn resolve_index_bucket<'a>(
         );
         if !exact {
             return Err(EngineError::new(format!(
-                "prepared index probe on {table:?} bound a {} value to {} column {:?}",
+                "index probe on {table:?} bound a {} value to {} column {:?}",
                 v.type_name(),
                 column.ty,
                 column.name

@@ -18,12 +18,6 @@ pub enum BoundExpr {
     Literal(Value),
     /// Column of the current row, by flat offset.
     Column(usize),
-    /// Prepared-statement parameter, by position. Evaluates to
-    /// [`EvalEnv::params`]`[i]` — the binding a prepared plan
-    /// (e.g. the membership probes of [`crate::db::DbSnapshot::run_prepared`])
-    /// is re-executed with. Never produced by the binder from SQL text;
-    /// callers construct parameterised plans programmatically.
-    Param(usize),
     /// Column of an enclosing query's row: `level` 0 is the nearest
     /// enclosing query, `index` is the flat offset in that row.
     OuterRef {
@@ -186,7 +180,6 @@ impl BoundExpr {
         match self {
             BoundExpr::Literal(_)
             | BoundExpr::Column(_)
-            | BoundExpr::Param(_)
             | BoundExpr::OuterRef { .. }
             | BoundExpr::Exists { .. }
             | BoundExpr::ScalarSubquery(_) => {}
@@ -242,7 +235,7 @@ impl BoundExpr {
     pub(crate) fn map_refs(&self, f: &impl Fn(&BoundExpr) -> BoundExpr) -> BoundExpr {
         match self {
             BoundExpr::Column(_) | BoundExpr::OuterRef { .. } => f(self),
-            BoundExpr::Literal(_) | BoundExpr::Param(_) => self.clone(),
+            BoundExpr::Literal(_) => self.clone(),
             BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
                 op: *op,
                 left: Box::new(left.map_refs(f)),
@@ -330,9 +323,6 @@ impl BoundExpr {
 pub struct EvalEnv<'a> {
     /// Catalog used to execute subquery plans.
     pub catalog: &'a Catalog,
-    /// Bindings for [`BoundExpr::Param`] placeholders (prepared plans);
-    /// empty for plain query evaluation.
-    pub params: &'a [Value],
     /// Enclosing query rows; `OuterRef{level: 0}` reads `outer.last()`.
     pub outer: Vec<Vec<Value>>,
     /// Optional per-call resource budget; when set, the executor's
@@ -364,7 +354,6 @@ impl<'a> EvalEnv<'a> {
     pub fn new(catalog: &'a Catalog) -> Self {
         EvalEnv {
             catalog,
-            params: &[],
             outer: Vec::new(),
             budget: None,
             budget_stage: "engine",
@@ -374,14 +363,6 @@ impl<'a> EvalEnv<'a> {
             vec_rows: 0,
             rowmode_rows: 0,
             reference: false,
-        }
-    }
-
-    /// Environment with prepared-statement parameter bindings.
-    pub fn with_params(catalog: &'a Catalog, params: &'a [Value]) -> Self {
-        EvalEnv {
-            params,
-            ..EvalEnv::new(catalog)
         }
     }
 
@@ -459,11 +440,6 @@ pub fn eval(expr: &BoundExpr, row: &[Value], env: &mut EvalEnv<'_>) -> Result<Va
             .get(*i)
             .cloned()
             .ok_or_else(|| EngineError::new(format!("column offset {i} out of range"))),
-        BoundExpr::Param(i) => env
-            .params
-            .get(*i)
-            .cloned()
-            .ok_or_else(|| EngineError::new(format!("parameter ${i} not bound"))),
         BoundExpr::OuterRef { level, index } => {
             let outer_row = env
                 .outer

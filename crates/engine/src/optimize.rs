@@ -20,10 +20,8 @@
 //! conjuncts pin every column of one of the table's hash indexes
 //! becomes a [`Plan::IndexLookup`] (largest covered index wins;
 //! leftover conjuncts stay as a residual `Filter`). Key
-//! expressions must be row-independent (literals of exactly the
-//! column's type, or [`BoundExpr::Param`] placeholders whose bindings
-//! the prepared-plan caller guarantees to be type-matching or `NULL`);
-//! `Float` columns are never index-probed, because hash-key identity
+//! expressions must be row-independent literals of exactly the
+//! column's type; `Float` columns are never index-probed, because hash-key identity
 //! and SQL numeric equality disagree on them (`0.0` vs `-0.0`,
 //! int-widening). Those rules make the chosen access path produce the
 //! **same rows in the same order** (slot order) as the sequential
@@ -353,8 +351,7 @@ fn equi_correlated(sub: &Plan, width: usize) -> Option<MarkParts<'_>> {
 /// Is `c` an equality pinning one column of `schema` to a
 /// row-independent, index-safe key expression? Literals must inhabit
 /// the column's type exactly (so hash-key identity coincides with SQL
-/// equality); `Param`s are accepted on the caller's type contract;
-/// `Float` columns are never index-safe.
+/// equality); `Float` columns are never index-safe.
 fn as_index_key<'a>(c: &'a BoundExpr, schema: &TableSchema) -> Option<(usize, &'a BoundExpr)> {
     let BoundExpr::Binary {
         op: BinaryOp::Eq,
@@ -374,7 +371,6 @@ fn as_index_key<'a>(c: &'a BoundExpr, schema: &TableSchema) -> Option<(usize, &'
         return None;
     }
     match key {
-        BoundExpr::Param(_) => Some((col, key)),
         BoundExpr::Literal(v) => matches!(
             (ty, v),
             (DataType::Int, Value::Int(_))
@@ -934,13 +930,6 @@ mod tests {
             panic!("expected residual filter, got:\n{plan}")
         };
         assert!(matches!(*input, Plan::IndexLookup { .. }));
-    }
-
-    #[test]
-    fn param_keys_are_index_safe() {
-        let c = indexed_catalog();
-        let plan = with_access_paths(filter_scan(eq(col(0), BoundExpr::Param(0))), &c);
-        assert!(matches!(plan, Plan::IndexLookup { .. }), "{plan}");
     }
 
     #[test]

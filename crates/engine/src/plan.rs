@@ -112,8 +112,7 @@ pub enum Plan {
     /// whose `index_cols` values equal the evaluated `key`, in slot
     /// order (identical to what a `Scan` + equality filter yields).
     /// A `NULL` key component produces no rows (SQL equality). Key
-    /// expressions must be row-independent (literals or
-    /// [`BoundExpr::Param`]s).
+    /// expressions must be row-independent literals.
     IndexLookup {
         /// Table name.
         table: String,
@@ -384,11 +383,6 @@ impl Plan {
         (idx, scan)
     }
 
-    /// Does any access path of this plan go through an index?
-    pub fn uses_index(&self) -> bool {
-        self.access_paths().0 > 0
-    }
-
     fn fmt_indented(&self, f: &mut std::fmt::Formatter<'_>, depth: usize) -> std::fmt::Result {
         for _ in 0..depth {
             f.write_str("  ")?;
@@ -520,13 +514,11 @@ impl std::fmt::Display for Plan {
     }
 }
 
-/// Compact expression rendering for plan display (`#i` = column offset,
-/// `$i` = prepared parameter).
+/// Compact expression rendering for plan display (`#i` = column offset).
 fn fmt_expr(e: &BoundExpr) -> String {
     match e {
         BoundExpr::Literal(v) => format!("{v}"),
         BoundExpr::Column(i) => format!("#{i}"),
-        BoundExpr::Param(i) => format!("${i}"),
         BoundExpr::OuterRef { level, index } => format!("outer[{level}].#{index}"),
         BoundExpr::Binary { op, left, right } => {
             format!("({} {} {})", fmt_expr(left), op.sql(), fmt_expr(right))

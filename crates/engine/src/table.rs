@@ -34,9 +34,9 @@
 //! [`Table::copy_stats`] counts what these copies cost.
 //!
 //! A frozen table is immutable, so any number of threads may probe its
-//! indexes with zero locking — that is what makes the prepared
-//! membership probes of the base-mode answer pipeline O(1) *and*
-//! lock-free.
+//! indexes with zero locking — that is what makes the index probes of
+//! the envelope's mark joins O(1) *and* lock-free across concurrent
+//! readers.
 
 use crate::column::ColumnStore;
 use crate::schema::{EngineError, TableSchema};

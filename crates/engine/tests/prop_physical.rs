@@ -175,7 +175,7 @@ proptest! {
         // Sanity: the pk point probe really plans as an index lookup,
         // and the flags as mark joins through the index and a build.
         let plan = db.physical_plan(&format!("SELECT * FROM t WHERE k = {k}")).unwrap();
-        prop_assert!(plan.uses_index(), "expected IndexLookup:\n{}", plan);
+        prop_assert!(plan.access_paths().0 > 0, "expected IndexLookup:\n{}", plan);
         let plan = db.physical_plan(&flag_query("SELECT * FROM w")).unwrap().to_string();
         prop_assert!(plan.contains("MarkJoinExec t key=(#1 = #1, #2 = #2, #0 = #0) via index (#1, #2)"), "{}", plan);
         prop_assert!(plan.contains("MarkJoinExec w key=(#0 = #0, #1 = #1, #2 = #2) via hash build"), "{}", plan);
@@ -213,7 +213,7 @@ fn residual_errors_on_excluded_rows_are_skipped_by_the_index() {
     // v = 'x' is an incomparable-type comparison on every row; k = 2
     // matches no row, so the index path never evaluates it.
     let q = "SELECT * FROM t WHERE v = 'x' AND k = 2";
-    assert!(db.physical_plan(q).unwrap().uses_index());
+    assert!(db.physical_plan(q).unwrap().access_paths().0 > 0);
     assert_eq!(
         db.query(q).unwrap().rows,
         Vec::<Vec<hippo_engine::Value>>::new()

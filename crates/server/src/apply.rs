@@ -42,16 +42,23 @@ pub(crate) fn apply(hippo: &mut Hippo, op: &WriteOp) -> Result<Vec<TupleId>, Eng
     }
 }
 
-/// What the log records for `op` once [`apply`] returned `ids`.
+/// What the log records for `op` once [`apply`] returned `ids`. A
+/// delete logs `ids`, so its requested tid list is not copied.
 pub(crate) fn logged(op: &WriteOp, ids: Vec<TupleId>) -> WalOp {
-    match op.clone() {
+    match op {
         WriteOp::Insert { table, rows } => WalOp::Insert {
-            table,
-            rows,
+            table: table.clone(),
+            rows: rows.clone(),
             tids: ids,
         },
-        WriteOp::Delete { table, .. } => WalOp::Delete { table, tids: ids },
-        WriteOp::Update { table, updates } => WalOp::Update { table, updates },
+        WriteOp::Delete { table, .. } => WalOp::Delete {
+            table: table.clone(),
+            tids: ids,
+        },
+        WriteOp::Update { table, updates } => WalOp::Update {
+            table: table.clone(),
+            updates: updates.clone(),
+        },
     }
 }
 

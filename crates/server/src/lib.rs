@@ -810,9 +810,13 @@ impl Engine {
         if w.durability.is_some() {
             let gov = w.hippo.options.governance();
             let dur = w.durability.as_mut().unwrap();
+            // Moved, not cloned: afterwards only `inserted` is read.
             let batch: Vec<(FrameKind, Vec<WalOp>)> = survivors
                 .iter()
-                .map(|&i| (FrameKind::Commit, applied[i].as_ref().unwrap().0.clone()))
+                .map(|&i| {
+                    let walops = &mut applied[i].as_mut().unwrap().0;
+                    (FrameKind::Commit, std::mem::take(walops))
+                })
                 .collect();
             let appended = catch_unwind(AssertUnwindSafe(|| dur.wal.append(&batch, &gov)));
             match appended {

@@ -88,11 +88,11 @@ fn main() {
         } = hippo.freeze().unwrap().answer(&q, &hippo.options).unwrap();
         assert_eq!(answers, truth);
         println!(
-            "{label}: {} answers in {:?} (membership queries: {}, prover calls: {})",
+            "{label}: {} answers in {:?} (prover calls: {}, core-filtered: {})",
             answers.len(),
             t.elapsed(),
-            stats.membership_queries,
-            stats.prover_calls
+            stats.prover_calls,
+            stats.filtered_consistent
         );
     }
     println!("\nall strategies agree with the repair-enumeration ground truth ✓");

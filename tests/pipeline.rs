@@ -297,3 +297,31 @@ fn frozen_view_survives_writes_at_chunk_edges() {
     assert_eq!(answers(&live), answers(&fresh.freeze().unwrap()));
     assert_eq!(hippo.graph().edge_count(), fresh.graph().edge_count());
 }
+
+#[test]
+fn negative_zero_is_a_distinct_fact_in_every_mode() {
+    // `0.0 = -0.0` under SQL equality, but they are distinct values, so
+    // `0.0` is not in `s` and `r − s` keeps it — in every mode and in
+    // the repair-enumeration oracle alike.
+    let build = |opts: HippoOptions| {
+        let mut db = Database::new();
+        for rel in ["r", "s"] {
+            db.execute(&format!("CREATE TABLE {rel} (x REAL)")).unwrap();
+        }
+        db.insert_rows("r", vec![vec![Value::Float(0.0)]]).unwrap();
+        db.insert_rows("s", vec![vec![Value::Float(-0.0)]]).unwrap();
+        Hippo::with_options(db, Vec::new(), opts).unwrap()
+    };
+    let q = SjudQuery::rel("r").diff(SjudQuery::rel("s"));
+    for opts in [
+        HippoOptions::base(),
+        HippoOptions::kg(),
+        HippoOptions::full(),
+    ] {
+        let hippo = build(opts.clone());
+        let rows = answer(&hippo, &q).unwrap().rows;
+        assert_eq!(rows, vec![vec![Value::Float(0.0)]], "options {opts:?}");
+        let truth = naive_consistent_answers(&q, hippo.db().catalog(), hippo.graph());
+        assert_eq!(rows, truth, "options {opts:?}");
+    }
+}
