@@ -555,7 +555,7 @@ pub fn e4_detection(quick: bool) -> Result<Table, Box<dyn std::error::Error>> {
         ]);
     }
     t.notes
-        .push("FD fast path: one hash pass, near-linear scaling".into());
+        .push("FD fast path: one walk of the LHS index, near-linear scaling".into());
     Ok(t)
 }
 

@@ -9,18 +9,18 @@
 //!                                 on eligible plan shapes
 //! IC, DB ──▶ Conflict Detection ──▶ Conflict Hypergraph (main memory) ──▶ Prover
 //!               ◆ "detect" (always strict)
-//!               └─ FD hash pass off contiguous column slices
-//!                  (`ColumnStore::for_each_hash`, bit-identical shards)
+//!               └─ probes the tables' own hash indexes
+//!                  (FD LHS buckets, denial join keys, FK keys)
 //! ```
 //!
 //! A request is **one** engine query execution — the extended
 //! envelope, handed to the engine as an AST, on the engine's one
 //! production executor through its one reader (the [`DbSnapshot`] a
-//! [`FrozenHippo`] captured). Eligible plan shapes vectorize, and the
-//! FD detector's Phase A hashes LHS projections straight off the typed
-//! column slices — answers and every stats counter stay bit-identical
-//! either way (tests force row mode with
-//! `hippo_engine::set_columnar_override`).
+//! [`FrozenHippo`] captured). Eligible plan shapes vectorize — answers
+//! and every stats counter stay bit-identical either way (tests force
+//! row mode with `hippo_engine::set_columnar_override`). Conflict
+//! detection reads the same tables through the same hash indexes and
+//! keeps no index of its own ([`crate::detect`]).
 //!
 //! A checkpoint is a no-op unless the call's [`HippoOptions`] configure
 //! a deadline, row budget, cancellation handle or fault plan. When one
@@ -113,18 +113,28 @@
 //! **incrementally**: edges touching deleted tuples are dropped while
 //! surviving edges are carried over verbatim, and inserted tuples are
 //! delta-detected (an in-place update is recorded as delete + insert
-//! of the same tuple id). For FD constraints the delta probes the
-//! persistent LHS-hash group index; general denials **seed** their
-//! joins from the changed tuples and extend through persistent
-//! per-atom join indexes (`GenIndex`) — in both cases the work is
+//! of the same tuple id). The tables maintain their hash indexes on
+//! every write, so the delta probes indexes that already hold the
+//! batch: an FD pairs each inserted tuple with its LHS bucket, and a
+//! general denial **seeds** its join with the inserted tuple and
+//! extends through the indexes on its linked columns — the work is
 //! proportional to the conflict graph plus the change and its join
 //! matches, never the instance or the constraint's outer atom.
-//! Restricted foreign keys are incremental too: a per-FK
-//! **orphan-count index** ([`crate::inclusion::FkIndex`]) tracks live
-//! parents per key and live children per key, so a batch flips exactly
-//! the orphan edges whose parent count crossed zero. Mutating the
-//! database any other way ([`Hippo::db_mut`]) marks the catalog dirty
-//! and the next `redetect` falls back to a full sharded rebuild.
+//! Restricted foreign keys are incremental too: a key's parent count
+//! is its bucket length in the parent's index on the referenced
+//! columns, so a batch flips exactly the orphan edges of the keys whose
+//! count crossed zero, and the children a key's last parent leaves
+//! orphaned are its bucket in the child's index. Mutating the database
+//! any other way ([`Hippo::db_mut`]) marks the catalog dirty and the
+//! next `redetect` falls back to a full sharded rebuild.
+//!
+//! Detection needs an index on each FD's LHS columns, on each general
+//! denial's linked columns (per atom, for every seed orientation) and
+//! on each foreign key's columns on both sides. Before every full
+//! detection `Hippo` adds the ones its catalog lacks; an index that
+//! exists (a primary key's, say) is used as it is. Added indexes live in
+//! the catalog like any other: queries may use them, checkpoints carry
+//! their column sets, and [`Hippo::into_database`] hands them back.
 //!
 //! # Epoch publication (the service layer's view)
 //!
@@ -165,7 +175,7 @@ pub use options::{AnswerStats, GovernanceOptions, HippoOptions};
 pub use pipeline::{FrozenHippo, PROVER_SHARDS};
 
 use crate::constraint::DenialConstraint;
-use crate::detect::{DetectIndex, DetectStats};
+use crate::detect::DetectStats;
 use crate::hypergraph::ConflictHypergraph;
 use hippo_engine::{Database, EngineError, Row, TupleId};
 use rustc_hash::FxHashMap;
@@ -178,8 +188,8 @@ enum PendingOp {
     /// A tuple inserted through [`Hippo::insert_tuples`].
     Insert { table: String, tid: TupleId },
     /// A tuple deleted through [`Hippo::delete_tuples`]; `row` is its
-    /// content as of deletion (needed to unhook the FD index and the
-    /// fact table without the tuple still being readable).
+    /// content as of deletion (needed for foreign-key parent counts
+    /// once the tuple is no longer readable).
     Delete {
         table: String,
         tid: TupleId,
@@ -197,16 +207,9 @@ pub struct Hippo {
     graph: Arc<ConflictHypergraph>,
     detect_stats: DetectStats,
     /// Restricted foreign keys (orphan edges maintained incrementally
-    /// through [`Hippo::fk_indexes`], re-derived in full on
-    /// [`Hippo::redetect_full`]).
+    /// through the tables' indexes on their columns, re-derived in full
+    /// on [`Hippo::redetect_full`]).
     foreign_keys: Vec<crate::inclusion::ForeignKey>,
-    /// Per-FK orphan-count indexes (parallel to `foreign_keys`): parent
-    /// key → live parent count plus key → live child tuples, so a
-    /// recorded change flips orphan edges in O(affected children)
-    /// instead of forcing a full rebuild.
-    fk_indexes: Vec<crate::inclusion::FkIndex>,
-    /// Persistent detection state for incremental redetection.
-    detect_index: DetectIndex,
     /// Changes recorded since the last (re)detection, in order.
     pending: Vec<PendingOp>,
     /// Set by [`Hippo::db_mut`]: the database may have changed in ways
@@ -251,6 +254,14 @@ impl Hippo {
     /// injected detect fault surfaces as an error even in degraded mode,
     /// since an incomplete hypergraph would make every later answer
     /// unsound).
+    ///
+    /// Detection probes the database's own hash indexes, so this adds
+    /// to `db` any it lacks: one on each FD's LHS columns, one on each
+    /// general denial's columns that an equality links to another atom
+    /// (per atom, for every atom the join may start from), and, under
+    /// [`Hippo::with_foreign_keys`], one on each foreign key's columns
+    /// in the child and in the parent. Existing indexes (a primary
+    /// key's, say) are used as they are.
     pub fn with_options(
         db: Database,
         constraints: Vec<DenialConstraint>,
@@ -292,8 +303,6 @@ impl Hippo {
             graph: Arc::new(ConflictHypergraph::new()),
             detect_stats: DetectStats::default(),
             foreign_keys,
-            fk_indexes: Vec::new(),
-            detect_index: DetectIndex::default(),
             pending: Vec::new(),
             catalog_dirty: true,
             verdict_cache: Arc::new(Mutex::new(VerdictCache::default())),
@@ -318,7 +327,9 @@ impl Hippo {
     }
 
     /// Tear down the system, returning the owned database (e.g. to rebuild
-    /// with different constraints).
+    /// with different constraints), with the indexes detection added
+    /// (see [`Hippo::with_options`]); a `Hippo` rebuilt on it with the
+    /// same constraints adds none.
     pub fn into_database(self) -> Database {
         self.db
     }
@@ -414,6 +425,66 @@ mod tests {
         assert_eq!(stats.answers, 0);
         assert!(hippo.detect_stats().combinations_checked > 0);
         assert_eq!(hippo.graph().edge_count(), 1);
+    }
+
+    /// Index column sets per table, sorted.
+    fn index_sets(db: &Database, rel: &str) -> Vec<Vec<usize>> {
+        let mut sets: Vec<Vec<usize>> = db
+            .catalog()
+            .table(rel)
+            .unwrap()
+            .index_column_sets()
+            .cloned()
+            .collect();
+        sets.sort();
+        sets
+    }
+
+    #[test]
+    fn detection_adds_only_the_indexes_it_probes() {
+        // A key-less table gains exactly its FD's LHS index ...
+        let h = Hippo::new(emp_db(&[("ann", 100), ("ann", 200)]), fd()).unwrap();
+        assert_eq!(index_sets(h.db(), "emp"), vec![vec![0]]);
+        // ... which a rebuild on the returned database reuses, and which
+        // a checkpoint's codec carries.
+        let h = Hippo::new(h.into_database(), fd()).unwrap();
+        assert_eq!(index_sets(h.db(), "emp"), vec![vec![0]]);
+        assert_eq!(h.graph().edge_count(), 1);
+        let bytes = hippo_engine::codec::encode_catalog(h.db().catalog());
+        let back = Database::from_catalog(hippo_engine::codec::decode_catalog(&bytes).unwrap());
+        assert_eq!(index_sets(&back, "emp"), vec![vec![0]]);
+
+        // A keyed table under `k → v` already has the index it needs.
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (k INT, v INT, payload INT, PRIMARY KEY (k))")
+            .unwrap();
+        let h = Hippo::new(
+            db,
+            vec![DenialConstraint::functional_dependency("t", &[0], 1)],
+        )
+        .unwrap();
+        assert_eq!(index_sets(h.db(), "t"), vec![vec![0]]);
+
+        // An exclusion gains each side's linked columns, a foreign key
+        // its columns in the child and in the parent.
+        let mut db = emp_db(&[("ann", 100)]);
+        db.execute("CREATE TABLE contractor (cname TEXT, dept INT)")
+            .unwrap();
+        db.execute("CREATE TABLE dept (id INT)").unwrap();
+        let h = Hippo::with_foreign_keys(
+            db,
+            vec![DenialConstraint::exclusion("emp", "contractor", &[(0, 0)])],
+            vec![crate::inclusion::ForeignKey::new(
+                "contractor",
+                vec![1],
+                "dept",
+                vec![0],
+            )],
+        )
+        .unwrap();
+        assert_eq!(index_sets(h.db(), "emp"), vec![vec![0]]);
+        assert_eq!(index_sets(h.db(), "contractor"), vec![vec![0], vec![1]]);
+        assert_eq!(index_sets(h.db(), "dept"), vec![vec![0]]);
     }
 
     #[test]

@@ -19,8 +19,8 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Fixed shard count of the answer pipeline. Like detection's
-/// `DEFAULT_SHARDS`, the decomposition depends only on the worklist
+/// Fixed shard count of the answer pipeline. Like detection's shards,
+/// the decomposition depends only on the worklist
 /// length — never on the worker count — so answer order, every
 /// [`AnswerStats`] counter and the cache-hit totals are bit-identical
 /// for any `HIPPO_PROVER_THREADS` setting.

@@ -5,14 +5,12 @@
 //! "Incremental maintenance" in the [`crate::hippo`] docs).
 
 use super::{Hippo, PendingOp, VerdictCache};
-use crate::detect::{
-    build_gen_index, detect_with_index, fd_delta_delete, fd_delta_insert, general_delta_insert,
-    DetectIndex, DetectOptions, DetectStats,
-};
+use crate::detect::{bucket, detect_delta, detect_unfinalized, DetectOptions, DetectStats};
 use crate::hypergraph::{ConflictHypergraph, FactId, Vertex};
 use crate::parallel;
-use hippo_engine::{EngineError, Row, TupleId};
+use hippo_engine::{EngineError, Row, TupleId, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -114,9 +112,8 @@ impl Hippo {
         let n = replaced.len();
         for (tid, old) in replaced {
             // Delete-then-insert of the *same* tuple id: the fold in
-            // `redetect_incremental` drops the old content's edges and
-            // index entries via the recorded row, then delta-detects the
-            // id again with its new content.
+            // `redetect_incremental` drops the old content's edges, then
+            // delta-detects the id again with its new content.
             self.pending.push(PendingOp::Delete {
                 table: table.to_string(),
                 tid,
@@ -137,7 +134,7 @@ impl Hippo {
     /// the **incremental** path: surviving edges are carried over,
     /// deleted tuples' edges are dropped, inserted tuples are
     /// delta-detected, and foreign-key orphan edges are flipped through
-    /// the per-FK orphan-count indexes — the returned stats have
+    /// the tables' indexes on the key columns — the returned stats have
     /// `incremental == true` and count only the delta work. Otherwise
     /// (the catalog was touched via [`Hippo::db_mut`]) it falls back to
     /// a full sharded rebuild. With no changes at all it returns the
@@ -154,62 +151,56 @@ impl Hippo {
 
     /// Unconditionally re-run full conflict detection (including
     /// foreign-key orphan edges when configured), discarding any
-    /// recorded pending changes.
+    /// recorded pending changes. First adds to the catalog any index
+    /// detection probes that it lacks (see [`Hippo::with_options`]).
     pub fn redetect_full(&mut self) -> Result<DetectStats, EngineError> {
+        self.ensure_indexes()?;
         // Compute everything into locals first and assign only on full
         // success: a failure (or a worker panic, contained below) leaves
-        // the previous graph, stats, detect index and FK indexes exactly
-        // as they were — the system stays usable and `catalog_dirty`
-        // still forces a fresh rebuild on the next attempt.
+        // the previous graph and stats exactly as they were — the
+        // system stays usable and `catalog_dirty` still forces a fresh
+        // rebuild on the next attempt.
         let gov = self.options.governance();
-        let db = &self.db;
+        let catalog = self.db.catalog();
         let constraints = &self.constraints;
-        let foreign_keys = &self.foreign_keys;
-        type Computed = (
-            ConflictHypergraph,
-            DetectStats,
-            DetectIndex,
-            Vec<crate::inclusion::FkIndex>,
-        );
-        let compute = || -> Result<Computed, EngineError> {
-            if foreign_keys.is_empty() {
-                let (graph, stats, index) =
-                    detect_with_index(db.catalog(), constraints, &DetectOptions::default(), &gov)?;
-                Ok((graph, stats, index, Vec::new()))
-            } else {
-                let start = Instant::now();
-                let (mut graph, mut stats, index) =
-                    crate::detect::detect_unfinalized_with_index(db.catalog(), constraints, &gov)?;
-                let mut fk_indexes = Vec::with_capacity(foreign_keys.len());
-                for (i, fk) in foreign_keys.iter().enumerate() {
-                    let added = crate::inclusion::orphan_edges(
-                        &mut graph,
-                        db.catalog(),
-                        fk,
-                        constraints.len() + i,
-                    )?;
-                    stats.edges_emitted += added;
-                    fk_indexes.push(crate::inclusion::FkIndex::build(db.catalog(), fk)?);
-                }
-                graph.finalize();
-                stats.elapsed = start.elapsed();
-                Ok((graph, stats, index, fk_indexes))
+        let compute = || -> Result<(ConflictHypergraph, DetectStats), EngineError> {
+            let start = Instant::now();
+            let (mut graph, mut stats) =
+                detect_unfinalized(catalog, constraints, &DetectOptions::default(), &gov)?;
+            for (i, fk) in self.foreign_keys.iter().enumerate() {
+                stats.edges_emitted +=
+                    crate::inclusion::orphan_edges(&mut graph, catalog, fk, constraints.len() + i)?;
             }
+            graph.finalize();
+            stats.elapsed = start.elapsed();
+            Ok((graph, stats))
         };
-        let (graph, stats, index, fk_indexes) = std::panic::catch_unwind(
-            std::panic::AssertUnwindSafe(compute),
-        )
-        .map_err(|payload| {
-            EngineError::worker_panic("detect", 0, &parallel::panic_message(payload.as_ref()))
-        })??;
+        let (graph, stats) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute))
+            .map_err(|payload| {
+                EngineError::worker_panic("detect", 0, &parallel::panic_message(payload.as_ref()))
+            })??;
         self.graph = Arc::new(graph);
         self.detect_stats = stats;
-        self.detect_index = index;
-        self.fk_indexes = fk_indexes;
         self.pending.clear();
         self.catalog_dirty = false;
         self.invalidate_verdicts();
         Ok(self.detect_stats)
+    }
+
+    /// Add to the catalog each hash index detection probes that it
+    /// lacks: the constraints' (see `detect::index_needs`) and both
+    /// sides of every foreign key. Writes only when one is missing, so
+    /// a catalog shared with a snapshot is not copied for nothing.
+    fn ensure_indexes(&mut self) -> Result<(), EngineError> {
+        for c in &self.constraints {
+            c.validate(self.db.catalog())?;
+        }
+        let mut needs = crate::detect::index_needs(&self.constraints);
+        needs.extend(self.foreign_keys.iter().flat_map(|fk| fk.index_needs()));
+        if let Cow::Owned(catalog) = crate::detect::with_indexes(self.db.catalog(), &needs)? {
+            *self.db.catalog_mut() = catalog;
+        }
+        Ok(())
     }
 
     /// Drop all cross-call verdicts: signatures embed interned fact ids,
@@ -225,19 +216,16 @@ impl Hippo {
 
     /// The incremental path: reconcile the recorded pending operations
     /// against the existing graph. The cost is proportional to the
-    /// graph size plus the delta for **all** denial classes: FDs probe
-    /// the persistent LHS-hash group index, general denials seed their
-    /// joins from the changed tuples through the persistent per-atom
-    /// join indexes (see `general_delta_insert`).
+    /// graph size plus the delta for **all** denial classes: the delta
+    /// probes the tables' own indexes, which already hold the batch
+    /// (see `detect::detect_delta`).
     fn redetect_incremental(&mut self) -> Result<DetectStats, EngineError> {
-        // Poison-on-entry: the inner path consumes the pending log and
-        // mutates the persistent detect/FK indexes in place, so bailing
-        // out anywhere — an early `?` return, an injected fault, a
-        // panic — would leave them inconsistent with the graph. Marking
-        // the catalog dirty *now* and clearing it only on success means
-        // any failed reconciliation forces the next `redetect` onto the
-        // full-rebuild path instead of silently reusing half-updated
-        // indexes.
+        // Poison-on-entry: the inner path consumes the pending log, so
+        // bailing out anywhere — an early `?` return, an injected
+        // fault, a panic — would lose changes the graph never saw.
+        // Marking the catalog dirty *now* and clearing it only on
+        // success forces the next `redetect` onto the full-rebuild path
+        // after any failed reconciliation.
         self.catalog_dirty = true;
         let gov = self.options.governance();
         // Panic containment, symmetric with `redetect_full`: an
@@ -263,19 +251,7 @@ impl Hippo {
             ..DetectStats::default()
         };
         let pending = std::mem::take(&mut self.pending);
-        let DetectIndex { fd, general } = &mut self.detect_index;
-        // Materialise any missing general-denial join indexes **lazily**
-        // from the current catalog. The catalog already reflects this
-        // pending batch, so a freshly built index is up to date and must
-        // skip the batch's fold maintenance below (`fresh` marks them);
-        // read-only systems never pay for these owned indexes at all.
-        let mut fresh = vec![false; self.constraints.len()];
-        for (ci, c) in self.constraints.iter().enumerate() {
-            if fd[ci].is_none() && general[ci].is_none() {
-                general[ci] = Some(build_gen_index(self.db.catalog(), c)?);
-                fresh[ci] = true;
-            }
-        }
+        let catalog = self.db.catalog();
         let old = &self.graph;
 
         // New graph with the identical relation-interning order, so
@@ -285,12 +261,11 @@ impl Hippo {
             g.intern(old.relation_name(r));
         }
 
-        // Fold the pending log: net deleted vertices, net inserted
+        // Fold the pending log: net deleted vertices and net inserted
         // tuples per table (an insert later deleted in the same batch
-        // cancels out), and FD/join index maintenance for deletes. An
-        // in-place update arrives as delete-then-insert of one tuple
-        // id: the delete unhooks the old content (recorded row), the
-        // insert re-detects the id with its new content.
+        // cancels out). An in-place update arrives as delete-then-insert
+        // of one tuple id: the delete drops the old content's edges,
+        // the insert re-detects the id with its new content.
         let mut deleted: FxHashSet<Vertex> = FxHashSet::default();
         let mut inserted_by_table: FxHashMap<String, Vec<TupleId>> = FxHashMap::default();
         for op in &pending {
@@ -301,22 +276,9 @@ impl Hippo {
                         .or_default()
                         .push(*tid);
                 }
-                PendingOp::Delete { table, tid, row } => {
+                PendingOp::Delete { table, tid, .. } => {
                     if let Some(ri) = old.relation_index(table) {
                         deleted.insert(Vertex { rel: ri, tid: *tid });
-                    }
-                    for fdix in fd.iter_mut().flatten() {
-                        if fdix.rel == *table {
-                            fd_delta_delete(fdix, row, *tid);
-                        }
-                    }
-                    for (ci, gix) in general.iter_mut().enumerate() {
-                        if fresh[ci] {
-                            continue; // built post-batch: already current
-                        }
-                        if let Some(gix) = gix {
-                            gix.remove_tuple(table, *tid, row);
-                        }
                     }
                     if let Some(list) = inserted_by_table.get_mut(table) {
                         list.retain(|t| t != tid);
@@ -330,11 +292,12 @@ impl Hippo {
         // Net change per touched (table, tid): the *first* Delete op for
         // a tid records its pre-batch row, presence in the (post-batch)
         // catalog gives its final row; insert-then-delete transients net
-        // to nothing. Feeding the per-FK orphan-count indexes with these
-        // nets yields, per FK, the parent keys that crossed zero — keys
-        // whose count rose from 0 un-orphan their children (their
-        // singleton edges are *not* carried over below), keys whose
-        // count fell to 0 orphan all their live children (fresh
+        // to nothing. A key's parent count after the batch is its
+        // bucket length in the parent's index; the count before is that
+        // minus the batch's net parent changes. Keys whose count rose
+        // from 0 un-orphan their children (their singleton edges are
+        // *not* carried over below), keys whose count fell to 0 orphan
+        // every child in their bucket of the child's index (fresh
         // singleton edges are added after the denial deltas). Work is
         // O(batch + affected children), never the instance.
         let mut fk_newly_matched: Vec<FxHashSet<Row>> = Vec::new();
@@ -360,21 +323,18 @@ impl Hippo {
             let mut net: Vec<NetChange<'_>> = net_map
                 .into_iter()
                 .map(|((table, tid), pre)| {
-                    let post = self
-                        .db
-                        .catalog()
-                        .table(&table)
-                        .ok()
-                        .and_then(|t| t.get(tid));
+                    let post = catalog.table(&table).ok().and_then(|t| t.get(tid));
                     ((table, tid), pre, post)
                 })
                 .collect();
             net.sort_by(|a, b| a.0.cmp(&b.0));
-            for (fk, fkix) in self.foreign_keys.iter().zip(&mut self.fk_indexes) {
+            for fk in &self.foreign_keys {
+                let parent = catalog.table(&fk.parent)?;
+                let child = catalog.table(&fk.child)?;
+                let parents_of = |key: &[Value]| bucket(parent, &fk.parent_cols, key).len();
                 let mut parent_delta: FxHashMap<Row, i64> = FxHashMap::default();
                 let mut inserted_children: Vec<(TupleId, Row)> = Vec::new();
                 for ((table, tid), pre, post) in &net {
-                    let post = *post;
                     if *table == fk.parent {
                         if let Some(r) = pre {
                             *parent_delta.entry(fk.parent_key(r)).or_insert(0) -= 1;
@@ -384,11 +344,7 @@ impl Hippo {
                         }
                     }
                     if *table == fk.child {
-                        if let Some(key) = pre.as_ref().and_then(|r| fk.child_key(r)) {
-                            fkix.remove_child(&key, *tid);
-                        }
                         if let Some(key) = post.and_then(|r| fk.child_key(r)) {
-                            fkix.add_child(key.clone(), *tid);
                             inserted_children.push((*tid, key));
                         }
                     }
@@ -396,17 +352,8 @@ impl Hippo {
                 let mut newly_matched: FxHashSet<Row> = FxHashSet::default();
                 let mut newly_orphaned: Vec<Row> = Vec::new();
                 for (key, delta) in parent_delta {
-                    if delta == 0 {
-                        continue;
-                    }
-                    let old_count = fkix.parent_count(&key);
-                    for _ in 0..delta.max(0) {
-                        fkix.add_parent(key.clone());
-                    }
-                    for _ in 0..(-delta).max(0) {
-                        fkix.remove_parent(&key);
-                    }
-                    let new_count = fkix.parent_count(&key);
+                    let new_count = parents_of(&key) as i64;
+                    let old_count = new_count - delta;
                     if old_count == 0 && new_count > 0 {
                         newly_matched.insert(key);
                     } else if old_count > 0 && new_count == 0 {
@@ -415,48 +362,23 @@ impl Hippo {
                 }
                 // Orphan-edge additions: net-inserted children with no
                 // parent, plus every live child of a key that lost its
-                // last parent. Sorted for deterministic edge ids;
-                // overlaps collapse in the graph's edge dedup.
+                // last parent (a key holding a `NULL` has none: a NULL
+                // foreign key never violates). Sorted for deterministic
+                // edge ids; overlaps collapse in the graph's edge dedup.
                 let mut adds: Vec<TupleId> = inserted_children
                     .into_iter()
-                    .filter(|(_, key)| fkix.parent_count(key) == 0)
+                    .filter(|(_, key)| parents_of(key) == 0)
                     .map(|(tid, _)| tid)
                     .collect();
-                newly_orphaned.sort();
                 for key in &newly_orphaned {
-                    adds.extend_from_slice(fkix.children_of(key));
+                    if !key.iter().any(Value::is_null) {
+                        adds.extend_from_slice(bucket(child, &fk.child_cols, key));
+                    }
                 }
                 adds.sort_unstable();
                 adds.dedup();
                 fk_newly_matched.push(newly_matched);
                 fk_orphan_adds.push(adds);
-            }
-        }
-
-        // Register the net inserts with the carried-over (non-fresh)
-        // join indexes *before* the delta joins run, so new-new
-        // combinations across different atom positions are visible to
-        // every seed pass. Fresh indexes scanned the post-batch catalog
-        // and contain the inserts already.
-        let stale_general: Vec<usize> = general
-            .iter()
-            .enumerate()
-            .filter(|(ci, g)| g.is_some() && !fresh[*ci])
-            .map(|(ci, _)| ci)
-            .collect();
-        if !stale_general.is_empty() {
-            for (table, tids) in &inserted_by_table {
-                let t = self.db.catalog().table(table)?;
-                for &tid in tids {
-                    if let Some(row) = t.get(tid) {
-                        for &ci in &stale_general {
-                            general[ci]
-                                .as_mut()
-                                .expect("filtered to Some above")
-                                .insert_tuple(table, tid, row);
-                        }
-                    }
-                }
             }
         }
 
@@ -497,33 +419,16 @@ impl Hippo {
             g.add_edge(edge, &rows_buf, constraint);
         }
 
-        // Delta-detect the inserted tuples, constraint by constraint:
-        // FDs probe their LHS-hash group index, general denials seed
-        // their joins from the delta through the persistent per-atom
-        // join indexes. Both are O(delta × matches), never O(instance).
-        for (ci, c) in self.constraints.iter().enumerate() {
-            match fd[ci].as_mut() {
-                Some(fdix) => {
-                    if let Some(tids) = inserted_by_table.get(&fdix.rel) {
-                        fd_delta_insert(self.db.catalog(), &mut g, ci, fdix, tids, &mut stats)?;
-                    }
-                }
-                None => {
-                    let gix = general[ci]
-                        .as_ref()
-                        .expect("general index exists for every non-FD constraint");
-                    general_delta_insert(
-                        self.db.catalog(),
-                        &mut g,
-                        ci,
-                        c,
-                        gix,
-                        &inserted_by_table,
-                        &mut stats,
-                    )?;
-                }
-            }
-        }
+        // Delta-detect the inserted tuples, constraint by constraint,
+        // through the tables' indexes: O(delta × matches), never
+        // O(instance).
+        detect_delta(
+            catalog,
+            &self.constraints,
+            &mut g,
+            &inserted_by_table,
+            &mut stats,
+        )?;
 
         // New orphan edges: children inserted without a parent plus
         // children whose key lost its last parent (computed above).
@@ -532,7 +437,7 @@ impl Hippo {
                 continue;
             }
             let fk = &self.foreign_keys[fk_i];
-            let child = self.db.catalog().table(&fk.child)?;
+            let child = catalog.table(&fk.child)?;
             let rel = g.intern(&fk.child);
             for tid in adds {
                 let row = child
@@ -720,9 +625,9 @@ mod tests {
         let stats = hippo.redetect_full().unwrap();
         assert!(!stats.incremental);
         assert_eq!(hippo.graph().edge_count(), 1);
-        // Recorded changes stay incremental under fks (PR 4): an
-        // orphaned insert adds its singleton edge via the orphan-count
-        // index, no rebuild.
+        // Recorded changes stay incremental under fks: an orphaned
+        // insert adds its singleton edge through the parent's index on
+        // the key, no rebuild.
         hippo
             .insert_tuples("child", vec![vec![Value::Int(3), Value::Int(30)]])
             .unwrap();
@@ -759,7 +664,7 @@ mod tests {
         assert!(stats.incremental);
         assert_eq!(hippo.graph().edge_count(), 0);
         // Deleting parent 1 orphans child (1, 10); deleting parent 2
-        // re-orphans the pid=2 pair — all via the orphan-count index.
+        // re-orphans the pid=2 pair — all through the key indexes.
         hippo
             .delete_tuples("parent", &[hippo_engine::TupleId(0), p2[0]])
             .unwrap();

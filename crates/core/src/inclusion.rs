@@ -17,8 +17,7 @@
 
 use crate::constraint::DenialConstraint;
 use crate::hypergraph::{ConflictHypergraph, Vertex};
-use hippo_engine::{Catalog, EngineError, Row, TupleId, Value};
-use rustc_hash::FxHashMap;
+use hippo_engine::{Catalog, EngineError, Row, Value};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -122,17 +121,21 @@ pub fn validate_restricted(
     Ok(())
 }
 
-/// Add one singleton hyperedge per orphan child tuple.
+/// Add one singleton hyperedge per orphan child tuple: a child whose
+/// key is in no bucket of the parent's index on the referenced columns
+/// (on a catalog without that index, a copy-on-write clone with it
+/// added). Keys compare by `Value` identity; a child key holding a
+/// `NULL` never violates.
 pub fn orphan_edges(
     g: &mut ConflictHypergraph,
     catalog: &Catalog,
     fk: &ForeignKey,
     constraint_index: usize,
 ) -> Result<usize, EngineError> {
+    let [parent_need, _] = fk.index_needs();
+    let catalog = crate::detect::with_indexes(catalog, &[parent_need])?;
     let child = catalog.table(&fk.child)?;
     let parent = catalog.table(&fk.parent)?;
-    // Hash the parent key values.
-    let keys: HashSet<Vec<Value>> = parent.iter().map(|(_, row)| fk.parent_key(row)).collect();
     let rel = g.intern(&fk.child);
     let mut added = 0;
     for (tid, row) in child.iter() {
@@ -140,7 +143,7 @@ pub fn orphan_edges(
         let Some(key) = fk.child_key(row) else {
             continue;
         };
-        if !keys.contains(&key) {
+        if crate::detect::bucket(parent, &fk.parent_cols, &key).is_empty() {
             g.add_edge(&[Vertex { rel, tid }], &[row], constraint_index);
             added += 1;
         }
@@ -148,86 +151,18 @@ pub fn orphan_edges(
     Ok(added)
 }
 
-/// Persistent per-FK **orphan-count index**: how many live parent rows
-/// carry each referenced key, and which live child tuples reference it.
-/// Maintained in O(1) per inserted/deleted tuple, it lets
-/// [`crate::hippo::Hippo::redetect`] reconcile orphan edges
-/// incrementally — a parent-key count dropping to zero orphans exactly
-/// `children_of(key)`, a count rising from zero un-orphans them — so
-/// foreign keys no longer force a full rebuild.
-///
-/// Key semantics mirror [`orphan_edges`] exactly: parent keys are
-/// compared with plain `Eq` (so `NULL == NULL`, like the detection-side
-/// hash set), and child keys containing a `NULL` are not indexed — a
-/// NULL foreign key never violates.
-#[derive(Debug, Clone, Default)]
-pub struct FkIndex {
-    /// Live parent rows per referenced key.
-    parent_count: FxHashMap<Vec<Value>, usize>,
-    /// Live child tuple ids per (fully non-NULL) referencing key, in
-    /// insertion order.
-    children: FxHashMap<Vec<Value>, Vec<TupleId>>,
-}
-
-impl FkIndex {
-    /// Build the index from the current instance.
-    pub fn build(catalog: &Catalog, fk: &ForeignKey) -> Result<FkIndex, EngineError> {
-        let mut ix = FkIndex::default();
-        let parent = catalog.table(&fk.parent)?;
-        for (_, row) in parent.iter() {
-            ix.add_parent(fk.parent_key(row));
-        }
-        let child = catalog.table(&fk.child)?;
-        for (tid, row) in child.iter() {
-            if let Some(key) = fk.child_key(row) {
-                ix.add_child(key, tid);
-            }
-        }
-        Ok(ix)
-    }
-
-    /// Live parent rows carrying `key`.
-    pub fn parent_count(&self, key: &[Value]) -> usize {
-        self.parent_count.get(key).copied().unwrap_or(0)
-    }
-
-    /// Live child tuples referencing `key`.
-    pub fn children_of(&self, key: &[Value]) -> &[TupleId] {
-        self.children.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Register an inserted parent row's key.
-    pub fn add_parent(&mut self, key: Vec<Value>) {
-        *self.parent_count.entry(key).or_insert(0) += 1;
-    }
-
-    /// Unregister a deleted parent row's key.
-    pub fn remove_parent(&mut self, key: &[Value]) {
-        if let Some(n) = self.parent_count.get_mut(key) {
-            *n -= 1;
-            if *n == 0 {
-                self.parent_count.remove(key);
-            }
-        }
-    }
-
-    /// Register an inserted child tuple under its key.
-    pub fn add_child(&mut self, key: Vec<Value>, tid: TupleId) {
-        self.children.entry(key).or_default().push(tid);
-    }
-
-    /// Unregister a deleted child tuple.
-    pub fn remove_child(&mut self, key: &[Value], tid: TupleId) {
-        if let Some(tids) = self.children.get_mut(key) {
-            tids.retain(|&t| t != tid);
-            if tids.is_empty() {
-                self.children.remove(key);
-            }
-        }
-    }
-}
-
 impl ForeignKey {
+    /// The hash indexes orphan tracking probes, as `(relation, columns)`:
+    /// the referenced columns on the parent, which count a key's
+    /// parents, and the referencing columns on the child, which list
+    /// the children a key's last parent leaves orphaned.
+    pub(crate) fn index_needs(&self) -> [(String, Vec<usize>); 2] {
+        [
+            (self.parent.clone(), self.parent_cols.clone()),
+            (self.child.clone(), self.child_cols.clone()),
+        ]
+    }
+
     /// The referenced-key projection of a parent row.
     pub fn parent_key(&self, row: &Row) -> Vec<Value> {
         self.parent_cols.iter().map(|&c| row[c].clone()).collect()

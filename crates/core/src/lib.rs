@@ -126,7 +126,7 @@ pub mod prelude {
     pub use crate::envelope::envelope;
     pub use crate::hippo::{AnswerStats, FrozenHippo, Hippo, HippoOptions};
     pub use crate::hypergraph::{ConflictHypergraph, Fact, Vertex};
-    pub use crate::inclusion::{FkIndex, ForeignKey};
+    pub use crate::inclusion::ForeignKey;
     pub use crate::naive::{conflict_free_answers, naive_consistent_answers, plain_answers};
     pub use crate::pred::{CmpOp, Operand, Pred};
     pub use crate::query::SjudQuery;

@@ -1,8 +1,8 @@
 //! Scoped worker pools for sharded conflict detection and the parallel
 //! answer pipeline (every answer mode).
 //!
-//! Work is decomposed into **shards** — deterministic units (FD
-//! hash-bucket ranges, outer-atom tuple ranges, candidate-slice ranges)
+//! Work is decomposed into **shards** — deterministic units (index
+//! shards, outer-atom tuple ranges, candidate-slice ranges)
 //! whose outputs are merged in shard order, so the result never depends
 //! on *which thread* ran a shard or in what order shards finished. This
 //! module only supplies the execution side of that contract:
@@ -13,11 +13,6 @@
 //!   balancing — shard sizes are data-dependent), and with one thread
 //!   (or one task) everything runs inline on the caller's stack, so the
 //!   sequential path pays no synchronization or spawn cost.
-//! * [`run_fused`] runs **two** dependent task lists across a *single*
-//!   thread scope with a [`std::sync::Barrier`] between them: every
-//!   phase-B task sees the complete, task-ordered phase-A results. One
-//!   spawn per worker instead of two — the FD detection path uses this
-//!   to fuse its hash pass and its shard pass.
 //! * [`detect_threads`] / [`prover_threads`] resolve worker counts from
 //!   the `HIPPO_DETECT_THREADS` / `HIPPO_PROVER_THREADS` environment
 //!   variables when set (≥ 1), else the machine's available
@@ -26,10 +21,10 @@
 //! Nothing here is specific to detection or proving; the pools are
 //! generic fork-joins over indexed task lists. Determinism is the
 //! *caller's* obligation: each task closure must depend only on its
-//! index (and, for `run_fused` phase B, the phase-A results).
+//! index.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Environment variable overriding the detection worker count.
 pub const THREADS_ENV: &str = "HIPPO_DETECT_THREADS";
@@ -183,123 +178,6 @@ where
     pairs.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Run two dependent task lists in **one** thread scope: first
-/// `fa(0..a_tasks)`, then — after a barrier — `fb(0..b_tasks, &a)`,
-/// where `a` is the complete phase-A result vector in task order.
-/// Returns both result vectors in task order.
-///
-/// Equivalent to two [`run_indexed`] calls, but spawns each worker
-/// once instead of twice: after the barrier, the worker that won the
-/// barrier's leader election assembles the phase-A results and
-/// publishes them through a [`OnceLock`]; a second barrier holds the
-/// others until the ordered slice is visible, then everyone pulls
-/// phase-B indices from a fresh counter. With `threads ≤ 1` both
-/// phases run inline with no thread machinery at all.
-///
-/// A panic inside `fa`/`fb` cannot deadlock the barrier: task work is
-/// unwind-caught, every worker always reaches both barriers, the
-/// remaining phases are abandoned, and the first panic payload is
-/// re-raised on the calling thread once the scope has joined.
-pub fn run_fused<A, B, FA, FB>(
-    a_tasks: usize,
-    b_tasks: usize,
-    threads: usize,
-    fa: FA,
-    fb: FB,
-) -> (Vec<A>, Vec<B>)
-where
-    A: Send + Sync,
-    B: Send,
-    FA: Fn(usize) -> A + Sync,
-    FB: Fn(usize, &[A]) -> B + Sync,
-{
-    let workers = threads.max(1).min(a_tasks.max(b_tasks).max(1));
-    if workers <= 1 {
-        let a: Vec<A> = (0..a_tasks).map(&fa).collect();
-        let b: Vec<B> = (0..b_tasks).map(|i| fb(i, &a)).collect();
-        return (a, b);
-    }
-    type Panic = Box<dyn std::any::Any + Send>;
-    let next_a = AtomicUsize::new(0);
-    let next_b = AtomicUsize::new(0);
-    let collected_a: Mutex<Vec<(usize, A)>> = Mutex::new(Vec::with_capacity(a_tasks));
-    let collected_b: Mutex<Vec<(usize, B)>> = Mutex::new(Vec::with_capacity(b_tasks));
-    let published_a: OnceLock<Vec<A>> = OnceLock::new();
-    let panicked: Mutex<Option<Panic>> = Mutex::new(None);
-    let barrier = Barrier::new(workers);
-    // Worker-side guard: run `work` unwind-safe; on panic record the
-    // first payload so the caller can re-raise it after the join.
-    let guarded = |work: &mut dyn FnMut()| {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work));
-        if let Err(payload) = caught {
-            let mut slot = panicked.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                guarded(&mut || {
-                    let mut local_a: Vec<(usize, A)> = Vec::new();
-                    loop {
-                        let i = next_a.fetch_add(1, Ordering::Relaxed);
-                        if i >= a_tasks {
-                            break;
-                        }
-                        local_a.push((i, fa(i)));
-                    }
-                    if !local_a.is_empty() {
-                        collected_a.lock().unwrap().extend(local_a);
-                    }
-                });
-                // Every worker reaches both barriers even after a panic,
-                // so no sibling can block forever.
-                let leader = barrier.wait().is_leader();
-                if leader && panicked.lock().unwrap().is_none() {
-                    guarded(&mut || {
-                        let mut pairs = std::mem::take(&mut *collected_a.lock().unwrap());
-                        debug_assert_eq!(pairs.len(), a_tasks);
-                        pairs.sort_unstable_by_key(|&(i, _)| i);
-                        let ordered: Vec<A> = pairs.into_iter().map(|(_, a)| a).collect();
-                        published_a
-                            .set(ordered)
-                            .unwrap_or_else(|_| unreachable!("single leader publishes once"));
-                    });
-                }
-                barrier.wait();
-                let Some(a) = published_a.get() else {
-                    return; // a phase-A task panicked: abandon phase B
-                };
-                guarded(&mut || {
-                    let mut local_b: Vec<(usize, B)> = Vec::new();
-                    loop {
-                        let i = next_b.fetch_add(1, Ordering::Relaxed);
-                        if i >= b_tasks {
-                            break;
-                        }
-                        local_b.push((i, fb(i, a)));
-                    }
-                    if !local_b.is_empty() {
-                        collected_b.lock().unwrap().extend(local_b);
-                    }
-                });
-            });
-        }
-    });
-    if let Some(payload) = panicked.into_inner().unwrap() {
-        std::panic::resume_unwind(payload);
-    }
-    let a = published_a
-        .into_inner()
-        .expect("phase A published by leader");
-    let mut pairs_b = collected_b.into_inner().unwrap();
-    debug_assert_eq!(pairs_b.len(), b_tasks);
-    pairs_b.sort_unstable_by_key(|&(i, _)| i);
-    (a, pairs_b.into_iter().map(|(_, b)| b).collect())
-}
-
 /// Split `0..len` into at most `parts` contiguous ranges of near-equal
 /// size (never returns empty ranges; fewer parts when `len < parts`).
 /// The decomposition depends only on `len` and `parts`, making it a
@@ -413,63 +291,5 @@ mod tests {
     fn detect_threads_is_positive() {
         assert!(detect_threads() >= 1);
         assert!(prover_threads() >= 1);
-    }
-
-    #[test]
-    fn fused_phases_agree_with_sequential() {
-        for threads in [1usize, 2, 4, 7] {
-            let (a, b) = run_fused(13, 9, threads, |i| i * 2, |i, a: &[usize]| a[i % 13] + i);
-            let want_a: Vec<usize> = (0..13).map(|i| i * 2).collect();
-            let want_b: Vec<usize> = (0..9).map(|i| want_a[i % 13] + i).collect();
-            assert_eq!(a, want_a, "threads={threads}");
-            assert_eq!(b, want_b, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fused_panic_propagates_instead_of_deadlocking() {
-        // A panicking phase-A task must re-raise on the caller, not hang
-        // the siblings at the barrier.
-        let caught = std::panic::catch_unwind(|| {
-            run_fused(
-                8,
-                8,
-                4,
-                |i| {
-                    if i == 3 {
-                        panic!("phase A task failure");
-                    }
-                    i
-                },
-                |i, a: &[usize]| a[i],
-            )
-        });
-        assert!(caught.is_err(), "panic must propagate");
-        // Phase-B panics propagate too.
-        let caught = std::panic::catch_unwind(|| {
-            run_fused(
-                4,
-                8,
-                4,
-                |i| i,
-                |i, _: &[usize]| {
-                    if i == 5 {
-                        panic!("phase B task failure");
-                    }
-                    i
-                },
-            )
-        });
-        assert!(caught.is_err(), "panic must propagate");
-    }
-
-    #[test]
-    fn fused_handles_empty_phases() {
-        let (a, b) = run_fused(0, 4, 3, |i| i, |i, a: &[usize]| a.len() + i);
-        assert_eq!(a, Vec::<usize>::new());
-        assert_eq!(b, vec![0, 1, 2, 3]);
-        let (a, b) = run_fused(3, 0, 3, |i| i, |i, _: &[usize]| i);
-        assert_eq!(a, vec![0, 1, 2]);
-        assert_eq!(b, Vec::<usize>::new());
     }
 }

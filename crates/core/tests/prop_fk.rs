@@ -1,5 +1,5 @@
 //! Differential property test for **incremental redetection under
-//! restricted foreign keys** (PR 4's orphan-count index).
+//! restricted foreign keys** (orphan edges flipped through the key indexes).
 //!
 //! Random batches of recorded inserts/deletes/updates against a
 //! parent/child schema (child also carries an FD, so denial edges and

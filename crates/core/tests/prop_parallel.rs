@@ -4,11 +4,10 @@
 //! Two invariants, each checked against the sequential / from-scratch
 //! ground truth on randomized workloads:
 //!
-//! 1. **Sharding is invisible** — for random shard counts (1..8) and
-//!    worker counts (1..4), detection produces the same edge set,
-//!    constraint attribution and exact `DetectStats` totals as the
-//!    sequential single-shard run; and for a *fixed* shard count, edge
-//!    ids are bit-identical across worker counts.
+//! 1. **Threading is invisible** — for random worker counts (1..4),
+//!    detection produces the same edges, with the same ids and
+//!    constraint attribution, and the exact `DetectStats` totals of the
+//!    single-threaded run.
 //! 2. **Incremental ≡ rebuild** — after random insert/delete batches
 //!    applied through `Hippo::insert_tuples` / `Hippo::delete_tuples`,
 //!    the incrementally-redetected graph equals a from-scratch `Hippo`
@@ -98,39 +97,26 @@ proptest! {
     fn sharded_detection_matches_sequential(
         t_rows in arb_rows(50),
         s_rows in arb_rows(20),
-        shards in 1usize..8,
         threads in 1usize..4,
     ) {
         let db = db_with(&t_rows, &s_rows);
         let cs = constraints();
-        let (g_seq, s_seq) = detect_conflicts_with(
-            db.catalog(),
-            &cs,
-            &DetectOptions { threads: 1, shards: 1 },
-        ).unwrap();
-        let (g_par, s_par) = detect_conflicts_with(
-            db.catalog(),
-            &cs,
-            &DetectOptions { threads, shards },
-        ).unwrap();
+        let (g_seq, s_seq) =
+            detect_conflicts_with(db.catalog(), &cs, &DetectOptions::with_threads(1)).unwrap();
+        let (g_par, s_par) =
+            detect_conflicts_with(db.catalog(), &cs, &DetectOptions::with_threads(threads))
+                .unwrap();
 
-        // Same edge set + constraint attribution, exact stat totals.
-        prop_assert_eq!(edge_set(&g_par), edge_set(&g_seq));
+        // Exact stat totals; edge ids identical for any worker count
+        // (thread scheduling must be invisible).
         prop_assert_eq!(s_par.combinations_checked, s_seq.combinations_checked);
         prop_assert_eq!(s_par.edges_emitted, s_seq.edges_emitted);
-        prop_assert_eq!(s_par.shards_used, shards);
-
-        // For a fixed shard count, edge ids are identical for any
-        // worker count (thread scheduling must be invisible).
-        let (g_one, _) = detect_conflicts_with(
-            db.catalog(),
-            &cs,
-            &DetectOptions { threads: 1, shards },
-        ).unwrap();
-        prop_assert_eq!(g_par.edge_count(), g_one.edge_count());
+        prop_assert_eq!(s_par.shards_used, s_seq.shards_used);
+        prop_assert_eq!(edge_set(&g_par), edge_set(&g_seq));
+        prop_assert_eq!(g_par.edge_count(), g_seq.edge_count());
         for (id, e) in g_par.edges() {
-            prop_assert_eq!(e, g_one.edge(id), "edge id {} differs", id);
-            prop_assert_eq!(g_par.edge_constraint(id), g_one.edge_constraint(id));
+            prop_assert_eq!(e, g_seq.edge(id), "edge id {} differs", id);
+            prop_assert_eq!(g_par.edge_constraint(id), g_seq.edge_constraint(id));
         }
 
         // Fact index agrees with the sequential build for every row.

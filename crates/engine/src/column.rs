@@ -93,7 +93,6 @@
 //! `rowmode_rows`.
 
 use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 
 use hippo_sql::BinaryOp;
@@ -279,138 +278,10 @@ impl ColumnStore {
         self.tids[pos]
     }
 
-    /// Positions whose originating slot id lies in `[lo, hi)`. Store
-    /// positions follow slot order, so the answer is one contiguous
-    /// range — this is how slot-range work chunks (e.g. the conflict
-    /// detector's parallel hash pass) map onto the dense store.
-    pub fn tid_range(&self, lo: u32, hi: u32) -> std::ops::Range<usize> {
-        let a = self.tids.partition_point(|&t| t < lo);
-        let b = self.tids.partition_point(|&t| t < hi);
-        a..b
-    }
-
     /// Materialise row `pos` as a full [`Row`] (bit-identical to the
     /// stored slot row).
     pub fn materialize_row(&self, pos: usize) -> Row {
         self.cols.iter().map(|c| c.value_at(pos)).collect()
-    }
-
-    /// Hash the listed columns of row `pos` into `state` with exactly
-    /// the byte sequence `Value::hash` produces for the stored values;
-    /// returns `false` (leaving `state` partially written, like the
-    /// row-mode hash pass) as soon as a `NULL` component is hit.
-    #[inline]
-    pub fn hash_cols<H: Hasher>(&self, pos: usize, cols: &[usize], state: &mut H) -> bool {
-        for &c in cols {
-            let col = &self.cols[c];
-            if !col.is_valid(pos) {
-                return false;
-            }
-            match &col.data {
-                ColumnData::Int64(v) => Value::Int(v[pos]).hash(state),
-                ColumnData::Float64(v) => Value::Float(v[pos]).hash(state),
-                ColumnData::Bool(v) => Value::Bool(v[pos]).hash(state),
-                // `Value::Text` hashing writes tag 3 then delegates to
-                // `String::hash` == `str::hash` — replicated here
-                // without materialising the string.
-                ColumnData::Str { dict, codes } => {
-                    state.write_u8(3);
-                    dict[codes[pos] as usize].hash(state);
-                }
-            }
-        }
-        true
-    }
-
-    /// Batch variant of [`ColumnStore::hash_cols`]: calls `f(pos, hash)`
-    /// for every row of `range` whose listed columns are all non-`NULL`,
-    /// in ascending position order, with exactly the hash `Value::hash`
-    /// produces for the stored values. The column-type dispatch is
-    /// hoisted out of the row loop, and so is the constant part of the
-    /// hash itself: `INT` rows clone a pre-seeded hasher (the type-tag
-    /// prefix is fixed, see `Value::write_int_hash_prefix`) and write a
-    /// single `i64`; `TEXT` rows look up a per-dictionary-code hash
-    /// computed once before the loop. Row mode pays, per tuple, a slot
-    /// `Option` check, a heap-row pointer chase, a `Value` match, and
-    /// the full tag-prefix hash rounds — this asymmetry is the
-    /// vectorized speedup of the conflict detector's hash pass. `FLOAT`
-    /// rows keep the per-row `Value::hash` (their numeric key folds
-    /// integral values onto the `i64` grid, so the byte sequence is
-    /// data-dependent).
-    pub fn for_each_hash<H, F>(&self, range: std::ops::Range<usize>, cols: &[usize], mut f: F)
-    where
-        H: Hasher + Default + Clone,
-        F: FnMut(usize, u64),
-    {
-        let [c] = cols else {
-            // Multi-column LHS: per-row dispatch. NULL-skip semantics
-            // match the single-column loops (first NULL component drops
-            // the row).
-            for pos in range {
-                let mut state = H::default();
-                if self.hash_cols(pos, cols, &mut state) {
-                    f(pos, state.finish());
-                }
-            }
-            return;
-        };
-        let col = &self.cols[*c];
-        let lo = range.start;
-        match &col.data {
-            ColumnData::Int64(v) => {
-                let mut proto = H::default();
-                Value::write_int_hash_prefix(&mut proto);
-                for (i, &x) in v[range].iter().enumerate() {
-                    let pos = lo + i;
-                    if col.is_valid(pos) {
-                        let mut state = proto.clone();
-                        state.write_i64(x);
-                        f(pos, state.finish());
-                    }
-                }
-            }
-            ColumnData::Float64(v) => {
-                for (i, &x) in v[range].iter().enumerate() {
-                    let pos = lo + i;
-                    if col.is_valid(pos) {
-                        let mut state = H::default();
-                        Value::Float(x).hash(&mut state);
-                        f(pos, state.finish());
-                    }
-                }
-            }
-            ColumnData::Bool(v) => {
-                let mut proto = H::default();
-                Value::write_bool_hash_prefix(&mut proto);
-                for (i, &x) in v[range].iter().enumerate() {
-                    let pos = lo + i;
-                    if col.is_valid(pos) {
-                        let mut state = proto.clone();
-                        state.write_u8(x as u8);
-                        f(pos, state.finish());
-                    }
-                }
-            }
-            ColumnData::Str { dict, codes } => {
-                // One full string hash per distinct value, then a plain
-                // table lookup per row.
-                let code_hash: Vec<u64> = dict
-                    .iter()
-                    .map(|s| {
-                        let mut state = H::default();
-                        Value::write_text_hash_prefix(&mut state);
-                        s.hash(&mut state);
-                        state.finish()
-                    })
-                    .collect();
-                for (i, &code) in codes[range].iter().enumerate() {
-                    let pos = lo + i;
-                    if col.is_valid(pos) {
-                        f(pos, code_hash[code as usize]);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1518,7 +1389,6 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::schema::{Column, TableSchema};
-    use rustc_hash::FxHasher;
 
     fn mixed_table() -> Table {
         let schema = TableSchema::new(
@@ -1598,72 +1468,6 @@ mod tests {
             other => panic!("expected Str column, got {other:?}"),
         }
         assert!(!store.column(2).is_valid(3));
-    }
-
-    #[test]
-    fn hash_cols_matches_value_hash() {
-        let t = mixed_table();
-        let store = t.column_store().unwrap();
-        for (pos, (_, row)) in t.iter().enumerate() {
-            for cols in [vec![0usize], vec![1], vec![2], vec![3], vec![0, 2, 3]] {
-                let mut h1 = FxHasher::default();
-                let mut all_valid = true;
-                'cols: for &c in &cols {
-                    if row[c].is_null() {
-                        all_valid = false;
-                        break 'cols;
-                    }
-                    row[c].hash(&mut h1);
-                }
-                let mut h2 = FxHasher::default();
-                let ok = store.hash_cols(pos, &cols, &mut h2);
-                assert_eq!(ok, all_valid, "row {pos} cols {cols:?}");
-                if ok {
-                    assert_eq!(h1.finish(), h2.finish(), "row {pos} cols {cols:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn for_each_hash_matches_value_hash() {
-        // The batch loops hoist the constant hash prefixes
-        // (`Value::write_*_hash_prefix`) and pre-hash the dictionary;
-        // every produced (position, hash) pair must still equal the
-        // per-row `Value::hash` sequence — across the integer extremes,
-        // `-0.0` (integral float, folds onto the i64 grid), `NaN`, and
-        // NULLs in every column.
-        let t = mixed_table();
-        let store = t.column_store().unwrap();
-        for cols in [
-            vec![0usize],
-            vec![1],
-            vec![2],
-            vec![3],
-            vec![0, 2],
-            vec![3, 0],
-        ] {
-            let mut expect = Vec::new();
-            for (pos, (_, row)) in t.iter().enumerate() {
-                let mut h = FxHasher::default();
-                if cols.iter().all(|&c| !row[c].is_null()) {
-                    for &c in &cols {
-                        row[c].hash(&mut h);
-                    }
-                    expect.push((pos, h.finish()));
-                }
-            }
-            let mut got = Vec::new();
-            store.for_each_hash::<FxHasher, _>(0..store.len(), &cols, |pos, h| {
-                got.push((pos, h));
-            });
-            assert_eq!(got, expect, "cols {cols:?}");
-        }
-        // Sub-range invocation covers the chunked detect pass.
-        let mut got = Vec::new();
-        store.for_each_hash::<FxHasher, _>(1..3, &[2], |pos, h| got.push((pos, h)));
-        assert_eq!(got.len(), 2);
-        assert!(got.iter().all(|&(pos, _)| (1..3).contains(&pos)));
     }
 
     #[test]

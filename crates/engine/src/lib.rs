@@ -74,5 +74,5 @@ pub use expr::BoundExpr;
 pub use optimize::choose_access_paths;
 pub use plan::Plan;
 pub use schema::{Column, DataType, EngineError, ErrorKind, TableSchema};
-pub use table::{CopyStats, Table, TupleId};
+pub use table::{CopyStats, Table, TupleId, INDEX_SHARDS};
 pub use value::{Row, Value};

@@ -54,8 +54,9 @@ pub struct TupleId(pub u32);
 /// [`TupleId`] splits into chunk and offset by shift and mask.
 const CHUNK_BITS: u32 = 10;
 const CHUNK: usize = 1 << CHUNK_BITS;
-/// Shards per hash index (a power of two, at most 256).
-const SHARDS: usize = 64;
+/// Shards per hash index (a power of two, at most 256); see
+/// [`Table::index_shard`].
+pub const INDEX_SHARDS: usize = 64;
 
 /// `CHUNK` consecutive slots. Every chunk but the last is full.
 type Chunk = Vec<Option<Row>>;
@@ -236,10 +237,10 @@ fn shard_of<'a>(key: impl IntoIterator<Item = &'a Value>) -> usize {
     for v in key {
         v.hash(&mut h);
     }
-    (h.finish() >> 32) as usize & (SHARDS - 1)
+    (h.finish() >> 32) as usize & (INDEX_SHARDS - 1)
 }
 
-/// A hash index over a fixed set of columns, in `SHARDS` shards.
+/// A hash index over a fixed set of columns, in `INDEX_SHARDS` shards.
 #[derive(Debug, Clone)]
 struct HashIndex {
     shards: Vec<Arc<Shard>>,
@@ -247,7 +248,7 @@ struct HashIndex {
 
 impl HashIndex {
     /// An index whose shards have room for `sizes[s]` keys each.
-    fn with_capacities(sizes: &[usize; SHARDS]) -> HashIndex {
+    fn with_capacities(sizes: &[usize; INDEX_SHARDS]) -> HashIndex {
         HashIndex {
             shards: sizes
                 .iter()
@@ -463,7 +464,7 @@ impl Table {
                 )));
             }
         }
-        let mut sizes = [0usize; SHARDS];
+        let mut sizes = [0usize; INDEX_SHARDS];
         let shard_ids: Vec<u8> = self
             .iter()
             .map(|(_, row)| {
@@ -527,6 +528,19 @@ impl Table {
     /// `Some(&[])` if the index exists but holds no such key.
     pub fn index_bucket(&self, cols: &[usize], key: &[Value]) -> Option<&[TupleId]> {
         self.indexes.get(cols).map(|ix| ix.bucket(key))
+    }
+
+    /// The `(key, ids)` buckets of shard `s` (below [`INDEX_SHARDS`]) of
+    /// the index on `cols`, in no particular order, ids ascending;
+    /// `None` if no index exists on `cols`. Each key lives in exactly
+    /// one shard, so walking every shard visits each bucket once.
+    pub fn index_shard(
+        &self,
+        cols: &[usize],
+        s: usize,
+    ) -> Option<impl Iterator<Item = (&[Value], &[TupleId])>> {
+        let shard = &self.indexes.get(cols)?.shards[s];
+        Some(shard.iter().map(|(key, ids)| (key.values(), ids.ids())))
     }
 
     /// Does an index exist on exactly these columns?
@@ -614,7 +628,7 @@ impl Table {
         self.columns.take();
         self.live = 0;
         for index in self.indexes.values_mut() {
-            *index = HashIndex::with_capacities(&[0; SHARDS]);
+            *index = HashIndex::with_capacities(&[0; INDEX_SHARDS]);
         }
     }
 }

@@ -103,27 +103,6 @@ impl Value {
         }
     }
 
-    /// The constant hasher prefix every `Value::Int(_)` (and every
-    /// integral in-range `Value::Float`) writes before its `i64`
-    /// payload: the numeric type tag plus the integer numeric-key tag.
-    /// Batch hashers clone the state after this prefix and write only
-    /// `write_i64(x)` per row — `ColumnStore::for_each_hash` relies on
-    /// this staying in lockstep with the `Hash` impls below.
-    pub(crate) fn write_int_hash_prefix<H: Hasher>(state: &mut H) {
-        state.write_u8(2);
-        state.write_u8(0);
-    }
-
-    /// Constant prefix of `Value::Bool(_).hash` (payload: `write_u8(b as u8)`).
-    pub(crate) fn write_bool_hash_prefix<H: Hasher>(state: &mut H) {
-        state.write_u8(1);
-    }
-
-    /// Constant prefix of `Value::Text(_).hash` (payload: `str::hash`).
-    pub(crate) fn write_text_hash_prefix<H: Hasher>(state: &mut H) {
-        state.write_u8(3);
-    }
-
     fn rank(&self) -> u8 {
         match self {
             Value::Null => 0,
@@ -144,10 +123,8 @@ enum NumKey {
 impl Hash for NumKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Explicit tag bytes rather than the derived discriminant hash:
-        // the batch hash loops hoist the constant `Int` prefix out of
-        // the per-row loop (`Value::write_int_hash_prefix`), which
-        // requires the byte sequence to be spelled here, not
-        // compiler-chosen.
+        // hash indexes choose a key's shard from these bytes, so they
+        // are spelled here, not left to the compiler.
         match self {
             NumKey::Int(x) => {
                 state.write_u8(0);
