@@ -4,8 +4,11 @@
 //! is enough for the shapes the binder emits):
 //!
 //! 1. **Constant folding** — literal-only expressions collapse to literals.
-//! 2. **Predicate pushdown** — conjuncts of a `Filter` over a `CrossJoin`
-//!    that reference only one side move below the join.
+//! 2. **Predicate pushdown** — a `Filter` moves below `DISTINCT` and
+//!    below projections of plain columns; conjuncts over a `CrossJoin`
+//!    that reference only one side move below the join and keep
+//!    descending into that side, so a one-sided conjunct ends up
+//!    directly over the scan it filters.
 //! 3. **Join conversion** — remaining equi-conjuncts across the two sides
 //!    turn `Filter(CrossJoin)` into a `HashJoin`.
 //!
@@ -488,20 +491,17 @@ fn push_filter(input: Plan, predicate: BoundExpr, catalog: &Catalog) -> Result<P
                 }
             }
 
-            let mut l = *left;
-            if !left_preds.is_empty() {
-                l = Plan::Filter {
-                    input: Box::new(l),
-                    predicate: BoundExpr::conjoin(left_preds),
-                };
-            }
-            let mut r = *right;
-            if !right_preds.is_empty() {
-                r = Plan::Filter {
-                    input: Box::new(r),
-                    predicate: BoundExpr::conjoin(right_preds),
-                };
-            }
+            // Each side's conjuncts keep descending, through `DISTINCT`
+            // and plain projections, down to the scan they filter.
+            let place = |side: Box<Plan>, preds: Vec<BoundExpr>| {
+                if preds.is_empty() {
+                    Ok(*side)
+                } else {
+                    push_filter(*side, BoundExpr::conjoin(preds), catalog)
+                }
+            };
+            let l = place(left, left_preds)?;
+            let r = place(right, right_preds)?;
 
             let joined = if equi.is_empty() {
                 Plan::CrossJoin {
@@ -845,6 +845,53 @@ mod tests {
             panic!("{opt:?}")
         };
         assert!(matches!(*input, Plan::HashJoin { .. }));
+    }
+
+    /// A one-sided conjunct over a join of `DISTINCT` inputs — the SJUD
+    /// envelope's shape — descends through the `Distinct` and the plain
+    /// `Project` to its scan, where the vectorized engine runs it.
+    #[test]
+    fn one_sided_conjunct_reaches_the_scan_under_distinct() {
+        let c = catalog();
+        let side = |table: &str| Plan::Distinct {
+            input: Box::new(Plan::Project {
+                input: Box::new(Plan::Scan {
+                    table: table.into(),
+                }),
+                exprs: vec![col(0), col(1)],
+            }),
+        };
+        let ge = BoundExpr::Binary {
+            op: BinaryOp::Ge,
+            left: Box::new(col(1)),
+            right: Box::new(lit(500)),
+        };
+        let plan = Plan::Filter {
+            input: Box::new(Plan::CrossJoin {
+                left: Box::new(side("r")),
+                right: Box::new(side("s")),
+            }),
+            predicate: eq(col(0), col(2)).and(ge.clone()),
+        };
+        let opt = optimize(plan, &c).unwrap();
+        let Plan::HashJoin { left, right, .. } = opt else {
+            panic!("{opt:?}")
+        };
+        assert_eq!(*right, side("s"), "nothing to push on the right");
+        let Plan::Distinct { input } = &*left else {
+            panic!("{left:?}")
+        };
+        let Plan::Project { input, .. } = &**input else {
+            panic!("{left:?}")
+        };
+        assert_eq!(
+            **input,
+            Plan::Filter {
+                input: Box::new(Plan::Scan { table: "r".into() }),
+                predicate: ge,
+            }
+        );
+        assert!(crate::column::plan_uses_vectorized(&left, &c));
     }
 
     #[test]
