@@ -826,17 +826,18 @@ fn sort_rows(
     Ok(keyed.into_iter().map(|(_, r)| r).collect())
 }
 
-/// Order-preserving duplicate elimination.
-fn dedup(rows: Vec<Row>) -> Vec<Row> {
-    let mut seen: FxHashSet<Row> =
-        FxHashSet::with_capacity_and_hasher(rows.len(), Default::default());
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        if seen.insert(row.clone()) {
-            out.push(row);
-        }
-    }
-    out
+/// Order-preserving duplicate elimination: first occurrences are marked
+/// through a set borrowing the rows, then the rest are dropped in place,
+/// so no row is cloned.
+fn dedup(mut rows: Vec<Row>) -> Vec<Row> {
+    let first: Vec<bool> = {
+        let mut seen: FxHashSet<&[Value]> =
+            FxHashSet::with_capacity_and_hasher(rows.len(), Default::default());
+        rows.iter().map(|row| seen.insert(row)).collect()
+    };
+    let mut first = first.into_iter();
+    rows.retain(|_| first.next() == Some(true));
+    rows
 }
 
 /// Arity of a join's materialised right side, for LEFT-join NULL
