@@ -110,7 +110,7 @@ fn passing_envelope_rows(
     let mut plan = hippo_engine::optimize::optimize(bound.plan, catalog)?;
     hippo_engine::choose_access_paths(&mut plan, catalog);
     let rows = hippo_engine::exec::execute_physical_with(&plan, catalog, None, "envelope")?;
-    let gathered = split_gathered(rows, arity, template.literals.len());
+    let gathered = split_gathered(rows, arity, &template);
     let prover = Prover::new(g, &template);
     let mut accepted: Vec<Row> = gathered
         .candidates

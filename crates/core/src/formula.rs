@@ -72,6 +72,11 @@ pub struct MembershipTemplate {
     /// Distinct literal templates, referenced by index from
     /// [`FormulaTemplate::Lit`].
     pub literals: Vec<LitTemplate>,
+    /// `witnessed[li]`: every row of the query's envelope carries literal
+    /// `li`'s fact with the relation's own values, because the row was
+    /// read from that relation. Its membership then needs no lookup (see
+    /// [`crate::kg`]).
+    pub witnessed: Vec<bool>,
 }
 
 impl MembershipTemplate {
@@ -81,8 +86,15 @@ impl MembershipTemplate {
         let arity = query.validate(catalog)?;
         let mut literals = Vec::new();
         let mapping: Vec<usize> = (0..arity).collect();
-        let formula = build_rec(query, catalog, &mapping, &mut literals)?;
-        Ok(MembershipTemplate { formula, literals })
+        let (formula, carried) = build_rec(query, catalog, &mapping, &mut literals)?;
+        let witnessed = (0..literals.len())
+            .map(|li| carried.contains(&li))
+            .collect();
+        Ok(MembershipTemplate {
+            formula,
+            literals,
+            witnessed,
+        })
     }
 
     /// Instantiate for a candidate tuple: guards are decided immediately,
@@ -114,12 +126,16 @@ impl MembershipTemplate {
     }
 }
 
+/// The formula of `q` under `mapping`, plus the literals every envelope
+/// row of `q` carries: a relation its own, a selection or permutation its
+/// input's, a product both sides', a union those both branches carry, a
+/// difference its left side's (the envelope drops the subtrahend).
 fn build_rec(
     q: &SjudQuery,
     catalog: &Catalog,
     mapping: &[usize],
     literals: &mut Vec<LitTemplate>,
-) -> Result<FormulaTemplate, EngineError> {
+) -> Result<(FormulaTemplate, Vec<usize>), EngineError> {
     match q {
         SjudQuery::Rel(rel) => {
             let lit = LitTemplate {
@@ -133,31 +149,33 @@ fn build_rec(
                     literals.len() - 1
                 }
             };
-            Ok(FormulaTemplate::Lit(idx))
+            Ok((FormulaTemplate::Lit(idx), vec![idx]))
         }
         SjudQuery::Select { input, pred } => {
             // The predicate speaks about the input's columns, which under
             // `mapping` live at candidate positions mapping[i].
             let guard = pred.map_cols(&|i| mapping[i]);
-            let inner = build_rec(input, catalog, mapping, literals)?;
-            Ok(and(FormulaTemplate::Guard(guard), inner))
+            let (inner, carried) = build_rec(input, catalog, mapping, literals)?;
+            Ok((and(FormulaTemplate::Guard(guard), inner), carried))
         }
         SjudQuery::Product(l, r) => {
             let la = l.validate(catalog)?;
             let (ml, mr) = mapping.split_at(la);
-            let fl = build_rec(l, catalog, ml, literals)?;
-            let fr = build_rec(r, catalog, mr, literals)?;
-            Ok(and(fl, fr))
+            let (fl, mut carried) = build_rec(l, catalog, ml, literals)?;
+            let (fr, cr) = build_rec(r, catalog, mr, literals)?;
+            carried.extend(cr);
+            Ok((and(fl, fr), carried))
         }
         SjudQuery::Union(l, r) => {
-            let fl = build_rec(l, catalog, mapping, literals)?;
-            let fr = build_rec(r, catalog, mapping, literals)?;
-            Ok(or(fl, fr))
+            let (fl, mut carried) = build_rec(l, catalog, mapping, literals)?;
+            let (fr, cr) = build_rec(r, catalog, mapping, literals)?;
+            carried.retain(|li| cr.contains(li));
+            Ok((or(fl, fr), carried))
         }
         SjudQuery::Diff(l, r) => {
-            let fl = build_rec(l, catalog, mapping, literals)?;
-            let fr = build_rec(r, catalog, mapping, literals)?;
-            Ok(and(fl, FormulaTemplate::Not(Box::new(fr))))
+            let (fl, carried) = build_rec(l, catalog, mapping, literals)?;
+            let (fr, _) = build_rec(r, catalog, mapping, literals)?;
+            Ok((and(fl, FormulaTemplate::Not(Box::new(fr))), carried))
         }
         SjudQuery::Permute { input, perm } => {
             // Output column i = input column perm[i]; candidate position of
@@ -180,8 +198,8 @@ fn build_rec(
                 .into_iter()
                 .map(|o| o.expect("validate() guarantees surjectivity"))
                 .collect();
-            let inner = build_rec(input, catalog, &inner_mapping, literals)?;
-            Ok(and(FormulaTemplate::Guard(guards), inner))
+            let (inner, carried) = build_rec(input, catalog, &inner_mapping, literals)?;
+            Ok((and(FormulaTemplate::Guard(guards), inner), carried))
         }
     }
 }
@@ -483,6 +501,31 @@ mod tests {
             t.instantiate(&row(&[1, 2, 1])),
             Formula::Lit { .. }
         ));
+    }
+
+    #[test]
+    fn witnessed_literals_follow_the_envelope() {
+        let db = db();
+        let r = || SjudQuery::rel("r");
+        let s = || SjudQuery::rel("s");
+        let sel = |q: SjudQuery, c: i64| q.select(Pred::cmp_const(0, CmpOp::Gt, c));
+        let witnessed = |q: &SjudQuery| {
+            MembershipTemplate::build(q, db.catalog())
+                .unwrap()
+                .witnessed
+        };
+        assert_eq!(witnessed(&sel(r(), 0)), vec![true]);
+        assert_eq!(witnessed(&r().product(s())), vec![true, true]);
+        assert_eq!(witnessed(&r().union(s())), vec![false, false]);
+        assert_eq!(witnessed(&sel(r(), 0).union(sel(r(), 5))), vec![true]);
+        assert_eq!(witnessed(&r().diff(s())), vec![true, false]);
+        assert_eq!(witnessed(&r().permute(vec![1, 0, 1])), vec![true]);
+        // (r × s) ∪ (r × r): only the left factor `r` is read by both
+        // branches at the same columns.
+        let q = r().product(s()).union(r().product(r()));
+        let t = MembershipTemplate::build(&q, db.catalog()).unwrap();
+        assert_eq!(t.literals.len(), 3);
+        assert_eq!(t.witnessed, vec![true, false, false]);
     }
 
     #[test]

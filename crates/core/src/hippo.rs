@@ -38,9 +38,10 @@
 //! `hippo.freeze()?.answer(&q, &hippo.options)` — envelopes the query,
 //! evaluates the candidates on the engine, and filters them through
 //! the Prover. Every mode reads the prover's membership flags from the
-//! same evaluation: the envelope is extended with one
-//! [`hippo_engine::Plan::MarkJoin`] per literal ([`crate::kg`]), so no
-//! mode issues a membership query. [`HippoOptions`] selects the
+//! same evaluation: a literal every envelope row was read from is
+//! *witnessed* by the row itself, and the envelope is extended with one
+//! [`hippo_engine::Plan::MarkJoin`] per other literal ([`crate::kg`]),
+//! so no mode issues a membership query. [`HippoOptions`] selects the
 //! optimization level:
 //!
 //! * **base** and **knowledge gathering** — every candidate goes to the
@@ -55,8 +56,11 @@
 //!
 //! Every mode asks the question the same way: the envelope's flags are
 //! [`hippo_engine::Plan::MarkJoin`]s, which compare by **`Value`
-//! identity**, and the core-filter test and the prover read those
-//! flags. The repair-enumeration oracle in [`crate::naive`] compares
+//! identity**, or witnessed literals read off the candidate, and the
+//! core-filter test and the prover read those flags. A witnessed
+//! literal's fact is one of its relation's own rows, so a mark join on
+//! it would find that row; its flag is the mark join's answer without
+//! the probe. The repair-enumeration oracle in [`crate::naive`] compares
 //! whole rows by identity too. So on `Float`s the modes and the oracle
 //! agree: with `r(x REAL) = {0.0}` and `s(x REAL) = {-0.0}`, `r − s` is
 //! `[(0.0)]` everywhere (`0.0` and `-0.0` are distinct values).
@@ -64,8 +68,11 @@
 //! `NULL` is where they still differ. In the mark joins a key component
 //! that is `NULL` matches nothing, so a fact with one is never present
 //! and a candidate that needs one is not a consistent answer — where
-//! the oracle, which lets `NULL` equal itself, can differ. ROADMAP
-//! direction 9 settles one reading for every path.
+//! the oracle, which lets `NULL` equal itself, can differ. A witnessed
+//! literal keeps that reading: its flag is "none of the fact's values is
+//! `NULL`", although the row it was read from is in the relation. Once
+//! ROADMAP direction 9 settles one reading for every path on a `NULL`
+//! equalling itself, a witnessed flag is simply `true`.
 //!
 //! # The shard → merge answer pipeline
 //!

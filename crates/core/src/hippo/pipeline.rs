@@ -190,7 +190,7 @@ fn answers_pipeline(
         let rows = backend
             .run_query_ast(&ast, gov.budget_ref(), "envelope")?
             .rows;
-        Ok(split_gathered(rows, arity, template.literals.len()))
+        Ok(split_gathered(rows, arity, &template))
     })();
     let gathered = match env_res {
         Ok(v) => v,

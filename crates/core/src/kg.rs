@@ -4,28 +4,38 @@
 //! separate membership query against the RDBMS — the cost it
 //! identifies as dominant. Knowledge gathering rewrites the envelope
 //! query so the *same single evaluation* also returns, per candidate
-//! tuple, the truth of every membership the prover could ask: one extra
-//! boolean column (`EXISTS (SELECT … FROM rel WHERE …)`) per literal
-//! template. The prover then issues **zero** queries against the
-//! database. The engine's access-path selection plans each flag as one
-//! [`hippo_engine::Plan::MarkJoin`] over the envelope: a probe of the
-//! relation's hash index per envelope row when the relation has one
-//! (e.g. its primary key), one hash build per evaluation otherwise —
-//! `EXPLAIN` of the extended envelope shows which.
+//! tuple, the truth of every membership the prover could ask. The
+//! prover then issues **zero** queries against the database.
+//!
+//! Most literals need no column at all. A literal is *witnessed*
+//! ([`MembershipTemplate::witnessed`]) when every envelope row was read
+//! from its relation at its columns — a relation leaf, a factor of a
+//! product, a literal both branches of a union read, the left side of a
+//! difference. The row itself then shows the fact is present, unless
+//! one of its values is `NULL`: a `NULL` fact is never a member, just as
+//! a `NULL` key matches nothing in a mark join. Only the other literals
+//! — a subtracted relation, a relation only one branch of a union
+//! reads — get one boolean column (`EXISTS (SELECT … FROM rel WHERE
+//! …)`). The engine's access-path selection plans each such flag as
+//! one [`hippo_engine::Plan::MarkJoin`] over the envelope: a probe of
+//! the relation's hash index per envelope row when the relation has
+//! one (e.g. its primary key), one hash build per evaluation otherwise
+//! — `EXPLAIN` of the extended envelope shows which.
 //!
 //! This is the one place a candidate's per-literal membership flags
-//! come from, in every answer mode: the extended envelope's `EXISTS`
-//! columns, split off by [`split_gathered`]. Everything downstream —
-//! the core-filter test, the closure signature, the prover — reads the
-//! resulting `&[bool]`.
+//! come from, in every answer mode: [`split_gathered`] reads a
+//! witnessed literal's flag off the candidate and every other flag off
+//! its `EXISTS` column. Everything downstream — the core-filter test,
+//! the closure signature, the prover — reads the resulting `&[bool]`.
 
 use crate::formula::{LitTemplate, MembershipTemplate};
 use crate::query::SjudQuery;
-use hippo_engine::{Catalog, EngineError, Row};
+use hippo_engine::{Catalog, EngineError, Row, Value};
 use hippo_sql::{Expr, Query, SelectCore, SelectItem, TableRef};
 
 /// Build the extended envelope query: envelope columns `c0..c{n-1}` plus
-/// one membership flag `f0..f{m-1}` per literal template.
+/// one membership flag `f{li}` per literal template `li` that is not
+/// witnessed, in literal order.
 pub fn extended_envelope_sql(
     envelope: &SjudQuery,
     template: &MembershipTemplate,
@@ -45,6 +55,9 @@ pub fn extended_envelope_sql(
         })
         .collect();
     for (fi, lit) in template.literals.iter().enumerate() {
+        if template.witnessed[fi] {
+            continue;
+        }
         core.projection.push(SelectItem::Expr {
             expr: membership_exists_expr(lit, catalog)?,
             alias: Some(format!("f{fi}")),
@@ -93,18 +106,44 @@ pub struct GatheredCandidates {
 }
 
 /// Split the raw rows of the extended envelope into candidates and flags.
-pub fn split_gathered(rows: Vec<Row>, arity: usize, n_literals: usize) -> GatheredCandidates {
-    let mut candidates = Vec::with_capacity(rows.len());
-    let mut flags = Vec::with_capacity(rows.len());
-    for row in rows {
-        debug_assert_eq!(row.len(), arity + n_literals);
-        let mut it = row.into_iter();
-        let cand: Row = it.by_ref().take(arity).collect();
-        let f: Vec<bool> = it.map(|v| v == hippo_engine::Value::Bool(true)).collect();
-        candidates.push(cand);
-        flags.push(f);
+/// A witnessed literal's flag is "none of its values is `NULL`" — what
+/// a mark join on the row's own values would return; every other flag
+/// is its `EXISTS` column. The candidates are the rows, truncated.
+pub fn split_gathered(
+    mut rows: Vec<Row>,
+    arity: usize,
+    template: &MembershipTemplate,
+) -> GatheredCandidates {
+    let flags = rows
+        .iter()
+        .map(|row| {
+            let mut columns = row[arity..].iter();
+            let flags: Vec<bool> = template
+                .literals
+                .iter()
+                .zip(&template.witnessed)
+                .map(|(lit, &witnessed)| {
+                    if witnessed {
+                        lit.cols.iter().all(|&c| !row[c].is_null())
+                    } else {
+                        columns.next() == Some(&Value::Bool(true))
+                    }
+                })
+                .collect();
+            debug_assert!(
+                columns.next().is_none(),
+                "one column per unwitnessed literal"
+            );
+            flags
+        })
+        .collect();
+    for row in &mut rows {
+        row.truncate(arity);
     }
-    GatheredCandidates { candidates, flags }
+    GatheredCandidates {
+        candidates: rows,
+        flags,
+    }
 }
 
 #[cfg(test)]
@@ -145,32 +184,46 @@ mod tests {
 
     #[test]
     fn extended_envelope_carries_flags() {
-        let db = db();
+        let mut db = db();
+        db.insert_rows("r", vec![vec![Value::Int(3), Value::Null]])
+            .unwrap();
         let q = SjudQuery::rel("r").diff(SjudQuery::rel("s"));
-        let env = envelope(&q);
         let template = MembershipTemplate::build(&q, db.catalog()).unwrap();
-        assert_eq!(template.literals.len(), 2);
-        let sql_q = extended_envelope_sql(&env, &template, db.catalog()).unwrap();
-        let sql = hippo_sql::print_query(&sql_q);
-        let result = db.query(&sql).unwrap();
-        assert_eq!(result.columns, vec!["c0", "c1", "f0", "f1"]);
-        let gathered = split_gathered(result.rows, 2, 2);
-        assert_eq!(gathered.candidates.len(), 2);
-        // Candidate (1,10): in r (f0) and in s (f1). Candidate (2,20): in r only.
-        for (cand, flags) in gathered.candidates.iter().zip(&gathered.flags) {
-            if cand[0] == Value::Int(1) {
-                assert_eq!(flags, &vec![true, true]);
-            } else {
-                assert_eq!(flags, &vec![true, false]);
-            }
-        }
+        assert_eq!(template.witnessed, vec![true, false]);
+        let sql_q = extended_envelope_sql(&envelope(&q), &template, db.catalog()).unwrap();
+        let result = db.query(&hippo_sql::print_query(&sql_q)).unwrap();
+        let gathered = split_gathered(result.rows, 2, &template);
+        let mut got: Vec<(Row, Vec<bool>)> = gathered
+            .candidates
+            .into_iter()
+            .zip(gathered.flags)
+            .collect();
+        got.sort();
+        // (1,10) is in r (f0, witnessed) and in s (f1, a mark join);
+        // (2,20) is in r only; a fact with a `NULL` is in no relation.
+        let int = |vs: &[i64]| vs.iter().map(|&v| Value::Int(v)).collect::<Row>();
+        assert_eq!(
+            got,
+            vec![
+                (int(&[1, 10]), vec![true, true]),
+                (int(&[2, 20]), vec![true, false]),
+                (vec![Value::Int(3), Value::Null], vec![false, false]),
+            ]
+        );
     }
 
-    /// `EXPLAIN` of the extended envelope: every flag is one mark join
-    /// over the envelope, through the relation's primary-key index when
-    /// it has one and a per-execution hash build when it has none.
+    /// `EXPLAIN` of the extended envelope: a join's literals are all
+    /// witnessed, so it plans no mark join, and its one-sided conjunct
+    /// filters the scan below `DISTINCT`. A subtracted relation's flag is
+    /// one mark join, through the relation's primary-key index when it
+    /// has one and a per-execution hash build when it has none.
     #[test]
     fn explain_names_the_mark_join_and_its_access_path() {
+        let explain = |db: &Database, q: &SjudQuery| {
+            let template = MembershipTemplate::build(q, db.catalog()).unwrap();
+            let ast = extended_envelope_sql(&envelope(q), &template, db.catalog()).unwrap();
+            db.explain(&hippo_sql::print_query(&ast)).unwrap()
+        };
         let mut db = Database::new();
         for name in ["r", "s"] {
             db.execute(&format!(
@@ -183,32 +236,28 @@ mod tests {
             db.catalog(),
         )
         .unwrap();
-        let explain = |db: &Database, q: &SjudQuery| {
-            let template = MembershipTemplate::build(q, db.catalog()).unwrap();
-            let ast = extended_envelope_sql(&envelope(q), &template, db.catalog()).unwrap();
-            db.explain(&hippo_sql::print_query(&ast)).unwrap()
-        };
         let plan = explain(&db, &join);
+        assert!(!plan.contains("MarkJoinExec"), "{plan}");
+        let distinct = plan.find("DistinctExec").expect("set semantics");
+        let filter = plan.find("FilterExec").expect("the payload conjunct");
+        assert!(distinct < filter, "the filter sits below DISTINCT:\n{plan}");
+
+        let diff = SjudQuery::rel("r").diff(SjudQuery::rel("s"));
+        let plan = explain(&db, &diff);
+        assert_eq!(plan.matches("MarkJoinExec").count(), 1, "{plan}");
         assert!(
-            plan.contains("MarkJoinExec r key=(#0 = #0, #1 = #1, #2 = #2) via index (#0)"),
+            plan.contains("MarkJoinExec s key=(#0 = #0, #1 = #1, #2 = #2) via index (#0)"),
             "{plan}"
-        );
-        assert!(
-            plan.contains("MarkJoinExec s key=(#0 = #3, #1 = #4, #2 = #5) via index (#0)"),
-            "{plan}"
-        );
-        assert!(
-            plan.starts_with("MarkJoinExec s"),
-            "the flag projection is the identity over the marks, so it is dropped:\n{plan}"
         );
 
         // quickstart's `emp` has no index: the mark builds a partition.
-        let mut db = Database::new();
         db.execute("CREATE TABLE emp (name TEXT, salary INT)")
             .unwrap();
-        let plan = explain(&db, &SjudQuery::rel("emp"));
+        db.execute("CREATE TABLE ex (name TEXT, salary INT)")
+            .unwrap();
+        let plan = explain(&db, &SjudQuery::rel("emp").diff(SjudQuery::rel("ex")));
         assert!(
-            plan.contains("MarkJoinExec emp key=(#0 = #0, #1 = #1) via hash build"),
+            plan.contains("MarkJoinExec ex key=(#0 = #0, #1 = #1) via hash build"),
             "{plan}"
         );
     }

@@ -96,16 +96,18 @@ fn arb_bag_instance() -> impl Strategy<Value = TwoRelRows> {
     )
 }
 
-/// Two binary relations loaded as given, duplicate rows included.
-fn build_bag_db(tables: [(&str, &[(i64, i64)]); 2]) -> Database {
+/// Two binary relations loaded as given, duplicate rows included; a
+/// `None` value is `NULL`.
+fn build_bag_db<V: Copy + Into<Option<i64>>>(tables: [(&str, &[(V, V)]); 2]) -> Database {
     let mut db = Database::new();
+    let value = |v: V| v.into().map_or(Value::Null, Value::Int);
     for (name, rows) in tables {
         db.execute(&format!("CREATE TABLE {name} (name INT, salary INT)"))
             .unwrap();
         db.insert_rows(
             name,
             rows.iter()
-                .map(|&(n, s)| vec![Value::Int(n), Value::Int(s)])
+                .map(|&(n, s)| vec![value(n), value(s)])
                 .collect(),
         )
         .unwrap();
@@ -135,6 +137,32 @@ fn arb_bag_query() -> impl Strategy<Value = SjudQuery> {
         ]
     })
     .prop_filter("consistent arities", query_arity_ok)
+}
+
+/// The extended envelope's candidates, in its order, after checking
+/// every flag [`split_gathered`] returns against a membership check of
+/// this test's own: the literal's fact has no `NULL` and its relation
+/// holds an identical row.
+fn checked_candidates(q: &SjudQuery, db: &Database) -> Vec<Row> {
+    let cat = db.catalog();
+    let template = MembershipTemplate::build(q, cat).unwrap();
+    let ast = extended_envelope_sql(&envelope(q), &template, cat).unwrap();
+    let rows = db.query(&hippo::sql::print_query(&ast)).unwrap().rows;
+    let gathered = split_gathered(rows, q.validate(cat).unwrap(), &template);
+    for (cand, flags) in gathered.candidates.iter().zip(&gathered.flags) {
+        assert_eq!(flags.len(), template.literals.len());
+        for (lit, &flag) in template.literals.iter().zip(flags) {
+            let fact: Vec<&Value> = lit.cols.iter().map(|&c| &cand[c]).collect();
+            let member = fact.iter().all(|v| !v.is_null())
+                && cat
+                    .table(&lit.rel)
+                    .unwrap()
+                    .iter()
+                    .any(|(_, row)| row.iter().eq(fact.iter().copied()));
+            assert_eq!(flag, member, "{} flag of {:?} for {}", lit.rel, cand, q);
+        }
+    }
+    gathered.candidates
 }
 
 proptest! {
@@ -209,11 +237,7 @@ proptest! {
         // envelope's rows in its order, deduplicated within each fixed
         // shard; those in the reference filter skip the prover, the rest
         // reach it and are decided by a cache hit or a prover run.
-        let template = MembershipTemplate::build(&q, cat).unwrap();
-        let ast = extended_envelope_sql(&envelope(&q), &template, cat).unwrap();
-        let rows = db.query(&hippo::sql::print_query(&ast)).unwrap().rows;
-        let cands =
-            split_gathered(rows, q.validate(cat).unwrap(), template.literals.len()).candidates;
+        let cands = checked_candidates(&q, &db);
         let (mut decided, mut filtered) = (0, 0);
         for (lo, hi) in split_ranges(cands.len(), PROVER_SHARDS) {
             let distinct: HashSet<&Row> = cands[lo..hi].iter().collect();
@@ -238,6 +262,20 @@ proptest! {
                 "query {} threads {}", q, threads
             );
         }
+    }
+
+    /// Every flag of the extended envelope is the membership of its
+    /// literal's fact, also where candidates carry `NULL` (which the
+    /// oracle comparisons above leave out, see ROADMAP direction 9).
+    #[test]
+    fn envelope_flags_are_memberships(
+        (emp, dept) in (
+            prop::collection::vec((prop::option::of(0i64..4), prop::option::of(0i64..3)), 0..8),
+            prop::collection::vec((prop::option::of(0i64..4), prop::option::of(0i64..3)), 0..5),
+        ),
+        q in arb_bag_query(),
+    ) {
+        checked_candidates(&q, &build_bag_db([("emp", &emp), ("dept", &dept)]));
     }
 
     #[test]
