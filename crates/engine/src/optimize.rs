@@ -133,11 +133,15 @@ fn index_access_path(table: &str, predicate: &BoundExpr, catalog: &Catalog) -> O
 
 /// The largest index of `t` whose every column satisfies `covered`;
 /// ties between equal-length indexes break to the lexicographically
-/// smallest column set, so plan choice is deterministic.
+/// smallest column set, so plan choice is deterministic. An index that
+/// repeats a column (`CREATE INDEX i ON t (a, a)`) is never chosen: the
+/// key is one expression per column, so it could not be laid out in the
+/// index's order.
 fn best_index(t: &Table, covered: impl Fn(usize) -> bool) -> Option<&Vec<usize>> {
     let mut best: Option<&Vec<usize>> = None;
     for cols in t.index_column_sets() {
-        if !cols.iter().all(|&c| covered(c)) {
+        let repeats = cols.iter().enumerate().any(|(i, c)| cols[..i].contains(c));
+        if repeats || !cols.iter().all(|&c| covered(c)) {
             continue;
         }
         let better = match best {

@@ -139,3 +139,21 @@ fn intersect_sql_answers_match_algebra() {
     let direct = answer(&hippo, &q).unwrap().rows;
     assert_eq!(via_sql, direct);
 }
+
+/// An index that repeats a column is never an access path: a correlated
+/// `EXISTS` on that column plans as a mark join by hash build instead of
+/// panicking while it lays the key out in the index's order.
+#[test]
+fn index_repeating_a_column_is_not_an_access_path() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (a INT, b INT)").unwrap();
+    db.execute("CREATE INDEX i ON t (a, a)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 2)").unwrap();
+    for sql in [
+        "SELECT * FROM t WHERE EXISTS (SELECT * FROM t AS u WHERE u.a = t.a)",
+        "SELECT * FROM t WHERE a = 1",
+    ] {
+        let rows = db.query(sql).unwrap().rows;
+        assert_eq!(rows, vec![vec![Value::Int(1), Value::Int(2)]], "{sql}");
+    }
+}
