@@ -241,6 +241,18 @@ mod tests {
         let distinct = plan.find("DistinctExec").expect("set semantics");
         let filter = plan.find("FilterExec").expect("the payload conjunct");
         assert!(distinct < filter, "the filter sits below DISTINCT:\n{plan}");
+        // The join and both DISTINCT sides run on column batches; only
+        // the outer projections stay row-mode.
+        for line in plan.lines() {
+            let op = line.trim_start();
+            let vectorized = line.ends_with(" [vectorized]");
+            if op.starts_with("HashJoinExec") || op.starts_with("DistinctExec") {
+                assert!(vectorized, "{plan}");
+            }
+            if !line.starts_with(' ') && op.starts_with("ProjectExec") {
+                assert!(!vectorized, "{plan}");
+            }
+        }
 
         let diff = SjudQuery::rel("r").diff(SjudQuery::rel("s"));
         let plan = explain(&db, &diff);

@@ -92,7 +92,9 @@
 //! [`crate::SnapshotStatsView`] counts `batches_executed` / `vectorized_rows` /
 //! `rowmode_rows`.
 
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 
 use hippo_sql::BinaryOp;
@@ -101,10 +103,11 @@ use rustc_hash::FxHashMap;
 use crate::catalog::Catalog;
 use crate::exec::Acc;
 use crate::expr::{split_conjuncts_ref, BoundExpr, EvalEnv};
+use crate::keytable::KeyTable;
 use crate::plan::{AggExpr, JoinType, Plan};
 use crate::schema::{DataType, EngineError, TableSchema};
 use crate::table::Table;
-use crate::value::{Row, Value};
+use crate::value::{self, Row, Value};
 
 /// Rows per execution batch window.
 pub const BATCH_ROWS: usize = 1024;
@@ -163,6 +166,63 @@ impl ColumnVector {
             ColumnData::Float64(v) => Value::Float(v[pos]),
             ColumnData::Bool(v) => Value::Bool(v[pos]),
             ColumnData::Str { dict, codes } => Value::Text(dict[codes[pos] as usize].clone()),
+        }
+    }
+
+    /// Feed `state` what `value_at(pos).hash(state)` would, without
+    /// building the value (no allocation for `TEXT`).
+    #[inline]
+    pub fn hash_at<H: Hasher>(&self, pos: usize, state: &mut H) {
+        if !self.is_valid(pos) {
+            return value::hash_null(state);
+        }
+        match &self.data {
+            ColumnData::Int64(v) => value::hash_int(v[pos], state),
+            ColumnData::Float64(v) => value::hash_float(v[pos], state),
+            ColumnData::Bool(v) => value::hash_bool(v[pos], state),
+            ColumnData::Str { dict, codes } => value::hash_text(&dict[codes[pos] as usize], state),
+        }
+    }
+
+    /// `value_at(pos) == other.value_at(opos)` — `Value` identity
+    /// (`NULL` equals `NULL`, integers and floats by exact value) —
+    /// without building either value.
+    #[inline]
+    pub fn eq_at(&self, pos: usize, other: &ColumnVector, opos: usize) -> bool {
+        match (self.is_valid(pos), other.is_valid(opos)) {
+            (true, true) => {}
+            (a, b) => return a == b,
+        }
+        match (&self.data, &other.data) {
+            (ColumnData::Int64(a), ColumnData::Int64(b)) => a[pos] == b[opos],
+            (ColumnData::Float64(a), ColumnData::Float64(b)) => {
+                value::float_cmp(a[pos], b[opos]) == Ordering::Equal
+            }
+            (ColumnData::Int64(a), ColumnData::Float64(b)) => {
+                value::int_float_cmp(a[pos], b[opos]) == Ordering::Equal
+            }
+            (ColumnData::Float64(a), ColumnData::Int64(b)) => {
+                value::int_float_cmp(b[opos], a[pos]) == Ordering::Equal
+            }
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => a[pos] == b[opos],
+            (
+                ColumnData::Str {
+                    dict: da,
+                    codes: ca,
+                },
+                ColumnData::Str {
+                    dict: db,
+                    codes: cb,
+                },
+            ) => {
+                // One dictionary holds each string once.
+                if std::ptr::eq(da, db) {
+                    ca[pos] == cb[opos]
+                } else {
+                    da[ca[pos] as usize] == db[cb[opos] as usize]
+                }
+            }
+            _ => false,
         }
     }
 }
@@ -397,13 +457,24 @@ enum Root<'p> {
         project: Option<&'p [BoundExpr]>,
     },
     Join {
-        left: Pipe<'p>,
-        right: Pipe<'p>,
+        left: Side<'p>,
+        right: Side<'p>,
+        /// Key columns, as offsets into each side's output.
         left_keys: Vec<usize>,
         right_keys: Vec<usize>,
         join_type: JoinType,
         project: Option<&'p [BoundExpr]>,
     },
+}
+
+/// A join side: `Distinct?(Project?(pipe))` with a column-only
+/// projection, run on positions — the pipe's selection, deduplicated
+/// when `distinct` — until the join emits its output rows.
+struct Side<'p> {
+    pipe: Pipe<'p>,
+    /// The store column behind each output column of the side.
+    cols: Vec<usize>,
+    distinct: bool,
 }
 
 /// A scan pipe: `Filter?(Scan)` with compiled conjuncts.
@@ -498,17 +569,15 @@ pub(crate) fn compile<'p>(plan: &'p Plan, catalog: &Catalog) -> Option<VecQuery<
             residual: None,
             join_type,
         } if limit.is_none() => {
-            let lpipe = compile_pipe(left, catalog)?;
-            let rpipe = compile_pipe(right, catalog)?;
-            let la = catalog.table(lpipe.table).ok()?.schema.arity();
-            let ra = catalog.table(rpipe.table).ok()?.schema.arity();
-            let lk = key_columns(left_keys, la)?;
-            let rk = key_columns(right_keys, ra)?;
-            check_project(project, la + ra)?;
+            let left = compile_side(left, catalog)?;
+            let right = compile_side(right, catalog)?;
+            let lk = key_columns(left_keys, left.cols.len())?;
+            let rk = key_columns(right_keys, right.cols.len())?;
+            check_project(project, left.cols.len() + right.cols.len())?;
             Some(VecQuery {
                 root: Root::Join {
-                    left: lpipe,
-                    right: rpipe,
+                    left,
+                    right,
                     left_keys: lk,
                     right_keys: rk,
                     join_type: *join_type,
@@ -551,14 +620,42 @@ fn check_project(project: Option<&[BoundExpr]>, arity: usize) -> Option<()> {
     Some(())
 }
 
-/// Join keys must all be plain in-range columns.
-fn key_columns(keys: &[BoundExpr], arity: usize) -> Option<Vec<usize>> {
+/// The column offsets of `keys` when every one is a plain column of
+/// rows `arity` wide (join keys, column-only projections).
+pub(crate) fn key_columns(keys: &[BoundExpr], arity: usize) -> Option<Vec<usize>> {
     keys.iter()
         .map(|k| match k {
             BoundExpr::Column(i) if *i < arity => Some(*i),
             _ => None,
         })
         .collect()
+}
+
+fn compile_side<'p>(node: &'p Plan, catalog: &Catalog) -> Option<Side<'p>> {
+    let (distinct, node) = match node {
+        Plan::Distinct { input } => (true, &**input),
+        other => (false, other),
+    };
+    let (project, node) = match node {
+        Plan::Project { input, exprs } => (Some(exprs), &**input),
+        other => (None, other),
+    };
+    let pipe = compile_pipe(node, catalog)?;
+    // Row mode runs a bare scan under `DISTINCT` on its one-charge
+    // `Scan` arm, counted as row-mode rows; leave that shape to it.
+    if distinct && project.is_none() && !pipe.has_filter {
+        return None;
+    }
+    let arity = catalog.table(pipe.table).ok()?.schema.arity();
+    let cols = match project {
+        Some(exprs) => key_columns(exprs, arity)?,
+        None => (0..arity).collect(),
+    };
+    Some(Side {
+        pipe,
+        cols,
+        distinct,
+    })
 }
 
 fn compile_pipe<'p>(node: &'p Plan, catalog: &Catalog) -> Option<Pipe<'p>> {
@@ -696,8 +793,7 @@ enum RtProj {
 
 /// Comparison outcome per `eval_binary`'s mapping.
 #[inline]
-fn apply_cmp(op: BinaryOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering;
+fn apply_cmp(op: BinaryOp, ord: Ordering) -> bool {
     match op {
         BinaryOp::Eq => ord == Ordering::Equal,
         BinaryOp::Neq => ord != Ordering::Equal,
@@ -1156,23 +1252,22 @@ pub(crate) fn try_execute(
             join_type,
             project,
         } => {
-            let Some(lrt) = resolve_pipe(left, catalog) else {
+            let Some(lrt) = resolve_pipe(&left.pipe, catalog) else {
                 return Ok(None);
             };
-            let Some(rrt) = resolve_pipe(right, catalog) else {
+            let Some(rrt) = resolve_pipe(&right.pipe, catalog) else {
                 return Ok(None);
             };
             let proj = resolve_project(*project);
             // Row mode executes left before right; keep the charge order.
-            let lsel = run_pipe(env, lrt.store, &lrt.preds, left.has_filter, None)?;
-            let rsel = run_pipe(env, rrt.store, &rrt.preds, right.has_filter, None)?;
+            // Duplicate elimination charges nothing in either engine.
+            let lsel = run_pipe(env, lrt.store, &lrt.preds, left.pipe.has_filter, None)?;
+            let lsel = side_selection(lrt.store, lsel, left);
+            let rsel = run_pipe(env, rrt.store, &rrt.preds, right.pipe.has_filter, None)?;
+            let rsel = side_selection(rrt.store, rsel, right);
             Ok(Some(join_selections(
-                lrt.store,
-                rrt.store,
-                &lsel,
-                &rsel,
-                left_keys,
-                right_keys,
+                JoinSide::new(lrt.store, &lsel, &left.cols, left_keys),
+                JoinSide::new(rrt.store, &rsel, &right.cols, right_keys),
                 *join_type,
                 proj.as_deref(),
             )))
@@ -1260,83 +1355,122 @@ fn aggregate_selection(
     Ok(out)
 }
 
-/// Hash join over two selections, mirroring `hash_join_rows`: build
-/// over the right side (`NULL` keys never enter the table), probe left
-/// rows in order, left-outer padding when unmatched.
-#[allow(clippy::too_many_arguments)]
+/// A side's selection as the join sees it: the pipe's surviving
+/// positions, keeping only the first occurrence of each projected row
+/// when the side is `DISTINCT` (row mode's `dedup` order).
+fn side_selection(store: &ColumnStore, sel: Vec<u32>, side: &Side<'_>) -> Vec<u32> {
+    if !side.distinct {
+        return sel;
+    }
+    let cols: Vec<&ColumnVector> = side.cols.iter().map(|&c| &store.cols[c]).collect();
+    let mut table = KeyTable::with_rows(sel.len());
+    let mut out = Vec::with_capacity(sel.len());
+    for (i, &pos) in sel.iter().enumerate() {
+        let same = |j: u32| {
+            let other = sel[j as usize] as usize;
+            cols.iter().all(|c| c.eq_at(pos as usize, c, other))
+        };
+        if table.insert_distinct(i as u32, hash_at(&cols, pos as usize), same) {
+            out.push(pos);
+        }
+    }
+    out
+}
+
+/// The key hash of row `pos` over `cols`: what
+/// [`crate::keytable::hash_values`] gives for the same values.
+#[inline]
+fn hash_at(cols: &[&ColumnVector], pos: usize) -> u64 {
+    let mut h = rustc_hash::FxHasher::default();
+    for c in cols {
+        c.hash_at(pos, &mut h);
+    }
+    h.finish()
+}
+
+/// One side of a vectorized join: its store, selected positions, the
+/// store column behind each output column, and its key columns.
+struct JoinSide<'a> {
+    store: &'a ColumnStore,
+    sel: &'a [u32],
+    cols: &'a [usize],
+    keys: Vec<&'a ColumnVector>,
+}
+
+impl<'a> JoinSide<'a> {
+    fn new(store: &'a ColumnStore, sel: &'a [u32], cols: &'a [usize], keys: &[usize]) -> Self {
+        let keys = keys.iter().map(|&k| &store.cols[cols[k]]).collect();
+        JoinSide {
+            store,
+            sel,
+            cols,
+            keys,
+        }
+    }
+
+    /// Output column `i` of the side at `pos`.
+    fn value(&self, i: usize, pos: usize) -> Value {
+        self.store.cols[self.cols[i]].value_at(pos)
+    }
+
+    /// Key hash at `pos`, or `None` when a key component is `NULL`.
+    fn key_hash(&self, pos: usize) -> Option<u64> {
+        self.keys
+            .iter()
+            .all(|k| k.is_valid(pos))
+            .then(|| hash_at(&self.keys, pos))
+    }
+}
+
+/// Hash join over two sides' selections, mirroring `hash_join_rows`:
+/// the right side is built into a key table (`NULL` keys never enter
+/// it), left rows probe in order and meet their matches in right-side
+/// order, and a LEFT join pads unmatched rows. Only output rows are
+/// materialised.
 fn join_selections(
-    lstore: &ColumnStore,
-    rstore: &ColumnStore,
-    lsel: &[u32],
-    rsel: &[u32],
-    left_keys: &[usize],
-    right_keys: &[usize],
+    left: JoinSide<'_>,
+    right: JoinSide<'_>,
     join_type: JoinType,
     proj: Option<&[RtProj]>,
 ) -> Vec<Row> {
-    let la = lstore.cols.len();
-    let right_arity = rstore.cols.len();
-    let mut table: FxHashMap<Vec<Value>, Vec<u32>> =
-        FxHashMap::with_capacity_and_hasher(rsel.len(), Default::default());
-    'rows: for &rpos in rsel {
-        let pos = rpos as usize;
-        for &k in right_keys {
-            if !rstore.cols[k].is_valid(pos) {
-                continue 'rows;
-            }
-        }
-        let key: Vec<Value> = right_keys
-            .iter()
-            .map(|&k| rstore.cols[k].value_at(pos))
-            .collect();
-        table.entry(key).or_default().push(rpos);
-    }
+    let (la, ra) = (left.cols.len(), right.cols.len());
+    let table = KeyTable::build(right.sel.len(), |i| right.key_hash(right.sel[i] as usize));
     // Emit one output row from a (left, right?) position pair; `None`
     // right = left-outer NULL padding.
+    let column = |i: usize, lpos: usize, rpos: Option<usize>| -> Value {
+        match (i.checked_sub(la), rpos) {
+            (None, _) => left.value(i, lpos),
+            (Some(j), Some(rp)) => right.value(j, rp),
+            (Some(_), None) => Value::Null,
+        }
+    };
     let emit = |lpos: usize, rpos: Option<usize>| -> Row {
         match proj {
             Some(items) => items
                 .iter()
                 .map(|it| match it {
                     RtProj::Val(v) => v.clone(),
-                    RtProj::Col(i) if *i < la => lstore.cols[*i].value_at(lpos),
-                    RtProj::Col(i) => match rpos {
-                        Some(rp) => rstore.cols[*i - la].value_at(rp),
-                        None => Value::Null,
-                    },
+                    RtProj::Col(i) => column(*i, lpos, rpos),
                 })
                 .collect(),
-            None => {
-                let mut row = Vec::with_capacity(la + right_arity);
-                for c in &lstore.cols {
-                    row.push(c.value_at(lpos));
-                }
-                match rpos {
-                    Some(rp) => {
-                        for c in &rstore.cols {
-                            row.push(c.value_at(rp));
-                        }
-                    }
-                    None => row.extend(std::iter::repeat_n(Value::Null, right_arity)),
-                }
-                row
-            }
+            None => (0..la + ra).map(|i| column(i, lpos, rpos)).collect(),
         }
     };
     let mut out = Vec::new();
-    for &lpos in lsel {
+    for &lpos in left.sel {
         let pos = lpos as usize;
         let mut matched = false;
-        let null_key = left_keys.iter().any(|&k| !lstore.cols[k].is_valid(pos));
-        if !null_key {
-            let key: Vec<Value> = left_keys
-                .iter()
-                .map(|&k| lstore.cols[k].value_at(pos))
-                .collect();
-            if let Some(candidates) = table.get(&key) {
-                for &rpos in candidates {
+        if let Some(h) = left.key_hash(pos) {
+            for i in table.candidates(h) {
+                let rpos = right.sel[i as usize] as usize;
+                if left
+                    .keys
+                    .iter()
+                    .zip(&right.keys)
+                    .all(|(l, r)| l.eq_at(pos, r, rpos))
+                {
                     matched = true;
-                    out.push(emit(pos, Some(rpos as usize)));
+                    out.push(emit(pos, Some(rpos)));
                 }
             }
         }
@@ -1352,23 +1486,37 @@ fn join_selections(
 // ---------------------------------------------------------------------------
 
 /// Would executing `plan` use the vectorized engine anywhere (assuming
-/// it is enabled)? True when the root compiles, or when any subtree
-/// row mode would recurse into compiles. A `Limit{Some}` over a
-/// streaming shape the compiler rejected does *not* recurse: row mode
-/// runs it with the row-wise early-exit scan, never re-entering the
-/// executor on its input.
+/// it is enabled)? True when any subtree roots a vectorized run (see
+/// [`vectorized_roots`]).
 pub fn plan_uses_vectorized(plan: &Plan, catalog: &Catalog) -> bool {
-    if compile(plan, catalog).is_some() {
-        return true;
+    !vectorized_roots(plan, catalog).is_empty()
+}
+
+/// The roots of the subtrees execution hands to the vectorized engine
+/// (assuming it is enabled), in plan order: a node that compiles runs
+/// whole; below any other node row mode recurses into the children,
+/// except that a `Limit{Some}` over a streaming shape the compiler
+/// rejected runs the row-wise early-exit scan, never re-entering the
+/// executor on its input.
+pub(crate) fn vectorized_roots<'p>(plan: &'p Plan, catalog: &Catalog) -> Vec<&'p Plan> {
+    fn walk<'p>(plan: &'p Plan, catalog: &Catalog, out: &mut Vec<&'p Plan>) {
+        if compile(plan, catalog).is_some() {
+            out.push(plan);
+            return;
+        }
+        if matches!(
+            plan,
+            Plan::Limit { input, limit: Some(_), .. } if is_streaming_shape(input)
+        ) {
+            return;
+        }
+        for child in plan.children() {
+            walk(child, catalog, out);
+        }
     }
-    let streams = matches!(
-        plan,
-        Plan::Limit { input, limit: Some(_), .. } if is_streaming_shape(input)
-    );
-    !streams
-        && plan
-            .children()
-            .any(|child| plan_uses_vectorized(child, catalog))
+    let mut out = Vec::new();
+    walk(plan, catalog, &mut out);
+    out
 }
 
 /// The shape `streaming_limit` handles row-wise without recursion.

@@ -431,19 +431,24 @@ fn parse_select(sql: &str) -> Result<hippo_sql::Query, EngineError> {
 }
 
 /// Render a plan `EXPLAIN`-style: the operator tree (one line per
-/// operator, children indented) followed by an `execution:` line
-/// naming the engine that would run it — `vectorized` when columnar
-/// execution is enabled and [`crate::column::plan_uses_vectorized`]
-/// accepts the plan, `rowmode` otherwise.
+/// operator, children indented), each operator the vectorized engine
+/// runs tagged `[vectorized]`, followed by an
+/// `execution:` line naming the engine — `vectorized` when columnar
+/// execution is enabled and some subtree vectorizes, `rowmode`
+/// otherwise.
 fn render_explain(plan: &Plan, catalog: &Catalog) -> String {
-    let engine = if crate::column::columnar_enabled()
-        && crate::column::plan_uses_vectorized(plan, catalog)
-    {
-        "vectorized"
+    let roots = if crate::column::columnar_enabled() {
+        crate::column::vectorized_roots(plan, catalog)
     } else {
-        "rowmode"
+        Vec::new()
     };
-    format!("{plan}execution: {engine}\n")
+    let engine = if roots.is_empty() {
+        "rowmode"
+    } else {
+        "vectorized"
+    };
+    let tree = plan.explain_tagged(&|node| roots.iter().any(|r| std::ptr::eq(*r, node)));
+    format!("{tree}execution: {engine}\n")
 }
 
 /// Atomic statistics of one snapshot lineage (shared by clones).

@@ -67,9 +67,9 @@
 //! a fresh environment on its own stack.
 
 use crate::expr::{eval, BoundExpr, EvalEnv};
+use crate::keytable::{hash_values, KeyTable};
 use crate::plan::{AggExpr, AggFunc, JoinType, Plan};
 use crate::schema::EngineError;
-use crate::table::TupleId;
 use crate::value::{Row, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -138,7 +138,7 @@ fn reference(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError
         } => {
             let l = reference(left, env)?;
             let r = reference(right, env)?;
-            hash_join_rows(
+            equi_join_reference(
                 l,
                 r,
                 right,
@@ -159,22 +159,30 @@ fn reference(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError
             let r = reference(right, env)?;
             nested_loop_rows(l, r, right, predicate.as_ref(), *join_type, env)
         }
+        // Set forms keep each row not yet in the output; bag forms share
+        // the production helpers, which build no key table.
         Plan::Union { left, right, all } => {
-            let l = reference(left, env)?;
-            let r = reference(right, env)?;
-            Ok(union_rows(l, r, *all))
+            let mut l = reference(left, env)?;
+            l.extend(reference(right, env)?);
+            Ok(if *all { l } else { distinct_reference(l) })
         }
         Plan::Except { left, right, all } => {
             let l = reference(left, env)?;
             let r = reference(right, env)?;
-            Ok(except_rows(l, r, *all))
+            Ok(match all {
+                true => except_rows(l, r, true),
+                false => distinct_reference(l.into_iter().filter(|x| !r.contains(x)).collect()),
+            })
         }
         Plan::Intersect { left, right, all } => {
             let l = reference(left, env)?;
             let r = reference(right, env)?;
-            Ok(intersect_rows(l, r, *all))
+            Ok(match all {
+                true => intersect_rows(l, r, true),
+                false => distinct_reference(l.into_iter().filter(|x| r.contains(x)).collect()),
+            })
         }
-        Plan::Distinct { input } => Ok(dedup(reference(input, env)?)),
+        Plan::Distinct { input } => Ok(distinct_reference(reference(input, env)?)),
         Plan::Aggregate {
             input,
             group_exprs,
@@ -516,6 +524,8 @@ fn mark_join_rows(
 ) -> Result<Vec<Row>, EngineError> {
     let catalog = env.catalog;
     let t = catalog.table(table)?;
+    // With an index the leading `probe_len` keys are matched by the
+    // probe; a hash build matches none, so every key is compared.
     let (probe_len, partition) = match index {
         Some(cols) => {
             if !t.has_index(cols) {
@@ -523,48 +533,66 @@ fn mark_join_rows(
                     "plan references a missing index on {table:?}"
                 )));
             }
-            (cols.len(), FxHashMap::default())
+            (cols.len(), None)
         }
         None => {
             env.charge_batch(t.len())?;
-            let mut map: FxHashMap<Vec<Value>, Vec<TupleId>> = FxHashMap::default();
-            'rows: for (tid, trow) in t.iter() {
-                let mut key = Vec::with_capacity(keys.len());
-                for (c, _) in keys {
-                    if trow[*c].is_null() {
-                        continue 'rows; // NULL keys never match
-                    }
-                    key.push(trow[*c].clone());
-                }
-                map.entry(key).or_default().push(tid);
-            }
-            (keys.len(), map)
+            let inner: Vec<&Row> = t.iter().map(|(_, row)| row).collect();
+            let built = KeyTable::build(inner.len(), |i| {
+                let key = keys.iter().map(|(c, _)| &inner[i][*c]);
+                // NULL keys never match.
+                (!key.clone().any(Value::is_null)).then(|| hash_values(key))
+            });
+            (0, Some((inner, built)))
         }
     };
     let (mut key, mut joined) = (Vec::with_capacity(keys.len()), Row::new());
     for row in &mut rows {
         let mut found = false;
         if mark_key(keys, row, &mut key, env)? {
-            let ids = match index {
-                Some(cols) => t.index_bucket(cols, &key[..probe_len]).unwrap_or(&[]),
-                None => partition.get(&key).map_or(&[][..], Vec::as_slice),
-            };
-            for &id in ids {
-                let inner = t.get(id).expect("buckets hold live ids");
-                if keys[probe_len..]
-                    .iter()
-                    .zip(&key[probe_len..])
-                    .all(|((c, _), k)| inner[*c] == *k)
-                    && residual_holds(residual, row, inner, &mut joined, env)?
-                {
-                    found = true;
-                    break;
+            let (rest, rest_key) = (&keys[probe_len..], &key[probe_len..]);
+            found = match (index, &partition) {
+                (Some(cols), _) => {
+                    let ids = t.index_bucket(cols, &key[..probe_len]).unwrap_or(&[]);
+                    let inner = ids
+                        .iter()
+                        .map(|&id| t.get(id).expect("buckets hold live ids"));
+                    any_inner_matches(inner, rest, rest_key, residual, row, &mut joined, env)?
                 }
-            }
+                (None, Some((inner, built))) => {
+                    let inner = built
+                        .candidates(hash_values(&key))
+                        .map(|i| inner[i as usize]);
+                    any_inner_matches(inner, rest, rest_key, residual, row, &mut joined, env)?
+                }
+                (None, None) => unreachable!("a hash build exists without an index"),
+            };
         }
         row.push(Value::Bool(found != negated));
     }
     Ok(rows)
+}
+
+/// Does any of the `inner` rows (in order) carry `key` in the `keys`
+/// columns and satisfy the residual? The first match ends the walk, so
+/// a residual error is the one a scan would meet first.
+fn any_inner_matches<'a>(
+    inner: impl Iterator<Item = &'a Row>,
+    keys: &[(usize, BoundExpr)],
+    key: &[Value],
+    residual: Option<&BoundExpr>,
+    row: &[Value],
+    joined: &mut Row,
+    env: &mut EvalEnv<'_>,
+) -> Result<bool, EngineError> {
+    for irow in inner {
+        if keys.iter().zip(key).all(|((c, _), k)| irow[*c] == *k)
+            && residual_holds(residual, row, irow, joined, env)?
+        {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// Cartesian product of materialised inputs.
@@ -769,8 +797,8 @@ fn except_rows(l: Vec<Row>, r: Vec<Row>, all: bool) -> Vec<Row> {
         }
         out
     } else {
-        let rset: FxHashSet<Row> = r.into_iter().collect();
-        dedup(l.into_iter().filter(|row| !rset.contains(row)).collect())
+        let in_r = row_set(&r);
+        dedup(l.into_iter().filter(|row| !in_r(row)).collect())
     }
 }
 
@@ -793,8 +821,8 @@ fn intersect_rows(l: Vec<Row>, r: Vec<Row>, all: bool) -> Vec<Row> {
         }
         out
     } else {
-        let rset: FxHashSet<Row> = r.into_iter().collect();
-        dedup(l.into_iter().filter(|row| rset.contains(row)).collect())
+        let in_r = row_set(&r);
+        dedup(l.into_iter().filter(|row| in_r(row)).collect())
     }
 }
 
@@ -826,18 +854,43 @@ fn sort_rows(
     Ok(keyed.into_iter().map(|(_, r)| r).collect())
 }
 
-/// Order-preserving duplicate elimination: first occurrences are marked
-/// through a set borrowing the rows, then the rest are dropped in place,
-/// so no row is cloned.
+/// Order-preserving duplicate elimination: first occurrences are
+/// chained in a key table over row positions, then the rest are dropped
+/// in place, so no row is cloned.
 fn dedup(mut rows: Vec<Row>) -> Vec<Row> {
-    let first: Vec<bool> = {
-        let mut seen: FxHashSet<&[Value]> =
-            FxHashSet::with_capacity_and_hasher(rows.len(), Default::default());
-        rows.iter().map(|row| seen.insert(row)).collect()
-    };
+    let mut table = KeyTable::with_rows(rows.len());
+    let first: Vec<bool> = (0..rows.len())
+        .map(|i| {
+            let h = hash_values(&rows[i]);
+            table.insert_distinct(i as u32, h, |j| rows[j as usize] == rows[i])
+        })
+        .collect();
     let mut first = first.into_iter();
     rows.retain(|_| first.next() == Some(true));
     rows
+}
+
+/// Row membership in `rows`, by identity, through one key table.
+fn row_set(rows: &[Row]) -> impl Fn(&[Value]) -> bool + '_ {
+    let table = KeyTable::build(rows.len(), |i| Some(hash_values(&rows[i])));
+    move |row| {
+        table
+            .candidates(hash_values(row))
+            .any(|j| rows[j as usize] == row)
+    }
+}
+
+/// The defining semantics of duplicate elimination (reference oracle
+/// only): keep each row not yet in the output. Quadratic, and sharing
+/// no code with [`dedup`].
+fn distinct_reference(rows: Vec<Row>) -> Vec<Row> {
+    let mut out: Vec<Row> = Vec::new();
+    for row in rows {
+        if !out.contains(&row) {
+            out.push(row);
+        }
+    }
+    out
 }
 
 /// Arity of a join's materialised right side, for LEFT-join NULL
@@ -849,8 +902,13 @@ fn right_arity(r: &[Row], right: &Plan, env: &EvalEnv<'_>) -> Result<usize, Engi
     }
 }
 
-/// Hash join over materialised inputs (shared by both executors);
-/// `right` is the plan that produced `r`.
+/// The production hash join over materialised inputs; `right` is the
+/// plan that produced `r`. The right side is built into a key table
+/// (a row whose key has a `NULL` is left out), and left rows probe it in
+/// order, each meeting its matches in right-row order. Key values are
+/// read in place when every key is a column; otherwise the right keys
+/// are evaluated once per row, in row order, into one flat buffer, and
+/// each left row's keys into one reused buffer just before its probe.
 #[allow(clippy::too_many_arguments)]
 fn hash_join_rows(
     l: Vec<Row>,
@@ -863,59 +921,151 @@ fn hash_join_rows(
     env: &mut EvalEnv<'_>,
 ) -> Result<Vec<Row>, EngineError> {
     let right_arity = right_arity(&r, right, env)?;
-    // Build hash table over the right side; NULL keys never match.
-    let mut table: FxHashMap<Vec<Value>, Vec<usize>> =
-        FxHashMap::with_capacity_and_hasher(r.len(), Default::default());
-    'rows: for (i, row) in r.iter().enumerate() {
-        let mut key = Vec::with_capacity(right_keys.len());
-        for k in right_keys {
-            let v = eval(k, row, env)?;
-            if v.is_null() {
-                continue 'rows;
+    let width = right_keys.len();
+    let rcols = crate::column::key_columns(right_keys, right_arity);
+    let mut rvals = Vec::new();
+    if rcols.is_none() {
+        rvals.reserve(r.len() * width);
+        for row in &r {
+            let end = rvals.len() + width;
+            for k in right_keys {
+                let v = eval(k, row, env)?;
+                let null = v.is_null();
+                rvals.push(v);
+                if null {
+                    break; // the row matches nothing
+                }
             }
-            key.push(v);
+            rvals.resize(end, Value::Null);
         }
-        table.entry(key).or_default().push(i);
     }
+    let rkey = |i: usize, j: usize| match &rcols {
+        Some(cols) => &r[i][cols[j]],
+        None => &rvals[i * width + j],
+    };
+    let table = KeyTable::build(r.len(), |i| {
+        let key = (0..width).map(|j| rkey(i, j));
+        (!key.clone().any(Value::is_null)).then(|| hash_values(key))
+    });
 
+    let lcols = l
+        .first()
+        .and_then(|row| crate::column::key_columns(left_keys, row.len()));
+    let mut lvals: Vec<Value> = Vec::with_capacity(width);
     let mut out = Vec::new();
     for lrow in &l {
-        let mut matched = false;
-        let mut key = Vec::with_capacity(left_keys.len());
-        let mut null_key = false;
-        for k in left_keys {
-            let v = eval(k, lrow, env)?;
-            if v.is_null() {
-                null_key = true;
-                break;
+        let mut keyed = true;
+        if lcols.is_none() {
+            lvals.clear();
+            for k in left_keys {
+                let v = eval(k, lrow, env)?;
+                if v.is_null() {
+                    keyed = false;
+                    break;
+                }
+                lvals.push(v);
             }
-            key.push(v);
         }
-        if !null_key {
-            if let Some(candidates) = table.get(&key) {
-                for &i in candidates {
-                    // One exact-size allocation per output row; the old
-                    // `lrow.clone()` + `extend` pattern allocated at the
-                    // left arity and then regrew for the right half.
-                    let mut row = Vec::with_capacity(lrow.len() + r[i].len());
-                    row.extend_from_slice(lrow);
-                    row.extend_from_slice(&r[i]);
-                    let keep = match residual {
-                        Some(p) => eval(p, &row, env)? == Value::Bool(true),
-                        None => true,
-                    };
-                    if keep {
-                        matched = true;
-                        out.push(row);
-                    }
+        let lkey = |j: usize| match &lcols {
+            Some(cols) => &lrow[cols[j]],
+            None => &lvals[j],
+        };
+        let mut matched = false;
+        if keyed && !(0..width).any(|j| lkey(j).is_null()) {
+            for i in table.candidates(hash_values((0..width).map(lkey))) {
+                let rrow = &r[i as usize];
+                if !(0..width).all(|j| lkey(j) == rkey(i as usize, j)) {
+                    continue;
+                }
+                let mut row = Vec::with_capacity(lrow.len() + rrow.len());
+                row.extend_from_slice(lrow);
+                row.extend_from_slice(rrow);
+                let keep = match residual {
+                    Some(p) => eval(p, &row, env)? == Value::Bool(true),
+                    None => true,
+                };
+                if keep {
+                    matched = true;
+                    out.push(row);
                 }
             }
         }
         if !matched && join_type == JoinType::Left {
-            let mut row = Vec::with_capacity(lrow.len() + right_arity);
-            row.extend_from_slice(lrow);
-            row.extend(std::iter::repeat_n(Value::Null, right_arity));
-            out.push(row);
+            out.push(null_padded(lrow, right_arity));
+        }
+    }
+    Ok(out)
+}
+
+/// A left row padded with `NULL`s for an unmatched LEFT-join row.
+fn null_padded(lrow: &[Value], right_arity: usize) -> Row {
+    let mut row = Vec::with_capacity(lrow.len() + right_arity);
+    row.extend_from_slice(lrow);
+    row.extend(std::iter::repeat_n(Value::Null, right_arity));
+    row
+}
+
+/// Evaluate a join key for `row`; `None` at the first `NULL` component.
+fn join_key(
+    keys: &[BoundExpr],
+    row: &[Value],
+    env: &mut EvalEnv<'_>,
+) -> Result<Option<Vec<Value>>, EngineError> {
+    let mut key = Vec::with_capacity(keys.len());
+    for k in keys {
+        let v = eval(k, row, env)?;
+        if v.is_null() {
+            return Ok(None);
+        }
+        key.push(v);
+    }
+    Ok(Some(key))
+}
+
+/// The defining semantics of an equi-join (reference oracle only), as a
+/// nested loop: a left row pairs with every right row, in order, whose
+/// key identity-equals its own (a `NULL` component matches nothing) and
+/// on which the residual holds. Keys are evaluated in the production
+/// order — every right row first, then each left row before its
+/// matches — so an erroring key fails both executors alike.
+#[allow(clippy::too_many_arguments)]
+fn equi_join_reference(
+    l: Vec<Row>,
+    r: Vec<Row>,
+    right: &Plan,
+    left_keys: &[BoundExpr],
+    right_keys: &[BoundExpr],
+    residual: Option<&BoundExpr>,
+    join_type: JoinType,
+    env: &mut EvalEnv<'_>,
+) -> Result<Vec<Row>, EngineError> {
+    let right_arity = right_arity(&r, right, env)?;
+    let rkeys: Vec<Option<Vec<Value>>> = r
+        .iter()
+        .map(|row| join_key(right_keys, row, env))
+        .collect::<Result<_, _>>()?;
+    let mut out = Vec::new();
+    for lrow in &l {
+        let mut matched = false;
+        if let Some(lkey) = join_key(left_keys, lrow, env)? {
+            for (rrow, rkey) in r.iter().zip(&rkeys) {
+                if rkey.as_ref() != Some(&lkey) {
+                    continue;
+                }
+                let mut row = lrow.clone();
+                row.extend_from_slice(rrow);
+                let keep = match residual {
+                    Some(p) => eval(p, &row, env)? == Value::Bool(true),
+                    None => true,
+                };
+                if keep {
+                    matched = true;
+                    out.push(row);
+                }
+            }
+        }
+        if !matched && join_type == JoinType::Left {
+            out.push(null_padded(lrow, right_arity));
         }
     }
     Ok(out)
@@ -948,10 +1098,7 @@ fn nested_loop_rows(
             }
         }
         if !matched && join_type == JoinType::Left {
-            let mut row = Vec::with_capacity(lrow.len() + right_arity);
-            row.extend_from_slice(lrow);
-            row.extend(std::iter::repeat_n(Value::Null, right_arity));
-            out.push(row);
+            out.push(null_padded(lrow, right_arity));
         }
     }
     Ok(out)

@@ -57,6 +57,7 @@ pub mod column;
 pub mod db;
 pub mod exec;
 pub mod expr;
+mod keytable;
 pub mod optimize;
 pub mod plan;
 pub mod schema;

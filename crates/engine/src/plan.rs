@@ -383,7 +383,23 @@ impl Plan {
         (idx, scan)
     }
 
-    fn fmt_indented(&self, f: &mut std::fmt::Formatter<'_>, depth: usize) -> std::fmt::Result {
+    /// `EXPLAIN` text with every operator of the subtrees the
+    /// vectorized engine runs tagged `[vectorized]`: `root(node)` says
+    /// whether `node` roots such a subtree.
+    pub(crate) fn explain_tagged(&self, root: &dyn Fn(&Plan) -> bool) -> String {
+        let mut out = String::new();
+        self.write_tree(&mut out, 0, false, root)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_tree(
+        &self,
+        f: &mut impl std::fmt::Write,
+        depth: usize,
+        inside: bool,
+        root: &dyn Fn(&Plan) -> bool,
+    ) -> std::fmt::Result {
         for _ in 0..depth {
             f.write_str("  ")?;
         }
@@ -391,11 +407,9 @@ impl Plan {
         // `FilterExec`, …): `EXPLAIN` output is pinned by tests and read
         // by people, independent of how the enum spells its variants.
         match self {
-            Plan::Empty { arity } => writeln!(f, "Empty arity={arity}")?,
-            Plan::Values { rows, arity } => {
-                writeln!(f, "Values rows={} arity={arity}", rows.len())?
-            }
-            Plan::Scan { table } => writeln!(f, "SeqScan {table}")?,
+            Plan::Empty { arity } => write!(f, "Empty arity={arity}")?,
+            Plan::Values { rows, arity } => write!(f, "Values rows={} arity={arity}", rows.len())?,
+            Plan::Scan { table } => write!(f, "SeqScan {table}")?,
             Plan::IndexLookup {
                 table,
                 index_cols,
@@ -403,19 +417,19 @@ impl Plan {
             } => {
                 let cols: Vec<String> = index_cols.iter().map(|c| format!("#{c}")).collect();
                 let keys: Vec<String> = key.iter().map(fmt_expr).collect();
-                writeln!(
+                write!(
                     f,
                     "IndexLookup {table} index=({}) key=({})",
                     cols.join(", "),
                     keys.join(", ")
                 )?
             }
-            Plan::Filter { predicate, .. } => writeln!(f, "FilterExec {}", fmt_expr(predicate))?,
+            Plan::Filter { predicate, .. } => write!(f, "FilterExec {}", fmt_expr(predicate))?,
             Plan::Project { exprs, .. } => {
                 let out: Vec<String> = exprs.iter().map(fmt_expr).collect();
-                writeln!(f, "ProjectExec [{}]", out.join(", "))?
+                write!(f, "ProjectExec [{}]", out.join(", "))?
             }
-            Plan::CrossJoin { .. } => writeln!(f, "CrossJoinExec")?,
+            Plan::CrossJoin { .. } => write!(f, "CrossJoinExec")?,
             Plan::HashJoin {
                 left_keys,
                 right_keys,
@@ -424,7 +438,7 @@ impl Plan {
             } => {
                 let lk: Vec<String> = left_keys.iter().map(fmt_expr).collect();
                 let rk: Vec<String> = right_keys.iter().map(fmt_expr).collect();
-                writeln!(
+                write!(
                     f,
                     "HashJoinExec {:?} ({}) = ({})",
                     join_type,
@@ -433,17 +447,17 @@ impl Plan {
                 )?
             }
             Plan::NestedLoopJoin { join_type, .. } => {
-                writeln!(f, "NestedLoopJoinExec {join_type:?}")?
+                write!(f, "NestedLoopJoinExec {join_type:?}")?
             }
-            Plan::Union { all, .. } => writeln!(f, "UnionExec all={all}")?,
-            Plan::Except { all, .. } => writeln!(f, "ExceptExec all={all}")?,
-            Plan::Intersect { all, .. } => writeln!(f, "IntersectExec all={all}")?,
-            Plan::Distinct { .. } => writeln!(f, "DistinctExec")?,
+            Plan::Union { all, .. } => write!(f, "UnionExec all={all}")?,
+            Plan::Except { all, .. } => write!(f, "ExceptExec all={all}")?,
+            Plan::Intersect { all, .. } => write!(f, "IntersectExec all={all}")?,
+            Plan::Distinct { .. } => write!(f, "DistinctExec")?,
             Plan::Aggregate {
                 group_exprs,
                 aggregates,
                 ..
-            } => writeln!(
+            } => write!(
                 f,
                 "AggregateExec groups={} aggs={}",
                 group_exprs.len(),
@@ -454,11 +468,11 @@ impl Plan {
                     .iter()
                     .map(|(e, desc)| format!("{}{}", fmt_expr(e), if *desc { " DESC" } else { "" }))
                     .collect();
-                writeln!(f, "SortExec [{}]", ks.join(", "))?
+                write!(f, "SortExec [{}]", ks.join(", "))?
             }
             Plan::Limit { limit, offset, .. } => match limit {
-                Some(l) => writeln!(f, "LimitExec limit={l} offset={offset}")?,
-                None => writeln!(f, "LimitExec offset={offset}")?,
+                Some(l) => write!(f, "LimitExec limit={l} offset={offset}")?,
+                None => write!(f, "LimitExec offset={offset}")?,
             },
             Plan::MarkJoin {
                 table,
@@ -484,14 +498,19 @@ impl Plan {
                 match index {
                     Some(cols) => {
                         let cols: Vec<String> = cols.iter().map(|c| format!("#{c}")).collect();
-                        writeln!(f, " via index ({})", cols.join(", "))?
+                        write!(f, " via index ({})", cols.join(", "))?
                     }
-                    None => writeln!(f, " via hash build")?,
+                    None => write!(f, " via hash build")?,
                 }
             }
         }
+        let vectorized = inside || root(self);
+        if vectorized {
+            f.write_str(" [vectorized]")?;
+        }
+        f.write_char('\n')?;
         for child in self.children() {
-            child.fmt_indented(f, depth + 1)?;
+            child.write_tree(f, depth + 1, vectorized, root)?;
         }
         Ok(())
     }
@@ -510,7 +529,7 @@ const _: () = {
 /// two spaces — the access path actually chosen is visible at the leaf.
 impl std::fmt::Display for Plan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.fmt_indented(f, 0)
+        self.write_tree(f, 0, false, &|_| false)
     }
 }
 

@@ -8,10 +8,12 @@
 //!   integers and floats numerically.
 //! * **Total order** (the [`Ord`] impl) — used for sorting, hashing and set
 //!   operations; `NULL` sorts first, and `NaN` sorts after all other floats.
+//!   Numbers compare by exact value: two `Int`s as `i64`, an `Int` and a
+//!   `Float` without rounding either through the other's type.
 //!
-//! `Eq`/`Hash` agree with the total order, and numeric values that are
-//! SQL-equal (`1 = 1.0`) are also `Eq`-equal and hash identically, so hash
-//! based set operations match SQL semantics.
+//! `Eq`/`Hash` agree with the total order: an integer and a float of the
+//! same exact value (`1` and `1.0`) are `Eq`-equal and hash identically,
+//! so hash based set operations match the order.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -85,24 +87,6 @@ impl Value {
         }
     }
 
-    /// Canonical numeric key so that `Int(1)`, `Float(1.0)` hash and compare
-    /// equal: integers and integral in-range floats map to the `i64` grid.
-    fn numeric_key(&self) -> Option<NumKey> {
-        match self {
-            Value::Int(v) => Some(NumKey::Int(*v)),
-            Value::Float(v) => {
-                if v.is_nan() {
-                    Some(NumKey::Nan)
-                } else if v.fract() == 0.0 && *v >= i64::MIN as f64 && *v < i64::MAX as f64 {
-                    Some(NumKey::Int(*v as i64))
-                } else {
-                    Some(NumKey::Float(v.to_bits()))
-                }
-            }
-            _ => None,
-        }
-    }
-
     fn rank(&self) -> u8 {
         match self {
             Value::Null => 0,
@@ -110,6 +94,20 @@ impl Value {
             Value::Int(_) | Value::Float(_) => 2,
             Value::Text(_) => 3,
         }
+    }
+}
+
+/// Canonical numeric hash key, so that `Int(1)` and `Float(1.0)` hash
+/// alike: integers and integral in-range floats map to the `i64` grid.
+/// (`-0.0` maps to `0` too; it compares unequal to `0`, which a shared
+/// hash allows.)
+fn numeric_key(v: f64) -> NumKey {
+    if v.is_nan() {
+        NumKey::Nan
+    } else if v.fract() == 0.0 && v >= i64::MIN as f64 && v < i64::MAX as f64 {
+        NumKey::Int(v as i64)
+    } else {
+        NumKey::Float(v.to_bits())
     }
 }
 
@@ -154,44 +152,97 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
-    /// Total order: NULL < booleans < numerics (by value, NaN last) < text.
+    /// Total order: NULL < booleans < numerics (by exact value, `-0.0`
+    /// just below `0`, NaN last) < text.
     fn cmp(&self, other: &Self) -> Ordering {
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Text(a), Value::Text(b)) => a.cmp(b),
-            (a, b) if a.rank() == 2 && b.rank() == 2 => match (a.numeric_key(), b.numeric_key()) {
-                (Some(NumKey::Nan), Some(NumKey::Nan)) => Ordering::Equal,
-                (Some(NumKey::Nan), _) => Ordering::Greater,
-                (_, Some(NumKey::Nan)) => Ordering::Less,
-                _ => a
-                    .as_f64()
-                    .expect("numeric")
-                    .total_cmp(&b.as_f64().expect("numeric")),
-            },
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Float(a), Value::Float(b)) => float_cmp(*a, *b),
+            (Value::Int(a), Value::Float(b)) => int_float_cmp(*a, *b),
+            (Value::Float(a), Value::Int(b)) => int_float_cmp(*b, *a).reverse(),
             (a, b) => a.rank().cmp(&b.rank()),
         }
     }
 }
 
+/// The total order on floats: numeric, `-0.0` just below `0.0`
+/// (`total_cmp`), every NaN equal to every other and above all numbers.
+pub(crate) fn float_cmp(a: f64, b: f64) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (true, true) => Ordering::Equal,
+        (true, false) => Ordering::Greater,
+        (false, true) => Ordering::Less,
+        (false, false) => a.total_cmp(&b),
+    }
+}
+
+/// Integer against float, exactly: no rounding through `f64`, so
+/// `2^53 + 1` stays above `2^53` as a float. `-0.0` sits just below `0`,
+/// as it sits just below `0.0`, and NaN above every integer.
+pub(crate) fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    // 2^63 is exact in f64; every float at or past ±2^63 lies outside
+    // the i64 range except -2^63 itself.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() || f >= TWO_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_63 {
+        return Ordering::Greater;
+    }
+    let whole = f.trunc();
+    // `whole` lies in [-2^63, 2^63), so the cast is exact.
+    i.cmp(&(whole as i64)).then_with(|| {
+        if f > whole {
+            Ordering::Less
+        } else if f < whole || (f == 0.0 && f.is_sign_negative()) {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    })
+}
+
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
-            Value::Null => state.write_u8(0),
-            Value::Bool(b) => {
-                state.write_u8(1);
-                b.hash(state);
-            }
-            Value::Int(_) | Value::Float(_) => {
-                state.write_u8(2);
-                self.numeric_key().expect("numeric").hash(state);
-            }
-            Value::Text(s) => {
-                state.write_u8(3);
-                s.hash(state);
-            }
+            Value::Null => hash_null(state),
+            Value::Bool(b) => hash_bool(*b, state),
+            Value::Int(x) => hash_int(*x, state),
+            Value::Float(x) => hash_float(*x, state),
+            Value::Text(s) => hash_text(s, state),
         }
     }
+}
+
+// The per-type halves of `Value`'s `Hash`, shared with the column
+// store (`ColumnVector::hash_at`), which hashes typed buffers without
+// building a `Value`: both must feed a hasher the same words.
+
+pub(crate) fn hash_null<H: Hasher>(state: &mut H) {
+    state.write_u8(0);
+}
+
+pub(crate) fn hash_bool<H: Hasher>(b: bool, state: &mut H) {
+    state.write_u8(1);
+    b.hash(state);
+}
+
+pub(crate) fn hash_int<H: Hasher>(x: i64, state: &mut H) {
+    state.write_u8(2);
+    NumKey::Int(x).hash(state);
+}
+
+pub(crate) fn hash_float<H: Hasher>(x: f64, state: &mut H) {
+    state.write_u8(2);
+    numeric_key(x).hash(state);
+}
+
+pub(crate) fn hash_text<H: Hasher>(s: &str, state: &mut H) {
+    state.write_u8(3);
+    s.hash(state);
 }
 
 impl fmt::Display for Value {
@@ -323,6 +374,70 @@ mod tests {
         assert_eq!(Value::Int(-3).to_string(), "-3");
         assert_eq!(Value::text("x").to_string(), "x");
         assert_eq!(Value::Bool(true).to_string(), "true");
+    }
+
+    /// Around 2^53 an `f64` cannot tell neighbouring integers apart;
+    /// the total order must, or `Eq` and `Hash` disagree.
+    #[test]
+    fn equality_implies_equal_hashes_and_order_is_transitive() {
+        const P53: i64 = 1 << 53;
+        let mut grid = vec![Value::Null, Value::Bool(false), Value::text("1")];
+        for x in [
+            0,
+            1,
+            -1,
+            P53 - 1,
+            P53,
+            P53 + 1,
+            -P53 - 1,
+            -P53,
+            -P53 + 1,
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MAX - 1,
+            i64::MAX,
+        ] {
+            grid.push(Value::Int(x));
+            grid.push(Value::Float(x as f64));
+        }
+        for f in [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            9_223_372_036_854_775_808.0,
+            -9_223_372_036_854_775_808.0,
+            -9_223_372_036_854_777_856.0,
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            grid.push(Value::Float(f));
+        }
+        for a in &grid {
+            for b in &grid {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?}");
+                }
+                for c in &grid {
+                    if a <= b && b <= c {
+                        assert!(a <= c, "{a:?} <= {b:?} <= {c:?}");
+                    }
+                }
+            }
+        }
+        assert_ne!(Value::Int(P53 + 1), Value::Int(P53));
+        assert!(Value::Int(P53) < Value::Int(P53 + 1));
+        assert!(Value::Float(P53 as f64) < Value::Int(P53 + 1));
+        assert!(Value::Int(i64::MAX) < Value::Float(9_223_372_036_854_775_808.0));
+        assert!(Value::Float(-0.0) < Value::Int(0));
+        assert!(Value::Float(-0.0) < Value::Float(0.0));
+        assert_eq!(Value::Int(0), Value::Float(0.0));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
     }
 
     #[test]

@@ -157,3 +157,50 @@ fn index_repeating_a_column_is_not_an_access_path() {
         assert_eq!(rows, vec![vec![Value::Int(1), Value::Int(2)]], "{sql}");
     }
 }
+
+/// Two keys an `f64` cannot tell apart (2^53 and 2^53 + 1) are two
+/// facts: under `k → v` neither conflicts, so both are consistent in
+/// every mode, and `ORDER BY` keeps them apart too.
+#[test]
+fn keys_beyond_f64_precision_stay_distinct() {
+    const P53: i64 = 1 << 53;
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (k INT, v INT)").unwrap();
+    db.execute(&format!(
+        "INSERT INTO t VALUES ({}, 1), ({P53}, 1)",
+        P53 + 1
+    ))
+    .unwrap();
+    let sorted = db.query("SELECT k FROM t ORDER BY k").unwrap().rows;
+    assert_eq!(
+        sorted,
+        vec![vec![Value::Int(P53)], vec![Value::Int(P53 + 1)]]
+    );
+
+    let mut hippo = Hippo::new(
+        db,
+        vec![DenialConstraint::functional_dependency("t", &[0], 1)],
+    )
+    .unwrap();
+    assert_eq!(hippo.graph().edge_count(), 0, "no conflict");
+    let q = SjudQuery::rel("t");
+    for options in [
+        HippoOptions::base(),
+        HippoOptions::kg(),
+        HippoOptions::full(),
+    ] {
+        hippo.options = options;
+        let rows = answer(&hippo, &q).unwrap().rows;
+        assert_eq!(
+            rows,
+            vec![
+                vec![Value::Int(P53), Value::Int(1)],
+                vec![Value::Int(P53 + 1), Value::Int(1)],
+            ],
+            "{:?}",
+            hippo.options
+        );
+    }
+    let truth = naive_consistent_answers(&q, hippo.db().catalog(), hippo.graph());
+    assert_eq!(truth.len(), 2);
+}
