@@ -62,7 +62,23 @@
 //! * **Agg** — `Aggregate` over such a pipe with column-only
 //!   group keys and aggregate arguments;
 //! * **Join** — `HashJoin` (inner/left, no residual) with
-//!   column-only keys over two such pipes.
+//!   column-only keys over two sides, each `Distinct?(Project?(pipe))`
+//!   with a column-only projection (a `Distinct` needs a filter or a
+//!   projection below it: row mode runs a bare scan under `DISTINCT` on
+//!   its one-charge `Scan` arm). A side stays a selection vector of
+//!   positions throughout: a `DISTINCT` side keeps the first position of
+//!   each projected row, the join builds over the right side's positions
+//!   and probes with the left's, and only output rows are materialised —
+//!   a join envelope `HashJoin(Distinct(Project(Filter(Scan r))),
+//!   Distinct(Project(Scan s)))` builds no input row at all.
+//!
+//! Duplicate elimination and the join's build share the engine's one
+//! key table (`keytable.rs`): chain heads, one link and one cached hash
+//! per position, no key vector per row. [`ColumnVector::hash_at`] and
+//! [`ColumnVector::eq_at`] hash and compare a position exactly as
+//! `Value` hashes and compares the materialised value, so the row-mode
+//! operators and these agree on every key, `NULL`, `-0.0`, `NaN` and
+//! `TEXT` included.
 //!
 //! Anything else returns `None` and runs row-mode — but because the
 //! vectorized hook sits at the top of `execute_physical`, *subtrees*
@@ -1487,7 +1503,7 @@ fn join_selections(
 
 /// Would executing `plan` use the vectorized engine anywhere (assuming
 /// it is enabled)? True when any subtree roots a vectorized run (see
-/// [`vectorized_roots`]).
+/// `vectorized_roots`).
 pub fn plan_uses_vectorized(plan: &Plan, catalog: &Catalog) -> bool {
     !vectorized_roots(plan, catalog).is_empty()
 }

@@ -1,7 +1,8 @@
 //! Plan execution: the production executor and the reference oracle.
 //!
-//! Both run the one [`Plan`] type and share one set of operator
-//! implementations (joins, set operations, aggregation, sort):
+//! Both run the one [`Plan`] type and share the operator
+//! implementations for aggregation, sort and the bag set operations;
+//! joins and duplicate elimination they do not share:
 //!
 //! * [`execute_physical`] — the **production** executor, the only one
 //!   reachable from a query: [`crate::db::DbSnapshot`] runs every
@@ -16,8 +17,12 @@
 //!   (or one per-execution hash partition) per input row.
 //! * [`execute`] — the **reference oracle**, off the production path:
 //!   bottom-up, fully materialising, no streaming, no vectorization,
-//!   no budget, an `IndexLookup` defined as scan + key equality and a
-//!   `MarkJoin` as scan + key identity + residual per input row. It
+//!   no budget, an `IndexLookup` defined as scan + key equality, a
+//!   `MarkJoin` as scan + key identity + residual per input row, a
+//!   `HashJoin` as a nested loop on key identity, and `DISTINCT` (and the
+//!   set forms of `UNION`/`EXCEPT`/`INTERSECT`) as a search of the output
+//!   so far — no hash table, so the production key table is checked
+//!   against code it does not share. It
 //!   decides the semantics; [`crate::db::DbSnapshot::run_plan`] and the
 //!   differential suite (`tests/prop_physical.rs`) run it on plans with
 //!   and without access paths and compare the production executor
@@ -57,7 +62,11 @@
 //! Fallback is per-subtree, so a row-mode `Sort` or `Distinct` still
 //! vectorizes its input; see `column.rs` for the eligibility rules and
 //! the charging-parity contract. Row mode is the only path for sorts,
-//! set operations, outer joins, index probes and mark joins.
+//! set operations, index probes and mark joins, and for `DISTINCT`
+//! anywhere but on a vectorized join's side. Every hash build of the
+//! production executor — hash join, mark join, `dedup`, set
+//! `EXCEPT`/`INTERSECT` — goes through the one key table
+//! (`keytable.rs`).
 //!
 //! Execution never mutates the catalog: all run state (the enclosing-row
 //! stack, the budget) lives in the per-call

@@ -114,6 +114,22 @@ fn queries(k: u32) -> Vec<String> {
         format!("SELECT * FROM t WHERE k = {k}"),
         // Set op over two vectorized scans.
         format!("SELECT k FROM t WHERE k > {k} UNION ALL SELECT k FROM u"),
+        // Envelope-shaped joins: DISTINCT sides over (filtered) scans,
+        // projections that reorder and drop columns, NULL, -0.0, NaN and
+        // TEXT keys (a self-join for text), and a LEFT join.
+        format!(
+            "SELECT * FROM (SELECT DISTINCT k, f, s FROM t WHERE k >= {k}) AS a, \
+             (SELECT DISTINCT f, k FROM u) AS b WHERE a.k = b.k"
+        ),
+        "SELECT b.f, a.s FROM (SELECT DISTINCT s, k FROM t) AS a \
+         LEFT JOIN (SELECT DISTINCT k, f FROM u) AS b ON a.k = b.k"
+            .to_string(),
+        "SELECT * FROM (SELECT DISTINCT f FROM t) AS a, \
+         (SELECT DISTINCT f, k FROM u WHERE k IS NOT NULL) AS b WHERE a.f = b.f"
+            .to_string(),
+        "SELECT a.s, c.k FROM (SELECT DISTINCT s, b FROM t WHERE b = TRUE) AS a, \
+         (SELECT DISTINCT k, s FROM t) AS c WHERE a.s = c.s"
+            .to_string(),
     ]
 }
 
@@ -187,6 +203,8 @@ proptest! {
             "SELECT s, COUNT(*) FROM t GROUP BY s",
             "SELECT t.k FROM t, u WHERE t.k = u.k",
             "SELECT s FROM t WHERE s IS NOT NULL LIMIT 2 OFFSET 1",
+            "SELECT * FROM (SELECT DISTINCT k, s FROM t WHERE k >= 3) AS a \
+             LEFT JOIN (SELECT DISTINCT k FROM u) AS b ON a.k = b.k",
         ] {
             let mut outcomes = Vec::new();
             for columnar in [true, false] {
