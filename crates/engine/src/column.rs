@@ -1386,7 +1386,7 @@ fn side_selection(store: &ColumnStore, sel: Vec<u32>, side: &Side<'_>) -> Vec<u3
             let other = sel[j as usize] as usize;
             cols.iter().all(|c| c.eq_at(pos as usize, c, other))
         };
-        if table.insert_distinct(i as u32, hash_at(&cols, pos as usize), same) {
+        if table.insert_distinct(i as u32, hash_row_at(&cols, pos as usize), same) {
             out.push(pos);
         }
     }
@@ -1396,7 +1396,7 @@ fn side_selection(store: &ColumnStore, sel: Vec<u32>, side: &Side<'_>) -> Vec<u3
 /// The key hash of row `pos` over `cols`: what
 /// [`crate::keytable::hash_values`] gives for the same values.
 #[inline]
-fn hash_at(cols: &[&ColumnVector], pos: usize) -> u64 {
+fn hash_row_at(cols: &[&ColumnVector], pos: usize) -> u64 {
     let mut h = rustc_hash::FxHasher::default();
     for c in cols {
         c.hash_at(pos, &mut h);
@@ -1434,7 +1434,7 @@ impl<'a> JoinSide<'a> {
         self.keys
             .iter()
             .all(|k| k.is_valid(pos))
-            .then(|| hash_at(&self.keys, pos))
+            .then(|| hash_row_at(&self.keys, pos))
     }
 }
 
@@ -1501,20 +1501,13 @@ fn join_selections(
 // EXPLAIN support
 // ---------------------------------------------------------------------------
 
-/// Would executing `plan` use the vectorized engine anywhere (assuming
-/// it is enabled)? True when any subtree roots a vectorized run (see
-/// `vectorized_roots`).
-pub fn plan_uses_vectorized(plan: &Plan, catalog: &Catalog) -> bool {
-    !vectorized_roots(plan, catalog).is_empty()
-}
-
 /// The roots of the subtrees execution hands to the vectorized engine
 /// (assuming it is enabled), in plan order: a node that compiles runs
 /// whole; below any other node row mode recurses into the children,
 /// except that a `Limit{Some}` over a streaming shape the compiler
 /// rejected runs the row-wise early-exit scan, never re-entering the
 /// executor on its input.
-pub(crate) fn vectorized_roots<'p>(plan: &'p Plan, catalog: &Catalog) -> Vec<&'p Plan> {
+pub fn vectorized_roots<'p>(plan: &'p Plan, catalog: &Catalog) -> Vec<&'p Plan> {
     fn walk<'p>(plan: &'p Plan, catalog: &Catalog, out: &mut Vec<&'p Plan>) {
         if compile(plan, catalog).is_some() {
             out.push(plan);

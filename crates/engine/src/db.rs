@@ -659,10 +659,9 @@ impl DbSnapshot {
     /// one operator per line, children indented — the chosen access
     /// path (`IndexLookup` vs `SeqScan`) is visible at the leaves, a
     /// `MarkJoinExec` names its table, keys and probe (`via index (…)`
-    /// or `via hash build`), and
-    /// a trailing `execution:` line reports whether the vectorized
-    /// engine ([`crate::column`]) or the row-at-a-time operators would
-    /// run the plan. Also reachable as a real SQL statement:
+    /// or `via hash build`), every operator the vectorized engine
+    /// ([`crate::column`]) would run ends in `[vectorized]`, and a
+    /// trailing `execution:` line reports whether any of them does. Also reachable as a real SQL statement:
     /// `EXPLAIN SELECT …` through [`Database::execute`].
     pub fn explain(&self, sql: &str) -> Result<String, EngineError> {
         let plan = self.physical_plan(sql)?;

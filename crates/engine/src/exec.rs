@@ -178,17 +178,19 @@ fn reference(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError
         Plan::Except { left, right, all } => {
             let l = reference(left, env)?;
             let r = reference(right, env)?;
-            Ok(match all {
-                true => except_rows(l, r, true),
-                false => distinct_reference(l.into_iter().filter(|x| !r.contains(x)).collect()),
+            Ok(if *all {
+                except_rows(l, r, true)
+            } else {
+                distinct_reference(l.into_iter().filter(|x| !r.contains(x)).collect())
             })
         }
         Plan::Intersect { left, right, all } => {
             let l = reference(left, env)?;
             let r = reference(right, env)?;
-            Ok(match all {
-                true => intersect_rows(l, r, true),
-                false => distinct_reference(l.into_iter().filter(|x| r.contains(x)).collect()),
+            Ok(if *all {
+                intersect_rows(l, r, true)
+            } else {
+                distinct_reference(l.into_iter().filter(|x| r.contains(x)).collect())
             })
         }
         Plan::Distinct { input } => Ok(distinct_reference(reference(input, env)?)),

@@ -67,7 +67,7 @@ pub mod value;
 pub use budget::{Budget, CancelHandle, CHECK_STRIDE};
 pub use catalog::Catalog;
 pub use column::{
-    columnar_enabled, plan_uses_vectorized, set_columnar_override, ColumnBatch, ColumnData,
+    columnar_enabled, set_columnar_override, vectorized_roots, ColumnBatch, ColumnData,
     ColumnStore, ColumnVector, BATCH_ROWS,
 };
 pub use db::{Database, DbSnapshot, ExecResult, QueryResult, SnapshotStatsView};

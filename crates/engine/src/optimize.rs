@@ -895,7 +895,7 @@ mod tests {
                 predicate: ge,
             }
         );
-        assert!(crate::column::plan_uses_vectorized(&left, &c));
+        assert!(!crate::column::vectorized_roots(&left, &c).is_empty());
     }
 
     #[test]
