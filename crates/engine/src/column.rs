@@ -123,7 +123,7 @@ use crate::keytable::KeyTable;
 use crate::plan::{AggExpr, JoinType, Plan};
 use crate::schema::{DataType, EngineError, TableSchema};
 use crate::table::Table;
-use crate::value::{self, Row, Value};
+use crate::value::{self, sql_int_float_cmp, Row, Value};
 
 /// Rows per execution batch window.
 pub const BATCH_ROWS: usize = 1024;
@@ -638,7 +638,7 @@ fn check_project(project: Option<&[BoundExpr]>, arity: usize) -> Option<()> {
 
 /// The column offsets of `keys` when every one is a plain column of
 /// rows `arity` wide (join keys, column-only projections).
-pub(crate) fn key_columns(keys: &[BoundExpr], arity: usize) -> Option<Vec<usize>> {
+fn key_columns(keys: &[BoundExpr], arity: usize) -> Option<Vec<usize>> {
     keys.iter()
         .map(|k| match k {
             BoundExpr::Column(i) if *i < arity => Some(*i),
@@ -776,13 +776,14 @@ fn lit_comparable(ty: DataType, v: &Value) -> bool {
 enum RtPred {
     /// `INT col ⟨op⟩ i64` — exact integer compare, never errors.
     IntVsInt { col: usize, op: BinaryOp, k: i64 },
-    /// Numeric column vs non-`NaN` f64 (the `sql_cmp` widening path).
+    /// Numeric column vs a numeric literal of the other type, or `FLOAT`
+    /// column vs non-`NaN` float: `sql_cmp`'s exact cross-type compare.
     /// Errors only on `NaN` *data* in a `FLOAT` column; `err` carries
     /// the operand type names in source order.
-    NumVsF64 {
+    NumVsNum {
         col: usize,
         op: BinaryOp,
-        f: f64,
+        k: Value,
         err: (&'static str, &'static str),
     },
     /// `TEXT col ⟨op⟩ str`, pre-evaluated per dictionary code.
@@ -849,9 +850,9 @@ fn resolve_pred(p: &Pred<'_>, store: &ColumnStore, schema: &TableSchema) -> Opti
                     k: *k,
                 },
                 (DataType::Int | DataType::Float, _) => {
-                    let (f, rname) = match v {
-                        Value::Int(k) => (*k as f64, "integer"),
-                        Value::Float(f) => (*f, "float"),
+                    let rname = match v {
+                        Value::Int(_) => "integer",
+                        Value::Float(_) => "float",
                         _ => return None,
                     };
                     // Errors name operands in source order: the column
@@ -861,10 +862,10 @@ fn resolve_pred(p: &Pred<'_>, store: &ColumnStore, schema: &TableSchema) -> Opti
                     } else {
                         (rname, "float")
                     };
-                    RtPred::NumVsF64 {
+                    RtPred::NumVsNum {
                         col: *col,
                         op: *op,
-                        f,
+                        k: (*v).clone(),
                         err,
                     }
                 }
@@ -996,32 +997,40 @@ fn eval_pred(
             });
             Ok(())
         }
-        RtPred::NumVsF64 { col, op, f, err } => {
+        RtPred::NumVsNum { col, op, k, err } => {
             let cv = &store.cols[*col];
-            match &cv.data {
-                // Int-as-f64 vs non-NaN f64 always compares.
-                ColumnData::Int64(data) => {
+            let fail = || EngineError::new(format!("cannot compare {} with {}", err.0, err.1));
+            match (&cv.data, k) {
+                // Int vs non-NaN float always compares.
+                (ColumnData::Int64(data), Value::Float(f)) => {
                     walk!(|pos| if cv.is_valid(pos) {
-                        let ord = (data[pos] as f64).partial_cmp(f).expect("non-NaN operands");
+                        let ord = sql_int_float_cmp(data[pos], *f).expect("non-NaN operands");
                         ok(apply_cmp(*op, ord))
                     } else {
                         null()
                     });
                 }
-                ColumnData::Float64(data) => {
+                (ColumnData::Float64(data), Value::Int(k)) => {
                     walk!(|pos| if cv.is_valid(pos) {
-                        match data[pos].partial_cmp(f) {
-                            Some(ord) => ok(apply_cmp(*op, ord)),
-                            None => Err(EngineError::new(format!(
-                                "cannot compare {} with {}",
-                                err.0, err.1
-                            ))),
+                        match sql_int_float_cmp(*k, data[pos]) {
+                            Some(ord) => ok(apply_cmp(*op, ord.reverse())),
+                            None => Err(fail()),
                         }
                     } else {
                         null()
                     });
                 }
-                _ => unreachable!("NumVsF64 over non-numeric column"),
+                (ColumnData::Float64(data), Value::Float(f)) => {
+                    walk!(|pos| if cv.is_valid(pos) {
+                        match data[pos].partial_cmp(f) {
+                            Some(ord) => ok(apply_cmp(*op, ord)),
+                            None => Err(fail()),
+                        }
+                    } else {
+                        null()
+                    });
+                }
+                _ => unreachable!("NumVsNum over non-numeric column or literal"),
             }
             Ok(())
         }
@@ -1050,14 +1059,14 @@ fn eval_pred(
                     });
                 }
                 (ColumnData::Int64(a), ColumnData::Float64(b)) => {
-                    both!(|pos| match (a[pos] as f64).partial_cmp(&b[pos]) {
+                    both!(|pos| match sql_int_float_cmp(a[pos], b[pos]) {
                         Some(ord) => ok(apply_cmp(*op, ord)),
                         None => Err(fail("integer", "float")),
                     });
                 }
                 (ColumnData::Float64(a), ColumnData::Int64(b)) => {
-                    both!(|pos| match a[pos].partial_cmp(&(b[pos] as f64)) {
-                        Some(ord) => ok(apply_cmp(*op, ord)),
+                    both!(|pos| match sql_int_float_cmp(b[pos], a[pos]) {
+                        Some(ord) => ok(apply_cmp(*op, ord.reverse())),
                         None => Err(fail("float", "integer")),
                     });
                 }

@@ -535,16 +535,14 @@ fn mark_join_rows(
 ) -> Result<Vec<Row>, EngineError> {
     let catalog = env.catalog;
     let t = catalog.table(table)?;
-    // With an index the leading `probe_len` keys are matched by the
-    // probe; a hash build matches none, so every key is compared.
-    let (probe_len, partition) = match index {
+    let probe = match index {
         Some(cols) => {
             if !t.has_index(cols) {
                 return Err(EngineError::new(format!(
                     "plan references a missing index on {table:?}"
                 )));
             }
-            (cols.len(), None)
+            MarkProbe::Index(cols)
         }
         None => {
             env.charge_batch(t.len())?;
@@ -554,34 +552,53 @@ fn mark_join_rows(
                 // NULL keys never match.
                 (!key.clone().any(Value::is_null)).then(|| hash_values(key))
             });
-            (0, Some((inner, built)))
+            MarkProbe::Hash(inner, built)
         }
     };
     let (mut key, mut joined) = (Vec::with_capacity(keys.len()), Row::new());
     for row in &mut rows {
         let mut found = false;
         if mark_key(keys, row, &mut key, env)? {
-            let (rest, rest_key) = (&keys[probe_len..], &key[probe_len..]);
-            found = match (index, &partition) {
-                (Some(cols), _) => {
-                    let ids = t.index_bucket(cols, &key[..probe_len]).unwrap_or(&[]);
+            found = match &probe {
+                // The index matches the leading keys; the rest are
+                // compared on its bucket.
+                MarkProbe::Index(cols) => {
+                    let n = cols.len();
+                    let ids = t.index_bucket(cols, &key[..n]).unwrap_or(&[]);
                     let inner = ids
                         .iter()
                         .map(|&id| t.get(id).expect("buckets hold live ids"));
-                    any_inner_matches(inner, rest, rest_key, residual, row, &mut joined, env)?
+                    any_inner_matches(
+                        inner,
+                        &keys[n..],
+                        &key[n..],
+                        residual,
+                        row,
+                        &mut joined,
+                        env,
+                    )?
                 }
-                (None, Some((inner, built))) => {
+                // A hash build matches no key exactly, so every key is
+                // compared.
+                MarkProbe::Hash(inner, built) => {
                     let inner = built
                         .candidates(hash_values(&key))
                         .map(|i| inner[i as usize]);
-                    any_inner_matches(inner, rest, rest_key, residual, row, &mut joined, env)?
+                    any_inner_matches(inner, keys, &key, residual, row, &mut joined, env)?
                 }
-                (None, None) => unreachable!("a hash build exists without an index"),
             };
         }
         row.push(Value::Bool(found != negated));
     }
     Ok(rows)
+}
+
+/// How a mark join finds a row's candidate matches: probing a table
+/// index on its leading key columns, or a per-execution hash build of
+/// the table's rows on all key columns.
+enum MarkProbe<'a> {
+    Index(&'a [usize]),
+    Hash(Vec<&'a Row>, KeyTable),
 }
 
 /// Does any of the `inner` rows (in order) carry `key` in the `keys`
@@ -914,12 +931,11 @@ fn right_arity(r: &[Row], right: &Plan, env: &EvalEnv<'_>) -> Result<usize, Engi
 }
 
 /// The production hash join over materialised inputs; `right` is the
-/// plan that produced `r`. The right side is built into a key table
-/// (a row whose key has a `NULL` is left out), and left rows probe it in
-/// order, each meeting its matches in right-row order. Key values are
-/// read in place when every key is a column; otherwise the right keys
-/// are evaluated once per row, in row order, into one flat buffer, and
-/// each left row's keys into one reused buffer just before its probe.
+/// plan that produced `r`. The right keys are evaluated once per row, in
+/// row order, into one flat buffer, and built into a key table (a row
+/// whose key has a `NULL` is left out); each left row's keys are
+/// evaluated into one reused buffer just before it probes the table,
+/// meeting its matches in right-row order.
 #[allow(clippy::too_many_arguments)]
 fn hash_join_rows(
     l: Vec<Row>,
@@ -933,61 +949,45 @@ fn hash_join_rows(
 ) -> Result<Vec<Row>, EngineError> {
     let right_arity = right_arity(&r, right, env)?;
     let width = right_keys.len();
-    let rcols = crate::column::key_columns(right_keys, right_arity);
-    let mut rvals = Vec::new();
-    if rcols.is_none() {
-        rvals.reserve(r.len() * width);
-        for row in &r {
-            let end = rvals.len() + width;
-            for k in right_keys {
-                let v = eval(k, row, env)?;
-                let null = v.is_null();
-                rvals.push(v);
-                if null {
-                    break; // the row matches nothing
-                }
+    let mut rvals = Vec::with_capacity(r.len() * width);
+    for row in &r {
+        let end = rvals.len() + width;
+        for k in right_keys {
+            let v = eval(k, row, env)?;
+            let null = v.is_null();
+            rvals.push(v);
+            if null {
+                break; // the row matches nothing
             }
-            rvals.resize(end, Value::Null);
         }
+        rvals.resize(end, Value::Null);
     }
-    let rkey = |i: usize, j: usize| match &rcols {
-        Some(cols) => &r[i][cols[j]],
-        None => &rvals[i * width + j],
-    };
+    let rkey = |i: usize| &rvals[i * width..(i + 1) * width];
     let table = KeyTable::build(r.len(), |i| {
-        let key = (0..width).map(|j| rkey(i, j));
-        (!key.clone().any(Value::is_null)).then(|| hash_values(key))
+        let key = rkey(i);
+        (!key.iter().any(Value::is_null)).then(|| hash_values(key))
     });
 
-    let lcols = l
-        .first()
-        .and_then(|row| crate::column::key_columns(left_keys, row.len()));
-    let mut lvals: Vec<Value> = Vec::with_capacity(width);
+    let mut lkey: Vec<Value> = Vec::with_capacity(width);
     let mut out = Vec::new();
     for lrow in &l {
         let mut keyed = true;
-        if lcols.is_none() {
-            lvals.clear();
-            for k in left_keys {
-                let v = eval(k, lrow, env)?;
-                if v.is_null() {
-                    keyed = false;
-                    break;
-                }
-                lvals.push(v);
+        lkey.clear();
+        for k in left_keys {
+            let v = eval(k, lrow, env)?;
+            if v.is_null() {
+                keyed = false;
+                break;
             }
+            lkey.push(v);
         }
-        let lkey = |j: usize| match &lcols {
-            Some(cols) => &lrow[cols[j]],
-            None => &lvals[j],
-        };
         let mut matched = false;
-        if keyed && !(0..width).any(|j| lkey(j).is_null()) {
-            for i in table.candidates(hash_values((0..width).map(lkey))) {
-                let rrow = &r[i as usize];
-                if !(0..width).all(|j| lkey(j) == rkey(i as usize, j)) {
+        if keyed {
+            for i in table.candidates(hash_values(&lkey)) {
+                if rkey(i as usize) != lkey.as_slice() {
                     continue;
                 }
+                let rrow = &r[i as usize];
                 let mut row = Vec::with_capacity(lrow.len() + rrow.len());
                 row.extend_from_slice(lrow);
                 row.extend_from_slice(rrow);

@@ -5,7 +5,8 @@
 //!
 //! * **SQL comparison** ([`Value::sql_cmp`], [`Value::sql_eq`]) — returns
 //!   `None` when either side is `NULL` (three-valued logic) and compares
-//!   integers and floats numerically.
+//!   integers and floats by exact value, as the total order does, except
+//!   that `-0.0` equals `0` and `0.0`, and `NaN` compares to nothing.
 //! * **Total order** (the [`Ord`] impl) — used for sorting, hashing and set
 //!   operations; `NULL` sorts first, and `NaN` sorts after all other floats.
 //!   Numbers compare by exact value: two `Int`s as `i64`, an `Int` and a
@@ -66,8 +67,8 @@ impl Value {
     }
 
     /// SQL equality: `None` if either side is `NULL`; numeric cross-type
-    /// comparison (`1 = 1.0` is true); mismatched non-numeric types are
-    /// simply unequal.
+    /// comparison, exact (`1 = 1.0` is true, `2^53 + 1 = 2^53` as a float
+    /// is false); mismatched non-numeric types are simply unequal.
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
         self.sql_cmp(other).map(|o| o == Ordering::Equal)
     }
@@ -80,6 +81,8 @@ impl Value {
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
+            (Value::Int(a), Value::Float(b)) => sql_int_float_cmp(*a, *b),
+            (Value::Float(a), Value::Int(b)) => sql_int_float_cmp(*b, *a).map(Ordering::reverse),
             (a, b) => {
                 let (x, y) = (a.as_f64()?, b.as_f64()?);
                 x.partial_cmp(&y)
@@ -203,6 +206,19 @@ pub(crate) fn int_float_cmp(i: i64, f: f64) -> Ordering {
             Ordering::Equal
         }
     })
+}
+
+/// SQL's integer-against-float comparison: exact, as `Ord` is, except
+/// that `-0.0` is `0` (as SQL's `-0.0 = 0.0` holds) and NaN compares to
+/// nothing.
+pub(crate) fn sql_int_float_cmp(i: i64, f: f64) -> Option<Ordering> {
+    if f.is_nan() {
+        None
+    } else if f == 0.0 {
+        Some(i.cmp(&0))
+    } else {
+        Some(int_float_cmp(i, f))
+    }
 }
 
 impl Hash for Value {
@@ -455,5 +471,25 @@ mod tests {
             None,
             "bool vs int incomparable"
         );
+    }
+
+    /// SQL's `Int`-against-`Float` comparison is exact, as `Ord` is: no
+    /// rounding of the integer through `f64`.
+    #[test]
+    fn sql_cmp_int_float_is_exact() {
+        const P53: i64 = 1 << 53;
+        let f53 = Value::Float(P53 as f64);
+        assert_eq!(Value::Int(P53 + 1).sql_eq(&f53), Some(false));
+        assert_eq!(Value::Int(P53 + 1).sql_cmp(&f53), Some(Ordering::Greater));
+        assert_eq!(f53.sql_cmp(&Value::Int(P53 + 1)), Some(Ordering::Less));
+        assert_eq!(Value::Int(P53).sql_eq(&f53), Some(true));
+        assert_eq!(
+            Value::Int(i64::MAX).sql_cmp(&Value::Float(i64::MAX as f64)),
+            Some(Ordering::Less),
+            "2^63 - 1 lies below 2^63"
+        );
+        assert_eq!(Value::Int(0).sql_eq(&Value::Float(-0.0)), Some(true));
+        assert_eq!(Value::Float(-0.0).sql_eq(&Value::Int(0)), Some(true));
+        assert_eq!(Value::Int(0).sql_cmp(&Value::Float(f64::NAN)), None);
     }
 }

@@ -229,3 +229,57 @@ fn envelope_join_explains_as_vectorized() {
     assert!(join.ends_with(" [vectorized]"), "{plan}");
     assert!(plan.ends_with("execution: vectorized\n"), "{plan}");
 }
+
+/// SQL `=` between an `INT` and a `FLOAT` is exact whichever plan runs
+/// it: a hash join on key identity, a filter over a cross join, and a
+/// filter of a column against a literal, each with columnar execution on
+/// and off, pair 2^53 with 2^53.0 and 2^53 + 1 with nothing.
+#[test]
+fn int_float_equality_agrees_across_plans() {
+    let _g = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut db = Database::new();
+    db.execute("CREATE TABLE r (k INT)").unwrap();
+    db.execute("CREATE TABLE u (f REAL)").unwrap();
+    db.execute(&format!("INSERT INTO r VALUES ({}), ({P53})", P53 + 1))
+        .unwrap();
+    db.execute(&format!("INSERT INTO u VALUES ({P53}.0)"))
+        .unwrap();
+    let k53 = Ok(vec![vec![format!("{:?}", Value::Int(P53))]]);
+    let f53 = Ok(vec![vec![format!("f:{:016x}", (P53 as f64).to_bits())]]);
+    let none: Outcome = Ok(Vec::new());
+    for (sql, plan_has, want) in [
+        ("SELECT r.k FROM r, u WHERE r.k = u.f", "HashJoinExec", &k53),
+        ("SELECT r.k FROM r, u WHERE u.f = r.k", "HashJoinExec", &k53),
+        (
+            "SELECT r.k FROM r, u WHERE r.k <= u.f AND r.k >= u.f",
+            "CrossJoinExec",
+            &k53,
+        ),
+        (
+            &format!("SELECT k FROM r WHERE k = {P53}.0"),
+            "Filter",
+            &k53,
+        ),
+        (
+            &format!("SELECT k FROM r WHERE {P53}.0 >= k"),
+            "Filter",
+            &k53,
+        ),
+        (
+            &format!("SELECT f FROM u WHERE f = {}", P53 + 1),
+            "Filter",
+            &none,
+        ),
+        (
+            &format!("SELECT f FROM u WHERE f < {}", P53 + 1),
+            "Filter",
+            &f53,
+        ),
+    ] {
+        let plan = db.explain(sql).unwrap();
+        assert!(plan.contains(plan_has), "{sql}\n{plan}");
+        for on in [true, false] {
+            assert_eq!(&run(&db, sql, on).0, want, "{sql} (columnar {on})");
+        }
+    }
+}
