@@ -286,13 +286,14 @@ impl FaultPlan {
     }
 
     /// Has any arm fired already? (Each arm fires at most once.)
-    pub fn has_fired(&self) -> bool {
+    pub(crate) fn has_fired(&self) -> bool {
         self.arms.iter().any(|a| a.fired.load(Ordering::Relaxed))
     }
 
     /// Have all arms fired? (A crash-matrix run is done once every
     /// composed fault has been exercised.)
-    pub fn all_fired(&self) -> bool {
+    #[cfg(test)]
+    fn all_fired(&self) -> bool {
         self.arms.iter().all(|a| a.fired.load(Ordering::Relaxed))
     }
 
@@ -320,7 +321,8 @@ pub struct Governance {
 
 impl Governance {
     /// Is any governance (budget or fault plan) attached at all?
-    pub fn active(&self) -> bool {
+    #[cfg(test)]
+    fn active(&self) -> bool {
         self.budget.is_some() || self.faults.is_some()
     }
 
@@ -335,7 +337,7 @@ impl Governance {
     /// reaching this generic checkpoint (instead of a file-writing stage
     /// that consumes it via [`Governance::take_fault`]) is a loud error
     /// — the stage has no bytes to tear.
-    pub fn fault_point(&self, stage: &'static str, shard: usize) -> Result<(), EngineError> {
+    pub(crate) fn fault_point(&self, stage: &'static str, shard: usize) -> Result<(), EngineError> {
         if let Some(plan) = &self.faults {
             if let Some(kind) = plan.try_fire(stage, shard) {
                 match kind {
@@ -375,7 +377,7 @@ impl Governance {
     }
 
     /// One full budget check (no-op without a budget).
-    pub fn check(&self, stage: &'static str) -> Result<(), EngineError> {
+    pub(crate) fn check(&self, stage: &'static str) -> Result<(), EngineError> {
         match &self.budget {
             Some(b) => b.check(stage),
             None => Ok(()),
@@ -384,7 +386,7 @@ impl Governance {
 
     /// Strided budget check for hot loops (no-op without a budget).
     #[inline]
-    pub fn tick(&self, counter: &mut u32, stage: &'static str) -> Result<(), EngineError> {
+    pub(crate) fn tick(&self, counter: &mut u32, stage: &'static str) -> Result<(), EngineError> {
         match &self.budget {
             Some(b) => b.tick(counter, stage),
             None => Ok(()),
@@ -393,7 +395,7 @@ impl Governance {
 
     /// Fault point plus full budget check — the standard shard-entry
     /// checkpoint.
-    pub fn checkpoint(&self, stage: &'static str, shard: usize) -> Result<(), EngineError> {
+    pub(crate) fn checkpoint(&self, stage: &'static str, shard: usize) -> Result<(), EngineError> {
         self.fault_point(stage, shard)?;
         self.check(stage)
     }
@@ -401,7 +403,7 @@ impl Governance {
 
 /// The stage a governance error tripped at (from its [`ErrorKind`]);
 /// `"unknown"` for non-governance errors.
-pub fn trip_stage(e: &EngineError) -> &'static str {
+pub(crate) fn trip_stage(e: &EngineError) -> &'static str {
     match e.kind {
         ErrorKind::Budget { stage, .. } | ErrorKind::Cancelled { stage } => stage,
         _ => "unknown",

@@ -111,18 +111,6 @@ impl DenialConstraint {
         }
     }
 
-    /// A key constraint: `key` columns determine every other column
-    /// (expressed as one FD per non-key column would create several
-    /// constraints; this single denial forbids two distinct tuples sharing
-    /// the key, which is the same repair semantics for set instances).
-    pub fn key(rel: impl Into<String>, key: &[usize], arity: usize) -> Vec<Self> {
-        let rel = rel.into();
-        (0..arity)
-            .filter(|c| !key.contains(c))
-            .map(|c| DenialConstraint::functional_dependency(rel.clone(), key, c))
-            .collect()
-    }
-
     /// An exclusion constraint between `rel_a` and `rel_b`: no pair of
     /// tuples may agree on the listed column pairs.
     pub fn exclusion(
@@ -159,19 +147,20 @@ impl DenialConstraint {
 
     /// Number of atoms (the maximum hyperedge size this constraint can
     /// produce).
-    pub fn arity(&self) -> usize {
+    #[cfg(test)]
+    fn arity(&self) -> usize {
         self.atoms.len()
     }
 
     /// Is this a binary constraint (at most two atoms)? The query-rewriting
     /// baseline only supports these.
-    pub fn is_binary(&self) -> bool {
+    pub(crate) fn is_binary(&self) -> bool {
         self.atoms.len() <= 2
     }
 
     /// Validate against a catalog: relations exist and attribute references
     /// are within arity.
-    pub fn validate(&self, catalog: &Catalog) -> Result<(), EngineError> {
+    pub(crate) fn validate(&self, catalog: &Catalog) -> Result<(), EngineError> {
         if self.atoms.is_empty() {
             return Err(EngineError::new(format!(
                 "constraint {:?} has no atoms",
@@ -208,7 +197,7 @@ impl DenialConstraint {
     }
 
     /// Does the condition hold on a full assignment of rows to atoms?
-    pub fn condition_holds(&self, rows: &[&[Value]]) -> bool {
+    pub(crate) fn condition_holds(&self, rows: &[&[Value]]) -> bool {
         debug_assert_eq!(rows.len(), self.atoms.len());
         self.condition.iter().all(|c| {
             let val = |t: &Term| -> Option<Value> {
@@ -230,7 +219,7 @@ impl DenialConstraint {
     /// The condition as a [`Pred`] over the concatenation of the atoms'
     /// rows (atom 0's columns first, then atom 1's, ...), given the atom
     /// arities. Used for SQL rendering and the rewriting baseline.
-    pub fn condition_as_pred(&self, arities: &[usize]) -> Pred {
+    pub(crate) fn condition_as_pred(&self, arities: &[usize]) -> Pred {
         let offset = |atom: usize| -> usize { arities[..atom].iter().sum() };
         let term = |t: &Term| match t {
             Term::Attr(a) => Operand::Col(offset(a.atom) + a.col),
@@ -245,7 +234,7 @@ impl DenialConstraint {
 
     /// Equality pairs `(left attr, right attr)` between two given atoms —
     /// the hash-join keys conflict detection uses.
-    pub fn equalities_between(&self, atom_a: usize, atom_b: usize) -> Vec<(usize, usize)> {
+    pub(crate) fn equalities_between(&self, atom_a: usize, atom_b: usize) -> Vec<(usize, usize)> {
         self.condition
             .iter()
             .filter_map(|c| {
@@ -360,13 +349,6 @@ mod tests {
         assert!(chk.condition_holds(&[&neg]));
         assert!(!chk.condition_holds(&[&pos]));
         assert_eq!(chk.arity(), 1);
-    }
-
-    #[test]
-    fn key_generates_fd_per_nonkey_column() {
-        let ks = DenialConstraint::key("emp", &[0], 2);
-        assert_eq!(ks.len(), 1);
-        assert_eq!(ks[0].name, "fd:emp:0->1");
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! shard `s` of its LHS index, with the buckets in the order of their
 //! smallest tuple id; a general denial's shard `s` seeds atom 0 from the
 //! `s`-th contiguous slot range. Each shard emits edges into a private
-//! [`crate::hypergraph::EdgeFragment`], and the fragments are absorbed
+//! `crate::hypergraph::EdgeFragment`, and the fragments are absorbed
 //! **in shard order** into the [`ConflictHypergraph`], whose chained-hash
 //! table dedups across shards. The decomposition depends only on the
 //! data — not on the worker count, and not on the order the index

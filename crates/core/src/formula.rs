@@ -13,7 +13,7 @@
 //!   columns).
 //!
 //! The *template* ([`FormulaTemplate`]) is built once per query; it is
-//! instantiated per candidate tuple into a ground [`Formula`], which the
+//! instantiated per candidate tuple into a ground `Formula`, which the
 //! prover negates and converts to DNF. Since formula size is bounded by
 //! query size, DNF conversion costs a constant per tuple — this is the
 //! core of the paper's polynomial data complexity argument.
@@ -99,7 +99,7 @@ impl MembershipTemplate {
 
     /// Instantiate for a candidate tuple: guards are decided immediately,
     /// literals become ground facts.
-    pub fn instantiate(&self, tuple: &Row) -> Formula {
+    pub(crate) fn instantiate(&self, tuple: &Row) -> Formula {
         instantiate_rec(&self.formula, tuple, &self.literals)
     }
 
@@ -108,7 +108,7 @@ impl MembershipTemplate {
     /// is fully determined by the truth of these guards on the candidate
     /// plus the per-literal membership/conflict state, which is what
     /// makes the closure-signature cache (see [`crate::hippo`]) sound.
-    pub fn guards(&self) -> Vec<&Pred> {
+    pub(crate) fn guards(&self) -> Vec<&Pred> {
         fn walk<'a>(t: &'a FormulaTemplate, out: &mut Vec<&'a Pred>) {
             match t {
                 FormulaTemplate::True | FormulaTemplate::False | FormulaTemplate::Lit(_) => {}
@@ -223,7 +223,7 @@ fn or(a: FormulaTemplate, b: FormulaTemplate) -> FormulaTemplate {
 
 /// A ground membership formula over literal indices.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Formula {
+pub(crate) enum Formula {
     /// Constant.
     Const(bool),
     /// Literal `lit_index ∈ D'` (possibly negated).
@@ -271,7 +271,7 @@ fn instantiate_rec(t: &FormulaTemplate, tuple: &Row, _literals: &[LitTemplate]) 
 }
 
 /// Negate a ground formula (push negation to literals, NNF).
-pub fn negate(f: Formula) -> Formula {
+pub(crate) fn negate(f: Formula) -> Formula {
     match f {
         Formula::Const(b) => Formula::Const(!b),
         Formula::Lit { index, negated } => Formula::Lit {
@@ -285,7 +285,7 @@ pub fn negate(f: Formula) -> Formula {
 
 /// One DNF disjunct: positive and negative literal indices.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Disjunct {
+pub(crate) struct Disjunct {
     /// Literals that must be **in** the repair.
     pub positive: Vec<usize>,
     /// Literals that must be **out** of the repair.
@@ -294,14 +294,14 @@ pub struct Disjunct {
 
 impl Disjunct {
     /// Contradictory disjunct (same literal both polarities)?
-    pub fn contradictory(&self) -> bool {
+    pub(crate) fn contradictory(&self) -> bool {
         self.positive.iter().any(|p| self.negative.contains(p))
     }
 }
 
 /// Convert a ground NNF formula to DNF. Formula size is bounded by query
 /// size, so the blow-up is a query constant, not data-dependent.
-pub fn to_dnf(f: &Formula) -> Vec<Disjunct> {
+pub(crate) fn to_dnf(f: &Formula) -> Vec<Disjunct> {
     match f {
         Formula::Const(true) => vec![Disjunct::default()],
         Formula::Const(false) => vec![],
@@ -344,21 +344,21 @@ pub fn to_dnf(f: &Formula) -> Vec<Disjunct> {
     }
 }
 
-/// Evaluate a ground formula under an assignment of literal truth values.
-pub fn eval_formula(f: &Formula, truth: &impl Fn(usize) -> bool) -> bool {
-    match f {
-        Formula::Const(b) => *b,
-        Formula::Lit { index, negated } => truth(*index) != *negated,
-        Formula::And(parts) => parts.iter().all(|p| eval_formula(p, truth)),
-        Formula::Or(parts) => parts.iter().any(|p| eval_formula(p, truth)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pred::CmpOp;
     use hippo_engine::{Column, DataType, Database, TableSchema, Value};
+
+    /// Evaluate a ground formula under an assignment of literal truth values.
+    fn eval_formula(f: &Formula, truth: &impl Fn(usize) -> bool) -> bool {
+        match f {
+            Formula::Const(b) => *b,
+            Formula::Lit { index, negated } => truth(*index) != *negated,
+            Formula::And(parts) => parts.iter().all(|p| eval_formula(p, truth)),
+            Formula::Or(parts) => parts.iter().any(|p| eval_formula(p, truth)),
+        }
+    }
 
     fn db() -> Database {
         let mut db = Database::new();

@@ -100,8 +100,8 @@
 //! There is **no serial prefix beyond candidate collection**: dedup,
 //! the core-filter test and the prover all run inside the shards, on
 //! the flag rows the envelope evaluation returned. Each shard owns one
-//! reusable [`Prover`] workspace and a private **closure-signature
-//! cache** ([`Prover::closure_signature`]): candidates whose guard
+//! reusable `Prover` workspace and a private **closure-signature
+//! cache** (`Prover::closure_signature`): candidates whose guard
 //! outcomes, membership flags and per-literal conflict facts coincide
 //! share one verdict ([`AnswerStats::prover_cache_hits`]). Newly proved
 //! signatures are folded, at merge time and in shard order, into a
@@ -171,13 +171,12 @@
 //!
 //! [`DbSnapshot`]: hippo_engine::DbSnapshot
 //! [`Completeness::TruncatedAt`]: crate::budget::Completeness::TruncatedAt
-//! [`Prover`]: crate::prover::Prover
-//! [`Prover::closure_signature`]: crate::prover::Prover::closure_signature
 
 mod options;
 mod pipeline;
 mod reconcile;
 
+pub use crate::prover::ProverRunStats;
 pub use options::{AnswerStats, GovernanceOptions, HippoOptions};
 pub use pipeline::{FrozenHippo, PROVER_SHARDS};
 

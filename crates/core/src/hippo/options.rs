@@ -48,7 +48,7 @@ pub struct HippoOptions {
     /// answers or stats, only wall-clock.
     pub prover_threads: usize,
     /// Memoize prover verdicts by conflict-closure signature (see
-    /// [`crate::prover::Prover::closure_signature`]); candidates whose
+    /// `crate::prover::Prover::closure_signature`); candidates whose
     /// signatures match an already-proved candidate in the same shard
     /// are decided without running the prover.
     pub prover_cache: bool,
@@ -106,6 +106,12 @@ impl HippoOptions {
 
     /// Bound the rows a governed call may materialise/visit across all
     /// stages (envelope evaluation, prover loops).
+    ///
+    /// With more than one prover thread, the point where the budget
+    /// trips in the prover stage depends on how the shards interleave,
+    /// and so does whether a call whose budget is close to its need
+    /// completes at all; at one prover thread both repeat exactly (see
+    /// the determinism notes on [`hippo_engine::Budget`]).
     pub fn with_row_budget(mut self, rows: u64) -> Self {
         self.governance.row_budget = Some(rows);
         self

@@ -23,9 +23,9 @@
 //!   keyed by the Fx hash of the sorted vertex slice, comparing against
 //!   the arena on collision.
 //! * **Facts** (`(relation, values)` pairs that query answers talk about)
-//!   are interned to dense [`FactId`]s. The values row is cloned exactly
+//!   are interned to dense `FactId`s. The values row is cloned exactly
 //!   once — on first interning — and every later probe
-//!   ([`ConflictHypergraph::fact_id`], [`ConflictHypergraph::vertices_of_fact`])
+//!   (`ConflictHypergraph::fact_id`, [`ConflictHypergraph::vertices_of_fact`])
 //!   hashes the *borrowed* relation + row and walks a chained bucket, so
 //!   lookups (hit or miss) never allocate.
 //! * **Vertex → edge adjacency** is built incrementally in a hash map and
@@ -41,11 +41,11 @@
 //! # Sharded construction
 //!
 //! Parallel detection does not touch the graph from worker threads.
-//! Each shard emits its edges into a private [`EdgeFragment`] — a
+//! Each shard emits its edges into a private `EdgeFragment` — a
 //! shard-local CSR arena (offset array + flat vertex list + parallel row
 //! references) with none of the dedup/fact machinery. The single-threaded
 //! merge step then replays fragments **in shard order** through
-//! [`ConflictHypergraph::absorb_fragment`], which routes every edge
+//! `ConflictHypergraph::absorb_fragment`, which routes every edge
 //! through the ordinary [`ConflictHypergraph::add_edge`] path: the
 //! chained-hash dedup table and the fact interner see edges in a
 //! deterministic order that depends only on the shard decomposition,
@@ -67,12 +67,12 @@ pub struct Vertex {
 }
 
 /// Edge identifier (index into the edge list).
-pub type EdgeId = u32;
+pub(crate) type EdgeId = u32;
 
 /// Interned fact identifier: a dense index for one distinct
 /// `(relation, values)` pair. Stable for the lifetime of the hypergraph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FactId(pub u32);
+pub(crate) struct FactId(pub u32);
 
 /// A fact: relation name + tuple values. Facts are what query answers talk
 /// about; vertices are the physical tuples that carry them.
@@ -86,7 +86,7 @@ pub struct Fact {
 
 impl Fact {
     /// Constructor.
-    pub fn new(rel: impl Into<String>, values: Row) -> Fact {
+    pub(crate) fn new(rel: impl Into<String>, values: Row) -> Fact {
         Fact {
             rel: rel.into(),
             values,
@@ -126,7 +126,7 @@ fn edge_hash(vertices: &[Vertex]) -> u64 {
 /// cheap to build inside scoped worker threads and `Send` back to the
 /// merging thread.
 #[derive(Debug)]
-pub struct EdgeFragment<'a> {
+pub(crate) struct EdgeFragment<'a> {
     /// Edge `i` spans `vertices[offsets[i] .. offsets[i+1]]` (and the
     /// same range of `rows`). Leading 0 sentinel as in every CSR.
     offsets: Vec<u32>,
@@ -139,7 +139,7 @@ pub struct EdgeFragment<'a> {
 
 impl<'a> EdgeFragment<'a> {
     /// Empty fragment.
-    pub fn new() -> EdgeFragment<'a> {
+    pub(crate) fn new() -> EdgeFragment<'a> {
         EdgeFragment {
             offsets: vec![0],
             vertices: Vec::new(),
@@ -150,7 +150,7 @@ impl<'a> EdgeFragment<'a> {
 
     /// Append an edge. No sorting, dedup or fact work happens here; the
     /// absorbing graph does all of that.
-    pub fn push_edge(&mut self, vertices: &[Vertex], rows: &[&'a Row], constraint: usize) {
+    pub(crate) fn push_edge(&mut self, vertices: &[Vertex], rows: &[&'a Row], constraint: usize) {
         debug_assert_eq!(vertices.len(), rows.len());
         self.vertices.extend_from_slice(vertices);
         self.rows.extend_from_slice(rows);
@@ -159,17 +159,18 @@ impl<'a> EdgeFragment<'a> {
     }
 
     /// Number of buffered edges.
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.constraints.len()
     }
 
     /// Is the fragment empty?
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.constraints.is_empty()
     }
 
     /// The `i`-th buffered edge: (vertices, rows, constraint index).
-    pub fn edge(&self, i: usize) -> (&[Vertex], &[&'a Row], usize) {
+    pub(crate) fn edge(&self, i: usize) -> (&[Vertex], &[&'a Row], usize) {
         let lo = self.offsets[i] as usize;
         let hi = self.offsets[i + 1] as usize;
         (
@@ -275,7 +276,7 @@ impl ConflictHypergraph {
     }
 
     /// Look up an interned relation index.
-    pub fn relation_index(&self, rel: &str) -> Option<u32> {
+    pub(crate) fn relation_index(&self, rel: &str) -> Option<u32> {
         self.rel_index.get(rel).copied()
     }
 
@@ -285,20 +286,20 @@ impl ConflictHypergraph {
     }
 
     /// Number of interned relations (indices are `0..relation_count`).
-    pub fn relation_count(&self) -> usize {
+    pub(crate) fn relation_count(&self) -> usize {
         self.rel_names.len()
     }
 
     // ---- fact interner ----
 
     /// Number of distinct interned facts.
-    pub fn fact_count(&self) -> usize {
+    pub(crate) fn fact_count(&self) -> usize {
         self.fact_rel.len()
     }
 
     /// Probe for an interned fact by borrowed key. Never allocates —
     /// hashes the borrowed row and compares within the hash chain.
-    pub fn fact_id_interned(&self, rel: u32, values: &Row) -> Option<FactId> {
+    pub(crate) fn fact_id_interned(&self, rel: u32, values: &Row) -> Option<FactId> {
         let hash = fact_hash(rel, values);
         let mut cur = *self.fact_head.get(&hash)?;
         while cur != NIL {
@@ -312,7 +313,7 @@ impl ConflictHypergraph {
     }
 
     /// Probe for an interned fact by relation name + borrowed row.
-    pub fn fact_id(&self, rel: &str, values: &Row) -> Option<FactId> {
+    pub(crate) fn fact_id(&self, rel: &str, values: &Row) -> Option<FactId> {
         let ri = self.relation_index(rel)?;
         self.fact_id_interned(ri, values)
     }
@@ -322,7 +323,12 @@ impl ConflictHypergraph {
     /// Hashes and compares the projected columns in place — the fact row
     /// is never materialised, so the probe is allocation-free whether it
     /// hits or misses. This is the prover's per-literal fast path.
-    pub fn fact_id_projected(&self, rel: u32, tuple: &Row, cols: &[usize]) -> Option<FactId> {
+    pub(crate) fn fact_id_projected(
+        &self,
+        rel: u32,
+        tuple: &Row,
+        cols: &[usize],
+    ) -> Option<FactId> {
         let mut h = FxHasher::default();
         rel.hash(&mut h);
         for &c in cols {
@@ -346,7 +352,7 @@ impl ConflictHypergraph {
     }
 
     /// The relation index and values of an interned fact.
-    pub fn fact(&self, id: FactId) -> (u32, &Row) {
+    pub(crate) fn fact(&self, id: FactId) -> (u32, &Row) {
         (
             self.fact_rel[id.0 as usize],
             &self.fact_values[id.0 as usize],
@@ -354,7 +360,7 @@ impl ConflictHypergraph {
     }
 
     /// Intern a fact, cloning the row only on first sight.
-    pub fn intern_fact(&mut self, rel: u32, values: &Row) -> FactId {
+    pub(crate) fn intern_fact(&mut self, rel: u32, values: &Row) -> FactId {
         let hash = fact_hash(rel, values);
         let head = self.fact_head.get(&hash).copied().unwrap_or(NIL);
         let mut cur = head;
@@ -418,7 +424,7 @@ impl ConflictHypergraph {
     /// dedup and fact interning behave exactly as in sequential
     /// construction). Returns the number of edges actually added
     /// (duplicates across shards are silently dropped).
-    pub fn absorb_fragment(&mut self, frag: &EdgeFragment<'_>) -> usize {
+    pub(crate) fn absorb_fragment(&mut self, frag: &EdgeFragment<'_>) -> usize {
         let mut added = 0;
         for i in 0..frag.edge_count() {
             let (vertices, rows, constraint) = frag.edge(i);
@@ -516,7 +522,7 @@ impl ConflictHypergraph {
     /// after).
     ///
     /// [`finalize`]: ConflictHypergraph::finalize
-    pub fn conflicting_vertices(&self) -> impl Iterator<Item = Vertex> + '_ {
+    pub(crate) fn conflicting_vertices(&self) -> impl Iterator<Item = Vertex> + '_ {
         // Exactly one side is non-empty depending on frozen state.
         self.vertex_list
             .iter()
@@ -536,7 +542,7 @@ impl ConflictHypergraph {
 
     /// Conflicting vertices carrying an interned fact.
     #[inline]
-    pub fn vertices_of_fact_id(&self, id: FactId) -> &[Vertex] {
+    pub(crate) fn vertices_of_fact_id(&self, id: FactId) -> &[Vertex] {
         &self.fact_vertices[id.0 as usize]
     }
 
@@ -625,7 +631,8 @@ impl ConflictHypergraph {
 
     /// Has [`ConflictHypergraph::finalize`] been applied (and no edge
     /// added since)?
-    pub fn is_finalized(&self) -> bool {
+    #[cfg(test)]
+    fn is_finalized(&self) -> bool {
         self.frozen
     }
 

@@ -12,7 +12,7 @@
 //! for a violation is deleting the orphan child — i.e. each orphan is a
 //! **singleton hyperedge**, exactly like a CHECK denial.
 //!
-//! [`validate_restricted`] enforces the restriction; [`orphan_edges`]
+//! `validate_restricted` enforces the restriction; `orphan_edges`
 //! contributes the singleton edges to an existing hypergraph build.
 
 use crate::constraint::DenialConstraint;
@@ -51,7 +51,7 @@ impl ForeignKey {
     }
 
     /// Schema-level validation.
-    pub fn validate(&self, catalog: &Catalog) -> Result<(), EngineError> {
+    pub(crate) fn validate(&self, catalog: &Catalog) -> Result<(), EngineError> {
         if self.child_cols.len() != self.parent_cols.len() || self.child_cols.is_empty() {
             return Err(EngineError::new(format!(
                 "foreign key {self}: column lists must be non-empty and aligned"
@@ -91,7 +91,7 @@ impl fmt::Display for ForeignKey {
 /// may ever force a deletion from any referenced parent relation. Under
 /// this condition parents are stable across repairs and orphan children
 /// become singleton hyperedges.
-pub fn validate_restricted(
+pub(crate) fn validate_restricted(
     foreign_keys: &[ForeignKey],
     denials: &[DenialConstraint],
     catalog: &Catalog,
@@ -126,7 +126,7 @@ pub fn validate_restricted(
 /// (on a catalog without that index, a copy-on-write clone with it
 /// added). Keys compare by `Value` identity; a child key holding a
 /// `NULL` never violates.
-pub fn orphan_edges(
+pub(crate) fn orphan_edges(
     g: &mut ConflictHypergraph,
     catalog: &Catalog,
     fk: &ForeignKey,
@@ -164,13 +164,13 @@ impl ForeignKey {
     }
 
     /// The referenced-key projection of a parent row.
-    pub fn parent_key(&self, row: &Row) -> Vec<Value> {
+    pub(crate) fn parent_key(&self, row: &Row) -> Vec<Value> {
         self.parent_cols.iter().map(|&c| row[c].clone()).collect()
     }
 
     /// The referencing-key projection of a child row; `None` when any
     /// component is NULL (SQL semantics: a NULL fk never violates).
-    pub fn child_key(&self, row: &Row) -> Option<Vec<Value>> {
+    pub(crate) fn child_key(&self, row: &Row) -> Option<Vec<Value>> {
         let key: Vec<Value> = self.child_cols.iter().map(|&c| row[c].clone()).collect();
         if key.iter().any(Value::is_null) {
             None

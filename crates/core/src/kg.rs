@@ -241,17 +241,18 @@ mod tests {
         let distinct = plan.find("DistinctExec").expect("set semantics");
         let filter = plan.find("FilterExec").expect("the payload conjunct");
         assert!(distinct < filter, "the filter sits below DISTINCT:\n{plan}");
-        // The join and both DISTINCT sides run on column batches; only
-        // the outer projections stay row-mode.
-        for line in plan.lines() {
-            let op = line.trim_start();
-            let vectorized = line.ends_with(" [vectorized]");
-            if op.starts_with("HashJoinExec") || op.starts_with("DistinctExec") {
-                assert!(vectorized, "{plan}");
-            }
-            if !line.starts_with(' ') && op.starts_with("ProjectExec") {
-                assert!(!vectorized, "{plan}");
-            }
+        // The stacked projections compose into one above the join, and
+        // every operator, that projection included, runs on column
+        // batches.
+        let join_at = plan.find("HashJoinExec").expect("the join");
+        assert_eq!(plan[..join_at].matches("ProjectExec").count(), 1, "{plan}");
+        let operators: Vec<&str> = plan
+            .lines()
+            .filter(|line| !line.starts_with("execution:"))
+            .collect();
+        assert_eq!(operators.len(), 9, "{plan}");
+        for line in operators {
+            assert!(line.ends_with(" [vectorized]"), "{line}:\n{plan}");
         }
 
         let diff = SjudQuery::rel("r").diff(SjudQuery::rel("s"));

@@ -17,7 +17,7 @@
 //!    are exactly the repairs;
 //! 2. [`envelope::envelope`] widens the query into a candidate-producing
 //!    SQL query shipped to the RDBMS backend;
-//! 3. [`prover::Prover`] (HProver) decides, per candidate, whether some
+//! 3. `prover::Prover` (HProver) decides, per candidate, whether some
 //!    repair falsifies membership — via DNF over the
 //!    [`formula::MembershipTemplate`] and blocking-edge search on the
 //!    hypergraph;
@@ -94,7 +94,6 @@
 //! assert_eq!(answer.rows, vec![vec![Value::text("bob"), Value::Int(300)]]);
 //! ```
 
-pub mod aggregate;
 pub mod budget;
 pub mod constraint;
 pub mod corefilter;
@@ -108,16 +107,15 @@ pub mod kg;
 pub mod naive;
 pub mod parallel;
 pub mod pred;
-pub mod prover;
+mod prover;
 pub mod query;
 pub mod repair;
 pub mod rewrite;
 pub mod sql_front;
-pub mod workload;
+mod workload;
 
 /// Convenient re-exports of the main API surface.
 pub mod prelude {
-    pub use crate::aggregate::{range_aggregate_fd, range_aggregate_naive, AggOp, AggRange};
     pub use crate::budget::{
         Budget, CancelHandle, Completeness, ConsistentAnswer, FaultKind, FaultPlan,
     };
@@ -132,7 +130,7 @@ pub mod prelude {
     pub use crate::query::SjudQuery;
     pub use crate::repair::{enumerate_repairs, is_repair};
     pub use crate::rewrite::{rewrite_query, rewritten_answers, RewriteError};
-    pub use crate::sql_front::{sjud_from_sql, SqlClassError};
+    pub use crate::sql_front::sjud_from_sql;
     pub use crate::workload::{FdTableSpec, IntegrationWorkload, JoinWorkload};
 }
 

@@ -7,16 +7,16 @@
 //! on *which thread* ran a shard or in what order shards finished. This
 //! module only supplies the execution side of that contract:
 //!
-//! * [`run_indexed`] runs one closure per task index across a
+//! * `run_indexed` runs one closure per task index across a
 //!   [`std::thread::scope`] and returns the results **in task order**.
 //!   Workers pull indices from a shared atomic counter (dynamic load
 //!   balancing — shard sizes are data-dependent), and with one thread
 //!   (or one task) everything runs inline on the caller's stack, so the
 //!   sequential path pays no synchronization or spawn cost.
-//! * [`detect_threads`] / [`prover_threads`] resolve worker counts from
+//! * `detect_threads` / `prover_threads` resolve worker counts from
 //!   the `HIPPO_DETECT_THREADS` / `HIPPO_PROVER_THREADS` environment
 //!   variables when set (≥ 1), else the machine's available
-//!   parallelism, capped at [`MAX_THREADS`].
+//!   parallelism, capped at `MAX_THREADS`.
 //!
 //! Nothing here is specific to detection or proving; the pools are
 //! generic fork-joins over indexed task lists. Determinism is the
@@ -27,13 +27,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable overriding the detection worker count.
-pub const THREADS_ENV: &str = "HIPPO_DETECT_THREADS";
+pub(crate) const THREADS_ENV: &str = "HIPPO_DETECT_THREADS";
 
 /// Environment variable overriding the prover worker count.
-pub const PROVER_THREADS_ENV: &str = "HIPPO_PROVER_THREADS";
+pub(crate) const PROVER_THREADS_ENV: &str = "HIPPO_PROVER_THREADS";
 
 /// Upper bound on auto-detected workers (an override may exceed it).
-pub const MAX_THREADS: usize = 16;
+pub(crate) const MAX_THREADS: usize = 16;
 
 fn threads_from_env(var: &str) -> usize {
     if let Ok(s) = std::env::var(var) {
@@ -52,21 +52,21 @@ fn threads_from_env(var: &str) -> usize {
 /// Number of detection worker threads: `HIPPO_DETECT_THREADS` if set to
 /// a positive integer, otherwise available parallelism capped at
 /// [`MAX_THREADS`]. Always ≥ 1.
-pub fn detect_threads() -> usize {
+pub(crate) fn detect_threads() -> usize {
     threads_from_env(THREADS_ENV)
 }
 
 /// Number of prover worker threads: `HIPPO_PROVER_THREADS` if set to a
 /// positive integer, otherwise available parallelism capped at
 /// [`MAX_THREADS`]. Always ≥ 1.
-pub fn prover_threads() -> usize {
+pub(crate) fn prover_threads() -> usize {
     threads_from_env(PROVER_THREADS_ENV)
 }
 
 /// Run `f(0), f(1), …, f(tasks - 1)` across at most `threads` scoped
 /// workers and return the results in task-index order. `threads ≤ 1`
 /// (or `tasks ≤ 1`) runs inline with no thread machinery at all.
-pub fn run_indexed<T, F>(tasks: usize, threads: usize, f: F) -> Vec<T>
+pub(crate) fn run_indexed<T, F>(tasks: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -103,7 +103,7 @@ where
 /// A panic caught from one task of [`run_indexed_isolated`]: the task
 /// index plus the panic payload's message (when it was a string).
 #[derive(Debug, Clone)]
-pub struct TaskPanic {
+pub(crate) struct TaskPanic {
     /// Index of the task whose closure panicked.
     pub task: usize,
     /// The panic message, or `"non-string panic payload"`.
@@ -135,7 +135,11 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// destroy the other 15 shards' work or leave the caller's state
 /// half-merged — the caller inspects the results, drains everything,
 /// and surfaces the first panic as a structured error.
-pub fn run_indexed_isolated<T, F>(tasks: usize, threads: usize, f: F) -> Vec<Result<T, TaskPanic>>
+pub(crate) fn run_indexed_isolated<T, F>(
+    tasks: usize,
+    threads: usize,
+    f: F,
+) -> Vec<Result<T, TaskPanic>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

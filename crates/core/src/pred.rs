@@ -28,7 +28,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Evaluate against an ordering result.
-    pub fn test(self, ord: std::cmp::Ordering) -> bool {
+    pub(crate) fn test(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::*;
         match self {
             CmpOp::Eq => ord == Equal,
@@ -41,7 +41,7 @@ impl CmpOp {
     }
 
     /// The SQL binary operator.
-    pub fn to_sql_op(self) -> BinaryOp {
+    pub(crate) fn to_sql_op(self) -> BinaryOp {
         match self {
             CmpOp::Eq => BinaryOp::Eq,
             CmpOp::Neq => BinaryOp::Neq,
@@ -53,7 +53,7 @@ impl CmpOp {
     }
 
     /// Logical negation (`<` ↔ `>=`, etc.).
-    pub fn negate(self) -> CmpOp {
+    pub(crate) fn negate(self) -> CmpOp {
         match self {
             CmpOp::Eq => CmpOp::Neq,
             CmpOp::Neq => CmpOp::Eq,
@@ -85,13 +85,6 @@ impl Operand {
         match self {
             Operand::Col(i) => row.get(*i),
             Operand::Const(v) => Some(v),
-        }
-    }
-
-    fn shift(&self, by: usize) -> Operand {
-        match self {
-            Operand::Col(i) => Operand::Col(i + by),
-            c => c.clone(),
         }
     }
 
@@ -156,7 +149,7 @@ impl Pred {
     }
 
     /// `a OR b`.
-    pub fn or(self, other: Pred) -> Pred {
+    pub(crate) fn or(self, other: Pred) -> Pred {
         match (self, other) {
             (Pred::False, x) | (x, Pred::False) => x,
             (Pred::True, _) | (_, Pred::True) => Pred::True,
@@ -166,7 +159,7 @@ impl Pred {
 
     /// `NOT a`.
     #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> Pred {
+    pub(crate) fn not(self) -> Pred {
         match self {
             Pred::True => Pred::False,
             Pred::False => Pred::True,
@@ -181,14 +174,14 @@ impl Pred {
     }
 
     /// Conjunction of many predicates.
-    pub fn conjoin(preds: impl IntoIterator<Item = Pred>) -> Pred {
+    pub(crate) fn conjoin(preds: impl IntoIterator<Item = Pred>) -> Pred {
         preds.into_iter().fold(Pred::True, Pred::and)
     }
 
     /// Evaluate on a row. SQL three-valued logic collapses to boolean here:
     /// comparisons involving `NULL` or incomparable types are *not
     /// satisfied* (and their negation via [`CmpOp::negate`] is not either).
-    pub fn eval(&self, row: &[Value]) -> bool {
+    pub(crate) fn eval(&self, row: &[Value]) -> bool {
         match self {
             Pred::True => true,
             Pred::False => false,
@@ -207,25 +200,8 @@ impl Pred {
         }
     }
 
-    /// Shift all column positions by `by` (used when a predicate moves to
-    /// the right side of a product).
-    pub fn shift(&self, by: usize) -> Pred {
-        match self {
-            Pred::True => Pred::True,
-            Pred::False => Pred::False,
-            Pred::Cmp { op, left, right } => Pred::Cmp {
-                op: *op,
-                left: left.shift(by),
-                right: right.shift(by),
-            },
-            Pred::And(a, b) => Pred::And(Box::new(a.shift(by)), Box::new(b.shift(by))),
-            Pred::Or(a, b) => Pred::Or(Box::new(a.shift(by)), Box::new(b.shift(by))),
-            Pred::Not(p) => Pred::Not(Box::new(p.shift(by))),
-        }
-    }
-
     /// Remap column positions through `f`.
-    pub fn map_cols(&self, f: &impl Fn(usize) -> usize) -> Pred {
+    pub(crate) fn map_cols(&self, f: &impl Fn(usize) -> usize) -> Pred {
         match self {
             Pred::True => Pred::True,
             Pred::False => Pred::False,
@@ -247,7 +223,7 @@ impl Pred {
     }
 
     /// Largest referenced column position.
-    pub fn max_col(&self) -> Option<usize> {
+    pub(crate) fn max_col(&self) -> Option<usize> {
         match self {
             Pred::True | Pred::False => None,
             Pred::Cmp { left, right, .. } => match (left.max_col(), right.max_col()) {
@@ -264,7 +240,7 @@ impl Pred {
 
     /// Render as a SQL expression over column names produced by `name`
     /// (e.g. `|i| format!("c{i}")` or a qualified form).
-    pub fn to_sql_expr(&self, name: &impl Fn(usize) -> Expr) -> Expr {
+    pub(crate) fn to_sql_expr(&self, name: &impl Fn(usize) -> Expr) -> Expr {
         match self {
             Pred::True => Expr::int(1).eq(Expr::int(1)),
             Pred::False => Expr::int(1).eq(Expr::int(0)),
@@ -356,9 +332,8 @@ mod tests {
     }
 
     #[test]
-    fn shift_and_map() {
+    fn map_cols_and_max_col() {
         let p = Pred::cmp_cols(0, CmpOp::Eq, 2);
-        assert_eq!(p.shift(3), Pred::cmp_cols(3, CmpOp::Eq, 5));
         assert_eq!(p.map_cols(&|i| i * 10), Pred::cmp_cols(0, CmpOp::Eq, 20));
         assert_eq!(p.max_col(), Some(2));
         assert_eq!(Pred::True.max_col(), None);

@@ -71,7 +71,7 @@ pub struct ProverRunStats {
 /// [`Prover::is_consistent_answer`] call needs — literal-row buffers,
 /// witness sets — lives in a reusable workspace, so deciding a batch of
 /// candidates allocates only on the first call.
-pub struct Prover<'a> {
+pub(crate) struct Prover<'a> {
     graph: &'a ConflictHypergraph,
     template: &'a MembershipTemplate,
     /// Per-literal interned relation index in the graph (`None` when the
@@ -89,7 +89,10 @@ pub struct Prover<'a> {
 
 impl<'a> Prover<'a> {
     /// Create a prover for one query template.
-    pub fn new(graph: &'a ConflictHypergraph, template: &'a MembershipTemplate) -> Prover<'a> {
+    pub(crate) fn new(
+        graph: &'a ConflictHypergraph,
+        template: &'a MembershipTemplate,
+    ) -> Prover<'a> {
         let lit_rels = template
             .literals
             .iter()
@@ -139,7 +142,7 @@ impl<'a> Prover<'a> {
     /// signature. Allocation-free: facts are probed as projections of
     /// `tuple`, never materialised. `flags` must be the per-literal
     /// membership answers (knowledge gathering prefetches them).
-    pub fn closure_signature(&self, tuple: &Row, flags: &[bool], sig: &mut Vec<u64>) {
+    pub(crate) fn closure_signature(&self, tuple: &Row, flags: &[bool], sig: &mut Vec<u64>) {
         debug_assert_eq!(flags.len(), self.template.literals.len());
         sig.clear();
         let mut word = 0u64;
@@ -165,7 +168,7 @@ impl<'a> Prover<'a> {
     /// Is `tuple` a consistent answer to the template's query?
     /// `flags[li]` says whether literal `li`'s fact, instantiated with
     /// `tuple`, is present in the database.
-    pub fn is_consistent_answer(&mut self, tuple: &Row, flags: &[bool]) -> bool {
+    pub(crate) fn is_consistent_answer(&mut self, tuple: &Row, flags: &[bool]) -> bool {
         debug_assert_eq!(flags.len(), self.template.literals.len());
         self.stats.tuples_checked += 1;
         let formula = self.template.instantiate(tuple);

@@ -17,7 +17,6 @@
 use crate::pred::Pred;
 use hippo_engine::{Catalog, EngineError, Row};
 use hippo_sql::{Expr, Query, SelectCore, SelectItem, SetOp, TableRef};
-use std::collections::BTreeSet;
 
 /// An SJUD relational algebra expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,38 +84,8 @@ impl SjudQuery {
         }
     }
 
-    /// Equi-join convenience: `σ_{left_col = right_col}(self × other)`.
-    /// Both column positions are *combined* offsets over the product's
-    /// columns (left columns first).
-    pub fn join_on(self, left_col: usize, other: SjudQuery, right_col: usize) -> SjudQuery {
-        self.product(other)
-            .select(Pred::cmp_cols(left_col, crate::pred::CmpOp::Eq, right_col))
-    }
-
-    /// All base relations referenced (sorted, deduplicated).
-    pub fn relations(&self) -> Vec<String> {
-        let mut set = BTreeSet::new();
-        self.collect_relations(&mut set);
-        set.into_iter().collect()
-    }
-
-    fn collect_relations(&self, out: &mut BTreeSet<String>) {
-        match self {
-            SjudQuery::Rel(r) => {
-                out.insert(r.clone());
-            }
-            SjudQuery::Select { input, .. } | SjudQuery::Permute { input, .. } => {
-                input.collect_relations(out)
-            }
-            SjudQuery::Product(l, r) | SjudQuery::Union(l, r) | SjudQuery::Diff(l, r) => {
-                l.collect_relations(out);
-                r.collect_relations(out);
-            }
-        }
-    }
-
     /// Does the query contain a difference?
-    pub fn has_diff(&self) -> bool {
+    pub(crate) fn has_diff(&self) -> bool {
         match self {
             SjudQuery::Rel(_) => false,
             SjudQuery::Select { input, .. } | SjudQuery::Permute { input, .. } => input.has_diff(),
@@ -126,7 +95,7 @@ impl SjudQuery {
     }
 
     /// Does the query contain a union?
-    pub fn has_union(&self) -> bool {
+    pub(crate) fn has_union(&self) -> bool {
         match self {
             SjudQuery::Rel(_) => false,
             SjudQuery::Select { input, .. } | SjudQuery::Permute { input, .. } => input.has_union(),
@@ -189,7 +158,7 @@ impl SjudQuery {
 
     /// Render to a SQL query (set semantics). Every level exposes columns
     /// named `c0..c{n-1}`.
-    pub fn to_sql_query(&self, catalog: &Catalog) -> Result<Query, EngineError> {
+    pub(crate) fn to_sql_query(&self, catalog: &Catalog) -> Result<Query, EngineError> {
         self.validate(catalog)?;
         self.render(catalog)
     }

@@ -12,7 +12,7 @@ use std::collections::{BTreeSet, HashSet};
 
 /// A repair, represented by the set of **conflicting vertices it keeps**
 /// (all non-conflicting tuples are implicitly kept).
-pub type RepairKept = BTreeSet<Vertex>;
+pub(crate) type RepairKept = BTreeSet<Vertex>;
 
 /// Enumerate all repairs (as kept-sets over conflicting vertices).
 ///
@@ -73,30 +73,6 @@ fn recurse(
     }
 }
 
-/// Count repairs without keeping them all in memory (still exponential
-/// time; used by experiment E7's "number of repairs" series).
-pub fn count_repairs(g: &ConflictHypergraph, cap: usize) -> usize {
-    enumerate_repairs(g, Some(cap)).len()
-}
-
-/// The *core*: tuples present in **every** repair. Contains all
-/// non-conflicting tuples plus conflicting vertices that are kept in every
-/// maximal independent set. This function returns only the always-kept
-/// conflicting vertices; use [`core_instance`] for full relations.
-///
-/// Computed exactly via a sufficient local criterion when cheap, falling
-/// back to enumeration when `exact` is set (tests); Hippo's core-filter
-/// optimization only needs a *subset* of the core, for which
-/// "non-conflicting" suffices (the paper's envelope/filter construction).
-pub fn always_kept_exact(g: &ConflictHypergraph) -> BTreeSet<Vertex> {
-    let repairs = enumerate_repairs(g, None);
-    let mut iter = repairs.into_iter();
-    let Some(first) = iter.next() else {
-        return BTreeSet::new();
-    };
-    iter.fold(first, |acc, r| acc.intersection(&r).copied().collect())
-}
-
 /// Materialise a repair (or the consistent core) as an instance view:
 /// relation name → rows, where conflicting vertices not in `kept` are
 /// dropped.
@@ -128,7 +104,7 @@ pub fn repair_instance<'a>(
 /// dropped. This is the instance the "traditional approach" (delete all
 /// conflicting data) queries, and the positive base of Hippo's core-filter
 /// optimization.
-pub fn core_instance<'a>(
+pub(crate) fn core_instance<'a>(
     catalog: &'a Catalog,
     g: &'a ConflictHypergraph,
 ) -> impl Fn(&str) -> Vec<Row> + 'a {
@@ -255,19 +231,7 @@ mod tests {
     #[test]
     fn limit_caps_enumeration() {
         let g = graph(&[&[0, 1], &[2, 3], &[4, 5]]);
-        assert_eq!(count_repairs(&g, 3), 3);
-    }
-
-    #[test]
-    fn always_kept_exact_on_path() {
-        // 0-1, 1-2: repairs {0,2}, {1}: intersection empty
-        let g = graph(&[&[0, 1], &[1, 2]]);
-        assert!(always_kept_exact(&g).is_empty());
-        // one edge {0,1} plus vertex 2 in a hyperedge {0,1,2}? Instead:
-        // edges {0,1} and {0,1,2}: repairs: {0,2}:0 kept,1 blocked by {0,1}?
-        // keep simple: single edge {0,1}: intersection of {0},{1} is empty.
-        let g = graph(&[&[0, 1]]);
-        assert!(always_kept_exact(&g).is_empty());
+        assert_eq!(enumerate_repairs(&g, Some(3)).len(), 3);
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub fn bind_query(catalog: &Catalog, query: &Query) -> Result<BoundQuery, Engine
 }
 
 /// Bind a standalone expression against a table's row (used by DML filters).
-pub fn bind_table_expr(
+pub(crate) fn bind_table_expr(
     catalog: &Catalog,
     table: &str,
     expr: &Expr,
@@ -115,7 +115,7 @@ pub fn bind_table_expr(
 }
 
 /// Bind a constant expression (no columns in scope), e.g. `VALUES` items.
-pub fn bind_const_expr(catalog: &Catalog, expr: &Expr) -> Result<BoundExpr, EngineError> {
+pub(crate) fn bind_const_expr(catalog: &Catalog, expr: &Expr) -> Result<BoundExpr, EngineError> {
     let mut b = Binder {
         catalog,
         scopes: vec![Scope::default()],
@@ -833,7 +833,7 @@ impl<'a> Binder<'a> {
 }
 
 /// Translate an AST literal into a runtime value.
-pub fn literal_value(l: &Literal) -> crate::value::Value {
+pub(crate) fn literal_value(l: &Literal) -> crate::value::Value {
     use crate::value::Value;
     match l {
         Literal::Null => Value::Null,
@@ -850,7 +850,7 @@ fn is_aggregate_name(name: &str) -> bool {
 
 /// Does the expression contain an aggregate function call (not descending
 /// into subqueries, which have their own aggregation contexts)?
-pub fn contains_aggregate(e: &Expr) -> bool {
+pub(crate) fn contains_aggregate(e: &Expr) -> bool {
     match e {
         Expr::Function {
             name, star, args, ..

@@ -30,15 +30,26 @@
 //!
 //! All counters are relaxed atomics summed over deterministic per-shard
 //! loops, so when no budget trips, [`Budget::checks`] is identical for
-//! any worker-thread count. When a *deadline* trips, the trip point is
-//! wall-clock dependent by nature — callers must only rely on the
-//! soundness of whatever partial result they assemble, never on where
-//! exactly the cut happened.
+//! any worker-thread count. Where a budget trips is not always
+//! repeatable:
+//!
+//! * a *deadline* trip point is wall-clock dependent by nature;
+//! * a *row budget* trip point in the prover stage depends, with more
+//!   than one prover thread, on how the shards interleave: each shard
+//!   charges its pending rows to the one shared budget every
+//!   [`CHECK_STRIDE`] candidates, so the total seen by the check that
+//!   trips differs from run to run, and so does whether a call whose
+//!   budget is near its need completes at all. At one prover thread a
+//!   row budget trips at the same point every run.
+//!
+//! Callers must only rely on the soundness of whatever partial result
+//! they assemble, never on where exactly the cut happened.
 //!
 //! # Cancellation
 //!
-//! [`Budget::cancel_handle`] returns a cheap cloneable [`CancelHandle`]
-//! that another thread can [`CancelHandle::cancel`] at any time; the next
+//! [`Budget::with_cancel_flag`] wires in a cheap cloneable
+//! [`CancelHandle`] that another thread can [`CancelHandle::cancel`] at
+//! any time; the next
 //! strided check in any stage observes the flag and unwinds with an
 //! [`crate::schema::ErrorKind::Cancelled`] error. The flag is sticky
 //! until [`CancelHandle::reset`].
@@ -57,7 +68,7 @@ pub const CHECK_STRIDE: u32 = 256;
 
 /// A cloneable cancellation flag for a [`Budget`].
 ///
-/// Obtained from [`Budget::cancel_handle`]; tripping it makes every
+/// Wired into a budget by [`Budget::with_cancel_flag`]; tripping it makes every
 /// stage sharing the budget unwind with a `Cancelled` error at its next
 /// cooperative check.
 #[derive(Debug, Clone, Default)]
@@ -65,7 +76,7 @@ pub struct CancelHandle(Arc<AtomicBool>);
 
 impl CancelHandle {
     /// A fresh, untripped flag (for wiring into [`Budget::with_cancel_flag`]).
-    pub fn new() -> CancelHandle {
+    pub(crate) fn new() -> CancelHandle {
         CancelHandle::default()
     }
 
@@ -75,7 +86,7 @@ impl CancelHandle {
     }
 
     /// Has the flag been tripped?
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Relaxed)
     }
 
@@ -148,7 +159,8 @@ impl Budget {
     }
 
     /// A handle another thread can use to cancel this budget's call.
-    pub fn cancel_handle(&self) -> CancelHandle {
+    #[cfg(test)]
+    fn cancel_handle(&self) -> CancelHandle {
         self.cancel.clone()
     }
 
@@ -174,21 +186,6 @@ impl Budget {
     /// Full checks performed so far (every stage, every shard).
     pub fn checks(&self) -> u64 {
         self.checks.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock time elapsed since the budget was armed.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Time left before the deadline trips: `None` when no deadline is
-    /// configured, `Some(ZERO)` once it has passed. Services use this to
-    /// propagate a request deadline across stages — e.g. capping how
-    /// long the request may sit in an admission queue before execution
-    /// would be pointless.
-    pub fn remaining_time(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// One full cooperative check: counted, then cancellation, forced
@@ -279,16 +276,6 @@ mod tests {
                 limit: 10
             }
         );
-    }
-
-    #[test]
-    fn remaining_time_tracks_the_deadline() {
-        assert_eq!(Budget::new().remaining_time(), None);
-        let b = Budget::new().with_deadline(Duration::from_secs(3600));
-        let left = b.remaining_time().expect("deadline configured");
-        assert!(left > Duration::from_secs(3000), "{left:?}");
-        let b = Budget::new().with_deadline(Duration::ZERO);
-        assert_eq!(b.remaining_time(), Some(Duration::ZERO), "never negative");
     }
 
     #[test]

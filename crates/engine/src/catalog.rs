@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 /// copy-on-write: mutating a database whose catalog is still shared with
 /// a live snapshot clones the catalog, which copies no row — each table
 /// clone shares its row chunks and index shards, and a write then
-/// copies only the chunk and shards it touches (see [`crate::table`]).
+/// copies only the chunk and shards it touches (see `crate::table`).
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
@@ -22,7 +22,7 @@ pub struct Catalog {
 
 impl Catalog {
     /// Empty catalog.
-    pub fn new() -> Catalog {
+    pub(crate) fn new() -> Catalog {
         Catalog::default()
     }
 
@@ -51,7 +51,7 @@ impl Catalog {
     }
 
     /// Drop a table; errors if missing (unless `if_exists`).
-    pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<(), EngineError> {
+    pub(crate) fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<(), EngineError> {
         if self.tables.remove(name).is_none() && !if_exists {
             return Err(EngineError::new(format!("table {name:?} does not exist")));
         }
@@ -91,11 +91,6 @@ impl Catalog {
         }
         total
     }
-
-    /// All table names, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
-    }
 }
 
 #[cfg(test)]
@@ -121,14 +116,5 @@ mod tests {
             c.drop_table("t", true).is_ok(),
             "IF EXISTS swallows missing"
         );
-    }
-
-    #[test]
-    fn iteration_is_sorted() {
-        let mut c = Catalog::new();
-        for n in ["zeta", "alpha", "mid"] {
-            c.create_table(schema(n)).unwrap();
-        }
-        assert_eq!(c.table_names(), vec!["alpha", "mid", "zeta"]);
     }
 }

@@ -85,7 +85,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 // ---------------------------------------------------------------------------
 
 /// Bytes of envelope before a checked frame's payload (len + crc).
-pub const CHECKED_FRAME_OVERHEAD: usize = 8;
+pub(crate) const CHECKED_FRAME_OVERHEAD: usize = 8;
 
 /// Wrap `payload` in the shared checked-frame envelope the WAL and the
 /// replication transport both speak: `len u32 · crc32(payload) u32 ·
@@ -191,12 +191,12 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, EngineError> {
+    pub(crate) fn i64(&mut self) -> Result<i64, EngineError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Read an `f64` from its IEEE bit pattern (NaN payloads survive).
-    pub fn f64(&mut self) -> Result<f64, EngineError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, EngineError> {
         Ok(f64::from_bits(self.u64()?))
     }
 

@@ -32,9 +32,9 @@
 //!
 //! # Selection vectors and batches
 //!
-//! Execution walks the store in windows of [`BATCH_ROWS`] rows. A
-//! [`ColumnBatch`] is one window plus an optional **selection
-//! vector** — absolute row positions (ascending) that survived the
+//! Execution walks the store in windows of [`BATCH_ROWS`] rows. Each
+//! window carries an optional **selection vector** — absolute row
+//! positions (ascending) that survived the
 //! predicates so far. Operators never compact or copy column data;
 //! they only append to the selection. `None` means "all rows in the
 //! window". Downstream operators (projection, aggregation, join
@@ -126,7 +126,7 @@ use crate::table::Table;
 use crate::value::{self, sql_int_float_cmp, Row, Value};
 
 /// Rows per execution batch window.
-pub const BATCH_ROWS: usize = 1024;
+pub(crate) const BATCH_ROWS: usize = 1024;
 
 // ---------------------------------------------------------------------------
 // Columnar storage
@@ -136,7 +136,7 @@ pub const BATCH_ROWS: usize = 1024;
 /// (`0`/`0.0`/`false`/code `0`) masked by the owning vector's validity
 /// bitmap.
 #[derive(Debug, Clone)]
-pub enum ColumnData {
+pub(crate) enum ColumnData {
     /// `INT` column.
     Int64(Vec<i64>),
     /// `FLOAT` column (bit patterns preserved, including `NaN`/`-0.0`).
@@ -154,7 +154,7 @@ pub enum ColumnData {
 
 /// One column: typed data plus a validity bitmap (bit set = non-`NULL`).
 #[derive(Debug, Clone)]
-pub struct ColumnVector {
+pub(crate) struct ColumnVector {
     data: ColumnData,
     validity: Vec<u64>,
 }
@@ -162,18 +162,19 @@ pub struct ColumnVector {
 impl ColumnVector {
     /// Is the value at `pos` non-`NULL`?
     #[inline]
-    pub fn is_valid(&self, pos: usize) -> bool {
+    pub(crate) fn is_valid(&self, pos: usize) -> bool {
         self.validity[pos >> 6] >> (pos & 63) & 1 == 1
     }
 
     /// The typed buffer.
-    pub fn data(&self) -> &ColumnData {
+    #[cfg(test)]
+    fn data(&self) -> &ColumnData {
         &self.data
     }
 
     /// Materialise the value at `pos` (bit-identical to the stored row
     /// value, `Value::Null` for clear validity bits).
-    pub fn value_at(&self, pos: usize) -> Value {
+    pub(crate) fn value_at(&self, pos: usize) -> Value {
         if !self.is_valid(pos) {
             return Value::Null;
         }
@@ -188,7 +189,7 @@ impl ColumnVector {
     /// Feed `state` what `value_at(pos).hash(state)` would, without
     /// building the value (no allocation for `TEXT`).
     #[inline]
-    pub fn hash_at<H: Hasher>(&self, pos: usize, state: &mut H) {
+    pub(crate) fn hash_at<H: Hasher>(&self, pos: usize, state: &mut H) {
         if !self.is_valid(pos) {
             return value::hash_null(state);
         }
@@ -204,7 +205,7 @@ impl ColumnVector {
     /// (`NULL` equals `NULL`, integers and floats by exact value) —
     /// without building either value.
     #[inline]
-    pub fn eq_at(&self, pos: usize, other: &ColumnVector, opos: usize) -> bool {
+    pub(crate) fn eq_at(&self, pos: usize, other: &ColumnVector, opos: usize) -> bool {
         match (self.is_valid(pos), other.is_valid(opos)) {
             (true, true) => {}
             (a, b) => return a == b,
@@ -245,7 +246,7 @@ impl ColumnVector {
 
 /// Column-major projection of one table's live rows, in slot order.
 #[derive(Debug, Clone)]
-pub struct ColumnStore {
+pub(crate) struct ColumnStore {
     cols: Vec<ColumnVector>,
     /// Slot-parallel tuple ids (`tids[pos]` owns row `pos`).
     tids: Vec<u32>,
@@ -256,7 +257,7 @@ impl ColumnStore {
     /// value contradicts its declared column type (cannot happen for
     /// rows admitted through `check_row`, but the engine degrades to
     /// row mode rather than panicking if it ever does).
-    pub fn build(table: &Table) -> Option<ColumnStore> {
+    pub(crate) fn build(table: &Table) -> Option<ColumnStore> {
         let n = table.len();
         let words = n.div_ceil(64);
         let mut builders: Vec<(ColumnData, Vec<u64>)> = table
@@ -335,85 +336,26 @@ impl ColumnStore {
     }
 
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tids.len()
     }
 
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.tids.is_empty()
-    }
-
     /// Column `i`.
-    pub fn column(&self, i: usize) -> &ColumnVector {
+    #[cfg(test)]
+    fn column(&self, i: usize) -> &ColumnVector {
         &self.cols[i]
     }
 
     /// Tuple id of row `pos` (raw `u32`, see [`crate::TupleId`]).
-    pub fn tid(&self, pos: usize) -> u32 {
+    #[cfg(test)]
+    fn tid(&self, pos: usize) -> u32 {
         self.tids[pos]
     }
 
     /// Materialise row `pos` as a full [`Row`] (bit-identical to the
     /// stored slot row).
-    pub fn materialize_row(&self, pos: usize) -> Row {
+    pub(crate) fn materialize_row(&self, pos: usize) -> Row {
         self.cols.iter().map(|c| c.value_at(pos)).collect()
-    }
-}
-
-/// One execution window over a store: `rows` rows starting at absolute
-/// position `start`, plus the selection vector of surviving absolute
-/// positions (`None` = all rows in the window survive so far).
-#[derive(Debug)]
-pub struct ColumnBatch<'a> {
-    store: &'a ColumnStore,
-    start: usize,
-    rows: usize,
-    selection: Option<Vec<u32>>,
-}
-
-impl<'a> ColumnBatch<'a> {
-    /// A full window `[start, start + rows)` with no selection applied.
-    pub fn new(store: &'a ColumnStore, start: usize, rows: usize) -> ColumnBatch<'a> {
-        ColumnBatch {
-            store,
-            start,
-            rows,
-            selection: None,
-        }
-    }
-
-    /// The backing store.
-    pub fn store(&self) -> &'a ColumnStore {
-        self.store
-    }
-
-    /// First absolute row position of the window.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Window width in rows (before selection).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Selected absolute positions, ascending (`None` = all).
-    pub fn selection(&self) -> Option<&[u32]> {
-        self.selection.as_deref()
-    }
-
-    /// Replace the selection vector.
-    pub fn set_selection(&mut self, sel: Vec<u32>) {
-        self.selection = Some(sel);
-    }
-
-    /// Number of rows after selection.
-    pub fn selected_len(&self) -> usize {
-        match &self.selection {
-            Some(s) => s.len(),
-            None => self.rows,
-        }
     }
 }
 
@@ -444,7 +386,7 @@ pub(crate) fn override_guard() -> std::sync::MutexGuard<'static, ()> {
 
 /// Is vectorized execution enabled (the default, unless
 /// [`set_columnar_override`] turned it off)?
-pub fn columnar_enabled() -> bool {
+pub(crate) fn columnar_enabled() -> bool {
     !COLUMNAR_OFF.load(AtomicOrdering::Relaxed)
 }
 
@@ -1516,7 +1458,7 @@ fn join_selections(
 /// except that a `Limit{Some}` over a streaming shape the compiler
 /// rejected runs the row-wise early-exit scan, never re-entering the
 /// executor on its input.
-pub fn vectorized_roots<'p>(plan: &'p Plan, catalog: &Catalog) -> Vec<&'p Plan> {
+pub(crate) fn vectorized_roots<'p>(plan: &'p Plan, catalog: &Catalog) -> Vec<&'p Plan> {
     fn walk<'p>(plan: &'p Plan, catalog: &Catalog, out: &mut Vec<&'p Plan>) {
         if compile(plan, catalog).is_some() {
             out.push(plan);

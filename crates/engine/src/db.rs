@@ -64,18 +64,6 @@ pub struct QueryResult {
     pub rows: Vec<Row>,
 }
 
-impl QueryResult {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Is the result empty?
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
 /// An in-memory SQL database: a [`DbSnapshot`] it owns (through which
 /// every read goes — see the module docs) plus DDL/DML.
 ///
@@ -369,7 +357,7 @@ impl Database {
 
     /// Bulk insert with an optional explicit column order (empty = table
     /// order). Used by `INSERT` and by workload generators.
-    pub fn insert_rows_ordered(
+    pub(crate) fn insert_rows_ordered(
         &mut self,
         table: &str,
         columns: &[String],
@@ -479,7 +467,7 @@ pub struct SnapshotStatsView {
     /// Base-table access paths executed as sequential scans.
     pub scan_probes: usize,
     /// Column batches pushed through the vectorized engine
-    /// ([`crate::column`]).
+    /// (`crate::column`).
     pub batches_executed: usize,
     /// Rows evaluated batch-at-a-time by the vectorized engine.
     pub vectorized_rows: usize,
@@ -660,7 +648,7 @@ impl DbSnapshot {
     /// path (`IndexLookup` vs `SeqScan`) is visible at the leaves, a
     /// `MarkJoinExec` names its table, keys and probe (`via index (…)`
     /// or `via hash build`), every operator the vectorized engine
-    /// ([`crate::column`]) would run ends in `[vectorized]`, and a
+    /// (`crate::column`) would run ends in `[vectorized]`, and a
     /// trailing `execution:` line reports whether any of them does. Also reachable as a real SQL statement:
     /// `EXPLAIN SELECT …` through [`Database::execute`].
     pub fn explain(&self, sql: &str) -> Result<String, EngineError> {
@@ -669,7 +657,7 @@ impl DbSnapshot {
     }
 
     /// Evaluate a plan bound against this catalog on the **reference
-    /// oracle** ([`crate::exec::execute`]): no streaming, no
+    /// oracle** (`crate::exec::execute`): no streaming, no
     /// vectorization, an `IndexLookup` read as scan + key equality. The
     /// differential tests run this — on plans from both
     /// [`DbSnapshot::plan`] and [`DbSnapshot::physical_plan`] — against
@@ -736,7 +724,7 @@ mod tests {
         let r = db
             .query("SELECT name FROM emp WHERE dept = 'cs' UNION SELECT name FROM emp WHERE salary > 250")
             .unwrap();
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.rows.len(), 3);
         let r = db
             .query("SELECT name FROM emp EXCEPT SELECT name FROM emp WHERE dept = 'cs'")
             .unwrap();

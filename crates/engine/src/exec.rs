@@ -4,10 +4,10 @@
 //! implementations for aggregation, sort and the bag set operations;
 //! joins and duplicate elimination they do not share:
 //!
-//! * [`execute_physical`] — the **production** executor, the only one
+//! * `execute_physical` — the **production** executor, the only one
 //!   reachable from a query: [`crate::db::DbSnapshot`] runs every
 //!   statement through it, and expression subqueries
-//!   (`EXISTS`/`IN`/scalar) re-enter it through the same [`EvalEnv`],
+//!   (`EXISTS`/`IN`/scalar) re-enter it through the same `EvalEnv`,
 //!   so their rows are charged to the caller's budget like any other.
 //!   Its row-wise pipeline shapes stream: a `Filter` directly over a
 //!   `Scan` clones only surviving rows, a `Limit` over a
@@ -15,7 +15,7 @@
 //!   `offset + limit` rows are produced, an `IndexLookup` touches
 //!   only the probed bucket, and a `MarkJoin` probes one index bucket
 //!   (or one per-execution hash partition) per input row.
-//! * [`execute`] — the **reference oracle**, off the production path:
+//! * `execute` — the **reference oracle**, off the production path:
 //!   bottom-up, fully materialising, no streaming, no vectorization,
 //!   no budget, an `IndexLookup` defined as scan + key equality, a
 //!   `MarkJoin` as scan + key identity + residual per input row, a
@@ -34,7 +34,7 @@
 //! row-wise it offers the whole subtree to the **vectorized** compiler
 //! (`column::try_execute`), which runs eligible
 //! scan/aggregate/join shapes batch-at-a-time over the table's
-//! [`crate::column::ColumnStore`]:
+//! `crate::column::ColumnStore`:
 //!
 //! ```text
 //!   SQL ─▶ bind ─▶ optimize ─▶ choose_access_paths (optional) ─▶ Plan
@@ -50,7 +50,7 @@
 //!      │                        ▼              │          identity + residual,
 //!      ▼                row-mode operators ────┘          subqueries stay here
 //!   ColumnStore ─ 1024-row ─▶ filter ─▶        MarkJoin: index bucket or hash
-//!   (Arc-shared) ColumnBatch  project/agg/join build per input row; other
+//!   (Arc-shared) windows      project/agg/join build per input row; other
 //!      │                        │              EXISTS / IN / scalar subqueries
 //!      │                        │              in expressions re-enter with
 //!      ╲                        ╱              the same env: same budget
@@ -70,7 +70,7 @@
 //!
 //! Execution never mutates the catalog: all run state (the enclosing-row
 //! stack, the budget) lives in the per-call
-//! [`EvalEnv`] and in the operators' own locals, which each invocation
+//! `EvalEnv` and in the operators' own locals, which each invocation
 //! owns privately. That is what makes execution against a shared
 //! `&Catalog` safe from many threads with no locking: each caller gets
 //! a fresh environment on its own stack.
@@ -86,7 +86,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 /// [`crate::db::DbSnapshot::run_plan`] only — never a production
 /// query). Marks `env` so that subqueries met while evaluating
 /// expressions stay on the oracle too.
-pub fn execute(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError> {
+pub(crate) fn execute(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError> {
     let was = std::mem::replace(&mut env.reference, true);
     let rows = reference(plan, env);
     env.reference = was;
@@ -256,7 +256,10 @@ fn reference(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError
 /// `Distinct`, `Sort`, set operation, or materialising `Limit` whose
 /// *input* is an eligible scan/aggregate/join shape runs that subtree
 /// on column batches even though the operator itself stays row-mode.
-pub fn execute_physical(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, EngineError> {
+pub(crate) fn execute_physical(
+    plan: &Plan,
+    env: &mut EvalEnv<'_>,
+) -> Result<Vec<Row>, EngineError> {
     if let Some(rows) = crate::column::try_execute(plan, env)? {
         return Ok(rows);
     }
@@ -403,7 +406,7 @@ pub fn execute_physical(plan: &Plan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, 
     }
 }
 
-/// [`execute_physical`] against a shared read-only catalog, with the
+/// `execute_physical` against a shared read-only catalog, with the
 /// environment built here on the caller's stack (so concurrent callers
 /// over one catalog never contend): with a `budget` the executor's
 /// loops charge rows against it and unwind with a structured

@@ -118,7 +118,7 @@ pub enum ScalarFunc {
 
 impl ScalarFunc {
     /// Look up by (lower-case) name.
-    pub fn from_name(name: &str) -> Option<ScalarFunc> {
+    pub(crate) fn from_name(name: &str) -> Option<ScalarFunc> {
         Some(match name {
             "abs" => ScalarFunc::Abs,
             "lower" => ScalarFunc::Lower,
@@ -132,12 +132,12 @@ impl ScalarFunc {
 
 impl BoundExpr {
     /// `TRUE` literal.
-    pub fn true_() -> BoundExpr {
+    pub(crate) fn true_() -> BoundExpr {
         BoundExpr::Literal(Value::Bool(true))
     }
 
     /// Build `left AND right`.
-    pub fn and(self, other: BoundExpr) -> BoundExpr {
+    pub(crate) fn and(self, other: BoundExpr) -> BoundExpr {
         BoundExpr::Binary {
             op: BinaryOp::And,
             left: Box::new(self),
@@ -146,7 +146,7 @@ impl BoundExpr {
     }
 
     /// Conjunction of many; `TRUE` when empty.
-    pub fn conjoin(exprs: impl IntoIterator<Item = BoundExpr>) -> BoundExpr {
+    pub(crate) fn conjoin(exprs: impl IntoIterator<Item = BoundExpr>) -> BoundExpr {
         exprs
             .into_iter()
             .reduce(BoundExpr::and)
@@ -154,7 +154,7 @@ impl BoundExpr {
     }
 
     /// Does this expression (transitively) reference the current row?
-    pub fn references_columns(&self) -> bool {
+    pub(crate) fn references_columns(&self) -> bool {
         let mut found = false;
         self.visit(&mut |e| {
             if matches!(e, BoundExpr::Column(_)) {
@@ -165,7 +165,7 @@ impl BoundExpr {
     }
 
     /// Collect referenced current-row columns.
-    pub fn collect_columns(&self, out: &mut Vec<usize>) {
+    pub(crate) fn collect_columns(&self, out: &mut Vec<usize>) {
         self.visit(&mut |e| {
             if let BoundExpr::Column(i) = e {
                 out.push(*i);
@@ -175,7 +175,7 @@ impl BoundExpr {
 
     /// Pre-order visit of this expression tree (not descending into
     /// subquery *plans*, only expression children).
-    pub fn visit(&self, f: &mut impl FnMut(&BoundExpr)) {
+    pub(crate) fn visit(&self, f: &mut impl FnMut(&BoundExpr)) {
         f(self);
         match self {
             BoundExpr::Literal(_)
@@ -221,7 +221,7 @@ impl BoundExpr {
 
     /// Rewrite every current-row column offset through `f` (used when an
     /// expression moves across an operator that permutes columns).
-    pub fn map_columns(&self, f: &impl Fn(usize) -> usize) -> BoundExpr {
+    pub(crate) fn map_columns(&self, f: &impl Fn(usize) -> usize) -> BoundExpr {
         self.map_refs(&|e| match e {
             BoundExpr::Column(i) => BoundExpr::Column(f(*i)),
             other => other.clone(),
@@ -302,7 +302,7 @@ impl BoundExpr {
 
     /// Does this expression contain a subquery (making it unsafe to move
     /// across projections / join reorderings)?
-    pub fn contains_subquery(&self) -> bool {
+    pub(crate) fn contains_subquery(&self) -> bool {
         let mut found = false;
         self.visit(&mut |e| {
             if matches!(
@@ -320,7 +320,7 @@ impl BoundExpr {
 
 /// Evaluation environment: the catalog (for subqueries) and the stack of
 /// enclosing rows, innermost last.
-pub struct EvalEnv<'a> {
+pub(crate) struct EvalEnv<'a> {
     /// Catalog used to execute subquery plans.
     pub catalog: &'a Catalog,
     /// Enclosing query rows; `OuterRef{level: 0}` reads `outer.last()`.
@@ -351,7 +351,7 @@ pub struct EvalEnv<'a> {
 
 impl<'a> EvalEnv<'a> {
     /// Environment with no enclosing rows.
-    pub fn new(catalog: &'a Catalog) -> Self {
+    pub(crate) fn new(catalog: &'a Catalog) -> Self {
         EvalEnv {
             catalog,
             outer: Vec::new(),
@@ -368,7 +368,7 @@ impl<'a> EvalEnv<'a> {
 
     /// Govern this environment: executor loops will charge rows against
     /// `budget` and report trips as `stage`.
-    pub fn set_budget(&mut self, budget: &'a crate::budget::Budget, stage: &'static str) {
+    pub(crate) fn set_budget(&mut self, budget: &'a crate::budget::Budget, stage: &'static str) {
         self.budget = Some(budget);
         self.budget_stage = stage;
     }
@@ -380,7 +380,7 @@ impl<'a> EvalEnv<'a> {
     /// — per-row atomics on the shared counter would contend across
     /// worker threads.
     #[inline]
-    pub fn charge_row(&mut self) -> Result<(), EngineError> {
+    pub(crate) fn charge_row(&mut self) -> Result<(), EngineError> {
         if let Some(b) = self.budget {
             self.pending_rows += 1;
             self.work = self.work.wrapping_add(1);
@@ -395,7 +395,7 @@ impl<'a> EvalEnv<'a> {
     /// Flush rows charged locally since the last stride boundary to the
     /// shared budget. Governed entry points call this once their plan
     /// finishes so the call's row accounting is complete.
-    pub fn flush_budget(&mut self) {
+    pub(crate) fn flush_budget(&mut self) {
         let pending = std::mem::take(&mut self.pending_rows);
         if pending > 0 {
             if let Some(b) = self.budget {
@@ -408,7 +408,7 @@ impl<'a> EvalEnv<'a> {
     /// (full scans feeding joins/aggregates): charges the whole batch
     /// and runs one full check.
     #[inline]
-    pub fn charge_batch(&mut self, n: usize) -> Result<(), EngineError> {
+    pub(crate) fn charge_batch(&mut self, n: usize) -> Result<(), EngineError> {
         if let Some(b) = self.budget {
             b.charge_rows(n as u64);
             b.check(self.budget_stage)?;
@@ -433,7 +433,11 @@ pub(crate) fn split_conjuncts_ref(e: &BoundExpr) -> Vec<&BoundExpr> {
 }
 
 /// Evaluate `expr` against `row` within `env`.
-pub fn eval(expr: &BoundExpr, row: &[Value], env: &mut EvalEnv<'_>) -> Result<Value, EngineError> {
+pub(crate) fn eval(
+    expr: &BoundExpr,
+    row: &[Value],
+    env: &mut EvalEnv<'_>,
+) -> Result<Value, EngineError> {
     match expr {
         BoundExpr::Literal(v) => Ok(v.clone()),
         BoundExpr::Column(i) => row
@@ -796,7 +800,7 @@ fn eval_function(func: ScalarFunc, mut vals: Vec<Value>) -> Result<Value, Engine
 }
 
 /// SQL `LIKE` matching with `%` (any run) and `_` (any single char).
-pub fn like_match(s: &str, pattern: &str) -> bool {
+pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
     fn rec(s: &[char], p: &[char]) -> bool {
         match p.first() {
             None => s.is_empty(),

@@ -20,17 +20,17 @@
 //!   equality predicates over indexed columns into O(1)
 //!   [`plan::Plan::IndexLookup`] probes and equi-correlated `EXISTS`
 //!   into [`plan::Plan::MarkJoin`]s;
-//! * **one production executor** ([`exec::execute_physical`]) with
+//! * **one production executor** (`exec::execute_physical`) with
 //!   streamed filter/limit pipelines, hash joins, set operations (set
 //!   and bag), grouping/aggregation, sorting, and correlated `EXISTS` /
 //!   `IN` / scalar subqueries, all under one per-call budget. Its
 //!   row-mode operators hand eligible subtrees to the **vectorized
-//!   engine** ([`column`](mod@column)): lazily maintained typed column stores per
+//!   engine** (`column`): lazily maintained typed column stores per
 //!   table (validity bitmaps, dictionary-encoded text) and
 //!   batch-at-a-time filter/project/aggregate/hash-join over selection
 //!   vectors, bit-identical to row mode (answers, errors, budget
 //!   charges) — `EXPLAIN` shows which engine runs;
-//! * a fully materialising **reference oracle** ([`exec::execute`])
+//! * a fully materialising **reference oracle** (`exec::execute`)
 //!   that no query reaches: [`DbSnapshot::run_plan`] and the
 //!   differential suites run it to check the production executor
 //!   row-for-row;
@@ -50,30 +50,27 @@
 //! ```
 
 pub mod bind;
-pub mod budget;
-pub mod catalog;
+mod budget;
+mod catalog;
 pub mod codec;
-pub mod column;
-pub mod db;
+mod column;
+mod db;
 pub mod exec;
-pub mod expr;
+mod expr;
 mod keytable;
 pub mod optimize;
-pub mod plan;
+mod plan;
 pub mod schema;
-pub mod table;
-pub mod value;
+mod table;
+mod value;
 
 pub use budget::{Budget, CancelHandle, CHECK_STRIDE};
 pub use catalog::Catalog;
-pub use column::{
-    columnar_enabled, set_columnar_override, vectorized_roots, ColumnBatch, ColumnData,
-    ColumnStore, ColumnVector, BATCH_ROWS,
-};
+pub use column::set_columnar_override;
 pub use db::{Database, DbSnapshot, ExecResult, QueryResult, SnapshotStatsView};
-pub use expr::BoundExpr;
+pub use expr::{BoundExpr, ScalarFunc};
 pub use optimize::choose_access_paths;
-pub use plan::Plan;
+pub use plan::{AggExpr, AggFunc, JoinType, Plan};
 pub use schema::{Column, DataType, EngineError, ErrorKind, TableSchema};
 pub use table::{CopyStats, Table, TupleId, INDEX_SHARDS};
 pub use value::{Row, Value};

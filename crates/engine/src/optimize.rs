@@ -11,6 +11,13 @@
 //!    directly over the scan it filters.
 //! 3. **Join conversion** — remaining equi-conjuncts across the two sides
 //!    turn `Filter(CrossJoin)` into a `HashJoin`.
+//! 4. **Projection composition** — a `Project` directly over another
+//!    `Project`, both listing only columns and literals, becomes one
+//!    `Project` of the composed list. Such lists cannot raise an error,
+//!    so no error moves. The remaining projection stays even when it is
+//!    the identity: a `HashJoin` side compiles to column batches only
+//!    as `Distinct?(Project?(Filter?(Scan)))`, and a bare
+//!    `Distinct(Scan)` does not.
 //!
 //! Expressions containing subqueries are never moved (their `OuterRef`
 //! levels are position-dependent).
@@ -407,10 +414,30 @@ pub fn optimize(mut plan: Plan, catalog: &Catalog) -> Result<Plan, EngineError> 
                 _ => push_filter(*input, predicate, catalog)?,
             }
         }
-        Plan::Project { input, exprs } => Plan::Project {
-            input,
-            exprs: exprs.into_iter().map(|e| fold_expr(e, catalog)).collect(),
-        },
+        Plan::Project { input, exprs } => {
+            let exprs: Vec<BoundExpr> = exprs.into_iter().map(|e| fold_expr(e, catalog)).collect();
+            match *input {
+                Plan::Project {
+                    input: inner,
+                    exprs: inner_exprs,
+                } if columns_and_literals(&exprs) && columns_and_literals(&inner_exprs) => {
+                    Plan::Project {
+                        input: inner,
+                        exprs: exprs
+                            .into_iter()
+                            .map(|e| match e {
+                                BoundExpr::Column(c) => inner_exprs[c].clone(),
+                                literal => literal,
+                            })
+                            .collect(),
+                    }
+                }
+                input => Plan::Project {
+                    input: Box::new(input),
+                    exprs,
+                },
+            }
+        }
         // Try converting a LEFT nested-loop with pure equi predicate
         // into a left hash join.
         Plan::NestedLoopJoin {
@@ -541,6 +568,14 @@ fn push_filter(input: Plan, predicate: BoundExpr, catalog: &Catalog) -> Result<P
     }
 }
 
+/// Does the projection list hold only columns and literals (so it can
+/// be composed with another such list, and cannot raise an error)?
+fn columns_and_literals(exprs: &[BoundExpr]) -> bool {
+    exprs
+        .iter()
+        .all(|e| matches!(e, BoundExpr::Column(_) | BoundExpr::Literal(_)))
+}
+
 /// Does every column the predicate references map to a plain column in the
 /// projection list?
 fn remappable(predicate: &BoundExpr, exprs: &[BoundExpr]) -> bool {
@@ -551,7 +586,7 @@ fn remappable(predicate: &BoundExpr, exprs: &[BoundExpr]) -> bool {
 }
 
 /// Split an `AND` tree into conjuncts.
-pub fn split_conjuncts(e: &BoundExpr) -> Vec<BoundExpr> {
+pub(crate) fn split_conjuncts(e: &BoundExpr) -> Vec<BoundExpr> {
     match e {
         BoundExpr::Binary {
             op: BinaryOp::And,
@@ -918,6 +953,55 @@ mod tests {
             matches!(opt, Plan::Filter { .. }),
             "computed projections block pushdown: {opt:?}"
         );
+    }
+
+    #[test]
+    fn stacked_projections_compose_into_one() {
+        let c = catalog();
+        let project = |input: Plan, exprs: Vec<BoundExpr>| Plan::Project {
+            input: Box::new(input),
+            exprs,
+        };
+        let scan = || Plan::Scan { table: "r".into() };
+        // [#1, 7, #0] ∘ [#1, #0] ∘ [#0, #1] = [#0, 7, #1]
+        let plan = project(
+            project(project(scan(), vec![col(0), col(1)]), vec![col(1), col(0)]),
+            vec![col(1), lit(7), col(0)],
+        );
+        let Plan::Project { input, exprs } = optimize(plan, &c).unwrap() else {
+            panic!("expected one projection");
+        };
+        assert!(matches!(*input, Plan::Scan { .. }), "{input:?}");
+        assert_eq!(exprs, vec![col(0), lit(7), col(1)]);
+
+        // The identity projection that remains is kept: the vectorized
+        // join side needs `Distinct(Project(Scan))`, not `Distinct(Scan)`.
+        let plan = Plan::Distinct {
+            input: Box::new(project(
+                project(scan(), vec![col(0), col(1)]),
+                vec![col(0), col(1)],
+            )),
+        };
+        let Plan::Distinct { input } = optimize(plan, &c).unwrap() else {
+            panic!("expected DISTINCT on top");
+        };
+        let Plan::Project { input, exprs } = *input else {
+            panic!("the identity projection stays: {input:?}");
+        };
+        assert!(matches!(*input, Plan::Scan { .. }), "{input:?}");
+        assert_eq!(exprs, vec![col(0), col(1)]);
+
+        // A computed expression on either side blocks the composition.
+        let computed = BoundExpr::Binary {
+            op: BinaryOp::Add,
+            left: Box::new(col(0)),
+            right: Box::new(lit(1)),
+        };
+        let plan = project(project(scan(), vec![computed]), vec![col(0)]);
+        let Plan::Project { input, .. } = optimize(plan, &c).unwrap() else {
+            panic!("expected a projection");
+        };
+        assert!(matches!(*input, Plan::Project { .. }), "{input:?}");
     }
 
     fn indexed_catalog() -> Catalog {

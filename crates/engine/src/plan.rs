@@ -21,7 +21,6 @@
 use crate::catalog::Catalog;
 use crate::expr::BoundExpr;
 use crate::schema::EngineError;
-use crate::value::Value;
 
 /// Join types supported by the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +51,7 @@ pub enum AggFunc {
 impl AggFunc {
     /// Look up by lower-case name (excluding `COUNT(*)`, which the binder
     /// special-cases).
-    pub fn from_name(name: &str) -> Option<AggFunc> {
+    pub(crate) fn from_name(name: &str) -> Option<AggFunc> {
         Some(match name {
             "count" => AggFunc::Count,
             "sum" => AggFunc::Sum,
@@ -83,11 +82,11 @@ pub struct AggExpr {
 /// with [`Plan::IndexLookup`] and equi-correlated `EXISTS` with
 /// [`Plan::MarkJoin`] (the two nodes the binder never produces).
 /// Both executors run it: the production one
-/// ([`crate::exec::execute_physical`]) streams the row-wise pipeline
+/// (`crate::exec::execute_physical`) streams the row-wise pipeline
 /// shapes — `Limit`/`Filter`/`Project` directly over a source — with
 /// early exit, which is what turns a membership probe
 /// (`SELECT 1 FROM t WHERE … LIMIT 1`) into a bounded amount of work;
-/// the reference oracle ([`crate::exec::execute`]) materialises
+/// the reference oracle (`crate::exec::execute`) materialises
 /// everything bottom-up.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
@@ -229,7 +228,7 @@ pub enum Plan {
     /// `table` hold a live row whose `keys` columns equal the key
     /// expressions evaluated on the input row, and on which `residual`
     /// holds? (`negated` flips it: `NOT EXISTS`.) Keys compare by
-    /// [`Value`] identity, and a `NULL` key value matches nothing.
+    /// [`Value`](crate::Value) identity, and a `NULL` key value matches nothing.
     /// Access-path selection builds it from an equi-correlated `EXISTS`;
     /// with `index` set the first `index.len()` keys probe that hash
     /// index of `table` once per input row, otherwise one hash
@@ -253,7 +252,7 @@ pub enum Plan {
 
 impl Plan {
     /// Output arity of the plan.
-    pub fn arity(&self, catalog: &Catalog) -> Result<usize, EngineError> {
+    pub(crate) fn arity(&self, catalog: &Catalog) -> Result<usize, EngineError> {
         Ok(match self {
             Plan::Empty { arity } | Plan::Values { arity, .. } => *arity,
             Plan::Scan { table } | Plan::IndexLookup { table, .. } => {
@@ -283,7 +282,7 @@ impl Plan {
 
     /// A plan producing exactly one empty row (used for `SELECT` without
     /// `FROM`).
-    pub fn one_row() -> Plan {
+    pub(crate) fn one_row() -> Plan {
         Plan::Values {
             rows: vec![Vec::new()],
             arity: 0,
@@ -291,7 +290,8 @@ impl Plan {
     }
 
     /// Literal single-row values plan.
-    pub fn values_literal(rows: Vec<Vec<Value>>, arity: usize) -> Plan {
+    #[cfg(test)]
+    pub(crate) fn values_literal(rows: Vec<Vec<crate::Value>>, arity: usize) -> Plan {
         Plan::Values {
             rows: rows
                 .into_iter()
@@ -303,7 +303,7 @@ impl Plan {
 
     /// The node's child plans, left to right (not descending into
     /// subquery plans inside expressions).
-    pub fn children(&self) -> impl Iterator<Item = &Plan> {
+    pub(crate) fn children(&self) -> impl Iterator<Item = &Plan> {
         let (first, second): (Option<&Plan>, Option<&Plan>) = match self {
             Plan::Empty { .. }
             | Plan::Values { .. }
@@ -328,7 +328,7 @@ impl Plan {
 
     /// Mutable counterpart of [`Plan::children`], for in-place rewrite
     /// passes.
-    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut Plan> {
+    pub(crate) fn children_mut(&mut self) -> impl Iterator<Item = &mut Plan> {
         let (first, second): (Option<&mut Plan>, Option<&mut Plan>) = match self {
             Plan::Empty { .. }
             | Plan::Values { .. }
@@ -353,18 +353,11 @@ impl Plan {
 
     /// Visit all nodes of the plan tree (pre-order), not descending into
     /// subquery plans inside expressions.
-    pub fn visit(&self, f: &mut impl FnMut(&Plan)) {
+    pub(crate) fn visit(&self, f: &mut impl FnMut(&Plan)) {
         f(self);
         for child in self.children() {
             child.visit(f);
         }
-    }
-
-    /// Count plan nodes (diagnostics / tests).
-    pub fn node_count(&self) -> usize {
-        let mut n = 0;
-        self.visit(&mut |_| n += 1);
-        n
     }
 
     /// Count the plan's base-table access paths: `(index_probes,
@@ -614,18 +607,6 @@ mod tests {
             table: "missing".into(),
         };
         assert!(scan.arity(&c).is_err());
-    }
-
-    #[test]
-    fn node_count_counts() {
-        let scan = Plan::Scan { table: "t".into() };
-        let plan = Plan::Filter {
-            input: Box::new(Plan::Distinct {
-                input: Box::new(scan),
-            }),
-            predicate: BoundExpr::true_(),
-        };
-        assert_eq!(plan.node_count(), 3);
     }
 
     #[test]

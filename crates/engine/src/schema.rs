@@ -19,7 +19,7 @@ pub enum DataType {
 
 impl DataType {
     /// Does `value` inhabit this type (NULL inhabits all)?
-    pub fn admits(self, value: &Value) -> bool {
+    pub(crate) fn admits(self, value: &Value) -> bool {
         match (self, value) {
             (_, Value::Null) => true,
             (DataType::Int, Value::Int(_)) => true,
@@ -33,7 +33,7 @@ impl DataType {
 
     /// Coerce `value` for storage in a column of this type (int → float
     /// widening only). Returns `None` when the value does not fit.
-    pub fn coerce(self, value: Value) -> Option<Value> {
+    pub(crate) fn coerce(self, value: Value) -> Option<Value> {
         match (self, value) {
             (_, Value::Null) => Some(Value::Null),
             (DataType::Float, Value::Int(v)) => Some(Value::Float(v as f64)),
@@ -87,7 +87,7 @@ impl Column {
     }
 
     /// Mark the column `NOT NULL`.
-    pub fn not_null(mut self) -> Column {
+    pub(crate) fn not_null(mut self) -> Column {
         self.not_null = true;
         self
     }
@@ -144,12 +144,12 @@ impl TableSchema {
     }
 
     /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
     }
 
     /// Column names in order.
-    pub fn column_names(&self) -> Vec<String> {
+    pub(crate) fn column_names(&self) -> Vec<String> {
         self.columns.iter().map(|c| c.name.clone()).collect()
     }
 

@@ -319,7 +319,7 @@ impl Table {
     /// hash index over the key columns is built automatically — the
     /// access path the optimizer needs for key-equality probes exists
     /// without any `CREATE INDEX`.
-    pub fn new(schema: TableSchema) -> Table {
+    pub(crate) fn new(schema: TableSchema) -> Table {
         let mut t = Table {
             schema,
             chunks: Vec::new(),
@@ -446,7 +446,7 @@ impl Table {
     /// The column-major projection of the live rows, building it on
     /// first use (invalidated by any DML). `None` if the build failed —
     /// callers then stay on the row-mode path.
-    pub fn column_store(&self) -> Option<&ColumnStore> {
+    pub(crate) fn column_store(&self) -> Option<&ColumnStore> {
         self.columns
             .get_or_init(|| ColumnStore::build(self).map(Arc::new))
             .as_deref()
@@ -488,7 +488,7 @@ impl Table {
     /// Build a hash index and register it under a `CREATE INDEX` name.
     /// Errors if the name is already taken by a different column set;
     /// re-creating the same index under the same name is a no-op.
-    pub fn create_named_index(
+    pub(crate) fn create_named_index(
         &mut self,
         name: String,
         cols: Vec<usize>,
@@ -514,12 +514,13 @@ impl Table {
     }
 
     /// The column set a named index covers, if the name exists.
-    pub fn named_index(&self, name: &str) -> Option<&Vec<usize>> {
+    pub(crate) fn named_index(&self, name: &str) -> Option<&Vec<usize>> {
         self.index_names.get(name)
     }
 
     /// Look up live rows by indexed key; `None` if no such index exists.
-    pub fn index_lookup(&self, cols: &[usize], key: &[Value]) -> Option<Vec<TupleId>> {
+    #[cfg(test)]
+    fn index_lookup(&self, cols: &[usize], key: &[Value]) -> Option<Vec<TupleId>> {
         self.index_bucket(cols, key).map(<[TupleId]>::to_vec)
     }
 
@@ -620,16 +621,6 @@ impl Table {
             )));
         }
         Ok(t)
-    }
-
-    /// Remove all rows.
-    pub fn clear(&mut self) {
-        self.chunks.clear();
-        self.columns.take();
-        self.live = 0;
-        for index in self.indexes.values_mut() {
-            *index = HashIndex::with_capacities(&[0; INDEX_SHARDS]);
-        }
     }
 }
 

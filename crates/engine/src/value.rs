@@ -47,7 +47,7 @@ impl Value {
     }
 
     /// Human-readable type name for error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Value::Null => "null",
             Value::Bool(_) => "boolean",

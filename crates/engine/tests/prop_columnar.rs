@@ -1,6 +1,6 @@
 //! Differential property tests: the vectorized engine against row mode.
 //!
-//! Over random DML — NULLs in every column, `NaN` / `-0.0` floats,
+//! Over random DML — NULLs in every column, `NaN` / `0.0` / `-0.0` floats,
 //! `i64::MIN`, re-keying updates — every query template is executed
 //! twice on the same instance, once with columnar execution forced on
 //! and once forced off, and the two outcomes must agree **bit for
@@ -35,7 +35,7 @@ fn fresh_db() -> Database {
 fn apply(db: &mut Database, selector: u32, a: u32, b: u32) {
     let k = a % 12;
     let s = ["x", "y", "zz", ""][(b % 4) as usize];
-    let f = [0.5, -0.0, 2.0, -3.25][(b % 4) as usize];
+    let f = [0.5, -0.0, 0.0, 2.0, -3.25][(b % 5) as usize];
     match selector % 10 {
         0 | 1 => {
             // `{f:?}` keeps the decimal point (`-0.0`, `2.0`) so the

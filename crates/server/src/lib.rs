@@ -78,7 +78,7 @@
 //!
 //! [`Engine::new_durable`] adds a checksummed write-ahead op log and
 //! snapshot checkpoints under a caller-owned directory (held exclusive
-//! by an advisory [`DirLock`] for the engine's lifetime);
+//! by an advisory `DirLock` for the engine's lifetime);
 //! [`Engine::recover`] rebuilds the exact pre-crash published state
 //! from them. The state machine:
 //!
@@ -160,15 +160,14 @@ pub mod recover;
 pub mod replicate;
 mod retry;
 mod stats;
-pub mod transport;
+mod transport;
 pub mod wal;
 
 pub use recover::RecoveryReport;
-pub use replicate::{PromotionReport, Replica, ReplicaConfig};
+pub use replicate::{Replica, ReplicaConfig};
 pub use retry::RetryPolicy;
 pub use stats::{ReplicaStats, ReplicationStats, ServiceStats, SessionStats, Staleness};
 pub use transport::{ChannelTransport, TcpTransport, Transport};
-pub use wal::DirLock;
 
 use admission::Admission;
 use apply::{apply, logged, restore};
@@ -187,7 +186,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
-use wal::{Frame, FrameKind, Wal, WalOp};
+use wal::{DirLock, Frame, FrameKind, Wal, WalOp};
 
 /// Service configuration. The defaults suit tests; production-ish
 /// callers size `max_active` to core count and set a deadline.
@@ -272,7 +271,7 @@ impl Epoch {
     }
 
     /// Time since this epoch was published.
-    pub fn age(&self) -> Duration {
+    pub(crate) fn age(&self) -> Duration {
         self.published_at.elapsed()
     }
 }
@@ -413,7 +412,7 @@ impl Shared {
 /// epoch pointer. Cheap to clone (all clones share one service);
 /// `Send + Sync`, so clients are plain threads.
 ///
-/// The durability [`DirLock`] rides on the `Engine` clones, not on the
+/// The durability `DirLock` rides on the `Engine` clones, not on the
 /// shared state: when the last clone drops, the directory unlocks even
 /// while [`Session`]s pinned to old epochs keep answering — so a
 /// successor engine can recover from the directory without waiting for

@@ -579,7 +579,7 @@ pub struct Replica {
 impl Replica {
     /// Start a replica with no transport attached yet (see
     /// [`Replica::attach`]).
-    pub fn new(config: ReplicaConfig) -> Replica {
+    pub(crate) fn new(config: ReplicaConfig) -> Replica {
         let state = Arc::new(ReplState {
             epoch: RwLock::new(None),
             applier: Mutex::new(Applier {

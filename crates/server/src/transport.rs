@@ -17,7 +17,7 @@
 //!
 //! # Fault injection
 //!
-//! A transport built `with_faults` consults the `repl:drop`,
+//! A [`ChannelTransport`] built `with_faults` consults the `repl:drop`,
 //! `repl:corrupt`, `repl:delay` and `repl:disconnect` checkpoints — in
 //! that order — on **every** frame send (see the catalog in
 //! [`hippo_cqa::budget`]). The injected behavior follows the armed
@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 /// A message payload larger than this is treated as a hostile or
 /// desynced stream, not an allocation request. Matches the WAL's frame
 /// bound.
-pub const MAX_MESSAGE_LEN: u32 = 1 << 30;
+pub(crate) const MAX_MESSAGE_LEN: u32 = 1 << 30;
 
 fn transport_err(ctx: &str, detail: impl std::fmt::Display) -> EngineError {
     EngineError::new(format!("transport: {ctx}: {detail}"))
@@ -62,8 +62,8 @@ pub trait Transport: Send {
     fn peer(&self) -> String;
 }
 
-/// Per-send fault consultation shared by every transport impl: returns
-/// what to do with the already-framed bytes.
+/// Per-send fault consultation of a [`ChannelTransport`] built
+/// `with_faults`: returns what to do with the already-framed bytes.
 enum SendAction {
     Send,
     DropSilently,
@@ -209,21 +209,19 @@ pub struct TcpTransport {
     stream: TcpStream,
     /// Bytes received but not yet assembled into a complete frame.
     inbox: Vec<u8>,
-    faults: Option<(Governance, usize)>,
     poisoned: bool,
 }
 
 impl TcpTransport {
     /// Wrap an established stream. `TCP_NODELAY` is enabled so
     /// heartbeats and small frames are not coalesced behind Nagle.
-    pub fn new(stream: TcpStream) -> Result<TcpTransport, EngineError> {
+    pub(crate) fn new(stream: TcpStream) -> Result<TcpTransport, EngineError> {
         stream
             .set_nodelay(true)
             .map_err(|e| transport_err("set_nodelay", e))?;
         Ok(TcpTransport {
             stream,
             inbox: Vec::new(),
-            faults: None,
             poisoned: false,
         })
     }
@@ -232,12 +230,6 @@ impl TcpTransport {
     pub fn connect(addr: &str) -> Result<TcpTransport, EngineError> {
         let stream = TcpStream::connect(addr).map_err(|e| transport_err("connect", e))?;
         TcpTransport::new(stream)
-    }
-
-    /// Arm fault injection on this end's send path.
-    pub fn with_faults(mut self, gov: Governance, shard: usize) -> TcpTransport {
-        self.faults = Some((gov, shard));
-        self
     }
 
     /// Try to pop one complete frame out of the inbox.
@@ -266,16 +258,7 @@ impl Transport for TcpTransport {
         if self.poisoned {
             return Err(transport_err("send", "transport disconnected"));
         }
-        let mut framed = codec::encode_checked(payload);
-        match apply_send_faults(&self.faults, &mut framed) {
-            SendAction::Send => {}
-            SendAction::DropSilently => return Ok(()),
-            SendAction::Fail(e) => {
-                self.poisoned = true;
-                let _ = self.stream.shutdown(std::net::Shutdown::Both);
-                return Err(e);
-            }
-        }
+        let framed = codec::encode_checked(payload);
         self.stream.write_all(&framed).map_err(|e| {
             self.poisoned = true;
             transport_err("send", e)

@@ -386,7 +386,8 @@ impl Wal {
     /// before it, or never written here). Frames with `lsn > floor_lsn`
     /// up to `next_lsn - 1` can be re-read via
     /// [`Wal::read_frames_since`].
-    pub fn floor_lsn(&self) -> u64 {
+    #[cfg(test)]
+    fn floor_lsn(&self) -> u64 {
         self.floor_lsn
     }
 
@@ -397,7 +398,7 @@ impl Wal {
     /// the checkpoint already covers — and replay would silently skip
     /// those committed frames. Recovery calls it with the checkpoint's
     /// `last_lsn`.
-    pub fn set_floor(&mut self, lsn: u64) {
+    pub(crate) fn set_floor(&mut self, lsn: u64) {
         self.floor_lsn = self.floor_lsn.max(lsn);
         self.next_lsn = self.next_lsn.max(lsn + 1);
     }
@@ -530,7 +531,7 @@ impl Wal {
     /// the live stream. Errors if `since < floor_lsn`: the missing
     /// history was absorbed by a checkpoint, so the caller must ship a
     /// full snapshot instead.
-    pub fn read_frames_since(&self, since: u64) -> Result<Vec<Frame>, EngineError> {
+    pub(crate) fn read_frames_since(&self, since: u64) -> Result<Vec<Frame>, EngineError> {
         if since < self.floor_lsn {
             return Err(EngineError::new(format!(
                 "wal: frames after lsn {since} are not all on disk \
@@ -545,11 +546,6 @@ impl Wal {
         let (frames, _) = scan_frames(body);
         Ok(frames.into_iter().filter(|f| f.lsn > since).collect())
     }
-
-    /// The log file's path (diagnostics).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 /// An exclusive advisory lock on a durability directory, held for the
@@ -561,17 +557,17 @@ impl Wal {
 /// [`ErrorKind::Locked`](hippo_engine::ErrorKind) error (no deadlock,
 /// no blocking).
 #[derive(Debug)]
-pub struct DirLock {
+pub(crate) struct DirLock {
     _file: File,
 }
 
 /// Lock file name inside a durability directory.
-pub const LOCK_FILE: &str = "lock";
+pub(crate) const LOCK_FILE: &str = "lock";
 
 impl DirLock {
     /// Acquire the directory's exclusive lock, or fail with
     /// `ErrorKind::Locked` if another engine holds it.
-    pub fn acquire(dir: &Path) -> Result<DirLock, EngineError> {
+    pub(crate) fn acquire(dir: &Path) -> Result<DirLock, EngineError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create dir", e))?;
         let path = dir.join(LOCK_FILE);
         let file = OpenOptions::new()

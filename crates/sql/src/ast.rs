@@ -400,7 +400,8 @@ impl Expr {
     }
 
     /// String literal.
-    pub fn str(v: impl Into<String>) -> Expr {
+    #[cfg(test)]
+    fn str(v: impl Into<String>) -> Expr {
         Expr::Literal(Literal::Str(v.into()))
     }
 
@@ -540,19 +541,6 @@ impl BinaryOp {
             _ => return None,
         })
     }
-
-    /// Negation of a comparison, e.g. `<` becomes `>=`.
-    pub fn negate_comparison(self) -> Option<BinaryOp> {
-        Some(match self {
-            BinaryOp::Eq => BinaryOp::Neq,
-            BinaryOp::Neq => BinaryOp::Eq,
-            BinaryOp::Lt => BinaryOp::Ge,
-            BinaryOp::Le => BinaryOp::Gt,
-            BinaryOp::Gt => BinaryOp::Le,
-            BinaryOp::Ge => BinaryOp::Lt,
-            _ => return None,
-        })
-    }
 }
 
 /// Unary operators.
@@ -593,9 +581,8 @@ mod tests {
     }
 
     #[test]
-    fn comparison_flip_and_negate() {
+    fn comparison_flip() {
         assert_eq!(BinaryOp::Lt.flip(), Some(BinaryOp::Gt));
-        assert_eq!(BinaryOp::Lt.negate_comparison(), Some(BinaryOp::Ge));
         assert_eq!(BinaryOp::Add.flip(), None);
         assert!(BinaryOp::Eq.is_comparison());
         assert!(!BinaryOp::Concat.is_comparison());

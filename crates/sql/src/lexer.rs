@@ -10,7 +10,7 @@ use std::fmt;
 
 /// An error produced while tokenizing SQL text.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// Human-readable description.
     pub message: String,
     /// Byte offset where the error was detected.
@@ -26,7 +26,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenize `input` into a vector of tokens ending with `Eof`.
-pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
     Lexer::new(input).run()
 }
 

@@ -24,16 +24,12 @@
 //! assert!(matches!(stmt, Statement::Select(_)));
 //! ```
 
-pub mod ast;
-pub mod lexer;
-pub mod parser;
-pub mod printer;
-pub mod token;
+mod ast;
+mod lexer;
+mod parser;
+mod printer;
+mod token;
 
 pub use ast::*;
-pub use lexer::{tokenize, LexError};
 pub use parser::{parse_expr, parse_query, parse_statement, parse_statements, ParseError};
-pub use printer::{print_expr, print_query, print_statement};
-
-/// A source location (byte offset) attached to lexer/parser errors.
-pub type Pos = usize;
+pub use printer::{print_expr, print_query};

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A lexical token with its source position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: TokenKind,
     /// Byte offset of the first character of the token in the input.
     pub pos: usize,
@@ -17,7 +17,7 @@ pub struct Token {
 /// spelling (SQL folds unquoted identifiers to lower case at binding time,
 /// not lexing time).
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Unquoted identifier or non-keyword word.
     Ident(String),
     /// Double-quoted identifier; quotes stripped, case preserved.
@@ -106,13 +106,13 @@ macro_rules! keywords {
         /// All SQL keywords recognised by the lexer.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         #[allow(missing_docs)]
-        pub enum Keyword {
+        pub(crate) enum Keyword {
             $($name),+
         }
 
         impl Keyword {
             /// Look up a word (already upper-cased) as a keyword.
-            pub fn from_upper(s: &str) -> Option<Keyword> {
+            pub(crate) fn from_upper(s: &str) -> Option<Keyword> {
                 match s {
                     $($text => Some(Keyword::$name),)+
                     _ => None,
@@ -120,7 +120,7 @@ macro_rules! keywords {
             }
 
             /// The canonical (upper-case) spelling.
-            pub fn text(self) -> &'static str {
+            pub(crate) fn text(self) -> &'static str {
                 match self {
                     $(Keyword::$name => $text),+
                 }

@@ -20,12 +20,15 @@
 //!
 //! [`range_aggregate_naive`] computes the same ranges by repair
 //! enumeration (exponential; the test oracle).
+//!
+//! The module lives beside the `payroll_audit` example that prints its
+//! ranges; `tests/prop_cqa.rs` includes the same file by `#[path]`, so
+//! its unit tests and the enumeration property run with the root suites.
 
-use crate::constraint::DenialConstraint;
-use crate::detect::detect_conflicts;
-use crate::hypergraph::Vertex;
-use crate::repair::{enumerate_repairs, repair_instance};
-use hippo_engine::{Catalog, EngineError, Value};
+use hippo::cqa::constraint::DenialConstraint;
+use hippo::cqa::detect::detect_conflicts;
+use hippo::cqa::repair::{enumerate_repairs, repair_instance};
+use hippo::engine::{Catalog, EngineError, Value};
 use std::collections::HashMap;
 
 /// Aggregates supported by range-consistent answering.
@@ -264,38 +267,10 @@ pub fn range_aggregate_naive(
     }
 }
 
-/// Vertices of `rel` grouped per FD class — exposed for diagnostics and
-/// used by tests to cross-check the clustering the algorithm relies on.
-pub fn fd_group_sizes(
-    catalog: &Catalog,
-    rel: &str,
-    lhs: &[usize],
-) -> Result<Vec<usize>, EngineError> {
-    let table = catalog.table(rel)?;
-    let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
-    for (_, row) in table.iter() {
-        let key: Vec<Value> = lhs.iter().map(|&c| row[c].clone()).collect();
-        *groups.entry(key).or_insert(0) += 1;
-    }
-    let mut sizes: Vec<usize> = groups.into_values().collect();
-    sizes.sort_unstable();
-    Ok(sizes)
-}
-
-/// Sanity helper: are the hypergraph's conflicts confined to `rel` (the
-/// single-FD algorithms assume no other constraints touch the relation)?
-pub fn single_relation_conflicts(g: &crate::hypergraph::ConflictHypergraph, rel: &str) -> bool {
-    let Some(ri) = g.relation_index(rel) else {
-        return true;
-    };
-    g.edges()
-        .all(|(_, e)| e.iter().all(|v: &Vertex| v.rel == ri))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hippo_engine::Database;
+    use hippo::engine::Database;
 
     fn db(rows: &[(i64, i64, i64)]) -> Database {
         let mut db = Database::new();
@@ -421,14 +396,5 @@ mod tests {
                 lub: Value::Int(0)
             }
         );
-    }
-
-    #[test]
-    fn helpers() {
-        let db = db(&[(1, 10, 0), (1, 11, 0), (2, 20, 0)]);
-        assert_eq!(fd_group_sizes(db.catalog(), "t", &[0]).unwrap(), vec![1, 2]);
-        let (g, _) = detect_conflicts(db.catalog(), &fd()).unwrap();
-        assert!(single_relation_conflicts(&g, "t"));
-        assert!(single_relation_conflicts(&g, "ghost"));
     }
 }

@@ -4,6 +4,9 @@
 //!
 //! Run with: `cargo run --example payroll_audit`
 
+mod aggregate;
+
+use aggregate::{range_aggregate_fd, range_aggregate_naive, AggOp};
 use hippo::cqa::detect::detect_conflicts;
 use hippo::cqa::naive::{conflict_free_answers, naive_consistent_answers, plain_answers};
 use hippo::cqa::prelude::*;
@@ -99,7 +102,7 @@ fn main() {
 
     // Range-consistent aggregation (extension; paper reference [3]):
     // salary totals are uncertain, but provably bounded over all repairs.
-    use hippo::cqa::aggregate::{range_aggregate_fd, AggOp};
+    // The FD algorithm's bounds print beside repair enumeration's.
     let db = build_db();
     for (label, op) in [
         ("COUNT(*)", AggOp::Count),
@@ -108,6 +111,10 @@ fn main() {
         ("MAX(salary)", AggOp::Max),
     ] {
         let r = range_aggregate_fd(db.catalog(), "payroll", &[0], 1, 1, op).unwrap();
-        println!("range-consistent {label}: [{}, {}]", r.glb, r.lub);
+        let n = range_aggregate_naive(db.catalog(), "payroll", &constraints, 1, op).unwrap();
+        println!(
+            "range-consistent {label}: [{}, {}] (repair enumeration: [{}, {}])",
+            r.glb, r.lub, n.glb, n.lub
+        );
     }
 }

@@ -7,6 +7,10 @@
 //! * query rewriting ≡ ground truth on its supported class;
 //! * SJUD SQL rendering ≡ direct algebra evaluation.
 
+#[path = "../examples/payroll_audit/aggregate.rs"]
+mod aggregate;
+
+use aggregate::{range_aggregate_fd, range_aggregate_naive, AggOp};
 use hippo::cqa::corefilter::{core_filter_direct, core_filter_set};
 use hippo::cqa::detect::detect_conflicts;
 use hippo::cqa::formula::MembershipTemplate;
@@ -425,7 +429,6 @@ proptest! {
 
     #[test]
     fn range_aggregation_matches_enumeration(rows in arb_instance()) {
-        use hippo::cqa::aggregate::{range_aggregate_fd, range_aggregate_naive, AggOp};
         let db = build_db(&rows);
         let constraints = vec![DenialConstraint::functional_dependency("emp", &[0], 1)];
         for op in [AggOp::Count, AggOp::Sum, AggOp::Min, AggOp::Max] {
