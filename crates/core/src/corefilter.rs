@@ -114,14 +114,14 @@ fn passing_envelope_rows(
     let prover = Prover::new(g, &template);
     let mut accepted: Vec<Row> = gathered
         .candidates
-        .into_iter()
-        .zip(&gathered.flags)
-        .filter(|(cand, flags)| {
-            passes(&template.formula, cand, flags, &|li| {
+        .iter()
+        .enumerate()
+        .filter(|&(i, cand)| {
+            passes(&template.formula, cand, gathered.flags(i), &|li| {
                 prover.lit_conflict_free(li, cand)
             })
         })
-        .map(|(cand, _)| cand)
+        .map(|(_, cand)| cand.clone())
         .collect();
     accepted.sort();
     accepted.dedup();

@@ -65,6 +65,14 @@
 //! agree: with `r(x REAL) = {0.0}` and `s(x REAL) = {-0.0}`, `r − s` is
 //! `[(0.0)]` everywhere (`0.0` and `-0.0` are distinct values).
 //!
+//! A query's own comparisons are SQL's, not identity: a selection
+//! `x = y`, and the hash join the envelope plans for it, treat `-0.0`
+//! as `0.0`, and a `NaN` equals nothing — so with `a(x REAL) = {0.0}`
+//! and `b(y REAL) = {-0.0}`, `a ⋈_{x = y} b` is `[(0.0, -0.0)]` in
+//! every mode and in the oracle, which evaluates selections with
+//! `sql_cmp`. Identity stays where a fact is named: membership flags,
+//! `DISTINCT`, conflict detection and indexes.
+//!
 //! `NULL` is where they still differ. In the mark joins a key component
 //! that is `NULL` matches nothing, so a fact with one is never present
 //! and a candidate that needs one is not a consistent answer — where
@@ -87,19 +95,21 @@
 //!        ▼            ▼            ▼            ▼        workers:
 //!   ┌─ shard 0 ─┐┌─ shard 1 ─┐        …   ┌─ shard 15 ─┐ HIPPO_PROVER_THREADS
 //!   │ ◆ entry   ││           │             │            │ (panic-isolated:
-//!   │ dedup     ││   (same)  │             │   (same)   │  a crash poisons
-//!   │ core test ││           │             │            │  one slot, the
-//!   │ sig cache ││           │             │            │  siblings drain)
-//!   │ prover  ◆ ││           │             │            │ ◆ strided tick
+//!   │ core test ││   (same)  │             │   (same)   │  a crash poisons
+//!   │ sig cache ││           │             │            │  one slot, the
+//!   │ prover  ◆ ││           │             │            │  siblings drain)
+//!   │           ││           │             │            │ ◆ strided tick
 //!   └────┬──────┘└────┬──────┘             └────┬───────┘   per candidate
 //!        └────────────┴─── merge in shard order┴──▶ answers + stats
 //!                          └▶ fresh verdicts → persistent cache
 //!                             (skipped if any shard failed/cancelled)
 //! ```
 //!
-//! There is **no serial prefix beyond candidate collection**: dedup,
-//! the core-filter test and the prover all run inside the shards, on
-//! the flag rows the envelope evaluation returned. Each shard owns one
+//! There is **no serial prefix beyond candidate collection**: the
+//! core-filter test and the prover run inside the shards, on the flag
+//! rows the envelope evaluation returned. The envelope is
+//! set-semantics, so every candidate is decided once; the merge moves
+//! each accepted candidate into the answer without copying it. Each shard owns one
 //! reusable `Prover` workspace and a private **closure-signature
 //! cache** (`Prover::closure_signature`): candidates whose guard
 //! outcomes, membership flags and per-literal conflict facts coincide
@@ -178,7 +188,7 @@ mod reconcile;
 
 pub use crate::prover::ProverRunStats;
 pub use options::{AnswerStats, GovernanceOptions, HippoOptions};
-pub use pipeline::{FrozenHippo, PROVER_SHARDS};
+pub use pipeline::FrozenHippo;
 
 use crate::constraint::DenialConstraint;
 use crate::detect::DetectStats;

@@ -10,12 +10,12 @@ use crate::corefilter;
 use crate::envelope::envelope;
 use crate::formula::MembershipTemplate;
 use crate::hypergraph::ConflictHypergraph;
-use crate::kg::{extended_envelope_sql, split_gathered};
+use crate::kg::{extended_envelope_sql, split_gathered, GatheredCandidates};
 use crate::parallel;
 use crate::prover::{Prover, ProverRunStats};
 use crate::query::SjudQuery;
 use hippo_engine::{Catalog, DbSnapshot, EngineError, QueryResult, Row};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -24,7 +24,7 @@ use std::time::Instant;
 /// length — never on the worker count — so answer order, every
 /// [`AnswerStats`] counter and the cache-hit totals are bit-identical
 /// for any `HIPPO_PROVER_THREADS` setting.
-pub const PROVER_SHARDS: usize = 16;
+pub(crate) const PROVER_SHARDS: usize = 16;
 
 /// Distinct queries cached before the registry resets (a safety valve
 /// against unbounded growth under ad-hoc query streams; per-query maps
@@ -199,20 +199,18 @@ fn answers_pipeline(
         }
         Err(e) => return Err(e),
     };
-    let candidates = gathered.candidates;
-    stats.candidates = candidates.len();
+    stats.candidates = gathered.candidates.len();
     stats.t_envelope = t0.elapsed();
 
     // ---- Sharded answer stage ----
     //
-    // No serial prefix beyond candidate collection: dedup, the
-    // core-filter test and the prover all run inside the shards.
-    // Dedup is shard-local (a duplicate crossing a shard boundary is
-    // decided twice and collapsed by the final sort+dedup — the
-    // envelope is set-semantics, so this is a belt-and-braces case),
-    // which keeps every counter an exact sum over fixed shards.
+    // No serial prefix beyond candidate collection: the core-filter
+    // test and the prover run inside the shards, which keeps every
+    // counter an exact sum over fixed shards. The envelope is
+    // set-semantics, so the candidates are pairwise distinct and each
+    // is decided once.
     let tp = Instant::now();
-    let shards = parallel::split_ranges(candidates.len(), PROVER_SHARDS);
+    let shards = parallel::split_ranges(gathered.candidates.len(), PROVER_SHARDS);
     let threads = options.resolved_prover_threads();
     let use_cache = options.prover_cache;
     // Cross-call verdicts: take the persistent map for this query
@@ -225,8 +223,7 @@ fn answers_pipeline(
     let input = ShardInput {
         graph,
         template: &template,
-        candidates: &candidates,
-        flags: &gathered.flags,
+        gathered: &gathered,
         core_filter: options.core_filter,
         use_cache,
         persistent: persistent.as_deref(),
@@ -240,7 +237,10 @@ fn answers_pipeline(
     let outs = parallel::run_indexed_isolated(shards.len(), threads, |si| {
         prove_shard(&input, si, shards[si].0, shards[si].1)
     });
-    // Deterministic merge: shard order, exact stat sums.
+    // Deterministic merge: shard order, exact stat sums. Each accepted
+    // index belongs to one shard, so each candidate moves into the
+    // answer at most once.
+    let mut candidates = gathered.candidates;
     stats.shards_used = shards.len();
     let mut answers: Vec<Row> = Vec::new();
     let mut fresh: Vec<(Vec<u64>, bool)> = Vec::new();
@@ -277,7 +277,7 @@ fn answers_pipeline(
         stats.prover_cache_cross_hits += out.cross_hits;
         stats.filtered_consistent += out.filtered_consistent;
         for i in out.accepted {
-            answers.push(candidates[i as usize].clone());
+            answers.push(std::mem::take(&mut candidates[i as usize]));
         }
         fresh.extend(out.fresh);
     }
@@ -299,8 +299,7 @@ fn answers_pipeline(
             }
         }
     }
-    answers.sort();
-    answers.dedup();
+    answers.sort_unstable();
     stats.t_prover = tp.elapsed();
     stats.answers = answers.len();
     if let Some(b) = gov.budget_ref() {
@@ -344,14 +343,14 @@ fn truncated(
 
 /// Read-only state shared by every shard of one answer run. Everything
 /// here is `Sync`: the frozen graph, the compiled template, the
-/// candidate rows, their prefetched flag matrix and the previous calls'
-/// verdict map.
+/// candidate rows with their prefetched flag matrix and the previous
+/// calls' verdict map.
 struct ShardInput<'a> {
     graph: &'a ConflictHypergraph,
     template: &'a MembershipTemplate,
-    candidates: &'a [Row],
-    /// Per-candidate membership flags from the extended envelope.
-    flags: &'a [Vec<bool>],
+    /// The candidates and their membership flags from the extended
+    /// envelope.
+    gathered: &'a GatheredCandidates,
     /// Run the core-filter test: candidates passing it skip the prover.
     core_filter: bool,
     use_cache: bool,
@@ -362,10 +361,10 @@ struct ShardInput<'a> {
     gov: &'a Governance,
 }
 
-/// Decide the candidate slice `lo..hi`: dedup (shard-local), run the
-/// core-filter test ([`crate::corefilter`]) on the prefetched flags,
-/// then decide by signature cache or prover run. Runs on a worker thread;
-/// mutates nothing shared.
+/// Decide the candidate slice `lo..hi`: run the core-filter test
+/// ([`crate::corefilter`]) on the prefetched flags, then decide by
+/// signature cache or prover run. Runs on a worker thread; mutates
+/// nothing shared.
 ///
 /// Governance: the shard checkpoints at entry (fault-injection point
 /// `("prover", si)`) and ticks the budget per candidate. In degraded
@@ -390,8 +389,6 @@ fn prove_shard(
     let mut prover = Prover::new(input.graph, input.template);
     let mut local: FxHashMap<Vec<u64>, bool> = FxHashMap::default();
     let mut sig: Vec<u64> = Vec::new();
-    let mut seen: FxHashSet<&Row> =
-        FxHashSet::with_capacity_and_hasher(hi - lo, Default::default());
     // Cooperative per-candidate checkpoint, flattened by hand: one
     // local increment and a predicted branch per candidate; every
     // CHECK_STRIDE candidates the locally-accumulated row charges are
@@ -416,11 +413,8 @@ fn prove_shard(
                 }
             }
         }
-        let cand = &input.candidates[i];
-        if !seen.insert(cand) {
-            continue; // duplicate candidate within the shard
-        }
-        let cand_flags: &[bool] = &input.flags[i];
+        let cand = &input.gathered.candidates[i];
+        let cand_flags = input.gathered.flags(i);
         if input.core_filter
             && corefilter::passes(&input.template.formula, cand, cand_flags, &|li| {
                 prover.lit_conflict_free(li, cand)
@@ -502,6 +496,10 @@ mod tests {
     use crate::pred::{CmpOp, Pred};
     use hippo_engine::{Column, DataType, Database, TableSchema, Value};
     use std::time::Duration;
+
+    /// The columnar switch is process-wide: tests that flip it, or read
+    /// which engine ran, take turns.
+    static COLUMNAR: Mutex<()> = Mutex::new(());
 
     #[test]
     fn all_option_levels_agree_with_ground_truth() {
@@ -693,6 +691,7 @@ mod tests {
 
     #[test]
     fn columnar_toggle_never_changes_answers_or_stats() {
+        let _g = COLUMNAR.lock().unwrap_or_else(|e| e.into_inner());
         // The vectorized engine claims bit-identical behaviour: same
         // answers and the same AnswerStats counters (only wall-clock
         // may differ) in KG and full mode, serial and sharded alike.
@@ -754,6 +753,38 @@ mod tests {
                 assert_eq!(counters(s_on), counters(s_off), "stats diverged: {label}");
             }
         }
+    }
+
+    /// `rowmode_rows` counts the rows row-mode operators walk: the
+    /// selection envelope runs wholly on column batches and reports 0;
+    /// the `r EXCEPT s` envelope's mark join walks every candidate in row
+    /// mode above its vectorized `DISTINCT`.
+    #[test]
+    fn envelope_rowmode_rows_count_row_mode_walks() {
+        let _g = COLUMNAR.lock().unwrap_or_else(|e| e.into_inner());
+        let mut db = Database::new();
+        for ddl in [
+            "CREATE TABLE r (k INT, v INT)",
+            "CREATE TABLE s (k INT, v INT)",
+            "INSERT INTO r VALUES (1, 10), (1, 10), (2, 20), (3, 30)",
+            "INSERT INTO s VALUES (2, 20)",
+        ] {
+            db.execute(ddl).unwrap();
+        }
+        let hippo = Hippo::new(db, Vec::new()).unwrap();
+        let rows_walked = |q: &SjudQuery| {
+            let frozen = hippo.freeze().unwrap();
+            let out = frozen.answer(q, &hippo.options).unwrap();
+            (out.rows.len(), frozen.snapshot().stats())
+        };
+        let select = SjudQuery::rel("r").select(Pred::cmp_const(1, CmpOp::Ge, 20i64));
+        let (answers, stats) = rows_walked(&select);
+        assert_eq!(answers, 2);
+        assert_eq!((stats.vectorized_rows, stats.rowmode_rows), (4, 0));
+        let diff = SjudQuery::rel("r").diff(SjudQuery::rel("s"));
+        let (answers, stats) = rows_walked(&diff);
+        assert_eq!(answers, 2);
+        assert_eq!((stats.vectorized_rows, stats.rowmode_rows), (4, 3));
     }
 
     #[test]

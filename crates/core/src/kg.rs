@@ -96,13 +96,26 @@ fn membership_exists_expr(lit: &LitTemplate, catalog: &Catalog) -> Result<Expr, 
 
 /// The result of one extended-envelope evaluation: candidates plus their
 /// prefetched membership flags.
+///
+/// The flags are one flat row-major matrix, one row of `n_literals`
+/// flags per candidate: `flags[i * n_literals + li]` is literal `li`'s
+/// flag for candidate `i` — is the literal's fact, instantiated with the
+/// candidate, present in the database? [`GatheredCandidates::flags`]
+/// reads candidate `i`'s row. One allocation holds every flag, however
+/// many candidates there are.
 #[derive(Debug, Clone)]
 pub struct GatheredCandidates {
-    /// Candidate tuples (envelope columns only).
+    /// Candidate tuples (envelope columns only), pairwise distinct.
     pub candidates: Vec<Row>,
-    /// `flags[i][fi]` = is literal `fi`'s fact (instantiated with candidate
-    /// `i`) present in the database?
-    pub flags: Vec<Vec<bool>>,
+    flags: Vec<bool>,
+    n_literals: usize,
+}
+
+impl GatheredCandidates {
+    /// Candidate `i`'s flags, one per literal template, in literal order.
+    pub fn flags(&self, i: usize) -> &[bool] {
+        &self.flags[i * self.n_literals..(i + 1) * self.n_literals]
+    }
 }
 
 /// Split the raw rows of the extended envelope into candidates and flags.
@@ -114,35 +127,27 @@ pub fn split_gathered(
     arity: usize,
     template: &MembershipTemplate,
 ) -> GatheredCandidates {
-    let flags = rows
-        .iter()
-        .map(|row| {
-            let mut columns = row[arity..].iter();
-            let flags: Vec<bool> = template
-                .literals
-                .iter()
-                .zip(&template.witnessed)
-                .map(|(lit, &witnessed)| {
-                    if witnessed {
-                        lit.cols.iter().all(|&c| !row[c].is_null())
-                    } else {
-                        columns.next() == Some(&Value::Bool(true))
-                    }
-                })
-                .collect();
-            debug_assert!(
-                columns.next().is_none(),
-                "one column per unwitnessed literal"
-            );
-            flags
-        })
-        .collect();
+    let n_literals = template.literals.len();
+    let mut flags = Vec::with_capacity(rows.len() * n_literals);
     for row in &mut rows {
+        let mut columns = row[arity..].iter();
+        for (lit, &witnessed) in template.literals.iter().zip(&template.witnessed) {
+            flags.push(if witnessed {
+                lit.cols.iter().all(|&c| !row[c].is_null())
+            } else {
+                columns.next() == Some(&Value::Bool(true))
+            });
+        }
+        debug_assert!(
+            columns.next().is_none(),
+            "one column per unwitnessed literal"
+        );
         row.truncate(arity);
     }
     GatheredCandidates {
         candidates: rows,
         flags,
+        n_literals,
     }
 }
 
@@ -195,8 +200,9 @@ mod tests {
         let gathered = split_gathered(result.rows, 2, &template);
         let mut got: Vec<(Row, Vec<bool>)> = gathered
             .candidates
-            .into_iter()
-            .zip(gathered.flags)
+            .iter()
+            .enumerate()
+            .map(|(i, cand)| (cand.clone(), gathered.flags(i).to_vec()))
             .collect();
         got.sort();
         // (1,10) is in r (f0, witnessed) and in s (f1, a mark join);
@@ -214,7 +220,8 @@ mod tests {
 
     /// `EXPLAIN` of the extended envelope: a join's literals are all
     /// witnessed, so it plans no mark join, and its one-sided conjunct
-    /// filters the scan below `DISTINCT`. A subtracted relation's flag is
+    /// filters the scan below `DISTINCT`. Both envelopes run on column
+    /// batches throughout. A subtracted relation's flag is
     /// one mark join, through the relation's primary-key index when it
     /// has one and a per-execution hash build when it has none.
     #[test]
@@ -251,6 +258,23 @@ mod tests {
             .filter(|line| !line.starts_with("execution:"))
             .collect();
         assert_eq!(operators.len(), 9, "{plan}");
+        for line in operators {
+            assert!(line.ends_with(" [vectorized]"), "{line}:\n{plan}");
+        }
+
+        // The selection envelope is one vectorized `DISTINCT` over the
+        // filtered scan: no projection is left above it.
+        let select =
+            crate::sql_front::sjud_from_sql("SELECT * FROM r WHERE payload >= 400", db.catalog())
+                .unwrap();
+        let plan = explain(&db, &select);
+        let distinct = plan.find("DistinctExec").expect("set semantics");
+        assert!(!plan[..distinct].contains("ProjectExec"), "{plan}");
+        let operators: Vec<&str> = plan
+            .lines()
+            .filter(|line| !line.starts_with("execution:"))
+            .collect();
+        assert_eq!(operators.len(), 4, "{plan}");
         for line in operators {
             assert!(line.ends_with(" [vectorized]"), "{line}:\n{plan}");
         }

@@ -186,7 +186,7 @@ where
 /// size (never returns empty ranges; fewer parts when `len < parts`).
 /// The decomposition depends only on `len` and `parts`, making it a
 /// deterministic sharding unit for slot-range partitioning.
-pub fn split_ranges(len: usize, parts: usize) -> Vec<(usize, usize)> {
+pub(crate) fn split_ranges(len: usize, parts: usize) -> Vec<(usize, usize)> {
     if len == 0 {
         return Vec::new();
     }

@@ -4,7 +4,7 @@
 //!
 //! A [`ColumnStore`] is a column-major projection of one table's live
 //! rows, built lazily on first use and cached on the [`crate::Table`]
-//! behind a `OnceLock` (any DML invalidates it; snapshots share the
+//! behind a `OnceLock` (any DML drops it; snapshots share the
 //! built store through the copy-on-write catalog exactly like
 //! secondary indexes). Rows appear in **slot order** — the same order
 //! `Table::iter` and every row-mode scan produces — so position `pos`
@@ -22,6 +22,28 @@
 //! * `Str` — dictionary-encoded: a `dict` of distinct strings in
 //!   first-appearance order and a `u32` code per row. Predicates over
 //!   text evaluate once per **dict entry**, not once per row.
+//!
+//! # First-occurrence bitmap
+//!
+//! The store also keeps, built on first use behind its own `OnceLock`,
+//! one bit per row: bit `pos` is set iff row `pos` is the first row in
+//! store order with its whole-row value under `Value` identity (`NULL`
+//! equals `NULL`, `-0.0` differs from `0.0`, `NaN` equals `NaN`) — the
+//! rule row mode's `dedup` applies. Duplicate elimination is a property
+//! of the instance, not of a query, so the bitmap is computed once per
+//! store: every epoch sharing the store's `Arc` shares it, and any DML
+//! drops it together with the store.
+//!
+//! A `DISTINCT` over a projection naming every column of the table
+//! (a permutation, possibly with repeats) keeps exactly the selected
+//! positions whose bit is set, filtered or not. Two rows identical under
+//! `Value` identity agree on every predicate the engine evaluates: each
+//! column holds one type, comparisons read only the values, and `NaN`s —
+//! the one case where identity ignores bits — fail every comparison
+//! alike. So if any copy of a row survives a filter, or fails it with an
+//! error, its first copy does the same, and the first surviving copy is
+//! the first copy overall. A `DISTINCT` over a column subset still
+//! hashes its selection.
 //!
 //! # Validity
 //!
@@ -58,7 +80,10 @@
 //! * **Select** — `Filter?(Scan)` where every conjunct is
 //!   `column ⟨cmp⟩ literal`, `column ⟨cmp⟩ column` (same-type or
 //!   numeric mix), or `column IS [NOT] NULL`, and every projection
-//!   item is a column or literal;
+//!   item is a column or literal; or, without a `Limit`,
+//!   `Distinct(Project?(Filter?(Scan)))` with a column-only inner
+//!   projection (the selection envelope), deduplicated as a join side
+//!   is;
 //! * **Agg** — `Aggregate` over such a pipe with column-only
 //!   group keys and aggregate arguments;
 //! * **Join** — `HashJoin` (inner/left, no residual) with
@@ -72,13 +97,15 @@
 //!   a join envelope `HashJoin(Distinct(Project(Filter(Scan r))),
 //!   Distinct(Project(Scan s)))` builds no input row at all.
 //!
-//! Duplicate elimination and the join's build share the engine's one
-//! key table (`keytable.rs`): chain heads, one link and one cached hash
-//! per position, no key vector per row. [`ColumnVector::hash_at`] and
+//! Duplicate elimination over a column subset, the bitmap's build and
+//! the join's build share the engine's one key table (`keytable.rs`):
+//! chain heads, one link and one cached hash per position, no key
+//! vector per row. [`ColumnVector::hash_at`] and
 //! [`ColumnVector::eq_at`] hash and compare a position exactly as
 //! `Value` hashes and compares the materialised value, so the row-mode
 //! operators and these agree on every key, `NULL`, `-0.0`, `NaN` and
-//! `TEXT` included.
+//! `TEXT` included. A join compares its keys by SQL `=` instead
+//! (`-0.0 = 0.0`, `NaN` equal to nothing), as row mode's hash join does.
 //!
 //! Anything else returns `None` and runs row-mode — but because the
 //! vectorized hook sits at the top of `execute_physical`, *subtrees*
@@ -112,6 +139,7 @@ use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::OnceLock;
 
 use hippo_sql::BinaryOp;
 use rustc_hash::FxHashMap;
@@ -202,8 +230,9 @@ impl ColumnVector {
     }
 
     /// `value_at(pos) == other.value_at(opos)` — `Value` identity
-    /// (`NULL` equals `NULL`, integers and floats by exact value) —
-    /// without building either value.
+    /// (`NULL` equals `NULL`, integers and floats by exact value, `-0.0`
+    /// apart from `0.0`, `NaN` equal to `NaN`) — without building either
+    /// value. Duplicate elimination's test.
     #[inline]
     pub(crate) fn eq_at(&self, pos: usize, other: &ColumnVector, opos: usize) -> bool {
         match (self.is_valid(pos), other.is_valid(opos)) {
@@ -242,6 +271,24 @@ impl ColumnVector {
             _ => false,
         }
     }
+
+    /// SQL `=` between two non-`NULL` positions: [`ColumnVector::eq_at`]
+    /// except that `-0.0 = 0.0` and `NaN` equals nothing — a hash join's
+    /// key test. [`ColumnVector::hash_at`] hashes `-0.0` as `0.0`, so
+    /// keys this calls equal share a hash.
+    #[inline]
+    fn sql_eq_at(&self, pos: usize, other: &ColumnVector, opos: usize) -> bool {
+        match (&self.data, &other.data) {
+            (ColumnData::Float64(a), ColumnData::Float64(b)) => a[pos] == b[opos],
+            (ColumnData::Int64(a), ColumnData::Float64(b)) => {
+                sql_int_float_cmp(a[pos], b[opos]) == Some(Ordering::Equal)
+            }
+            (ColumnData::Float64(a), ColumnData::Int64(b)) => {
+                sql_int_float_cmp(b[opos], a[pos]) == Some(Ordering::Equal)
+            }
+            _ => self.eq_at(pos, other, opos),
+        }
+    }
 }
 
 /// Column-major projection of one table's live rows, in slot order.
@@ -250,6 +297,8 @@ pub(crate) struct ColumnStore {
     cols: Vec<ColumnVector>,
     /// Slot-parallel tuple ids (`tids[pos]` owns row `pos`).
     tids: Vec<u32>,
+    /// First-occurrence bitmap (see the module docs), built on first use.
+    first: OnceLock<Vec<u64>>,
 }
 
 impl ColumnStore {
@@ -332,6 +381,7 @@ impl ColumnStore {
                 .map(|(data, validity)| ColumnVector { data, validity })
                 .collect(),
             tids,
+            first: OnceLock::new(),
         })
     }
 
@@ -354,8 +404,24 @@ impl ColumnStore {
 
     /// Materialise row `pos` as a full [`Row`] (bit-identical to the
     /// stored slot row).
-    pub(crate) fn materialize_row(&self, pos: usize) -> Row {
+    #[cfg(test)]
+    fn materialize_row(&self, pos: usize) -> Row {
         self.cols.iter().map(|c| c.value_at(pos)).collect()
+    }
+
+    /// The first-occurrence bitmap: bit `pos` is set iff row `pos` is
+    /// the first row, in store order, with its whole-row value under
+    /// `Value` identity. Built on the first call for this store.
+    fn first_occurrences(&self) -> &[u64] {
+        self.first.get_or_init(|| {
+            let cols: Vec<&ColumnVector> = self.cols.iter().collect();
+            let all: Vec<u32> = (0..self.len() as u32).collect();
+            let mut bits = vec![0u64; self.len().div_ceil(64)];
+            for p in first_positions(&cols, &all) {
+                bits[p as usize >> 6] |= 1u64 << (p & 63);
+            }
+            bits
+        })
     }
 }
 
@@ -400,8 +466,10 @@ pub(crate) struct VecQuery<'p> {
 }
 
 enum Root<'p> {
+    /// `Limit?(Project?(side))`; a `DISTINCT` side takes no `Limit`. The
+    /// projection is over the side's columns.
     Select {
-        pipe: Pipe<'p>,
+        side: Side<'p>,
         project: Option<&'p [BoundExpr]>,
         /// `(limit, offset)` from a peeled `Limit{limit: Some}`.
         limit: Option<(u64, u64)>,
@@ -425,14 +493,31 @@ enum Root<'p> {
     },
 }
 
-/// A join side: `Distinct?(Project?(pipe))` with a column-only
-/// projection, run on positions — the pipe's selection, deduplicated
-/// when `distinct` — until the join emits its output rows.
+/// A join side or a selection's input: `Distinct?(Project?(pipe))`
+/// with a column-only projection, run on positions — the pipe's
+/// selection, deduplicated when `distinct` — until the root emits its
+/// output rows.
 struct Side<'p> {
     pipe: Pipe<'p>,
     /// The store column behind each output column of the side.
     cols: Vec<usize>,
     distinct: bool,
+    /// `cols` names every store column, so two rows are equal on the
+    /// side iff they are equal whole rows: a `DISTINCT` reads the
+    /// store's first-occurrence bitmap instead of hashing.
+    whole_row: bool,
+}
+
+impl<'p> Side<'p> {
+    fn new(pipe: Pipe<'p>, cols: Vec<usize>, distinct: bool, arity: usize) -> Side<'p> {
+        let whole_row = (0..arity).all(|c| cols.contains(&c));
+        Side {
+            pipe,
+            cols,
+            distinct,
+            whole_row,
+        }
+    }
 }
 
 /// A scan pipe: `Filter?(Scan)` with compiled conjuncts.
@@ -543,6 +628,19 @@ pub(crate) fn compile<'p>(plan: &'p Plan, catalog: &Catalog) -> Option<VecQuery<
                 },
             })
         }
+        // Row mode materialises a `DISTINCT` under a `LIMIT` whole; the
+        // `Limit` stays there and the `Distinct` compiles on its own.
+        Plan::Distinct { .. } if limit.is_none() => {
+            let side = compile_side(node, catalog)?;
+            check_project(project, side.cols.len())?;
+            Some(VecQuery {
+                root: Root::Select {
+                    side,
+                    project,
+                    limit,
+                },
+            })
+        }
         other => {
             let pipe = compile_pipe(other, catalog)?;
             // A bare unfiltered, unprojected, unlimited scan gains
@@ -555,7 +653,7 @@ pub(crate) fn compile<'p>(plan: &'p Plan, catalog: &Catalog) -> Option<VecQuery<
             check_project(project, arity)?;
             Some(VecQuery {
                 root: Root::Select {
-                    pipe,
+                    side: Side::new(pipe, (0..arity).collect(), false, arity),
                     project,
                     limit,
                 },
@@ -609,11 +707,7 @@ fn compile_side<'p>(node: &'p Plan, catalog: &Catalog) -> Option<Side<'p>> {
         Some(exprs) => key_columns(exprs, arity)?,
         None => (0..arity).collect(),
     };
-    Some(Side {
-        pipe,
-        cols,
-        distinct,
-    })
+    Some(Side::new(pipe, cols, distinct, arity))
 }
 
 fn compile_pipe<'p>(node: &'p Plan, catalog: &Catalog) -> Option<Pipe<'p>> {
@@ -1162,23 +1256,30 @@ pub(crate) fn try_execute(
     let catalog = env.catalog;
     match &q.root {
         Root::Select {
-            pipe,
+            side,
             project,
             limit,
         } => {
-            let Some(rt) = resolve_pipe(pipe, catalog) else {
+            let Some(rt) = resolve_pipe(&side.pipe, catalog) else {
                 return Ok(None);
             };
             let proj = resolve_project(*project);
             let stop_after = limit.map(|(l, o)| o as usize + l as usize);
-            let sel = run_pipe(env, rt.store, &rt.preds, pipe.has_filter, stop_after)?;
+            let sel = run_pipe(env, rt.store, &rt.preds, side.pipe.has_filter, stop_after)?;
+            // Duplicate elimination charges nothing in either engine.
+            let sel = side_selection(rt.store, sel, side);
             let skip = match limit {
                 Some((_, o)) => (*o as usize).min(sel.len()),
                 None => 0,
             };
             let mut out = Vec::with_capacity(sel.len() - skip);
             for &pos in &sel[skip..] {
-                out.push(project_row(rt.store, pos as usize, proj.as_deref()));
+                out.push(project_row(
+                    rt.store,
+                    pos as usize,
+                    &side.cols,
+                    proj.as_deref(),
+                ));
             }
             Ok(Some(out))
         }
@@ -1258,13 +1359,15 @@ fn resolve_pipe<'a>(pipe: &Pipe<'_>, catalog: &'a Catalog) -> Option<RtPipe<'a>>
     Some(RtPipe { store, preds })
 }
 
-fn project_row(store: &ColumnStore, pos: usize, proj: Option<&[RtProj]>) -> Row {
+/// The output row at `pos` of a side whose columns are `cols`, under
+/// the projection `proj` over those columns.
+fn project_row(store: &ColumnStore, pos: usize, cols: &[usize], proj: Option<&[RtProj]>) -> Row {
     match proj {
-        None => store.materialize_row(pos),
+        None => cols.iter().map(|&c| store.cols[c].value_at(pos)).collect(),
         Some(items) => items
             .iter()
             .map(|it| match it {
-                RtProj::Col(i) => store.cols[*i].value_at(pos),
+                RtProj::Col(i) => store.cols[cols[*i]].value_at(pos),
                 RtProj::Val(v) => v.clone(),
             })
             .collect(),
@@ -1322,14 +1425,27 @@ fn aggregate_selection(
     Ok(out)
 }
 
-/// A side's selection as the join sees it: the pipe's surviving
+/// A side's selection as its root sees it: the pipe's surviving
 /// positions, keeping only the first occurrence of each projected row
-/// when the side is `DISTINCT` (row mode's `dedup` order).
-fn side_selection(store: &ColumnStore, sel: Vec<u32>, side: &Side<'_>) -> Vec<u32> {
+/// when the side is `DISTINCT` (row mode's `dedup` order). A whole-row
+/// side keeps the positions the store's first-occurrence bitmap marks;
+/// a side over a column subset hashes its selection.
+fn side_selection(store: &ColumnStore, mut sel: Vec<u32>, side: &Side<'_>) -> Vec<u32> {
     if !side.distinct {
         return sel;
     }
+    if side.whole_row {
+        let first = store.first_occurrences();
+        sel.retain(|&p| first[p as usize >> 6] >> (p & 63) & 1 == 1);
+        return sel;
+    }
     let cols: Vec<&ColumnVector> = side.cols.iter().map(|&c| &store.cols[c]).collect();
+    first_positions(&cols, &sel)
+}
+
+/// The positions of `sel`, in order, whose row over `cols` is the first
+/// of its value among them under `Value` identity (row mode's `dedup`).
+fn first_positions(cols: &[&ColumnVector], sel: &[u32]) -> Vec<u32> {
     let mut table = KeyTable::with_rows(sel.len());
     let mut out = Vec::with_capacity(sel.len());
     for (i, &pos) in sel.iter().enumerate() {
@@ -1337,7 +1453,7 @@ fn side_selection(store: &ColumnStore, sel: Vec<u32>, side: &Side<'_>) -> Vec<u3
             let other = sel[j as usize] as usize;
             cols.iter().all(|c| c.eq_at(pos as usize, c, other))
         };
-        if table.insert_distinct(i as u32, hash_row_at(&cols, pos as usize), same) {
+        if table.insert_distinct(i as u32, hash_row_at(cols, pos as usize), same) {
             out.push(pos);
         }
     }
@@ -1392,8 +1508,8 @@ impl<'a> JoinSide<'a> {
 /// Hash join over two sides' selections, mirroring `hash_join_rows`:
 /// the right side is built into a key table (`NULL` keys never enter
 /// it), left rows probe in order and meet their matches in right-side
-/// order, and a LEFT join pads unmatched rows. Only output rows are
-/// materialised.
+/// order — keys compare by SQL `=` — and a LEFT join pads unmatched
+/// rows. Only output rows are materialised.
 fn join_selections(
     left: JoinSide<'_>,
     right: JoinSide<'_>,
@@ -1434,7 +1550,7 @@ fn join_selections(
                     .keys
                     .iter()
                     .zip(&right.keys)
-                    .all(|(l, r)| l.eq_at(pos, r, rpos))
+                    .all(|(l, r)| l.sql_eq_at(pos, r, rpos))
                 {
                     matched = true;
                     out.push(emit(pos, Some(rpos)));

@@ -471,8 +471,14 @@ pub struct SnapshotStatsView {
     pub batches_executed: usize,
     /// Rows evaluated batch-at-a-time by the vectorized engine.
     pub vectorized_rows: usize,
-    /// Rows streamed through the row-at-a-time operators
-    /// (vectorized-ineligible shapes, or columnar execution disabled).
+    /// Rows walked by the row-at-a-time operators (vectorized-ineligible
+    /// shapes, or columnar execution disabled): the base-table rows a
+    /// row-mode `Scan`, `Filter(Scan)`, `IndexLookup` or early-exit
+    /// `LIMIT` reads, plus the input rows a row-mode `Distinct`,
+    /// non-prefix `Project`, `Sort`, set operation (both inputs) or
+    /// `MarkJoin` walks, also when that input came from a vectorized
+    /// subtree. Row-mode joins, aggregates and filters over anything but
+    /// a scan add nothing of their own.
     pub rowmode_rows: usize,
 }
 
@@ -1054,11 +1060,13 @@ mod tests {
         db.query("SELECT v FROM t WHERE v = 20").unwrap();
         let s = db.stats();
         assert_eq!((s.index_probes, s.scan_probes), (1, 1));
-        // Four rows touched in total (1 via the index probe, 3 by the
-        // scan), each counted by exactly one engine — which engine
-        // depends on whether columnar execution is enabled, so the
-        // split itself is asserted as an invariant, not a constant.
-        assert_eq!(s.vectorized_rows + s.rowmode_rows, 4);
+        // Four base rows touched (1 via the index probe, 3 by the scan),
+        // and the row-mode projection `[#1]` above the probe walks its
+        // one row. The scan and its projection run on column batches
+        // unless columnar execution is off (another test may turn it
+        // off), and then the projection walks the scan's one survivor.
+        let split = (s.vectorized_rows, s.rowmode_rows);
+        assert!(split == (3, 2) || split == (0, 6), "{split:?}");
         assert_eq!(
             format!("{s}"),
             format!(

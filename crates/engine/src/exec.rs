@@ -19,10 +19,10 @@
 //!   bottom-up, fully materialising, no streaming, no vectorization,
 //!   no budget, an `IndexLookup` defined as scan + key equality, a
 //!   `MarkJoin` as scan + key identity + residual per input row, a
-//!   `HashJoin` as a nested loop on key identity, and `DISTINCT` (and the
-//!   set forms of `UNION`/`EXCEPT`/`INTERSECT`) as a search of the output
-//!   so far — no hash table, so the production key table is checked
-//!   against code it does not share. It
+//!   `HashJoin` as a nested loop on SQL key equality, and `DISTINCT`
+//!   (and the set forms of `UNION`/`EXCEPT`/`INTERSECT`) as a search of
+//!   the output so far — no hash table, so the production key table is
+//!   checked against code it does not share. It
 //!   decides the semantics; [`crate::db::DbSnapshot::run_plan`] and the
 //!   differential suite (`tests/prop_physical.rs`) run it on plans with
 //!   and without access paths and compare the production executor
@@ -62,10 +62,10 @@
 //! Fallback is per-subtree, so a row-mode `Sort` or `Distinct` still
 //! vectorizes its input; see `column.rs` for the eligibility rules and
 //! the charging-parity contract. Row mode is the only path for sorts,
-//! set operations, index probes and mark joins, and for `DISTINCT`
-//! anywhere but on a vectorized join's side. Every hash build of the
-//! production executor — hash join, mark join, `dedup`, set
-//! `EXCEPT`/`INTERSECT` — goes through the one key table
+//! set operations, index probes and mark joins, and for a `DISTINCT`
+//! that is neither a vectorized join's side nor a selection's root.
+//! Every hash build of the production executor — hash join, mark join,
+//! `dedup`, set `EXCEPT`/`INTERSECT` — goes through the one key table
 //! (`keytable.rs`).
 //!
 //! Execution never mutates the catalog: all run state (the enclosing-row
@@ -348,19 +348,26 @@ pub(crate) fn execute_physical(
         Plan::Union { left, right, all } => {
             let l = execute_physical(left, env)?;
             let r = execute_physical(right, env)?;
+            env.rowmode_rows += (l.len() + r.len()) as u64;
             Ok(union_rows(l, r, *all))
         }
         Plan::Except { left, right, all } => {
             let l = execute_physical(left, env)?;
             let r = execute_physical(right, env)?;
+            env.rowmode_rows += (l.len() + r.len()) as u64;
             Ok(except_rows(l, r, *all))
         }
         Plan::Intersect { left, right, all } => {
             let l = execute_physical(left, env)?;
             let r = execute_physical(right, env)?;
+            env.rowmode_rows += (l.len() + r.len()) as u64;
             Ok(intersect_rows(l, r, *all))
         }
-        Plan::Distinct { input } => Ok(dedup(execute_physical(input, env)?)),
+        Plan::Distinct { input } => {
+            let rows = execute_physical(input, env)?;
+            env.rowmode_rows += rows.len() as u64;
+            Ok(dedup(rows))
+        }
         Plan::Aggregate {
             input,
             group_exprs,
@@ -371,6 +378,7 @@ pub(crate) fn execute_physical(
         }
         Plan::Sort { input, keys } => {
             let rows = execute_physical(input, env)?;
+            env.rowmode_rows += rows.len() as u64;
             sort_rows(rows, keys, env)
         }
         Plan::Limit {
@@ -393,6 +401,7 @@ pub(crate) fn execute_physical(
             negated,
         } => {
             let rows = execute_physical(input, env)?;
+            env.rowmode_rows += rows.len() as u64;
             mark_join_rows(
                 rows,
                 table,
@@ -454,9 +463,10 @@ fn values_rows(rows: &[Vec<BoundExpr>], env: &mut EvalEnv<'_>) -> Result<Vec<Row
 
 /// Compute the projection of materialised rows. Consumes its input row
 /// by row, so each input row's allocation is released (and reusable
-/// for the next output row) as soon as it has been projected. A
-/// projection onto a leading run of columns (`#0, #1, …` — e.g. one
-/// dropping a `Filter`'s mark columns) truncates the rows in place.
+/// for the next output row) as soon as it has been projected, and
+/// counts those rows as walked in row mode. A projection onto a leading
+/// run of columns (`#0, #1, …` — e.g. one dropping a `Filter`'s mark
+/// columns) truncates the rows in place and is not counted.
 fn project_rows(
     mut rows: Vec<Row>,
     exprs: &[BoundExpr],
@@ -472,6 +482,7 @@ fn project_rows(
         }
         return Ok(rows);
     }
+    env.rowmode_rows += rows.len() as u64;
     let mut out = Vec::with_capacity(rows.len());
     for row in rows {
         let projected: Row = exprs
@@ -938,7 +949,9 @@ fn right_arity(r: &[Row], right: &Plan, env: &EvalEnv<'_>) -> Result<usize, Engi
 /// row order, into one flat buffer, and built into a key table (a row
 /// whose key has a `NULL` is left out); each left row's keys are
 /// evaluated into one reused buffer just before it probes the table,
-/// meeting its matches in right-row order.
+/// meeting its matches in right-row order. Keys compare by SQL `=`, as
+/// the same equality in a filter would: `-0.0` equals `0.0` (`Value`
+/// hashes the two alike) and a `NaN` key matches nothing.
 #[allow(clippy::too_many_arguments)]
 fn hash_join_rows(
     l: Vec<Row>,
@@ -987,7 +1000,11 @@ fn hash_join_rows(
         let mut matched = false;
         if keyed {
             for i in table.candidates(hash_values(&lkey)) {
-                if rkey(i as usize) != lkey.as_slice() {
+                let equal = rkey(i as usize)
+                    .iter()
+                    .zip(&lkey)
+                    .all(|(r, l)| r.sql_eq(l) == Some(true));
+                if !equal {
                     continue;
                 }
                 let rrow = &r[i as usize];
@@ -1038,10 +1055,11 @@ fn join_key(
 
 /// The defining semantics of an equi-join (reference oracle only), as a
 /// nested loop: a left row pairs with every right row, in order, whose
-/// key identity-equals its own (a `NULL` component matches nothing) and
-/// on which the residual holds. Keys are evaluated in the production
-/// order — every right row first, then each left row before its
-/// matches — so an erroring key fails both executors alike.
+/// key SQL-equals its own (a `NULL` or `NaN` component matches nothing,
+/// `-0.0` meets `0.0`) and on which the residual holds. Keys are
+/// evaluated in the production order — every right row first, then each
+/// left row before its matches — so an erroring key fails both
+/// executors alike.
 #[allow(clippy::too_many_arguments)]
 fn equi_join_reference(
     l: Vec<Row>,
@@ -1063,7 +1081,12 @@ fn equi_join_reference(
         let mut matched = false;
         if let Some(lkey) = join_key(left_keys, lrow, env)? {
             for (rrow, rkey) in r.iter().zip(&rkeys) {
-                if rkey.as_ref() != Some(&lkey) {
+                let Some(rkey) = rkey else { continue };
+                if !rkey
+                    .iter()
+                    .zip(&lkey)
+                    .all(|(r, l)| r.sql_eq(l) == Some(true))
+                {
                     continue;
                 }
                 let mut row = lrow.clone();

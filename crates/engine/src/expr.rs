@@ -341,7 +341,8 @@ pub(crate) struct EvalEnv<'a> {
     pub vec_batches: u64,
     /// Rows examined through the vectorized engine this call.
     pub vec_rows: u64,
-    /// Rows examined through row-mode source operators this call.
+    /// Rows walked by row-mode operators this call (see
+    /// [`crate::SnapshotStatsView::rowmode_rows`]).
     pub rowmode_rows: u64,
     /// Set while [`crate::exec::execute`] (the reference oracle) runs a
     /// plan with this environment: expression subqueries then stay on

@@ -15,11 +15,14 @@
 //!
 //! Three allocations per table, whatever the row count, instead of one
 //! key vector and one bucket vector per build row. The caller owns the
-//! keys and supplies the equality test, so keys compare by `Value`
+//! keys and supplies the equality test, wherever the keys live: in
+//! rows, or in column buffers ([`crate::column::ColumnVector::hash_at`]
+//! feeds a hasher exactly what `Value`'s `Hash` does). Duplicate
+//! elimination, set operations and mark joins compare by `Value`
 //! identity (`NULL` equals `NULL`, `NaN` equals `NaN`, `-0.0` differs
-//! from `0.0`) wherever they live: in rows, or in column buffers
-//! ([`crate::column::ColumnVector::hash_at`] feeds a hasher exactly what
-//! `Value`'s `Hash` does).
+//! from `0.0`); a hash join compares by SQL `=` (`-0.0` equals `0.0`,
+//! `NaN` equals nothing). Both are sound over one hash, because `Value`
+//! hashes `-0.0` as `0.0`.
 //!
 //! [`KeyTable::build`] chains rows in reverse, so every chain lists its
 //! rows in build order: a join emits a left row's matches in the order

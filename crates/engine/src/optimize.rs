@@ -14,10 +14,11 @@
 //! 4. **Projection composition** — a `Project` directly over another
 //!    `Project`, both listing only columns and literals, becomes one
 //!    `Project` of the composed list. Such lists cannot raise an error,
-//!    so no error moves. The remaining projection stays even when it is
-//!    the identity: a `HashJoin` side compiles to column batches only
-//!    as `Distinct?(Project?(Filter?(Scan)))`, and a bare
-//!    `Distinct(Scan)` does not.
+//!    so no error moves. An identity projection directly over a
+//!    `Distinct` is dropped. Below a `Distinct` the remaining projection
+//!    stays even when it is the identity: a `DISTINCT` compiles to
+//!    column batches only as `Distinct(Project?(Filter?(Scan)))` with
+//!    a projection or a filter, and a bare `Distinct(Scan)` does not.
 //!
 //! Expressions containing subqueries are never moved (their `OuterRef`
 //! levels are position-dependent).
@@ -421,21 +422,16 @@ pub fn optimize(mut plan: Plan, catalog: &Catalog) -> Result<Plan, EngineError> 
                     input: inner,
                     exprs: inner_exprs,
                 } if columns_and_literals(&exprs) && columns_and_literals(&inner_exprs) => {
-                    Plan::Project {
-                        input: inner,
-                        exprs: exprs
-                            .into_iter()
-                            .map(|e| match e {
-                                BoundExpr::Column(c) => inner_exprs[c].clone(),
-                                literal => literal,
-                            })
-                            .collect(),
-                    }
+                    let exprs = exprs
+                        .into_iter()
+                        .map(|e| match e {
+                            BoundExpr::Column(c) => inner_exprs[c].clone(),
+                            literal => literal,
+                        })
+                        .collect();
+                    project(*inner, exprs, catalog)?
                 }
-                input => Plan::Project {
-                    input: Box::new(input),
-                    exprs,
-                },
+                input => project(input, exprs, catalog)?,
             }
         }
         // Try converting a LEFT nested-loop with pure equi predicate
@@ -467,6 +463,26 @@ pub fn optimize(mut plan: Plan, catalog: &Catalog) -> Result<Plan, EngineError> 
             }
         }
         other => other,
+    })
+}
+
+/// `Project(input, exprs)`, or `input` itself when it is a `Distinct`
+/// and `exprs` lists its columns in order: that projection does nothing,
+/// and without it the `Distinct` is the root the vectorized engine
+/// compiles. (Below a `Distinct` the identity stays; see pass 4.)
+fn project(input: Plan, exprs: Vec<BoundExpr>, catalog: &Catalog) -> Result<Plan, EngineError> {
+    if matches!(input, Plan::Distinct { .. })
+        && exprs.len() == input.arity(catalog)?
+        && exprs
+            .iter()
+            .enumerate()
+            .all(|(i, e)| *e == BoundExpr::Column(i))
+    {
+        return Ok(input);
+    }
+    Ok(Plan::Project {
+        input: Box::new(input),
+        exprs,
     })
 }
 
@@ -990,6 +1006,25 @@ mod tests {
         };
         assert!(matches!(*input, Plan::Scan { .. }), "{input:?}");
         assert_eq!(exprs, vec![col(0), col(1)]);
+
+        // Above a `Distinct` an identity projection is dropped, also one
+        // that only composes to the identity ([#1, #0] ∘ [#1, #0]).
+        let distinct = || Plan::Distinct {
+            input: Box::new(project(scan(), vec![col(0), col(1)])),
+        };
+        for plan in [
+            project(distinct(), vec![col(0), col(1)]),
+            project(
+                project(distinct(), vec![col(1), col(0)]),
+                vec![col(1), col(0)],
+            ),
+        ] {
+            let optimized = optimize(plan, &c).unwrap();
+            assert!(matches!(optimized, Plan::Distinct { .. }), "{optimized:?}");
+        }
+        // A permutation above it stays.
+        let plan = project(distinct(), vec![col(1), col(0)]);
+        assert!(matches!(optimize(plan, &c).unwrap(), Plan::Project { .. }));
 
         // A computed expression on either side blocks the composition.
         let computed = BoundExpr::Binary {

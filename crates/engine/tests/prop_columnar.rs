@@ -1,7 +1,8 @@
 //! Differential property tests: the vectorized engine against row mode.
 //!
 //! Over random DML — NULLs in every column, `NaN` / `0.0` / `-0.0` floats,
-//! `i64::MIN`, re-keying updates — every query template is executed
+//! `i64::MIN`, re-keying updates, exact copies of stored rows (`NaN`
+//! payloads included) — every query template is executed
 //! twice on the same instance, once with columnar execution forced on
 //! and once forced off, and the two outcomes must agree **bit for
 //! bit**: same rows in the same order (floats compared by bit pattern,
@@ -36,7 +37,7 @@ fn apply(db: &mut Database, selector: u32, a: u32, b: u32) {
     let k = a % 12;
     let s = ["x", "y", "zz", ""][(b % 4) as usize];
     let f = [0.5, -0.0, 0.0, 2.0, -3.25][(b % 5) as usize];
-    match selector % 10 {
+    match selector % 12 {
         0 | 1 => {
             // `{f:?}` keeps the decimal point (`-0.0`, `2.0`) so the
             // literal lexes as a FLOAT, never an INT.
@@ -75,6 +76,16 @@ fn apply(db: &mut Database, selector: u32, a: u32, b: u32) {
         6 => {
             db.execute(&format!("UPDATE t SET f = NULL, s = '{s}' WHERE k = {k}"))
                 .unwrap();
+        }
+        // An exact copy of a stored row: whole-row duplicates for
+        // `DISTINCT`, which the first-occurrence bitmap must collapse.
+        10 | 11 => {
+            let table = if selector % 12 == 10 { "t" } else { "u" };
+            let stored = db.catalog().table(table).unwrap().rows();
+            if !stored.is_empty() {
+                let row = stored[a as usize % stored.len()].clone();
+                db.insert_rows(table, vec![row]).unwrap();
+            }
         }
         _ => {
             db.insert_rows("u", vec![vec![Value::Int(k as i64), Value::Float(f)]])
@@ -130,6 +141,25 @@ fn queries(k: u32) -> Vec<String> {
         "SELECT a.s, c.k FROM (SELECT DISTINCT s, b FROM t WHERE b = TRUE) AS a, \
          (SELECT DISTINCT k, s FROM t) AS c WHERE a.s = c.s"
             .to_string(),
+        // Whole-row DISTINCT join sides (the first-occurrence bitmap),
+        // filtered and not, one of them a column permutation.
+        format!(
+            "SELECT * FROM (SELECT DISTINCT * FROM t WHERE k <= {k}) AS a, \
+             (SELECT DISTINCT * FROM u) AS b WHERE a.k = b.k"
+        ),
+        "SELECT * FROM (SELECT DISTINCT b, s, f, k FROM t) AS a \
+         LEFT JOIN (SELECT DISTINCT f, k FROM u WHERE f >= 0.0) AS b ON a.f = b.f"
+            .to_string(),
+        // DISTINCT selection roots: whole rows (bitmap) filtered and
+        // not, a permutation, a column subset (hashed), an outer
+        // projection above the DISTINCT, and a LIMIT over one.
+        "SELECT DISTINCT * FROM t".to_string(),
+        format!("SELECT DISTINCT * FROM t WHERE k >= {k} AND s IS NOT NULL"),
+        "SELECT DISTINCT f, b, k, s FROM t WHERE f IS NOT NULL".to_string(),
+        "SELECT DISTINCT * FROM u WHERE f >= 0.0".to_string(),
+        "SELECT DISTINCT s, b FROM t".to_string(),
+        "SELECT x.f, x.k FROM (SELECT DISTINCT k, f FROM u) AS x".to_string(),
+        "SELECT DISTINCT k, f FROM u LIMIT 3".to_string(),
     ]
 }
 
@@ -159,7 +189,7 @@ fn run_mode(db: &Database, q: &str, columnar: bool) -> Result<Vec<Vec<String>>, 
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<(u32, u32, u32)>> {
-    prop::collection::vec((0u32..10, 0u32..12, 0u32..8), 0..40)
+    prop::collection::vec((0u32..12, 0u32..12, 0u32..8), 0..40)
 }
 
 proptest! {
@@ -205,6 +235,9 @@ proptest! {
             "SELECT s FROM t WHERE s IS NOT NULL LIMIT 2 OFFSET 1",
             "SELECT * FROM (SELECT DISTINCT k, s FROM t WHERE k >= 3) AS a \
              LEFT JOIN (SELECT DISTINCT k FROM u) AS b ON a.k = b.k",
+            "SELECT DISTINCT * FROM t WHERE k >= 3",
+            "SELECT * FROM (SELECT DISTINCT * FROM t WHERE k <= 6) AS a, \
+             (SELECT DISTINCT * FROM u) AS b WHERE a.k = b.k",
         ] {
             let mut outcomes = Vec::new();
             for columnar in [true, false] {

@@ -14,10 +14,8 @@ use aggregate::{range_aggregate_fd, range_aggregate_naive, AggOp};
 use hippo::cqa::corefilter::{core_filter_direct, core_filter_set};
 use hippo::cqa::detect::detect_conflicts;
 use hippo::cqa::formula::MembershipTemplate;
-use hippo::cqa::hippo::PROVER_SHARDS;
 use hippo::cqa::kg::{extended_envelope_sql, split_gathered};
 use hippo::cqa::naive::naive_consistent_answers;
-use hippo::cqa::parallel::split_ranges;
 use hippo::cqa::prelude::*;
 use hippo::engine::{Database, Row, Value};
 use proptest::prelude::*;
@@ -153,7 +151,8 @@ fn checked_candidates(q: &SjudQuery, db: &Database) -> Vec<Row> {
     let ast = extended_envelope_sql(&envelope(q), &template, cat).unwrap();
     let rows = db.query(&hippo::sql::print_query(&ast)).unwrap().rows;
     let gathered = split_gathered(rows, q.validate(cat).unwrap(), &template);
-    for (cand, flags) in gathered.candidates.iter().zip(&gathered.flags) {
+    for (i, cand) in gathered.candidates.iter().enumerate() {
+        let flags = gathered.flags(i);
         assert_eq!(flags.len(), template.literals.len());
         for (lit, &flag) in template.literals.iter().zip(flags) {
             let fact: Vec<&Value> = lit.cols.iter().map(|&c| &cand[c]).collect();
@@ -238,16 +237,13 @@ proptest! {
         }
 
         // The counters the reference predicts: the candidates are the KG
-        // envelope's rows in its order, deduplicated within each fixed
-        // shard; those in the reference filter skip the prover, the rest
-        // reach it and are decided by a cache hit or a prover run.
+        // envelope's rows, pairwise distinct (see
+        // `envelope_candidates_are_pairwise_distinct`), each decided once;
+        // those in the reference filter skip the prover, the rest reach it
+        // and are decided by a cache hit or a prover run.
         let cands = checked_candidates(&q, &db);
-        let (mut decided, mut filtered) = (0, 0);
-        for (lo, hi) in split_ranges(cands.len(), PROVER_SHARDS) {
-            let distinct: HashSet<&Row> = cands[lo..hi].iter().collect();
-            decided += distinct.len();
-            filtered += distinct.iter().filter(|c| direct.binary_search(c).is_ok()).count();
-        }
+        let decided = cands.len();
+        let filtered = cands.iter().filter(|c| direct.binary_search(c).is_ok()).count();
         for threads in [1usize, 4] {
             let hippo = Hippo::with_options(
                 build_bag_db([("emp", &emp), ("dept", &dept)]),
@@ -280,6 +276,26 @@ proptest! {
         q in arb_bag_query(),
     ) {
         checked_candidates(&q, &build_bag_db([("emp", &emp), ("dept", &dept)]));
+    }
+
+    /// The envelope is set-semantics, so the candidates the answer stage
+    /// decides are pairwise distinct (by `Value` identity, `NULL` equal
+    /// to `NULL`), whatever duplicate rows and `NULL`s the instance holds
+    /// — for products of such queries too.
+    #[test]
+    fn envelope_candidates_are_pairwise_distinct(
+        (emp, dept) in (
+            prop::collection::vec((prop::option::of(0i64..3), prop::option::of(0i64..2)), 0..8),
+            prop::collection::vec((prop::option::of(0i64..3), prop::option::of(0i64..2)), 0..5),
+        ),
+        q in prop_oneof![
+            arb_bag_query(),
+            (arb_bag_query(), arb_bag_query()).prop_map(|(a, b)| a.product(b)),
+        ],
+    ) {
+        let cands = checked_candidates(&q, &build_bag_db([("emp", &emp), ("dept", &dept)]));
+        let distinct: HashSet<&Row> = cands.iter().collect();
+        prop_assert_eq!(distinct.len(), cands.len(), "duplicate candidate for {}", q);
     }
 
     #[test]

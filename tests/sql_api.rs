@@ -202,3 +202,78 @@ fn keys_beyond_f64_precision_stay_distinct() {
     let truth = naive_consistent_answers(&q, hippo.db().catalog(), hippo.graph());
     assert_eq!(truth.len(), 2);
 }
+
+/// SQL `=` equates `0.0` and `-0.0` whichever plan runs it: with
+/// `a(x) = {0.0}` and `b(y) = {-0.0}`, a hash join on `a.x = b.y` and a
+/// filter `a.x <= b.y AND a.x >= b.y` over a cross join both return the
+/// pair, and so does every answer mode through the join, as the repair
+/// oracle does. (A hash join used to compare its keys by `Value`
+/// identity, which keeps the two zeros apart.)
+#[test]
+fn signed_zero_joins_under_sql_equality() {
+    let mut db = Database::new();
+    for sql in [
+        "CREATE TABLE a (x REAL)",
+        "CREATE TABLE b (y REAL)",
+        "INSERT INTO a VALUES (0.0)",
+        "INSERT INTO b VALUES (-0.0)",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    // `Value` equality tells the zeros apart, so this pins the signs.
+    let pair = vec![vec![Value::Float(0.0), Value::Float(-0.0)]];
+    for (sql, operator) in [
+        ("SELECT * FROM a, b WHERE a.x = b.y", "HashJoinExec"),
+        (
+            "SELECT * FROM a, b WHERE a.x <= b.y AND a.x >= b.y",
+            "CrossJoinExec",
+        ),
+    ] {
+        let plan = db.explain(sql).unwrap();
+        assert!(plan.contains(operator), "{sql}\n{plan}");
+        assert_eq!(db.query(sql).unwrap().rows, pair, "{sql}");
+    }
+    let mut hippo = Hippo::new(db, Vec::new()).unwrap();
+    let q = sjud_from_sql("SELECT * FROM a, b WHERE a.x = b.y", hippo.db().catalog()).unwrap();
+    for options in [
+        HippoOptions::base(),
+        HippoOptions::kg(),
+        HippoOptions::full(),
+    ] {
+        hippo.options = options;
+        assert_eq!(
+            answer(&hippo, &q).unwrap().rows,
+            pair,
+            "{:?}",
+            hippo.options
+        );
+    }
+    let truth = naive_consistent_answers(&q, hippo.db().catalog(), hippo.graph());
+    assert_eq!(truth, pair);
+}
+
+/// A `NaN` join key matches nothing under SQL `=`, as a `NaN` compares
+/// to nothing in a selection; SQL text cannot spell `NaN`, so the rows
+/// go in through the `Value` API.
+#[test]
+fn nan_join_keys_match_nothing() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE a (x REAL)").unwrap();
+    db.execute("CREATE TABLE b (y REAL)").unwrap();
+    for table in ["a", "b"] {
+        db.insert_rows(
+            table,
+            vec![vec![Value::Float(f64::NAN)], vec![Value::Float(1.0)]],
+        )
+        .unwrap();
+    }
+    let sql = "SELECT * FROM a, b WHERE a.x = b.y";
+    let one = vec![vec![Value::Float(1.0), Value::Float(1.0)]];
+    assert!(db.explain(sql).unwrap().contains("HashJoinExec"));
+    assert_eq!(db.query(sql).unwrap().rows, one);
+    let hippo = Hippo::new(db, Vec::new()).unwrap();
+    assert_eq!(answer_sql(&hippo, sql), one);
+    let q = sjud_from_sql(sql, hippo.db().catalog()).unwrap();
+    let truth = naive_consistent_answers(&q, hippo.db().catalog(), hippo.graph());
+    assert_eq!(truth, one);
+}
