@@ -8,11 +8,14 @@
 
 use hippo_cqa::detect::detect_conflicts;
 use hippo_cqa::formula::MembershipTemplate;
-use hippo_cqa::naive::{conflict_free_answers, naive_consistent_answers, plain_answers};
 use hippo_cqa::pred::value_to_sql;
 use hippo_cqa::prelude::*;
 use hippo_engine::{Database, Row, Value};
 use hippo_sql::{print_expr, Expr};
+use hippo_testkit::{
+    conflict_free_answers, enumerate_repairs, naive_consistent_answers, plain_answers, FdTableSpec,
+    JoinWorkload,
+};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 

@@ -32,8 +32,8 @@
 //!
 //! [`crate::hippo`]'s prover shards run the test on each candidate
 //! before the signature cache and the prover; [`core_filter_set`] runs
-//! it over one envelope evaluation; [`core_filter_direct`] is the
-//! set-at-a-time reference the tests compare both against.
+//! it over one envelope evaluation. The set-at-a-time reference the
+//! tests compare both against is `hippo-testkit`'s `core_filter_direct`.
 
 use crate::envelope::envelope;
 use crate::formula::{FormulaTemplate, MembershipTemplate};
@@ -41,8 +41,7 @@ use crate::hypergraph::ConflictHypergraph;
 use crate::kg::{extended_envelope_sql, split_gathered};
 use crate::prover::Prover;
 use crate::query::SjudQuery;
-use hippo_engine::{Catalog, EngineError, Row};
-use rustc_hash::FxHashSet;
+use hippo_engine::{Catalog, Database, EngineError, Row};
 
 /// The per-candidate core-filter test: is `tuple` in the filter's
 /// result? `flags` are the candidate's per-literal membership answers
@@ -90,10 +89,11 @@ fn in_envelope(formula: &FormulaTemplate, tuple: &Row, flags: &[bool]) -> bool {
 
 /// The core filter's result on `catalog`: the envelope rows that pass
 /// the per-candidate test, sorted. One envelope evaluation (the
-/// knowledge-gathering form, which carries the membership flags) over
-/// the given catalog; nothing is copied. A query that does not validate
-/// against the catalog has no envelope, hence the empty — trivially
-/// sound — result.
+/// knowledge-gathering form, which carries the membership flags) on the
+/// engine's one query path, over a clone of `catalog` that shares its
+/// row chunks and index shards, so no row is copied. A query that does
+/// not validate against the catalog has no envelope, hence the empty —
+/// trivially sound — result.
 pub fn core_filter_set(q: &SjudQuery, catalog: &Catalog, g: &ConflictHypergraph) -> Vec<Row> {
     passing_envelope_rows(q, catalog, g).unwrap_or_default()
 }
@@ -106,10 +106,8 @@ fn passing_envelope_rows(
     let arity = q.validate(catalog)?;
     let template = MembershipTemplate::build(q, catalog)?;
     let ast = extended_envelope_sql(&envelope(q), &template, catalog)?;
-    let bound = hippo_engine::bind::bind_query(catalog, &ast)?;
-    let mut plan = hippo_engine::optimize::optimize(bound.plan, catalog)?;
-    hippo_engine::choose_access_paths(&mut plan, catalog);
-    let rows = hippo_engine::exec::execute_physical_with(&plan, catalog, None, "envelope")?;
+    let db = Database::from_catalog(catalog.clone());
+    let rows = db.run_query_ast(&ast, None, "envelope")?.rows;
     let gathered = split_gathered(rows, arity, &template);
     let prover = Prover::new(g, &template);
     let mut accepted: Vec<Row> = gathered
@@ -128,102 +126,15 @@ fn passing_envelope_rows(
     Ok(accepted)
 }
 
-/// Direct (nested-loop, set-at-a-time) evaluation of the filter over
-/// instance views: positive leaves read the conflict-free core,
-/// subtracted branches the envelope over the full instance. The
-/// reference implementation the per-candidate test is checked against
-/// in tests; rows compare by identity, so it differs from the test on
-/// `NULL`-bearing tuples (see [`crate::hippo`]).
-pub fn core_filter_direct(q: &SjudQuery, catalog: &Catalog, g: &ConflictHypergraph) -> Vec<Row> {
-    let core = crate::repair::core_instance(catalog, g);
-    let full = |rel: &str| catalog.table(rel).map(|t| t.rows()).unwrap_or_default();
-    let mut rows = eval_filter(q, &core, &full);
-    rows.sort();
-    rows.dedup();
-    rows
-}
-
-fn eval_filter(
-    q: &SjudQuery,
-    core: &impl Fn(&str) -> Vec<Row>,
-    full: &impl Fn(&str) -> Vec<Row>,
-) -> Vec<Row> {
-    match q {
-        SjudQuery::Rel(r) => core(r),
-        SjudQuery::Select { input, pred } => eval_filter(input, core, full)
-            .into_iter()
-            .filter(|row| pred.eval(row))
-            .collect(),
-        SjudQuery::Product(l, r) => {
-            let lv = eval_filter(l, core, full);
-            let rv = eval_filter(r, core, full);
-            let mut out = Vec::with_capacity(lv.len() * rv.len());
-            for a in &lv {
-                for b in &rv {
-                    let mut row = a.clone();
-                    row.extend(b.iter().cloned());
-                    out.push(row);
-                }
-            }
-            out
-        }
-        SjudQuery::Union(l, r) => {
-            let mut lv = eval_filter(l, core, full);
-            lv.extend(eval_filter(r, core, full));
-            lv
-        }
-        SjudQuery::Diff(l, r) => {
-            // Subtract the *envelope of r over the full instance*: an
-            // over-approximation of r in any repair, so what survives the
-            // subtraction is absent from r in every repair.
-            let renv = envelope(r);
-            let rv: FxHashSet<Row> = renv.eval_over(full).into_iter().collect();
-            eval_filter(l, core, full)
-                .into_iter()
-                .filter(|row| !rv.contains(row))
-                .collect()
-        }
-        SjudQuery::Permute { input, perm } => eval_filter(input, core, full)
-            .into_iter()
-            .map(|row| perm.iter().map(|&p| row[p].clone()).collect())
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constraint::DenialConstraint;
     use crate::detect::detect_conflicts;
-    use crate::formula::MembershipTemplate;
+    use crate::hippo::tests::emp_db;
     use crate::pred::{CmpOp, Pred};
-    use crate::prover::{catalog_flags, Prover};
-    use hippo_engine::{Column, DataType, Database, TableSchema, Value};
-
-    fn emp_db(rows: &[(&str, i64)]) -> Database {
-        let mut db = Database::new();
-        db.catalog_mut()
-            .create_table(
-                TableSchema::new(
-                    "emp",
-                    vec![
-                        Column::new("name", DataType::Text),
-                        Column::new("salary", DataType::Int),
-                    ],
-                    &[],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        db.insert_rows(
-            "emp",
-            rows.iter()
-                .map(|&(n, s)| vec![Value::text(n), Value::Int(s)])
-                .collect(),
-        )
-        .unwrap();
-        db
-    }
+    use crate::prover::catalog_flags;
+    use hippo_engine::Value;
 
     #[test]
     fn filter_keeps_only_nonconflicting_on_relation_query() {
@@ -285,68 +196,5 @@ mod tests {
         let q = SjudQuery::rel("emp").union(SjudQuery::rel("emp"));
         let rows = core_filter_set(&q, db.catalog(), &g);
         assert_eq!(rows.len(), 1);
-    }
-}
-
-#[cfg(test)]
-mod per_candidate_tests {
-    use super::*;
-    use crate::constraint::DenialConstraint;
-    use crate::detect::detect_conflicts;
-    use crate::pred::{CmpOp, Pred};
-    use hippo_engine::{Column, DataType, Database, TableSchema, Value};
-
-    fn db() -> Database {
-        let mut db = Database::new();
-        for name in ["t", "u"] {
-            db.catalog_mut()
-                .create_table(
-                    TableSchema::new(
-                        name,
-                        vec![
-                            Column::new("k", DataType::Int),
-                            Column::new("v", DataType::Int),
-                        ],
-                        &[],
-                    )
-                    .unwrap(),
-                )
-                .unwrap();
-        }
-        let rows = |xs: &[(i64, i64)]| {
-            xs.iter()
-                .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
-                .collect()
-        };
-        db.insert_rows("t", rows(&[(1, 10), (1, 20), (2, 30), (3, 40), (3, 40)]))
-            .unwrap();
-        db.insert_rows("u", rows(&[(2, 30), (9, 90)])).unwrap();
-        db
-    }
-
-    #[test]
-    fn per_candidate_test_matches_direct_evaluation() {
-        let db = db();
-        let constraints = [DenialConstraint::functional_dependency("t", &[0], 1)];
-        let (g, _) = detect_conflicts(db.catalog(), &constraints).unwrap();
-        let queries = vec![
-            SjudQuery::rel("t"),
-            SjudQuery::rel("t").select(Pred::cmp_const(1, CmpOp::Ge, 20i64)),
-            SjudQuery::rel("t").diff(SjudQuery::rel("u")),
-            SjudQuery::rel("t").union(SjudQuery::rel("u")),
-            SjudQuery::rel("t")
-                .product(SjudQuery::rel("u"))
-                .select(Pred::cmp_cols(0, CmpOp::Eq, 2)),
-            SjudQuery::rel("t")
-                .permute(vec![1, 0])
-                .diff(SjudQuery::rel("u").permute(vec![1, 0])),
-            // A subtraction nested in a subtracted branch is dropped.
-            SjudQuery::rel("t").diff(SjudQuery::rel("u").diff(SjudQuery::rel("t"))),
-        ];
-        for q in queries {
-            let direct = core_filter_direct(&q, db.catalog(), &g);
-            let per_candidate = core_filter_set(&q, db.catalog(), &g);
-            assert_eq!(per_candidate, direct, "mismatch for {q}");
-        }
     }
 }

@@ -641,32 +641,8 @@ fn sparse_condition_ok(c: &DenialConstraint, bindings: &[Option<(TupleId, &Row)>
 mod tests {
     use super::*;
     use crate::constraint::AttrRef;
-    use hippo_engine::{Column, DataType, Database, TableSchema};
-
-    fn emp_db(rows: &[(&str, i64)]) -> Database {
-        let mut db = Database::new();
-        db.catalog_mut()
-            .create_table(
-                TableSchema::new(
-                    "emp",
-                    vec![
-                        Column::new("name", DataType::Text),
-                        Column::new("salary", DataType::Int),
-                    ],
-                    &[],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        db.insert_rows(
-            "emp",
-            rows.iter()
-                .map(|&(n, s)| vec![Value::text(n), Value::Int(s)])
-                .collect(),
-        )
-        .unwrap();
-        db
-    }
+    use crate::hippo::tests::emp_db;
+    use hippo_engine::{Column, DataType, TableSchema};
 
     #[test]
     fn fd_detects_pairs() {

@@ -60,7 +60,7 @@
 //! core-filter test and the prover read those flags. A witnessed
 //! literal's fact is one of its relation's own rows, so a mark join on
 //! it would find that row; its flag is the mark join's answer without
-//! the probe. The repair-enumeration oracle in [`crate::naive`] compares
+//! the probe. The repair-enumeration oracle (`hippo-testkit`) compares
 //! whole rows by identity too. So on `Float`s the modes and the oracle
 //! agree: with `r(x REAL) = {0.0}` and `s(x REAL) = {-0.0}`, `r − s` is
 //! `[(0.0)]` everywhere (`0.0` and `-0.0` are distinct values).
@@ -376,39 +376,25 @@ impl Hippo {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::budget::ConsistentAnswer;
     use crate::pred::{CmpOp, Pred};
     use crate::query::SjudQuery;
-    use hippo_engine::{Column, DataType, TableSchema, Value};
+    use hippo_engine::Value;
 
-    pub(super) fn emp_db(rows: &[(&str, i64)]) -> Database {
+    pub(crate) fn emp_db(rows: &[(&str, i64)]) -> Database {
         let mut db = Database::new();
-        db.catalog_mut()
-            .create_table(
-                TableSchema::new(
-                    "emp",
-                    vec![
-                        Column::new("name", DataType::Text),
-                        Column::new("salary", DataType::Int),
-                    ],
-                    &[],
-                )
-                .unwrap(),
-            )
+        db.execute("CREATE TABLE emp (name TEXT, salary INT)")
             .unwrap();
-        db.insert_rows(
-            "emp",
-            rows.iter()
-                .map(|&(n, s)| vec![Value::text(n), Value::Int(s)])
-                .collect(),
-        )
-        .unwrap();
+        let rows = rows
+            .iter()
+            .map(|&(n, s)| vec![Value::text(n), Value::Int(s)]);
+        db.insert_rows("emp", rows.collect()).unwrap();
         db
     }
 
-    pub(super) fn fd() -> Vec<DenialConstraint> {
+    pub(crate) fn fd() -> Vec<DenialConstraint> {
         vec![DenialConstraint::functional_dependency("emp", &[0], 1)]
     }
 

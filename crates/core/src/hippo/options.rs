@@ -89,8 +89,9 @@ impl HippoOptions {
     }
 
     /// Disable the closure-signature verdict cache (every candidate
-    /// reaching the prover stage is proved from scratch; used by the
-    /// differential tests and the cache-ablation experiments).
+    /// reaching the prover stage is proved from scratch). Only the
+    /// differential tests use it, to check that the cache changes no
+    /// answer.
     pub fn without_prover_cache(mut self) -> Self {
         self.prover_cache = false;
         self

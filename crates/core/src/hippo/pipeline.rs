@@ -492,7 +492,6 @@ fn merge(a: ProverRunStats, b: ProverRunStats) -> ProverRunStats {
 mod tests {
     use super::super::tests::{answer, emp_db, fd, queries};
     use super::*;
-    use crate::naive::naive_consistent_answers;
     use crate::pred::{CmpOp, Pred};
     use hippo_engine::{Column, DataType, Database, TableSchema, Value};
     use std::time::Duration;
@@ -500,32 +499,6 @@ mod tests {
     /// The columnar switch is process-wide: tests that flip it, or read
     /// which engine ran, take turns.
     static COLUMNAR: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn all_option_levels_agree_with_ground_truth() {
-        let rows = [
-            ("ann", 100),
-            ("ann", 200),
-            ("bob", 300),
-            ("cyd", 50),
-            ("cyd", 60),
-            ("dee", 400),
-        ];
-        for opts in [
-            HippoOptions::base(),
-            HippoOptions::kg(),
-            HippoOptions::full(),
-        ] {
-            let db = emp_db(&rows);
-            let hippo = Hippo::with_options(db, fd(), opts.clone()).unwrap();
-            let truth_graph = hippo.graph();
-            for q in queries() {
-                let got = answer(&hippo, &q).unwrap().rows;
-                let truth = naive_consistent_answers(&q, hippo.db().catalog(), truth_graph);
-                assert_eq!(got, truth, "query {q} options {opts:?}");
-            }
-        }
-    }
 
     #[test]
     fn every_mode_reads_flags_from_the_envelope() {

@@ -462,10 +462,9 @@ impl Hippo {
 mod tests {
     use super::super::tests::{answer, emp_db, fd};
     use super::*;
-    use crate::constraint::DenialConstraint;
     use crate::hippo::HippoOptions;
     use crate::query::SjudQuery;
-    use hippo_engine::{Column, DataType, Database, TableSchema, Value};
+    use hippo_engine::{Database, Value};
 
     #[test]
     fn redetect_after_mutation() {
@@ -782,78 +781,6 @@ mod tests {
         // Nothing was recorded, so redetect is a no-op on the old stats.
         assert!(!hippo.redetect().unwrap().incremental);
         assert_eq!(hippo.graph().edge_count(), 0);
-    }
-
-    #[test]
-    fn general_denial_delta_is_seeded_not_outer_scanned() {
-        // Exclusion between emp and contractor; the delta lands in the
-        // *second* atom, which used to force an O(outer) rescan of emp.
-        let mut db = emp_db(&[("ann", 100), ("bob", 200), ("cyd", 300), ("dee", 400)]);
-        db.catalog_mut()
-            .create_table(
-                TableSchema::new(
-                    "contractor",
-                    vec![
-                        Column::new("name", DataType::Text),
-                        Column::new("rate", DataType::Int),
-                    ],
-                    &[],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        let constraints = vec![DenialConstraint::exclusion("emp", "contractor", &[(0, 0)])];
-        let mut hippo = Hippo::new(db, constraints.clone()).unwrap();
-        assert_eq!(hippo.graph().edge_count(), 0);
-        hippo
-            .insert_tuples("contractor", vec![vec![Value::text("bob"), Value::Int(50)]])
-            .unwrap();
-        let stats = hippo.redetect().unwrap();
-        assert!(stats.incremental);
-        assert_eq!(hippo.graph().edge_count(), 1, "bob is in both relations");
-        // Seeded delta: the new tuple plus its single join match — not
-        // the 4-row emp outer atom.
-        assert!(
-            stats.combinations_checked <= 2,
-            "delta join must not rescan the outer atom (checked {})",
-            stats.combinations_checked
-        );
-        // Deleting the tuple clears the conflict incrementally too.
-        let last = hippo
-            .db()
-            .catalog()
-            .table("contractor")
-            .unwrap()
-            .slot_count()
-            - 1;
-        hippo
-            .delete_tuples("contractor", &[hippo_engine::TupleId(last as u32)])
-            .unwrap();
-        let stats = hippo.redetect().unwrap();
-        assert!(stats.incremental);
-        assert_eq!(hippo.graph().edge_count(), 0);
-
-        // At scale, with an FD riding along: the same one-row delta
-        // checks at most 1% of the combinations the full pass does.
-        use crate::workload::FdTableSpec;
-        let spec = FdTableSpec::new("t", 2000, 0.02, 83);
-        let mut db = Database::new();
-        spec.populate(&mut db).unwrap();
-        db.execute("CREATE TABLE s (k INT, v INT, payload INT)")
-            .unwrap();
-        let excl = DenialConstraint::exclusion("t", "s", &[(0, 0)]);
-        let mut hippo = Hippo::new(db, vec![spec.fd(), excl]).unwrap();
-        let full = hippo.redetect_full().unwrap().combinations_checked;
-        hippo
-            .insert_tuples("s", vec![vec![Value::Int(0), Value::Int(0), Value::Int(0)]])
-            .unwrap();
-        let delta = hippo.redetect().unwrap();
-        assert!(delta.incremental);
-        assert!(
-            delta.combinations_checked * 100 <= full,
-            "delta combos {} vs full {full}",
-            delta.combinations_checked
-        );
     }
 
     #[test]

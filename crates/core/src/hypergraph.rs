@@ -518,18 +518,6 @@ impl ConflictHypergraph {
         }
     }
 
-    /// All conflicting vertices (unsorted before [`finalize`], sorted
-    /// after).
-    ///
-    /// [`finalize`]: ConflictHypergraph::finalize
-    pub(crate) fn conflicting_vertices(&self) -> impl Iterator<Item = Vertex> + '_ {
-        // Exactly one side is non-empty depending on frozen state.
-        self.vertex_list
-            .iter()
-            .copied()
-            .chain(self.adj_build.keys().copied())
-    }
-
     /// Conflicting vertices carrying a given fact (empty slice when the
     /// fact is not part of any conflict). Borrow-based probe: no clone,
     /// no allocation, hit or miss.
@@ -850,18 +838,15 @@ mod tests {
         g.add_edge(&[v(r, 0), v(r, 1)], &[&row(0), &row(1)], 0);
         g.add_edge(&[v(r, 1), v(s, 2)], &[&row(1), &row(2)], 1);
         g.add_edge(&[v(s, 9)], &[&row(9)], 2);
-        let before: Vec<(Vertex, Vec<EdgeId>)> = {
-            let mut vs: Vec<Vertex> = g.conflicting_vertices().collect();
-            vs.sort();
-            vs.iter().map(|&v| (v, g.edges_of(v).to_vec())).collect()
+        let vs = [v(r, 0), v(r, 1), v(s, 2), v(s, 9)];
+        let adjacency = |g: &ConflictHypergraph| -> Vec<Vec<EdgeId>> {
+            vs.iter().map(|&v| g.edges_of(v).to_vec()).collect()
         };
+        let before = adjacency(&g);
         assert!(!g.is_finalized());
         g.finalize();
         assert!(g.is_finalized());
-        let after: Vec<(Vertex, Vec<EdgeId>)> = {
-            let vs: Vec<Vertex> = g.conflicting_vertices().collect();
-            vs.iter().map(|&v| (v, g.edges_of(v).to_vec())).collect()
-        };
+        let after = adjacency(&g);
         assert_eq!(before, after, "finalize must not change adjacency");
         assert_eq!(
             g.edges_of(v(r, 9)),

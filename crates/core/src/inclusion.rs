@@ -183,9 +183,6 @@ impl ForeignKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::detect_conflicts;
-    use crate::naive::naive_consistent_answers;
-    use crate::query::SjudQuery;
     use hippo_engine::Database;
 
     fn db() -> Database {
@@ -217,19 +214,6 @@ mod tests {
         assert_eq!(g.edge_count(), 1);
         let (_, e) = g.edges().next().unwrap();
         assert_eq!(e.len(), 1);
-    }
-
-    #[test]
-    fn orphan_is_in_no_repair() {
-        let db = db();
-        let mut g = ConflictHypergraph::new();
-        orphan_edges(&mut g, db.catalog(), &fk(), 0).unwrap();
-        let q = SjudQuery::rel("orders");
-        let answers = naive_consistent_answers(&q, db.catalog(), &g);
-        assert_eq!(answers.len(), 3, "orphan dropped from every repair");
-        assert!(answers
-            .iter()
-            .all(|r| r[0] != hippo_engine::Value::Int(102)));
     }
 
     #[test]
@@ -270,23 +254,5 @@ mod tests {
         assert!(ForeignKey::new("orders", vec![], "customers", vec![])
             .validate(db.catalog())
             .is_err());
-    }
-
-    #[test]
-    fn fk_combines_with_fd_detection() {
-        // FD on orders + FK: both kinds of edges in one hypergraph.
-        let mut db = db();
-        db.execute("INSERT INTO orders VALUES (100, 2)").unwrap(); // FD conflict on id
-        let denials = vec![DenialConstraint::functional_dependency("orders", &[0], 1)];
-        validate_restricted(&[fk()], &denials, db.catalog()).unwrap();
-        let (mut g, _) = detect_conflicts(db.catalog(), &denials).unwrap();
-        orphan_edges(&mut g, db.catalog(), &fk(), denials.len()).unwrap();
-        assert_eq!(g.edge_count(), 2);
-        // Ground truth still works on the combined hypergraph.
-        let q = SjudQuery::rel("orders");
-        let answers = naive_consistent_answers(&q, db.catalog(), &g);
-        // 101, 103 always; 100 appears with two cust values → neither kept
-        // consistently; 102 orphan → never.
-        assert_eq!(answers.len(), 2);
     }
 }

@@ -74,9 +74,9 @@
 //! [`budget::FaultPlan`] (`HIPPO_FAULT=stage:shard:kind`).
 //!
 //! Baselines for the paper's comparisons: [`rewrite`] (the
-//! Arenas–Bertossi–Chomicki query-rewriting method), [`naive`] (repair
-//! enumeration — the definitional semantics, exponential) and the
-//! "delete all conflicting tuples" strawman.
+//! Arenas–Bertossi–Chomicki query-rewriting method) here, and in the
+//! `hippo-testkit` crate repair enumeration (the definitional semantics,
+//! exponential) and the "delete all conflicting tuples" strawman.
 //!
 //! ```
 //! use hippo_cqa::prelude::*;
@@ -104,15 +104,12 @@ pub mod hippo;
 pub mod hypergraph;
 pub mod inclusion;
 pub mod kg;
-pub mod naive;
 pub mod parallel;
 pub mod pred;
 mod prover;
 pub mod query;
-pub mod repair;
 pub mod rewrite;
 pub mod sql_front;
-mod workload;
 
 /// Convenient re-exports of the main API surface.
 pub mod prelude {
@@ -125,13 +122,10 @@ pub mod prelude {
     pub use crate::hippo::{AnswerStats, FrozenHippo, Hippo, HippoOptions};
     pub use crate::hypergraph::{ConflictHypergraph, Fact, Vertex};
     pub use crate::inclusion::ForeignKey;
-    pub use crate::naive::{conflict_free_answers, naive_consistent_answers, plain_answers};
     pub use crate::pred::{CmpOp, Operand, Pred};
     pub use crate::query::SjudQuery;
-    pub use crate::repair::{enumerate_repairs, is_repair};
     pub use crate::rewrite::{rewrite_query, rewritten_answers, RewriteError};
     pub use crate::sql_front::sjud_from_sql;
-    pub use crate::workload::{FdTableSpec, IntegrationWorkload, JoinWorkload};
 }
 
 pub use prelude::*;

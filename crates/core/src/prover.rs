@@ -351,34 +351,10 @@ mod tests {
     use super::*;
     use crate::constraint::DenialConstraint;
     use crate::detect::detect_conflicts;
+    use crate::hippo::tests::emp_db;
     use crate::pred::{CmpOp, Pred};
     use crate::query::SjudQuery;
     use hippo_engine::{Column, DataType, Database, TableSchema, Value};
-
-    fn emp_db(rows: &[(&str, i64)]) -> Database {
-        let mut db = Database::new();
-        db.catalog_mut()
-            .create_table(
-                TableSchema::new(
-                    "emp",
-                    vec![
-                        Column::new("name", DataType::Text),
-                        Column::new("salary", DataType::Int),
-                    ],
-                    &[],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        db.insert_rows(
-            "emp",
-            rows.iter()
-                .map(|&(n, s)| vec![Value::text(n), Value::Int(s)])
-                .collect(),
-        )
-        .unwrap();
-        db
-    }
 
     fn check(
         db: &Database,
@@ -566,48 +542,6 @@ mod tests {
             &q,
             vec![Value::text("ann"), Value::Int(100), Value::text("cs")]
         ));
-    }
-
-    #[test]
-    fn prover_matches_naive_on_small_fd_instance() {
-        use crate::repair::{enumerate_repairs, repair_instance};
-        let db = emp_db(&[
-            ("ann", 100),
-            ("ann", 200),
-            ("bob", 300),
-            ("bob", 400),
-            ("cyd", 5),
-        ]);
-        let fd = [DenialConstraint::functional_dependency("emp", &[0], 1)];
-        let (g, _) = detect_conflicts(db.catalog(), &fd).unwrap();
-        let q = SjudQuery::rel("emp").diff(SjudQuery::rel("emp").select(Pred::cmp_const(
-            1,
-            CmpOp::Ge,
-            350i64,
-        )));
-        // Naive: intersect over all repairs.
-        let repairs = enumerate_repairs(&g, None);
-        let mut naive: Option<std::collections::HashSet<Vec<Value>>> = None;
-        for r in &repairs {
-            let inst = repair_instance(db.catalog(), &g, r);
-            let rows: std::collections::HashSet<Vec<Value>> =
-                q.eval_over(&inst).into_iter().collect();
-            naive = Some(match naive {
-                None => rows,
-                Some(acc) => acc.intersection(&rows).cloned().collect(),
-            });
-        }
-        let naive = naive.unwrap();
-        // Prover: check every tuple in the envelope (here: all emp rows),
-        // reusing one prover + workspace across the whole batch.
-        let template = MembershipTemplate::build(&q, db.catalog()).unwrap();
-        let mut prover = Prover::new(&g, &template);
-        for (_, row) in db.catalog().table("emp").unwrap().iter() {
-            let expected = naive.contains(row);
-            let flags = catalog_flags(&template, db.catalog(), row);
-            let got = prover.is_consistent_answer(row, &flags);
-            assert_eq!(got, expected, "tuple {row:?}");
-        }
     }
 
     #[test]

@@ -309,137 +309,9 @@ fn residue_for_atom(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::detect_conflicts;
-    use crate::naive::naive_consistent_answers;
-    use crate::pred::{CmpOp, Pred};
-    use hippo_engine::{Column, DataType, Database, TableSchema, Value};
-
-    fn emp_db(rows: &[(&str, i64)]) -> Database {
-        let mut db = Database::new();
-        db.catalog_mut()
-            .create_table(
-                TableSchema::new(
-                    "emp",
-                    vec![
-                        Column::new("name", DataType::Text),
-                        Column::new("salary", DataType::Int),
-                    ],
-                    &[],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        db.insert_rows(
-            "emp",
-            rows.iter()
-                .map(|&(n, s)| vec![Value::text(n), Value::Int(s)])
-                .collect(),
-        )
-        .unwrap();
-        db
-    }
-
-    fn fd() -> Vec<DenialConstraint> {
-        vec![DenialConstraint::functional_dependency("emp", &[0], 1)]
-    }
-
-    #[test]
-    fn rewriting_matches_ground_truth_on_relation_query() {
-        let db = emp_db(&[("ann", 100), ("ann", 200), ("bob", 300)]);
-        let (g, _) = detect_conflicts(db.catalog(), &fd()).unwrap();
-        let q = SjudQuery::rel("emp");
-        let rewritten = rewritten_answers(&q, &fd(), &db).unwrap();
-        let truth = naive_consistent_answers(&q, db.catalog(), &g);
-        assert_eq!(rewritten, truth);
-    }
-
-    #[test]
-    fn rewriting_matches_ground_truth_with_selection() {
-        let db = emp_db(&[("ann", 100), ("ann", 200), ("bob", 300), ("cyd", 10)]);
-        let (g, _) = detect_conflicts(db.catalog(), &fd()).unwrap();
-        let q = SjudQuery::rel("emp").select(Pred::cmp_const(1, CmpOp::Ge, 50i64));
-        let rewritten = rewritten_answers(&q, &fd(), &db).unwrap();
-        let truth = naive_consistent_answers(&q, db.catalog(), &g);
-        assert_eq!(rewritten, truth);
-    }
-
-    #[test]
-    fn rewriting_matches_ground_truth_on_join() {
-        let mut db = emp_db(&[("ann", 100), ("ann", 200), ("bob", 300)]);
-        db.catalog_mut()
-            .create_table(
-                TableSchema::new(
-                    "dept",
-                    vec![
-                        Column::new("dname", DataType::Text),
-                        Column::new("head", DataType::Text),
-                    ],
-                    &[],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        db.insert_rows(
-            "dept",
-            vec![
-                vec![Value::text("cs"), Value::text("ann")],
-                vec![Value::text("ee"), Value::text("bob")],
-            ],
-        )
-        .unwrap();
-        let constraints = fd();
-        let (g, _) = detect_conflicts(db.catalog(), &constraints).unwrap();
-        // join emp and dept on head = name
-        let q = SjudQuery::rel("emp")
-            .product(SjudQuery::rel("dept"))
-            .select(Pred::cmp_cols(0, CmpOp::Eq, 3));
-        let rewritten = rewritten_answers(&q, &constraints, &db).unwrap();
-        let truth = naive_consistent_answers(&q, db.catalog(), &g);
-        assert_eq!(rewritten, truth);
-    }
-
-    #[test]
-    fn rewriting_matches_ground_truth_with_exclusion_constraint() {
-        let mut db = emp_db(&[("ann", 100), ("bob", 200)]);
-        db.catalog_mut()
-            .create_table(
-                TableSchema::new(
-                    "banned",
-                    vec![
-                        Column::new("name", DataType::Text),
-                        Column::new("x", DataType::Int),
-                    ],
-                    &[],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        db.insert_rows("banned", vec![vec![Value::text("ann"), Value::Int(0)]])
-            .unwrap();
-        let constraints = vec![DenialConstraint::exclusion("emp", "banned", &[(0, 0)])];
-        let (g, _) = detect_conflicts(db.catalog(), &constraints).unwrap();
-        let q = SjudQuery::rel("emp");
-        let rewritten = rewritten_answers(&q, &constraints, &db).unwrap();
-        let truth = naive_consistent_answers(&q, db.catalog(), &g);
-        assert_eq!(
-            rewritten, truth,
-            "ann conflicts with a banned row in both directions"
-        );
-    }
-
-    #[test]
-    fn rewriting_matches_ground_truth_on_difference() {
-        let db = emp_db(&[("ann", 100), ("ann", 200), ("bob", 300), ("cyd", 10)]);
-        let (g, _) = detect_conflicts(db.catalog(), &fd()).unwrap();
-        let q = SjudQuery::rel("emp").diff(SjudQuery::rel("emp").select(Pred::cmp_const(
-            1,
-            CmpOp::Lt,
-            50i64,
-        )));
-        let rewritten = rewritten_answers(&q, &fd(), &db).unwrap();
-        let truth = naive_consistent_answers(&q, db.catalog(), &g);
-        assert_eq!(rewritten, truth);
-    }
+    use crate::hippo::tests::{emp_db, fd};
+    use crate::pred::CmpOp;
+    use hippo_engine::Value;
 
     #[test]
     fn union_is_unsupported() {
@@ -476,25 +348,6 @@ mod tests {
             &rewrite_query(&SjudQuery::rel("emp"), &fd(), db.catalog()).unwrap(),
         );
         assert!(sql.contains("NOT EXISTS"), "{sql}");
-    }
-
-    #[test]
-    fn check_constraint_alone_is_supported_and_exact() {
-        use crate::constraint::{AttrRef, Comparison, Term};
-        let db = emp_db(&[("ann", -5), ("bob", 10)]);
-        let chk = vec![DenialConstraint::check(
-            "emp",
-            vec![Comparison {
-                op: CmpOp::Lt,
-                left: Term::Attr(AttrRef { atom: 0, col: 1 }),
-                right: Term::Const(Value::Int(0)),
-            }],
-        )];
-        let (g, _) = detect_conflicts(db.catalog(), &chk).unwrap();
-        let q = SjudQuery::rel("emp");
-        let rewritten = rewritten_answers(&q, &chk, &db).unwrap();
-        let truth = naive_consistent_answers(&q, db.catalog(), &g);
-        assert_eq!(rewritten, truth);
     }
 
     #[test]

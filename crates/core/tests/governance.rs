@@ -11,12 +11,8 @@
 use hippo_cqa::prelude::*;
 use hippo_engine::schema::ErrorKind;
 use hippo_engine::{Database, Value};
+use hippo_testkit::{answer, FdTableSpec};
 use std::time::Duration;
-
-/// A live system answers by freezing, then the one answer call.
-fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
-    h.freeze()?.answer(q, &h.options)
-}
 
 /// Seeded FD workload: `t(k, v, payload)` with `k -> v` violated on
 /// `conflict_rate` of the keys.

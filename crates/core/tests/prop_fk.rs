@@ -9,15 +9,10 @@
 //! ([`Hippo::redetect_full`]) edge-for-edge, and the consistent answers
 //! must be unchanged by which path produced the graph.
 
-use hippo_cqa::hypergraph::Vertex;
 use hippo_cqa::prelude::*;
 use hippo_engine::{Database, Row, TupleId, Value};
+use hippo_testkit::{answer, edge_set};
 use proptest::prelude::*;
-
-/// A live system answers by freezing, then the one answer call.
-fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
-    h.freeze()?.answer(q, &h.options)
-}
 
 fn setup(parents: &[u32], children: &[(u32, u32)]) -> Hippo {
     let mut db = Database::new();
@@ -43,17 +38,6 @@ fn setup(parents: &[u32], children: &[(u32, u32)]) -> Hippo {
     // FD on the child: pid → v. Denial edges and orphan edges coexist.
     let fd = DenialConstraint::functional_dependency("child", &[0], 1);
     Hippo::with_foreign_keys(db, vec![fd], vec![fk]).unwrap()
-}
-
-/// Sorted (constraint, vertex-set) rendering — the graph's identity.
-fn canon(h: &Hippo) -> Vec<(usize, Vec<Vertex>)> {
-    let g = h.graph();
-    let mut edges: Vec<(usize, Vec<Vertex>)> = g
-        .edges()
-        .map(|(id, e)| (g.edge_constraint(id), e.to_vec()))
-        .collect();
-    edges.sort();
-    edges
 }
 
 /// Live tuple ids of a table, in slot order.
@@ -130,11 +114,11 @@ proptest! {
                 stats.incremental,
                 "recorded fk changes must take the incremental path"
             );
-            let inc_edges = canon(&hippo);
+            let inc_edges = edge_set(hippo.graph());
             let inc_answers = answer(&hippo, &q).unwrap().rows;
             // Forced full rebuild on the same database must agree.
             hippo.redetect_full().unwrap();
-            prop_assert_eq!(inc_edges, canon(&hippo), "graphs diverged");
+            prop_assert_eq!(inc_edges, edge_set(hippo.graph()), "graphs diverged");
             prop_assert_eq!(
                 inc_answers,
                 answer(&hippo, &q).unwrap().rows,

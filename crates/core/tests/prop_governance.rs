@@ -15,12 +15,8 @@
 use hippo_cqa::constraint::DenialConstraint;
 use hippo_cqa::prelude::*;
 use hippo_engine::{Column, DataType, Database, Row, TableSchema, Value};
+use hippo_testkit::answer;
 use proptest::prelude::*;
-
-/// A live system answers by freezing, then the one answer call.
-fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
-    h.freeze()?.answer(q, &h.options)
-}
 
 fn db_with(t_rows: &[(u32, u32)]) -> Database {
     let mut db = Database::new();

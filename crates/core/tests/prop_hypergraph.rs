@@ -11,16 +11,9 @@
 
 use hippo_cqa::hypergraph::{ConflictHypergraph, Vertex};
 use hippo_engine::{Row, TupleId, Value};
+use hippo_testkit::{answer, FdTableSpec};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
-
-/// A live system answers by freezing, then the one answer call.
-fn answer(
-    h: &hippo_cqa::Hippo,
-    q: &hippo_cqa::SjudQuery,
-) -> Result<hippo_cqa::ConsistentAnswer, hippo_engine::EngineError> {
-    h.freeze()?.answer(q, &h.options)
-}
 
 /// The reference implementation: the straightforward representation.
 #[derive(Default)]

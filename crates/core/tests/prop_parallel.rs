@@ -15,80 +15,11 @@
 //!    vertices), and the two systems return identical consistent
 //!    answers.
 
-use hippo_cqa::constraint::{Comparison, DenialConstraint, Term};
 use hippo_cqa::detect::{detect_conflicts_with, DetectOptions};
-use hippo_cqa::hypergraph::{ConflictHypergraph, Vertex};
-use hippo_cqa::pred::CmpOp;
 use hippo_cqa::prelude::*;
-use hippo_engine::{Column, DataType, Database, Row, TableSchema, TupleId, Value};
+use hippo_engine::{TupleId, Value};
+use hippo_testkit::{answer, arb_rows, edge_set, ts_constraints, ts_db};
 use proptest::prelude::*;
-
-/// A live system answers by freezing, then the one answer call.
-fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
-    h.freeze()?.answer(q, &h.options)
-}
-
-/// Random two-table instance: `t(k, v)` and `s(k, v)` with small key /
-/// value domains so FD violations, exclusion overlaps and CHECK hits
-/// all occur at useful rates.
-fn db_with(t_rows: &[(u32, u32)], s_rows: &[(u32, u32)]) -> Database {
-    let mut db = Database::new();
-    for name in ["t", "s"] {
-        db.catalog_mut()
-            .create_table(
-                TableSchema::new(
-                    name,
-                    vec![
-                        Column::new("k", DataType::Int),
-                        Column::new("v", DataType::Int),
-                    ],
-                    &[],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-    }
-    let to_rows = |rows: &[(u32, u32)]| -> Vec<Row> {
-        rows.iter()
-            .map(|&(k, v)| vec![Value::Int(k as i64), Value::Int(v as i64)])
-            .collect()
-    };
-    db.insert_rows("t", to_rows(t_rows)).unwrap();
-    db.insert_rows("s", to_rows(s_rows)).unwrap();
-    db
-}
-
-/// FD on `t`, exclusion between `t` and `s`, and a CHECK denial on `t` —
-/// exercising the FD fast path, the hash-joined general path and the
-/// singleton general path at once.
-fn constraints() -> Vec<DenialConstraint> {
-    vec![
-        DenialConstraint::functional_dependency("t", &[0], 1),
-        DenialConstraint::exclusion("t", "s", &[(0, 0)]),
-        DenialConstraint::check(
-            "t",
-            vec![Comparison {
-                op: CmpOp::Ge,
-                left: Term::Attr(hippo_cqa::constraint::AttrRef { atom: 0, col: 1 }),
-                right: Term::Const(Value::Int(3)),
-            }],
-        ),
-    ]
-}
-
-/// Canonical edge-set representation: sorted (constraint, vertices).
-fn edge_set(g: &ConflictHypergraph) -> Vec<(usize, Vec<Vertex>)> {
-    let mut edges: Vec<(usize, Vec<Vertex>)> = g
-        .edges()
-        .map(|(id, e)| (g.edge_constraint(id), e.to_vec()))
-        .collect();
-    edges.sort();
-    edges
-}
-
-fn arb_rows(max: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
-    prop::collection::vec((0u32..8, 0u32..4), 0..max)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -99,8 +30,8 @@ proptest! {
         s_rows in arb_rows(20),
         threads in 1usize..4,
     ) {
-        let db = db_with(&t_rows, &s_rows);
-        let cs = constraints();
+        let db = ts_db(&t_rows, &s_rows);
+        let cs = ts_constraints();
         let (g_seq, s_seq) =
             detect_conflicts_with(db.catalog(), &cs, &DetectOptions::with_threads(1)).unwrap();
         let (g_par, s_par) =
@@ -144,8 +75,8 @@ proptest! {
         s_rows in arb_rows(16),
         ops in prop::collection::vec((0u32..6, 0u32..8, 0u32..4, 0u32..64), 0..16),
     ) {
-        let mut hippo = Hippo::new(db_with(&t_rows, &s_rows), constraints()).unwrap();
-        let mut mirror = db_with(&t_rows, &s_rows);
+        let mut hippo = Hippo::new(ts_db(&t_rows, &s_rows), ts_constraints()).unwrap();
+        let mut mirror = ts_db(&t_rows, &s_rows);
         // Ops that were actually applied (a delete of a tombstoned or
         // out-of-range tuple records nothing and must not be counted).
         let mut applied = 0usize;
@@ -187,7 +118,7 @@ proptest! {
         let stats = hippo.redetect().unwrap();
         prop_assert_eq!(stats.incremental, applied > 0, "delta path taken iff changes recorded");
 
-        let reference = Hippo::new(mirror, constraints()).unwrap();
+        let reference = Hippo::new(mirror, ts_constraints()).unwrap();
         prop_assert_eq!(edge_set(hippo.graph()), edge_set(reference.graph()));
 
         // Per-fact conflict vertices agree (as sets) for every live row.

@@ -15,59 +15,9 @@
 //!    exactly `prover_calls − prover_cache_hits` tuples while the
 //!    uncached run proves all of them.
 
-use hippo_cqa::constraint::{Comparison, DenialConstraint, Term};
-use hippo_cqa::pred::CmpOp;
 use hippo_cqa::prelude::*;
-use hippo_engine::{Column, DataType, Database, Row, TableSchema, Value};
+use hippo_testkit::{answer, arb_rows, ts_constraints, ts_db};
 use proptest::prelude::*;
-
-/// A live system answers by freezing, then the one answer call.
-fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
-    h.freeze()?.answer(q, &h.options)
-}
-
-fn db_with(t_rows: &[(u32, u32)], s_rows: &[(u32, u32)]) -> Database {
-    let mut db = Database::new();
-    for name in ["t", "s"] {
-        db.catalog_mut()
-            .create_table(
-                TableSchema::new(
-                    name,
-                    vec![
-                        Column::new("k", DataType::Int),
-                        Column::new("v", DataType::Int),
-                    ],
-                    &[],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-    }
-    let to_rows = |rows: &[(u32, u32)]| -> Vec<Row> {
-        rows.iter()
-            .map(|&(k, v)| vec![Value::Int(k as i64), Value::Int(v as i64)])
-            .collect()
-    };
-    db.insert_rows("t", to_rows(t_rows)).unwrap();
-    db.insert_rows("s", to_rows(s_rows)).unwrap();
-    db
-}
-
-/// FD fast path + hash-joined general path + singleton general path.
-fn constraints() -> Vec<DenialConstraint> {
-    vec![
-        DenialConstraint::functional_dependency("t", &[0], 1),
-        DenialConstraint::exclusion("t", "s", &[(0, 0)]),
-        DenialConstraint::check(
-            "t",
-            vec![Comparison {
-                op: CmpOp::Ge,
-                left: Term::Attr(hippo_cqa::constraint::AttrRef { atom: 0, col: 1 }),
-                right: Term::Const(Value::Int(3)),
-            }],
-        ),
-    ]
-}
 
 /// A small query zoo covering S, SD, SU and permutation shapes.
 fn query(pick: u32) -> SjudQuery {
@@ -83,10 +33,6 @@ fn query(pick: u32) -> SjudQuery {
             .union(SjudQuery::rel("s")),
         _ => SjudQuery::rel("t").permute(vec![1, 0]),
     }
-}
-
-fn arb_rows(max: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
-    prop::collection::vec((0u32..8, 0u32..4), 0..max)
 }
 
 /// The deterministic (thread-independent) slice of the stats.
@@ -135,15 +81,15 @@ proptest! {
         let q = query(pick);
         let base = if full == 1 { HippoOptions::full() } else { HippoOptions::kg() };
         let seq = Hippo::with_options(
-            db_with(&t_rows, &s_rows),
-            constraints(),
+            ts_db(&t_rows, &s_rows),
+            ts_constraints(),
             base.clone().with_prover_threads(1),
         ).unwrap();
         let ConsistentAnswer { rows: ans_seq, stats: st_seq, .. } = answer(&seq, &q).unwrap();
 
         let par = Hippo::with_options(
-            db_with(&t_rows, &s_rows),
-            constraints(),
+            ts_db(&t_rows, &s_rows),
+            ts_constraints(),
             base.with_prover_threads(threads),
         ).unwrap();
         let ConsistentAnswer { rows: ans_par, stats: st_par, .. } = answer(&par, &q).unwrap();
@@ -165,15 +111,15 @@ proptest! {
         // for any worker count, and the answers must agree with KG mode.
         let q = query(pick);
         let seq = Hippo::with_options(
-            db_with(&t_rows, &s_rows),
-            constraints(),
+            ts_db(&t_rows, &s_rows),
+            ts_constraints(),
             HippoOptions::base().with_prover_threads(1),
         ).unwrap();
         let ConsistentAnswer { rows: ans_seq, stats: st_seq, .. } = answer(&seq, &q).unwrap();
 
         let par = Hippo::with_options(
-            db_with(&t_rows, &s_rows),
-            constraints(),
+            ts_db(&t_rows, &s_rows),
+            ts_constraints(),
             HippoOptions::base().with_prover_threads(threads),
         ).unwrap();
         let ConsistentAnswer { rows: ans_par, stats: st_par, .. } = answer(&par, &q).unwrap();
@@ -183,8 +129,8 @@ proptest! {
             "base stats diverged at threads={}", threads);
 
         let kg = Hippo::with_options(
-            db_with(&t_rows, &s_rows),
-            constraints(),
+            ts_db(&t_rows, &s_rows),
+            ts_constraints(),
             HippoOptions::kg().with_prover_threads(threads),
         ).unwrap();
         let ConsistentAnswer { rows: ans_kg, stats: st_kg, .. } = answer(&kg, &q).unwrap();
@@ -201,15 +147,15 @@ proptest! {
     ) {
         let q = query(pick);
         let cached = Hippo::with_options(
-            db_with(&t_rows, &s_rows),
-            constraints(),
+            ts_db(&t_rows, &s_rows),
+            ts_constraints(),
             HippoOptions::kg().with_prover_threads(threads),
         ).unwrap();
         let ConsistentAnswer { rows: ans_c, stats: st_c, .. } = answer(&cached, &q).unwrap();
 
         let raw = Hippo::with_options(
-            db_with(&t_rows, &s_rows),
-            constraints(),
+            ts_db(&t_rows, &s_rows),
+            ts_constraints(),
             HippoOptions::kg().with_prover_threads(threads).without_prover_cache(),
         ).unwrap();
         let ConsistentAnswer { rows: ans_r, stats: st_r, .. } = answer(&raw, &q).unwrap();

@@ -90,7 +90,7 @@ impl Scope {
 }
 
 /// Bind a query against the catalog (no outer scopes).
-pub fn bind_query(catalog: &Catalog, query: &Query) -> Result<BoundQuery, EngineError> {
+pub(crate) fn bind_query(catalog: &Catalog, query: &Query) -> Result<BoundQuery, EngineError> {
     Binder {
         catalog,
         scopes: Vec::new(),

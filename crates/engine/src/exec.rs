@@ -415,26 +415,6 @@ pub(crate) fn execute_physical(
     }
 }
 
-/// `execute_physical` against a shared read-only catalog, with the
-/// environment built here on the caller's stack (so concurrent callers
-/// over one catalog never contend): with a `budget` the executor's
-/// loops charge rows against it and unwind with a structured
-/// `Budget`/`Cancelled` error reported as `stage`.
-pub fn execute_physical_with(
-    plan: &Plan,
-    catalog: &crate::catalog::Catalog,
-    budget: Option<&crate::budget::Budget>,
-    stage: &'static str,
-) -> Result<Vec<Row>, EngineError> {
-    let mut env = EvalEnv::new(catalog);
-    if let Some(b) = budget {
-        env.set_budget(b, stage);
-    }
-    let res = execute_physical(plan, &mut env);
-    env.flush_budget();
-    res
-}
-
 /// Evaluate an expression subquery for the current `row`: push it as
 /// the nearest enclosing row and run `plan` on the executor that is
 /// evaluating the enclosing expression — production unless the

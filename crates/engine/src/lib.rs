@@ -11,12 +11,12 @@
 //!   Reads have **one path**: every `SELECT` is a method of the
 //!   read-only, `Sync` [`DbSnapshot`], and a `Database` reads through
 //!   the snapshot it owns;
-//! * a name-resolving binder ([`bind`]) lowering the `hippo-sql` AST to
+//! * a name-resolving binder (`bind`) lowering the `hippo-sql` AST to
 //!   the engine's **one plan type**, [`plan::Plan`];
-//! * an optimizer ([`optimize`]) of plan → plan rewrites (constant
+//! * an optimizer (`optimize`) of plan → plan rewrites (constant
 //!   folding, predicate pushdown, cross-product → hash-join conversion)
 //!   plus **access-path selection**
-//!   ([`optimize::choose_access_paths`]), an in-place pass that turns
+//!   (`optimize::choose_access_paths`), an in-place pass that turns
 //!   equality predicates over indexed columns into O(1)
 //!   [`plan::Plan::IndexLookup`] probes and equi-correlated `EXISTS`
 //!   into [`plan::Plan::MarkJoin`]s;
@@ -49,27 +49,27 @@
 //! assert_eq!(r.rows.len(), 1);
 //! ```
 
-pub mod bind;
+mod bind;
 mod budget;
 mod catalog;
 pub mod codec;
 mod column;
 mod db;
-pub mod exec;
+mod exec;
 mod expr;
 mod keytable;
-pub mod optimize;
+mod optimize;
 mod plan;
 pub mod schema;
 mod table;
 mod value;
 
+pub use bind::BoundQuery;
 pub use budget::{Budget, CancelHandle, CHECK_STRIDE};
 pub use catalog::Catalog;
 pub use column::set_columnar_override;
 pub use db::{Database, DbSnapshot, ExecResult, QueryResult, SnapshotStatsView};
 pub use expr::{BoundExpr, ScalarFunc};
-pub use optimize::choose_access_paths;
 pub use plan::{AggExpr, AggFunc, JoinType, Plan};
 pub use schema::{Column, DataType, EngineError, ErrorKind, TableSchema};
 pub use table::{CopyStats, Table, TupleId, INDEX_SHARDS};

@@ -76,7 +76,7 @@ use hippo_sql::{BinaryOp, UnaryOp};
 /// top-level `Project` item or `Filter` conjunct becomes a
 /// [`Plan::MarkJoin`]. Skipping this pass leaves a plan that scans and
 /// evaluates its `EXISTS` per row — same rows, same order.
-pub fn choose_access_paths(plan: &mut Plan, catalog: &Catalog) {
+pub(crate) fn choose_access_paths(plan: &mut Plan, catalog: &Catalog) {
     if let Plan::Filter { input, predicate } = plan {
         if let Plan::Scan { table } = &**input {
             if let Some(lookup) = index_access_path(table, predicate, catalog) {
@@ -398,7 +398,7 @@ fn as_index_key<'a>(c: &'a BoundExpr, schema: &TableSchema) -> Option<(usize, &'
 }
 
 /// Optimize a plan: the rewrite passes of the module docs, bottom-up.
-pub fn optimize(mut plan: Plan, catalog: &Catalog) -> Result<Plan, EngineError> {
+pub(crate) fn optimize(mut plan: Plan, catalog: &Catalog) -> Result<Plan, EngineError> {
     for child in plan.children_mut() {
         let taken = std::mem::replace(child, Plan::Empty { arity: 0 });
         *child = optimize(taken, catalog)?;

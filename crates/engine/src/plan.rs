@@ -76,8 +76,8 @@ pub struct AggExpr {
 
 /// A query plan node — the one plan type of the engine.
 ///
-/// The binder emits it, [`crate::optimize::optimize`] rewrites it, and
-/// [`crate::optimize::choose_access_paths`] optionally replaces
+/// The binder emits it, `crate::optimize::optimize` rewrites it, and
+/// `crate::optimize::choose_access_paths` optionally replaces
 /// `Filter(Scan)` subtrees whose equality conjuncts cover a hash index
 /// with [`Plan::IndexLookup`] and equi-correlated `EXISTS` with
 /// [`Plan::MarkJoin`] (the two nodes the binder never produces).

@@ -12,6 +12,7 @@ use hippo_cqa::prelude::*;
 use hippo_engine::{Database, Row, TupleId, Value};
 use hippo_server::wal::{FrameKind, Wal, WalOp};
 use hippo_server::{DurabilityConfig, Engine, EngineConfig, WriteOp};
+use hippo_testkit::FdTableSpec;
 use std::path::{Path, PathBuf};
 
 fn tmp_dir(tag: &str) -> PathBuf {

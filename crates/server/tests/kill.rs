@@ -18,6 +18,7 @@ use hippo_engine::{Database, Row, Value};
 use hippo_server::{
     DurabilityConfig, Engine, EngineConfig, Replica, ReplicaConfig, TcpTransport, WriteOp,
 };
+use hippo_testkit::FdTableSpec;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver};
 use std::time::{Duration, Instant};

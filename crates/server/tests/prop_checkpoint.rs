@@ -22,6 +22,7 @@ use hippo_cqa::prelude::*;
 use hippo_engine::{Database, Row, Value};
 use hippo_server::checkpoint::{read_checkpoint, write_checkpoint, CHECKPOINT_FILE};
 use hippo_server::{DurabilityConfig, Engine, EngineConfig, WriteOp};
+use hippo_testkit::FdTableSpec;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 

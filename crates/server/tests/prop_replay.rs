@@ -14,6 +14,7 @@ use hippo_engine::{Database, Row, TupleId, Value};
 use hippo_server::{
     ChannelTransport, DurabilityConfig, Engine, EngineConfig, Replica, ReplicaConfig, WriteOp,
 };
+use hippo_testkit::FdTableSpec;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};

@@ -19,6 +19,7 @@ use hippo_server::{
     ChannelTransport, DurabilityConfig, Engine, EngineConfig, Replica, ReplicaConfig, Transport,
     WriteOp,
 };
+use hippo_testkit::FdTableSpec;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 

@@ -8,6 +8,7 @@ use hippo_cqa::budget::{FaultKind, FaultPlan};
 use hippo_cqa::prelude::*;
 use hippo_engine::{CopyStats, Database, Row, TupleId, Value};
 use hippo_server::{Engine, EngineConfig, RetryPolicy, WriteOp};
+use hippo_testkit::FdTableSpec;
 use std::time::{Duration, Instant};
 
 /// Seeded FD workload `t(k, v, payload)` with `k -> v` violated on 5%

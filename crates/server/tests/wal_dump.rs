@@ -5,6 +5,7 @@
 use hippo_cqa::prelude::*;
 use hippo_engine::{Database, Value};
 use hippo_server::{DurabilityConfig, Engine, EngineConfig, WriteOp};
+use hippo_testkit::FdTableSpec;
 use std::path::PathBuf;
 use std::process::Command;
 

@@ -7,10 +7,13 @@
 //! * [`conflict_free_answers`] — the "traditional approach" from the
 //!   paper's demo part 1: delete all conflicting tuples, then query. Sound
 //!   but incomplete: it loses answers CQA can still derive.
+//! * [`core_filter_direct`] — the core filter evaluated set-at-a-time, the
+//!   reference for the library's per-candidate test.
 
-use crate::hypergraph::ConflictHypergraph;
-use crate::query::SjudQuery;
 use crate::repair::{core_instance, enumerate_repairs, repair_instance};
+use hippo_cqa::envelope::envelope;
+use hippo_cqa::hypergraph::ConflictHypergraph;
+use hippo_cqa::query::SjudQuery;
 use hippo_engine::{Catalog, Row};
 use std::collections::HashSet;
 
@@ -53,38 +56,45 @@ pub fn plain_answers(q: &SjudQuery, catalog: &Catalog) -> Vec<Row> {
     q.eval_over(&|rel: &str| catalog.table(rel).map(|t| t.rows()).unwrap_or_default())
 }
 
+/// The core filter by direct (set-at-a-time) evaluation over instance
+/// views: positive leaves read the conflict-free core, subtracted
+/// branches their envelope over the full instance. The reference the
+/// library's per-candidate test (`hippo_cqa::corefilter`) is checked
+/// against; rows compare by identity, so it differs from that test on
+/// `NULL`-bearing tuples. Sorted and deduplicated.
+pub fn core_filter_direct(q: &SjudQuery, catalog: &Catalog, g: &ConflictHypergraph) -> Vec<Row> {
+    let core = core_instance(catalog, g);
+    filter_query(q).eval_over(&|rel: &str| match rel.strip_prefix(CORE) {
+        Some(rel) => core(rel),
+        None => catalog.table(rel).map(|t| t.rows()).unwrap_or_default(),
+    })
+}
+
+/// Prefix of a relation name that reads the conflict-free core; no SQL
+/// identifier contains it.
+const CORE: &str = "core:";
+
+/// `q` with each positive leaf renamed to read the core, and each
+/// subtracted branch replaced by its envelope over the full instance (an
+/// over-approximation of the branch in any repair, so what survives the
+/// subtraction is absent from it in every repair).
+fn filter_query(q: &SjudQuery) -> SjudQuery {
+    match q {
+        SjudQuery::Rel(r) => SjudQuery::rel(format!("{CORE}{r}")),
+        SjudQuery::Select { input, pred } => filter_query(input).select(pred.clone()),
+        SjudQuery::Product(l, r) => filter_query(l).product(filter_query(r)),
+        SjudQuery::Union(l, r) => filter_query(l).union(filter_query(r)),
+        SjudQuery::Diff(l, r) => filter_query(l).diff(envelope(r)),
+        SjudQuery::Permute { input, perm } => filter_query(input).permute(perm.clone()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::DenialConstraint;
-    use crate::detect::detect_conflicts;
-    use crate::pred::{CmpOp, Pred};
-    use hippo_engine::{Column, DataType, Database, TableSchema, Value};
-
-    fn emp_db(rows: &[(&str, i64)]) -> Database {
-        let mut db = Database::new();
-        db.catalog_mut()
-            .create_table(
-                TableSchema::new(
-                    "emp",
-                    vec![
-                        Column::new("name", DataType::Text),
-                        Column::new("salary", DataType::Int),
-                    ],
-                    &[],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        db.insert_rows(
-            "emp",
-            rows.iter()
-                .map(|&(n, s)| vec![Value::text(n), Value::Int(s)])
-                .collect(),
-        )
-        .unwrap();
-        db
-    }
+    use crate::emp_db;
+    use hippo_cqa::prelude::*;
+    use hippo_engine::{Column, DataType, TableSchema, Value};
 
     #[test]
     fn naive_on_consistent_instance_is_plain_result() {

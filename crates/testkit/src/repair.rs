@@ -4,28 +4,29 @@
 //! subset of the conflicting ones. Enumerating repairs is exponential in
 //! the worst case — this module exists for ground truth in tests and for
 //! experiment E7, which *measures* that blow-up; Hippo itself never calls
-//! it when answering queries.
+//! it when answering queries. It reads the graph only through its public
+//! accessors.
 
-use crate::hypergraph::{ConflictHypergraph, Vertex};
-use hippo_engine::{Catalog, Row};
+use hippo_cqa::hypergraph::{ConflictHypergraph, Vertex};
+use hippo_engine::{Catalog, Row, TupleId};
 use std::collections::{BTreeSet, HashSet};
 
 /// A repair, represented by the set of **conflicting vertices it keeps**
 /// (all non-conflicting tuples are implicitly kept).
-pub(crate) type RepairKept = BTreeSet<Vertex>;
+pub type RepairKept = BTreeSet<Vertex>;
+
+/// Every vertex some edge covers, sorted.
+fn conflicting_vertices(g: &ConflictHypergraph) -> BTreeSet<Vertex> {
+    g.edges().flat_map(|(_, e)| e.iter().copied()).collect()
+}
 
 /// Enumerate all repairs (as kept-sets over conflicting vertices).
 ///
 /// `limit` caps the number of repairs produced (`None` = unbounded); the
 /// experiments use the cap to keep E7 runs bounded.
 pub fn enumerate_repairs(g: &ConflictHypergraph, limit: Option<usize>) -> Vec<RepairKept> {
-    let vertices: Vec<Vertex> = {
-        let mut v: Vec<Vertex> = g.conflicting_vertices().collect();
-        v.sort();
-        v
-    };
     let mut results: HashSet<RepairKept> = HashSet::new();
-    let mut kept: BTreeSet<Vertex> = vertices.iter().copied().collect();
+    let mut kept = conflicting_vertices(g);
     let mut removed: BTreeSet<Vertex> = BTreeSet::new();
     recurse(g, &mut kept, &mut removed, &mut results, limit);
     let mut out: Vec<RepairKept> = results.into_iter().collect();
@@ -73,55 +74,41 @@ fn recurse(
     }
 }
 
-/// Materialise a repair (or the consistent core) as an instance view:
-/// relation name → rows, where conflicting vertices not in `kept` are
-/// dropped.
+/// Materialise a repair as an instance view: relation name → rows,
+/// where conflicting vertices not in `kept` are dropped.
 pub fn repair_instance<'a>(
     catalog: &'a Catalog,
     g: &'a ConflictHypergraph,
     kept: &'a RepairKept,
 ) -> impl Fn(&str) -> Vec<Row> + 'a {
     move |rel: &str| {
+        let dropped: HashSet<TupleId> = g
+            .edges()
+            .flat_map(|(_, e)| e.iter())
+            .filter(|v| g.relation_name(v.rel) == rel && !kept.contains(v))
+            .map(|v| v.tid)
+            .collect();
         let Ok(table) = catalog.table(rel) else {
             return Vec::new();
         };
-        let ri = g.relation_index(rel);
         table
             .iter()
-            .filter(|(tid, _)| match ri {
-                None => true,
-                Some(ri) => {
-                    let v = Vertex { rel: ri, tid: *tid };
-                    !g.is_conflicting(v) || kept.contains(&v)
-                }
-            })
+            .filter(|(tid, _)| !dropped.contains(tid))
             .map(|(_, row)| row.clone())
             .collect()
     }
 }
 
-/// The conflict-free core as an instance view: every conflicting tuple is
-/// dropped. This is the instance the "traditional approach" (delete all
-/// conflicting data) queries, and the positive base of Hippo's core-filter
-/// optimization.
+/// The conflict-free core as an instance view: the repair view that
+/// keeps no conflicting tuple. This is the instance the "traditional
+/// approach" (delete all conflicting data) queries, and the positive base
+/// of Hippo's core-filter optimization.
 pub(crate) fn core_instance<'a>(
     catalog: &'a Catalog,
     g: &'a ConflictHypergraph,
 ) -> impl Fn(&str) -> Vec<Row> + 'a {
-    move |rel: &str| {
-        let Ok(table) = catalog.table(rel) else {
-            return Vec::new();
-        };
-        let ri = g.relation_index(rel);
-        table
-            .iter()
-            .filter(|(tid, _)| match ri {
-                None => true,
-                Some(ri) => !g.is_conflicting(Vertex { rel: ri, tid: *tid }),
-            })
-            .map(|(_, row)| row.clone())
-            .collect()
-    }
+    static NONE: RepairKept = BTreeSet::new();
+    repair_instance(catalog, g, &NONE)
 }
 
 /// Check that a kept-set is a repair: independent and maximal.
@@ -130,7 +117,8 @@ pub fn is_repair(g: &ConflictHypergraph, kept: &RepairKept) -> bool {
     if !g.is_independent(&kept_set) {
         return false;
     }
-    g.conflicting_vertices()
+    conflicting_vertices(g)
+        .into_iter()
         .filter(|v| !kept_set.contains(v))
         .all(|v| g.is_blocked_by(v, &kept_set))
 }
@@ -138,7 +126,7 @@ pub fn is_repair(g: &ConflictHypergraph, kept: &RepairKept) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hippo_engine::{TupleId, Value};
+    use hippo_engine::Value;
 
     fn v(tid: u32) -> Vertex {
         Vertex {

@@ -8,7 +8,7 @@
 //! integration motivation (two autonomous sources merged into one
 //! relation, producing conflicts).
 
-use crate::constraint::DenialConstraint;
+use hippo_cqa::constraint::DenialConstraint;
 use hippo_engine::{Column, DataType, Database, EngineError, TableSchema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,7 +192,7 @@ impl IntegrationWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::detect_conflicts;
+    use hippo_cqa::detect::detect_conflicts;
 
     #[test]
     fn fd_table_row_counts() {

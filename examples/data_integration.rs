@@ -10,8 +10,8 @@
 //! Run with: `cargo run --example data_integration`
 
 use hippo::cqa::detect::detect_conflicts;
-use hippo::cqa::naive::conflict_free_answers;
 use hippo::cqa::prelude::*;
+use hippo_testkit::{conflict_free_answers, IntegrationWorkload};
 
 fn main() {
     let workload = IntegrationWorkload {

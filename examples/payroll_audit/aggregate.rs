@@ -27,8 +27,8 @@
 
 use hippo::cqa::constraint::DenialConstraint;
 use hippo::cqa::detect::detect_conflicts;
-use hippo::cqa::repair::{enumerate_repairs, repair_instance};
 use hippo::engine::{Catalog, EngineError, Value};
+use hippo_testkit::{enumerate_repairs, repair_instance};
 use std::collections::HashMap;
 
 /// Aggregates supported by range-consistent answering.

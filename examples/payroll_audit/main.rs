@@ -8,9 +8,11 @@ mod aggregate;
 
 use aggregate::{range_aggregate_fd, range_aggregate_naive, AggOp};
 use hippo::cqa::detect::detect_conflicts;
-use hippo::cqa::naive::{conflict_free_answers, naive_consistent_answers, plain_answers};
 use hippo::cqa::prelude::*;
 use hippo::engine::{Database, Value};
+use hippo_testkit::{
+    conflict_free_answers, enumerate_repairs, naive_consistent_answers, plain_answers,
+};
 use std::time::Instant;
 
 fn build_db() -> Database {

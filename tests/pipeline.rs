@@ -3,25 +3,11 @@
 //! proving — plus agreement between every strategy on curated instances.
 
 use hippo::cqa::detect::detect_conflicts;
-use hippo::cqa::naive::{conflict_free_answers, naive_consistent_answers, plain_answers};
 use hippo::cqa::prelude::*;
 use hippo::engine::{Database, TupleId, Value};
-
-/// A live system answers by freezing, then the one answer call.
-fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
-    h.freeze()?.answer(q, &h.options)
-}
-
-fn emp_db(rows: &[(&str, i64)]) -> Database {
-    let mut db = Database::new();
-    db.execute("CREATE TABLE emp (name TEXT, salary INT)")
-        .unwrap();
-    for (n, s) in rows {
-        db.execute(&format!("INSERT INTO emp VALUES ('{n}', {s})"))
-            .unwrap();
-    }
-    db
-}
+use hippo_testkit::{
+    answer, conflict_free_answers, emp_db, naive_consistent_answers, plain_answers,
+};
 
 #[test]
 fn f1_pipeline_end_to_end() {

@@ -11,20 +11,18 @@
 mod aggregate;
 
 use aggregate::{range_aggregate_fd, range_aggregate_naive, AggOp};
-use hippo::cqa::corefilter::{core_filter_direct, core_filter_set};
+use hippo::cqa::corefilter::core_filter_set;
 use hippo::cqa::detect::detect_conflicts;
 use hippo::cqa::formula::MembershipTemplate;
 use hippo::cqa::kg::{extended_envelope_sql, split_gathered};
-use hippo::cqa::naive::naive_consistent_answers;
 use hippo::cqa::prelude::*;
 use hippo::engine::{Database, Row, Value};
+use hippo_testkit::{
+    answer, core_filter_direct, enumerate_repairs, is_repair, naive_consistent_answers,
+    repair_instance,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
-
-/// A live system answers by freezing, then the one answer call.
-fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
-    h.freeze()?.answer(q, &h.options)
-}
 
 /// A small random instance: emp(name:int, salary:int) with values from a
 /// narrow domain so conflicts happen often but repairs stay enumerable.
@@ -331,8 +329,7 @@ proptest! {
         let answers = answer(&hippo, &q).unwrap().rows;
         let repairs = enumerate_repairs(hippo.graph(), None);
         for kept in &repairs {
-            let inst = hippo::cqa::repair::repair_instance(
-                hippo.db().catalog(), hippo.graph(), kept);
+            let inst = repair_instance(hippo.db().catalog(), hippo.graph(), kept);
             let result: HashSet<Row> = q.eval_over(&inst).into_iter().collect();
             for a in &answers {
                 prop_assert!(result.contains(a),

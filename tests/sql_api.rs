@@ -3,14 +3,9 @@
 //! the restricted foreign-key extension, end to end through the umbrella
 //! crate.
 
-use hippo::cqa::naive::naive_consistent_answers;
 use hippo::cqa::prelude::*;
 use hippo::engine::{Database, Value};
-
-/// A live system answers by freezing, then the one answer call.
-fn answer(h: &Hippo, q: &SjudQuery) -> Result<ConsistentAnswer, hippo_engine::EngineError> {
-    h.freeze()?.answer(q, &h.options)
-}
+use hippo_testkit::{answer, naive_consistent_answers};
 
 /// Consistent answers to SQL text: classify into SJUD, then answer.
 fn answer_sql(h: &Hippo, sql: &str) -> Vec<hippo_engine::Row> {
